@@ -26,7 +26,6 @@ func TestAllocGuardSteadyStateFusion(t *testing.T) {
 		depth   int
 		rule    Rule
 		workers int
-		fusion  bool
 	}{
 		{engine: EngineAdaptive, depth: 2},
 		{engine: EngineNEON, depth: 2},
@@ -36,14 +35,12 @@ func TestAllocGuardSteadyStateFusion(t *testing.T) {
 		// The windowed rule used to allocate two activity planes per band
 		// per frame; through the fusion workspace it must allocate none.
 		{engine: EngineAdaptive, depth: 2, rule: RuleWindowEnergy},
-		// The tiled multi-worker kernel path: dispatch through reusable
-		// task boxes and per-worker pooled scratch must stay 0-alloc too.
+		// The tiled kernel path: dispatch through reusable task boxes,
+		// per-worker pooled scratch, block staging and quad-layout planes
+		// must stay 0-alloc, sequential and across a worker pool alike.
 		{engine: EngineNEON, depth: 2, rule: RuleWindowEnergy, workers: 4},
-		// The operator-fused single-traversal path: block staging, plan
-		// cache and quad-layout planes must all come from pooled scratch,
-		// sequential and across a worker pool alike.
-		{engine: EngineNEON, depth: 0, workers: 1, fusion: true},
-		{engine: EngineNEON, depth: 0, workers: 4, fusion: true},
+		{engine: EngineNEON, depth: 0, workers: 1},
+		{engine: EngineNEON, depth: 0, workers: 4},
 	} {
 		name := fmt.Sprintf("%s%s/depth%d", tc.engine, tc.split, tc.depth)
 		if tc.rule != nil {
@@ -51,9 +48,6 @@ func TestAllocGuardSteadyStateFusion(t *testing.T) {
 		}
 		if tc.workers > 0 {
 			name += fmt.Sprintf("/workers%d", tc.workers)
-		}
-		if tc.fusion {
-			name += "/fused"
 		}
 		t.Run(name, func(t *testing.T) {
 			if tc.workers > 1 {
@@ -67,7 +61,6 @@ func TestAllocGuardSteadyStateFusion(t *testing.T) {
 				PipelineDepth: tc.depth,
 				Rule:          tc.rule,
 				KernelWorkers: tc.workers,
-				KernelFusion:  tc.fusion,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -102,9 +95,6 @@ func TestAllocGuardSteadyStateFusion(t *testing.T) {
 			st := fu.PoolStats()
 			if st.Hits == 0 || st.Outstanding < 0 {
 				t.Fatalf("pool not engaged: %+v", st)
-			}
-			if fs := fu.FusionStats(); tc.fusion && fs.FusedFrames == 0 {
-				t.Fatalf("operator fusion requested but no frames fused: %+v", fs)
 			}
 			fu.Close()
 		})

@@ -4,11 +4,11 @@
 //
 // Wall-clock figures are properties of whatever machine ran the bench, so
 // the gate is deliberately asymmetric: correctness pins (bit-identical
-// pixels and modeled stage records, planes elided by operator fusion,
-// steady-state allocation counts) are enforced tightly, while speedup
-// ratios only have to clear a generous fraction of the baseline's — enough
-// to catch an optimization being wired out entirely without flaking on a
-// noisy or differently-shaped CI host.
+// pixels and modeled stage records, steady-state allocation counts) are
+// enforced tightly, while speedup ratios only have to clear a generous
+// fraction of the baseline's — enough to catch an optimization being
+// wired out entirely without flaking on a noisy or differently-shaped CI
+// host.
 //
 // Usage:
 //
@@ -101,10 +101,9 @@ func loadJSON(dir, id string, v any) error {
 }
 
 // gateKernelSpeedup pins the kernel-speedup record: every identity column
-// must hold, operator fusion must elide at least as much as the baseline
-// run did, and the speedups must clear ratioFloor of the baseline's.
-// Cells are matched by frame size; a baseline cell with no counterpart in
-// the current record is itself a regression (coverage shrank).
+// must hold and the speedup must clear ratioFloor of the baseline's. Cells
+// are matched by frame size; a baseline cell with no counterpart in the
+// current record is itself a regression (coverage shrank).
 func gateKernelSpeedup(base, cur bench.KernelSpeedupResult) []string {
 	var issues []string
 	if cur.Schema != bench.ResultSchema {
@@ -114,10 +113,7 @@ func gateKernelSpeedup(base, cur bench.KernelSpeedupResult) []string {
 	for _, c := range cur.Cells {
 		cells[c.Size] = c
 		if !c.PixelsIdentical || !c.StagesIdentical {
-			issues = append(issues, fmt.Sprintf("kernel-speedup %s: tiled outputs diverged from the scalar baseline", c.Size))
-		}
-		if !c.FusedPixelsIdentical || !c.FusedStagesIdentical {
-			issues = append(issues, fmt.Sprintf("kernel-speedup %s: fused outputs diverged from the tiled reference", c.Size))
+			issues = append(issues, fmt.Sprintf("kernel-speedup %s: production outputs diverged from the scalar baseline", c.Size))
 		}
 	}
 	for _, b := range base.Cells {
@@ -126,17 +122,9 @@ func gateKernelSpeedup(base, cur bench.KernelSpeedupResult) []string {
 			issues = append(issues, fmt.Sprintf("kernel-speedup %s: cell present in baseline, missing from current run", b.Size))
 			continue
 		}
-		if c.FusedPlanesElided < b.FusedPlanesElided {
-			issues = append(issues, fmt.Sprintf("kernel-speedup %s: fusion elided %d planes, baseline elided %d",
-				c.Size, c.FusedPlanesElided, b.FusedPlanesElided))
-		}
 		if c.Speedup < b.Speedup*ratioFloor {
-			issues = append(issues, fmt.Sprintf("kernel-speedup %s: tiled speedup %.2fx below %.0f%% of baseline %.2fx",
+			issues = append(issues, fmt.Sprintf("kernel-speedup %s: speedup %.2fx below %.0f%% of baseline %.2fx",
 				c.Size, c.Speedup, ratioFloor*100, b.Speedup))
-		}
-		if c.FusedOverTiled < b.FusedOverTiled*ratioFloor {
-			issues = append(issues, fmt.Sprintf("kernel-speedup %s: fused-over-tiled %.2fx below %.0f%% of baseline %.2fx",
-				c.Size, c.FusedOverTiled, ratioFloor*100, b.FusedOverTiled))
 		}
 	}
 	return issues

@@ -15,10 +15,8 @@ func speedupFixture() bench.KernelSpeedupResult {
 		Schema: bench.ResultSchema,
 		Cells: []bench.KernelSpeedupCell{{
 			Size: "320x180", Frames: 3, Workers: 4,
-			Speedup: 4.0, FusedOverTiled: 1.4,
+			Speedup:         4.0,
 			PixelsIdentical: true, StagesIdentical: true,
-			FusedPixelsIdentical: true, FusedStagesIdentical: true,
-			FusedPlanesElided: 72, FusedBytesSaved: 1 << 20,
 		}},
 	}
 }
@@ -43,11 +41,9 @@ func TestGateKernelSpeedupClean(t *testing.T) {
 func TestGateKernelSpeedupRegressions(t *testing.T) {
 	base := speedupFixture()
 	for name, mutate := range map[string]func(*bench.KernelSpeedupCell){
-		"pixels":        func(c *bench.KernelSpeedupCell) { c.FusedPixelsIdentical = false },
-		"stages":        func(c *bench.KernelSpeedupCell) { c.StagesIdentical = false },
-		"planes elided": func(c *bench.KernelSpeedupCell) { c.FusedPlanesElided = 0 },
-		"tiled ratio":   func(c *bench.KernelSpeedupCell) { c.Speedup = base.Cells[0].Speedup * 0.4 },
-		"fused ratio":   func(c *bench.KernelSpeedupCell) { c.FusedOverTiled = base.Cells[0].FusedOverTiled * 0.4 },
+		"pixels": func(c *bench.KernelSpeedupCell) { c.PixelsIdentical = false },
+		"stages": func(c *bench.KernelSpeedupCell) { c.StagesIdentical = false },
+		"ratio":  func(c *bench.KernelSpeedupCell) { c.Speedup = base.Cells[0].Speedup * 0.4 },
 	} {
 		cur := speedupFixture()
 		mutate(&cur.Cells[0])
@@ -58,7 +54,6 @@ func TestGateKernelSpeedupRegressions(t *testing.T) {
 	// Ratio noise within the floor must pass.
 	cur := speedupFixture()
 	cur.Cells[0].Speedup *= 0.7
-	cur.Cells[0].FusedOverTiled *= 0.7
 	if issues := gateKernelSpeedup(base, cur); len(issues) != 0 {
 		t.Fatalf("in-tolerance ratio drift flagged: %v", issues)
 	}
@@ -112,13 +107,13 @@ func TestGateOneEndToEnd(t *testing.T) {
 	}
 	write(baseDir, "kernel-speedup", speedupFixture())
 	cur := speedupFixture()
-	cur.Cells[0].FusedStagesIdentical = false
+	cur.Cells[0].StagesIdentical = false
 	write(curDir, "kernel-speedup", cur)
 	issues, err := gateOne(baseDir, curDir, "kernel-speedup")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(issues) != 1 || !strings.Contains(issues[0], "fused outputs diverged") {
+	if len(issues) != 1 || !strings.Contains(issues[0], "outputs diverged") {
 		t.Fatalf("issues = %v", issues)
 	}
 	if _, err := gateOne(baseDir, curDir, "mem-steadystate"); err == nil {

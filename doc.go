@@ -173,28 +173,22 @@
 // accumulation order, so fused pixels, StageTimes, energy and the NEON
 // instruction ledger are bit-for-bit identical at every setting.
 //
-// Options.KernelFusion additionally turns on the operator-fusion pass:
-// the vis and ir forward transforms run as one dual-stream traversal
-// (shared row passes, blocked column gathers covering both streams), the
-// complex conversion + fusion rule + inverse conversion run per tile
-// directly on quad-layout subbands so the per-level complex band planes
-// are never materialized, and the synthesis columns move through the
-// same cache-line-sized blocks:
-//
-//	fuser, err := zynqfusion.New(zynqfusion.Options{
-//		Engine:       zynqfusion.EngineNEON,
-//		KernelFusion: true,
-//	})
-//
-// A per-(size, levels, engine, workers) fusion plan decides legality and
-// profitability — configurations whose accounting cannot interleave (the
-// emulated NEON unit, non-tiled engines, tiny frames) are vetoed and
-// fall back to the unfused tiled path; plans are cached on the fuser.
-// Fuser.FusionStats reports frames fused, planes elided and bytes saved,
-// and the same counters export as the kernel_fused_* Prometheus
-// families. The fused path preserves the determinism contract above
-// bit-for-bit at every worker count and fusion setting. The wall-clock
-// record against the scalar and tiled baselines is generated by:
+// There is one data path, shared by the sequential and pipelined
+// executors, and what the engine can do selects its traversal: engines
+// with concurrency-safe tile compute (ARM, fast NEON) run blocked tiled
+// passes — each level-1 row pass shared by two tree combinations, both
+// column trees filtered from one gather of eight-column blocks — while
+// stateful engines (FPGA, adaptive and split schedulers, the emulated
+// NEON unit) run the sequential per-row loops. Either way the forward
+// writes quad (tree) planes only; for the built-in rules the complex
+// conversion, fusion rule and inverse conversion run per tile straight on
+// those planes (fusion.FuseQuads), so no complex band plane is ever
+// built, and custom rules fuse complex bands instead. Every variant keeps
+// the determinism contract above: pixels, StageTimes, energy and the NEON
+// ledger equal the sequential per-row loops' bit for bit. On a 2-vCPU
+// amd64 host (GOMAXPROCS 2, Go 1.24) the production path ran 4.49-4.50x
+// over the scalar baseline at 1080p and 4.7-5.9x at 320x180 (two runs);
+// the record is regenerated by:
 //
 //	go run ./cmd/fusionbench -exp kernel-speedup
 //

@@ -12,42 +12,51 @@ import (
 	"zynqfusion/internal/pipeline"
 )
 
-// KernelSpeedupCell is one wall-clock comparison of the tiled multi-worker
-// kernel engine against the scalar baseline (the NEON engine pinned to its
-// emulated per-instruction unit, the pre-kernel-engine execution path) on
-// the same frame sequence, plus the operator-fusion pass against the tiled
-// engine it builds on. The modeled platform must be oblivious to the
-// host-side execution strategy, so the cell also records whether the fused
-// pixels and the accumulated modeled StageTimes (energy included) matched
-// bit for bit — for fusion, across both a single-worker and a full-width
-// run.
+// KernelSpeedupCell is one wall-clock comparison of the production data
+// path — the fast NEON engine's tiled traversals and quad-layout fusion,
+// at workers = GOMAXPROCS — against the scalar baseline (the NEON engine
+// pinned to its emulated per-instruction unit, which runs the sequential
+// per-row loops) on the same frame sequence. The modeled platform must be
+// oblivious to the host-side execution strategy, so the cell also records
+// whether the fused pixels and the accumulated modeled StageTimes (energy
+// included) matched the baseline bit for bit.
 type KernelSpeedupCell struct {
-	Size            string  `json:"size"`
-	Frames          int     `json:"frames"`
-	Workers         int     `json:"workers"` // tiled run's pool size (= host cores)
-	ScalarWallMS    float64 `json:"scalar_wall_ms"`
-	TiledWallMS     float64 `json:"tiled_wall_ms"`
-	Speedup         float64 `json:"speedup"`
-	PixelsIdentical bool    `json:"pixels_identical"`
-	StagesIdentical bool    `json:"stages_identical"`
+	Size         string  `json:"size"`
+	Frames       int     `json:"frames"`
+	Workers      int     `json:"workers"` // production run's pool size (= GOMAXPROCS)
+	ScalarWallMS float64 `json:"scalar_wall_ms"`
+	TiledWallMS  float64 `json:"tiled_wall_ms"`
+	Speedup      float64 `json:"speedup"`
+	// PixelsIdentical and StagesIdentical hold only when the production
+	// path matched the baseline both at workers = 1 and at workers = N.
+	PixelsIdentical bool `json:"pixels_identical"`
+	StagesIdentical bool `json:"stages_identical"`
+}
 
-	// Operator-fusion columns: the fused run reuses the tiled engine and
-	// worker pool, so FusedOverTiled isolates what the fusion pass itself
-	// buys. The identity booleans AND the workers=1 and workers=N fused
-	// runs against the unfused tiled reference.
-	FusedWallMS          float64 `json:"fused_wall_ms"`
-	FusedOverTiled       float64 `json:"fused_over_tiled"`
-	FusedPixelsIdentical bool    `json:"fused_pixels_identical"`
-	FusedStagesIdentical bool    `json:"fused_stages_identical"`
-	FusedPlanesElided    int64   `json:"fused_planes_elided"`
-	FusedBytesSaved      int64   `json:"fused_bytes_saved"`
+// Host is the machine shape a wall-clock record was measured on. A
+// speedup measured on one host shape is not a claim about another.
+type Host struct {
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	GOARCH     string `json:"goarch"`
+	GoVersion  string `json:"go_version"`
+}
+
+// ThisHost describes the running process's host shape.
+func ThisHost() Host {
+	return Host{
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		GOARCH:     runtime.GOARCH,
+		GoVersion:  runtime.Version(),
+	}
 }
 
 // KernelSpeedupResult is the kernel-speedup experiment's structured record.
 type KernelSpeedupResult struct {
 	Schema     string              `json:"schema"`
 	Experiment string              `json:"experiment"`
-	Cores      int                 `json:"cores"` // GOMAXPROCS during the run
+	Host       Host                `json:"host"`
 	Cells      []KernelSpeedupCell `json:"cells"`
 }
 
@@ -68,11 +77,9 @@ func kernelSpeedupAxes() []struct {
 	}{{Size{320, 180}, 8}, {Size{1920, 1080}, 3}}
 }
 
-// speedupReps is how many interleaved timing rounds the tiled-vs-fused
-// comparison runs. Alternating the two variants round-robin and keeping
-// each one's fastest round cancels the slow drift of a shared or noisy
-// host, which a single back-to-back measurement folds straight into the
-// ratio.
+// speedupReps is how many timing rounds the production path runs; the
+// fastest round is kept, so a noisy or shared host's slow drift does not
+// fold into the ratio.
 const speedupReps = 7
 
 // kernelVariant is one warmed pipeline configuration under measurement.
@@ -83,15 +90,15 @@ type kernelVariant struct {
 
 // newKernelVariant builds and warms one NEON pipeline at s. emulated
 // selects the scalar baseline unit; workers sizes the kernel pool
-// (0 = GOMAXPROCS); fused enables the operator-fusion pass.
-func newKernelVariant(s Size, emulated, fused bool, workers int) (*kernelVariant, error) {
+// (0 = GOMAXPROCS).
+func newKernelVariant(s Size, emulated bool, workers int) (*kernelVariant, error) {
 	var eng engine.Engine
 	if emulated {
 		eng = engine.NewNEONEmulated(false)
 	} else {
 		eng = engine.NewNEON(false)
 	}
-	fu := pipeline.New(eng, pipeline.Config{IncludeIO: true, KernelWorkers: workers, KernelFusion: fused})
+	fu := pipeline.New(eng, pipeline.Config{IncludeIO: true, KernelWorkers: workers})
 	v := &kernelVariant{fu: fu}
 	v.vis, v.ir = SourcePair(s)
 	warm, _, err := fu.FuseFrames(v.vis, v.ir) // lease planes, spawn workers
@@ -151,104 +158,76 @@ func samePixels(a, b *frame.Frame) bool {
 	return true
 }
 
-// MeasureKernelSpeedupCell runs the scalar baseline, the tiled engine at
-// workers = host cores, and the operator-fused engine at workers 1 and N
-// over the same frames, and compares their outputs. The tiled and fused
-// variants are timed as interleaved rounds with the fastest round kept,
-// so the fused-over-tiled ratio is insensitive to host noise drifting
-// between the two measurements.
-func MeasureKernelSpeedupCell(s Size, frames int) (KernelSpeedupCell, error) {
-	scalar, err := newKernelVariant(s, true, false, 1)
+// runVariant builds a variant, runs rounds batches keeping the fastest,
+// and returns it with the modeled record and final frame of the first.
+func runVariant(s Size, emulated bool, workers, frames, rounds int) (float64, pipeline.StageTimes, *frame.Frame, error) {
+	v, err := newKernelVariant(s, emulated, workers)
 	if err != nil {
-		return KernelSpeedupCell{}, err
+		return 0, pipeline.StageTimes{}, nil, err
 	}
-	scalarMS, scalarSt, scalarOut, err := scalar.batch(frames, true)
-	scalar.close() // free the emulated pipeline before the timed rounds
+	defer v.close()
+	ms, st, out, err := v.batch(frames, true)
+	if err != nil {
+		return 0, pipeline.StageTimes{}, nil, err
+	}
+	for r := 1; r < rounds; r++ {
+		t, _, _, err := v.batch(frames, false)
+		if err != nil {
+			out.Release()
+			return 0, pipeline.StageTimes{}, nil, err
+		}
+		ms = min(ms, t)
+	}
+	return ms, st, out, nil
+}
+
+// MeasureKernelSpeedupCell runs the scalar baseline, then the production
+// path at workers = GOMAXPROCS (timed, fastest of speedupReps rounds) and
+// at workers = 1 (identity only), over the same frames, and compares their
+// outputs. Each variant is closed before the next is built.
+func MeasureKernelSpeedupCell(s Size, frames int) (KernelSpeedupCell, error) {
+	scalarMS, scalarSt, scalarOut, err := runVariant(s, true, 1, frames, 1)
 	if err != nil {
 		return KernelSpeedupCell{}, err
 	}
 	defer scalarOut.Release()
-	tiled, err := newKernelVariant(s, false, false, 0)
-	if err != nil {
-		return KernelSpeedupCell{}, err
-	}
-	defer tiled.close()
-	fused, err := newKernelVariant(s, false, true, 0)
-	if err != nil {
-		return KernelSpeedupCell{}, err
-	}
-	defer fused.close()
-	tiledMS, tiledSt, tiledOut, err := tiled.batch(frames, true)
+	tiledMS, tiledSt, tiledOut, err := runVariant(s, false, 0, frames, speedupReps)
 	if err != nil {
 		return KernelSpeedupCell{}, err
 	}
 	defer tiledOut.Release()
-	fusedMS, fusedSt, fusedOut, err := fused.batch(frames, true)
+	_, oneSt, oneOut, err := runVariant(s, false, 1, frames, 1)
 	if err != nil {
 		return KernelSpeedupCell{}, err
 	}
-	defer fusedOut.Release()
-	for r := 1; r < speedupReps; r++ {
-		v, _, _, err := tiled.batch(frames, false)
-		if err != nil {
-			return KernelSpeedupCell{}, err
-		}
-		if v < tiledMS {
-			tiledMS = v
-		}
-		if v, _, _, err = fused.batch(frames, false); err != nil {
-			return KernelSpeedupCell{}, err
-		}
-		if v < fusedMS {
-			fusedMS = v
-		}
-	}
-	fstats := fused.fu.FusionStats()
-	fused1, err := newKernelVariant(s, false, true, 1)
-	if err != nil {
-		return KernelSpeedupCell{}, err
-	}
-	defer fused1.close()
-	_, fused1St, fused1Out, err := fused1.batch(frames, true)
-	if err != nil {
-		return KernelSpeedupCell{}, err
-	}
-	defer fused1Out.Release()
+	defer oneOut.Release()
 	cell := KernelSpeedupCell{
-		Size:                 s.String(),
-		Frames:               frames,
-		Workers:              runtime.GOMAXPROCS(0),
-		ScalarWallMS:         scalarMS,
-		TiledWallMS:          tiledMS,
-		FusedWallMS:          fusedMS,
-		PixelsIdentical:      samePixels(scalarOut, tiledOut),
-		StagesIdentical:      scalarSt == tiledSt,
-		FusedPixelsIdentical: samePixels(tiledOut, fused1Out) && samePixels(tiledOut, fusedOut),
-		FusedStagesIdentical: tiledSt == fused1St && tiledSt == fusedSt,
-		FusedPlanesElided:    fstats.PlanesElided,
-		FusedBytesSaved:      fstats.BytesSaved,
+		Size:            s.String(),
+		Frames:          frames,
+		Workers:         runtime.GOMAXPROCS(0),
+		ScalarWallMS:    scalarMS,
+		TiledWallMS:     tiledMS,
+		PixelsIdentical: samePixels(scalarOut, tiledOut) && samePixels(scalarOut, oneOut),
+		StagesIdentical: scalarSt == tiledSt && scalarSt == oneSt,
 	}
 	if tiledMS > 0 {
 		cell.Speedup = scalarMS / tiledMS
 	}
-	if fusedMS > 0 {
-		cell.FusedOverTiled = tiledMS / fusedMS
-	}
 	return cell, nil
 }
 
-// KernelSpeedup runs the tiled-kernel wall-clock experiment: the blocked,
-// BCE-clean, goroutine-parallel hot loops against the scalar baseline, and
-// the operator-fusion pass against the tiled engine, with the modeled
-// outputs pinned identical. Speedups scale with host cores (the worker
-// pool is capped at GOMAXPROCS), so the recorded figures are properties of
-// the machine that ran the benchmark — the Cores field says which — while
-// the identical-output columns must hold everywhere.
+// KernelSpeedup runs the kernel-engine wall-clock experiment: the
+// production data path — blocked, BCE-clean, goroutine-parallel tiled
+// traversals and quad-layout fusion — against the scalar baseline, with
+// the modeled outputs pinned identical. Speedups scale with host cores
+// (the worker pool is capped at GOMAXPROCS), so the recorded figures are
+// properties of the machine that ran the benchmark — the Host field says
+// which — while the identical-output columns must hold everywhere.
 func KernelSpeedup() (KernelSpeedupResult, error) {
 	res := KernelSpeedupResult{
 		Schema:     ResultSchema,
 		Experiment: "kernel-speedup",
-		Cores:      runtime.GOMAXPROCS(0),
+		Host:       ThisHost(),
 	}
 	for _, ax := range kernelSpeedupAxes() {
 		cell, err := MeasureKernelSpeedupCell(ax.size, ax.frames)
@@ -260,24 +239,24 @@ func KernelSpeedup() (KernelSpeedupResult, error) {
 	return res, nil
 }
 
-// RunKernelSpeedup prints the tiled-kernel wall-clock experiment.
+// RunKernelSpeedup prints the kernel-engine wall-clock experiment.
 func RunKernelSpeedup(w io.Writer) error {
 	res, err := KernelSpeedup()
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "tiled kernel engine vs scalar baseline, operator fusion vs tiled (NEON model, %d host cores):\n", res.Cores)
-	fmt.Fprintf(w, "%-12s %7s %8s %13s %13s %8s %13s %8s %7s %7s\n",
-		"size", "frames", "workers", "scalar(ms/f)", "tiled(ms/f)", "speedup", "fused(ms/f)", "fx/tiled", "pixels", "stages")
+	h := res.Host
+	fmt.Fprintf(w, "production data path vs scalar baseline (NEON model; GOMAXPROCS %d, %d CPUs, %s, %s):\n",
+		h.GOMAXPROCS, h.NumCPU, h.GOARCH, h.GoVersion)
+	fmt.Fprintf(w, "%-12s %7s %8s %13s %13s %8s %7s %7s\n",
+		"size", "frames", "workers", "scalar(ms/f)", "tiled(ms/f)", "speedup", "pixels", "stages")
 	okStr := map[bool]string{true: "same", false: "DIFFER"}
 	for _, c := range res.Cells {
-		fmt.Fprintf(w, "%-12s %7d %8d %13.2f %13.2f %7.2fx %13.2f %7.2fx %7s %7s\n",
+		fmt.Fprintf(w, "%-12s %7d %8d %13.2f %13.2f %7.2fx %7s %7s\n",
 			c.Size, c.Frames, c.Workers, c.ScalarWallMS, c.TiledWallMS, c.Speedup,
-			c.FusedWallMS, c.FusedOverTiled,
-			okStr[c.PixelsIdentical && c.FusedPixelsIdentical],
-			okStr[c.StagesIdentical && c.FusedStagesIdentical])
+			okStr[c.PixelsIdentical], okStr[c.StagesIdentical])
 	}
-	fmt.Fprintln(w, "pixels and modeled StageTimes are required bit-identical: worker count and")
-	fmt.Fprintln(w, "operator fusion are host scheduling only, never part of the modeled platform")
+	fmt.Fprintln(w, "pixels and modeled StageTimes are required bit-identical at workers 1 and N:")
+	fmt.Fprintln(w, "the host-side data path is never part of the modeled platform")
 	return nil
 }

@@ -430,7 +430,7 @@ func (p *Pool) detach(c *Pool) {
 func (p *Pool) Outstanding() int64 {
 	p.mu.Lock()
 	out := p.outstanding
-	kids := p.children
+	kids := append([]*Pool(nil), p.children...) // detach reuses the backing array
 	p.mu.Unlock()
 	for _, c := range kids {
 		out += c.Outstanding()
@@ -467,7 +467,7 @@ func (p *Pool) Stats() Stats {
 		CapBytes:         p.opts.CapBytes,
 		BlockedGets:      p.blockedGets,
 	}
-	kids := p.children
+	kids := append([]*Pool(nil), p.children...) // detach reuses the backing array
 	p.mu.Unlock()
 	for _, c := range kids {
 		cs := c.Stats()

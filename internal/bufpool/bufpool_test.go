@@ -297,3 +297,48 @@ func TestHitRateBeforeFirstAcquire(t *testing.T) {
 		t.Fatalf("after miss+hit HitRate = %v, want 0.5", got)
 	}
 }
+
+// TestConcurrentStatsSubDrain is the regression test for the sub-pool walk
+// race: Stats and Outstanding used to copy the children slice header under
+// the lock and walk it after unlocking, while detach compacted the same
+// backing array — moving the last child into the removed slot and nilling
+// the old last slot — so a concurrent walk could call Stats on a nil
+// *Pool. Run it under -race: walkers scrape the root while other
+// goroutines attach, lease from and drain sub-pools.
+func TestConcurrentStatsSubDrain(t *testing.T) {
+	root := New(Options{})
+	stop := make(chan struct{})
+	var walkers, churn sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		walkers.Add(1)
+		go func() {
+			defer walkers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				root.Stats()
+				root.Outstanding()
+			}
+		}()
+	}
+	for i := 0; i < 4; i++ {
+		churn.Add(1)
+		go func() {
+			defer churn.Done()
+			for j := 0; j < 500; j++ {
+				c := root.Sub(0)
+				c.MustGet(4, 4).Release()
+				c.Drain()
+			}
+		}()
+	}
+	churn.Wait()
+	close(stop)
+	walkers.Wait()
+	if st := root.Stats(); st.Outstanding != 0 {
+		t.Fatalf("%d leases outstanding after every sub-pool drained", st.Outstanding)
+	}
+}

@@ -145,6 +145,14 @@ func (f *Farm) Submit(cfg StreamConfig) (*Stream, error) {
 	f.pending[cfg.ID] = struct{}{}
 	f.mu.Unlock()
 
+	// Refuse an invalid config before its event ring and sub-pool exist,
+	// so a rejected submission leaves nothing behind in the farm.
+	if _, err := resolveStream(cfg, f.cfg.SLO); err != nil {
+		f.mu.Lock()
+		delete(f.pending, cfg.ID)
+		f.mu.Unlock()
+		return nil, err
+	}
 	ring := f.events.Ring(cfg.ID)
 	sub := f.pool.Sub(f.cfg.BufferPool.PerStream)
 	// The shed hook runs under the pool lock; pushing to the pre-resolved

@@ -1,7 +1,9 @@
 package farm
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"zynqfusion/internal/power"
@@ -119,6 +121,32 @@ func TestFarmSubmitValidation(t *testing.T) {
 	}
 	if _, err := fm.Submit(StreamConfig{ID: "dup", W: 32, H: 24, Frames: 1}); err == nil {
 		t.Error("duplicate id should be rejected")
+	}
+}
+
+// TestFarmRefusedSubmitRetainsNothing pins that Submit validates a config
+// before building any per-stream state: a refused body with a fresh id
+// used to leave an event ring (DefaultEventsPerStream events, ~20 KiB)
+// and a sub-pool attached to the farm, so a client looping invalid POSTs
+// grew the service's heap without bound.
+func TestFarmRefusedSubmitRetainsNothing(t *testing.T) {
+	fm := New(Config{})
+	defer fm.Close()
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	const refused = 200
+	before := heap()
+	for i := 0; i < refused; i++ {
+		if _, err := fm.Submit(StreamConfig{ID: fmt.Sprintf("bad%d", i), W: -1, H: 24}); err == nil {
+			t.Fatal("invalid geometry accepted")
+		}
+	}
+	if grew := int64(heap()) - int64(before); grew > 512<<10 {
+		t.Fatalf("%d refused submissions retained %d KiB", refused, grew>>10)
 	}
 }
 

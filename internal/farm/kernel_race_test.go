@@ -125,66 +125,6 @@ func TestFarmParallelKernelRaceSoak(t *testing.T) {
 	}
 }
 
-// TestFarmKernelFusionTelemetry pins the KernelFusion plumbing: a
-// fusion-enabled stream carries a FusionTelemetry record and its
-// kernel_fused_* Prometheus families render, while plain streams carry
-// none. Farm streams run the governed adaptive engine, which vetoes
-// tiling and therefore fusion — so the counters must report exactly that:
-// every shape planned (cache misses > 0), zero frames fused, and stage
-// accounting identical to a fusion-off twin.
-func TestFarmKernelFusionTelemetry(t *testing.T) {
-	f := New(Config{})
-	defer f.Close()
-	run := func(id string, fusion bool) StreamTelemetry {
-		s, err := f.Submit(StreamConfig{
-			ID: id, Engine: "neon", Seed: 3,
-			W: 40, H: 32, Frames: 6, QueueCap: 8,
-			KernelFusion: fusion,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-s.Done()
-		return s.Telemetry()
-	}
-	on := run("fuse-on", true)
-	off := run("fuse-off", false)
-	if off.Fusion != nil {
-		t.Fatalf("fusion-off stream exported fusion telemetry: %+v", off.Fusion)
-	}
-	ft := on.Fusion
-	if ft == nil || !ft.Enabled {
-		t.Fatalf("fusion-on stream missing fusion telemetry: %+v", ft)
-	}
-	if ft.FusedFrames != 0 || ft.PlanesElided != 0 || ft.BytesSaved != 0 {
-		t.Fatalf("adaptive engine must veto fusion, yet: %+v", ft)
-	}
-	if ft.PlanMisses == 0 {
-		t.Fatalf("planner never consulted: %+v", ft)
-	}
-	if on.Stages != off.Stages {
-		t.Fatalf("fusion flag changed accounting:\non  %+v\noff %+v", on.Stages, off.Stages)
-	}
-
-	var sb strings.Builder
-	if err := WritePrometheus(&sb, f.Metrics()); err != nil {
-		t.Fatal(err)
-	}
-	text := sb.String()
-	for _, fam := range []string{
-		"kernel_fused_frames_total", "kernel_fused_planes_elided_total",
-		"kernel_fused_bytes_saved_total", "kernel_fused_plan_hits_total",
-		"kernel_fused_plan_misses_total",
-	} {
-		if !strings.Contains(text, fam+`{stream="fuse-on"}`) {
-			t.Fatalf("family %s missing for fuse-on stream", fam)
-		}
-		if strings.Contains(text, fam+`{stream="fuse-off"}`) {
-			t.Fatalf("family %s rendered for fusion-off stream", fam)
-		}
-	}
-}
-
 // TestFarmKernelWorkersValidation pins the Submit-time refusal of a
 // negative worker count.
 func TestFarmKernelWorkersValidation(t *testing.T) {

@@ -171,13 +171,6 @@ type StreamTelemetry struct {
 	SLO         *slo.Status           `json:"slo,omitempty"`
 	Degradation *DegradationTelemetry `json:"degradation,omitempty"`
 
-	// Fusion is the operator-fusion pass's record — frames the planner
-	// ran fused, intermediate planes and bytes its kernels never
-	// materialized, plan-cache hit/miss counts — summed across the
-	// stream's per-operating-point executors. Nil unless the stream was
-	// submitted with KernelFusion.
-	Fusion *FusionTelemetry `json:"kernel_fusion,omitempty"`
-
 	// Pool is the stream's budgeted frame-store sub-pool telemetry: hit
 	// rate, outstanding leases, high-water footprint. Nil for streams
 	// predating the pool (never in practice).
@@ -185,21 +178,6 @@ type StreamTelemetry struct {
 
 	// Err records a terminal stream error, if any.
 	Err string `json:"error,omitempty"`
-}
-
-// FusionTelemetry is one stream's operator-fusion record: how many frames
-// the per-shape planner ran fused, the intermediate complex planes (and
-// their bytes) the fused kernels never materialized, and the plan cache's
-// hit/miss counts. All counters are zero while the planner vetoes every
-// presented shape (e.g. a non-tiling engine), which is itself signal: the
-// stream asked for fusion and the planner proved it illegal.
-type FusionTelemetry struct {
-	Enabled      bool  `json:"enabled"`
-	FusedFrames  int64 `json:"fused_frames"`
-	PlanesElided int64 `json:"planes_elided"`
-	BytesSaved   int64 `json:"bytes_saved"`
-	PlanHits     int64 `json:"plan_hits"`
-	PlanMisses   int64 `json:"plan_misses"`
 }
 
 // AggregateTelemetry is the farm-wide rollup.

@@ -129,32 +129,6 @@ func WritePrometheus(w io.Writer, m Metrics) error {
 		}
 	}
 
-	// Operator-fusion families, lazily declared over fusion-enabled
-	// streams only (same convention as the histogram families below).
-	fused := func(name, help string, get func(ft *FusionTelemetry) float64) {
-		declared := false
-		for _, t := range m.Streams {
-			if t.Fusion == nil {
-				continue
-			}
-			if !declared {
-				p.Family(name, "counter", help)
-				declared = true
-			}
-			p.Sample("", get(t.Fusion), sl(t.ID))
-		}
-	}
-	fused("kernel_fused_frames_total", "Frames executed under a fused operator plan.",
-		func(ft *FusionTelemetry) float64 { return float64(ft.FusedFrames) })
-	fused("kernel_fused_planes_elided_total", "Intermediate complex planes the fused kernels never materialized.",
-		func(ft *FusionTelemetry) float64 { return float64(ft.PlanesElided) })
-	fused("kernel_fused_bytes_saved_total", "Bytes of intermediate plane traffic elided by operator fusion.",
-		func(ft *FusionTelemetry) float64 { return float64(ft.BytesSaved) })
-	fused("kernel_fused_plan_hits_total", "Fusion-plan cache hits.",
-		func(ft *FusionTelemetry) float64 { return float64(ft.PlanHits) })
-	fused("kernel_fused_plan_misses_total", "Fusion-plan cache misses (shapes replanned).",
-		func(ft *FusionTelemetry) float64 { return float64(ft.PlanMisses) })
-
 	// A histogram family is only declared when at least one stream carries
 	// the distribution: an all-deadline-free farm, say, exports no slack
 	// family at all rather than an empty one.

@@ -99,15 +99,6 @@ type StreamConfig struct {
 	// host CPU between streams without touching the platform model.
 	// Negative values are rejected at Submit.
 	KernelWorkers int `json:"kernel_workers"`
-	// KernelFusion enables the operator-fusion pass for this stream's
-	// executors. Like KernelWorkers it is host-side scheduling only —
-	// fused pixels, stage times and energy are bit-identical either way.
-	// The per-shape planner fuses only where legality holds; farm streams
-	// run the governed adaptive engine, which vetoes tiling and therefore
-	// fusion, so today this surfaces the planner's decision (and its
-	// veto) through the kernel_fused_* telemetry rather than changing the
-	// schedule.
-	KernelFusion bool `json:"kernel_fusion"`
 }
 
 func (c StreamConfig) withDefaults() StreamConfig {
@@ -181,13 +172,12 @@ type opKey struct {
 // statistics accumulate into the stream via deltas against the last
 // observed totals.
 type opFuser struct {
-	op         dvfs.OperatingPoint
-	adaptive   *sched.Adaptive
-	fuser      *pipeline.Fuser
-	pipe       *pipeline.PipelinedFuser // non-nil when the stream overlaps frames (depth >= 2)
-	lastRows   map[string]int64
-	lastTime   map[string]sim.Time
-	lastFusion pipeline.FusionStats // last observed fusion counters, for delta accumulation
+	op       dvfs.OperatingPoint
+	adaptive *sched.Adaptive
+	fuser    *pipeline.Fuser
+	pipe     *pipeline.PipelinedFuser // non-nil when the stream overlaps frames (depth >= 2)
+	lastRows map[string]int64
+	lastTime map[string]sim.Time
 
 	// traceBase maps this executor's private modeled timeline onto the
 	// stream's trace timeline: each run of consecutive frames at this point
@@ -275,7 +265,6 @@ type Stream struct {
 	residency       dvfs.Residency
 	lastPoint       string
 	lastSplit       float64          // FPGA row share of the most recent frame
-	fstat           FusionTelemetry  // operator-fusion counters, summed across executors
 	pipeBusy        map[string]int64 // per-stage busy (sim.Time as int64), pipelined streams
 	pipeFill        sim.Time         // first frame's completion: the pipeline-fill latency
 	deadlineMisses  int64
@@ -326,70 +315,131 @@ func newDepthHist() *obs.Histogram  { return obs.NewLogHistogram(1, 1024, 4) }
 // log (nil builds a private ring, for tests that drive a bare stream).
 // rules is the farm-level SLO rule set the stream's objectives resolve
 // against (nil means only a StreamConfig-level declaration applies).
-func newStream(cfg StreamConfig, gov *Governor, pool *bufpool.Pool, ring *obs.EventRing, rules *slo.Rules) (*Stream, error) {
+// MaxStreamDim bounds each side of a stream's frame geometry. The
+// synthetic capture chain renders its scene into unpooled memory sized by
+// the geometry, so Submit refuses larger frames rather than let one
+// request exhaust the host.
+const MaxStreamDim = 4096
+
+// streamSpec is a validated StreamConfig with its names resolved.
+type streamSpec struct {
+	cfg        StreamConfig // defaults applied
+	dg         dvfs.Governor
+	policyName string
+	deadline   sim.Time
+	rule       fusion.Rule
+	levels     int
+	objectives *slo.SLO // nil or enabled
+}
+
+// resolveStream is Submit's validation: it checks cfg and resolves its
+// engine, DVFS policy, rule, depth and objectives (cfg.SLO, else the farm
+// rules for cfg.ID) without allocating any stream state.
+func resolveStream(cfg StreamConfig, rules *slo.Rules) (streamSpec, error) {
 	if cfg.QueueCap < 0 {
-		return nil, fmt.Errorf("farm: queue_cap must be non-negative, got %d (zero selects the default depth)", cfg.QueueCap)
+		return streamSpec{}, fmt.Errorf("farm: queue_cap must be non-negative, got %d (zero selects the default depth)", cfg.QueueCap)
 	}
 	if cfg.Frames < 0 {
-		return nil, fmt.Errorf("farm: frames must be non-negative, got %d (zero runs until stopped)", cfg.Frames)
+		return streamSpec{}, fmt.Errorf("farm: frames must be non-negative, got %d (zero runs until stopped)", cfg.Frames)
 	}
 	if cfg.StartSeq < 0 {
-		return nil, fmt.Errorf("farm: start_seq must be non-negative, got %d", cfg.StartSeq)
+		return streamSpec{}, fmt.Errorf("farm: start_seq must be non-negative, got %d", cfg.StartSeq)
 	}
 	if cfg.Frames > 0 && cfg.StartSeq > cfg.Frames {
-		return nil, fmt.Errorf("farm: start_seq %d beyond the frame bound %d", cfg.StartSeq, cfg.Frames)
+		return streamSpec{}, fmt.Errorf("farm: start_seq %d beyond the frame bound %d", cfg.StartSeq, cfg.Frames)
 	}
 	if cfg.IntervalMS < 0 {
-		return nil, fmt.Errorf("farm: interval_ms must be non-negative, got %d (zero free-runs bounded streams)", cfg.IntervalMS)
+		return streamSpec{}, fmt.Errorf("farm: interval_ms must be non-negative, got %d (zero free-runs bounded streams)", cfg.IntervalMS)
 	}
 	if cfg.Depth < 0 {
-		return nil, fmt.Errorf("farm: pipeline_depth must be non-negative, got %d (zero selects the default when pipelined)", cfg.Depth)
+		return streamSpec{}, fmt.Errorf("farm: pipeline_depth must be non-negative, got %d (zero selects the default when pipelined)", cfg.Depth)
 	}
 	if cfg.Depth > pipeline.MaxDepth {
-		return nil, fmt.Errorf("farm: pipeline_depth %d exceeds the maximum %d", cfg.Depth, pipeline.MaxDepth)
+		return streamSpec{}, fmt.Errorf("farm: pipeline_depth %d exceeds the maximum %d", cfg.Depth, pipeline.MaxDepth)
 	}
 	if cfg.Depth > 0 && !cfg.Pipelined {
-		return nil, fmt.Errorf("farm: pipeline_depth %d requires pipelined: true", cfg.Depth)
+		return streamSpec{}, fmt.Errorf("farm: pipeline_depth %d requires pipelined: true", cfg.Depth)
 	}
 	if cfg.KernelWorkers < 0 {
-		return nil, fmt.Errorf("farm: kernel_workers must be non-negative, got %d (zero selects GOMAXPROCS)", cfg.KernelWorkers)
+		return streamSpec{}, fmt.Errorf("farm: kernel_workers must be non-negative, got %d (zero selects GOMAXPROCS)", cfg.KernelWorkers)
 	}
 	cfg = cfg.withDefaults()
 	if cfg.W <= 0 || cfg.H <= 0 {
-		return nil, fmt.Errorf("farm: bad stream geometry %dx%d", cfg.W, cfg.H)
+		return streamSpec{}, fmt.Errorf("farm: bad stream geometry %dx%d", cfg.W, cfg.H)
+	}
+	if cfg.W > MaxStreamDim || cfg.H > MaxStreamDim {
+		return streamSpec{}, fmt.Errorf("farm: stream geometry %dx%d exceeds %d on a side", cfg.W, cfg.H, MaxStreamDim)
 	}
 	if cfg.Levels < 0 {
-		return nil, fmt.Errorf("farm: negative decomposition level %d", cfg.Levels)
+		return streamSpec{}, fmt.Errorf("farm: negative decomposition level %d", cfg.Levels)
 	}
 	if cfg.DeadlineMS < 0 {
-		return nil, fmt.Errorf("farm: negative deadline %gms", cfg.DeadlineMS)
+		return streamSpec{}, fmt.Errorf("farm: negative deadline %gms", cfg.DeadlineMS)
 	}
 	if _, err := innerPolicyAt(cfg.Engine, dvfs.Nominal()); err != nil {
-		return nil, err
+		return streamSpec{}, err
 	}
 	dg, err := dvfs.ForPolicy(cfg.DVFSPolicy)
 	if err != nil {
-		return nil, fmt.Errorf("farm: %w", err)
+		return streamSpec{}, fmt.Errorf("farm: %w", err)
 	}
+	sp := streamSpec{cfg: cfg, dg: dg, policyName: dg.Name()}
 	// Telemetry reports a policy name ForPolicy accepts back, so a stream
 	// config can be round-tripped; a Fixed governor's name is its point.
-	policyName := dg.Name()
 	if fixed, ok := dg.(dvfs.Fixed); ok {
-		policyName = fixed.Point.Name
+		sp.policyName = fixed.Point.Name
 	}
-	deadline := sim.Time(cfg.DeadlineMS * float64(sim.Millisecond))
+	sp.deadline = sim.Time(cfg.DeadlineMS * float64(sim.Millisecond))
 	// Both dynamic governors are defined against a frame deadline: pacing
 	// needs it to pick a point, racing needs it to idle out the slack.
 	switch dg.Name() {
 	case dvfs.PolicyDeadlinePace, dvfs.PolicyRaceToIdle:
-		if deadline <= 0 {
-			return nil, fmt.Errorf("farm: dvfs policy %q requires deadline_ms > 0", dg.Name())
+		if sp.deadline <= 0 {
+			return streamSpec{}, fmt.Errorf("farm: dvfs policy %q requires deadline_ms > 0", dg.Name())
 		}
 	}
-	rule, err := fusionRule(cfg.Rule)
+	if sp.rule, err = fusionRule(cfg.Rule); err != nil {
+		return streamSpec{}, err
+	}
+	// Validate the effective depth (the pipeline defaults Levels 0 to
+	// DefaultLevels), so an over-deep stream is refused at Submit, not at
+	// its first frame.
+	sp.levels = cfg.Levels
+	if sp.levels == 0 {
+		sp.levels = pipeline.DefaultLevels
+	}
+	if maxLv := wavelet.MaxLevels(cfg.W, cfg.H); sp.levels > maxLv {
+		return streamSpec{}, fmt.Errorf("farm: %d levels exceed wavelet.MaxLevels(%d, %d) = %d",
+			sp.levels, cfg.W, cfg.H, maxLv)
+	}
+	// SLO resolution: an explicit StreamConfig declaration wins outright;
+	// otherwise the farm rules resolve by stream id (per-stream entry,
+	// then the default). A stream without objectives carries no tracker
+	// and pays nothing.
+	objectives := cfg.SLO
+	if objectives == nil && rules != nil {
+		if o, ok := rules.For(cfg.ID); ok {
+			objectives = &o
+		}
+	}
+	if objectives != nil && objectives.Enabled() {
+		if err := objectives.Validate(); err != nil {
+			return streamSpec{}, fmt.Errorf("farm: stream %q: %w", cfg.ID, err)
+		}
+		if objectives.DeadlineHitRatio > 0 && sp.deadline <= 0 {
+			return streamSpec{}, fmt.Errorf("farm: stream %q: slo deadline_hit_ratio requires deadline_ms > 0", cfg.ID)
+		}
+		sp.objectives = objectives
+	}
+	return sp, nil
+}
+
+func newStream(cfg StreamConfig, gov *Governor, pool *bufpool.Pool, ring *obs.EventRing, rules *slo.Rules) (*Stream, error) {
+	sp, err := resolveStream(cfg, rules)
 	if err != nil {
 		return nil, err
 	}
+	cfg = sp.cfg
 	if pool == nil {
 		pool = bufpool.New(bufpool.Options{})
 	}
@@ -402,27 +452,16 @@ func newStream(cfg StreamConfig, gov *Governor, pool *bufpool.Pool, ring *obs.Ev
 	// function of (Seed, n), so the continuation emits exactly the frames
 	// the original run would have.
 	src.Skip(cfg.StartSeq)
-	// Validate the effective depth (the pipeline defaults Levels 0 to
-	// DefaultLevels), so an over-deep stream is refused at Submit, not at
-	// its first frame.
-	levels := cfg.Levels
-	if levels == 0 {
-		levels = pipeline.DefaultLevels
-	}
-	if maxLv := wavelet.MaxLevels(cfg.W, cfg.H); levels > maxLv {
-		return nil, fmt.Errorf("farm: %d levels exceed wavelet.MaxLevels(%d, %d) = %d",
-			levels, cfg.W, cfg.H, maxLv)
-	}
 	s := &Stream{
 		cfg:          cfg,
 		gov:          gov,
 		gate:         &gate{},
 		pool:         pool,
-		dvfsGov:      dg,
-		dvfsPolicy:   policyName,
-		deadline:     deadline,
-		rule:         rule,
-		levels:       levels,
+		dvfsGov:      sp.dg,
+		dvfsPolicy:   sp.policyName,
+		deadline:     sp.deadline,
+		rule:         sp.rule,
+		levels:       sp.levels,
 		ops:          make(map[opKey]*opFuser),
 		source:       src,
 		lastFused:    cfg.StartSeq - 1,
@@ -446,23 +485,7 @@ func newStream(cfg StreamConfig, gov *Governor, pool *bufpool.Pool, ring *obs.Ev
 	// lock, so pushing there is the only thing it may do (never s.mu, which
 	// is taken before the queue lock on the telemetry path).
 	s.queue.onDrop = func(seq int64) { ring.Push(obs.EventDrop, seq, 0, "") }
-	// SLO resolution: an explicit StreamConfig declaration wins outright;
-	// otherwise the farm rules resolve by stream id (per-stream entry,
-	// then the default). A stream without objectives carries no tracker
-	// and pays nothing.
-	objectives := cfg.SLO
-	if objectives == nil && rules != nil {
-		if o, ok := rules.For(cfg.ID); ok {
-			objectives = &o
-		}
-	}
-	if objectives != nil && objectives.Enabled() {
-		if err := objectives.Validate(); err != nil {
-			return nil, fmt.Errorf("farm: stream %q: %w", cfg.ID, err)
-		}
-		if objectives.DeadlineHitRatio > 0 && deadline <= 0 {
-			return nil, fmt.Errorf("farm: stream %q: slo deadline_hit_ratio requires deadline_ms > 0", cfg.ID)
-		}
+	if objectives := sp.objectives; objectives != nil {
 		scale := rules.Scale(*objectives) // nil-safe
 		var minEvents int64
 		if rules != nil {
@@ -473,7 +496,7 @@ func newStream(cfg StreamConfig, gov *Governor, pool *bufpool.Pool, ring *obs.Ev
 			s.ctrl = slo.NewController(s, slo.EscalationHold(scale))
 		}
 	}
-	if dg.Name() == dvfs.PolicyDeadlinePace {
+	if sp.dg.Name() == dvfs.PolicyDeadlinePace {
 		if s.predict, err = calibratePredictor(cfg); err != nil {
 			return nil, err
 		}
@@ -641,7 +664,6 @@ func (s *Stream) fuserAt(op dvfs.OperatingPoint) *opFuser {
 		fuser: pipeline.New(ad, pipeline.Config{
 			Levels: s.cfg.Levels, Rule: s.rule, IncludeIO: true,
 			Pool: s.pool, KernelWorkers: s.cfg.KernelWorkers,
-			KernelFusion: s.cfg.KernelFusion,
 		}),
 		lastRows: make(map[string]int64),
 		lastTime: make(map[string]sim.Time),
@@ -968,15 +990,6 @@ func (s *Stream) fuseOne(p framePair) {
 	for k, v := range of.adaptive.RoutedTime {
 		s.routedTime[k] += int64(v - of.lastTime[k])
 		of.lastTime[k] = v
-	}
-	if s.cfg.KernelFusion {
-		fs := of.fuser.FusionStats()
-		s.fstat.FusedFrames += fs.FusedFrames - of.lastFusion.FusedFrames
-		s.fstat.PlanesElided += fs.PlanesElided - of.lastFusion.PlanesElided
-		s.fstat.BytesSaved += fs.BytesSaved - of.lastFusion.BytesSaved
-		s.fstat.PlanHits += int64(fs.PlanHits - of.lastFusion.PlanHits)
-		s.fstat.PlanMisses += int64(fs.PlanMisses - of.lastFusion.PlanMisses)
-		of.lastFusion = fs
 	}
 	s.residency.Add(op, st.Total)
 	s.lastPoint = op.Name
@@ -1361,11 +1374,6 @@ func (s *Stream) Telemetry() StreamTelemetry {
 	if s.pool != nil {
 		ps := s.pool.Stats()
 		t.Pool = &ps
-	}
-	if s.cfg.KernelFusion {
-		ft := s.fstat
-		ft.Enabled = true
-		t.Fusion = &ft
 	}
 	if s.latHist.Count() > 0 {
 		lh, eh, qh := s.latHist.Snapshot(), s.energyHist.Snapshot(), s.queueHist.Snapshot()

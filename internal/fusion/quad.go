@@ -7,30 +7,29 @@ import (
 	"zynqfusion/internal/wavelet"
 )
 
-// Fused combine+rule+distribute kernels. The unfused data path
-// materializes six complex band planes per stream per level (q2c), runs
-// the rule over them, then re-materializes the fused complex planes before
-// distributing back to quad (tree) layout (c2q). The quad kernels below
-// execute all three per tile: they read the four tree planes of each
-// stream, form the z1/z2 complex pairs as float32 register locals with
-// exactly the q2c expressions, select with exactly the rule expressions,
-// and write the fused coefficients straight back in quad layout with
-// exactly the c2q expressions — so the fused pyramid's tree planes are
-// bit-identical to the unfused combine → rule → distribute chain, while
-// every intermediate complex plane of all three pyramids is elided.
+// Fused combine+rule+distribute kernels. Fusing complex bands needs six
+// complex band planes per stream per level (q2c), the rule over them,
+// then the fused complex planes distributed back to quad (tree) layout
+// (c2q). The quad kernels below execute all three per tile: they read the
+// four tree planes of each stream, form the z1/z2 complex pairs as float32
+// register locals with exactly the q2c expressions, select with exactly
+// the rule expressions, and write the fused coefficients straight back in
+// quad layout with exactly the c2q expressions — so the fused pyramid's
+// tree planes are bit-identical to the combine → rule → distribute chain,
+// while no complex plane of any of the three pyramids is built.
 
 const invSqrt2 = wavelet.InvSqrt2
 
-// quadRule is the fused fast path the built-in rules provide: fuse detail
-// band pair (bi, 5-bi) of one level straight from quad layout to quad
-// layout. Custom rules without it keep the unfused combine/distribute
-// path (dual-stream loop fusion still applies).
+// quadRule is the quad-layout kernel the built-in rules provide: fuse
+// detail band pair (bi, 5-bi) of one level straight from quad layout to
+// quad layout. Custom rules without it run through FuseIntoWorkspace over
+// complex bands.
 type quadRule interface {
 	fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavelet.DTPyramid)
 }
 
-// CanFuseRule reports whether rule has a fused quad kernel — the
-// planner's RuleFusable legality input.
+// CanFuseRule reports whether rule has a fused quad kernel, which selects
+// FuseQuads over FuseIntoWorkspace.
 func CanFuseRule(rule Rule) bool {
 	_, ok := rule.(quadRule)
 	return ok
@@ -40,8 +39,8 @@ func CanFuseRule(rule Rule) bool {
 // (tree) layout: per level and band pair one fused combine+rule+distribute
 // kernel, then the averaged lowpass residuals per tree. All three
 // pyramids may be quad-shaped (complex planes elided); dst's tree planes
-// and residuals come out bit-identical to the unfused
-// FuseIntoWorkspace + distribute chain.
+// and residuals come out bit-identical to the FuseIntoWorkspace +
+// distribute chain.
 func FuseQuads(ws *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) error {
 	if a.W != b.W || a.H != b.H || a.NumLevels() != b.NumLevels() {
 		return fmt.Errorf("%w: %dx%d/%d vs %dx%d/%d", ErrPyramidMismatch,
@@ -84,7 +83,7 @@ func quadPlanes(p *wavelet.DTPyramid, lv, bi int) (pp, qq, rr, ss []float32) {
 }
 
 func (MaxMagnitude) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavelet.DTPyramid) {
-	w := ws.workers()
+	w := ws.w
 	n := len(a.TreeBand(wavelet.TreeAA, lv, bi).Pix)
 	t := &ws.maxQ
 	t.pa, t.qa, t.ra, t.sa = quadPlanes(a, lv, bi)
@@ -94,7 +93,7 @@ func (MaxMagnitude) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavelet.D
 }
 
 func (Average) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavelet.DTPyramid) {
-	w := ws.workers()
+	w := ws.w
 	n := len(a.TreeBand(wavelet.TreeAA, lv, bi).Pix)
 	t := &ws.avgQ
 	t.pa, t.qa, t.ra, t.sa = quadPlanes(a, lv, bi)
@@ -104,7 +103,7 @@ func (Average) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavelet.DTPyra
 }
 
 func (we WindowEnergy) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavelet.DTPyramid) {
-	w := ws.workers()
+	w := ws.w
 	band := a.TreeBand(wavelet.TreeAA, lv, bi)
 	n := len(band.Pix)
 	if we.R <= 0 {
@@ -119,7 +118,7 @@ func (we WindowEnergy) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavele
 	}
 	// Windowed activity reads neighbors, so the four squared-magnitude
 	// maps (z1/z2 of each stream) materialize in scratch — the same two
-	// passes per complex band the unfused rule runs, fed from quads.
+	// passes per complex band the complex-band rule runs, fed from quads.
 	activity := func(t *quadMag2Task, mag2S, actS *planeScratch, p *wavelet.DTPyramid) []float32 {
 		t.p, t.q, t.r, t.s = quadPlanes(p, lv, bi)
 		t.dst = mag2S.grow(ws.pool, n)

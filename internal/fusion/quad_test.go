@@ -12,8 +12,8 @@ import (
 	"zynqfusion/internal/wavelet"
 )
 
-// noQuadRule is a custom rule without a fused quad kernel: the planner
-// must refuse to fuse it and FuseQuads must reject it.
+// noQuadRule is a custom rule without a fused quad kernel: CanFuseRule
+// must report it and FuseQuads must reject it.
 type noQuadRule struct{}
 
 func (noQuadRule) Name() string                            { return "no-quad" }
@@ -32,11 +32,12 @@ func TestCanFuseRule(t *testing.T) {
 }
 
 // TestFuseQuadsBitExact pins the fused combine+rule+distribute kernels
-// against the unfused chain end to end: dual-stream quad forward →
-// FuseQuads → fused inverse must reconstruct bit-identically to unfused
-// forwards → complex-band Fuse → distributing inverse, with the modeled
-// charge totals equal — for every built-in rule, sequential and across a
-// worker pool.
+// end to end against the sequential reference: quad forward → FuseQuads →
+// quad inverse on the fast NEON engine must reconstruct bit-identically to
+// the emulated engine's sequential per-row loops running complex-band
+// forwards → the scalar oracle rule → the distributing inverse, with the
+// modeled charge totals and instruction ledger equal — for every built-in
+// rule, sequential and across a worker pool.
 func TestFuseQuadsBitExact(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
@@ -47,16 +48,8 @@ func TestFuseQuadsBitExact(t *testing.T) {
 	for _, rule := range []Rule{MaxMagnitude{}, Average{}, WindowEnergy{}, WindowEnergy{R: 2}} {
 		for _, workers := range []int{1, 4} {
 			t.Run(rule.Name(), func(t *testing.T) {
-				var pool *kernels.Workers
-				if workers > 1 {
-					pool = kernels.NewWorkers(workers)
-					defer pool.Close()
-				}
-
-				refK := engine.NewNEON(false)
-				refX := wavelet.NewXfm(refK)
-				refX.SetWorkers(pool)
-				refDT := wavelet.NewDTCWT(refX, wavelet.DefaultTreeBanks())
+				refK := engine.NewNEONEmulated(false)
+				refDT := wavelet.NewDTCWT(wavelet.NewXfm(refK), wavelet.DefaultTreeBanks())
 				pa, err := refDT.Forward(vis, levels)
 				if err != nil {
 					t.Fatal(err)
@@ -65,21 +58,24 @@ func TestFuseQuadsBitExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fp, err := Fuse(rule, pa, pb)
-				if err != nil {
-					t.Fatal(err)
-				}
+				fp := pa.CloneStructure()
+				oracleFuse(rule, fp, pa, pb)
 				recRef, err := refDT.Inverse(fp)
 				if err != nil {
 					t.Fatal(err)
 				}
 
+				pool := kernels.NewWorkers(workers)
+				defer pool.Close()
 				qK := engine.NewNEON(false)
 				qX := wavelet.NewXfm(qK)
 				qX.SetWorkers(pool)
 				qDT := wavelet.NewDTCWT(qX, wavelet.DefaultTreeBanks())
 				qa, qb := &wavelet.DTPyramid{}, &wavelet.DTPyramid{}
-				if err := qDT.ForwardPairInto(qa, qb, vis, ir, levels, false); err != nil {
+				if err := qDT.ForwardQuadInto(qa, vis, levels); err != nil {
+					t.Fatal(err)
+				}
+				if err := qDT.ForwardQuadInto(qb, ir, levels); err != nil {
 					t.Fatal(err)
 				}
 				dst := &wavelet.DTPyramid{}
@@ -101,16 +97,16 @@ func TestFuseQuadsBitExact(t *testing.T) {
 				}
 				for i := range recRef.Pix {
 					if math.Float32bits(recRef.Pix[i]) != math.Float32bits(recQ.Pix[i]) {
-						t.Fatalf("workers=%d: fused reconstruction differs at %d: %g vs %g",
+						t.Fatalf("workers=%d: quad reconstruction differs at %d: %g vs %g",
 							workers, i, recRef.Pix[i], recQ.Pix[i])
 					}
 				}
 				if refK.Elapsed() != qK.Elapsed() {
-					t.Fatalf("workers=%d: fused modeled time %v, unfused %v",
+					t.Fatalf("workers=%d: quad path modeled time %v, reference %v",
 						workers, qK.Elapsed(), refK.Elapsed())
 				}
 				if refK.Unit().C != qK.Unit().C {
-					t.Fatalf("workers=%d: fused instruction ledger diverged", workers)
+					t.Fatalf("workers=%d: quad path instruction ledger diverged", workers)
 				}
 			})
 		}

@@ -52,9 +52,8 @@ func FuseInto(rule Rule, dst, a, b *wavelet.DTPyramid) error {
 
 // FuseIntoWorkspace is FuseInto running through a workspace: built-in
 // rules lease their activity scratch from the workspace's pool and tile
-// their per-pixel loops across its worker pool, bit-identically to the
-// plain path. A nil workspace — or a custom Rule — selects the rule's own
-// FuseBand/FuseLL.
+// their per-pixel loops across its worker pool. A nil workspace — or a
+// custom Rule — selects the rule's own FuseBand/FuseLL.
 func FuseIntoWorkspace(ws *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) error {
 	if a.W != b.W || a.H != b.H || a.NumLevels() != b.NumLevels() {
 		return fmt.Errorf("%w: %dx%d/%d vs %dx%d/%d", ErrPyramidMismatch,
@@ -65,13 +64,16 @@ func FuseIntoWorkspace(ws *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) e
 			dst.W, dst.H, dst.NumLevels(), a.W, a.H, a.NumLevels())
 	}
 	fast, _ := rule.(wsRule)
+	if ws == nil {
+		fast = nil
+	}
 	for lv := range a.Levels {
 		for bi := range a.Levels[lv].Bands {
 			ba, bb := a.Levels[lv].Bands[bi], b.Levels[lv].Bands[bi]
 			if ba.W != bb.W || ba.H != bb.H {
 				return fmt.Errorf("%w: level %d band %d", ErrPyramidMismatch, lv+1, bi)
 			}
-			if ws != nil && fast != nil {
+			if fast != nil {
 				fast.fuseBandWS(ws, dst.Levels[lv].Bands[bi], ba, bb)
 			} else {
 				rule.FuseBand(dst.Levels[lv].Bands[bi], ba, bb)
@@ -82,13 +84,31 @@ func FuseIntoWorkspace(ws *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) e
 		if !a.LLs[c].SameSize(b.LLs[c]) {
 			return fmt.Errorf("%w: lowpass residual %d", ErrPyramidMismatch, c)
 		}
-		if ws != nil && fast != nil {
-			fast.fuseLLWS(ws, dst.LLs[c], a.LLs[c], b.LLs[c])
+		if fast != nil {
+			averageLLWS(ws, dst.LLs[c], a.LLs[c], b.LLs[c])
 		} else {
 			rule.FuseLL(dst.LLs[c], a.LLs[c], b.LLs[c])
 		}
 	}
 	return nil
+}
+
+// The built-in rules' FuseBand/FuseLL run the same tile task bodies the
+// workspace path dispatches, inline over the whole band, so every entry
+// point computes each coefficient with one expression.
+
+// fuseLL is the lowpass blend every built-in rule uses.
+func fuseLL(dst, a, b *frame.Frame) {
+	t := avgPixTask{dst: dst.Pix, a: a.Pix, b: b.Pix}
+	t.Tile(0, len(dst.Pix), 0)
+}
+
+// averageLLWS is the tiled lowpass blend of the workspace path.
+func averageLLWS(ws *Workspace, dst, a, b *frame.Frame) {
+	w := ws.w
+	n := len(dst.Pix)
+	ws.avgP = avgPixTask{dst: dst.Pix, a: a.Pix, b: b.Pix}
+	w.Run(n, kernels.Grain(n, 12, w.N()), &ws.avgP)
 }
 
 // MaxMagnitude is the classic choose-max fusion rule: for every complex
@@ -101,41 +121,18 @@ func (MaxMagnitude) Name() string { return "max-magnitude" }
 
 // FuseBand implements Rule.
 func (MaxMagnitude) FuseBand(dst, a, b *wavelet.ComplexBand) {
-	for i := range dst.Re {
-		ma := a.Re[i]*a.Re[i] + a.Im[i]*a.Im[i]
-		mb := b.Re[i]*b.Re[i] + b.Im[i]*b.Im[i]
-		if ma >= mb {
-			dst.Re[i], dst.Im[i] = a.Re[i], a.Im[i]
-		} else {
-			dst.Re[i], dst.Im[i] = b.Re[i], b.Im[i]
-		}
-	}
+	t := maxMagBandTask{dstRe: dst.Re, dstIm: dst.Im, aRe: a.Re, aIm: a.Im, bRe: b.Re, bIm: b.Im}
+	t.Tile(0, len(dst.Re), 0)
 }
 
 // FuseLL implements Rule.
-func (MaxMagnitude) FuseLL(dst, a, b *frame.Frame) {
-	for i := range dst.Pix {
-		dst.Pix[i] = 0.5 * (a.Pix[i] + b.Pix[i])
-	}
-}
+func (MaxMagnitude) FuseLL(dst, a, b *frame.Frame) { fuseLL(dst, a, b) }
 
 func (MaxMagnitude) fuseBandWS(ws *Workspace, dst, a, b *wavelet.ComplexBand) {
-	w := ws.workers()
+	w := ws.w
 	n := len(dst.Re)
 	ws.max = maxMagBandTask{dstRe: dst.Re, dstIm: dst.Im, aRe: a.Re, aIm: a.Im, bRe: b.Re, bIm: b.Im}
 	w.Run(n, kernels.Grain(n, 24, w.N()), &ws.max)
-}
-
-func (MaxMagnitude) fuseLLWS(ws *Workspace, dst, a, b *frame.Frame) {
-	averageLLWS(ws, dst, a, b)
-}
-
-// averageLLWS is the shared tiled lowpass blend all built-in rules use.
-func averageLLWS(ws *Workspace, dst, a, b *frame.Frame) {
-	w := ws.workers()
-	n := len(dst.Pix)
-	ws.avgP = avgPixTask{dst: dst.Pix, a: a.Pix, b: b.Pix}
-	w.Run(n, kernels.Grain(n, 12, w.N()), &ws.avgP)
 }
 
 // Average blends both sources equally everywhere. It is the baseline rule:
@@ -147,28 +144,18 @@ func (Average) Name() string { return "average" }
 
 // FuseBand implements Rule.
 func (Average) FuseBand(dst, a, b *wavelet.ComplexBand) {
-	for i := range dst.Re {
-		dst.Re[i] = 0.5 * (a.Re[i] + b.Re[i])
-		dst.Im[i] = 0.5 * (a.Im[i] + b.Im[i])
-	}
+	t := avgBandTask{dstRe: dst.Re, dstIm: dst.Im, aRe: a.Re, aIm: a.Im, bRe: b.Re, bIm: b.Im}
+	t.Tile(0, len(dst.Re), 0)
 }
 
 // FuseLL implements Rule.
-func (Average) FuseLL(dst, a, b *frame.Frame) {
-	for i := range dst.Pix {
-		dst.Pix[i] = 0.5 * (a.Pix[i] + b.Pix[i])
-	}
-}
+func (Average) FuseLL(dst, a, b *frame.Frame) { fuseLL(dst, a, b) }
 
 func (Average) fuseBandWS(ws *Workspace, dst, a, b *wavelet.ComplexBand) {
-	w := ws.workers()
+	w := ws.w
 	n := len(dst.Re)
 	ws.avgB = avgBandTask{dstRe: dst.Re, dstIm: dst.Im, aRe: a.Re, aIm: a.Im, bRe: b.Re, bIm: b.Im}
 	w.Run(n, kernels.Grain(n, 24, w.N()), &ws.avgB)
-}
-
-func (Average) fuseLLWS(ws *Workspace, dst, a, b *frame.Frame) {
-	averageLLWS(ws, dst, a, b)
 }
 
 // WindowEnergy selects per coefficient by comparing local activity (the
@@ -181,67 +168,20 @@ type WindowEnergy struct {
 // Name implements Rule.
 func (w WindowEnergy) Name() string { return fmt.Sprintf("window-energy-r%d", w.R) }
 
-// FuseBand implements Rule.
+// FuseBand implements Rule. The activity maps are plainly allocated per
+// call; FuseIntoWorkspace reuses pooled ones.
 func (w WindowEnergy) FuseBand(dst, a, b *wavelet.ComplexBand) {
-	ea := bandActivity(a, w.R)
-	eb := bandActivity(b, w.R)
-	for i := range dst.Re {
-		if ea[i] >= eb[i] {
-			dst.Re[i], dst.Im[i] = a.Re[i], a.Im[i]
-		} else {
-			dst.Re[i], dst.Im[i] = b.Re[i], b.Im[i]
-		}
-	}
+	w.fuseBandWS(NewWorkspace(nil, nil), dst, a, b)
 }
 
 // FuseLL implements Rule.
-func (w WindowEnergy) FuseLL(dst, a, b *frame.Frame) {
-	for i := range dst.Pix {
-		dst.Pix[i] = 0.5 * (a.Pix[i] + b.Pix[i])
-	}
-}
+func (WindowEnergy) FuseLL(dst, a, b *frame.Frame) { fuseLL(dst, a, b) }
 
 func (w WindowEnergy) fuseBandWS(ws *Workspace, dst, a, b *wavelet.ComplexBand) {
 	ea := bandActivityWS(ws, &ws.mag2A, &ws.actA, a, w.R)
 	eb := bandActivityWS(ws, &ws.mag2B, &ws.actB, b, w.R)
-	wk := ws.workers()
+	wk := ws.w
 	n := len(dst.Re)
 	ws.sel = selBandTask{dstRe: dst.Re, dstIm: dst.Im, aRe: a.Re, aIm: a.Im, bRe: b.Re, bIm: b.Im, ea: ea, eb: eb}
 	wk.Run(n, kernels.Grain(n, 32, wk.N()), &ws.sel)
-}
-
-func (w WindowEnergy) fuseLLWS(ws *Workspace, dst, a, b *frame.Frame) {
-	averageLLWS(ws, dst, a, b)
-}
-
-// bandActivity returns the windowed squared-magnitude map of a band.
-func bandActivity(b *wavelet.ComplexBand, r int) []float32 {
-	mag2 := make([]float32, len(b.Re))
-	for i := range b.Re {
-		mag2[i] = b.Re[i]*b.Re[i] + b.Im[i]*b.Im[i]
-	}
-	if r <= 0 {
-		return mag2
-	}
-	out := make([]float32, len(mag2))
-	for y := 0; y < b.H; y++ {
-		for x := 0; x < b.W; x++ {
-			var s float32
-			for dy := -r; dy <= r; dy++ {
-				yy := y + dy
-				if yy < 0 || yy >= b.H {
-					continue
-				}
-				for dx := -r; dx <= r; dx++ {
-					xx := x + dx
-					if xx < 0 || xx >= b.W {
-						continue
-					}
-					s += mag2[yy*b.W+xx]
-				}
-			}
-			out[y*b.W+x] = s
-		}
-	}
-	return out
 }

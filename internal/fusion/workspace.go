@@ -13,12 +13,10 @@ import (
 // windowed rule stops allocating two planes per band per frame) and the
 // worker pool the per-pixel rule loops fan out across.
 //
-// A nil *Workspace is valid everywhere and selects the legacy sequential
-// path. Rules run through a workspace produce bit-identical coefficients
-// to their plain FuseBand/FuseLL: the per-pixel expressions and their
-// evaluation order per output are unchanged — only the scheduling and the
-// scratch backing store differ. Custom Rule implementations simply fall
-// back to their own methods.
+// Rules run through a workspace produce bit-identical coefficients to
+// their FuseBand/FuseLL at any worker count: both run the same tile task
+// bodies, and only the scheduling and the scratch backing store differ.
+// Custom Rule implementations simply fall back to their own methods.
 //
 // A Workspace is not safe for concurrent use; it belongs to one fuser.
 type Workspace struct {
@@ -26,9 +24,9 @@ type Workspace struct {
 	w    *kernels.Workers
 
 	mag2A, mag2B, actA, actB planeScratch
-	// The fused quad path of WindowEnergy holds z1 and z2 activity alive
-	// at once (the unfused path processes the complex bands one at a
-	// time), so it needs a second scratch bank.
+	// WindowEnergy's quad kernel holds z1 and z2 activity alive at once
+	// (the complex-band path processes one band at a time), so it needs a
+	// second scratch bank.
 	mag2A2, mag2B2, actA2, actB2 planeScratch
 
 	// Reusable task boxes: pointer-through-interface keeps dispatch at
@@ -68,14 +66,6 @@ func (ws *Workspace) Release() {
 	ws.actB2.release()
 }
 
-// workers is nil-receiver-safe so rule code can dispatch unconditionally.
-func (ws *Workspace) workers() *kernels.Workers {
-	if ws == nil {
-		return nil
-	}
-	return ws.w
-}
-
 // planeScratch is one reusable activity plane, pool-leased when possible.
 type planeScratch struct {
 	buf   []float32
@@ -112,18 +102,18 @@ func (s *planeScratch) release() {
 	s.buf = nil
 }
 
-// wsRule is the workspace-aware fast path the built-in rules provide.
+// wsRule is the workspace path the built-in rules provide; their lowpass
+// residuals all blend with averageLLWS.
 type wsRule interface {
 	fuseBandWS(ws *Workspace, dst, a, b *wavelet.ComplexBand)
-	fuseLLWS(ws *Workspace, dst, a, b *frame.Frame)
 }
 
-// bandActivityWS is bandActivity with pooled scratch and tiled dispatch:
-// the pointwise squared-magnitude map, then (for r > 0) the windowed sum,
-// each output accumulated in the same order as the sequential code.
+// bandActivityWS is WindowEnergy's activity map with pooled scratch and
+// tiled dispatch: the pointwise squared-magnitude map, then (for r > 0)
+// the windowed sum.
 func bandActivityWS(ws *Workspace, mag2S, actS *planeScratch, b *wavelet.ComplexBand, r int) []float32 {
 	n := len(b.Re)
-	w := ws.workers()
+	w := ws.w
 	mag2 := mag2S.grow(ws.pool, n)
 	ws.mag = mag2Task{dst: mag2, re: b.Re, im: b.Im}
 	w.Run(n, kernels.Grain(n, 12, w.N()), &ws.mag)
@@ -136,7 +126,7 @@ func bandActivityWS(ws *Workspace, mag2S, actS *planeScratch, b *wavelet.Complex
 	return out
 }
 
-// Tile tasks mirroring the rule loops expression for expression.
+// Tile tasks: the built-in rules' per-coefficient expressions.
 
 type maxMagBandTask struct {
 	dstRe, dstIm, aRe, aIm, bRe, bIm []float32

@@ -61,9 +61,9 @@ func comparePyramidBits(t *testing.T, label string, a, b *wavelet.DTPyramid) {
 	}
 }
 
-// TestWorkspaceRulesBitExact pins every built-in rule's workspace path —
-// pooled scratch, tiled dispatch, any worker count — bit-for-bit against
-// the legacy sequential FuseInto.
+// TestWorkspaceRulesBitExact pins every built-in rule's production entry
+// points — FuseInto and FuseIntoWorkspace with pooled scratch, tiled
+// dispatch, any worker count — bit-for-bit against the scalar oracle.
 func TestWorkspaceRulesBitExact(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
@@ -75,12 +75,14 @@ func TestWorkspaceRulesBitExact(t *testing.T) {
 		WindowEnergy{R: 2},
 	}
 	for _, sz := range []struct{ w, h int }{{7, 5}, {33, 31}, {64, 48}} {
-		a, b, want := buildPyramidPair(t, sz.w, sz.h, 2, int64(sz.w))
+		a, b, ref := buildPyramidPair(t, sz.w, sz.h, 2, int64(sz.w))
 		for _, rule := range rules {
-			if err := FuseInto(rule, want, a, b); err != nil {
+			oracleFuse(rule, ref, a, b)
+			_, _, plain := buildPyramidPair(t, sz.w, sz.h, 2, int64(sz.w))
+			if err := FuseInto(rule, plain, a, b); err != nil {
 				t.Fatal(err)
 			}
-			ref := want.CloneStructure()
+			comparePyramidBits(t, rule.Name()+" FuseInto", ref, plain)
 			for _, workers := range []int{1, 4} {
 				for _, pooled := range []bool{false, true} {
 					label := fmt.Sprintf("%s %dx%d workers=%d pooled=%v", rule.Name(), sz.w, sz.h, workers, pooled)

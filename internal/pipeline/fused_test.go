@@ -6,21 +6,58 @@ import (
 	"testing"
 
 	"zynqfusion/internal/camera"
+	"zynqfusion/internal/dvfs"
 	"zynqfusion/internal/engine"
 	"zynqfusion/internal/frame"
 	"zynqfusion/internal/fusion"
+	"zynqfusion/internal/sched"
+	"zynqfusion/internal/split"
 	"zynqfusion/internal/wavelet"
 )
 
-// fusePair runs one frame pair through a fresh fuser and returns the
-// result; the caller compares across configurations.
-func fusePair(t testing.TB, eng engine.Engine, cfg Config, vis, ir *frame.Frame) (*frame.Frame, StageTimes) {
+// These tests pin the one data path against its sequential reference:
+// tile-capable engines run the tiled traversals and, for the built-in
+// rules, the quad-layout forward → FuseQuads → InverseFused chain, and
+// their pixels and StageTimes must equal those of the sequential per-row
+// loops fusing complex bands.
+
+// seqEngine exposes an engine's signal.Kernel, ChargeCPU and accounting
+// methods but not its TileKernel methods, so the transforms over it run
+// the sequential per-row loops.
+type seqEngine struct{ engine.Engine }
+
+// complexRule hides a rule's quad kernel, so the fuser takes the
+// complex-band path: ForwardInto, FuseIntoWorkspace, Inverse.
+type complexRule struct{ fusion.Rule }
+
+// reference returns the sequential complex-band configuration of cfg.
+func reference(cfg Config) Config {
+	if cfg.Rule == nil {
+		cfg.Rule = fusion.MaxMagnitude{}
+	}
+	cfg.Rule = complexRule{cfg.Rule}
+	cfg.KernelWorkers = 1
+	return cfg
+}
+
+// fusePair runs one frame pair through a fresh fuser (pipelined when
+// depth >= 1) and returns the result; the caller compares across
+// configurations.
+func fusePair(t testing.TB, eng engine.Engine, cfg Config, depth int, vis, ir *frame.Frame) (*frame.Frame, StageTimes) {
 	t.Helper()
 	fu := New(eng, cfg)
 	defer fu.Close()
-	rec, st, err := fu.FuseFrames(vis, ir)
+	fuse := fu.FuseFrames
+	if depth >= 1 {
+		pp, err := NewPipelined(fu, depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fuse = pp.FuseFrames
+	}
+	rec, st, err := fuse(vis, ir)
 	if err != nil {
-		t.Fatalf("FuseFrames(fusion=%v workers=%d): %v", cfg.KernelFusion, cfg.KernelWorkers, err)
+		t.Fatalf("FuseFrames(%s workers=%d depth=%d): %v", eng.Name(), cfg.KernelWorkers, depth, err)
 	}
 	return rec, st
 }
@@ -41,11 +78,11 @@ func assertIdentical(t *testing.T, label string, ref, got *frame.Frame, refSt, g
 	}
 }
 
-// TestFusedEquivalence pins the operator-fusion determinism contract:
-// with KernelFusion on, pixels and the full StageTimes (including energy)
-// are bit-identical to the unfused path, for every built-in rule, a
-// custom rule (dual-stream fusion only), odd geometry, and worker counts
-// 1 and 4.
+// TestFusedEquivalence pins the data path's determinism contract on the
+// fast NEON engine: pixels and the full StageTimes (including energy)
+// are bit-identical to the emulated engine's sequential per-row loops
+// fusing complex bands, for every built-in rule, a custom rule, odd
+// geometry, and worker counts 1 and 4.
 func TestFusedEquivalence(t *testing.T) {
 	// Real parallelism for the workers=4 rows, whatever the host core
 	// count: worker pools cap at GOMAXPROCS.
@@ -73,12 +110,9 @@ func TestFusedEquivalence(t *testing.T) {
 		}{{"even", vis, ir}, {"odd", visOdd, irOdd}} {
 			for _, workers := range []int{1, 4} {
 				label := fmt.Sprintf("%s/%s/w%d", name, pair.tag, workers)
-				base := Config{Levels: 3, Rule: rule, IncludeIO: true, KernelWorkers: 1}
-				refRec, refSt := fusePair(t, engine.NewNEON(false), base, pair.vis, pair.ir)
-				cfg := base
-				cfg.KernelWorkers = workers
-				cfg.KernelFusion = true
-				gotRec, gotSt := fusePair(t, engine.NewNEON(false), cfg, pair.vis, pair.ir)
+				cfg := Config{Levels: 3, Rule: rule, IncludeIO: true, KernelWorkers: workers}
+				refRec, refSt := fusePair(t, engine.NewNEONEmulated(false), reference(cfg), 0, pair.vis, pair.ir)
+				gotRec, gotSt := fusePair(t, engine.NewNEON(false), cfg, 0, pair.vis, pair.ir)
 				assertIdentical(t, label, refRec, gotRec, refSt, gotSt)
 				refRec.Release()
 				gotRec.Release()
@@ -87,8 +121,8 @@ func TestFusedEquivalence(t *testing.T) {
 	}
 }
 
-// customRule has no fused quad kernel, so the planner keeps only the
-// dual-stream pass for it.
+// customRule has no fused quad kernel, so the fuser fuses complex bands
+// through its own FuseBand/FuseLL.
 type customRule struct{}
 
 func (customRule) Name() string { return "custom-avg" }
@@ -104,87 +138,73 @@ func (customRule) FuseLL(dst, a, b *frame.Frame) {
 	}
 }
 
-// TestFusedStatsAccumulate checks the fuser-side fusion accounting: fused
-// frames count, plane/byte elision accumulates, and the single-entry memo
-// means the planner sees one miss for a stable shape.
-func TestFusedStatsAccumulate(t *testing.T) {
-	sc := camera.NewScene(64, 48, 3)
-	fu := New(engine.NewNEON(false), Config{Levels: 2, KernelFusion: true})
-	defer fu.Close()
-	const frames = 4
-	for i := 0; i < frames; i++ {
-		rec, _, err := fu.FuseFrames(sc.Visible(), sc.Thermal())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec.Release()
-		sc.Advance()
-	}
-	s := fu.FusionStats()
-	if !s.Enabled || s.FusedFrames != frames {
-		t.Fatalf("stats: %+v", s)
-	}
-	if !s.Plan.DualStream || !s.Plan.CombineRule || !s.Plan.RuleDistribute {
-		t.Fatalf("full fusion expected for NEON fast: %+v", s.Plan)
-	}
-	if s.PlanesElided != frames*int64(s.Plan.PlanesElided) || s.BytesSaved != frames*s.Plan.BytesSaved {
-		t.Fatalf("elision accounting: %+v", s)
-	}
-	if s.PlanMisses != 1 {
-		t.Fatalf("stable shape should plan once, got %d misses", s.PlanMisses)
-	}
-	if fu2 := New(engine.NewNEON(false), Config{Levels: 2}); true {
-		defer fu2.Close()
-		rec, _, err := fu2.FuseFrames(sc.Visible(), sc.Thermal())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec.Release()
-		s2 := fu2.FusionStats()
-		if s2.Enabled || s2.FusedFrames != 0 || s2.Plan.Any() {
-			t.Fatalf("fusion off must stay unfused: %+v", s2)
-		}
-	}
-}
-
-// TestFusedVetoEmulatedEngine: the emulated NEON engine vetoes tiling and
-// therefore fusion; KernelFusion on must be a no-op (and still correct).
+// TestFusedVetoEmulatedEngine: the emulated NEON engine vetoes tiling, so
+// it runs the sequential per-row loops under the same stage bodies — the
+// quad rule path included — and must match the fast engine's tiled
+// traversals bit for bit, sequential and pipelined.
 func TestFusedVetoEmulatedEngine(t *testing.T) {
 	sc := camera.NewScene(64, 48, 5)
 	vis, ir := sc.Visible(), sc.Thermal()
-	base := Config{Levels: 2, IncludeIO: true}
-	refRec, refSt := fusePair(t, engine.NewNEONEmulated(false), base, vis, ir)
-	cfg := base
-	cfg.KernelFusion = true
-	gotRec, gotSt := fusePair(t, engine.NewNEONEmulated(false), cfg, vis, ir)
-	assertIdentical(t, "emulated-veto", refRec, gotRec, refSt, gotSt)
-	refRec.Release()
-	gotRec.Release()
-
-	fu := New(engine.NewNEONEmulated(false), cfg)
-	defer fu.Close()
-	rec, _, err := fu.FuseFrames(vis, ir)
-	if err != nil {
-		t.Fatal(err)
+	if wavelet.NewXfm(engine.NewNEONEmulated(false)).TileCapable() {
+		t.Fatal("emulated NEON engine offers tile compute")
 	}
-	rec.Release()
-	if s := fu.FusionStats(); s.FusedFrames != 0 || s.Plan.Any() {
-		t.Fatalf("emulated engine must veto fusion: %+v", s)
+	cfg := Config{Levels: 2, IncludeIO: true}
+	for _, depth := range []int{0, 2} {
+		refRec, refSt := fusePair(t, engine.NewNEONEmulated(false), cfg, depth, vis, ir)
+		gotRec, gotSt := fusePair(t, engine.NewNEON(false), cfg, depth, vis, ir)
+		assertIdentical(t, fmt.Sprintf("emulated-veto/depth%d", depth), refRec, gotRec, refSt, gotSt)
+		refRec.Release()
+		gotRec.Release()
 	}
 }
 
-// FuzzFusedEquivalence fuzzes the fused-vs-unfused equivalence over
-// geometry, depth, engine, worker count and scene content: with
-// KernelFusion on, pixels and StageTimes must be bit-identical to the
-// unfused reference — whether the shape fuses fully, partially (custom
-// rules, small sizes) or not at all (vetoed engines).
+// fuzzEngines are FuzzFusedEquivalence's engine selector: each entry
+// builds the engine under test and its sequential per-row-loop twin.
+var fuzzEngines = []struct {
+	name string
+	mk   func() (got, ref engine.Engine)
+}{
+	{"arm", func() (engine.Engine, engine.Engine) {
+		return engine.NewARM(), seqEngine{engine.NewARM()}
+	}},
+	{"neon", func() (engine.Engine, engine.Engine) {
+		return engine.NewNEON(false), engine.NewNEONEmulated(false)
+	}},
+	{"neon-emulated", func() (engine.Engine, engine.Engine) {
+		return engine.NewNEONEmulated(false), engine.NewNEONEmulated(false)
+	}},
+	{"fpga", func() (engine.Engine, engine.Engine) {
+		return engine.NewFPGA(), engine.NewFPGA()
+	}},
+	{"adaptive", func() (engine.Engine, engine.Engine) {
+		return sched.NewAdaptive(sched.Threshold{}), sched.NewAdaptive(sched.Threshold{})
+	}},
+	{"split-oracle", func() (engine.Engine, engine.Engine) {
+		mk := func() engine.Engine {
+			return sched.NewAdaptive(sched.SplitDriven{S: split.NewOracle(dvfs.Nominal())})
+		}
+		return mk(), mk()
+	}},
+}
+
+// FuzzFusedEquivalence fuzzes the data path against its sequential
+// complex-band reference over geometry, depth, engine, worker count,
+// pipeline depth and scene content: pixels and StageTimes must be
+// bit-identical to the sequential per-row loops fusing complex bands at
+// the same pipeline depth — on tile-capable engines (tiled traversals plus
+// the quad rule path) and on stateful ones (sequential loops plus the quad
+// rule path) alike.
 func FuzzFusedEquivalence(f *testing.F) {
-	// (w, h, levels, engine selector, workers, seed)
+	// (w, h, levels, engine selector, workers, seed); the pipeline depth
+	// derives from the seed.
 	f.Add(uint8(32), uint8(24), uint8(1), uint8(1), uint8(1), int64(1))
 	f.Add(uint8(35), uint8(35), uint8(2), uint8(1), uint8(4), int64(2))
 	f.Add(uint8(40), uint8(40), uint8(3), uint8(2), uint8(2), int64(3))
 	f.Add(uint8(64), uint8(48), uint8(3), uint8(0), uint8(3), int64(4))
 	f.Add(uint8(57), uint8(63), uint8(4), uint8(1), uint8(2), int64(5))
+	f.Add(uint8(40), uint8(32), uint8(2), uint8(3), uint8(1), int64(6))
+	f.Add(uint8(44), uint8(36), uint8(3), uint8(4), uint8(2), int64(7))
+	f.Add(uint8(48), uint8(40), uint8(2), uint8(5), uint8(3), int64(8))
 	f.Fuzz(func(t *testing.T, w, h, levels, engSel, workers uint8, seed int64) {
 		W := 8 + int(w)%57 // 8..64
 		H := 8 + int(h)%57
@@ -193,17 +213,8 @@ func FuzzFusedEquivalence(f *testing.F) {
 			t.Skip("degenerate geometry")
 		}
 		lv := 1 + int(levels)%maxLv
-		eng := func() engine.Engine {
-			switch engSel % 3 {
-			case 0:
-				eng := engine.NewARM()
-				return eng
-			case 1:
-				return engine.NewNEON(false)
-			default:
-				return engine.NewNEONEmulated(false)
-			}
-		}
+		eng := fuzzEngines[int(engSel)%len(fuzzEngines)]
+		depth := []int{0, 2, 4}[uint64(seed)%3]
 		wk := 1 + int(workers)%4
 		if wk > runtime.GOMAXPROCS(0) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(wk))
@@ -211,13 +222,11 @@ func FuzzFusedEquivalence(f *testing.F) {
 		sc := camera.NewScene(W, H, seed)
 		vis, ir := sc.Visible(), sc.Thermal()
 
-		base := Config{Levels: lv, IncludeIO: true, KernelWorkers: 1}
-		refRec, refSt := fusePair(t, eng(), base, vis, ir)
-		cfg := base
-		cfg.KernelWorkers = wk
-		cfg.KernelFusion = true
-		gotRec, gotSt := fusePair(t, eng(), cfg, vis, ir)
-		label := fmt.Sprintf("%dx%d lv=%d eng=%d w=%d", W, H, lv, engSel%3, wk)
+		got, ref := eng.mk()
+		cfg := Config{Levels: lv, IncludeIO: true, KernelWorkers: wk}
+		refRec, refSt := fusePair(t, ref, reference(cfg), depth, vis, ir)
+		gotRec, gotSt := fusePair(t, got, cfg, depth, vis, ir)
+		label := fmt.Sprintf("%dx%d lv=%d eng=%s w=%d depth=%d", W, H, lv, eng.name, wk, depth)
 		assertIdentical(t, label, refRec, gotRec, refSt, gotSt)
 		refRec.Release()
 		gotRec.Release()

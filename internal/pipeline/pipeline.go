@@ -45,19 +45,6 @@ type Config struct {
 	// byte-identical at any setting. The pool's helper goroutines spawn
 	// lazily on the first parallel pass and are parked by Close.
 	KernelWorkers int
-	// KernelFusion enables the operator-fusion pass: a per-shape planner
-	// may run both forward transforms as one interleaved dual-stream
-	// traversal, execute the q2c combine + fusion rule + c2q distribute
-	// per tile straight in quad (tree) layout — eliding every
-	// intermediate complex band plane — and fold the inverse's four-tree
-	// average into its final accumulation. Fusion never changes results:
-	// pixels, StageTimes and the energy ledger stay bit-identical to the
-	// unfused path at every worker count, because per-element arithmetic
-	// order is preserved and all modeled charges replay sequentially in
-	// unfused order. Engines that veto tiling also veto fusion, custom
-	// fusion rules keep only the dual-stream pass, and the inter-frame
-	// pipelined executor (depth >= 2) runs unfused.
-	KernelFusion bool
 }
 
 // DefaultLevels is the decomposition depth a zero Config.Levels selects.
@@ -155,28 +142,15 @@ type Fuser struct {
 	// transform frame stores: the two source pyramids and the fused one.
 	pa, pb, fused *wavelet.DTPyramid
 
-	// Operator-fusion planning state: the planner caches a FusionPlan per
-	// execution shape, and the single-entry memo in front of it makes the
-	// steady-state per-frame probe a struct compare.
-	planner   *kernels.FusionPlanner
-	plan      kernels.FusionPlan
-	planShape kernels.FusionShape
-	planValid bool
-	fstats    FusionStats
-}
+	// quad selects the quad-layout data path — ForwardQuadInto, FuseQuads,
+	// InverseFused — for rules with a quad kernel (fusion.CanFuseRule);
+	// other rules fuse complex bands through FuseIntoWorkspace.
+	quad bool
 
-// FusionStats reports the operator-fusion pass's activity: the active
-// plan, how many frames ran fused, the intermediate planes (and bytes)
-// the fused kernels never materialized, and the planner cache's hit/miss
-// counts.
-type FusionStats struct {
-	Enabled      bool
-	Plan         kernels.FusionPlan
-	FusedFrames  int64
-	PlanesElided int64
-	BytesSaved   int64
-	PlanHits     int
-	PlanMisses   int
+	// stages are the fusion's stage bodies, shared with the pipelined
+	// executor; job carries one frame pair through them.
+	stages []Stage
+	job    frameJob
 }
 
 // New returns a Fuser bound to the engine.
@@ -200,6 +174,8 @@ func New(eng engine.Engine, cfg Config) *Fuser {
 		pa:      &wavelet.DTPyramid{},
 		pb:      &wavelet.DTPyramid{},
 		fused:   &wavelet.DTPyramid{},
+		quad:    fusion.CanFuseRule(cfg.Rule),
+		stages:  stageGraph(cfg.IncludeIO),
 	}
 }
 
@@ -230,50 +206,6 @@ func (f *Fuser) Close() {
 // drain returns the engine time consumed since the last drain.
 func (f *Fuser) drain() sim.Time { return f.eng.Reset() }
 
-// fusionPlan resolves the operator-fusion plan for a frame geometry. With
-// KernelFusion off it returns the zero (fully unfused) plan without
-// touching the planner. Any shape change — geometry, depth, worker count,
-// engine, operating point, rule fusability — invalidates the single-entry
-// memo and re-probes the planner, which replans only on genuinely new
-// shapes.
-func (f *Fuser) fusionPlan(w, h int) kernels.FusionPlan {
-	if !f.cfg.KernelFusion {
-		return kernels.FusionPlan{}
-	}
-	shape := kernels.FusionShape{
-		W: w, H: h,
-		Levels:      f.cfg.Levels,
-		Workers:     f.workers.N(),
-		Engine:      f.eng.Name(),
-		PointMHz:    f.Point().MHz(),
-		Tiled:       f.dt.X.TileCapable(),
-		RuleFusable: fusion.CanFuseRule(f.cfg.Rule),
-	}
-	if f.planValid && shape == f.planShape {
-		return f.plan
-	}
-	if f.planner == nil {
-		f.planner = kernels.NewFusionPlanner()
-	}
-	f.plan = f.planner.Plan(shape)
-	f.planShape = shape
-	f.planValid = true
-	return f.plan
-}
-
-// FusionStats returns the accumulated operator-fusion counters. Plan is
-// the most recently resolved plan (zero until the first fused-eligible
-// frame).
-func (f *Fuser) FusionStats() FusionStats {
-	s := f.fstats
-	s.Enabled = f.cfg.KernelFusion
-	s.Plan = f.plan
-	if f.planner != nil {
-		s.PlanHits, s.PlanMisses, _ = f.planner.Stats()
-	}
-	return s
-}
-
 // validatePair is the shared admission check of both executors: non-nil
 // same-size sources and a decomposition depth the geometry supports.
 func validatePair(vis, ir *frame.Frame, levels int) error {
@@ -298,88 +230,30 @@ func validatePair(vis, ir *frame.Frame, levels int) error {
 // reuse). All intermediate state lives in workspace pyramids reused frame
 // over frame, so the steady-state call allocates nothing.
 //
-// The stage bodies below are mirrored by the pipelined executor's
-// stageGraph (pipelined.go), which drains the engine per station instead
-// of per Fig. 2 stage; any charge added or retuned here must be applied
-// there too, or the depth >= 2 cost parity breaks while the depth-1
-// golden tests stay green.
+// It runs the stage graph's bodies in order — the same bodies the
+// pipelined executor overlaps — and drains the engine at the Fig. 2 stage
+// boundaries, so both forward stations form one Forward stage. It runs no
+// hooks, stage announcements or buffer handoffs: those belong to the
+// pipelined schedule.
 func (f *Fuser) FuseFrames(vis, ir *frame.Frame) (*frame.Frame, StageTimes, error) {
-	levels := f.cfg.Levels
-	if err := validatePair(vis, ir, levels); err != nil {
+	if err := validatePair(vis, ir, f.cfg.Levels); err != nil {
 		return nil, StageTimes{}, err
 	}
 	var st StageTimes
-	px := float64(vis.W * vis.H)
-	plan := f.fusionPlan(vis.W, vis.H)
 	f.drain() // discard anything pending
 	if ld, ok := f.eng.(laneDrainer); ok {
 		ld.DrainLanes() // discard pending lane accounting with it
 	}
-
-	if f.cfg.IncludeIO {
-		f.eng.ChargeCPUCycles(2 * px * engine.CaptureCyclesPerPixel)
-		st.Capture = f.drain()
-	}
-
-	// Every fused stage body replays the unfused path's modeled charges in
-	// unfused order before its drain, so each stage's time — and the
-	// float64 cycle accumulators behind it — matches the unfused branch
-	// bit for bit. The q2c combine keeps its Forward attribution and the
-	// c2q distribute its Inverse attribution even when the rule fusion
-	// absorbs their compute.
-	if plan.DualStream {
-		if err := f.dt.ForwardPairInto(f.pa, f.pb, vis, ir, levels, !plan.CombineRule); err != nil {
+	f.job = frameJob{px: float64(vis.W * vis.H), vis: vis, ir: ir}
+	for i, s := range f.stages {
+		if err := s.run(f, &f.job); err != nil {
 			return nil, st, err
 		}
-	} else {
-		if _, err := f.dt.ForwardInto(f.pa, vis, levels); err != nil {
-			return nil, st, err
+		slot := st.slot(s.Name)
+		if i+1 < len(f.stages) && st.slot(f.stages[i+1].Name) == slot {
+			continue
 		}
-		if _, err := f.dt.ForwardInto(f.pb, ir, levels); err != nil {
-			return nil, st, err
-		}
-	}
-	st.Forward = f.drain()
-
-	if plan.CombineRule && plan.RuleDistribute {
-		if err := f.dt.ShapeQuadPyramid(f.fused, vis.W, vis.H, levels); err != nil {
-			return nil, st, err
-		}
-		if err := fusion.FuseQuads(f.fws, f.cfg.Rule, f.fused, f.pa, f.pb); err != nil {
-			return nil, st, err
-		}
-	} else {
-		if err := f.dt.ShapePyramid(f.fused, vis.W, vis.H, levels); err != nil {
-			return nil, st, err
-		}
-		if err := fusion.FuseIntoWorkspace(f.fws, f.cfg.Rule, f.fused, f.pa, f.pb); err != nil {
-			return nil, st, err
-		}
-	}
-	f.eng.ChargeCPUCycles(px * engine.FusionRuleCyclesPerPixel)
-	st.Fuse = f.drain()
-
-	var rec *frame.Frame
-	var err error
-	if plan.RuleDistribute {
-		rec, err = f.dt.InverseFused(f.fused)
-	} else {
-		rec, err = f.dt.Inverse(f.fused)
-	}
-	if err != nil {
-		return nil, st, err
-	}
-	st.Inverse = f.drain()
-
-	if plan.Any() {
-		f.fstats.FusedFrames++
-		f.fstats.PlanesElided += int64(plan.PlanesElided)
-		f.fstats.BytesSaved += plan.BytesSaved
-	}
-
-	if f.cfg.IncludeIO {
-		f.eng.ChargeCPUCycles(px * engine.DisplayCyclesPerPixel)
-		st.Display = f.drain()
+		*slot = f.drain()
 	}
 
 	st.Total = st.Capture + st.Forward + st.Fuse + st.Inverse + st.Display
@@ -388,7 +262,7 @@ func (f *Fuser) FuseFrames(vis, ir *frame.Frame) (*frame.Frame, StageTimes, erro
 	if ld, ok := f.eng.(laneDrainer); ok {
 		st.CPUBusy, st.FPGABusy, st.Overlap = ld.DrainLanes()
 	}
-	return rec, st, nil
+	return f.job.rec, st, nil
 }
 
 // energyFor converts a span to energy at the engine's mode power. The

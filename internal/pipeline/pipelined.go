@@ -47,27 +47,22 @@ type Stage struct {
 	run func(f *Fuser, c *frameJob) error
 }
 
-// frameJob carries one frame pair's intermediate state between stations.
-// The pyramids are the owning Fuser's reused workspaces: the executor
-// walks a frame's stations to completion before admitting the next call,
-// so one frame's stores suffice regardless of the modeled depth.
+// frameJob carries one frame pair through the stations. The pyramids
+// are the owning Fuser's reused workspaces: the executor walks a frame's
+// stations to completion before admitting the next call, so one frame's
+// stores suffice regardless of the modeled depth.
 type frameJob struct {
-	px       float64
-	vis, ir  *frame.Frame
-	pa, pb   *wavelet.DTPyramid
-	fusedPyr *wavelet.DTPyramid
-	rec      *frame.Frame
+	px      float64
+	vis, ir *frame.Frame
+	rec     *frame.Frame
 }
 
-// stageGraph decomposes the fusion dataflow into the stations the
-// pipelined executor overlaps. The forward transform splits into its two
+// stageGraph decomposes the fusion dataflow into its stations: the
+// sequential Fuser runs them in order, and the pipelined executor
+// overlaps them across frames. The forward transform splits into its two
 // independent source transforms — each source has its own capture path and
 // frame store in the paper's hardware — so no single station carries half
 // the frame time.
-//
-// The station bodies mirror Fuser.FuseFrames stage for stage; keep the
-// two in sync when adding or retuning a charge (the parity tests pin
-// pixels at every depth, but cost charges are only reviewed by hand).
 func stageGraph(includeIO bool) []Stage {
 	var st []Stage
 	if includeIO {
@@ -78,29 +73,34 @@ func stageGraph(includeIO bool) []Stage {
 	}
 	st = append(st,
 		Stage{Name: "forward-vis", Wavelet: true, run: func(f *Fuser, c *frameJob) error {
-			var err error
-			c.pa, err = f.dt.ForwardInto(f.pa, c.vis, f.cfg.Levels)
-			return err
+			return f.forward(f.pa, c.vis)
 		}},
 		Stage{Name: "forward-ir", Wavelet: true, run: func(f *Fuser, c *frameJob) error {
-			var err error
-			c.pb, err = f.dt.ForwardInto(f.pb, c.ir, f.cfg.Levels)
-			return err
+			return f.forward(f.pb, c.ir)
 		}},
 		Stage{Name: "fuse", run: func(f *Fuser, c *frameJob) error {
-			if err := f.dt.ShapePyramid(f.fused, c.vis.W, c.vis.H, f.cfg.Levels); err != nil {
+			w, h, levels := c.vis.W, c.vis.H, f.cfg.Levels
+			var err error
+			if f.quad {
+				if err = f.dt.ShapeQuadPyramid(f.fused, w, h, levels); err == nil {
+					err = fusion.FuseQuads(f.fws, f.cfg.Rule, f.fused, f.pa, f.pb)
+				}
+			} else if err = f.dt.ShapePyramid(f.fused, w, h, levels); err == nil {
+				err = fusion.FuseIntoWorkspace(f.fws, f.cfg.Rule, f.fused, f.pa, f.pb)
+			}
+			if err != nil {
 				return err
 			}
-			if err := fusion.FuseIntoWorkspace(f.fws, f.cfg.Rule, f.fused, c.pa, c.pb); err != nil {
-				return err
-			}
-			c.fusedPyr = f.fused
 			f.eng.ChargeCPUCycles(c.px * engine.FusionRuleCyclesPerPixel)
 			return nil
 		}},
 		Stage{Name: "inverse", Wavelet: true, run: func(f *Fuser, c *frameJob) error {
 			var err error
-			c.rec, err = f.dt.Inverse(c.fusedPyr)
+			if f.quad {
+				c.rec, err = f.dt.InverseFused(f.fused)
+			} else {
+				c.rec, err = f.dt.Inverse(f.fused)
+			}
 			return err
 		}},
 	)
@@ -111,6 +111,32 @@ func stageGraph(includeIO bool) []Stage {
 		}})
 	}
 	return st
+}
+
+// forward transforms one source into its workspace pyramid — quad planes
+// only on the quad data path. Both variants charge the same modeled cost.
+func (f *Fuser) forward(p *wavelet.DTPyramid, src *frame.Frame) error {
+	if f.quad {
+		return f.dt.ForwardQuadInto(p, src, f.cfg.Levels)
+	}
+	_, err := f.dt.ForwardInto(p, src, f.cfg.Levels)
+	return err
+}
+
+// slot maps a station onto its Fig. 2 StageTimes field.
+func (s *StageTimes) slot(name string) *sim.Time {
+	switch name {
+	case "capture":
+		return &s.Capture
+	case "forward-vis", "forward-ir":
+		return &s.Forward
+	case "fuse":
+		return &s.Fuse
+	case "inverse":
+		return &s.Inverse
+	default:
+		return &s.Display
+	}
 }
 
 // sequentialStageNames are the occupancy buckets of the depth-1 degenerate
@@ -224,7 +250,6 @@ type PipelinedFuser struct {
 
 	// Per-call scratch reused frame over frame, keeping the steady-state
 	// hot path allocation-free.
-	job   frameJob
 	durs  []sim.Time
 	spans []StageSpan
 }
@@ -252,7 +277,7 @@ func NewPipelined(f *Fuser, depth int) (*PipelinedFuser, error) {
 		p.order = sequentialStageNames(f.cfg.IncludeIO)
 		return p, nil
 	}
-	p.stages = stageGraph(f.cfg.IncludeIO)
+	p.stages = f.stages
 	p.avail = make([]sim.Time, len(p.stages))
 	p.ring = make([]sim.Time, depth)
 	p.durs = make([]sim.Time, len(p.stages))
@@ -306,8 +331,8 @@ func (p *PipelinedFuser) FuseFrames(vis, ir *frame.Frame) (*frame.Frame, StageTi
 	}
 	p.discardPending()
 
-	p.job = frameJob{px: float64(vis.W * vis.H), vis: vis, ir: ir}
-	job := &p.job
+	p.f.job = frameJob{px: float64(vis.W * vis.H), vis: vis, ir: ir}
+	job := &p.f.job
 	var st StageTimes
 	durs := p.durs
 	var activeE sim.Joules
@@ -371,20 +396,10 @@ func (p *PipelinedFuser) runStage(s Stage, job *frameJob, last bool) (sim.Time, 
 	return d, e, err
 }
 
-// chargeStage maps a station's span onto the classic StageTimes slot.
+// chargeStage adds a station's span to its Fig. 2 StageTimes slot and its
+// occupancy bucket.
 func (p *PipelinedFuser) chargeStage(st *StageTimes, name string, d sim.Time) {
-	switch name {
-	case "capture":
-		st.Capture += d
-	case "forward-vis", "forward-ir":
-		st.Forward += d
-	case "fuse":
-		st.Fuse += d
-	case "inverse":
-		st.Inverse += d
-	case "display":
-		st.Display += d
-	}
+	*st.slot(name) += d
 	p.stageBusy[name] += d
 }
 

@@ -148,9 +148,10 @@ func (p *DTPyramid) Release() {
 	p.Levels = p.Levels[:0]
 }
 
-// shaped reports whether the pyramid is already structured for a w x h
-// input at the given depth.
-func (p *DTPyramid) shaped(w, h, levels int) bool {
+// shaped reports whether the pyramid's quad planes (trees and residuals)
+// already match a w x h input at the given depth and, when complex is set,
+// whether its complex band planes are present too.
+func (p *DTPyramid) shaped(w, h, levels int, complex bool) bool {
 	if p.W != w || p.H != h || len(p.Levels) != levels {
 		return false
 	}
@@ -159,7 +160,7 @@ func (p *DTPyramid) shaped(w, h, levels int) bool {
 			return false
 		}
 	}
-	return p.Levels[0].Bands[0] != nil
+	return !complex || p.Levels[0].Bands[0] != nil
 }
 
 // CloneStructure deep-copies the pyramid (bands, residuals and the
@@ -292,10 +293,23 @@ func (t *DTCWT) treeBanks(tree byte, levels int) []*Bank {
 // and crop sizes), making it a valid fusion destination for FuseInto even
 // before any forward transform has run through it.
 func (t *DTCWT) ShapePyramid(p *DTPyramid, w, h, levels int) error {
+	return t.shape(p, w, h, levels, true)
+}
+
+// ShapeQuadPyramid (re)shapes p with quad (tree) planes and lowpass
+// residuals only, eliding the six complex band planes per level that the
+// quad data path (ForwardQuadInto, the fusion package's FuseQuads,
+// InverseFused) never materializes. A pyramid whose quad planes already
+// match is kept as is, complex planes included.
+func (t *DTCWT) ShapeQuadPyramid(p *DTPyramid, w, h, levels int) error {
+	return t.shape(p, w, h, levels, false)
+}
+
+func (t *DTCWT) shape(p *DTPyramid, w, h, levels int, complex bool) error {
 	if levels < 1 || levels > MaxLevels(w, h) {
 		return fmt.Errorf("%w: levels=%d for %dx%d", ErrBadLevels, levels, w, h)
 	}
-	if p.shaped(w, h, levels) {
+	if p.shaped(w, h, levels, complex) {
 		// Plane shapes are reusable as-is; refresh the bank bookkeeping in
 		// case the pyramid last ran under a transform with different banks.
 		for c := 0; c < numTrees; c++ {
@@ -324,6 +338,9 @@ func (t *DTCWT) ShapePyramid(p *DTPyramid, w, h, levels int) error {
 		}
 		p.LLs[c] = p.trees[c].LL
 	}
+	if !complex {
+		return nil
+	}
 	cw, ch := w, h
 	for lv := 0; lv < levels; lv++ {
 		_, _, mw, mh := levelGeom(cw, ch)
@@ -351,25 +368,128 @@ func (t *DTCWT) Forward(img *frame.Frame, levels int) (*DTPyramid, error) {
 
 // ForwardInto computes the DT-CWT of img into p, reusing p's planes when
 // it is already shaped for this geometry (and reshaping it from the pool
-// otherwise). Every coefficient of every plane is overwritten, so a reused
-// workspace is bit-for-bit a fresh transform. It returns p.
+// otherwise): the four tree decompositions, then the q2c combination into
+// the six oriented complex bands per level. Every coefficient of every
+// plane is overwritten, so a reused workspace is bit-for-bit a fresh
+// transform. It returns p.
 func (t *DTCWT) ForwardInto(p *DTPyramid, img *frame.Frame, levels int) (*DTPyramid, error) {
-	if levels < 1 || levels > MaxLevels(img.W, img.H) {
-		return nil, fmt.Errorf("%w: levels=%d for %dx%d", ErrBadLevels, levels, img.W, img.H)
-	}
-	if err := t.ShapePyramid(p, img.W, img.H, levels); err != nil {
+	if err := t.forward(p, img, levels, true); err != nil {
 		return nil, err
 	}
-	pool := t.poolOr()
-	for c := 0; c < numTrees; c++ {
-		if err := forward2DInto(t.X, p.trees[c], img, levels, pool); err != nil {
-			return nil, err
+	return p, nil
+}
+
+// ForwardQuadInto computes the DT-CWT of img into p in quad (tree) layout
+// only: the tree decompositions ForwardInto computes, without building the
+// complex band planes — the fusion package's FuseQuads reads the trees
+// directly. The q2c combination's modeled charges are still applied, so
+// the modeled cost (cycles, energy, NEON ledger) is ForwardInto's.
+func (t *DTCWT) ForwardQuadInto(p *DTPyramid, img *frame.Frame, levels int) error {
+	return t.forward(p, img, levels, false)
+}
+
+func (t *DTCWT) forward(p *DTPyramid, img *frame.Frame, levels int, complex bool) error {
+	if err := t.shape(p, img.W, img.H, levels, complex); err != nil {
+		return err
+	}
+	if err := t.forwardTrees(p, img, levels); err != nil {
+		return err
+	}
+	x := t.X
+	for lv := 0; lv < levels; lv++ {
+		if complex {
+			combineLevel(x, p.trees, lv, &p.Levels[lv])
+		}
+		n := len(bandOf(p.trees[TreeAA], lv, 0).Pix)
+		for bi := 0; bi < 3; bi++ {
+			x.chargeCPU(4 * n)
 		}
 	}
-	for lv := 0; lv < levels; lv++ {
-		combineLevelInto(t.X, p.trees, lv, &p.Levels[lv])
+	return nil
+}
+
+// forwardTrees runs the four tree decompositions of img into p's trees.
+// Engines without tile compute run each tree's sequential cascade. Tile
+// engines compute level 1 in one blocked traversal — each row tree's row
+// pass once, shared by its two tree combinations, and one column gather
+// feeding both column trees — then cascade the deeper levels per tree.
+// Level 1's charges are replayed in each tree's turn, so the charge
+// sequence is the sequential cascades'.
+func (t *DTCWT) forwardTrees(p *DTPyramid, img *frame.Frame, levels int) error {
+	x := t.X
+	pool := t.poolOr()
+	if x.tile == nil {
+		for c := 0; c < numTrees; c++ {
+			if err := forward2DInto(x, p.trees[c], img, levels, pool); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	return p, nil
+	ll, err := t.forwardLevel1(p, img, levels)
+	if err != nil {
+		return err
+	}
+	for c := 0; c < numTrees; c++ {
+		x.chargeForwardLevel(img.W, img.H)
+		cur := ll[c]
+		ll[c] = nil
+		if err := forwardCascade(x, p.trees[c], cur, levels > 1, 1, levels, pool); err != nil {
+			for _, f := range ll {
+				if f != nil && levels > 1 {
+					f.Release()
+				}
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// forwardLevel1 is the tile engines' charge-free level-1 traversal. It
+// returns each tree's level-1 lowpass: the residual itself at depth 1,
+// otherwise a leased plane the tree's deep cascade consumes.
+func (t *DTCWT) forwardLevel1(p *DTPyramid, img *frame.Frame, levels int) ([numTrees]*frame.Frame, error) {
+	x := t.X
+	pool := t.poolOr()
+	var ll [numTrees]*frame.Frame
+	pad, padOwned, err := padEvenCompute(img, pool)
+	if err != nil {
+		return ll, err
+	}
+	fail := func(err error) ([numTrees]*frame.Frame, error) {
+		if padOwned != nil {
+			padOwned.Release()
+		}
+		for c := range ll {
+			if levels > 1 && ll[c] != nil {
+				ll[c].Release()
+			}
+		}
+		return [numTrees]*frame.Frame{}, err
+	}
+	for c := 0; c < numTrees; c++ {
+		if levels == 1 {
+			ll[c] = p.trees[c].LL
+		} else if ll[c], err = pool.Get(pad.W/2, pad.H/2); err != nil {
+			return fail(err)
+		}
+	}
+	rowOut, err := pool.Get(pad.W, pad.H)
+	if err != nil {
+		return fail(err)
+	}
+	colA, colB := t.treeBanks('a', levels)[0], t.treeBanks('b', levels)[0]
+	for _, rt := range [2]byte{'a', 'b'} {
+		x.forwardRows(t.treeBanks(rt, levels)[0], pad, rowOut)
+		cA, cB := comboIndex(rt, 'a'), comboIndex(rt, 'b')
+		x.forwardCols(colA, colB, rowOut, ll[cA], p.trees[cA].Levels[0], ll[cB], p.trees[cB].Levels[0])
+	}
+	rowOut.Release()
+	if padOwned != nil {
+		padOwned.Release()
+	}
+	return ll, nil
 }
 
 // Inverse reconstructs the frame from the pyramid. The complex bands are
@@ -378,17 +498,36 @@ func (t *DTCWT) ForwardInto(p *DTPyramid, img *frame.Frame, levels int) (*DTPyra
 // averaged. On the pooled path the returned frame is leased from the
 // transform's pool and owned by the caller (Release it to recycle).
 func (t *DTCWT) Inverse(p *DTPyramid) (*frame.Frame, error) {
+	return t.inverse(p, true)
+}
+
+// InverseFused reconstructs the frame from a pyramid whose coefficients
+// already sit in quad (tree) layout — FuseQuads' output — skipping the c2q
+// distribution compute while applying its modeled charges. Bit-identical
+// to Inverse over the equivalent complex-band pyramid.
+func (t *DTCWT) InverseFused(p *DTPyramid) (*frame.Frame, error) {
+	return t.inverse(p, false)
+}
+
+func (t *DTCWT) inverse(p *DTPyramid, distribute bool) (*frame.Frame, error) {
 	if p.NumLevels() == 0 {
 		return nil, errors.New("wavelet.DTCWT: empty pyramid")
 	}
+	x := t.X
 	pool := t.poolOr()
 	for lv := range p.Levels {
-		distributeLevel(t.X, p.trees, p.Levels[lv], lv)
+		if distribute {
+			distributeLevel(x, p.trees, p.Levels[lv], lv)
+		}
+		n := len(bandOf(p.trees[TreeAA], lv, 0).Pix)
+		for bi := 0; bi < 3; bi++ {
+			x.chargeCPU(4 * n)
+		}
 	}
 	var acc *frame.Frame
 	for c := 0; c < numTrees; c++ {
 		p.trees[c].LL = p.LLs[c]
-		rec, err := inverse2DPooled(t.X, p.trees[c], pool)
+		rec, err := inverse2DPooled(x, p.trees[c], pool)
 		if err != nil {
 			if acc != nil {
 				acc.Release()
@@ -404,13 +543,12 @@ func (t *DTCWT) Inverse(p *DTPyramid) (*frame.Frame, error) {
 			rec.Release()
 			return nil, errors.New("wavelet.DTCWT: tree reconstruction size mismatch")
 		}
-		t.X.pixAcc = accTask{dst: acc.Pix, src: rec.Pix}
-		t.X.W.Run(len(acc.Pix), kernels.Grain(len(acc.Pix), 8, t.X.W.N()), &t.X.pixAcc)
+		// The last accumulation also applies the four-tree average.
+		x.pixAcc = accTask{dst: acc.Pix, src: rec.Pix, scale: c == numTrees-1}
+		x.W.Run(len(acc.Pix), kernels.Grain(len(acc.Pix), 8, x.W.N()), &x.pixAcc)
 		rec.Release()
 	}
-	t.X.pixScale = scaleTask{dst: acc.Pix}
-	t.X.W.Run(len(acc.Pix), kernels.Grain(len(acc.Pix), 4, t.X.W.N()), &t.X.pixScale)
-	t.X.chargeCPU(numTrees * len(acc.Pix))
+	x.chargeCPU(numTrees * len(acc.Pix))
 	return acc, nil
 }
 
@@ -427,6 +565,21 @@ func comboTrees(c int) (rowTree, colTree byte) {
 	}
 }
 
+// comboIndex maps (row tree, column tree) letters to the tree combination
+// index — the inverse of comboTrees.
+func comboIndex(rowTree, colTree byte) int {
+	switch {
+	case rowTree == 'a' && colTree == 'a':
+		return TreeAA
+	case rowTree == 'a':
+		return TreeAB
+	case colTree == 'a':
+		return TreeBA
+	default:
+		return TreeBB
+	}
+}
+
 // InvSqrt2 scales the unitary four-real-to-two-complex combination (the
 // q2c map and its c2q inverse). Exported for the fused
 // combine+rule+distribute kernels in the fusion package, which must mirror
@@ -435,7 +588,7 @@ const InvSqrt2 = 0.7071067811865476
 
 const invSqrt2 = InvSqrt2
 
-// combineLevelInto applies the q2c map to each detail band of one level,
+// combineLevel applies the q2c map to each detail band of one level,
 // writing into the pre-shaped bands of out:
 //
 //	z1 = ((p - q) + i(r + s)) / sqrt2
@@ -443,17 +596,25 @@ const invSqrt2 = InvSqrt2
 //
 // with p = AA, q = BB, r = AB, s = BA. The map is unitary, so
 // |z1|^2 + |z2|^2 = p^2 + q^2 + r^2 + s^2 and it is exactly invertible.
-func combineLevelInto(x *Xfm, trees [numTrees]*Decomp, lv int, out *DTLevel) {
-	combineLevelCompute(x, trees, lv, out)
-	n := len(bandOf(trees[TreeAA], lv, 0).Pix)
+// Its modeled charges are applied by the caller.
+func combineLevel(x *Xfm, trees [numTrees]*Decomp, lv int, out *DTLevel) {
 	for bi := 0; bi < 3; bi++ {
-		x.chargeCPU(4 * n)
+		p := bandOf(trees[TreeAA], lv, bi)
+		q := bandOf(trees[TreeBB], lv, bi)
+		r := bandOf(trees[TreeAB], lv, bi)
+		s := bandOf(trees[TreeBA], lv, bi)
+		z1 := out.Bands[bi]
+		z2 := out.Bands[5-bi]
+		n := len(p.Pix)
+		x.q2c = q2cTask{p: p.Pix, q: q.Pix, r: r.Pix, s: s.Pix,
+			z1re: z1.Re, z1im: z1.Im, z2re: z2.Re, z2im: z2.Im}
+		x.W.Run(n, kernels.Grain(n, 32, x.W.N()), &x.q2c)
 	}
 }
 
-// distributeLevel applies c2q, the exact inverse of combineLevelInto,
-// writing the (possibly fused) complex coefficients back into the four
-// trees.
+// distributeLevel applies c2q, the exact inverse of combineLevel, writing
+// the (possibly fused) complex coefficients back into the four trees. Its
+// modeled charges are applied by the caller.
 func distributeLevel(x *Xfm, trees [numTrees]*Decomp, l DTLevel, lv int) {
 	for bi := 0; bi < 3; bi++ {
 		z1 := l.Bands[bi]
@@ -466,8 +627,15 @@ func distributeLevel(x *Xfm, trees [numTrees]*Decomp, l DTLevel, lv int) {
 		x.c2q = c2qTask{z1re: z1.Re, z1im: z1.Im, z2re: z2.Re, z2im: z2.Im,
 			p: p.Pix, q: q.Pix, r: r.Pix, s: s.Pix}
 		x.W.Run(n, kernels.Grain(n, 32, x.W.N()), &x.c2q)
-		x.chargeCPU(4 * n)
 	}
+}
+
+// TreeBand exposes detail band bi (0=HL, 1=LH, 2=HH) of tree combination c
+// at level lv — the quad (tree) coefficient planes FuseQuads reads and
+// writes directly. In the q2c convention, band position p is TreeAA, q is
+// TreeBB, r is TreeAB and s is TreeBA.
+func (p *DTPyramid) TreeBand(c, lv, bi int) *frame.Frame {
+	return bandOf(p.trees[c], lv, bi)
 }
 
 // bandOf selects detail band bi (0=HL, 1=LH, 2=HH) of a tree level.

@@ -152,53 +152,72 @@ func Forward2D(x *Xfm, rowBanks, colBanks []*Bank, img *frame.Frame, levels int)
 }
 
 // forward2DInto runs the analysis cascade into a pre-shaped decomposition.
-// Intermediate lowpass planes (each level's input to the next) are scratch
-// leased from pool for the duration of the cascade, like the board's
-// transform frame stores; the final one lands in d.LL.
 func forward2DInto(x *Xfm, d *Decomp, img *frame.Frame, levels int, pool *bufpool.Pool) error {
-	cur := img
-	var curOwned *frame.Frame // pooled intermediate lowpass awaiting release
-	release := func() {
-		if curOwned != nil {
-			curOwned.Release()
-			curOwned = nil
-		}
-	}
-	for lv := 0; lv < levels; lv++ {
-		d.sizes[lv] = wh{cur.W, cur.H}
+	return forwardCascade(x, d, img, false, 0, levels, pool)
+}
+
+// forwardCascade runs analysis levels from..levels-1 of d, starting from
+// cur, the input of level from (released once consumed when owned).
+// Intermediate lowpass planes — each level's input to the next — are
+// scratch leased from pool for the duration of the cascade, like the
+// board's transform frame stores; the final one lands in d.LL.
+func forwardCascade(x *Xfm, d *Decomp, cur *frame.Frame, owned bool, from, levels int, pool *bufpool.Pool) error {
+	for lv := from; lv < levels; lv++ {
 		_, _, mw, mh := levelGeom(cur.W, cur.H)
 		ll := d.LL
 		if lv < levels-1 {
 			var err error
 			if ll, err = pool.Get(mw, mh); err != nil {
-				release()
+				if owned {
+					cur.Release()
+				}
 				return err
 			}
 		}
-		if err := forwardLevelInto(x, d.RowBanks[lv], d.ColBanks[lv], cur, ll, d.Levels[lv], pool); err != nil {
+		err := forwardLevelInto(x, d.RowBanks[lv], d.ColBanks[lv], cur, ll, d.Levels[lv], pool)
+		if owned {
+			cur.Release()
+		}
+		if err != nil {
 			if lv < levels-1 {
 				ll.Release()
 			}
-			release()
 			return err
 		}
-		release()
-		if lv < levels-1 {
-			curOwned = ll
-		}
-		cur = ll
+		cur, owned = ll, lv < levels-1
 	}
 	return nil
 }
 
 // forwardLevelInto performs one separable analysis level, writing the LL
-// subband into ll and the three detail subbands into b (all pre-shaped).
+// subband into ll and the three detail subbands into b (all pre-shaped):
+// through the tile kernels with the charges replayed afterwards when the
+// engine offers them, through the sequential per-row loops otherwise.
 // Every sample of every output plane is written, so reused (uncleared)
 // pooled planes give bit-identical results to fresh zeroed ones.
 func forwardLevelInto(x *Xfm, rowBank, colBank *Bank, img, ll *frame.Frame, b Bands, pool *bufpool.Pool) error {
-	p, padOwned, err := padEvenPooled(x, img, pool)
+	p, padOwned, err := padEvenCompute(img, pool)
 	if err != nil {
 		return err
+	}
+	if x.tile != nil {
+		rowOut, err := pool.Get(p.W, p.H)
+		if err == nil {
+			x.forwardRows(rowBank, p, rowOut)
+		}
+		if padOwned != nil {
+			padOwned.Release()
+		}
+		if err != nil {
+			return err
+		}
+		x.forwardCols(colBank, nil, rowOut, ll, b, nil, Bands{})
+		rowOut.Release()
+		x.chargeForwardLevel(img.W, img.H)
+		return nil
+	}
+	if padOwned != nil {
+		x.chargeCPU(padOwned.W * padOwned.H)
 	}
 	w, h := p.W, p.H
 	mw, mh := w/2, h/2
@@ -211,14 +230,10 @@ func forwardLevelInto(x *Xfm, rowBank, colBank *Bank, img, ll *frame.Frame, b Ba
 		}
 		return err
 	}
-	if x.tiledKernels() {
-		x.forwardRowsTiled(rowBank, p, rowOut, w, h, mw)
-	} else {
-		for y := 0; y < h; y++ {
-			row := p.Row(y)
-			out := rowOut.Row(y)
-			x.Analyze1D(rowBank, row, out[:mw], out[mw:])
-		}
+	for y := 0; y < h; y++ {
+		row := p.Row(y)
+		out := rowOut.Row(y)
+		x.Analyze1D(rowBank, row, out[:mw], out[mw:])
 	}
 	if padOwned != nil {
 		padOwned.Release()
@@ -226,12 +241,7 @@ func forwardLevelInto(x *Xfm, rowBank, colBank *Bank, img, ll *frame.Frame, b Ba
 
 	// Vertical pass on each column of both halves.
 	hl, lh, hh := b.HL, b.LH, b.HH
-	if x.tiledKernels() {
-		x.forwardColsTiled(colBank, rowOut, ll.Pix, lh.Pix, hl.Pix, hh.Pix, w, h, mw, mh)
-		rowOut.Release()
-		return nil
-	}
-	col := growCol(x, h)
+	col := x.col.grow(x.pool, h)
 	clo := x.lo.grow(x.pool, mh)
 	chi := x.hi.grow(x.pool, mh)
 	for cx := 0; cx < w; cx++ {
@@ -294,10 +304,12 @@ func inverse2DPooled(x *Xfm, d *Decomp, pool *bufpool.Pool) (*frame.Frame, error
 }
 
 // inverseLevelPooled undoes one analysis level and crops to the recorded
-// size. The horizontal synthesis runs in place over the vertical pass's
-// plane — the board's wave engine reads and writes the same frame store —
-// so the level needs one working plane, not two; the modeled memcpy
-// charges are unchanged.
+// size: through the tile kernels when the engine offers them, through the
+// sequential per-row loops otherwise (identical pixels and charges). The
+// horizontal synthesis runs in place over the vertical pass's plane — the
+// board's wave engine reads and writes the same frame store — so the level
+// needs one working plane, not two; the modeled memcpy charges are
+// unchanged.
 func inverseLevelPooled(x *Xfm, rowBank, colBank *Bank, ll *frame.Frame, b Bands, orig wh, pool *bufpool.Pool) (*frame.Frame, error) {
 	mw, mh := ll.W, ll.H
 	w, h := 2*mw, 2*mh
@@ -307,37 +319,27 @@ func inverseLevelPooled(x *Xfm, rowBank, colBank *Bank, ll *frame.Frame, b Bands
 	if err != nil {
 		return nil, err
 	}
-	if x.tiledKernels() {
-		x.inverseColsTiled(colBank, ll.Pix, b.LH.Pix, rowOut, w, h, mw, mh, 0)
-		x.inverseColsTiled(colBank, b.HL.Pix, b.HH.Pix, rowOut, w, h, mw, mh, mw)
-		x.inverseRowsTiled(rowBank, rowOut, w, h, mw)
+	if x.tile != nil {
+		x.inverseCols(colBank, ll.Pix, b.LH.Pix, rowOut, mw, mh, 0)
+		x.inverseCols(colBank, b.HL.Pix, b.HH.Pix, rowOut, mw, mh, mw)
+		x.inverseRows(rowBank, rowOut)
 	} else {
-		loCol := growCol(x, mh)
-		hiCol := growHiCol(x, mh)
+		loCol := x.col.grow(x.pool, mh)
+		hiCol := x.hiCol.grow(x.pool, mh)
 		y2 := x.y2.grow(x.pool, h)
-		for cx := 0; cx < mw; cx++ {
-			for y := 0; y < mh; y++ {
-				loCol[y] = ll.Pix[y*mw+cx]
-				hiCol[y] = b.LH.Pix[y*mw+cx]
+		for half, src := range [2][2]*frame.Frame{{ll, b.LH}, {b.HL, b.HH}} {
+			for cx := 0; cx < mw; cx++ {
+				for y := 0; y < mh; y++ {
+					loCol[y] = src[0].Pix[y*mw+cx]
+					hiCol[y] = src[1].Pix[y*mw+cx]
+				}
+				x.chargeCPU(2 * mh)
+				y2 = x.Synthesize1D(colBank, loCol, hiCol, y2)
+				for y := 0; y < h; y++ {
+					rowOut.Pix[y*w+cx+half*mw] = y2[y]
+				}
+				x.chargeCPU(h)
 			}
-			x.chargeCPU(2 * mh)
-			y2 = x.Synthesize1D(colBank, loCol, hiCol, y2)
-			for y := 0; y < h; y++ {
-				rowOut.Pix[y*w+cx] = y2[y]
-			}
-			x.chargeCPU(h)
-		}
-		for cx := 0; cx < mw; cx++ {
-			for y := 0; y < mh; y++ {
-				loCol[y] = b.HL.Pix[y*mw+cx]
-				hiCol[y] = b.HH.Pix[y*mw+cx]
-			}
-			x.chargeCPU(2 * mh)
-			y2 = x.Synthesize1D(colBank, loCol, hiCol, y2)
-			for y := 0; y < h; y++ {
-				rowOut.Pix[y*w+cx+mw] = y2[y]
-			}
-			x.chargeCPU(h)
 		}
 
 		// Horizontal synthesis row by row, in place: Synthesize1D consumes
@@ -368,23 +370,32 @@ func inverseLevelPooled(x *Xfm, rowBank, colBank *Bank, ll *frame.Frame, b Bands
 	return cropped, nil
 }
 
-// padEvenPooled returns img extended to even dimensions by edge
+// padEvenCompute returns img extended to even dimensions by edge
 // replication — a pass-through when already even, otherwise a plane leased
-// from pool that the caller releases via the returned owned handle.
-func padEvenPooled(x *Xfm, img *frame.Frame, pool *bufpool.Pool) (padded, owned *frame.Frame, err error) {
-	padded, owned, err = padEvenCompute(img, pool)
-	if owned != nil {
-		x.chargeCPU(owned.W * owned.H)
+// from pool that the caller releases via the returned owned handle. It
+// charges nothing: callers charge the pad (owned's area) where their
+// charge order puts it.
+func padEvenCompute(img *frame.Frame, pool *bufpool.Pool) (padded, owned *frame.Frame, err error) {
+	if img.W%2 == 0 && img.H%2 == 0 {
+		return img, nil, nil
 	}
-	return padded, owned, err
-}
-
-func growCol(x *Xfm, n int) []float32 {
-	return x.col.grow(x.pool, n)
-}
-
-func growHiCol(x *Xfm, n int) []float32 {
-	return x.hiCol.grow(x.pool, n)
+	w, h := img.W+img.W%2, img.H+img.H%2
+	p, err := pool.Get(w, h)
+	if err != nil {
+		return nil, nil, err
+	}
+	for y := 0; y < h; y++ {
+		sy := y
+		if sy >= img.H {
+			sy = img.H - 1
+		}
+		dst := p.Row(y)
+		copy(dst, img.Row(sy))
+		if w > img.W {
+			dst[w-1] = dst[img.W-1]
+		}
+	}
+	return p, p, nil
 }
 
 // Mosaic renders the classic subband layout picture (Fig. 1 of the paper):

@@ -6,20 +6,21 @@ import (
 	"testing"
 
 	"zynqfusion/internal/engine"
+	"zynqfusion/internal/frame"
 	"zynqfusion/internal/kernels"
 	"zynqfusion/internal/signal"
 )
 
-// These tests pin the operator-fusion claim at the transform layer: the
-// dual-stream fused forward (shared row passes, blocked dual-tree column
-// gathers) and the fused quad-layout inverse must match the unfused
-// cascade bit for bit — every tree coefficient plane, every complex band,
-// the reconstruction, and the modeled charge sequence — sequential and
-// across a worker pool.
+// These tests pin the quad data path at the transform layer: the
+// quad-only forward (shared level-1 row passes, blocked dual-tree column
+// gathers, complex planes never built) and the quad-layout inverse must
+// match the sequential per-row loops bit for bit — every tree coefficient
+// plane, the reconstruction, and the modeled charge sequence — at any
+// worker count.
 
 // compareTreePlanes asserts the quad (tree) detail planes and lowpass
-// residuals of two pyramids match bitwise — the layout the fused rule
-// kernels read and write directly.
+// residuals of two pyramids match bitwise — the layout FuseQuads reads and
+// writes directly.
 func compareTreePlanes(t *testing.T, label string, a, b *DTPyramid) {
 	t.Helper()
 	if a.NumLevels() != b.NumLevels() {
@@ -47,36 +48,30 @@ func compareTreePlanes(t *testing.T, label string, a, b *DTPyramid) {
 	}
 }
 
-func newTimedDT(mk func() timedKernel, workers int) (*DTCWT, timedKernel, *kernels.Workers) {
-	k := mk()
+func newTimedDT(k timedKernel, workers int) (*DTCWT, *kernels.Workers) {
 	x := NewXfm(k)
-	var w *kernels.Workers
-	if workers > 1 {
-		w = kernels.NewWorkers(workers)
-		x.SetWorkers(w)
-	}
-	return NewDTCWT(x, DefaultTreeBanks()), k, w
+	w := kernels.NewWorkers(workers)
+	x.SetWorkers(w)
+	return NewDTCWT(x, DefaultTreeBanks()), w
 }
 
-// TestForwardPairBitExact runs the fused dual-stream forward against two
-// sequential unfused forwards, in both materialization modes, and the
-// fused quad inverse against the distributing inverse, across engines,
-// geometries and worker counts.
+// TestForwardPairBitExact runs a visible/infrared source pair through the
+// tiled forward — complex and quad-only — and the quad inverse, against
+// the sequential per-row loops' ForwardInto and distributing Inverse,
+// across engines, geometries and worker counts.
 func TestForwardPairBitExact(t *testing.T) {
 	withParallelism(t, 8)
 	sizes := []wh{{16, 16}, {33, 31}, {64, 48}, {97, 61}}
 	for name, mk := range tileEngines {
 		for _, sz := range sizes {
-			levels := MaxLevels(sz.w, sz.h)
-			if levels > 3 {
-				levels = 3
-			}
+			levels := min(MaxLevels(sz.w, sz.h), 3)
 			vis := testFrame(sz.w, sz.h, int64(sz.w*100+sz.h))
 			ir := testFrame(sz.w, sz.h, int64(sz.w*100+sz.h+1))
 			for _, workers := range []int{1, 4} {
 				label := fmt.Sprintf("%s %dx%d lv=%d workers=%d", name, sz.w, sz.h, levels, workers)
 
-				refDT, refK, refW := newTimedDT(mk, workers)
+				refK := seqKernel{mk()}
+				refDT, _ := newTimedDT(refK, 1)
 				refA, err := refDT.Forward(vis, levels)
 				if err != nil {
 					t.Fatalf("%s: forward vis: %v", label, err)
@@ -87,48 +82,47 @@ func TestForwardPairBitExact(t *testing.T) {
 				}
 				refFwd := refK.Elapsed()
 
-				// Fused forward, complex bands materialized: full pyramids
-				// (tree planes, complex bands, residuals) and the modeled
-				// charge total must match the two unfused forwards.
-				cDT, cK, cW := newTimedDT(mk, workers)
+				// Tiled forward with the complex bands built: full pyramids
+				// and the modeled charges must match.
+				cK := mk()
+				cDT, cW := newTimedDT(cK, workers)
 				pa, pb := &DTPyramid{}, &DTPyramid{}
-				if err := cDT.ForwardPairInto(pa, pb, vis, ir, levels, true); err != nil {
-					t.Fatalf("%s: fused pair: %v", label, err)
+				for _, f := range []struct {
+					p   *DTPyramid
+					src *frame.Frame
+				}{{pa, vis}, {pb, ir}} {
+					if _, err := cDT.ForwardInto(f.p, f.src, levels); err != nil {
+						t.Fatalf("%s: tiled forward: %v", label, err)
+					}
 				}
 				comparePyramids(t, label+" vis", refA, pa)
 				comparePyramids(t, label+" ir", refB, pb)
 				compareTreePlanes(t, label+" vis", refA, pa)
 				compareTreePlanes(t, label+" ir", refB, pb)
-				if cK.Elapsed() != refFwd {
-					t.Fatalf("%s: fused forward modeled %v, unfused %v", label, cK.Elapsed(), refFwd)
-				}
-				if rn, ok := refK.(*engine.NEON); ok {
-					if rn.Unit().C != cK.(*engine.NEON).Unit().C {
-						t.Fatalf("%s: fused instruction ledger differs", label)
-					}
-				}
+				sameAccounting(t, label+" forward", refK, cK)
 
-				// Fused forward in quad-only mode (complex planes elided),
-				// then the fused inverse against the distributing inverse.
-				qDT, qK, qW := newTimedDT(mk, workers)
+				// Quad-only forward (complex planes never built), then the
+				// quad inverse against the distributing inverse.
+				qK := mk()
+				qDT, qW := newTimedDT(qK, workers)
 				qa, qb := &DTPyramid{}, &DTPyramid{}
-				if err := qDT.ForwardPairInto(qa, qb, vis, ir, levels, false); err != nil {
-					t.Fatalf("%s: quad pair: %v", label, err)
+				if err := qDT.ForwardQuadInto(qa, vis, levels); err != nil {
+					t.Fatalf("%s: quad forward: %v", label, err)
+				}
+				if err := qDT.ForwardQuadInto(qb, ir, levels); err != nil {
+					t.Fatalf("%s: quad forward: %v", label, err)
 				}
 				compareTreePlanes(t, label+" quad vis", refA, qa)
 				compareTreePlanes(t, label+" quad ir", refB, qb)
-				if qK.Elapsed() != refFwd {
-					t.Fatalf("%s: quad forward modeled %v, unfused %v", label, qK.Elapsed(), refFwd)
-				}
+				sameAccounting(t, label+" quad forward", refK, qK)
 				recRef, err := refDT.Inverse(refA)
 				if err != nil {
 					t.Fatalf("%s: inverse: %v", label, err)
 				}
 				// Inverse distributed refA's complex bands back into its
-				// tree planes (the c2q float roundtrip the fused rule
-				// kernels reproduce per element). Feed those exact quads to
-				// the fused inverse: its blocked synthesis must reconstruct
-				// them bit-identically to the unfused column-at-a-time path.
+				// tree planes (the c2q float roundtrip FuseQuads reproduces
+				// per element). Feed those exact quads to the quad inverse:
+				// it must reconstruct them bit-identically.
 				for c := 0; c < numTrees; c++ {
 					for lv := 0; lv < levels; lv++ {
 						for bi := 0; bi < 3; bi++ {
@@ -138,65 +132,58 @@ func TestForwardPairBitExact(t *testing.T) {
 				}
 				recQ, err := qDT.InverseFused(qa)
 				if err != nil {
-					t.Fatalf("%s: fused inverse: %v", label, err)
+					t.Fatalf("%s: quad inverse: %v", label, err)
 				}
 				compareFrames(t, label+" reconstruction", recRef, recQ)
 				if refK.Elapsed()-refFwd != qK.Elapsed()-refFwd {
-					t.Fatalf("%s: fused inverse modeled %v, unfused %v",
+					t.Fatalf("%s: quad inverse modeled %v, sequential %v",
 						label, qK.Elapsed()-refFwd, refK.Elapsed()-refFwd)
 				}
-				for _, w := range []*kernels.Workers{refW, cW, qW} {
-					if w != nil {
-						w.Close()
-					}
-				}
+				cW.Close()
+				qW.Close()
 			}
 		}
 	}
 }
 
-// TestForwardPairFallback pins the safe path for kernels without tile
-// compute: ForwardPairInto silently degrades to two unfused forwards.
+// TestForwardPairFallback pins the path for kernels without tile compute:
+// ForwardQuadInto runs the sequential per-row loops and writes the same
+// tree planes ForwardInto does.
 func TestForwardPairFallback(t *testing.T) {
 	x := NewXfm(signal.RefKernel{})
 	if x.TileCapable() {
 		t.Fatal("RefKernel must not offer tile compute")
 	}
 	dt := NewDTCWT(x, DefaultTreeBanks())
-	vis := testFrame(33, 31, 5)
-	ir := testFrame(33, 31, 6)
-	pa, pb := &DTPyramid{}, &DTPyramid{}
-	if err := dt.ForwardPairInto(pa, pb, vis, ir, 2, true); err != nil {
-		t.Fatal(err)
+	for _, seed := range []int64{5, 6} {
+		img := testFrame(33, 31, seed)
+		q := &DTPyramid{}
+		if err := dt.ForwardQuadInto(q, img, 2); err != nil {
+			t.Fatal(err)
+		}
+		ref, err := dt.Forward(img, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareTreePlanes(t, fmt.Sprintf("fallback seed %d", seed), ref, q)
+		if q.Levels[0].Bands[0] != nil {
+			t.Fatal("quad forward built complex band planes")
+		}
 	}
-	refDT := NewDTCWT(NewXfm(signal.RefKernel{}), DefaultTreeBanks())
-	refA, err := refDT.Forward(vis, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refB, err := refDT.Forward(ir, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comparePyramids(t, "fallback vis", refA, pa)
-	comparePyramids(t, "fallback ir", refB, pb)
 }
 
 // TestForwardPairErrors covers the argument validation paths.
 func TestForwardPairErrors(t *testing.T) {
 	dt := NewDTCWT(NewXfm(engine.NewNEON(false)), DefaultTreeBanks())
 	vis := testFrame(32, 24, 1)
-	pa, pb := &DTPyramid{}, &DTPyramid{}
-	if err := dt.ForwardPairInto(pa, pb, vis, testFrame(16, 12, 2), 2, true); err == nil {
-		t.Error("size mismatch accepted")
-	}
-	if err := dt.ForwardPairInto(pa, pb, vis, vis, 0, true); err == nil {
+	p := &DTPyramid{}
+	if err := dt.ForwardQuadInto(p, vis, 0); err == nil {
 		t.Error("levels=0 accepted")
 	}
-	if err := dt.ForwardPairInto(pa, pb, vis, vis, 99, true); err == nil {
+	if err := dt.ForwardQuadInto(p, vis, 99); err == nil {
 		t.Error("absurd depth accepted")
 	}
-	if err := dt.ShapeQuadPyramid(pa, 32, 24, 99); err == nil {
+	if err := dt.ShapeQuadPyramid(p, 32, 24, 99); err == nil {
 		t.Error("ShapeQuadPyramid accepted absurd depth")
 	}
 	if _, err := dt.InverseFused(&DTPyramid{}); err == nil {
@@ -204,9 +191,11 @@ func TestForwardPairErrors(t *testing.T) {
 	}
 }
 
-// TestShapeQuadPyramidReuse pins the workspace contract the fused rule
-// path relies on: reshaping at the same geometry keeps the planes (no
-// churn), reshaping at a new geometry rebuilds them.
+// TestShapeQuadPyramidReuse pins the workspace contract the quad path
+// relies on: reshaping at the same geometry keeps the planes (no churn),
+// reshaping at a new geometry rebuilds them, and a complex-shaped pyramid
+// is a valid quad workspace while a quad-shaped one is reshaped for
+// ForwardInto.
 func TestShapeQuadPyramidReuse(t *testing.T) {
 	dt := NewDTCWT(NewXfm(engine.NewNEON(false)), DefaultTreeBanks())
 	p := &DTPyramid{}
@@ -219,6 +208,19 @@ func TestShapeQuadPyramidReuse(t *testing.T) {
 	}
 	if &before[0] != &p.TreeBand(TreeAA, 0, 0).Pix[0] {
 		t.Fatal("same-geometry reshape reallocated the tree planes")
+	}
+	if err := dt.ShapePyramid(p, 64, 48, 2); err != nil {
+		t.Fatal(err)
+	}
+	if p.Levels[0].Bands[0] == nil {
+		t.Fatal("ShapePyramid kept a quad-only pyramid without complex planes")
+	}
+	complexPlane := p.TreeBand(TreeAA, 0, 0).Pix
+	if err := dt.ShapeQuadPyramid(p, 64, 48, 2); err != nil {
+		t.Fatal(err)
+	}
+	if &complexPlane[0] != &p.TreeBand(TreeAA, 0, 0).Pix[0] {
+		t.Fatal("a complex-shaped pyramid was rebuilt for the quad path")
 	}
 	if err := dt.ShapeQuadPyramid(p, 48, 64, 2); err != nil {
 		t.Fatal(err)

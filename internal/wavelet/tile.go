@@ -7,7 +7,11 @@ import (
 )
 
 // Tiled 2-D passes: the separable wavelet levels restructured as
-// cache-blocked tile tasks over a kernels.Workers pool.
+// cache-blocked tile tasks over a kernels.Workers pool. They run for every
+// engine whose kernel offers concurrency-safe tile compute
+// (Xfm.TileCapable), at any worker count — a nil or one-worker pool runs
+// the same tiles inline. Engines without tile compute run the sequential
+// per-row loops in dwt2d.go instead.
 //
 // Every pass follows the kernel engine's determinism contract: the
 // parallel region performs only pure compute (padding, gathers, the
@@ -15,9 +19,9 @@ import (
 // ranges, and all modeled accounting — the float64 cycle accumulators
 // whose addition order matters, and the NEON instruction ledger — is
 // replayed sequentially afterwards in exactly the order the sequential
-// loops in dwt2d.go charge it. A tiled level is therefore byte-identical
-// to a sequential one in pixels, cycles, StageTimes and ledger at any
-// worker count.
+// loops charge it. A tiled level is therefore byte-identical to a
+// sequential one in pixels, cycles, StageTimes and ledger at any worker
+// count.
 
 // fwdRowsTask runs the horizontal analysis pass: row y of src pads into
 // per-worker scratch and filters into the left (lo) and right (hi) halves
@@ -40,83 +44,162 @@ func (t *fwdRowsTask) Tile(lo, hi, worker int) {
 	}
 }
 
-// forwardRowsTiled dispatches the horizontal analysis pass and replays
-// its charges: per row, the pad memcpy then the kernel row.
-func (x *Xfm) forwardRowsTiled(bank *Bank, src, dst *frame.Frame, w, h, mw int) {
+// forwardRows dispatches the horizontal analysis pass of src (even-sized)
+// into dst, charge-free; chargeForwardLevel replays its charges.
+func (x *Xfm) forwardRows(bank *Bank, src, dst *frame.Frame) {
+	w, h := src.W, src.H
 	ws := x.workspaces(x.W.N())
 	for i := range ws {
 		ws[i].px.grow(x.pool, w+signal.TapCount)
 	}
-	x.fwdRows = fwdRowsTask{x: x, bank: bank, src: src, dst: dst, w: w, mw: mw}
+	x.fwdRows = fwdRowsTask{x: x, bank: bank, src: src, dst: dst, w: w, mw: w / 2}
 	x.W.Run(h, kernels.Grain(h, 8*w, x.W.N()), &x.fwdRows)
-	for y := 0; y < h; y++ {
-		x.chargeCPU(w + signal.TapCount)
-		x.tile.ChargeAnalyzeRow(mw)
+}
+
+// colBlock is the column-block width of the blocked vertical passes:
+// enough columns per block that the gather reads and the scatter writes
+// sweep whole cache lines of the row-major planes, while the block
+// staging (one input block plus up to four subband blocks) stays
+// cache-resident.
+const colBlock = 8
+
+// fwdColsBlkTask runs the vertical analysis pass with blocked data movement:
+// a block of columns of the row-pass output gathers once
+// (line-sequential in the source), each column pads once and filters
+// through bank A — and bank B when set, the second column tree sharing the
+// gather — into block staging, and a blocked scatter writes the subband
+// planes line-sequentially. Columns left of mw land in the lowpass/LH
+// planes, the rest in HL/HH. The per-column filter inputs and outputs are
+// those of the column-at-a-time form, so the coefficients are
+// bit-identical; only the data movement is blocked.
+type fwdColsBlkTask struct {
+	x                  *Xfm
+	bankA, bankB       *Bank
+	src                *frame.Frame
+	llA, lhA, hlA, hhA []float32
+	llB, lhB, hlB, hhB []float32
+	w, h, mw, mh       int
+}
+
+func (t *fwdColsBlkTask) Tile(lo, hi, worker int) {
+	// Split the range at the lowpass/highpass column boundary so every
+	// block scatters into one pair of planes per bank.
+	if lo < t.mw {
+		t.tileHalf(lo, min(hi, t.mw), worker, t.llA, t.lhA, t.llB, t.lhB, 0)
+	}
+	if hi > t.mw {
+		t.tileHalf(max(lo, t.mw), hi, worker, t.hlA, t.hhA, t.hlB, t.hhB, t.mw)
 	}
 }
 
-// fwdColsTask runs the vertical analysis pass: column cx of src gathers
-// into per-worker scratch, filters, and scatters into ll/lh (left half)
-// or hl/hh (right half).
-type fwdColsTask struct {
-	x              *Xfm
-	bank           *Bank
-	src            *frame.Frame
-	ll, lh, hl, hh []float32
-	w, h, mw, mh   int
-}
-
-func (t *fwdColsTask) Tile(lo, hi, worker int) {
+// tileHalf analyzes columns [lo, hi) — all on one side of the subband
+// split — in blocks, scattering bank A's lowpass/highpass outputs into
+// loA/hiA and bank B's into loB/hiB at column cx-off.
+func (t *fwdColsBlkTask) tileHalf(lo, hi, worker int, loA, hiA, loB, hiB []float32, off int) {
 	x := t.x
 	ws := &x.ws[worker]
-	col := ws.col.buf[:t.h]
-	cl := ws.lo.buf[:t.mh]
-	ch := ws.hi.buf[:t.mh]
-	for cx := lo; cx < hi; cx++ {
-		for y := 0; y < t.h; y++ {
-			col[y] = t.src.Pix[y*t.w+cx]
-		}
-		px := kernels.PadPeriodic(col, ws.px.buf)
-		x.tile.AnalyzeTile(&t.bank.AL, &t.bank.AH, px, cl, ch)
-		if cx < t.mw {
-			for y := 0; y < t.mh; y++ {
-				t.ll[y*t.mw+cx] = cl[y]
-				t.lh[y*t.mw+cx] = ch[y]
+	w, h, mw, mh := t.w, t.h, t.mw, t.mh
+	blk := ws.blk[0].buf[:colBlock*h]
+	bLoA := ws.blk[1].buf[:colBlock*mh]
+	bHiA := ws.blk[2].buf[:colBlock*mh]
+	var bLoB, bHiB []float32
+	if t.bankB != nil {
+		bLoB = ws.blk[3].buf[:colBlock*mh]
+		bHiB = ws.blk[4].buf[:colBlock*mh]
+	}
+	for cx0 := lo; cx0 < hi; cx0 += colBlock {
+		nb := min(hi-cx0, colBlock)
+		for y := 0; y < h; y++ {
+			row := t.src.Pix[y*w+cx0 : y*w+cx0+nb]
+			for j := 0; j < nb; j++ {
+				blk[j*h+y] = row[j]
 			}
-		} else {
-			for y := 0; y < t.mh; y++ {
-				t.hl[y*t.mw+cx-t.mw] = cl[y]
-				t.hh[y*t.mw+cx-t.mw] = ch[y]
+		}
+		for j := 0; j < nb; j++ {
+			px := kernels.PadPeriodic(blk[j*h:(j+1)*h], ws.px.buf)
+			x.tile.AnalyzeTile(&t.bankA.AL, &t.bankA.AH, px, bLoA[j*mh:(j+1)*mh], bHiA[j*mh:(j+1)*mh])
+			if t.bankB != nil {
+				x.tile.AnalyzeTile(&t.bankB.AL, &t.bankB.AH, px, bLoB[j*mh:(j+1)*mh], bHiB[j*mh:(j+1)*mh])
+			}
+		}
+		for y := 0; y < mh; y++ {
+			base := y*mw + cx0 - off
+			dLoA := loA[base : base+nb]
+			dHiA := hiA[base : base+nb]
+			for j := 0; j < nb; j++ {
+				dLoA[j] = bLoA[j*mh+y]
+				dHiA[j] = bHiA[j*mh+y]
+			}
+			if t.bankB == nil {
+				continue
+			}
+			dLoB := loB[base : base+nb]
+			dHiB := hiB[base : base+nb]
+			for j := 0; j < nb; j++ {
+				dLoB[j] = bLoB[j*mh+y]
+				dHiB[j] = bHiB[j*mh+y]
 			}
 		}
 	}
 }
 
-// forwardColsTiled dispatches the vertical analysis pass and replays its
-// charges: per column, the gather, the pad, the kernel row and the
-// scatter.
-func (x *Xfm) forwardColsTiled(bank *Bank, src *frame.Frame, ll, lh, hl, hh []float32, w, h, mw, mh int) {
+// forwardCols dispatches the blocked vertical analysis pass of src (the
+// row-pass output) into ll and b through colBank, charge-free. When
+// colBankB is non-nil the same gather also feeds the second column tree,
+// writing llB and bB.
+func (x *Xfm) forwardCols(colBank, colBankB *Bank, src *frame.Frame, ll *frame.Frame, b Bands, llB *frame.Frame, bB Bands) {
+	w, h := src.W, src.H
+	mw, mh := w/2, h/2
 	ws := x.workspaces(x.W.N())
 	for i := range ws {
-		ws[i].col.grow(x.pool, h)
 		ws[i].px.grow(x.pool, h+signal.TapCount)
-		ws[i].lo.grow(x.pool, mh)
-		ws[i].hi.grow(x.pool, mh)
+		ws[i].blk[0].grow(x.pool, colBlock*h)
+		ws[i].blk[1].grow(x.pool, colBlock*mh)
+		ws[i].blk[2].grow(x.pool, colBlock*mh)
+		if colBankB != nil {
+			ws[i].blk[3].grow(x.pool, colBlock*mh)
+			ws[i].blk[4].grow(x.pool, colBlock*mh)
+		}
 	}
-	x.fwdCols = fwdColsTask{x: x, bank: bank, src: src, ll: ll, lh: lh, hl: hl, hh: hh, w: w, h: h, mw: mw, mh: mh}
-	x.W.Run(w, kernels.Grain(w, 8*h, x.W.N()), &x.fwdCols)
-	for cx := 0; cx < w; cx++ {
-		x.chargeCPU(h)
-		x.chargeCPU(h + signal.TapCount)
+	x.fwdCols = fwdColsBlkTask{x: x, bankA: colBank, src: src,
+		llA: ll.Pix, lhA: b.LH.Pix, hlA: b.HL.Pix, hhA: b.HH.Pix,
+		w: w, h: h, mw: mw, mh: mh}
+	itemBytes := 16 * h
+	if colBankB != nil {
+		x.fwdCols.bankB = colBankB
+		x.fwdCols.llB, x.fwdCols.lhB, x.fwdCols.hlB, x.fwdCols.hhB = llB.Pix, bB.LH.Pix, bB.HL.Pix, bB.HH.Pix
+		itemBytes = 32 * h
+	}
+	x.W.Run(w, kernels.Grain(w, itemBytes, x.W.N()), &x.fwdCols)
+}
+
+// chargeForwardLevel replays the modeled charges of one analysis level
+// over a cw x ch input in exactly the order the sequential loops issue
+// them: the odd-size pad, then per row the pad memcpy and the kernel row,
+// then per column the gather, the pad, the kernel row and the scatter.
+func (x *Xfm) chargeForwardLevel(cw, ch int) {
+	pw, ph, mw, mh := levelGeom(cw, ch)
+	if pw != cw || ph != ch {
+		x.chargeCPU(pw * ph)
+	}
+	for y := 0; y < ph; y++ {
+		x.chargeCPU(pw + signal.TapCount)
+		x.tile.ChargeAnalyzeRow(mw)
+	}
+	for cx := 0; cx < pw; cx++ {
+		x.chargeCPU(ph)
+		x.chargeCPU(ph + signal.TapCount)
 		x.tile.ChargeAnalyzeRow(mh)
-		x.chargeCPU(h)
+		x.chargeCPU(ph)
 	}
 }
 
-// invColsTask runs one half of the vertical synthesis pass: column cx of
-// the lo/hi subband planes gathers, pads, synthesizes and
-// delay-compensates into column cx+dstOff of dst.
-type invColsTask struct {
+// invColsBlkTask is one half of the vertical synthesis pass with blocked
+// data movement: a block of lo/hi subband columns gathers
+// line-sequentially, each column pads, synthesizes and delay-compensates,
+// and the reconstructed block scatters line-sequentially into column
+// cx+dstOff of dst.
+type invColsBlkTask struct {
 	x                    *Xfm
 	bank                 *Bank
 	loP, hiP             []float32
@@ -124,43 +207,57 @@ type invColsTask struct {
 	w, h, mw, mh, dstOff int
 }
 
-func (t *invColsTask) Tile(lo, hi, worker int) {
+func (t *invColsBlkTask) Tile(lo, hi, worker int) {
 	x := t.x
 	ws := &x.ws[worker]
-	loCol := ws.col.buf[:t.mh]
-	hiCol := ws.hiCol.buf[:t.mh]
-	y := ws.y.buf[:t.h]
-	y2 := ws.y2.buf[:t.h]
-	for cx := lo; cx < hi; cx++ {
-		for yy := 0; yy < t.mh; yy++ {
-			loCol[yy] = t.loP[yy*t.mw+cx]
-			hiCol[yy] = t.hiP[yy*t.mw+cx]
+	w, h, mw, mh := t.w, t.h, t.mw, t.mh
+	loBlk := ws.blk[0].buf[:colBlock*mh]
+	hiBlk := ws.blk[1].buf[:colBlock*mh]
+	yBlk := ws.blk[2].buf[:colBlock*h]
+	y := ws.y.buf[:h]
+	for cx0 := lo; cx0 < hi; cx0 += colBlock {
+		nb := min(hi-cx0, colBlock)
+		for yy := 0; yy < mh; yy++ {
+			base := yy*mw + cx0
+			lrow := t.loP[base : base+nb]
+			hrow := t.hiP[base : base+nb]
+			for j := 0; j < nb; j++ {
+				loBlk[j*mh+yy] = lrow[j]
+				hiBlk[j*mh+yy] = hrow[j]
+			}
 		}
-		plo := kernels.PadPeriodicPairs(loCol, ws.plo.buf)
-		phi := kernels.PadPeriodicPairs(hiCol, ws.phi.buf)
-		x.tile.SynthesizeTile(&t.bank.SL, &t.bank.SH, plo, phi, y)
-		signal.Rotate(y2, y, t.bank.delay)
-		for yy := 0; yy < t.h; yy++ {
-			t.dst.Pix[yy*t.w+cx+t.dstOff] = y2[yy]
+		for j := 0; j < nb; j++ {
+			plo := kernels.PadPeriodicPairs(loBlk[j*mh:(j+1)*mh], ws.plo.buf)
+			phi := kernels.PadPeriodicPairs(hiBlk[j*mh:(j+1)*mh], ws.phi.buf)
+			x.tile.SynthesizeTile(&t.bank.SL, &t.bank.SH, plo, phi, y)
+			signal.Rotate(yBlk[j*h:(j+1)*h], y, t.bank.delay)
+		}
+		for yy := 0; yy < h; yy++ {
+			base := yy*w + cx0 + t.dstOff
+			drow := t.dst.Pix[base : base+nb]
+			for j := 0; j < nb; j++ {
+				drow[j] = yBlk[j*h+yy]
+			}
 		}
 	}
 }
 
-// inverseColsTiled dispatches one half of the vertical synthesis pass and
+// inverseCols dispatches one half of the vertical synthesis pass and
 // replays its charges: per column, the gather, the pads, the kernel row,
 // the delay rotation and the scatter — the exact sequence the sequential
 // loop charges through Synthesize1D.
-func (x *Xfm) inverseColsTiled(bank *Bank, loP, hiP []float32, dst *frame.Frame, w, h, mw, mh, dstOff int) {
+func (x *Xfm) inverseCols(bank *Bank, loP, hiP []float32, dst *frame.Frame, mw, mh, dstOff int) {
+	w, h := dst.W, dst.H
 	ws := x.workspaces(x.W.N())
 	for i := range ws {
-		ws[i].col.grow(x.pool, mh)
-		ws[i].hiCol.grow(x.pool, mh)
+		ws[i].blk[0].grow(x.pool, colBlock*mh)
+		ws[i].blk[1].grow(x.pool, colBlock*mh)
+		ws[i].blk[2].grow(x.pool, colBlock*h)
 		ws[i].plo.grow(x.pool, mh+signal.SynthesisPad)
 		ws[i].phi.grow(x.pool, mh+signal.SynthesisPad)
 		ws[i].y.grow(x.pool, h)
-		ws[i].y2.grow(x.pool, h)
 	}
-	x.invCols = invColsTask{x: x, bank: bank, loP: loP, hiP: hiP, dst: dst, w: w, h: h, mw: mw, mh: mh, dstOff: dstOff}
+	x.invCols = invColsBlkTask{x: x, bank: bank, loP: loP, hiP: hiP, dst: dst, w: w, h: h, mw: mw, mh: mh, dstOff: dstOff}
 	x.W.Run(mw, kernels.Grain(mw, 16*mh, x.W.N()), &x.invCols)
 	for cx := 0; cx < mw; cx++ {
 		x.chargeCPU(2 * mh)
@@ -197,10 +294,12 @@ func (t *invRowsTask) Tile(lo, hi, worker int) {
 	}
 }
 
-// inverseRowsTiled dispatches the in-place horizontal synthesis pass and
+// inverseRows dispatches the in-place horizontal synthesis pass and
 // replays its charges: per row, the pads, the kernel row, the rotation
 // and the write-back memcpy.
-func (x *Xfm) inverseRowsTiled(bank *Bank, dst *frame.Frame, w, h, mw int) {
+func (x *Xfm) inverseRows(bank *Bank, dst *frame.Frame) {
+	w, h := dst.W, dst.H
+	mw := w / 2
 	ws := x.workspaces(x.W.N())
 	for i := range ws {
 		ws[i].plo.grow(x.pool, mw+signal.SynthesisPad)
@@ -220,10 +319,10 @@ func (x *Xfm) inverseRowsTiled(bank *Bank, dst *frame.Frame, w, h, mw int) {
 
 // Pixel-map tasks: the DT-CWT's engine-independent structure loops
 // (tree combination, distribution, reconstruction averaging). Each index
-// is computed independently with the same expressions as the sequential
-// loops, and the single chargeCPU those loops make sits outside the
-// parallel region, so these tile for every engine — including ones whose
-// filter kernels cannot.
+// is computed independently with the same expressions on every engine,
+// and the charges those loops make sit outside the parallel region, so
+// these tile for every engine — including ones whose filter kernels
+// cannot.
 
 // q2cTask applies the four-real-to-two-complex combination per pixel.
 type q2cTask struct {
@@ -260,26 +359,24 @@ func (t *c2qTask) Tile(lo, hi, _ int) {
 	}
 }
 
-// accTask accumulates src into dst per pixel.
+// accTask accumulates src into dst per pixel; with scale set it also
+// applies the four-tree average in the same traversal — per element the
+// same rounded float32 add then rounded multiply a separate scaling pass
+// performs.
 type accTask struct {
 	dst, src []float32
+	scale    bool
 }
 
 func (t *accTask) Tile(lo, hi, _ int) {
 	dst, src := t.dst, t.src
+	if t.scale {
+		for i := lo; i < hi; i++ {
+			dst[i] = (dst[i] + src[i]) * (1.0 / numTrees)
+		}
+		return
+	}
 	for i := lo; i < hi; i++ {
 		dst[i] += src[i]
-	}
-}
-
-// scaleTask scales dst by the tree-average factor per pixel.
-type scaleTask struct {
-	dst []float32
-}
-
-func (t *scaleTask) Tile(lo, hi, _ int) {
-	dst := t.dst
-	for i := lo; i < hi; i++ {
-		dst[i] *= 1.0 / numTrees
 	}
 }

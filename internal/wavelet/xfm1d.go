@@ -60,44 +60,34 @@ func (s *scratch) release() {
 }
 
 // tileScratch is the private working set of one tile worker: padded
-// inputs, gathered columns and synthesis staging, sized before each
-// parallel region (while single-threaded) so tile bodies never touch the
-// pool.
+// inputs, synthesis staging and the column-block staging of the blocked
+// vertical passes (an input block plus up to four subband blocks), sized
+// before each parallel region (while single-threaded) so tile bodies
+// never touch the pool.
 type tileScratch struct {
-	px, plo, phi, y, y2, col, hiCol, lo, hi scratch
-
-	// Column-block staging for the fused dual-tree vertical pass: a block
-	// of gathered input columns and the per-bank subband outputs awaiting
-	// the blocked scatter (see fwdColsDualTask).
-	colBlk, bLoA, bHiA, bLoB, bHiB scratch
+	px, plo, phi, y, y2 scratch
+	blk                 [5]scratch
 }
 
 func (t *tileScratch) release() {
-	t.px.release()
-	t.plo.release()
-	t.phi.release()
-	t.y.release()
-	t.y2.release()
-	t.col.release()
-	t.hiCol.release()
-	t.lo.release()
-	t.hi.release()
-	t.colBlk.release()
-	t.bLoA.release()
-	t.bHiA.release()
-	t.bLoB.release()
-	t.bHiB.release()
+	for _, s := range []*scratch{&t.px, &t.plo, &t.phi, &t.y, &t.y2} {
+		s.release()
+	}
+	for i := range t.blk {
+		t.blk[i].release()
+	}
 }
 
 // Xfm performs 1-D analysis/synthesis passes with a given kernel, reusing
 // scratch buffers across calls. It is not safe for concurrent use — create
-// one Xfm per logical stream — but it fans its own 2-D passes out across
-// an attached kernels.Workers pool when the kernel supports tiled
-// execution (see SetWorkers).
+// one Xfm per logical stream. When the kernel supports tiled execution its
+// 2-D passes run as tile tasks, fanned out across an attached
+// kernels.Workers pool (see SetWorkers); otherwise they run the sequential
+// per-row loops.
 type Xfm struct {
 	K signal.Kernel
-	// W dispatches tiled passes; nil (or a 1-worker pool) runs every pass
-	// sequentially on the caller.
+	// W dispatches tiled passes; nil (or a 1-worker pool) runs every tile
+	// on the caller.
 	W *kernels.Workers
 
 	px, plo, phi, y, y2, col, hiCol, lo, hi scratch
@@ -108,26 +98,14 @@ type Xfm struct {
 	ws      []tileScratch      // per-worker scratch for tiled passes
 
 	// Reusable task boxes: passing pointers to these through the Task
-	// interface keeps tiled dispatch at zero allocations per frame. The B
-	// variants are the second stream of the fused dual-stream traversal,
-	// which pairs two bodies per dispatch.
-	fwdRows     fwdRowsTask
-	fwdRowsB    fwdRowsTask
-	fwdCols     fwdColsTask
-	fwdColsB    fwdColsTask
-	fwdColsD    fwdColsDualTask
-	fwdColsDB   fwdColsDualTask
-	fwdColsK    fwdColsBlkTask
-	fwdColsKB   fwdColsBlkTask
-	pair        pairTask
-	invCols     invColsTask
-	invColsK    invColsBlkTask
-	invRows     invRowsTask
-	q2c         q2cTask
-	c2q         c2qTask
-	pixAcc      accTask
-	pixScale    scaleTask
-	pixAccScale accScaleTask
+	// interface keeps tiled dispatch at zero allocations per frame.
+	fwdRows fwdRowsTask
+	fwdCols fwdColsBlkTask
+	invCols invColsBlkTask
+	invRows invRowsTask
+	q2c     q2cTask
+	c2q     c2qTask
+	pixAcc  accTask
 }
 
 // NewXfm returns a transformer driving the given kernel.
@@ -140,7 +118,7 @@ func NewXfm(k signal.Kernel) *Xfm {
 
 // SetWorkers attaches the worker pool tiled passes dispatch across. The
 // pool is shared, not owned: the caller closes it. A nil pool (the
-// default) keeps every pass sequential.
+// default) runs every tile on the caller.
 func (x *Xfm) SetWorkers(w *kernels.Workers) { x.W = w }
 
 // UseScratchPool makes the transform lease its scratch line buffers from
@@ -167,15 +145,10 @@ func (x *Xfm) ReleaseScratch() {
 }
 
 // TileCapable reports whether the kernel offers concurrency-safe tile
-// compute — the legality gate for operator fusion as well as tiled
-// dispatch. Engines that veto tiling via TilingEnabled report false.
+// compute — the property that selects the tiled 2-D traversals over the
+// sequential per-row loops. Engines that veto tiling via TilingEnabled
+// report false.
 func (x *Xfm) TileCapable() bool { return x.tile != nil }
-
-// tiledKernels reports whether 2-D kernel passes should run tiled: the
-// kernel must offer concurrency-safe tile compute and the pool must have
-// real parallelism. The sequential path is the reference; the tiled path
-// must match it bit for bit.
-func (x *Xfm) tiledKernels() bool { return x.tile != nil && x.W.N() > 1 }
 
 // workspaces returns the first n per-worker scratch sets, growing the
 // table on first use.

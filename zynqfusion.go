@@ -158,20 +158,6 @@ type Options struct {
 	// sequential order, so pixels, Stats and energy are bit-for-bit
 	// identical at every setting. Negative values are rejected.
 	KernelWorkers int
-	// KernelFusion enables the operator-fusion pass: a per-shape planner
-	// fuses the visible and infrared forward transforms into one
-	// interleaved dual-stream traversal and, for the built-in fusion
-	// rules, runs the tree combination + rule + distribution per tile
-	// directly in quad layout, never materializing the intermediate
-	// complex band planes of any pyramid. Like KernelWorkers this is pure
-	// host-side scheduling: the planner only fuses when it can prove the
-	// results unchanged, so pixels, Stats and energy stay bit-for-bit
-	// identical whether fusion is on or off. Engines that veto tiling
-	// (the emulated NEON path, the FPGA and adaptive engines) run
-	// unfused, as does the inter-frame pipelined executor (PipelineDepth
-	// >= 2); the sequential executor on the ARM and fast-NEON engines
-	// fuses fully.
-	KernelFusion bool
 }
 
 // BufferPool is the frame-store arena budget of a Fuser or Farm: CapBytes
@@ -195,11 +181,6 @@ type PipelineStats = pipeline.PipelineStats
 
 // StageOccupancy is one pipeline station's share of the cumulative record.
 type StageOccupancy = pipeline.StageOccupancy
-
-// FusionStats is the operator-fusion pass's activity record: the active
-// plan, frames fused vs unfused, and the complex band planes (and bytes)
-// the fused data path never materialized. See Options.KernelFusion.
-type FusionStats = pipeline.FusionStats
 
 // Fuser fuses visible/infrared frame pairs with full simulated platform
 // accounting. It is not safe for concurrent use; create one per goroutine,
@@ -245,7 +226,6 @@ func New(opts Options) (*Fuser, error) {
 		IncludeIO:     opts.IncludeIO,
 		Pool:          bufpool.New(bufpool.Options{CapBytes: opts.BufferPool.CapBytes}),
 		KernelWorkers: opts.KernelWorkers,
-		KernelFusion:  opts.KernelFusion,
 	}
 	f := &Fuser{pl: pipeline.New(eng, cfg), kind: opts.Engine}
 	if opts.PipelineDepth >= 1 {
@@ -311,11 +291,6 @@ func (f *Fuser) Engine() EngineKind { return f.kind }
 
 // PoolStats reports the fuser's frame-store arena telemetry.
 func (f *Fuser) PoolStats() PoolStats { return f.pl.Pool().Stats() }
-
-// FusionStats reports the operator-fusion pass's accumulated counters.
-// All-zero unless Options.KernelFusion is set and the planner accepted
-// the configuration.
-func (f *Fuser) FusionStats() FusionStats { return f.pl.FusionStats() }
 
 // Close releases the fuser's workspace planes back to its arena. Once the
 // caller has also released (or dropped) the fused frames it still holds,

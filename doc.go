@@ -156,9 +156,18 @@
 //
 // The modeled board charges NEON/FPGA cycles, but the host still executes
 // the wavelet and fusion arithmetic in Go. internal/kernels restructures
-// those hot paths into cache-blocked tile kernels — inner loops written so
-// the compiler elides every bounds check, tiles sized to an L1 working set
-// — dispatched across a bounded goroutine pool capped at GOMAXPROCS.
+// those hot paths into tile kernels — inner loops written so the compiler
+// elides every bounds check, tiles sized to an L1 working set —
+// dispatched across a bounded goroutine pool capped at GOMAXPROCS. The
+// vertical wavelet passes never transpose: a tile is a band of output
+// rows, and the engine's lane kernels (TileKernel.AnalyzeLanes and
+// SynthesizeLanes) compute one output row of every column at once,
+// reading the periodically wrapped source rows in place, each lane with
+// the exact operation chain the engine's 1-D kernel applies at that
+// position. On amd64 the NEON engine's two hot chains run as SSE
+// assembly (packed MULPS/ADDPS in chain order, bit-identical because
+// amd64 never contracts a*b+c); every other chain and GOARCH runs the
+// pure-Go lane loops.
 // Options.KernelWorkers sizes the pool per fuser (0 selects GOMAXPROCS, 1
 // runs fully sequential); farm streams set StreamConfig.KernelWorkers:
 //
@@ -175,9 +184,9 @@
 //
 // There is one data path, shared by the sequential and pipelined
 // executors, and what the engine can do selects its traversal: engines
-// with concurrency-safe tile compute (ARM, fast NEON) run blocked tiled
-// passes — each level-1 row pass shared by two tree combinations, both
-// column trees filtered from one gather of eight-column blocks — while
+// with concurrency-safe tile compute (ARM, fast NEON) run tiled passes —
+// each level-1 row pass shared by two tree combinations, both column
+// trees filtered from the same source rows in one row-band pass — while
 // stateful engines (FPGA, adaptive and split schedulers, the emulated
 // NEON unit) run the sequential per-row loops. Either way the forward
 // writes quad (tree) planes only; for the built-in rules the complex
@@ -186,8 +195,8 @@
 // built, and custom rules fuse complex bands instead. Every variant keeps
 // the determinism contract above: pixels, StageTimes, energy and the NEON
 // ledger equal the sequential per-row loops' bit for bit. On a 2-vCPU
-// amd64 host (GOMAXPROCS 2, Go 1.24) the production path ran 4.49-4.50x
-// over the scalar baseline at 1080p and 4.7-5.9x at 320x180 (two runs);
+// amd64 host (GOMAXPROCS 2, Go 1.24) the production path ran 18.5-23.2x
+// over the scalar baseline at 1080p and 9.7-12.3x at 320x180 (two runs);
 // the record is regenerated by:
 //
 //	go run ./cmd/fusionbench -exp kernel-speedup

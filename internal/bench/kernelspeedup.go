@@ -217,8 +217,9 @@ func MeasureKernelSpeedupCell(s Size, frames int) (KernelSpeedupCell, error) {
 }
 
 // KernelSpeedup runs the kernel-engine wall-clock experiment: the
-// production data path — blocked, BCE-clean, goroutine-parallel tiled
-// traversals and quad-layout fusion — against the scalar baseline, with
+// production data path — BCE-clean, goroutine-parallel tiled traversals
+// with SIMD lane kernels for the vertical passes, and quad-layout fusion
+// — against the scalar baseline, with
 // the modeled outputs pinned identical. Speedups scale with host cores
 // (the worker pool is capped at GOMAXPROCS), so the recorded figures are
 // properties of the machine that ran the benchmark — the Host field says

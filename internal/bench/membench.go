@@ -47,6 +47,7 @@ type MemFarmCell struct {
 type MemSteadyStateResult struct {
 	Schema     string         `json:"schema"`
 	Experiment string         `json:"experiment"`
+	Host       Host           `json:"host"`
 	Fuser      []MemFuserCell `json:"fuser"`
 	Farm       []MemFarmCell  `json:"farm"`
 }
@@ -152,7 +153,7 @@ func measureMemFarm(streams int, frames int64) (MemFarmCell, error) {
 // the allocating rows show the churn the refactor removed.
 func MemSteadyState() (MemSteadyStateResult, error) {
 	fuserFrames, farmStreams, farmFrames := memAxes()
-	res := MemSteadyStateResult{Schema: ResultSchema, Experiment: "mem-steadystate"}
+	res := MemSteadyStateResult{Schema: ResultSchema, Experiment: "mem-steadystate", Host: ThisHost()}
 	for _, mode := range []string{"pooled", "allocating"} {
 		cell, err := measureMemFuser(mode, 2, fuserFrames)
 		if err != nil {

@@ -54,6 +54,17 @@ func (a *ARM) SynthesizeTile(sl, sh *signal.Taps, plo, phi, out []float32) {
 	kernels.SynthesizeRef(sl, sh, plo, phi, out)
 }
 
+// AnalyzeLanes implements kernels.TileKernel: the reference chain per
+// lane.
+func (a *ARM) AnalyzeLanes(al, ah *signal.Taps, rows *kernels.AnalysisRows, lo, hi []float32, _, _ int) {
+	kernels.AnalyzeRefLanes(al, ah, rows, lo, hi)
+}
+
+// SynthesizeLanes implements kernels.TileKernel.
+func (a *ARM) SynthesizeLanes(sl, sh *signal.Taps, wl, wh *kernels.SynthesisRows, even, odd []float32, _, _ int) {
+	kernels.SynthesizeRefLanes(sl, sh, wl, wh, even, odd)
+}
+
 // ChargeAnalyzeRow implements kernels.TileKernel: the modeled cost of
 // one analysis row of m output pairs.
 func (a *ARM) ChargeAnalyzeRow(m int) {

@@ -118,6 +118,22 @@ func (n *NEON) SynthesizeTile(sl, sh *signal.Taps, plo, phi, out []float32) {
 	kernels.NeonSynthesize(sl, sh, plo, phi, out)
 }
 
+// AnalyzeLanes implements kernels.TileKernel: the lane form of the
+// style's analysis kernel, taking the auto style's body or tail chain by
+// the output's position in its column.
+func (n *NEON) AnalyzeLanes(al, ah *signal.Taps, rows *kernels.AnalysisRows, lo, hi []float32, pos, m int) {
+	if n.manual {
+		kernels.NeonAnalyzeManualLanes(al, ah, rows, lo, hi)
+		return
+	}
+	kernels.NeonAnalyzeAutoLanes(al, ah, rows, lo, hi, pos, m)
+}
+
+// SynthesizeLanes implements kernels.TileKernel.
+func (n *NEON) SynthesizeLanes(sl, sh *signal.Taps, wl, wh *kernels.SynthesisRows, even, odd []float32, pos, m int) {
+	kernels.NeonSynthesizeLanes(sl, sh, wl, wh, even, odd, pos, m)
+}
+
 // ChargeAnalyzeRow implements kernels.TileKernel: the closed-form
 // instruction-ledger delta plus the same cycle expression the emulated
 // path charges. The scalar tail is m%4 pairs in auto style (the

@@ -18,6 +18,11 @@
 //     closed form (CountsAnalyze/CountsSynthesize), pinned against the
 //     emulation by tests.
 //
+//   - Lane kernels: the same chains re-arranged for the vertical passes,
+//     one lane per column, reading source rows in place (lanes.go), with
+//     the two hot NEON chains as SSE assembly on amd64. Each lane keeps
+//     its 1-D chain's operation order, so they too are bit-identical.
+//
 //   - Tile dispatch: a bounded, restartable worker pool (Workers) that
 //     splits independent row/column/pixel ranges into cache-sized tiles
 //     and fans them out across goroutines with zero steady-state
@@ -38,13 +43,15 @@ import "zynqfusion/internal/signal"
 
 // TileKernel is the compute/accounting split an engine offers when its
 // kernel rows may execute concurrently. AnalyzeTile and SynthesizeTile
-// are pure compute — bit-identical to the engine's Analyze/Synthesize,
-// safe to call from many goroutines at once — while ChargeAnalyzeRow and
-// ChargeSynthesizeRow apply the modeled cost of one row and must be
-// called sequentially, once per row in canonical row order, after the
-// parallel region. The sum of (compute, charge) over any schedule equals
-// the engine's sequential Analyze/Synthesize byte for byte: pixels,
-// cycles and instruction ledger alike.
+// (one row) and AnalyzeLanes and SynthesizeLanes (one output of many
+// columns, for the vertical passes) are pure compute — bit-identical to
+// the engine's Analyze/Synthesize, safe to call from many goroutines at
+// once — while ChargeAnalyzeRow and ChargeSynthesizeRow apply the
+// modeled cost of one row and must be called sequentially, once per row
+// in canonical row order, after the parallel region. The sum of
+// (compute, charge) over any schedule equals the engine's sequential
+// Analyze/Synthesize byte for byte: pixels, cycles and instruction ledger
+// alike.
 type TileKernel interface {
 	// AnalyzeTile computes one analysis row (lo/hi each m outputs from a
 	// padded input of 2m+signal.TapCount samples) without accounting.
@@ -53,6 +60,16 @@ type TileKernel interface {
 	// from padded subbands of m+signal.SynthesisPad coefficients) without
 	// accounting.
 	SynthesizeTile(sl, sh *signal.Taps, plo, phi, out []float32)
+	// AnalyzeLanes computes output pos of an m-output analysis column for
+	// len(lo) columns at once, one lane per column (see AnalysisRows),
+	// without accounting: per lane bit-identical to output pos of
+	// AnalyzeTile run down that column.
+	AnalyzeLanes(al, ah *signal.Taps, rows *AnalysisRows, lo, hi []float32, pos, m int)
+	// SynthesizeLanes computes output pair pos of an m-pair synthesis
+	// column for len(even) columns at once (see SynthesisRows), without
+	// accounting: per lane bit-identical to outputs 2*pos and 2*pos+1 of
+	// SynthesizeTile run down that column.
+	SynthesizeLanes(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32, pos, m int)
 	// ChargeAnalyzeRow applies the modeled cost of one analysis row of m
 	// output pairs — exactly what Analyze would have charged.
 	ChargeAnalyzeRow(m int)

@@ -410,9 +410,10 @@ func (t *DTCWT) forward(p *DTPyramid, img *frame.Frame, levels int, complex bool
 
 // forwardTrees runs the four tree decompositions of img into p's trees.
 // Engines without tile compute run each tree's sequential cascade. Tile
-// engines compute level 1 in one blocked traversal — each row tree's row
-// pass once, shared by its two tree combinations, and one column gather
-// feeding both column trees — then cascade the deeper levels per tree.
+// engines compute level 1 in one tiled traversal — each row tree's row
+// pass once, shared by its two tree combinations, and one row-band
+// vertical pass feeding both column trees — then cascade the deeper
+// levels per tree.
 // Level 1's charges are replayed in each tree's turn, so the charge
 // sequence is the sequential cascades'.
 func (t *DTCWT) forwardTrees(p *DTPyramid, img *frame.Frame, levels int) error {

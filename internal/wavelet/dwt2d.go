@@ -320,8 +320,7 @@ func inverseLevelPooled(x *Xfm, rowBank, colBank *Bank, ll *frame.Frame, b Bands
 		return nil, err
 	}
 	if x.tile != nil {
-		x.inverseCols(colBank, ll.Pix, b.LH.Pix, rowOut, mw, mh, 0)
-		x.inverseCols(colBank, b.HL.Pix, b.HH.Pix, rowOut, mw, mh, mw)
+		x.inverseCols(colBank, ll, b, rowOut)
 		x.inverseRows(rowBank, rowOut)
 	} else {
 		loCol := x.col.grow(x.pool, mh)

@@ -6,22 +6,31 @@ import (
 	"zynqfusion/internal/signal"
 )
 
-// Tiled 2-D passes: the separable wavelet levels restructured as
-// cache-blocked tile tasks over a kernels.Workers pool. They run for every
-// engine whose kernel offers concurrency-safe tile compute
-// (Xfm.TileCapable), at any worker count — a nil or one-worker pool runs
-// the same tiles inline. Engines without tile compute run the sequential
-// per-row loops in dwt2d.go instead.
+// Tiled 2-D passes: the separable wavelet levels as tile tasks over a
+// kernels.Workers pool. They run for every engine whose kernel offers
+// concurrency-safe tile compute (Xfm.TileCapable), at any worker count —
+// a nil or one-worker pool runs the same tiles inline. Engines without
+// tile compute run the sequential per-row loops in dwt2d.go instead.
+//
+// The horizontal passes tile rows: each row pads into per-worker scratch
+// and runs the engine's 1-D row kernel. The vertical passes tile bands of
+// output rows: a column's periodic extension only ever places whole
+// source rows under an output, so output row y of every column is
+// computed at once by the engine's lane kernels (one lane per column)
+// reading those source rows in place — no transpose, no staging block,
+// and each band writes output rows no other band touches. On amd64 the
+// NEON engine's hot lane chains run as SSE kernels (internal/kernels).
 //
 // Every pass follows the kernel engine's determinism contract: the
-// parallel region performs only pure compute (padding, gathers, the
-// engine's bit-identical tile kernels, scatters) into disjoint output
-// ranges, and all modeled accounting — the float64 cycle accumulators
-// whose addition order matters, and the NEON instruction ledger — is
-// replayed sequentially afterwards in exactly the order the sequential
-// loops charge it. A tiled level is therefore byte-identical to a
-// sequential one in pixels, cycles, StageTimes and ledger at any worker
-// count.
+// parallel region performs only pure compute (padding and the engine's
+// bit-identical row and lane kernels) into disjoint output ranges, and
+// all modeled accounting — the float64 cycle accumulators whose addition
+// order matters, and the NEON instruction ledger — is replayed
+// sequentially afterwards in exactly the order the sequential loops
+// charge it: per column for the vertical passes, as if each column had
+// been gathered, padded, filtered and scattered on its own. A tiled level
+// is therefore byte-identical to a sequential one in pixels, cycles,
+// StageTimes and ledger at any worker count.
 
 // fwdRowsTask runs the horizontal analysis pass: row y of src pads into
 // per-worker scratch and filters into the left (lo) and right (hi) halves
@@ -56,23 +65,18 @@ func (x *Xfm) forwardRows(bank *Bank, src, dst *frame.Frame) {
 	x.W.Run(h, kernels.Grain(h, 8*w, x.W.N()), &x.fwdRows)
 }
 
-// colBlock is the column-block width of the blocked vertical passes:
-// enough columns per block that the gather reads and the scatter writes
-// sweep whole cache lines of the row-major planes, while the block
-// staging (one input block plus up to four subband blocks) stays
-// cache-resident.
-const colBlock = 8
-
-// fwdColsBlkTask runs the vertical analysis pass with blocked data movement:
-// a block of columns of the row-pass output gathers once
-// (line-sequential in the source), each column pads once and filters
-// through bank A — and bank B when set, the second column tree sharing the
-// gather — into block staging, and a blocked scatter writes the subband
-// planes line-sequentially. Columns left of mw land in the lowpass/LH
-// planes, the rest in HL/HH. The per-column filter inputs and outputs are
-// those of the column-at-a-time form, so the coefficients are
-// bit-identical; only the data movement is blocked.
-type fwdColsBlkTask struct {
+// fwdColsTask runs the vertical analysis pass as bands of output rows.
+// Output row y of every column reads the TapCount source rows
+// (2y+k-AnalysisPad) mod h, k = 0..11 — exactly the samples the periodic
+// extension of each column would place under that output — so the rows
+// are read in place and the engine's lane kernel filters all columns of
+// one subband half at once, one lane per column. The left half (columns
+// below mw) writes row y of the lowpass and LH planes, the right half row
+// y of the HL and HH planes, through bank A and, when set, bank B (level
+// 1's second column tree reads the same rows). Each output is the one the
+// column-at-a-time filter computes, bit for bit; a band writes only its
+// own output rows.
+type fwdColsTask struct {
 	x                  *Xfm
 	bankA, bankB       *Bank
 	src                *frame.Frame
@@ -81,96 +85,55 @@ type fwdColsBlkTask struct {
 	w, h, mw, mh       int
 }
 
-func (t *fwdColsBlkTask) Tile(lo, hi, worker int) {
-	// Split the range at the lowpass/highpass column boundary so every
-	// block scatters into one pair of planes per bank.
-	if lo < t.mw {
-		t.tileHalf(lo, min(hi, t.mw), worker, t.llA, t.lhA, t.llB, t.lhB, 0)
-	}
-	if hi > t.mw {
-		t.tileHalf(max(lo, t.mw), hi, worker, t.hlA, t.hhA, t.hlB, t.hhB, t.mw)
-	}
-}
-
-// tileHalf analyzes columns [lo, hi) — all on one side of the subband
-// split — in blocks, scattering bank A's lowpass/highpass outputs into
-// loA/hiA and bank B's into loB/hiB at column cx-off.
-func (t *fwdColsBlkTask) tileHalf(lo, hi, worker int, loA, hiA, loB, hiB []float32, off int) {
+func (t *fwdColsTask) Tile(lo, hi, worker int) {
 	x := t.x
-	ws := &x.ws[worker]
-	w, h, mw, mh := t.w, t.h, t.mw, t.mh
-	blk := ws.blk[0].buf[:colBlock*h]
-	bLoA := ws.blk[1].buf[:colBlock*mh]
-	bHiA := ws.blk[2].buf[:colBlock*mh]
-	var bLoB, bHiB []float32
-	if t.bankB != nil {
-		bLoB = ws.blk[3].buf[:colBlock*mh]
-		bHiB = ws.blk[4].buf[:colBlock*mh]
-	}
-	for cx0 := lo; cx0 < hi; cx0 += colBlock {
-		nb := min(hi-cx0, colBlock)
-		for y := 0; y < h; y++ {
-			row := t.src.Pix[y*w+cx0 : y*w+cx0+nb]
-			for j := 0; j < nb; j++ {
-				blk[j*h+y] = row[j]
-			}
+	left, right := &x.ws[worker].rows[0], &x.ws[worker].rows[1]
+	a, b := t.bankA, t.bankB
+	w, mw, mh := t.w, t.mw, t.mh
+	for y := lo; y < hi; y++ {
+		for k := range left {
+			r := wrap(2*y+k-signal.AnalysisPad, t.h) * w
+			left[k] = t.src.Pix[r : r+mw]
+			right[k] = t.src.Pix[r+mw : r+w]
 		}
-		for j := 0; j < nb; j++ {
-			px := kernels.PadPeriodic(blk[j*h:(j+1)*h], ws.px.buf)
-			x.tile.AnalyzeTile(&t.bankA.AL, &t.bankA.AH, px, bLoA[j*mh:(j+1)*mh], bHiA[j*mh:(j+1)*mh])
-			if t.bankB != nil {
-				x.tile.AnalyzeTile(&t.bankB.AL, &t.bankB.AH, px, bLoB[j*mh:(j+1)*mh], bHiB[j*mh:(j+1)*mh])
-			}
+		o := y * mw
+		x.tile.AnalyzeLanes(&a.AL, &a.AH, left, t.llA[o:o+mw], t.lhA[o:o+mw], y, mh)
+		if b != nil {
+			x.tile.AnalyzeLanes(&b.AL, &b.AH, left, t.llB[o:o+mw], t.lhB[o:o+mw], y, mh)
 		}
-		for y := 0; y < mh; y++ {
-			base := y*mw + cx0 - off
-			dLoA := loA[base : base+nb]
-			dHiA := hiA[base : base+nb]
-			for j := 0; j < nb; j++ {
-				dLoA[j] = bLoA[j*mh+y]
-				dHiA[j] = bHiA[j*mh+y]
-			}
-			if t.bankB == nil {
-				continue
-			}
-			dLoB := loB[base : base+nb]
-			dHiB := hiB[base : base+nb]
-			for j := 0; j < nb; j++ {
-				dLoB[j] = bLoB[j*mh+y]
-				dHiB[j] = bHiB[j*mh+y]
-			}
+		x.tile.AnalyzeLanes(&a.AL, &a.AH, right, t.hlA[o:o+mw], t.hhA[o:o+mw], y, mh)
+		if b != nil {
+			x.tile.AnalyzeLanes(&b.AL, &b.AH, right, t.hlB[o:o+mw], t.hhB[o:o+mw], y, mh)
 		}
 	}
 }
 
-// forwardCols dispatches the blocked vertical analysis pass of src (the
-// row-pass output) into ll and b through colBank, charge-free. When
-// colBankB is non-nil the same gather also feeds the second column tree,
-// writing llB and bB.
+// wrap returns i mod n in [0, n): the periodic-extension index.
+func wrap(i, n int) int {
+	i %= n
+	if i < 0 {
+		i += n
+	}
+	return i
+}
+
+// forwardCols dispatches the vertical analysis pass of src (the row-pass
+// output) into ll and b through colBank, charge-free. When colBankB is
+// non-nil the same source rows also feed the second column tree, writing
+// llB and bB.
 func (x *Xfm) forwardCols(colBank, colBankB *Bank, src *frame.Frame, ll *frame.Frame, b Bands, llB *frame.Frame, bB Bands) {
 	w, h := src.W, src.H
-	mw, mh := w/2, h/2
-	ws := x.workspaces(x.W.N())
-	for i := range ws {
-		ws[i].px.grow(x.pool, h+signal.TapCount)
-		ws[i].blk[0].grow(x.pool, colBlock*h)
-		ws[i].blk[1].grow(x.pool, colBlock*mh)
-		ws[i].blk[2].grow(x.pool, colBlock*mh)
-		if colBankB != nil {
-			ws[i].blk[3].grow(x.pool, colBlock*mh)
-			ws[i].blk[4].grow(x.pool, colBlock*mh)
-		}
-	}
-	x.fwdCols = fwdColsBlkTask{x: x, bankA: colBank, src: src,
+	x.workspaces(x.W.N())
+	x.fwdCols = fwdColsTask{x: x, bankA: colBank, src: src,
 		llA: ll.Pix, lhA: b.LH.Pix, hlA: b.HL.Pix, hhA: b.HH.Pix,
-		w: w, h: h, mw: mw, mh: mh}
-	itemBytes := 16 * h
+		w: w, h: h, mw: w / 2, mh: h / 2}
 	if colBankB != nil {
 		x.fwdCols.bankB = colBankB
 		x.fwdCols.llB, x.fwdCols.lhB, x.fwdCols.hlB, x.fwdCols.hhB = llB.Pix, bB.LH.Pix, bB.HL.Pix, bB.HH.Pix
-		itemBytes = 32 * h
 	}
-	x.W.Run(w, kernels.Grain(w, itemBytes, x.W.N()), &x.fwdCols)
+	// Bands split only for load balance: each band re-reads the source
+	// rows under its first output, so taller bands amortize that.
+	x.W.Run(h/2, kernels.Grain(h/2, 0, x.W.N()), &x.fwdCols)
 }
 
 // chargeForwardLevel replays the modeled charges of one analysis level
@@ -194,72 +157,54 @@ func (x *Xfm) chargeForwardLevel(cw, ch int) {
 	}
 }
 
-// invColsBlkTask is one half of the vertical synthesis pass with blocked
-// data movement: a block of lo/hi subband columns gathers
-// line-sequentially, each column pads, synthesizes and delay-compensates,
-// and the reconstructed block scatters line-sequentially into column
-// cx+dstOff of dst.
-type invColsBlkTask struct {
-	x                    *Xfm
-	bank                 *Bank
-	loP, hiP             []float32
-	dst                  *frame.Frame
-	w, h, mw, mh, dstOff int
+// invColsTask runs the vertical synthesis pass of both halves as bands
+// of output pairs. Pair i of every column reads the synthesis window rows
+// (i+j-SynthesisPad) mod mh, j = 0..5, of its lowpass and highpass
+// subbands in place, and writes its even and odd outputs to rows
+// (2i-delay) mod h and (2i+1-delay) mod h of dst — the delay rotation the
+// column-at-a-time pass applies after synthesis. The left half (lowpass
+// and LH subbands) fills columns below mw, the right half (HL and HH) the
+// rest, so a band writes whole output rows no other band touches.
+type invColsTask struct {
+	x              *Xfm
+	bank           *Bank
+	ll, lh, hl, hh []float32
+	dst            *frame.Frame
+	w, h, mw, mh   int
+	delay          int
 }
 
-func (t *invColsBlkTask) Tile(lo, hi, worker int) {
+func (t *invColsTask) Tile(lo, hi, worker int) {
 	x := t.x
-	ws := &x.ws[worker]
-	w, h, mw, mh := t.w, t.h, t.mw, t.mh
-	loBlk := ws.blk[0].buf[:colBlock*mh]
-	hiBlk := ws.blk[1].buf[:colBlock*mh]
-	yBlk := ws.blk[2].buf[:colBlock*h]
-	y := ws.y.buf[:h]
-	for cx0 := lo; cx0 < hi; cx0 += colBlock {
-		nb := min(hi-cx0, colBlock)
-		for yy := 0; yy < mh; yy++ {
-			base := yy*mw + cx0
-			lrow := t.loP[base : base+nb]
-			hrow := t.hiP[base : base+nb]
-			for j := 0; j < nb; j++ {
-				loBlk[j*mh+yy] = lrow[j]
-				hiBlk[j*mh+yy] = hrow[j]
-			}
+	win := &x.ws[worker].win
+	w, mw, mh := t.w, t.mw, t.mh
+	sl, sh := &t.bank.SL, &t.bank.SH
+	for i := lo; i < hi; i++ {
+		for j := range win[0] {
+			r := wrap(i+j-signal.SynthesisPad, mh) * mw
+			win[0][j], win[1][j] = t.ll[r:r+mw], t.lh[r:r+mw]
+			win[2][j], win[3][j] = t.hl[r:r+mw], t.hh[r:r+mw]
 		}
-		for j := 0; j < nb; j++ {
-			plo := kernels.PadPeriodicPairs(loBlk[j*mh:(j+1)*mh], ws.plo.buf)
-			phi := kernels.PadPeriodicPairs(hiBlk[j*mh:(j+1)*mh], ws.phi.buf)
-			x.tile.SynthesizeTile(&t.bank.SL, &t.bank.SH, plo, phi, y)
-			signal.Rotate(yBlk[j*h:(j+1)*h], y, t.bank.delay)
-		}
-		for yy := 0; yy < h; yy++ {
-			base := yy*w + cx0 + t.dstOff
-			drow := t.dst.Pix[base : base+nb]
-			for j := 0; j < nb; j++ {
-				drow[j] = yBlk[j*h+yy]
-			}
-		}
+		ev := t.dst.Row(wrap(2*i-t.delay, t.h))
+		od := t.dst.Row(wrap(2*i+1-t.delay, t.h))
+		x.tile.SynthesizeLanes(sl, sh, &win[0], &win[1], ev[:mw], od[:mw], i, mh)
+		x.tile.SynthesizeLanes(sl, sh, &win[2], &win[3], ev[mw:w], od[mw:w], i, mh)
 	}
 }
 
-// inverseCols dispatches one half of the vertical synthesis pass and
-// replays its charges: per column, the gather, the pads, the kernel row,
-// the delay rotation and the scatter — the exact sequence the sequential
-// loop charges through Synthesize1D.
-func (x *Xfm) inverseCols(bank *Bank, loP, hiP []float32, dst *frame.Frame, mw, mh, dstOff int) {
+// inverseCols dispatches the vertical synthesis pass of one level — the
+// lowpass and LH subbands into the left half of dst, HL and HH into the
+// right — and replays its charges: per column of each half in turn, the
+// gather, the pads, the kernel row, the delay rotation and the scatter —
+// the exact sequence the sequential loop charges through Synthesize1D.
+func (x *Xfm) inverseCols(bank *Bank, ll *frame.Frame, b Bands, dst *frame.Frame) {
 	w, h := dst.W, dst.H
-	ws := x.workspaces(x.W.N())
-	for i := range ws {
-		ws[i].blk[0].grow(x.pool, colBlock*mh)
-		ws[i].blk[1].grow(x.pool, colBlock*mh)
-		ws[i].blk[2].grow(x.pool, colBlock*h)
-		ws[i].plo.grow(x.pool, mh+signal.SynthesisPad)
-		ws[i].phi.grow(x.pool, mh+signal.SynthesisPad)
-		ws[i].y.grow(x.pool, h)
-	}
-	x.invCols = invColsBlkTask{x: x, bank: bank, loP: loP, hiP: hiP, dst: dst, w: w, h: h, mw: mw, mh: mh, dstOff: dstOff}
-	x.W.Run(mw, kernels.Grain(mw, 16*mh, x.W.N()), &x.invCols)
-	for cx := 0; cx < mw; cx++ {
+	mw, mh := w/2, h/2
+	x.workspaces(x.W.N())
+	x.invCols = invColsTask{x: x, bank: bank, ll: ll.Pix, lh: b.LH.Pix, hl: b.HL.Pix, hh: b.HH.Pix,
+		dst: dst, w: w, h: h, mw: mw, mh: mh, delay: bank.delay}
+	x.W.Run(mh, kernels.Grain(mh, 0, x.W.N()), &x.invCols)
+	for cx := 0; cx < 2*mw; cx++ {
 		x.chargeCPU(2 * mh)
 		x.chargeCPU(2 * (mh + signal.SynthesisPad))
 		x.tile.ChargeSynthesizeRow(mh)

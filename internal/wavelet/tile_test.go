@@ -234,7 +234,7 @@ func scratchState(x *Xfm) []string {
 	}
 	for wi := range x.ws {
 		ws := &x.ws[wi]
-		for i, s := range []*scratch{&ws.px, &ws.plo, &ws.phi, &ws.y, &ws.y2, &ws.blk[0], &ws.blk[1], &ws.blk[2], &ws.blk[3], &ws.blk[4]} {
+		for i, s := range []*scratch{&ws.px, &ws.plo, &ws.phi, &ws.y, &ws.y2} {
 			add(fmt.Sprintf("ws%d.%d", wi, i), s)
 		}
 	}

@@ -59,23 +59,25 @@ func (s *scratch) release() {
 	s.buf = nil
 }
 
-// tileScratch is the private working set of one tile worker: padded
-// inputs, synthesis staging and the column-block staging of the blocked
-// vertical passes (an input block plus up to four subband blocks), sized
-// before each parallel region (while single-threaded) so tile bodies
-// never touch the pool.
+// tileScratch is the private working set of one tile worker: the padded
+// inputs and synthesis staging of the horizontal passes, sized before
+// each parallel region (while single-threaded) so tile bodies never touch
+// the pool, and the source-row tables of the vertical passes' lane
+// kernels (left and right analysis halves; the lowpass, LH, HL and HH
+// synthesis windows), kept here so building them per output row never
+// allocates.
 type tileScratch struct {
 	px, plo, phi, y, y2 scratch
-	blk                 [5]scratch
+	rows                [2]kernels.AnalysisRows
+	win                 [4]kernels.SynthesisRows
 }
 
 func (t *tileScratch) release() {
 	for _, s := range []*scratch{&t.px, &t.plo, &t.phi, &t.y, &t.y2} {
 		s.release()
 	}
-	for i := range t.blk {
-		t.blk[i].release()
-	}
+	t.rows = [2]kernels.AnalysisRows{}
+	t.win = [4]kernels.SynthesisRows{}
 }
 
 // Xfm performs 1-D analysis/synthesis passes with a given kernel, reusing
@@ -100,8 +102,8 @@ type Xfm struct {
 	// Reusable task boxes: passing pointers to these through the Task
 	// interface keeps tiled dispatch at zero allocations per frame.
 	fwdRows fwdRowsTask
-	fwdCols fwdColsBlkTask
-	invCols invColsBlkTask
+	fwdCols fwdColsTask
+	invCols invColsTask
 	invRows invRowsTask
 	q2c     q2cTask
 	c2q     c2qTask

@@ -149,8 +149,8 @@ type Options struct {
 	// recycle the plane, or simply drop it (the pool never reuses a plane
 	// that has not been released).
 	BufferPool BufferPool
-	// KernelWorkers sizes the goroutine pool the cache-blocked wavelet and
-	// fusion hot loops tile across: 0 (the default) selects GOMAXPROCS, 1
+	// KernelWorkers sizes the goroutine pool the tiled wavelet and fusion
+	// hot loops fan out across: 0 (the default) selects GOMAXPROCS, 1
 	// runs fully sequential on the calling goroutine, and any value is
 	// capped at GOMAXPROCS. Worker count is pure host-side scheduling — it
 	// never changes results or the modeled platform accounting: compute

@@ -4,7 +4,9 @@ package zynqfusion
 // runs the real Go implementation (so b.N timings measure this library)
 // and reports the modeled ZC702 platform metrics — simulated milliseconds
 // and millijoules — via b.ReportMetric, which is what reproduces the
-// paper's numbers. See EXPERIMENTS.md for the side-by-side record.
+// paper's numbers. The side-by-side figures print with
+// `go run ./cmd/fusionbench -exp fig9a` (likewise fig9b, fig9c and fig10;
+// defined in internal/bench/experiments.go).
 
 import (
 	"fmt"

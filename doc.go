@@ -158,16 +158,21 @@
 // the wavelet and fusion arithmetic in Go. internal/kernels restructures
 // those hot paths into tile kernels — inner loops written so the compiler
 // elides every bounds check, tiles sized to an L1 working set —
-// dispatched across a bounded goroutine pool capped at GOMAXPROCS. The
-// vertical wavelet passes never transpose: a tile is a band of output
-// rows, and the engine's lane kernels (TileKernel.AnalyzeLanes and
-// SynthesizeLanes) compute one output row of every column at once,
-// reading the periodically wrapped source rows in place, each lane with
-// the exact operation chain the engine's 1-D kernel applies at that
-// position. On amd64 the NEON engine's two hot chains run as SSE
-// assembly (packed MULPS/ADDPS in chain order, bit-identical because
-// amd64 never contracts a*b+c); every other chain and GOARCH runs the
-// pure-Go lane loops.
+// dispatched across a bounded goroutine pool capped at GOMAXPROCS. Every
+// wavelet filter pass runs the engine's lane kernels
+// (TileKernel.AnalyzeLanes and SynthesizeLanes), SIMD across outputs,
+// each lane with the exact operation chain the engine's 1-D kernel
+// applies at that position. The vertical passes never transpose: a tile
+// is a band of output rows, computed for every column at once from the
+// periodically wrapped source rows read in place. The horizontal passes
+// run one lane per output of a row: the row is padded straight into its
+// two polyphase components (kernels.PadPeriodicPhases), so every tap
+// reads a shifted slice of one of them, and synthesis stores its even
+// and odd outputs straight to their delay-rotated positions. On amd64
+// the NEON engine's two hot chains run as SSE assembly (packed
+// MULPS/ADDPS in chain order, bit-identical because amd64 never
+// contracts a*b+c); every other chain and GOARCH runs the pure-Go lane
+// loops.
 // Options.KernelWorkers sizes the pool per fuser (0 selects GOMAXPROCS, 1
 // runs fully sequential); farm streams set StreamConfig.KernelWorkers:
 //

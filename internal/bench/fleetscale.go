@@ -66,6 +66,7 @@ type FleetMigrationCell struct {
 type FleetScaleResult struct {
 	Schema     string               `json:"schema"`
 	Experiment string               `json:"experiment"`
+	Host       Host                 `json:"host"`
 	Boards     int                  `json:"boards"`
 	LoadFactor float64              `json:"load_factor"`
 	Cells      []FleetScaleCell     `json:"cells"`
@@ -79,6 +80,7 @@ func FleetScale() (*FleetScaleResult, error) {
 	res := &FleetScaleResult{
 		Schema:     ResultSchema,
 		Experiment: "fleet-scale",
+		Host:       ThisHost(),
 		Boards:     FleetBoards,
 		LoadFactor: fleet.DefaultLoadFactor,
 	}

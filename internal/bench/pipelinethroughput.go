@@ -52,6 +52,7 @@ type PipelineVerdict struct {
 type PipelineThroughputResult struct {
 	Schema     string            `json:"schema"`
 	Experiment string            `json:"experiment"`
+	Host       Host              `json:"host"`
 	Steady     int               `json:"steady_frames_per_cell"`
 	Cells      []PipelineCell    `json:"cells"`
 	Verdicts   []PipelineVerdict `json:"verdicts"`
@@ -134,6 +135,7 @@ func PipelineThroughput() (PipelineThroughputResult, error) {
 	res := PipelineThroughputResult{
 		Schema:     ResultSchema,
 		Experiment: "pipeline-throughput",
+		Host:       ThisHost(),
 		Steady:     PipelineSteadyFrames,
 	}
 	for _, c := range cols {

@@ -8,9 +8,9 @@ import (
 )
 
 // TestPipelineThroughputShort runs the smoke-sized sweep end to end and
-// checks the record shape and the frontier's direction: every column's
-// best overlapped depth must beat the sequential baseline in both period
-// and mJ/frame.
+// checks the record shape (a stamped host included) and the frontier's
+// direction: every column's best overlapped depth must beat the
+// sequential baseline in both period and mJ/frame.
 func TestPipelineThroughputShort(t *testing.T) {
 	defer func(prev bool) { Short = prev }(Short)
 	Short = true
@@ -20,6 +20,9 @@ func TestPipelineThroughputShort(t *testing.T) {
 	}
 	if res.Schema != ResultSchema {
 		t.Fatalf("schema = %q", res.Schema)
+	}
+	if res.Host.GOMAXPROCS < 1 || res.Host.NumCPU < 1 || res.Host.GOARCH == "" || res.Host.GoVersion == "" {
+		t.Fatalf("host shape not stamped: %+v", res.Host)
 	}
 	if len(res.Cells) != 3 || len(res.Verdicts) != 1 {
 		t.Fatalf("short sweep shape: %d cells, %d verdicts", len(res.Cells), len(res.Verdicts))

@@ -50,6 +50,7 @@ type SplitVerdict struct {
 type SplitFrontierResult struct {
 	Schema     string         `json:"schema"`
 	Experiment string         `json:"experiment"`
+	Host       Host           `json:"host"`
 	Frames     int            `json:"frames_per_cell"`
 	Cells      []SplitCell    `json:"cells"`
 	Verdicts   []SplitVerdict `json:"verdicts"`
@@ -95,6 +96,7 @@ func SplitFrontier() (SplitFrontierResult, error) {
 	res := SplitFrontierResult{
 		Schema:     ResultSchema,
 		Experiment: "split-frontier",
+		Host:       ThisHost(),
 		Frames:     SplitFrontierFrames,
 	}
 	for _, s := range sizes {

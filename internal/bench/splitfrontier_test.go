@@ -11,7 +11,8 @@ import (
 // at least one (frame size, operating point) cell, a cooperative split
 // has strictly lower frame time than both exclusive engines and strictly
 // lower J/frame than the faster exclusive. Run in short mode so CI's
-// smoke job and this test exercise the same grid.
+// smoke job and this test exercise the same grid; the record must also
+// carry the host shape it ran on.
 func TestSplitFrontierDominance(t *testing.T) {
 	defer func(prev bool) { Short = prev }(Short)
 	Short = true
@@ -21,6 +22,9 @@ func TestSplitFrontierDominance(t *testing.T) {
 	}
 	if res.Schema != ResultSchema {
 		t.Errorf("schema = %q, want %q", res.Schema, ResultSchema)
+	}
+	if res.Host.GOMAXPROCS < 1 || res.Host.NumCPU < 1 || res.Host.GOARCH == "" || res.Host.GoVersion == "" {
+		t.Errorf("host shape not stamped: %+v", res.Host)
 	}
 	if len(res.Cells) == 0 || len(res.Verdicts) == 0 {
 		t.Fatal("empty frontier")

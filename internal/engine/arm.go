@@ -33,29 +33,18 @@ func (a *ARM) Name() string { return "arm" }
 
 // Analyze implements signal.Kernel with scalar loops.
 func (a *ARM) Analyze(al, ah *signal.Taps, px []float32, lo, hi []float32) {
-	a.AnalyzeTile(al, ah, px, lo, hi)
+	kernels.AnalyzeRef(al, ah, px, lo, hi)
 	a.ChargeAnalyzeRow(len(lo))
 }
 
 // Synthesize implements signal.Kernel with scalar loops.
 func (a *ARM) Synthesize(sl, sh *signal.Taps, plo, phi []float32, out []float32) {
-	a.SynthesizeTile(sl, sh, plo, phi, out)
+	kernels.SynthesizeRef(sl, sh, plo, phi, out)
 	a.ChargeSynthesizeRow(len(out) / 2)
 }
 
-// AnalyzeTile implements kernels.TileKernel: pure compute via the
-// BCE-clean mirror of the scalar reference, safe for concurrent rows.
-func (a *ARM) AnalyzeTile(al, ah *signal.Taps, px, lo, hi []float32) {
-	kernels.AnalyzeRef(al, ah, px, lo, hi)
-}
-
-// SynthesizeTile implements kernels.TileKernel.
-func (a *ARM) SynthesizeTile(sl, sh *signal.Taps, plo, phi, out []float32) {
-	kernels.SynthesizeRef(sl, sh, plo, phi, out)
-}
-
-// AnalyzeLanes implements kernels.TileKernel: the reference chain per
-// lane.
+// AnalyzeLanes implements kernels.TileKernel: pure compute through the
+// BCE-clean reference chain per lane, safe for concurrent calls.
 func (a *ARM) AnalyzeLanes(al, ah *signal.Taps, rows *kernels.AnalysisRows, lo, hi []float32, _, _ int) {
 	kernels.AnalyzeRefLanes(al, ah, rows, lo, hi)
 }

@@ -21,7 +21,9 @@ package engine
 //	slower than NEON.
 //
 // The shape of the curves (who wins where) is what the reproduction must
-// preserve; see EXPERIMENTS.md for the measured-vs-paper table.
+// preserve; the measured figures print with
+// `go run ./cmd/fusionbench -exp fig9a|fig9b|fig9c|fig10` (defined in
+// internal/bench/experiments.go).
 const (
 	// ARMFwdPairCycles is the effective PS-cycle cost for the scalar
 	// engine to produce one hp/lp analysis pair (24 float MACs plus the

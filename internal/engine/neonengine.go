@@ -83,7 +83,11 @@ func (n *NEON) Analyze(al, ah *signal.Taps, px []float32, lo, hi []float32) {
 			NEONTailPairCycles*float64(tail)
 		return
 	}
-	n.AnalyzeTile(al, ah, px, lo, hi)
+	if n.manual {
+		kernels.NeonAnalyzeManual(al, ah, px, lo, hi)
+	} else {
+		kernels.NeonAnalyzeAuto(al, ah, px, lo, hi)
+	}
 	n.ChargeAnalyzeRow(len(lo))
 }
 
@@ -98,29 +102,13 @@ func (n *NEON) Synthesize(sl, sh *signal.Taps, plo, phi []float32, out []float32
 			NEONTailPairCycles*float64(tail)
 		return
 	}
-	n.SynthesizeTile(sl, sh, plo, phi, out)
+	kernels.NeonSynthesize(sl, sh, plo, phi, out)
 	n.ChargeSynthesizeRow(len(out) / 2)
 }
 
-// AnalyzeTile implements kernels.TileKernel: pure compute through the
-// fast bit-identical mirror of the emulated kernels, safe for
-// concurrent rows.
-func (n *NEON) AnalyzeTile(al, ah *signal.Taps, px, lo, hi []float32) {
-	if n.manual {
-		kernels.NeonAnalyzeManual(al, ah, px, lo, hi)
-		return
-	}
-	kernels.NeonAnalyzeAuto(al, ah, px, lo, hi)
-}
-
-// SynthesizeTile implements kernels.TileKernel.
-func (n *NEON) SynthesizeTile(sl, sh *signal.Taps, plo, phi, out []float32) {
-	kernels.NeonSynthesize(sl, sh, plo, phi, out)
-}
-
-// AnalyzeLanes implements kernels.TileKernel: the lane form of the
-// style's analysis kernel, taking the auto style's body or tail chain by
-// the output's position in its column.
+// AnalyzeLanes implements kernels.TileKernel: pure compute through the
+// lane form of the style's analysis kernel, taking the auto style's body
+// or tail chain by the outputs' position, safe for concurrent calls.
 func (n *NEON) AnalyzeLanes(al, ah *signal.Taps, rows *kernels.AnalysisRows, lo, hi []float32, pos, m int) {
 	if n.manual {
 		kernels.NeonAnalyzeManualLanes(al, ah, rows, lo, hi)

@@ -134,3 +134,12 @@ func BenchmarkPadPeriodicFast(b *testing.B) {
 		PadPeriodic(x, px)
 	}
 }
+
+func BenchmarkPadPeriodicPhases(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	x := randBench(rng, 1920)
+	buf := make([]float32, 1920+signal.TapCount)
+	for i := 0; i < b.N; i++ {
+		PadPeriodicPhases(x, buf)
+	}
+}

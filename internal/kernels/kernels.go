@@ -18,10 +18,13 @@
 //     closed form (CountsAnalyze/CountsSynthesize), pinned against the
 //     emulation by tests.
 //
-//   - Lane kernels: the same chains re-arranged for the vertical passes,
-//     one lane per column, reading source rows in place (lanes.go), with
-//     the two hot NEON chains as SSE assembly on amd64. Each lane keeps
-//     its 1-D chain's operation order, so they too are bit-identical.
+//   - Lane kernels: the same chains re-arranged so SIMD runs across
+//     outputs (lanes.go): one lane per column for the vertical passes,
+//     reading source rows in place, and one lane per output of a row for
+//     the horizontal passes, reading the row's two polyphase components
+//     (PadPeriodicPhases). The two hot NEON chains run as SSE assembly on
+//     amd64. Each lane keeps its 1-D chain's operation order, so they too
+//     are bit-identical.
 //
 //   - Tile dispatch: a bounded, restartable worker pool (Workers) that
 //     splits independent row/column/pixel ranges into cache-sized tiles
@@ -42,33 +45,31 @@ package kernels
 import "zynqfusion/internal/signal"
 
 // TileKernel is the compute/accounting split an engine offers when its
-// kernel rows may execute concurrently. AnalyzeTile and SynthesizeTile
-// (one row) and AnalyzeLanes and SynthesizeLanes (one output of many
-// columns, for the vertical passes) are pure compute — bit-identical to
-// the engine's Analyze/Synthesize, safe to call from many goroutines at
-// once — while ChargeAnalyzeRow and ChargeSynthesizeRow apply the
-// modeled cost of one row and must be called sequentially, once per row
-// in canonical row order, after the parallel region. The sum of
-// (compute, charge) over any schedule equals the engine's sequential
-// Analyze/Synthesize byte for byte: pixels, cycles and instruction ledger
-// alike.
+// kernels may execute concurrently. AnalyzeLanes and SynthesizeLanes are
+// pure compute — one output (pair) of many 1-D transforms at once, one
+// lane each, bit-identical to the engine's Analyze/Synthesize and safe to
+// call from many goroutines at once — while ChargeAnalyzeRow and
+// ChargeSynthesizeRow apply the modeled cost of one 1-D row and must be
+// called sequentially, once per row in canonical row order, after the
+// parallel region. The sum of (compute, charge) over any schedule equals
+// the engine's sequential Analyze/Synthesize byte for byte: pixels,
+// cycles and instruction ledger alike.
+//
+// A lane is one column of a plane (the vertical passes: every lane at
+// position pos) or one output of a row (the horizontal passes: lane i at
+// position i). pos picks the chain, so a call's lanes must all sit on the
+// same side of the m%4 tail the 1-D kernels switch chains at: a row runs
+// its body outputs at pos 0 and its last m%4 outputs at pos m-m%4.
 type TileKernel interface {
-	// AnalyzeTile computes one analysis row (lo/hi each m outputs from a
-	// padded input of 2m+signal.TapCount samples) without accounting.
-	AnalyzeTile(al, ah *signal.Taps, px, lo, hi []float32)
-	// SynthesizeTile computes one synthesis row (2m interleaved outputs
-	// from padded subbands of m+signal.SynthesisPad coefficients) without
-	// accounting.
-	SynthesizeTile(sl, sh *signal.Taps, plo, phi, out []float32)
-	// AnalyzeLanes computes output pos of an m-output analysis column for
-	// len(lo) columns at once, one lane per column (see AnalysisRows),
-	// without accounting: per lane bit-identical to output pos of
-	// AnalyzeTile run down that column.
+	// AnalyzeLanes computes output pos of an m-output analysis row for
+	// len(lo) lanes at once (see AnalysisRows), without accounting: per
+	// lane bit-identical to that output of Analyze over the lane's padded
+	// input.
 	AnalyzeLanes(al, ah *signal.Taps, rows *AnalysisRows, lo, hi []float32, pos, m int)
-	// SynthesizeLanes computes output pair pos of an m-pair synthesis
-	// column for len(even) columns at once (see SynthesisRows), without
-	// accounting: per lane bit-identical to outputs 2*pos and 2*pos+1 of
-	// SynthesizeTile run down that column.
+	// SynthesizeLanes computes output pair pos of an m-pair synthesis row
+	// for len(even) lanes at once (see SynthesisRows), without accounting:
+	// per lane bit-identical to outputs 2*pos and 2*pos+1 of Synthesize
+	// over the lane's padded subbands.
 	SynthesizeLanes(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32, pos, m int)
 	// ChargeAnalyzeRow applies the modeled cost of one analysis row of m
 	// output pairs — exactly what Analyze would have charged.

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -209,6 +210,41 @@ func TestPadPeriodicMatchesSignal(t *testing.T) {
 		want := signal.PadPeriodicPairs(c, nil)
 		got := PadPeriodicPairs(c, nil)
 		bitsEqual(t, "pairs", got, want)
+	}
+}
+
+// TestPadPeriodicPhases pins the phase split against its definition: the
+// even and odd samples of signal.PadPeriodic's extension. Small n wrap
+// the extension around the signal more than once.
+func TestPadPeriodicPhases(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	sizes := []int{320, 640}
+	for n := 2; n <= 40; n += 2 {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		x := randSlice(rng, n)
+		px := signal.PadPeriodic(x, nil)
+		var want [2][]float32
+		for i, v := range px {
+			want[i%2] = append(want[i%2], v)
+		}
+		even, odd := PadPeriodicPhases(x, nil)
+		bitsEqual(t, fmt.Sprintf("n=%d even", n), even, want[0])
+		bitsEqual(t, fmt.Sprintf("n=%d odd", n), odd, want[1])
+		// A buffer of n+TapCount is used in place: even is its first
+		// half, odd its second.
+		buf := make([]float32, n+signal.TapCount)
+		even, odd = PadPeriodicPhases(x, buf[:0])
+		if &even[0] != &buf[0] || &odd[0] != &buf[len(buf)/2] {
+			t.Fatalf("n=%d: phases not laid out in the provided buffer", n)
+		}
+		bitsEqual(t, fmt.Sprintf("n=%d reuse even", n), even, want[0])
+		bitsEqual(t, fmt.Sprintf("n=%d reuse odd", n), odd, want[1])
+		// A buffer too short for both phases is replaced, not overrun.
+		even, odd = PadPeriodicPhases(x, make([]float32, n))
+		bitsEqual(t, fmt.Sprintf("n=%d short even", n), even, want[0])
+		bitsEqual(t, fmt.Sprintf("n=%d short odd", n), odd, want[1])
 	}
 }
 

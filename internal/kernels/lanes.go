@@ -2,38 +2,47 @@ package kernels
 
 import "zynqfusion/internal/signal"
 
-// Lane kernels: the vertical (column) passes of a 2-D transform computed
-// one output row at a time, with every column of the row an independent
-// lane. Output pos of every column reads the same padded input samples
-// (samples 2*pos .. 2*pos+11 for analysis, coefficients pos .. pos+5 for
-// synthesis), and with the periodic extension resolved by the caller each
-// of those samples is one source row of the plane. A lane kernel reads
-// those rows in place — no transpose, no staging — and writes one output
-// row, so SIMD runs across outputs and a band of output rows writes only
-// rows no other band touches.
+// Lane kernels: many independent 1-D filter outputs computed at once,
+// one lane each, so SIMD runs across outputs. Each lane's output reads
+// its own padded input (12 analysis samples, 6 synthesis coefficients per
+// subband), and the caller lays those inputs out as rows, one per tap,
+// holding that tap's sample for every lane. Two layouts reach them:
+//
+//   - Columns (the vertical passes): output pos of every column of a
+//     plane. With the periodic extension resolved by the caller, each tap
+//     reads one whole source row, so the kernel reads the plane's rows in
+//     place — no transpose, no staging — and writes one output row.
+//   - A row (the horizontal passes): the outputs of one row, lane i being
+//     output i. Analysis output i reads padded sample 2i+k under tap k,
+//     which is sample i+k/2 of the padded row's even phase (k even) or odd
+//     phase (k odd), so tap k's row is a slice of one phase
+//     (PadPeriodicPhases builds both). Synthesis pair i reads coefficient
+//     i+j of each padded subband under window row j, so row j is a slice
+//     of the padded subband itself.
 //
 // Each lane performs exactly the operations, in exactly the order, that
-// the engine's 1-D kernel performs for the output at that position of its
-// column — the 1-D kernels switch chains at the remainder tail, so the
-// lane forms take the output's position pos in its m-output column and
-// pick the same chain. Outputs are therefore bit-identical to running the
-// 1-D kernel down every column (pinned by TestLaneKernelsMatchColumns and
-// FuzzLaneKernels). The Go lane loops keep the statement shape of their
-// 1-D kernels so that arm64's FMA contraction treats both forms alike,
-// and put every slice length in the loop condition so the check_bce lint
-// stays clean. On amd64 the two hot mul-first chains (the NEON auto
-// analysis body and the NEON synthesis body) run packed SSE over four
-// lanes at a time (lanes_amd64.s): amd64 never contracts a*b+c, so packed
-// MULPS/ADDPS issued in chain order round exactly like the scalar code.
+// the engine's 1-D kernel performs for its output — the 1-D kernels
+// switch chains at the remainder tail, so the lane forms take a position
+// pos in the m-output row and pick that position's chain for every lane.
+// Outputs are therefore bit-identical to the 1-D kernels (pinned by
+// TestLaneKernelsMatchColumns and FuzzLaneKernels, in both layouts). The
+// Go lane loops keep the statement shape of their 1-D kernels so that
+// arm64's FMA contraction treats both forms alike, and put every slice
+// length in the loop condition so the check_bce lint stays clean. On
+// amd64 the two hot mul-first chains (the NEON auto analysis body and the
+// NEON synthesis body) run packed SSE over four lanes at a time
+// (lanes_amd64.s): amd64 never contracts a*b+c, so packed MULPS/ADDPS
+// issued in chain order round exactly like the scalar code.
 
-// AnalysisRows are the TapCount source rows one analysis output row
-// reads: row k holds, per lane, padded sample 2*pos+k of that lane's
-// column.
+// AnalysisRows are the TapCount source rows an analysis lane call reads:
+// row k holds, per lane, the padded sample that lane's output reads under
+// tap k (sample 2*pos+k of a column; sample 2i+k of a row for lane i).
 type AnalysisRows [signal.TapCount][]float32
 
-// SynthesisRows are the synWindow source rows of one subband that one
-// synthesis output pair reads: row j holds, per lane, padded coefficient
-// pos+j of that lane's column.
+// SynthesisRows are the synWindow source rows of one subband a synthesis
+// lane call reads: row j holds, per lane, the padded coefficient that
+// lane's output pair reads at window offset j (coefficient pos+j of a
+// column; coefficient i+j of a row for lane i).
 type SynthesisRows [synWindow][]float32
 
 // checkLanes panics unless the two outputs have equal lengths and every
@@ -51,7 +60,7 @@ func checkLanes(name string, rows [][]float32, a, b []float32) {
 }
 
 // NeonAnalyzeAutoLanes is NeonAnalyzeAuto for output pos of an m-output
-// column, over len(lo) lanes: the mul-first vectorized-body chain, or the
+// row, over len(lo) lanes: the mul-first vectorized-body chain, or the
 // zero-start tail chain for the last m%4 outputs.
 func NeonAnalyzeAutoLanes(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32, pos, m int) {
 	checkLanes("kernels.NeonAnalyzeAutoLanes", r[:], lo, hi)
@@ -190,8 +199,8 @@ func analyzeLanesZero(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32) {
 }
 
 // NeonSynthesizeLanes is NeonSynthesize for output pair pos of an m-pair
-// column, over len(even) lanes: wl and wh are the lowpass and highpass
-// windows, even and odd the pair's two output rows. The body and tail
+// row, over len(even) lanes: wl and wh are the lowpass and highpass
+// windows, even and odd the pair's two outputs per lane. The body and tail
 // chains differ only in the zero start (the interleave between the even
 // and odd chains, which the 1-D kernel varies, does not touch either
 // chain's order).

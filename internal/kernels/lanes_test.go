@@ -11,13 +11,16 @@ import (
 )
 
 // These tests pin the lane kernels against the 1-D kernels they
-// re-arrange: run the 1-D kernel down each of W padded columns, then
-// every lane form over the rows those columns share must reproduce output
-// pos of every column bit for bit. Lane counts 0..67 run every SIMD
-// remainder; the inputs mix ±0, subnormals and ±Inf with ordinary
-// values, and a zero-tap flavour over all-negative inputs makes the
-// mul-first and zero-start chains disagree in the sign of zero, so a lane
-// that picks the wrong chain fails.
+// re-arrange, in both layouts. Columns: run the 1-D kernel down each of W
+// padded columns, then every lane form over the rows those columns share
+// must reproduce output pos of every column bit for bit; lane counts
+// 0..67 run every SIMD remainder. Row: run the 1-D kernel over one padded
+// row, then every lane form over the row's phases (analysis) or padded
+// subbands (synthesis), one lane per output, body and m%4 tail as
+// separate calls, must reproduce the whole row. The inputs mix ±0,
+// subnormals and ±Inf with ordinary values, and a zero-tap flavour over
+// all-negative inputs makes the mul-first and zero-start chains disagree
+// in the sign of zero, so a lane that picks the wrong chain fails.
 
 // laneChain pairs a 1-D kernel with one lane form of it.
 type laneChain struct {
@@ -159,6 +162,70 @@ func checkLaneChain(c laneChain, lanes, m, pos int, seed int64) error {
 	return nil
 }
 
+// checkLaneRow runs chain c in the row layout over one m-output row (m
+// pairs for synthesis) and compares with the 1-D kernel over the same
+// padded row: analysis reads the phases PadPeriodicPhases builds from a
+// 2m-sample signal, synthesis window row j is coefficient j on of each
+// padded subband. It reports the first mismatch.
+func checkLaneRow(c laneChain, m int, seed int64) error {
+	ta, tb, fill := laneInputs(seed)
+	b := m - m%4
+	if c.analyze != nil {
+		x := make([]float32, 2*m)
+		for i := range x {
+			x[i] = fill()
+		}
+		wantLo, wantHi := make([]float32, m), make([]float32, m)
+		c.analyze1D(&ta, &tb, signal.PadPeriodic(x, nil), wantLo, wantHi)
+		even, odd := PadPeriodicPhases(x, nil)
+		var body, tail AnalysisRows
+		for k := range body {
+			phase := even
+			if k%2 == 1 {
+				phase = odd
+			}
+			body[k] = phase[k/2 : k/2+m]
+			tail[k] = body[k][b:]
+		}
+		lo, hi := make([]float32, m), make([]float32, m)
+		c.analyze(&ta, &tb, &body, lo[:b], hi[:b], 0, m)
+		c.analyze(&ta, &tb, &tail, lo[b:], hi[b:], b, m)
+		if err := firstDiff(lo, wantLo); err != nil {
+			return fmt.Errorf("lo %w", err)
+		}
+		if err := firstDiff(hi, wantHi); err != nil {
+			return fmt.Errorf("hi %w", err)
+		}
+		return nil
+	}
+	cl, ch := make([]float32, m), make([]float32, m)
+	for i := range cl {
+		cl[i], ch[i] = fill(), fill()
+	}
+	plo, phi := signal.PadPeriodicPairs(cl, nil), signal.PadPeriodicPairs(ch, nil)
+	out := make([]float32, 2*m)
+	c.synth1D(&ta, &tb, plo, phi, out)
+	var wl, wh, tl, th SynthesisRows
+	for j := range wl {
+		wl[j], wh[j] = plo[j:j+m], phi[j:j+m]
+		tl[j], th[j] = wl[j][b:], wh[j][b:]
+	}
+	even, odd := make([]float32, m), make([]float32, m)
+	c.synthesize(&ta, &tb, &wl, &wh, even[:b], odd[:b], 0, m)
+	c.synthesize(&ta, &tb, &tl, &th, even[b:], odd[b:], b, m)
+	wantE, wantO := make([]float32, m), make([]float32, m)
+	for i := range wantE {
+		wantE[i], wantO[i] = out[2*i], out[2*i+1]
+	}
+	if err := firstDiff(even, wantE); err != nil {
+		return fmt.Errorf("even %w", err)
+	}
+	if err := firstDiff(odd, wantO); err != nil {
+		return fmt.Errorf("odd %w", err)
+	}
+	return nil
+}
+
 func firstDiff(got, want []float32) error {
 	for i := range want {
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
@@ -179,6 +246,15 @@ func TestLaneKernelsMatchColumns(t *testing.T) {
 					if err := checkLaneChain(c, lanes, m, pos, seed); err != nil {
 						t.Fatalf("%s lanes=%d m=%d pos=%d seed=%d: %v", c.name, lanes, m, pos, seed, err)
 					}
+				}
+			}
+		}
+		// Row layout: m below, at and past one SIMD group, odd tails, and
+		// the QVGA/VGA half-widths with and without a tail.
+		for _, m := range []int{1, 3, 4, 5, 8, 13, 160, 320, 321} {
+			for seed := int64(0); seed < 4; seed++ {
+				if err := checkLaneRow(c, m, seed+int64(m)*4); err != nil {
+					t.Fatalf("%s row m=%d seed=%d: %v", c.name, m, seed+int64(m)*4, err)
 				}
 			}
 		}
@@ -220,15 +296,26 @@ func TestLaneKernelsRejectShortRows(t *testing.T) {
 	}
 }
 
-// FuzzLaneKernels drives the lane-vs-column equivalence over fuzz-chosen
-// lane counts, chains, positions and data.
+// FuzzLaneKernels drives the lane-vs-1-D equivalence over fuzz-chosen
+// chains and data: with the layout bit (chain8's top bit) clear, in the
+// column layout over fuzz-chosen lane counts and positions; with it set,
+// in the row layout over a fuzz-chosen row length.
 func FuzzLaneKernels(f *testing.F) {
 	f.Add(uint8(67), uint8(0), uint8(0x62), int64(1))
 	f.Add(uint8(5), uint8(4), uint8(0x30), int64(4))
 	f.Add(uint8(33), uint8(2), uint8(0xf1), int64(7))
+	f.Add(uint8(12), uint8(0x80), uint8(0), int64(3))
+	f.Add(uint8(160), uint8(0x84), uint8(160), int64(8))
 	f.Fuzz(func(t *testing.T, lanes8, chain8, pos8 uint8, seed int64) {
+		c := laneChains[int(chain8&0x7f)%len(laneChains)]
+		if chain8&0x80 != 0 {
+			m := 1 + int(lanes8) + int(pos8)
+			if err := checkLaneRow(c, m, seed); err != nil {
+				t.Fatalf("%s row m=%d: %v", c.name, m, err)
+			}
+			return
+		}
 		lanes := int(lanes8) % 130
-		c := laneChains[int(chain8)%len(laneChains)]
 		m := 1 + int(pos8>>4)
 		pos := int(pos8&15) % m
 		if err := checkLaneChain(c, lanes, m, pos, seed); err != nil {

@@ -42,6 +42,51 @@ func PadPeriodic(x, px []float32) []float32 {
 	return px
 }
 
+// PadPeriodicPhases writes the periodic extension signal.PadPeriodic
+// builds straight into its two polyphase components, with no padded row
+// in between: even[j] = px[2j] and odd[j] = px[2j+1] of that extension,
+// j = 0..len(x)/2+TapCount/2-1. Both phases live in buf (grown to
+// len(x)+TapCount when short): even is its first half, odd its second.
+// The phases are the even and odd samples of x read from sample
+// (-AnalysisPad) mod len(x) on, wrapping to x's start, so the pass is one
+// deinterleave that restarts its cursor at each wrap.
+func PadPeriodicPhases(x, buf []float32) (even, odd []float32) {
+	n := len(x)
+	if n < 2 || n%2 != 0 {
+		panic("kernels.PadPeriodicPhases: signal length must be even and nonzero")
+	}
+	h := n/2 + signal.TapCount/2
+	// Spelled so the prove pass drops every bounds check below.
+	if h < 0 || cap(buf) < h || cap(buf)-h < h {
+		return PadPeriodicPhases(x, make([]float32, 2*h))
+	}
+	even, odd = buf[:h], buf[h:cap(buf)]
+	odd = odd[:h]
+	e, o := even, odd
+	// Start at sample (-AnalysisPad) mod n; the unsigned form lets the
+	// prove pass bound the slice.
+	s := x[uint(n-signal.AnalysisPad%n)%uint(n):]
+	for len(e) > 0 && len(o) > 0 {
+		if len(s) < 2 {
+			s = x
+		}
+		// Four pairs per step: a quarter of the slice advances.
+		for len(s) >= 8 && len(e) >= 4 && len(o) >= 4 {
+			w, we, wo := s[:8], e[:4], o[:4]
+			we[0], wo[0] = w[0], w[1]
+			we[1], wo[1] = w[2], w[3]
+			we[2], wo[2] = w[4], w[5]
+			we[3], wo[3] = w[6], w[7]
+			s, e, o = s[8:], e[4:], o[4:]
+		}
+		for len(s) >= 2 && len(e) > 0 && len(o) > 0 {
+			e[0], o[0] = s[0], s[1]
+			s, e, o = s[2:], e[1:], o[1:]
+		}
+	}
+	return even, odd
+}
+
 // PadPeriodicPairs is the fast equivalent of signal.PadPeriodicPairs:
 // p[i] = c[(i-SynthesisPad) mod m], len(p) = m + SynthesisPad.
 func PadPeriodicPairs(c, p []float32) []float32 {

@@ -67,7 +67,7 @@ func TestCalibration88x72Anchors(t *testing.T) {
 		t.Errorf("NEON forward saving %.1f%%, paper 10%%", p)
 	}
 	// Inverse: FPGA large saving (paper 60.6%; the monotone row-cost model
-	// lands lower — see EXPERIMENTS.md), NEON ~16%.
+	// lands lower — see `go run ./cmd/fusionbench -exp fig9c`), NEON ~16%.
 	if p := pctLess(fpga.inv, arm.inv); p < 45 || p > 63 {
 		t.Errorf("FPGA inverse saving %.1f%%, paper 60.6%%", p)
 	}

@@ -12,29 +12,39 @@ import (
 // a nil or one-worker pool runs the same tiles inline. Engines without
 // tile compute run the sequential per-row loops in dwt2d.go instead.
 //
-// The horizontal passes tile rows: each row pads into per-worker scratch
-// and runs the engine's 1-D row kernel. The vertical passes tile bands of
-// output rows: a column's periodic extension only ever places whole
-// source rows under an output, so output row y of every column is
-// computed at once by the engine's lane kernels (one lane per column)
-// reading those source rows in place — no transpose, no staging block,
-// and each band writes output rows no other band touches. On amd64 the
-// NEON engine's hot lane chains run as SSE kernels (internal/kernels).
+// Every pass runs the engine's lane kernels, SIMD across outputs. The
+// horizontal passes tile rows, one lane per output of the row: a row
+// pads into per-worker scratch as its two polyphase components
+// (analysis) or as its two padded subbands (synthesis), and each tap's
+// source row is a shifted slice of one of them. The vertical passes tile
+// bands of output rows, one lane per column: a column's periodic
+// extension only ever places whole source rows under an output, so
+// output row y of every column is computed at once reading those source
+// rows in place — no transpose, no staging block, and each band writes
+// output rows no other band touches. On amd64 the NEON engine's hot lane
+// chains run as SSE kernels (internal/kernels).
 //
 // Every pass follows the kernel engine's determinism contract: the
 // parallel region performs only pure compute (padding and the engine's
-// bit-identical row and lane kernels) into disjoint output ranges, and
-// all modeled accounting — the float64 cycle accumulators whose addition
+// bit-identical lane kernels) into disjoint output ranges, and all
+// modeled accounting — the float64 cycle accumulators whose addition
 // order matters, and the NEON instruction ledger — is replayed
 // sequentially afterwards in exactly the order the sequential loops
-// charge it: per column for the vertical passes, as if each column had
-// been gathered, padded, filtered and scattered on its own. A tiled level
+// charge it: per row for the horizontal passes, per column for the
+// vertical passes, as if each row or column had been padded, filtered and
+// stored (and each column gathered and scattered) on its own. A tiled level
 // is therefore byte-identical to a sequential one in pixels, cycles,
 // StageTimes and ledger at any worker count.
 
-// fwdRowsTask runs the horizontal analysis pass: row y of src pads into
-// per-worker scratch and filters into the left (lo) and right (hi) halves
-// of row y of dst.
+// fwdRowsTask runs the horizontal analysis pass through the engine's lane
+// kernels, one lane per output of the row. Output i of an m-output row
+// reads padded samples 2i+k, k = 0..11: sample i+k/2 of the padded row's
+// even phase for even k, of its odd phase for odd k. With row y of src
+// padded straight into its two phases, tap k's source row is therefore
+// the m-sample slice of one phase starting at k/2, and the lanes write lo
+// to the left half of dst's row y and hi to the right half. The last m%4
+// outputs run as a second lane call at their position, so they take the
+// tail chain the 1-D kernel takes there.
 type fwdRowsTask struct {
 	x     *Xfm
 	bank  *Bank
@@ -46,10 +56,25 @@ type fwdRowsTask struct {
 func (t *fwdRowsTask) Tile(lo, hi, worker int) {
 	x := t.x
 	ws := &x.ws[worker]
+	body, tail := &ws.rows[0], &ws.rows[1]
+	al, ah := &t.bank.AL, &t.bank.AH
+	m := t.mw
+	b := m - m%4
 	for y := lo; y < hi; y++ {
 		out := t.dst.Row(y)
-		px := kernels.PadPeriodic(t.src.Row(y), ws.px.buf)
-		x.tile.AnalyzeTile(&t.bank.AL, &t.bank.AH, px, out[:t.mw], out[t.mw:])
+		even, odd := kernels.PadPeriodicPhases(t.src.Row(y), ws.px.buf)
+		for k := range body {
+			phase := even
+			if k%2 == 1 {
+				phase = odd
+			}
+			body[k] = phase[k/2 : k/2+m]
+			tail[k] = body[k][b:]
+		}
+		x.tile.AnalyzeLanes(al, ah, body, out[:b], out[m:m+b], 0, m)
+		if b < m {
+			x.tile.AnalyzeLanes(al, ah, tail, out[b:m], out[m+b:], b, m)
+		}
 	}
 }
 
@@ -213,10 +238,15 @@ func (x *Xfm) inverseCols(bank *Bank, ll *frame.Frame, b Bands, dst *frame.Frame
 	}
 }
 
-// invRowsTask runs the horizontal synthesis pass in place: row y's two
+// invRowsTask runs the horizontal synthesis pass in place through the
+// engine's lane kernels, one lane per output pair of the row. Row y's two
 // halves pad into per-worker scratch (consumed before any output is
-// written, so in-place is safe), synthesize, delay-compensate and copy
-// back over the row.
+// written, so in-place is safe); pair i reads coefficients i..i+5 of each
+// padded half, so window row j is the m-coefficient slice starting at j.
+// The last m%4 pairs run as a second lane call at their position, as in
+// the analysis pass. Pair i's even and odd outputs are stored straight to
+// row positions (2i-delay) mod w and (2i+1-delay) mod w: the interleave
+// and delay rotation of the 1-D path in one store.
 type invRowsTask struct {
 	x     *Xfm
 	bank  *Bank
@@ -227,15 +257,36 @@ type invRowsTask struct {
 func (t *invRowsTask) Tile(lo, hi, worker int) {
 	x := t.x
 	ws := &x.ws[worker]
-	y := ws.y.buf[:t.w]
-	y2 := ws.y2.buf[:t.w]
+	wl, wh := &ws.win[0], &ws.win[1]
+	tl, th := &ws.win[2], &ws.win[3]
+	sl, sh := &t.bank.SL, &t.bank.SH
+	w, m := t.w, t.mw
+	b := m - m%4
+	even, odd := ws.y.buf[:m], ws.y.buf[m:w]
+	start := wrap(-t.bank.delay, w)
 	for yy := lo; yy < hi; yy++ {
 		row := t.dst.Row(yy)
-		plo := kernels.PadPeriodicPairs(row[:t.mw], ws.plo.buf)
-		phi := kernels.PadPeriodicPairs(row[t.mw:], ws.phi.buf)
-		x.tile.SynthesizeTile(&t.bank.SL, &t.bank.SH, plo, phi, y)
-		signal.Rotate(y2, y, t.bank.delay)
-		copy(row, y2)
+		plo := kernels.PadPeriodicPairs(row[:m], ws.plo.buf)
+		phi := kernels.PadPeriodicPairs(row[m:], ws.phi.buf)
+		for j := range wl {
+			wl[j], wh[j] = plo[j:j+m], phi[j:j+m]
+			tl[j], th[j] = wl[j][b:], wh[j][b:]
+		}
+		x.tile.SynthesizeLanes(sl, sh, wl, wh, even[:b], odd[:b], 0, m)
+		if b < m {
+			x.tile.SynthesizeLanes(sl, sh, tl, th, even[b:], odd[b:], b, m)
+		}
+		k := start
+		for i := range even {
+			row[k] = even[i]
+			if k++; k == w {
+				k = 0
+			}
+			row[k] = odd[i]
+			if k++; k == w {
+				k = 0
+			}
+		}
 	}
 }
 
@@ -250,7 +301,6 @@ func (x *Xfm) inverseRows(bank *Bank, dst *frame.Frame) {
 		ws[i].plo.grow(x.pool, mw+signal.SynthesisPad)
 		ws[i].phi.grow(x.pool, mw+signal.SynthesisPad)
 		ws[i].y.grow(x.pool, w)
-		ws[i].y2.grow(x.pool, w)
 	}
 	x.invRows = invRowsTask{x: x, bank: bank, dst: dst, w: w, mw: mw}
 	x.W.Run(h, kernels.Grain(h, 8*w, x.W.N()), &x.invRows)

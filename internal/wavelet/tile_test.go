@@ -166,6 +166,48 @@ func TestTiledDTCWTBitExact(t *testing.T) {
 	}
 }
 
+// TestTiledRowPassesMatchRowLoops pins the horizontal passes' lane layout
+// where random images cannot: with a zero-tap bank over all-negative
+// samples every product is -0, so the NEON mul-first body chain yields -0
+// and the zero-start m%4 tail chain +0. A row lane run at the wrong
+// chain, or a synthesis output stored at the wrong rotated position,
+// flips a sign bit the sequential 1-D loops do not. Widths give m = 1
+// (all tail), 3, 4 (no tail), 7 and 11.
+func TestTiledRowPassesMatchRowLoops(t *testing.T) {
+	withParallelism(t, 4)
+	zero := &Bank{Name: "zero", delay: 3}
+	workers := kernels.NewWorkers(2)
+	defer workers.Close()
+	for name, mk := range tileEngines {
+		for _, w := range []int{2, 6, 8, 14, 22} {
+			const h = 3
+			m := w / 2
+			label := fmt.Sprintf("%s w=%d", name, w)
+			src := frame.New(w, h)
+			for i := range src.Pix {
+				src.Pix[i] = -1 - float32(i)
+			}
+
+			seq := NewXfm(seqKernel{mk()})
+			wantFwd, wantInv := frame.New(w, h), src.Clone()
+			for y := 0; y < h; y++ {
+				out := wantFwd.Row(y)
+				seq.Analyze1D(zero, src.Row(y), out[:m], out[m:])
+				row := wantInv.Row(y)
+				copy(row, seq.Synthesize1D(zero, row[:m], row[m:], nil))
+			}
+
+			tiled := NewXfm(mk())
+			tiled.SetWorkers(workers)
+			gotFwd, gotInv := frame.New(w, h), src.Clone()
+			tiled.forwardRows(zero, src, gotFwd)
+			tiled.inverseRows(zero, gotInv)
+			compareFrames(t, label+" analysis", wantFwd, gotFwd)
+			compareFrames(t, label+" synthesis", wantInv, gotInv)
+		}
+	}
+}
+
 // TestTiledStructureLoopsAllEngines checks that the engine-independent
 // pixel-map loops (q2c/c2q/accumulate) tile correctly for a kernel that
 // does NOT implement TileKernel: the filter passes stay sequential, the
@@ -234,7 +276,7 @@ func scratchState(x *Xfm) []string {
 	}
 	for wi := range x.ws {
 		ws := &x.ws[wi]
-		for i, s := range []*scratch{&ws.px, &ws.plo, &ws.phi, &ws.y, &ws.y2} {
+		for i, s := range []*scratch{&ws.px, &ws.plo, &ws.phi, &ws.y} {
 			add(fmt.Sprintf("ws%d.%d", wi, i), s)
 		}
 	}

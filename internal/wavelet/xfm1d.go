@@ -60,20 +60,23 @@ func (s *scratch) release() {
 }
 
 // tileScratch is the private working set of one tile worker: the padded
-// inputs and synthesis staging of the horizontal passes, sized before
-// each parallel region (while single-threaded) so tile bodies never touch
-// the pool, and the source-row tables of the vertical passes' lane
-// kernels (left and right analysis halves; the lowpass, LH, HL and HH
-// synthesis windows), kept here so building them per output row never
-// allocates.
+// phases, padded subbands and even/odd synthesis outputs of the
+// horizontal passes, sized before each parallel region (while
+// single-threaded) so tile bodies never touch the pool, and the
+// source-row tables of the lane kernels (analysis: the vertical pass's
+// left and right halves, the horizontal pass's body and tail lanes;
+// synthesis: the vertical pass's lowpass, LH, HL and HH windows, the
+// horizontal pass's body and tail windows). The tables live here rather
+// than on the stack because they reach the lane kernels through the
+// TileKernel interface and would escape, allocating per row.
 type tileScratch struct {
-	px, plo, phi, y, y2 scratch
-	rows                [2]kernels.AnalysisRows
-	win                 [4]kernels.SynthesisRows
+	px, plo, phi, y scratch
+	rows            [2]kernels.AnalysisRows
+	win             [4]kernels.SynthesisRows
 }
 
 func (t *tileScratch) release() {
-	for _, s := range []*scratch{&t.px, &t.plo, &t.phi, &t.y, &t.y2} {
+	for _, s := range []*scratch{&t.px, &t.plo, &t.phi, &t.y} {
 		s.release()
 	}
 	t.rows = [2]kernels.AnalysisRows{}

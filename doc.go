@@ -169,10 +169,13 @@
 // two polyphase components (kernels.PadPeriodicPhases), so every tap
 // reads a shifted slice of one of them, and synthesis stores its even
 // and odd outputs straight to their delay-rotated positions. On amd64
-// the NEON engine's two hot chains run as SSE assembly (packed
-// MULPS/ADDPS in chain order, bit-identical because amd64 never
-// contracts a*b+c); every other chain and GOARCH runs the pure-Go lane
-// loops.
+// the NEON engine's two hot chains run as assembly — eight lanes per
+// VMULPS/VADDPS where a CPUID check finds AVX, four per SSE MULPS/ADDPS
+// otherwise — in chain order, bit-identical because amd64 never
+// contracts a*b+c; the max-magnitude quad rule, the phase split, the
+// synthesis pair store and the four-tree accumulate run packed SSE with
+// the same operations in the same order. Every other chain and GOARCH
+// runs the pure-Go loops.
 // Options.KernelWorkers sizes the pool per fuser (0 selects GOMAXPROCS, 1
 // runs fully sequential); farm streams set StreamConfig.KernelWorkers:
 //

@@ -16,7 +16,7 @@ func TestFleetScaleShort(t *testing.T) {
 	if res.Schema != ResultSchema || res.Experiment != "fleet-scale" {
 		t.Fatalf("record header = %q/%q", res.Schema, res.Experiment)
 	}
-	if res.Host.GOMAXPROCS < 1 || res.Host.NumCPU < 1 || res.Host.GOARCH == "" || res.Host.GoVersion == "" {
+	if !stamped(res.Host) {
 		t.Fatalf("host shape not stamped: %+v", res.Host)
 	}
 	if len(res.Cells) != len(fleetStreamCounts()) || len(res.Migration) != 3 {

@@ -9,6 +9,7 @@ import (
 
 	"zynqfusion/internal/engine"
 	"zynqfusion/internal/frame"
+	"zynqfusion/internal/kernels"
 	"zynqfusion/internal/pipeline"
 )
 
@@ -40,6 +41,10 @@ type Host struct {
 	NumCPU     int    `json:"num_cpu"`
 	GOARCH     string `json:"goarch"`
 	GoVersion  string `json:"go_version"`
+	// SIMD is the packed path the kernels take on this host ("avx",
+	// "sse" or "go"; see kernels.SIMD): the CPU picks it at start-up, so
+	// it is part of the shape.
+	SIMD string `json:"simd"`
 }
 
 // ThisHost describes the running process's host shape.
@@ -49,6 +54,7 @@ func ThisHost() Host {
 		NumCPU:     runtime.NumCPU(),
 		GOARCH:     runtime.GOARCH,
 		GoVersion:  runtime.Version(),
+		SIMD:       kernels.SIMD(),
 	}
 }
 

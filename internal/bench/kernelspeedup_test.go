@@ -4,7 +4,16 @@ import (
 	"io"
 	"runtime"
 	"testing"
+
+	"zynqfusion/internal/kernels"
 )
+
+// stamped reports whether a record's host block carries this process's
+// full shape, including the SIMD path the kernels take here.
+func stamped(h Host) bool {
+	return h.GOMAXPROCS >= 1 && h.NumCPU >= 1 && h.GOARCH != "" && h.GoVersion != "" &&
+		h.SIMD == kernels.SIMD()
+}
 
 // TestKernelSpeedupShort runs the smoke-sized cell end to end and pins the
 // experiment's hard guarantees: fused pixels and accumulated modeled
@@ -22,7 +31,7 @@ func TestKernelSpeedupShort(t *testing.T) {
 	if res.Schema != ResultSchema {
 		t.Fatalf("schema = %q", res.Schema)
 	}
-	if res.Host.GOMAXPROCS < 1 || res.Host.NumCPU < 1 || res.Host.GOARCH == "" || res.Host.GoVersion == "" {
+	if !stamped(res.Host) {
 		t.Fatalf("host shape not stamped: %+v", res.Host)
 	}
 	if len(res.Cells) != 1 {

@@ -16,7 +16,7 @@ func TestMemSteadyStateShort(t *testing.T) {
 	if res.Schema != ResultSchema || res.Experiment != "mem-steadystate" {
 		t.Fatalf("record header = %q/%q", res.Schema, res.Experiment)
 	}
-	if res.Host.GOMAXPROCS < 1 || res.Host.NumCPU < 1 || res.Host.GOARCH == "" || res.Host.GoVersion == "" {
+	if !stamped(res.Host) {
 		t.Fatalf("host shape not stamped: %+v", res.Host)
 	}
 	_, streams, _ := memAxes()

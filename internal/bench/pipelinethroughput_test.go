@@ -21,7 +21,7 @@ func TestPipelineThroughputShort(t *testing.T) {
 	if res.Schema != ResultSchema {
 		t.Fatalf("schema = %q", res.Schema)
 	}
-	if res.Host.GOMAXPROCS < 1 || res.Host.NumCPU < 1 || res.Host.GOARCH == "" || res.Host.GoVersion == "" {
+	if !stamped(res.Host) {
 		t.Fatalf("host shape not stamped: %+v", res.Host)
 	}
 	if len(res.Cells) != 3 || len(res.Verdicts) != 1 {

@@ -23,7 +23,7 @@ func TestSplitFrontierDominance(t *testing.T) {
 	if res.Schema != ResultSchema {
 		t.Errorf("schema = %q, want %q", res.Schema, ResultSchema)
 	}
-	if res.Host.GOMAXPROCS < 1 || res.Host.NumCPU < 1 || res.Host.GOARCH == "" || res.Host.GoVersion == "" {
+	if !stamped(res.Host) {
 		t.Errorf("host shape not stamped: %+v", res.Host)
 	}
 	if len(res.Cells) == 0 || len(res.Verdicts) == 0 {

@@ -82,13 +82,17 @@ func quadPlanes(p *wavelet.DTPyramid, lv, bi int) (pp, qq, rr, ss []float32) {
 		p.TreeBand(wavelet.TreeBA, lv, bi).Pix
 }
 
+// quadOf gathers the four tree planes of band bi at level lv as a quad.
+func quadOf(p *wavelet.DTPyramid, lv, bi int) kernels.Quad {
+	pp, qq, rr, ss := quadPlanes(p, lv, bi)
+	return kernels.Quad{P: pp, Q: qq, R: rr, S: ss}
+}
+
 func (MaxMagnitude) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavelet.DTPyramid) {
 	w := ws.w
 	n := len(a.TreeBand(wavelet.TreeAA, lv, bi).Pix)
 	t := &ws.maxQ
-	t.pa, t.qa, t.ra, t.sa = quadPlanes(a, lv, bi)
-	t.pb, t.qb, t.rb, t.sb = quadPlanes(b, lv, bi)
-	t.pf, t.qf, t.rf, t.sf = quadPlanes(dst, lv, bi)
+	t.a, t.b, t.f = quadOf(a, lv, bi), quadOf(b, lv, bi), quadOf(dst, lv, bi)
 	w.Run(n, kernels.Grain(n, 48, w.N()), t)
 }
 
@@ -108,12 +112,9 @@ func (we WindowEnergy) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavele
 	n := len(band.Pix)
 	if we.R <= 0 {
 		// Degenerate window: activity is the pointwise squared magnitude,
-		// computed inline from the quads — the fused pass needs no scratch.
-		t := &ws.maxQ
-		t.pa, t.qa, t.ra, t.sa = quadPlanes(a, lv, bi)
-		t.pb, t.qb, t.rb, t.sb = quadPlanes(b, lv, bi)
-		t.pf, t.qf, t.rf, t.sf = quadPlanes(dst, lv, bi)
-		w.Run(n, kernels.Grain(n, 48, w.N()), t)
+		// so the rule is max-magnitude's, computed inline from the quads —
+		// the fused pass needs no scratch.
+		MaxMagnitude{}.fuseQuadBand(ws, lv, bi, dst, a, b)
 		return
 	}
 	// Windowed activity reads neighbors, so the four squared-magnitude
@@ -143,48 +144,23 @@ func (we WindowEnergy) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavele
 }
 
 // maxMagQuadTask fuses one band pair under the max-magnitude rule in a
-// single traversal: q2c both streams into register locals, pick the
-// larger-magnitude coefficient per complex band, c2q the winners back to
-// quad layout. Expression shapes mirror q2cTask / maxMagBandTask /
+// single traversal: per tile, one kernels.MaxMagQuad call over the tile's
+// range of the three quads (q2c both streams, pick the larger-magnitude
+// coefficient per complex band, c2q the winners back to quad layout —
+// packed SSE on amd64). Its expressions mirror q2cTask / maxMagBandTask /
 // c2qTask exactly.
 type maxMagQuadTask struct {
-	pa, qa, ra, sa []float32
-	pb, qb, rb, sb []float32
-	pf, qf, rf, sf []float32
+	a, b, f kernels.Quad
 }
 
 func (t *maxMagQuadTask) Tile(lo, hi, _ int) {
-	pa, qa, ra, sa := t.pa, t.qa, t.ra, t.sa
-	pb, qb, rb, sb := t.pb, t.qb, t.rb, t.sb
-	pf, qf, rf, sf := t.pf, t.qf, t.rf, t.sf
-	for i := lo; i < hi; i++ {
-		ppa, qqa, rra, ssa := pa[i], qa[i], ra[i], sa[i]
-		z1ra := (ppa - qqa) * invSqrt2
-		z1ia := (rra + ssa) * invSqrt2
-		z2ra := (ppa + qqa) * invSqrt2
-		z2ia := (ssa - rra) * invSqrt2
-		ppb, qqb, rrb, ssb := pb[i], qb[i], rb[i], sb[i]
-		z1rb := (ppb - qqb) * invSqrt2
-		z1ib := (rrb + ssb) * invSqrt2
-		z2rb := (ppb + qqb) * invSqrt2
-		z2ib := (ssb - rrb) * invSqrt2
-		f1r, f1i := z1ra, z1ia
-		ma := z1ra*z1ra + z1ia*z1ia
-		mb := z1rb*z1rb + z1ib*z1ib
-		if !(ma >= mb) {
-			f1r, f1i = z1rb, z1ib
-		}
-		f2r, f2i := z2ra, z2ia
-		ma = z2ra*z2ra + z2ia*z2ia
-		mb = z2rb*z2rb + z2ib*z2ib
-		if !(ma >= mb) {
-			f2r, f2i = z2rb, z2ib
-		}
-		pf[i] = (f1r + f2r) * invSqrt2
-		qf[i] = (f2r - f1r) * invSqrt2
-		rf[i] = (f1i - f2i) * invSqrt2
-		sf[i] = (f1i + f2i) * invSqrt2
-	}
+	f, a, b := quadRange(&t.f, lo, hi), quadRange(&t.a, lo, hi), quadRange(&t.b, lo, hi)
+	kernels.MaxMagQuad(&f, &a, &b)
+}
+
+// quadRange returns elements [lo, hi) of each of q's planes.
+func quadRange(q *kernels.Quad, lo, hi int) kernels.Quad {
+	return kernels.Quad{P: q.P[lo:hi], Q: q.Q[lo:hi], R: q.R[lo:hi], S: q.S[lo:hi]}
 }
 
 // avgQuadTask fuses one band pair under the average rule in a single

@@ -22,9 +22,15 @@
 //     outputs (lanes.go): one lane per column for the vertical passes,
 //     reading source rows in place, and one lane per output of a row for
 //     the horizontal passes, reading the row's two polyphase components
-//     (PadPeriodicPhases). The two hot NEON chains run as SSE assembly on
-//     amd64. Each lane keeps its 1-D chain's operation order, so they too
-//     are bit-identical.
+//     (PadPeriodicPhases). On amd64 the two hot NEON chains run as
+//     assembly, AVX where the CPU and OS support it (SIMD names the
+//     path) and SSE otherwise. Each lane keeps its 1-D chain's operation
+//     order, so they too are bit-identical.
+//
+//   - Packed per-element kernels (pixels.go): the max-magnitude quad
+//     rule, the synthesis pair store and the four-tree accumulate, plus
+//     PadPeriodicPhases' deinterleave, run packed SSE on amd64 with the
+//     Go loop's operations in its order, and as that Go loop elsewhere.
 //
 //   - Tile dispatch: a bounded, restartable worker pool (Workers) that
 //     splits independent row/column/pixel ranges into cache-sized tiles

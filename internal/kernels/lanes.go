@@ -30,9 +30,12 @@ import "zynqfusion/internal/signal"
 // arm64's FMA contraction treats both forms alike, and put every slice
 // length in the loop condition so the check_bce lint stays clean. On
 // amd64 the two hot mul-first chains (the NEON auto analysis body and the
-// NEON synthesis body) run packed SSE over four lanes at a time
-// (lanes_amd64.s): amd64 never contracts a*b+c, so packed MULPS/ADDPS
-// issued in chain order round exactly like the scalar code.
+// NEON synthesis body) run packed (lanes_amd64.s): eight lanes per AVX
+// VMULPS/VADDPS when a CPUID+XGETBV check at start-up finds AVX, four
+// lanes per SSE MULPS/ADDPS on amd64 hosts without it, and the Go lane
+// loop for the lanes left over. amd64 never contracts a*b+c, so packed
+// multiplies and adds issued in chain order round exactly like the
+// scalar code.
 
 // AnalysisRows are the TapCount source rows an analysis lane call reads:
 // row k holds, per lane, the padded sample that lane's output reads under

@@ -70,14 +70,11 @@ func PadPeriodicPhases(x, buf []float32) (even, odd []float32) {
 		if len(s) < 2 {
 			s = x
 		}
-		// Four pairs per step: a quarter of the slice advances.
-		for len(s) >= 8 && len(e) >= 4 && len(o) >= 4 {
-			w, we, wo := s[:8], e[:4], o[:4]
-			we[0], wo[0] = w[0], w[1]
-			we[1], wo[1] = w[2], w[3]
-			we[2], wo[2] = w[4], w[5]
-			we[3], wo[3] = w[6], w[7]
-			s, e, o = s[8:], e[4:], o[4:]
+		// Whole blocks of four pairs run packed; the unsigned form lets
+		// the prove pass bound the cursors.
+		k := deinterleaveSIMD(s, e, o, min(len(e), len(o), len(s)/2)&^3)
+		if uint(k) <= uint(len(e)) && uint(k) <= uint(len(o)) && uint(2*k) <= uint(len(s)) {
+			s, e, o = s[2*k:], e[k:], o[k:]
 		}
 		for len(s) >= 2 && len(e) > 0 && len(o) > 0 {
 			e[0], o[0] = s[0], s[1]

@@ -582,10 +582,10 @@ func comboIndex(rowTree, colTree byte) int {
 }
 
 // InvSqrt2 scales the unitary four-real-to-two-complex combination (the
-// q2c map and its c2q inverse). Exported for the fused
-// combine+rule+distribute kernels in the fusion package, which must mirror
-// the per-element expressions here exactly to stay bit-identical.
-const InvSqrt2 = 0.7071067811865476
+// q2c map and its c2q inverse). The fused combine+rule+distribute kernels
+// (fusion, kernels.MaxMagQuad) mirror the per-element expressions here
+// exactly to stay bit-identical.
+const InvSqrt2 = kernels.InvSqrt2
 
 const invSqrt2 = InvSqrt2
 

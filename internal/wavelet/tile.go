@@ -22,7 +22,8 @@ import (
 // output row y of every column is computed at once reading those source
 // rows in place — no transpose, no staging block, and each band writes
 // output rows no other band touches. On amd64 the NEON engine's hot lane
-// chains run as SSE kernels (internal/kernels).
+// chains run as AVX or SSE kernels, and the phase split, the synthesis
+// pair store and the tree accumulate as packed SSE (internal/kernels).
 //
 // Every pass follows the kernel engine's determinism contract: the
 // parallel region performs only pure compute (padding and the engine's
@@ -246,7 +247,8 @@ func (x *Xfm) inverseCols(bank *Bank, ll *frame.Frame, b Bands, dst *frame.Frame
 // The last m%4 pairs run as a second lane call at their position, as in
 // the analysis pass. Pair i's even and odd outputs are stored straight to
 // row positions (2i-delay) mod w and (2i+1-delay) mod w: the interleave
-// and delay rotation of the 1-D path in one store.
+// and delay rotation of the 1-D path in one store, run as two
+// kernels.Interleave calls on either side of the row's wrap.
 type invRowsTask struct {
 	x     *Xfm
 	bank  *Bank
@@ -263,7 +265,11 @@ func (t *invRowsTask) Tile(lo, hi, worker int) {
 	w, m := t.w, t.mw
 	b := m - m%4
 	even, odd := ws.y.buf[:m], ws.y.buf[m:w]
+	// Pairs [0, p1) fill row[start:]; when w-start is odd, pair p1
+	// straddles the wrap (even at w-1, odd at 0) and the rest fill row[1:],
+	// otherwise they fill row from 0.
 	start := wrap(-t.bank.delay, w)
+	p1, straddle := (w-start)/2, (w-start)%2 == 1
 	for yy := lo; yy < hi; yy++ {
 		row := t.dst.Row(yy)
 		plo := kernels.PadPeriodicPairs(row[:m], ws.plo.buf)
@@ -276,17 +282,13 @@ func (t *invRowsTask) Tile(lo, hi, worker int) {
 		if b < m {
 			x.tile.SynthesizeLanes(sl, sh, tl, th, even[b:], odd[b:], b, m)
 		}
-		k := start
-		for i := range even {
-			row[k] = even[i]
-			if k++; k == w {
-				k = 0
-			}
-			row[k] = odd[i]
-			if k++; k == w {
-				k = 0
-			}
+		kernels.Interleave(row[start:], even[:p1], odd[:p1])
+		rest, p2 := row, p1
+		if straddle {
+			row[w-1], row[0] = even[p1], odd[p1]
+			rest, p2 = row[1:], p1+1
 		}
+		kernels.Interleave(rest, even[p2:], odd[p2:])
 	}
 }
 
@@ -354,24 +356,20 @@ func (t *c2qTask) Tile(lo, hi, _ int) {
 	}
 }
 
-// accTask accumulates src into dst per pixel; with scale set it also
-// applies the four-tree average in the same traversal — per element the
-// same rounded float32 add then rounded multiply a separate scaling pass
-// performs.
+// accTask accumulates src into dst per pixel (kernels.AddScale); with
+// scale set it also applies the four-tree average in the same traversal —
+// per element the same rounded float32 add then rounded multiply a
+// separate scaling pass performs. Without it the factor is 1, which
+// leaves the sum's bits as they are.
 type accTask struct {
 	dst, src []float32
 	scale    bool
 }
 
 func (t *accTask) Tile(lo, hi, _ int) {
-	dst, src := t.dst, t.src
+	s := float32(1)
 	if t.scale {
-		for i := lo; i < hi; i++ {
-			dst[i] = (dst[i] + src[i]) * (1.0 / numTrees)
-		}
-		return
+		s = 1.0 / numTrees
 	}
-	for i := lo; i < hi; i++ {
-		dst[i] += src[i]
-	}
+	kernels.AddScale(t.dst[lo:hi], t.src[lo:hi], s)
 }

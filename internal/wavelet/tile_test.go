@@ -171,41 +171,59 @@ func TestTiledDTCWTBitExact(t *testing.T) {
 // samples every product is -0, so the NEON mul-first body chain yields -0
 // and the zero-start m%4 tail chain +0. A row lane run at the wrong
 // chain, or a synthesis output stored at the wrong rotated position,
-// flips a sign bit the sequential 1-D loops do not. Widths give m = 1
-// (all tail), 3, 4 (no tail), 7 and 11.
+// flips a sign bit the sequential 1-D loops do not. The same passes over
+// CDF 9/7's taps give every output its own value, so an output stored at
+// the wrong rotated position fails where the zero bank's signs agree.
+// Widths give m = 1 (all tail), 3, 4 (no tail), 7, 11, 20 and 21 (whole
+// four-pair packed blocks in both synthesis store runs); delays 0, 1, 3,
+// 4 and w-1 start the store at both parities of w-start, so the pair that
+// straddles the row's wrap runs too.
 func TestTiledRowPassesMatchRowLoops(t *testing.T) {
 	withParallelism(t, 4)
-	zero := &Bank{Name: "zero", delay: 3}
 	workers := kernels.NewWorkers(2)
 	defer workers.Close()
 	for name, mk := range tileEngines {
-		for _, w := range []int{2, 6, 8, 14, 22} {
-			const h = 3
-			m := w / 2
-			label := fmt.Sprintf("%s w=%d", name, w)
-			src := frame.New(w, h)
-			for i := range src.Pix {
-				src.Pix[i] = -1 - float32(i)
+		for _, w := range []int{2, 6, 8, 14, 22, 40, 42} {
+			for _, delay := range []int{0, 1, 3, 4, w - 1} {
+				cdf := *CDF97
+				cdf.delay = delay
+				for _, bank := range []*Bank{{Name: "zero", delay: delay}, &cdf} {
+					label := fmt.Sprintf("%s %s w=%d delay=%d", name, bank.Name, w, delay)
+					checkRowPasses(t, label, mk, workers, bank, w)
+				}
 			}
-
-			seq := NewXfm(seqKernel{mk()})
-			wantFwd, wantInv := frame.New(w, h), src.Clone()
-			for y := 0; y < h; y++ {
-				out := wantFwd.Row(y)
-				seq.Analyze1D(zero, src.Row(y), out[:m], out[m:])
-				row := wantInv.Row(y)
-				copy(row, seq.Synthesize1D(zero, row[:m], row[m:], nil))
-			}
-
-			tiled := NewXfm(mk())
-			tiled.SetWorkers(workers)
-			gotFwd, gotInv := frame.New(w, h), src.Clone()
-			tiled.forwardRows(zero, src, gotFwd)
-			tiled.inverseRows(zero, gotInv)
-			compareFrames(t, label+" analysis", wantFwd, gotFwd)
-			compareFrames(t, label+" synthesis", wantInv, gotInv)
 		}
 	}
+}
+
+// checkRowPasses runs the tiled horizontal passes of bank over a w-wide
+// frame of negative samples and compares them with the sequential 1-D
+// row loops.
+func checkRowPasses(t *testing.T, label string, mk func() engine.Engine, workers *kernels.Workers, bank *Bank, w int) {
+	t.Helper()
+	const h = 3
+	m := w / 2
+	src := frame.New(w, h)
+	for i := range src.Pix {
+		src.Pix[i] = -1 - float32(i)
+	}
+
+	seq := NewXfm(seqKernel{mk()})
+	wantFwd, wantInv := frame.New(w, h), src.Clone()
+	for y := 0; y < h; y++ {
+		out := wantFwd.Row(y)
+		seq.Analyze1D(bank, src.Row(y), out[:m], out[m:])
+		row := wantInv.Row(y)
+		copy(row, seq.Synthesize1D(bank, row[:m], row[m:], nil))
+	}
+
+	tiled := NewXfm(mk())
+	tiled.SetWorkers(workers)
+	gotFwd, gotInv := frame.New(w, h), src.Clone()
+	tiled.forwardRows(bank, src, gotFwd)
+	tiled.inverseRows(bank, gotInv)
+	compareFrames(t, label+" analysis", wantFwd, gotFwd)
+	compareFrames(t, label+" synthesis", wantInv, gotInv)
 }
 
 // TestTiledStructureLoopsAllEngines checks that the engine-independent

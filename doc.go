@@ -174,8 +174,12 @@
 // otherwise — in chain order, bit-identical because amd64 never
 // contracts a*b+c; the max-magnitude quad rule, the phase split, the
 // synthesis pair store and the four-tree accumulate run packed SSE with
-// the same operations in the same order. Every other chain and GOARCH
-// runs the pure-Go loops.
+// the same operations in the same order. The FPGA wave-engine model runs
+// on the same chains: its analysis rows on the mul-first chain and its
+// synthesis rows on the reference synthesis pair chain, which has its
+// own AVX and SSE forms, one lane per output of a row, bit-identical to
+// the Fig. 4 shift-register dataflow. Every other chain and GOARCH runs
+// the pure-Go loops.
 // Options.KernelWorkers sizes the pool per fuser (0 selects GOMAXPROCS, 1
 // runs fully sequential); farm streams set StreamConfig.KernelWorkers:
 //

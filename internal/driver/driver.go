@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"zynqfusion/internal/hls"
+	"zynqfusion/internal/kernels"
 	"zynqfusion/internal/sim"
 )
 
@@ -184,16 +185,16 @@ func (d *Device) ForwardRow(px []float32, lo, hi []float32) error {
 		return ErrClosed
 	}
 	m := len(lo)
+	if len(hi) != m {
+		return fmt.Errorf("%w: lo=%d hi=%d", ErrRowSize, m, len(hi))
+	}
 	out := d.scratch(2 * m)
 	if err := d.runRow(px, out, true); err != nil {
 		return err
 	}
 	// The engine emits interleaved (hp, lp) pairs; unpacking them is host
 	// work charged to the CPU cursor.
-	for i := 0; i < m; i++ {
-		hi[i] = out[2*i]
-		lo[i] = out[2*i+1]
-	}
+	kernels.Deinterleave(out, hi, lo)
 	d.chargeCPUWords(m)
 	return nil
 }
@@ -209,10 +210,7 @@ func (d *Device) InverseRow(plo, phi []float32, out []float32) error {
 		return fmt.Errorf("%w: plo=%d phi=%d", ErrRowSize, pairs, len(phi))
 	}
 	in := d.scratch(2 * pairs)
-	for i := 0; i < pairs; i++ {
-		in[2*i] = plo[i]
-		in[2*i+1] = phi[i]
-	}
+	kernels.Interleave(in, plo, phi)
 	d.chargeCPUWords(pairs)
 	return d.runRow(in, out, false)
 }

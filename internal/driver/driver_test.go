@@ -192,6 +192,25 @@ func TestRowTooWideRejected(t *testing.T) {
 	}
 }
 
+// TestForwardRowRejectsMismatchedHi pins the subband length check: a hi
+// shorter or longer than lo is refused with ErrRowSize before the device
+// runs anything, as InverseRow refuses mismatched plo and phi.
+func TestForwardRowRejectsMismatchedHi(t *testing.T) {
+	d := openDevice(t, true)
+	m := 8
+	px := make([]float32, 2*m+signal.TapCount)
+	for _, n := range []int{m - 1, m + 1} {
+		err := d.ForwardRow(px, make([]float32, m), make([]float32, n))
+		if !errors.Is(err, ErrRowSize) {
+			t.Errorf("hi of %d for lo of %d: %v, want ErrRowSize", n, m, err)
+		}
+	}
+	if d.Rows() != 0 || d.CPUBusy != 0 || d.eng.ForwardRows != 0 {
+		t.Errorf("refused rows touched the device: rows=%d cpu=%v engine rows=%d",
+			d.Rows(), d.CPUBusy, d.eng.ForwardRows)
+	}
+}
+
 func TestOpenValidatesConfig(t *testing.T) {
 	pl := zynq.PL()
 	eng := hls.New(zynq.PS(), pl, axi.NewACP(pl))

@@ -5,10 +5,15 @@
 // command/coefficient interface, and three operating modes (coefficient
 // load, forward transform, inverse transform).
 //
-// The model is functional (it computes the same arithmetic in the same
-// order as the synthesized engine, so results are bit-exact against the
-// scalar reference) and timing-accurate at the transaction level (II=1
-// pipeline, non-overlapped memcpys, burst costs from the axi package).
+// The model is functional and timing-accurate at the transaction level
+// (II=1 pipeline, non-overlapped memcpys, burst costs from the axi
+// package). Functionally it computes the outputs of the Fig. 4 dataflow
+// as lanes, one lane per output of a row, on the packed chains of the
+// kernels package, with the same operations per output in the same order
+// as the shift-register datapath: the analysis chain is mul-first
+// (c0*x0, then + ck*xk), so it equals the scalar reference AnalyzeRef
+// except possibly in the sign of a zero sum, and the synthesis chain is
+// SynthesizeRef's.
 package hls
 
 import (
@@ -16,6 +21,7 @@ import (
 	"fmt"
 
 	"zynqfusion/internal/axi"
+	"zynqfusion/internal/kernels"
 	"zynqfusion/internal/signal"
 	"zynqfusion/internal/sim"
 )
@@ -67,6 +73,11 @@ type WaveEngine struct {
 	synthLP, synthHP       signal.Taps
 	coeffLoaded            bool
 
+	// scratch holds a row's lane layout: its input's two phases and its
+	// two output streams. It is the paper's 4096-word BRAM, and any row
+	// checkRow accepts fits in it.
+	scratch *[2 * BRAMArea]float32
+
 	// Statistics.
 	ForwardRows, InverseRows int64
 	PLBusy                   sim.Time
@@ -75,7 +86,7 @@ type WaveEngine struct {
 // New returns a wave engine clocked by pl, with its AXI-Lite port timed in
 // the ps domain and its DMA path using the given burst model.
 func New(ps, pl sim.Clock, acp *axi.Burst) *WaveEngine {
-	return &WaveEngine{Lite: axi.NewLite(ps), ACP: acp, pl: pl}
+	return &WaveEngine{Lite: axi.NewLite(ps), ACP: acp, pl: pl, scratch: new([2 * BRAMArea]float32)}
 }
 
 // LoadCoeffs writes the four 12-tap filter register files through the
@@ -111,29 +122,22 @@ func (e *WaveEngine) Forward(in, out []float32) (sim.Time, error) {
 		return 0, err
 	}
 
-	// Functional model: the Fig. 4 dataflow. The shift register advances
-	// by two samples per iteration; outputs start once it is full.
-	var sr [signal.TapCount]float32
-	for i := 0; i < m+6; i++ {
-		inA := in[i*2]
-		inB := in[i*2+1]
-		var hpAcc, lpAcc float32
-		hpAcc = e.analysisHP[0] * sr[0]
-		lpAcc = e.analysisLP[0] * sr[0]
-		for j := 1; j < signal.TapCount; j++ {
-			hpAcc += e.analysisHP[j] * sr[j]
-			lpAcc += e.analysisLP[j] * sr[j]
-			if j < signal.TapCount-1 {
-				sr[j-1] = sr[j+1]
-			}
+	// Output i reads input samples 2i..2i+11; tap k's sample is sample
+	// i+k/2 of the input's even phase (k even) or odd phase (k odd).
+	h := m + signal.TapCount/2
+	even, odd := e.scratch[:h], e.scratch[h:2*h]
+	lp, hp := e.scratch[2*h:2*h+m], e.scratch[2*h+m:2*h+2*m]
+	kernels.Deinterleave(in, even, odd)
+	var rows kernels.AnalysisRows
+	for k := range rows {
+		phase := even
+		if k%2 == 1 {
+			phase = odd
 		}
-		sr[signal.TapCount-2] = inA
-		sr[signal.TapCount-1] = inB
-		if i > 5 {
-			out[i*2-12] = hpAcc
-			out[i*2+1-12] = lpAcc
-		}
+		rows[k] = phase[k/2 : k/2+m]
 	}
+	kernels.AnalyzeMulFirstLanes(&e.analysisLP, &e.analysisHP, &rows, lp, hp)
+	kernels.Interleave(out, hp, lp)
 
 	e.ForwardRows++
 	t := e.rowTime(len(in), m+6, len(out))
@@ -150,28 +154,18 @@ func (e *WaveEngine) Inverse(in, out []float32) (sim.Time, error) {
 		return 0, err
 	}
 
-	const half = signal.TapCount / 2
-	var srLo, srHi [half]float32
+	// Output pair i reads pairs i..i+5 of the (lo, hi) stream: window row
+	// j is the lo (hi) phase from pair j on.
 	pairs := m + signal.SynthesisPad
-	for i := 0; i < pairs; i++ {
-		for j := 0; j < half-1; j++ {
-			srLo[j] = srLo[j+1]
-			srHi[j] = srHi[j+1]
-		}
-		srLo[half-1] = in[2*i]
-		srHi[half-1] = in[2*i+1]
-		if i < half-1 {
-			continue
-		}
-		var even, odd float32
-		for k := 0; k < half; k++ {
-			even += e.synthLP[2*k]*srLo[half-1-k] + e.synthHP[2*k]*srHi[half-1-k]
-			odd += e.synthLP[2*k+1]*srLo[half-1-k] + e.synthHP[2*k+1]*srHi[half-1-k]
-		}
-		o := i - (half - 1)
-		out[2*o] = even
-		out[2*o+1] = odd
+	plo, phi := e.scratch[:pairs], e.scratch[pairs:2*pairs]
+	ev, od := e.scratch[2*pairs:2*pairs+m], e.scratch[2*pairs+m:2*pairs+2*m]
+	kernels.Deinterleave(in, plo, phi)
+	var wl, wh kernels.SynthesisRows
+	for j := range wl {
+		wl[j], wh[j] = plo[j:j+m], phi[j:j+m]
 	}
+	kernels.SynthesizeRefLanes(&e.synthLP, &e.synthHP, &wl, &wh, ev, od)
+	kernels.Interleave(out, ev, od)
 
 	e.InverseRows++
 	t := e.rowTime(len(in), pairs, len(out))

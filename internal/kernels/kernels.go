@@ -22,15 +22,21 @@
 //     outputs (lanes.go): one lane per column for the vertical passes,
 //     reading source rows in place, and one lane per output of a row for
 //     the horizontal passes, reading the row's two polyphase components
-//     (PadPeriodicPhases). On amd64 the two hot NEON chains run as
-//     assembly, AVX where the CPU and OS support it (SIMD names the
-//     path) and SSE otherwise. Each lane keeps its 1-D chain's operation
+//     (PadPeriodicPhases). On amd64 two chains run as assembly, AVX
+//     where the CPU and OS support it (SIMD names the path) and SSE
+//     otherwise: the mul-first chain (the NEON analysis and synthesis
+//     bodies) and the reference synthesis pair chain. The FPGA
+//     wave-engine model (internal/hls) is a caller of both: it runs its
+//     analysis rows on AnalyzeMulFirstLanes and its synthesis rows on
+//     SynthesizeRefLanes. Each lane keeps its 1-D chain's operation
 //     order, so they too are bit-identical.
 //
 //   - Packed per-element kernels (pixels.go): the max-magnitude quad
-//     rule, the synthesis pair store and the four-tree accumulate, plus
-//     PadPeriodicPhases' deinterleave, run packed SSE on amd64 with the
-//     Go loop's operations in its order, and as that Go loop elsewhere.
+//     rule, the synthesis pair store (Interleave), the phase split
+//     (Deinterleave, which PadPeriodicPhases and the wave-engine model
+//     call) and the four-tree accumulate run packed SSE on amd64 with
+//     the Go loop's operations in its order, and as that Go loop
+//     elsewhere.
 //
 //   - Tile dispatch: a bounded, restartable worker pool (Workers) that
 //     splits independent row/column/pixel ranges into cache-sized tiles

@@ -29,13 +29,15 @@ import "zynqfusion/internal/signal"
 // Go lane loops keep the statement shape of their 1-D kernels so that
 // arm64's FMA contraction treats both forms alike, and put every slice
 // length in the loop condition so the check_bce lint stays clean. On
-// amd64 the two hot mul-first chains (the NEON auto analysis body and the
-// NEON synthesis body) run packed (lanes_amd64.s): eight lanes per AVX
-// VMULPS/VADDPS when a CPUID+XGETBV check at start-up finds AVX, four
-// lanes per SSE MULPS/ADDPS on amd64 hosts without it, and the Go lane
-// loop for the lanes left over. amd64 never contracts a*b+c, so packed
-// multiplies and adds issued in chain order round exactly like the
-// scalar code.
+// amd64 two chains run packed (lanes_amd64.s): the mul-first chain (the
+// NEON auto analysis body, the NEON synthesis body and the wave-engine
+// model's analysis) and the reference synthesis pair chain (the
+// reference kernel's synthesis and the wave-engine model's). Each runs
+// eight lanes per AVX VMULPS/VADDPS when a CPUID+XGETBV check at
+// start-up finds AVX, four lanes per SSE MULPS/ADDPS on amd64 hosts
+// without it, and the Go lane loop for the lanes left over. amd64 never
+// contracts a*b+c, so packed multiplies and adds issued in chain order
+// round exactly like the scalar code.
 
 // AnalysisRows are the TapCount source rows an analysis lane call reads:
 // row k holds, per lane, the padded sample that lane's output reads under
@@ -66,11 +68,20 @@ func checkLanes(name string, rows [][]float32, a, b []float32) {
 // row, over len(lo) lanes: the mul-first vectorized-body chain, or the
 // zero-start tail chain for the last m%4 outputs.
 func NeonAnalyzeAutoLanes(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32, pos, m int) {
-	checkLanes("kernels.NeonAnalyzeAutoLanes", r[:], lo, hi)
-	if pos >= m-m%4 {
-		analyzeLanesZero(al, ah, r, lo, hi)
+	if pos < m-m%4 {
+		AnalyzeMulFirstLanes(al, ah, r, lo, hi)
 		return
 	}
+	checkLanes("kernels.NeonAnalyzeAutoLanes", r[:], lo, hi)
+	analyzeLanesZero(al, ah, r, lo, hi)
+}
+
+// AnalyzeMulFirstLanes runs the mul-first analysis chain over len(lo)
+// lanes: per lane lo = al[0]*x0, then + al[k]*xk for taps 1..11, and hi
+// alike with ah — NeonAnalyzeAuto's vectorized-body chain, at every
+// lane whatever its position.
+func AnalyzeMulFirstLanes(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32) {
+	checkLanes("kernels.AnalyzeMulFirstLanes", r[:], lo, hi)
 	rows := (*[signal.TapCount][]float32)(r)
 	n := mulChainSIMD(rows, al, lo)
 	mulChainSIMD(rows, ah, hi)
@@ -214,24 +225,39 @@ func NeonSynthesizeLanes(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd [
 		synthesizeLanesZero(sl, sh, wl, wh, even, odd)
 		return
 	}
-	// The even chain walks (sl[0], wl[5]), (sh[0], wh[5]), (sl[2], wl[4]),
-	// ...; the odd chain the odd taps over the same rows.
-	rows := [signal.TapCount][]float32{wl[5], wh[5], wl[4], wh[4], wl[3], wh[3], wl[2], wh[2], wl[1], wh[1], wl[0], wh[0]}
-	te := signal.Taps{sl[0], sh[0], sl[2], sh[2], sl[4], sh[4], sl[6], sh[6], sl[8], sh[8], sl[10], sh[10]}
-	to := signal.Taps{sl[1], sh[1], sl[3], sh[3], sl[5], sh[5], sl[7], sh[7], sl[9], sh[9], sl[11], sh[11]}
+	rows, te, to := synthesisChains(sl, sh, wl, wh)
 	n := mulChainSIMD(&rows, &te, even)
 	mulChainSIMD(&rows, &to, odd)
 	synthesizeLanesMulFirst(sl, sh, wl, wh, even, odd, n)
 }
 
+// synthesisChains lays a synthesis lane call out for the packed chains:
+// the even chain walks (sl[0], wl[5]), (sh[0], wh[5]), (sl[2], wl[4]),
+// ..., the odd chain the odd taps over the same rows.
+func synthesisChains(sl, sh *signal.Taps, wl, wh *SynthesisRows) (rows [signal.TapCount][]float32, te, to signal.Taps) {
+	rows = [signal.TapCount][]float32{wl[5], wh[5], wl[4], wh[4], wl[3], wh[3], wl[2], wh[2], wl[1], wh[1], wl[0], wh[0]}
+	te = signal.Taps{sl[0], sh[0], sl[2], sh[2], sl[4], sh[4], sl[6], sh[6], sl[8], sh[8], sl[10], sh[10]}
+	to = signal.Taps{sl[1], sh[1], sl[3], sh[3], sl[5], sh[5], sl[7], sh[7], sl[9], sh[9], sl[11], sh[11]}
+	return rows, te, to
+}
+
 // SynthesizeRefLanes is SynthesizeRef over len(even) lanes: the
-// reference chain adding (sl*l + sh*h) as one term per step.
+// reference chain adding (sl*l + sh*h) as one term per step, from zero.
 func SynthesizeRefLanes(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32) {
 	checkLanes("kernels.SynthesizeRefLanes", wl[:], even, odd)
 	checkLanes("kernels.SynthesizeRefLanes", wh[:], even, odd)
+	rows, te, to := synthesisChains(sl, sh, wl, wh)
+	n := pairChainSIMD(&rows, &te, even)
+	pairChainSIMD(&rows, &to, odd)
+	synthesizeLanesRef(sl, sh, wl, wh, even, odd, n)
+}
+
+// synthesizeLanesRef is SynthesizeRef's chain per lane, for lanes from
+// on, in the reference's statement order.
+func synthesizeLanesRef(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32, from int) {
 	l0, l1, l2, l3, l4, l5 := wl[0], wl[1], wl[2], wl[3], wl[4], wl[5]
 	h0, h1, h2, h3, h4, h5 := wh[0], wh[1], wh[2], wh[3], wh[4], wh[5]
-	for i := 0; i < len(even) && i < len(odd) &&
+	for i := max(from, 0); i < len(even) && i < len(odd) &&
 		i < len(l0) && i < len(l1) && i < len(l2) && i < len(l3) && i < len(l4) && i < len(l5) &&
 		i < len(h0) && i < len(h1) && i < len(h2) && i < len(h3) && i < len(h4) && i < len(h5); i++ {
 		var e, o float32

@@ -19,6 +19,23 @@ func mulChainSSE(rows *[signal.TapCount][]float32, taps *signal.Taps, out []floa
 //go:noescape
 func mulChainAVX(rows *[signal.TapCount][]float32, taps *signal.Taps, out []float32)
 
+// pairChainSSE computes, for every lane i < len(out) (a multiple of four),
+//
+//	out[i] = ((0 + (taps[0]*rows[0][i] + taps[1]*rows[1][i])) + (taps[2]*rows[2][i] + taps[3]*rows[3][i])) + ...
+//
+// through taps[11]: the reference synthesis chain, six steps of one pair
+// of products each, accumulated from zero, four lanes per packed SSE
+// operation. Every row must hold at least len(out) lanes.
+//
+//go:noescape
+func pairChainSSE(rows *[signal.TapCount][]float32, taps *signal.Taps, out []float32)
+
+// pairChainAVX is pairChainSSE at eight lanes per packed AVX operation:
+// len(out) must be a multiple of eight. Only hosts with hasAVX run it.
+//
+//go:noescape
+func pairChainAVX(rows *[signal.TapCount][]float32, taps *signal.Taps, out []float32)
+
 // cpuid executes CPUID for leaf and sub-leaf sub.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -42,8 +59,10 @@ func detectAVX() bool {
 }
 
 // SIMD names the packed instruction set the kernels run on this host:
-// "avx" when the mul-first filter chain runs eight lanes per AVX
-// operation (the per-pixel kernels stay SSE), otherwise "sse".
+// "avx" when both filter chains (the mul-first chain and the reference
+// synthesis pair chain) run eight lanes per AVX operation (the per-pixel
+// kernels stay SSE), otherwise "sse". The NEON engine's tiled passes and
+// the FPGA wave-engine model both run on these chains.
 func SIMD() string {
 	if hasAVX {
 		return "avx"
@@ -67,6 +86,24 @@ func mulChainSIMD(rows *[signal.TapCount][]float32, taps *signal.Taps, out []flo
 	n := len(out) &^ 3
 	if n > 0 {
 		mulChainSSE(rows, taps, out[:n])
+	}
+	return n
+}
+
+// pairChainSIMD is mulChainSIMD for the reference synthesis pair chain:
+// it runs pairChainAVX or pairChainSSE over the same packed prefix of
+// out and returns its length.
+func pairChainSIMD(rows *[signal.TapCount][]float32, taps *signal.Taps, out []float32) int {
+	if hasAVX {
+		n := len(out) &^ 7
+		if n > 0 {
+			pairChainAVX(rows, taps, out[:n])
+		}
+		return n
+	}
+	n := len(out) &^ 3
+	if n > 0 {
+		pairChainSSE(rows, taps, out[:n])
 	}
 	return n
 }

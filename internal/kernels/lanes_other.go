@@ -8,8 +8,12 @@ import "zynqfusion/internal/signal"
 // "go" off amd64, where every kernel runs its Go loop.
 func SIMD() string { return "go" }
 
-// mulChainSIMD has no vector form off amd64: every lane runs the Go lane
-// loop.
+// mulChainSIMD and pairChainSIMD have no vector form off amd64: every
+// lane runs the Go lane loop.
 func mulChainSIMD(rows *[signal.TapCount][]float32, taps *signal.Taps, out []float32) int {
+	return 0
+}
+
+func pairChainSIMD(rows *[signal.TapCount][]float32, taps *signal.Taps, out []float32) int {
 	return 0
 }

@@ -70,16 +70,13 @@ func PadPeriodicPhases(x, buf []float32) (even, odd []float32) {
 		if len(s) < 2 {
 			s = x
 		}
-		// Whole blocks of four pairs run packed; the unsigned form lets
-		// the prove pass bound the cursors.
-		k := deinterleaveSIMD(s, e, o, min(len(e), len(o), len(s)/2)&^3)
-		if uint(k) <= uint(len(e)) && uint(k) <= uint(len(o)) && uint(2*k) <= uint(len(s)) {
-			s, e, o = s[2*k:], e[k:], o[k:]
+		k := min(len(e), len(o), len(s)/2)
+		Deinterleave(s, e[:k], o[:k])
+		// The unsigned form lets the prove pass bound the cursor.
+		if uint(2*k) <= uint(len(s)) {
+			s = s[2*k:]
 		}
-		for len(s) >= 2 && len(e) > 0 && len(o) > 0 {
-			e[0], o[0] = s[0], s[1]
-			s, e, o = s[2:], e[1:], o[1:]
-		}
+		e, o = e[k:], o[k:]
 	}
 	return even, odd
 }

@@ -1,10 +1,10 @@
 package kernels
 
 // Per-element kernels of the DT-CWT fuse: the max-magnitude quad rule,
-// the synthesis pair store and the four-tree accumulate (the phase split
-// lives with the padding in pad.go). Each exported function runs a packed
-// SSE form over the largest multiple of four elements on amd64 and its Go
-// loop over the rest (and over everything elsewhere). The packed forms
+// the synthesis pair store, the phase split and the four-tree
+// accumulate. Each exported function runs a packed SSE form over the
+// largest multiple of four elements on amd64 and its Go loop over the
+// rest (and over everything elsewhere). The packed forms
 // issue the Go loop's operations with the same operands in the same
 // order — amd64 never contracts a*b+c, and selects are bitwise — so
 // their outputs are the Go loop's bit for bit (pinned by
@@ -90,6 +90,25 @@ func Interleave(dst, even, odd []float32) {
 	for len(e) > 0 && len(o) > 0 && len(d) >= 2 {
 		d[0], d[1] = e[0], o[0]
 		d, e, o = d[2:], e[1:], o[1:]
+	}
+}
+
+// Deinterleave is Interleave's inverse: it writes even[i] = src[2i] and
+// odd[i] = src[2i+1] for every i < len(even). odd must hold len(even)
+// samples and src twice that.
+func Deinterleave(src, even, odd []float32) {
+	if len(odd) < len(even) || len(src)/2 < len(even) {
+		panic("kernels.Deinterleave: inconsistent lengths")
+	}
+	s, e, o := src, even, odd
+	// The unsigned form lets the prove pass bound the cursors.
+	k := deinterleaveSIMD(s, e, o, len(e)&^3)
+	if uint(k) <= uint(len(e)) && uint(k) <= uint(len(o)) && uint(2*k) <= uint(len(s)) {
+		s, e, o = s[2*k:], e[k:], o[k:]
+	}
+	for len(e) > 0 && len(o) > 0 && len(s) >= 2 {
+		e[0], o[0] = s[0], s[1]
+		s, e, o = s[2:], e[1:], o[1:]
 	}
 }
 

@@ -117,9 +117,9 @@ func FuzzMaxMagQuad(f *testing.F) {
 	})
 }
 
-// TestPixelKernelsMatchGo pins Interleave and AddScale against their
-// scalar loops, AddScale by 1 against the plain accumulate (the tree
-// accumulate relies on it), and their length checks.
+// TestPixelKernelsMatchGo pins Interleave, Deinterleave and AddScale
+// against their scalar loops, AddScale by 1 against the plain accumulate
+// (the tree accumulate relies on it), and their length checks.
 func TestPixelKernelsMatchGo(t *testing.T) {
 	for n := 0; n <= 67; n++ {
 		for off := 0; off < 4; off++ {
@@ -142,6 +142,20 @@ func TestPixelKernelsMatchGo(t *testing.T) {
 				t.Fatalf("Interleave n=%d off=%d: %v", n, off, err)
 			}
 
+			packed := vals(2*n + 1)
+			gotE, gotO := vals(n+1), vals(n+1)
+			wantE, wantO := append([]float32(nil), gotE...), append([]float32(nil), gotO...)
+			Deinterleave(packed, gotE[:n], gotO)
+			for i := 0; i < n; i++ {
+				wantE[i], wantO[i] = packed[2*i], packed[2*i+1]
+			}
+			if err := firstDiff(gotE, wantE); err != nil {
+				t.Fatalf("Deinterleave n=%d off=%d: even %v", n, off, err)
+			}
+			if err := firstDiff(gotO, wantO); err != nil {
+				t.Fatalf("Deinterleave n=%d off=%d: odd %v", n, off, err)
+			}
+
 			dst, src := vals(n), vals(n)
 			gotAdd, wantAdd := append([]float32(nil), dst...), append([]float32(nil), dst...)
 			AddScale(gotAdd, src, 1)
@@ -162,9 +176,11 @@ func TestPixelKernelsMatchGo(t *testing.T) {
 	short := make([]float32, 7)
 	full := make([]float32, 8)
 	for name, call := range map[string]func(){
-		"interleave-dst": func() { Interleave(short, full[:4], full[:4]) },
-		"interleave-odd": func() { Interleave(full, full[:4], full[:3]) },
-		"addscale":       func() { AddScale(full, short, 1) },
+		"interleave-dst":   func() { Interleave(short, full[:4], full[:4]) },
+		"interleave-odd":   func() { Interleave(full, full[:4], full[:3]) },
+		"deinterleave-src": func() { Deinterleave(short, full[:4], full[:4]) },
+		"deinterleave-odd": func() { Deinterleave(full, full[:4], full[:3]) },
+		"addscale":         func() { AddScale(full, short, 1) },
 		"maxmag": func() {
 			q, s := Quad{full, full, full, full}, Quad{full, full, full, short}
 			MaxMagQuad(&q, &q, &s)

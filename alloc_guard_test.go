@@ -41,6 +41,9 @@ func TestAllocGuardSteadyStateFusion(t *testing.T) {
 		{engine: EngineNEON, depth: 2, rule: RuleWindowEnergy, workers: 4},
 		{engine: EngineNEON, depth: 0, workers: 1},
 		{engine: EngineNEON, depth: 0, workers: 4},
+		// A custom rule fuses through FuseQuads' complex-band adapter,
+		// whose complex planes are workspace scratch leased once.
+		{engine: EngineNEON, depth: 2, rule: keepVisibleLL{RuleMaxMagnitude}, workers: 4},
 	} {
 		name := fmt.Sprintf("%s%s/depth%d", tc.engine, tc.split, tc.depth)
 		if tc.rule != nil {

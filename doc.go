@@ -201,10 +201,13 @@
 // trees filtered from the same source rows in one row-band pass — while
 // stateful engines (FPGA, adaptive and split schedulers, the emulated
 // NEON unit) run the sequential per-row loops. Either way the forward
-// writes quad (tree) planes only; for the built-in rules the complex
-// conversion, fusion rule and inverse conversion run per tile straight on
-// those planes (fusion.FuseQuads), so no complex band plane is ever
-// built, and custom rules fuse complex bands instead. Every variant keeps
+// writes quad (tree) planes only, and every rule fuses them through one
+// seam, fusion.FuseQuads: for the built-in rules the complex conversion,
+// fusion rule and inverse conversion run per tile straight on those
+// planes, so no complex band plane is ever built; any other rule has
+// each band pair converted into workspace scratch, fused by its own
+// FuseBand and converted back, and its residuals fused by its own FuseLL.
+// Every variant keeps
 // the determinism contract above: pixels, StageTimes, energy and the NEON
 // ledger equal the sequential per-row loops' bit for bit. On a 2-vCPU
 // amd64 host (GOMAXPROCS 2, Go 1.24) the production path ran 18.5-23.2x

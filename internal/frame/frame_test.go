@@ -205,12 +205,51 @@ func TestReadPGMRejectsBadInput(t *testing.T) {
 		"P5\n2 2\n65535\n",   // unsupported depth
 		"P5\n-2 2\n255\n",    // negative size
 		"P5\n2 2\n255\n\x00", // truncated pixels
+		// Sizes whose product wraps around, to a negative int and to 0.
+		"P5 3037000500 3037000500 255\n",
+		"P5 4294967296 4294967296 255\n",
 	}
 	for _, c := range cases {
 		if _, err := ReadPGM(bytes.NewReader([]byte(c))); err == nil {
 			t.Errorf("input %q should fail", c)
 		}
 	}
+}
+
+// FuzzReadPGM decodes arbitrary bytes: ReadPGM must never panic, and a
+// frame it accepts must hold W*H pixels and survive WritePGM → ReadPGM
+// unchanged.
+func FuzzReadPGM(f *testing.F) {
+	f.Add([]byte("P5\n2 2\n255\n\x00\x01\xfe\xff"))
+	f.Add([]byte("P5 3 1 255 abc"))
+	f.Add([]byte("P5\n2 2\n255\n\x00"))
+	f.Add([]byte("P5 3037000500 3037000500 255\n"))
+	f.Add([]byte("P5 4294967296 4294967296 255\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadPGM(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if g.W <= 0 || g.H <= 0 || len(g.Pix) != g.W*g.H {
+			t.Fatalf("accepted a %dx%d frame with %d pixels", g.W, g.H, len(g.Pix))
+		}
+		var buf bytes.Buffer
+		if err := g.WritePGM(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadPGM(&buf)
+		if err != nil {
+			t.Fatalf("re-reading a written %dx%d frame: %v", g.W, g.H, err)
+		}
+		if !back.SameSize(g) {
+			t.Fatalf("round trip %dx%d → %dx%d", g.W, g.H, back.W, back.H)
+		}
+		for i := range g.Pix {
+			if back.Pix[i] != g.Pix[i] {
+				t.Fatalf("round trip pixel %d: %g → %g", i, g.Pix[i], back.Pix[i])
+			}
+		}
+	})
 }
 
 func TestApplyAndClone(t *testing.T) {

@@ -40,6 +40,9 @@ func (f *Frame) SavePGM(path string) error {
 	return fd.Close()
 }
 
+// maxPGMPixels bounds the pixel count ReadPGM accepts.
+const maxPGMPixels = 1 << 28
+
 // ReadPGM parses a binary (P5) PGM image.
 func ReadPGM(r io.Reader) (*Frame, error) {
 	br := bufio.NewReader(r)
@@ -57,16 +60,22 @@ func ReadPGM(r io.Reader) (*Frame, error) {
 	if maxv != 255 {
 		return nil, fmt.Errorf("frame.ReadPGM: unsupported maxval %d", maxv)
 	}
-	if w <= 0 || h <= 0 || w*h > 1<<28 {
+	// Bound the size by division: w*h itself wraps for huge headers.
+	if w <= 0 || h <= 0 || w > maxPGMPixels/h {
 		return nil, fmt.Errorf("frame.ReadPGM: implausible size %dx%d", w, h)
 	}
 	// Exactly one whitespace byte separates the header from pixel data.
 	if _, err := br.ReadByte(); err != nil {
 		return nil, fmt.Errorf("frame.ReadPGM: %w", err)
 	}
-	b := make([]byte, w*h)
-	if _, err := io.ReadFull(br, b); err != nil {
+	// Read what the stream holds rather than allocating the declared size
+	// up front, so a short header cannot reserve a huge buffer.
+	b, err := io.ReadAll(io.LimitReader(br, int64(w*h)))
+	if err != nil {
 		return nil, fmt.Errorf("frame.ReadPGM: pixels: %w", err)
+	}
+	if len(b) < w*h {
+		return nil, fmt.Errorf("frame.ReadPGM: pixels: %w", io.ErrUnexpectedEOF)
 	}
 	return FromBytes(w, h, b)
 }

@@ -7,40 +7,31 @@ import (
 	"zynqfusion/internal/wavelet"
 )
 
-// Fused combine+rule+distribute kernels. Fusing complex bands needs six
-// complex band planes per stream per level (q2c), the rule over them,
-// then the fused complex planes distributed back to quad (tree) layout
-// (c2q). The quad kernels below execute all three per tile: they read the
-// four tree planes of each stream, form the z1/z2 complex pairs as float32
-// register locals with exactly the q2c expressions, select with exactly
-// the rule expressions, and write the fused coefficients straight back in
-// quad layout with exactly the c2q expressions — so the fused pyramid's
-// tree planes are bit-identical to the combine → rule → distribute chain,
-// while no complex plane of any of the three pyramids is built.
-
-const invSqrt2 = wavelet.InvSqrt2
+// FuseQuads is the one fusion seam: a rule is written once, on complex
+// bands (FuseBand, FuseLL), and the quad (tree) layout is a schedule
+// behind the seam. Fusing complex bands needs six complex band planes per
+// stream per level (q2c), the rule over them, then the fused complex
+// planes distributed back to quad layout (c2q). The built-in rules' quad
+// kernels execute all three per tile: they form the z1/z2 complex pairs as
+// float32 register locals (kernels.Combine), select with exactly the rule
+// expressions, and write the fused coefficients straight back in quad
+// layout (kernels.Distribute) — so no complex plane of any of the three
+// pyramids is built. Any other rule runs fuseComplexBand. Either way the
+// fused pyramid is bit-identical to the combine → rule → distribute chain.
 
 // quadRule is the quad-layout kernel the built-in rules provide: fuse
 // detail band pair (bi, 5-bi) of one level straight from quad layout to
-// quad layout. Custom rules without it run through FuseIntoWorkspace over
-// complex bands.
+// quad layout. Their lowpass residuals all blend with averageLLWS.
 type quadRule interface {
 	fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavelet.DTPyramid)
 }
 
-// CanFuseRule reports whether rule has a fused quad kernel, which selects
-// FuseQuads over FuseIntoWorkspace.
-func CanFuseRule(rule Rule) bool {
-	_, ok := rule.(quadRule)
-	return ok
-}
-
 // FuseQuads combines two quad-shaped pyramids into dst entirely in quad
 // (tree) layout: per level and band pair one fused combine+rule+distribute
-// kernel, then the averaged lowpass residuals per tree. All three
-// pyramids may be quad-shaped (complex planes elided); dst's tree planes
-// and residuals come out bit-identical to the FuseIntoWorkspace +
-// distribute chain.
+// kernel (fuseComplexBand for a rule without one), then each tree's
+// lowpass residual. All three pyramids may be quad-shaped (complex planes
+// elided); dst's tree planes and residuals come out bit-identical to the
+// FuseIntoWorkspace + distribute chain.
 func FuseQuads(ws *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) error {
 	if a.W != b.W || a.H != b.H || a.NumLevels() != b.NumLevels() {
 		return fmt.Errorf("%w: %dx%d/%d vs %dx%d/%d", ErrPyramidMismatch,
@@ -50,10 +41,7 @@ func FuseQuads(ws *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) error {
 		return fmt.Errorf("%w: destination %dx%d/%d for sources %dx%d/%d", ErrPyramidMismatch,
 			dst.W, dst.H, dst.NumLevels(), a.W, a.H, a.NumLevels())
 	}
-	qr, ok := rule.(quadRule)
-	if !ok {
-		return fmt.Errorf("fusion: rule %s has no fused quad kernel", rule.Name())
-	}
+	qr, _ := rule.(quadRule)
 	levels := a.NumLevels()
 	for lv := 0; lv < levels; lv++ {
 		for bi := 0; bi < 3; bi++ {
@@ -61,16 +49,69 @@ func FuseQuads(ws *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) error {
 			if !fa.SameSize(fb) {
 				return fmt.Errorf("%w: level %d band %d", ErrPyramidMismatch, lv+1, bi)
 			}
-			qr.fuseQuadBand(ws, lv, bi, dst, a, b)
+			if qr != nil {
+				qr.fuseQuadBand(ws, lv, bi, dst, a, b)
+			} else {
+				fuseComplexBand(ws, rule, lv, bi, dst, a, b)
+			}
 		}
 	}
 	for c := range a.LLs {
 		if !a.LLs[c].SameSize(b.LLs[c]) {
 			return fmt.Errorf("%w: lowpass residual %d", ErrPyramidMismatch, c)
 		}
-		averageLLWS(ws, dst.LLs[c], a.LLs[c], b.LLs[c])
+		if qr != nil {
+			averageLLWS(ws, dst.LLs[c], a.LLs[c], b.LLs[c])
+		} else {
+			rule.FuseLL(dst.LLs[c], a.LLs[c], b.LLs[c])
+		}
 	}
 	return nil
+}
+
+// fuseComplexBand fuses band pair (bi, 5-bi) of level lv for a rule
+// without a quad kernel with the complex-band chain's arithmetic: q2c of
+// both sources into workspace complex bands, the rule's FuseBand per
+// band, then c2q of the fused pair into dst.
+func fuseComplexBand(ws *Workspace, rule Rule, lv, bi int, dst, a, b *wavelet.DTPyramid) {
+	band := a.TreeBand(wavelet.TreeAA, lv, bi)
+	n := len(band.Pix)
+	z := &ws.cplx
+	for k := range z {
+		z[k] = wavelet.ComplexBand{W: band.W, H: band.H,
+			Re: ws.cplxS[2*k].grow(ws.pool, n), Im: ws.cplxS[2*k+1].grow(ws.pool, n)}
+	}
+	w := ws.w
+	for i, src := range [2]*wavelet.DTPyramid{a, b} {
+		ws.conv = convTask{q: quadOf(src, lv, bi), z1: &z[2*i], z2: &z[2*i+1]}
+		w.Run(n, kernels.Grain(n, 32, w.N()), &ws.conv)
+	}
+	rule.FuseBand(&z[4], &z[0], &z[2])
+	rule.FuseBand(&z[5], &z[1], &z[3])
+	ws.conv = convTask{q: quadOf(dst, lv, bi), z1: &z[4], z2: &z[5], distribute: true}
+	w.Run(n, kernels.Grain(n, 32, w.N()), &ws.conv)
+}
+
+// convTask converts quad q into the complex pair (z1, z2) — q2c — or,
+// when distribute, the pair back into q (c2q).
+type convTask struct {
+	q          kernels.Quad
+	z1, z2     *wavelet.ComplexBand
+	distribute bool
+}
+
+func (t *convTask) Tile(lo, hi, _ int) {
+	p, q, r, s := t.q.P[lo:hi], t.q.Q[lo:hi], t.q.R[lo:hi], t.q.S[lo:hi]
+	z1re, z1im, z2re, z2im := t.z1.Re[lo:hi], t.z1.Im[lo:hi], t.z2.Re[lo:hi], t.z2.Im[lo:hi]
+	if t.distribute {
+		for i := range p {
+			p[i], q[i], r[i], s[i] = kernels.Distribute(z1re[i], z1im[i], z2re[i], z2im[i])
+		}
+		return
+	}
+	for i := range p {
+		z1re[i], z1im[i], z2re[i], z2im[i] = kernels.Combine(p[i], q[i], r[i], s[i])
+	}
 }
 
 // quadPlanes gathers the four tree planes of band bi at level lv in q2c
@@ -147,8 +188,7 @@ func (we WindowEnergy) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavele
 // single traversal: per tile, one kernels.MaxMagQuad call over the tile's
 // range of the three quads (q2c both streams, pick the larger-magnitude
 // coefficient per complex band, c2q the winners back to quad layout —
-// packed SSE on amd64). Its expressions mirror q2cTask / maxMagBandTask /
-// c2qTask exactly.
+// packed SSE on amd64). Its expressions mirror maxMagBandTask exactly.
 type maxMagQuadTask struct {
 	a, b, f kernels.Quad
 }
@@ -176,24 +216,13 @@ func (t *avgQuadTask) Tile(lo, hi, _ int) {
 	pb, qb, rb, sb := t.pb, t.qb, t.rb, t.sb
 	pf, qf, rf, sf := t.pf, t.qf, t.rf, t.sf
 	for i := lo; i < hi; i++ {
-		ppa, qqa, rra, ssa := pa[i], qa[i], ra[i], sa[i]
-		z1ra := (ppa - qqa) * invSqrt2
-		z1ia := (rra + ssa) * invSqrt2
-		z2ra := (ppa + qqa) * invSqrt2
-		z2ia := (ssa - rra) * invSqrt2
-		ppb, qqb, rrb, ssb := pb[i], qb[i], rb[i], sb[i]
-		z1rb := (ppb - qqb) * invSqrt2
-		z1ib := (rrb + ssb) * invSqrt2
-		z2rb := (ppb + qqb) * invSqrt2
-		z2ib := (ssb - rrb) * invSqrt2
+		z1ra, z1ia, z2ra, z2ia := kernels.Combine(pa[i], qa[i], ra[i], sa[i])
+		z1rb, z1ib, z2rb, z2ib := kernels.Combine(pb[i], qb[i], rb[i], sb[i])
 		f1r := 0.5 * (z1ra + z1rb)
 		f1i := 0.5 * (z1ia + z1ib)
 		f2r := 0.5 * (z2ra + z2rb)
 		f2i := 0.5 * (z2ia + z2ib)
-		pf[i] = (f1r + f2r) * invSqrt2
-		qf[i] = (f2r - f1r) * invSqrt2
-		rf[i] = (f1i - f2i) * invSqrt2
-		sf[i] = (f1i + f2i) * invSqrt2
+		pf[i], qf[i], rf[i], sf[i] = kernels.Distribute(f1r, f1i, f2r, f2i)
 	}
 }
 
@@ -209,17 +238,13 @@ func (t *quadMag2Task) Tile(lo, hi, _ int) {
 	p, q, r, s, dst := t.p, t.q, t.r, t.s, t.dst
 	if !t.second {
 		for i := lo; i < hi; i++ {
-			pp, qq, rr, ss := p[i], q[i], r[i], s[i]
-			re := (pp - qq) * invSqrt2
-			im := (rr + ss) * invSqrt2
+			re, im, _, _ := kernels.Combine(p[i], q[i], r[i], s[i])
 			dst[i] = re*re + im*im
 		}
 		return
 	}
 	for i := lo; i < hi; i++ {
-		pp, qq, rr, ss := p[i], q[i], r[i], s[i]
-		re := (pp + qq) * invSqrt2
-		im := (ss - rr) * invSqrt2
+		_, _, re, im := kernels.Combine(p[i], q[i], r[i], s[i])
 		dst[i] = re*re + im*im
 	}
 }
@@ -239,16 +264,8 @@ func (t *selQuadTask) Tile(lo, hi, _ int) {
 	pf, qf, rf, sf := t.pf, t.qf, t.rf, t.sf
 	e1a, e1b, e2a, e2b := t.e1a, t.e1b, t.e2a, t.e2b
 	for i := lo; i < hi; i++ {
-		ppa, qqa, rra, ssa := pa[i], qa[i], ra[i], sa[i]
-		z1ra := (ppa - qqa) * invSqrt2
-		z1ia := (rra + ssa) * invSqrt2
-		z2ra := (ppa + qqa) * invSqrt2
-		z2ia := (ssa - rra) * invSqrt2
-		ppb, qqb, rrb, ssb := pb[i], qb[i], rb[i], sb[i]
-		z1rb := (ppb - qqb) * invSqrt2
-		z1ib := (rrb + ssb) * invSqrt2
-		z2rb := (ppb + qqb) * invSqrt2
-		z2ib := (ssb - rrb) * invSqrt2
+		z1ra, z1ia, z2ra, z2ia := kernels.Combine(pa[i], qa[i], ra[i], sa[i])
+		z1rb, z1ib, z2rb, z2ib := kernels.Combine(pb[i], qb[i], rb[i], sb[i])
 		f1r, f1i := z1ra, z1ia
 		if !(e1a[i] >= e1b[i]) {
 			f1r, f1i = z1rb, z1ib
@@ -257,9 +274,6 @@ func (t *selQuadTask) Tile(lo, hi, _ int) {
 		if !(e2a[i] >= e2b[i]) {
 			f2r, f2i = z2rb, z2ib
 		}
-		pf[i] = (f1r + f2r) * invSqrt2
-		qf[i] = (f2r - f1r) * invSqrt2
-		rf[i] = (f1i - f2i) * invSqrt2
-		sf[i] = (f1i + f2i) * invSqrt2
+		pf[i], qf[i], rf[i], sf[i] = kernels.Distribute(f1r, f1i, f2r, f2i)
 	}
 }

@@ -12,24 +12,23 @@ import (
 	"zynqfusion/internal/wavelet"
 )
 
-// noQuadRule is a custom rule without a fused quad kernel: CanFuseRule
-// must report it and FuseQuads must reject it.
+// noQuadRule is a custom rule without a fused quad kernel whose methods
+// write nothing: FuseQuads must accept it.
 type noQuadRule struct{}
 
 func (noQuadRule) Name() string                            { return "no-quad" }
 func (noQuadRule) FuseBand(dst, a, b *wavelet.ComplexBand) {}
 func (noQuadRule) FuseLL(dst, a, b *frame.Frame)           {}
 
-func TestCanFuseRule(t *testing.T) {
-	for _, rule := range []Rule{MaxMagnitude{}, Average{}, WindowEnergy{}, WindowEnergy{R: 2}} {
-		if !CanFuseRule(rule) {
-			t.Errorf("%s: built-in rule reported unfusable", rule.Name())
-		}
-	}
-	if CanFuseRule(noQuadRule{}) {
-		t.Error("custom rule without a quad kernel reported fusable")
-	}
-}
+// keepVisibleLL is the custom rule a caller outside the module can write:
+// a built-in rule embedded through the Rule interface (which hides its
+// quad kernel), with Name and FuseLL overridden. Its FuseLL keeps the
+// first source's residual, so a seam that averaged every rule's
+// residuals fails.
+type keepVisibleLL struct{ Rule }
+
+func (keepVisibleLL) Name() string                  { return "keep-visible-ll" }
+func (keepVisibleLL) FuseLL(dst, a, _ *frame.Frame) { copy(dst.Pix, a.Pix) }
 
 // TestFuseQuadsBitExact pins the fused combine+rule+distribute kernels
 // end to end against the sequential reference: quad forward → FuseQuads →
@@ -37,7 +36,9 @@ func TestCanFuseRule(t *testing.T) {
 // the emulated engine's sequential per-row loops running complex-band
 // forwards → the scalar oracle rule → the distributing inverse, with the
 // modeled charge totals and instruction ledger equal — for every built-in
-// rule, sequential and across a worker pool.
+// rule, sequential and across a worker pool. A custom rule runs FuseQuads'
+// complex-band adapter; its reference fuses with the rule's own methods
+// (FuseInto) between the same complex forwards and inverse.
 func TestFuseQuadsBitExact(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
@@ -45,7 +46,7 @@ func TestFuseQuadsBitExact(t *testing.T) {
 	const w, h, levels = 64, 48, 3
 	vis := randFrame(rng, w, h)
 	ir := randFrame(rng, w, h)
-	for _, rule := range []Rule{MaxMagnitude{}, Average{}, WindowEnergy{}, WindowEnergy{R: 2}} {
+	for _, rule := range []Rule{MaxMagnitude{}, Average{}, WindowEnergy{}, WindowEnergy{R: 2}, keepVisibleLL{MaxMagnitude{}}} {
 		for _, workers := range []int{1, 4} {
 			t.Run(rule.Name(), func(t *testing.T) {
 				refK := engine.NewNEONEmulated(false)
@@ -59,7 +60,11 @@ func TestFuseQuadsBitExact(t *testing.T) {
 					t.Fatal(err)
 				}
 				fp := pa.CloneStructure()
-				oracleFuse(rule, fp, pa, pb)
+				if _, builtin := rule.(quadRule); builtin {
+					oracleFuse(rule, fp, pa, pb)
+				} else if err := FuseInto(rule, fp, pa, pb); err != nil {
+					t.Fatal(err)
+				}
 				recRef, err := refDT.Inverse(fp)
 				if err != nil {
 					t.Fatal(err)
@@ -124,8 +129,8 @@ func TestFuseQuadsErrors(t *testing.T) {
 	}
 	a, b, dst := shape(32, 32), shape(32, 32), shape(32, 32)
 	ws := NewWorkspace(nil, nil)
-	if err := FuseQuads(ws, noQuadRule{}, dst, a, b); err == nil {
-		t.Error("rule without a quad kernel accepted")
+	if err := FuseQuads(ws, noQuadRule{}, dst, a, b); err != nil {
+		t.Errorf("rule without a quad kernel refused: %v", err)
 	}
 	if err := FuseQuads(ws, MaxMagnitude{}, dst, a, shape(64, 48)); err == nil {
 		t.Error("source geometry mismatch accepted")

@@ -53,7 +53,8 @@ func FuseInto(rule Rule, dst, a, b *wavelet.DTPyramid) error {
 // FuseIntoWorkspace is FuseInto running through a workspace: built-in
 // rules lease their activity scratch from the workspace's pool and tile
 // their per-pixel loops across its worker pool. A nil workspace — or a
-// custom Rule — selects the rule's own FuseBand/FuseLL.
+// custom Rule — selects the rule's own FuseBand/FuseLL. It fuses complex
+// views (ForwardInto's output) off the production path, FuseQuads.
 func FuseIntoWorkspace(ws *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) error {
 	if a.W != b.W || a.H != b.H || a.NumLevels() != b.NumLevels() {
 		return fmt.Errorf("%w: %dx%d/%d vs %dx%d/%d", ErrPyramidMismatch,

@@ -7,10 +7,10 @@ import (
 	"zynqfusion/internal/wavelet"
 )
 
-// Workspace is the zero-allocation, tiled execution context for the
-// built-in fusion rules. It owns the activity-map scratch WindowEnergy
-// needs (leased from the frame-store arena when one is attached, so the
-// windowed rule stops allocating two planes per band per frame) and the
+// Workspace is the zero-allocation, tiled execution context of the
+// fusion rules. It owns the scratch planes WindowEnergy and FuseQuads'
+// complex-band adapter need (leased from the frame-store arena when one
+// is attached, so no rule allocates planes per band per frame) and the
 // worker pool the per-pixel rule loops fan out across.
 //
 // Rules run through a workspace produce bit-identical coefficients to
@@ -29,6 +29,10 @@ type Workspace struct {
 	// second scratch bank.
 	mag2A2, mag2B2, actA2, actB2 planeScratch
 
+	// The adapter's band pair of each source and fused pair, on cplxS.
+	cplx  [6]wavelet.ComplexBand
+	cplxS [12]planeScratch
+
 	// Reusable task boxes: pointer-through-interface keeps dispatch at
 	// zero allocations per frame.
 	max  maxMagBandTask
@@ -41,6 +45,7 @@ type Workspace struct {
 	avgQ avgQuadTask
 	selQ selQuadTask
 	magQ quadMag2Task
+	conv convTask
 }
 
 // NewWorkspace returns a workspace leasing scratch from pool (nil → plain
@@ -64,6 +69,9 @@ func (ws *Workspace) Release() {
 	ws.mag2B2.release()
 	ws.actA2.release()
 	ws.actB2.release()
+	for i := range ws.cplxS {
+		ws.cplxS[i].release()
+	}
 }
 
 // planeScratch is one reusable activity plane, pool-leased when possible.

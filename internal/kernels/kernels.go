@@ -36,7 +36,8 @@
 //     (Deinterleave, which PadPeriodicPhases and the wave-engine model
 //     call) and the four-tree accumulate run packed SSE on amd64 with
 //     the Go loop's operations in its order, and as that Go loop
-//     elsewhere.
+//     elsewhere. The q2c/c2q element map is written once, as Combine and
+//     Distribute, which every Go loop over quad planes calls.
 //
 //   - Tile dispatch: a bounded, restartable worker pool (Workers) that
 //     splits independent row/column/pixel ranges into cache-sized tiles

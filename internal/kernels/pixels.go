@@ -10,13 +10,27 @@ package kernels
 // their outputs are the Go loop's bit for bit (pinned by
 // TestMaxMagQuadMatchesGo, FuzzMaxMagQuad and TestPixelKernelsMatchGo).
 
-// InvSqrt2 scales the unitary four-real-to-two-complex combination of the
+// invSqrt2 scales the unitary four-real-to-two-complex combination of the
 // DT-CWT's four trees (q2c) and its inverse (c2q).
-const InvSqrt2 = 0.7071067811865476
+const invSqrt2 = 0.7071067811865476
+
+// Combine is the q2c map of one element, Quad's z1 and z2 from p = AA,
+// q = BB, r = AB and s = BA: each part one rounded add or subtract, then
+// one rounded multiply. It must stay inlinable.
+func Combine(p, q, r, s float32) (z1re, z1im, z2re, z2im float32) {
+	return (p - q) * invSqrt2, (r + s) * invSqrt2, (p + q) * invSqrt2, (s - r) * invSqrt2
+}
+
+// Distribute is the c2q map of one element, Combine's inverse:
+// p = (z1re+z2re)/√2, q = (z2re-z1re)/√2, r = (z1im-z2im)/√2 and
+// s = (z1im+z2im)/√2. It must stay inlinable.
+func Distribute(z1re, z1im, z2re, z2im float32) (p, q, r, s float32) {
+	return (z1re + z2re) * invSqrt2, (z2re - z1re) * invSqrt2, (z1im - z2im) * invSqrt2, (z1im + z2im) * invSqrt2
+}
 
 // Quad is one range of the four tree planes of a DT-CWT detail band, in
 // q2c order: P is tree AA, Q tree BB, R tree AB and S tree BA. The
-// complex pair they combine into is
+// complex pair they combine into (Combine) is
 //
 //	z1 = ((P-Q) + i(R+S)) / √2,  z2 = ((P+Q) + i(S-R)) / √2.
 type Quad struct {
@@ -46,16 +60,8 @@ func maxMagQuadGo(dst, a, b *Quad, from int) {
 	for i := max(from, 0); i < len(pf) && i < len(qf) && i < len(rf) && i < len(sf) &&
 		i < len(pa) && i < len(qa) && i < len(ra) && i < len(sa) &&
 		i < len(pb) && i < len(qb) && i < len(rb) && i < len(sb); i++ {
-		ppa, qqa, rra, ssa := pa[i], qa[i], ra[i], sa[i]
-		z1ra := (ppa - qqa) * InvSqrt2
-		z1ia := (rra + ssa) * InvSqrt2
-		z2ra := (ppa + qqa) * InvSqrt2
-		z2ia := (ssa - rra) * InvSqrt2
-		ppb, qqb, rrb, ssb := pb[i], qb[i], rb[i], sb[i]
-		z1rb := (ppb - qqb) * InvSqrt2
-		z1ib := (rrb + ssb) * InvSqrt2
-		z2rb := (ppb + qqb) * InvSqrt2
-		z2ib := (ssb - rrb) * InvSqrt2
+		z1ra, z1ia, z2ra, z2ia := Combine(pa[i], qa[i], ra[i], sa[i])
+		z1rb, z1ib, z2rb, z2ib := Combine(pb[i], qb[i], rb[i], sb[i])
 		f1r, f1i := z1ra, z1ia
 		ma := z1ra*z1ra + z1ia*z1ia
 		mb := z1rb*z1rb + z1ib*z1ib
@@ -68,10 +74,7 @@ func maxMagQuadGo(dst, a, b *Quad, from int) {
 		if !(ma >= mb) {
 			f2r, f2i = z2rb, z2ib
 		}
-		pf[i] = (f1r + f2r) * InvSqrt2
-		qf[i] = (f2r - f1r) * InvSqrt2
-		rf[i] = (f1i - f2i) * InvSqrt2
-		sf[i] = (f1i + f2i) * InvSqrt2
+		pf[i], qf[i], rf[i], sf[i] = Distribute(f1r, f1i, f2r, f2i)
 	}
 }
 

@@ -9,7 +9,7 @@
 // func maxMagQuadSSE(dst, a, b *Quad, n int)
 //
 // A Quad is four slice headers, plane k's base pointer at offset 24*k.
-// X15 holds float32(InvSqrt2) in every lane. Per four elements: q2c of a
+// X15 holds float32(invSqrt2) in every lane. Per four elements: q2c of a
 // into X4 (z1 re), X5 (z1 im), X0 (z2 re), X3 (z2 im); q2c of b into X8,
 // X9, X1, X7; per complex band the squared magnitudes ma and mb, the mask
 // CMPPS $6 (NLE) of (mb, ma) = !(ma >= mb) — all ones where b wins, NaN
@@ -20,7 +20,7 @@ TEXT ·maxMagQuadSSE(SB), NOSPLIT, $0-32
 	JZ   mmdone
 	SHLQ $4, CX
 
-	MOVL   $0x3f3504f3, AX // float32(InvSqrt2)
+	MOVL   $0x3f3504f3, AX // float32(invSqrt2)
 	MOVQ   AX, X15
 	SHUFPS $0x00, X15, X15
 

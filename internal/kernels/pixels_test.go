@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"testing/quick"
 )
 
 // These tests pin each per-element kernel's dispatching form (packed SSE
@@ -13,6 +14,60 @@ import (
 // loop run over every element, bit for bit. Lengths 0..67 run every
 // remainder, and slices start at offsets 0..3 of their buffers so the
 // packed loads and stores run unaligned.
+
+// TestQ2CC2QRoundTrip: distributing a combined quad element back to the
+// four trees is the identity, up to float32 rounding.
+func TestQ2CC2QRoundTrip(t *testing.T) {
+	abs := func(v float32) float32 { return float32(math.Abs(float64(v))) }
+	f := func(p0, q0, r0, s0 int16) bool {
+		pv, qv, rv, sv := float32(p0)/16, float32(q0)/16, float32(r0)/16, float32(s0)/16
+		p, q, r, s := Distribute(Combine(pv, qv, rv, sv))
+		tol := float32(1e-3) * (abs(pv) + abs(qv) + abs(rv) + abs(sv) + 1)
+		return abs(p-pv) < tol && abs(q-qv) < tol && abs(r-rv) < tol && abs(s-sv) < tol
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCombineDistributeMatchFormulas pins both helpers bit for bit
+// against their documented formulas — each part one rounded add or
+// subtract of the documented operands in the documented order, then one
+// rounded multiply by invSqrt2 — over ordinary values, ±0 (whose sign an
+// operand swap flips), subnormals, the largest finite value, ±Inf and
+// NaNs of either sign.
+func TestCombineDistributeMatchFormulas(t *testing.T) {
+	vals := []float32{
+		0, float32(math.Copysign(0, -1)),
+		math.Float32frombits(1), -math.Float32frombits(0x007fffff),
+		1.5, -2.25, 0.1, math.MaxFloat32,
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.NaN()), math.Float32frombits(0xffc00001),
+	}
+	c := float32(invSqrt2)
+	bits := func(vs ...float32) [4]uint32 {
+		return [4]uint32{math.Float32bits(vs[0]), math.Float32bits(vs[1]),
+			math.Float32bits(vs[2]), math.Float32bits(vs[3])}
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			for _, x := range vals {
+				for _, y := range vals {
+					z1re, z1im, z2re, z2im := Combine(a, b, x, y)
+					if got, want := bits(z1re, z1im, z2re, z2im),
+						bits((a-b)*c, (x+y)*c, (a+b)*c, (y-x)*c); got != want {
+						t.Fatalf("Combine(%g, %g, %g, %g) bits %08x, want %08x", a, b, x, y, got, want)
+					}
+					p, q, r, s := Distribute(a, b, x, y)
+					if got, want := bits(p, q, r, s),
+						bits((a+x)*c, (x-a)*c, (b-y)*c, (b+y)*c); got != want {
+						t.Fatalf("Distribute(%g, %g, %g, %g) bits %08x, want %08x", a, b, x, y, got, want)
+					}
+				}
+			}
+		}
+	}
+}
 
 // quadValue draws one plane sample for the max-magnitude tests: ordinary
 // values, ±0, subnormals and ±Inf (so P-Q and P+Q produce NaN).

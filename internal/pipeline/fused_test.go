@@ -16,18 +16,20 @@ import (
 )
 
 // These tests pin the one data path against its sequential reference:
-// tile-capable engines run the tiled traversals and, for the built-in
-// rules, the quad-layout forward → FuseQuads → InverseFused chain, and
-// their pixels and StageTimes must equal those of the sequential per-row
-// loops fusing complex bands.
+// tile-capable engines run the tiled traversals, every rule runs the
+// quad-layout forward → FuseQuads → InverseFused chain (the built-in
+// rules on their fused quad kernels), and their pixels and StageTimes
+// must equal those of the sequential per-row loops fusing complex bands
+// with the rule's own FuseBand/FuseLL.
 
 // seqEngine exposes an engine's signal.Kernel, ChargeCPU and accounting
 // methods but not its TileKernel methods, so the transforms over it run
 // the sequential per-row loops.
 type seqEngine struct{ engine.Engine }
 
-// complexRule hides a rule's quad kernel, so the fuser takes the
-// complex-band path: ForwardInto, FuseIntoWorkspace, Inverse.
+// complexRule hides a rule's quad kernel, so FuseQuads fuses complex
+// bands: q2c into workspace scratch, the rule's own FuseBand, c2q back,
+// and its own FuseLL.
 type complexRule struct{ fusion.Rule }
 
 // reference returns the sequential complex-band configuration of cfg.
@@ -92,14 +94,7 @@ func TestFusedEquivalence(t *testing.T) {
 	scOdd := camera.NewScene(97, 71, 8)
 	visOdd, irOdd := scOdd.Visible(), scOdd.Thermal()
 
-	rules := []fusion.Rule{
-		nil, // default max-magnitude
-		fusion.Average{},
-		fusion.WindowEnergy{R: 1},
-		fusion.WindowEnergy{R: 0},
-		customRule{},
-	}
-	for _, rule := range rules {
+	for _, rule := range fuzzRules {
 		name := "default"
 		if rule != nil {
 			name = rule.Name()
@@ -119,6 +114,17 @@ func TestFusedEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzRules are the rules the equivalence tests fuse with: every
+// built-in fused quad kernel, the degenerate window, and a custom rule
+// through FuseQuads' complex-band adapter.
+var fuzzRules = []fusion.Rule{
+	nil, // default max-magnitude
+	fusion.Average{},
+	fusion.WindowEnergy{R: 1},
+	fusion.WindowEnergy{R: 0},
+	customRule{},
 }
 
 // customRule has no fused quad kernel, so the fuser fuses complex bands
@@ -189,14 +195,15 @@ var fuzzEngines = []struct {
 
 // FuzzFusedEquivalence fuzzes the data path against its sequential
 // complex-band reference over geometry, depth, engine, worker count,
-// pipeline depth and scene content: pixels and StageTimes must be
-// bit-identical to the sequential per-row loops fusing complex bands at
-// the same pipeline depth — on tile-capable engines (tiled traversals plus
-// the quad rule path) and on stateful ones (sequential loops plus the quad
-// rule path) alike.
+// pipeline depth, fusion rule and scene content: pixels and StageTimes
+// must be bit-identical to the sequential per-row loops fusing complex
+// bands at the same pipeline depth — on tile-capable engines (tiled
+// traversals plus the quad rule path) and on stateful ones (sequential
+// loops plus the quad rule path) alike, for every fused quad kernel and
+// for the complex-band adapter.
 func FuzzFusedEquivalence(f *testing.F) {
 	// (w, h, levels, engine selector, workers, seed); the pipeline depth
-	// derives from the seed.
+	// and the rule derive from the seed (seeds 1-8 cover every rule).
 	f.Add(uint8(32), uint8(24), uint8(1), uint8(1), uint8(1), int64(1))
 	f.Add(uint8(35), uint8(35), uint8(2), uint8(1), uint8(4), int64(2))
 	f.Add(uint8(40), uint8(40), uint8(3), uint8(2), uint8(2), int64(3))
@@ -215,6 +222,7 @@ func FuzzFusedEquivalence(f *testing.F) {
 		lv := 1 + int(levels)%maxLv
 		eng := fuzzEngines[int(engSel)%len(fuzzEngines)]
 		depth := []int{0, 2, 4}[uint64(seed)%3]
+		rule := fuzzRules[uint64(seed)%uint64(len(fuzzRules))]
 		wk := 1 + int(workers)%4
 		if wk > runtime.GOMAXPROCS(0) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(wk))
@@ -223,10 +231,10 @@ func FuzzFusedEquivalence(f *testing.F) {
 		vis, ir := sc.Visible(), sc.Thermal()
 
 		got, ref := eng.mk()
-		cfg := Config{Levels: lv, IncludeIO: true, KernelWorkers: wk}
+		cfg := Config{Levels: lv, Rule: rule, IncludeIO: true, KernelWorkers: wk}
 		refRec, refSt := fusePair(t, ref, reference(cfg), depth, vis, ir)
 		gotRec, gotSt := fusePair(t, got, cfg, depth, vis, ir)
-		label := fmt.Sprintf("%dx%d lv=%d eng=%s w=%d depth=%d", W, H, lv, eng.name, wk, depth)
+		label := fmt.Sprintf("%dx%d lv=%d eng=%s w=%d depth=%d rule=%s", W, H, lv, eng.name, wk, depth, cfg.withDefaults().Rule.Name())
 		assertIdentical(t, label, refRec, gotRec, refSt, gotSt)
 		refRec.Release()
 		gotRec.Release()

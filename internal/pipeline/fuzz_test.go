@@ -10,8 +10,9 @@ import (
 	"zynqfusion/internal/wavelet"
 )
 
-// FuzzRoundTrip drives the wavelet forward→inverse round trip over fuzzed
-// frame geometry, decomposition depth, engine and scene content. The
+// FuzzRoundTrip drives the fuser's wavelet transform through the
+// complex-band forward→inverse round trip over fuzzed frame geometry,
+// decomposition depth, engine and scene content. The
 // DT-CWT is near-perfect-reconstruction, so for every reachable
 // configuration the reconstruction must stay within the calibrated
 // tolerance of the source — and no size/level/engine combination may
@@ -49,7 +50,12 @@ func FuzzRoundTrip(f *testing.F) {
 		src := sc.Visible()
 
 		fu := New(eng, Config{Levels: lv})
-		pa, pb, _, err := fu.ForwardOnly(src, src)
+		defer fu.Close()
+		pa, err := fu.dt.Forward(src, lv)
+		if err != nil {
+			t.Fatalf("%dx%d lv=%d: forward: %v", W, H, lv, err)
+		}
+		pb, err := fu.dt.Forward(src, lv)
 		if err != nil {
 			t.Fatalf("%dx%d lv=%d: forward: %v", W, H, lv, err)
 		}
@@ -65,7 +71,7 @@ func FuzzRoundTrip(f *testing.F) {
 				}
 			}
 		}
-		rec, _, err := fu.InverseOnly(pa)
+		rec, err := fu.dt.Inverse(pa)
 		if err != nil {
 			t.Fatalf("%dx%d lv=%d: inverse: %v", W, H, lv, err)
 		}

@@ -23,9 +23,6 @@ type Config struct {
 	// Levels is the DT-CWT decomposition depth (the paper uses deeper
 	// decomposition to shrink per-level workloads; 3 is the default).
 	Levels int
-	// Banks are the dual-tree filter banks; zero value selects the
-	// defaults.
-	Banks wavelet.TreeBanks
 	// Rule is the coefficient fusion rule; nil selects max-magnitude.
 	Rule fusion.Rule
 	// IncludeIO charges the capture and display stages (on for system
@@ -53,9 +50,6 @@ const DefaultLevels = 3
 func (c Config) withDefaults() Config {
 	if c.Levels == 0 {
 		c.Levels = DefaultLevels
-	}
-	if c.Banks == (wavelet.TreeBanks{}) {
-		c.Banks = wavelet.DefaultTreeBanks()
 	}
 	if c.Rule == nil {
 		c.Rule = fusion.MaxMagnitude{}
@@ -139,13 +133,9 @@ type Fuser struct {
 	fws     *fusion.Workspace
 
 	// Hot-path workspaces, reused frame over frame like the board's fixed
-	// transform frame stores: the two source pyramids and the fused one.
+	// transform frame stores: the two source pyramids and the fused one,
+	// all in quad (tree) layout.
 	pa, pb, fused *wavelet.DTPyramid
-
-	// quad selects the quad-layout data path — ForwardQuadInto, FuseQuads,
-	// InverseFused — for rules with a quad kernel (fusion.CanFuseRule);
-	// other rules fuse complex bands through FuseIntoWorkspace.
-	quad bool
 
 	// stages are the fusion's stage bodies, shared with the pipelined
 	// executor; job carries one frame pair through them.
@@ -166,7 +156,7 @@ func New(eng engine.Engine, cfg Config) *Fuser {
 	x.UseScratchPool(pool)
 	return &Fuser{
 		eng:     eng,
-		dt:      wavelet.NewDTCWTPooled(x, cfg.Banks, pool),
+		dt:      wavelet.NewDTCWTPooled(x, wavelet.DefaultTreeBanks(), pool),
 		cfg:     cfg,
 		pool:    pool,
 		workers: workers,
@@ -174,7 +164,6 @@ func New(eng engine.Engine, cfg Config) *Fuser {
 		pa:      &wavelet.DTPyramid{},
 		pb:      &wavelet.DTPyramid{},
 		fused:   &wavelet.DTPyramid{},
-		quad:    fusion.CanFuseRule(cfg.Rule),
 		stages:  stageGraph(cfg.IncludeIO),
 	}
 }
@@ -275,32 +264,6 @@ func (f *Fuser) energyFor(t sim.Time) sim.Joules {
 		return e
 	}
 	return sim.EnergyOver(f.eng.Power(), t)
-}
-
-// ForwardOnly runs just the two forward transforms of a frame pair,
-// returning the pyramids and the forward stage time (Fig. 9a workloads).
-func (f *Fuser) ForwardOnly(vis, ir *frame.Frame) (pa, pb *wavelet.DTPyramid, t sim.Time, err error) {
-	f.drain()
-	pa, err = f.dt.Forward(vis, f.cfg.Levels)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	pb, err = f.dt.Forward(ir, f.cfg.Levels)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return pa, pb, f.drain(), nil
-}
-
-// InverseOnly reconstructs from a fused pyramid, returning the inverse
-// stage time (Fig. 9c workloads).
-func (f *Fuser) InverseOnly(p *wavelet.DTPyramid) (*frame.Frame, sim.Time, error) {
-	f.drain()
-	rec, err := f.dt.Inverse(p)
-	if err != nil {
-		return nil, 0, err
-	}
-	return rec, f.drain(), nil
 }
 
 // ModePower reports the board power of the fuser's engine mode at the

@@ -116,34 +116,6 @@ func TestRuleSelectionAffectsOutput(t *testing.T) {
 	}
 }
 
-func TestForwardOnlyAndInverseOnlyRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(75))
-	vis := randFrame(rng, 40, 40)
-	ir := randFrame(rng, 40, 40)
-	fu := New(engine.NewNEON(false), Config{})
-	pa, pb, tf, err := fu.ForwardOnly(vis, ir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tf <= 0 {
-		t.Error("forward time not charged")
-	}
-	fp, err := fusion.Fuse(fusion.MaxMagnitude{}, pa, pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, ti, err := fu.InverseOnly(fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ti <= 0 {
-		t.Error("inverse time not charged")
-	}
-	if rec.W != 40 || rec.H != 40 {
-		t.Errorf("reconstruction %dx%d", rec.W, rec.H)
-	}
-}
-
 func TestStageSplitMatchesFig2Profile(t *testing.T) {
 	// Fig. 2: the forward and inverse DT-CWT dominate the ARM-only fusion
 	// profile, with the forward the single largest stage.

@@ -9,7 +9,6 @@ import (
 	"zynqfusion/internal/fusion"
 	"zynqfusion/internal/power"
 	"zynqfusion/internal/sim"
-	"zynqfusion/internal/wavelet"
 )
 
 // The paper's real system streams frames through BT656 capture, DMA and
@@ -73,20 +72,15 @@ func stageGraph(includeIO bool) []Stage {
 	}
 	st = append(st,
 		Stage{Name: "forward-vis", Wavelet: true, run: func(f *Fuser, c *frameJob) error {
-			return f.forward(f.pa, c.vis)
+			return f.dt.ForwardQuadInto(f.pa, c.vis, f.cfg.Levels)
 		}},
 		Stage{Name: "forward-ir", Wavelet: true, run: func(f *Fuser, c *frameJob) error {
-			return f.forward(f.pb, c.ir)
+			return f.dt.ForwardQuadInto(f.pb, c.ir, f.cfg.Levels)
 		}},
 		Stage{Name: "fuse", run: func(f *Fuser, c *frameJob) error {
-			w, h, levels := c.vis.W, c.vis.H, f.cfg.Levels
-			var err error
-			if f.quad {
-				if err = f.dt.ShapeQuadPyramid(f.fused, w, h, levels); err == nil {
-					err = fusion.FuseQuads(f.fws, f.cfg.Rule, f.fused, f.pa, f.pb)
-				}
-			} else if err = f.dt.ShapePyramid(f.fused, w, h, levels); err == nil {
-				err = fusion.FuseIntoWorkspace(f.fws, f.cfg.Rule, f.fused, f.pa, f.pb)
+			err := f.dt.ShapeQuadPyramid(f.fused, c.vis.W, c.vis.H, f.cfg.Levels)
+			if err == nil {
+				err = fusion.FuseQuads(f.fws, f.cfg.Rule, f.fused, f.pa, f.pb)
 			}
 			if err != nil {
 				return err
@@ -96,11 +90,7 @@ func stageGraph(includeIO bool) []Stage {
 		}},
 		Stage{Name: "inverse", Wavelet: true, run: func(f *Fuser, c *frameJob) error {
 			var err error
-			if f.quad {
-				c.rec, err = f.dt.InverseFused(f.fused)
-			} else {
-				c.rec, err = f.dt.Inverse(f.fused)
-			}
+			c.rec, err = f.dt.InverseFused(f.fused)
 			return err
 		}},
 	)
@@ -111,16 +101,6 @@ func stageGraph(includeIO bool) []Stage {
 		}})
 	}
 	return st
-}
-
-// forward transforms one source into its workspace pyramid — quad planes
-// only on the quad data path. Both variants charge the same modeled cost.
-func (f *Fuser) forward(p *wavelet.DTPyramid, src *frame.Frame) error {
-	if f.quad {
-		return f.dt.ForwardQuadInto(p, src, f.cfg.Levels)
-	}
-	_, err := f.dt.ForwardInto(p, src, f.cfg.Levels)
-	return err
 }
 
 // slot maps a station onto its Fig. 2 StageTimes field.

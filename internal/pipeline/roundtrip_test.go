@@ -10,12 +10,13 @@ import (
 	"zynqfusion/internal/fusion"
 )
 
-// TestForwardInverseRoundTripMatchesFuseFrames drives the staged API
-// (ForwardOnly → fusion rule → InverseOnly) and the one-shot FuseFrames
-// over the same frame pair, and requires bit-for-bit identical
-// reconstructions — on both the NEON and FPGA engines, at the nominal
-// 533 MHz point and the 667 MHz overdrive point. The operating point may
-// move every modeled time; it must never move a pixel.
+// TestForwardInverseRoundTripMatchesFuseFrames drives a fuser's transform
+// through the staged complex-band chain (Forward → fusion rule → Inverse)
+// and the one-shot FuseFrames over the same frame pair, and requires
+// bit-for-bit identical reconstructions — on both the NEON and FPGA
+// engines, at the nominal 533 MHz point and the 667 MHz overdrive point.
+// The operating point may move every modeled time; it must never move a
+// pixel.
 func TestForwardInverseRoundTripMatchesFuseFrames(t *testing.T) {
 	sc := camera.NewScene(64, 48, 11)
 	vis, ir := sc.Visible(), sc.Thermal()
@@ -40,22 +41,26 @@ func TestForwardInverseRoundTripMatchesFuseFrames(t *testing.T) {
 				}
 
 				staged := New(build(op), cfg)
-				pa, pb, fwdT, err := staged.ForwardOnly(vis, ir)
+				pa, err := staged.dt.Forward(vis, cfg.Levels)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if fwdT <= 0 {
+				pb, err := staged.dt.Forward(ir, cfg.Levels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if staged.drain() <= 0 {
 					t.Error("forward stage reported no time")
 				}
 				fused, err := fusion.Fuse(staged.Config().Rule, pa, pb)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, invT, err := staged.InverseOnly(fused)
+				got, err := staged.dt.Inverse(fused)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if invT <= 0 {
+				if staged.drain() <= 0 {
 					t.Error("inverse stage reported no time")
 				}
 

@@ -581,14 +581,6 @@ func comboIndex(rowTree, colTree byte) int {
 	}
 }
 
-// InvSqrt2 scales the unitary four-real-to-two-complex combination (the
-// q2c map and its c2q inverse). The fused combine+rule+distribute kernels
-// (fusion, kernels.MaxMagQuad) mirror the per-element expressions here
-// exactly to stay bit-identical.
-const InvSqrt2 = kernels.InvSqrt2
-
-const invSqrt2 = InvSqrt2
-
 // combineLevel applies the q2c map to each detail band of one level,
 // writing into the pre-shaped bands of out:
 //

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"zynqfusion/internal/frame"
 	"zynqfusion/internal/signal"
@@ -68,37 +67,6 @@ func TestDTCWTQ2CUnitary(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestQ2CC2QRoundTrip(t *testing.T) {
-	// Property: distributing complex bands back to trees and re-combining
-	// is the identity.
-	f := func(p0, q0, r0, s0 int16) bool {
-		pv := float32(p0) / 16
-		qv := float32(q0) / 16
-		rv := float32(r0) / 16
-		sv := float32(s0) / 16
-		z1re := (pv - qv) * float32(invSqrt2)
-		z1im := (rv + sv) * float32(invSqrt2)
-		z2re := (pv + qv) * float32(invSqrt2)
-		z2im := (sv - rv) * float32(invSqrt2)
-		p := (z1re + z2re) * float32(invSqrt2)
-		q := (z2re - z1re) * float32(invSqrt2)
-		r := (z1im - z2im) * float32(invSqrt2)
-		s := (z1im + z2im) * float32(invSqrt2)
-		tol := float32(1e-3) * (abs32(pv) + abs32(qv) + abs32(rv) + abs32(sv) + 1)
-		return abs32(p-pv) < tol && abs32(q-qv) < tol && abs32(r-rv) < tol && abs32(s-sv) < tol
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func abs32(v float32) float32 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 func orientedGrating(w, h int, angleDeg, cycles float64) *frame.Frame {

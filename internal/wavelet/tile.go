@@ -331,11 +331,7 @@ func (t *q2cTask) Tile(lo, hi, _ int) {
 	p, q, r, s := t.p, t.q, t.r, t.s
 	z1re, z1im, z2re, z2im := t.z1re, t.z1im, t.z2re, t.z2im
 	for i := lo; i < hi; i++ {
-		pp, qq, rr, ss := p[i], q[i], r[i], s[i]
-		z1re[i] = (pp - qq) * invSqrt2
-		z1im[i] = (rr + ss) * invSqrt2
-		z2re[i] = (pp + qq) * invSqrt2
-		z2im[i] = (ss - rr) * invSqrt2
+		z1re[i], z1im[i], z2re[i], z2im[i] = kernels.Combine(p[i], q[i], r[i], s[i])
 	}
 }
 
@@ -349,10 +345,7 @@ func (t *c2qTask) Tile(lo, hi, _ int) {
 	z1re, z1im, z2re, z2im := t.z1re, t.z1im, t.z2re, t.z2im
 	p, q, r, s := t.p, t.q, t.r, t.s
 	for i := lo; i < hi; i++ {
-		p[i] = (z1re[i] + z2re[i]) * invSqrt2
-		q[i] = (z2re[i] - z1re[i]) * invSqrt2
-		r[i] = (z1im[i] - z2im[i]) * invSqrt2
-		s[i] = (z1im[i] + z2im[i]) * invSqrt2
+		p[i], q[i], r[i], s[i] = kernels.Distribute(z1re[i], z1im[i], z2re[i], z2im[i])
 	}
 }
 

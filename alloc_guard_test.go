@@ -42,12 +42,18 @@ func TestAllocGuardSteadyStateFusion(t *testing.T) {
 		{engine: EngineNEON, depth: 0, workers: 1},
 		{engine: EngineNEON, depth: 0, workers: 4},
 		// A custom rule fuses through FuseQuads' complex-band adapter,
-		// whose complex planes are workspace scratch leased once.
+		// whose complex planes are workspace scratch leased once; the
+		// window-energy FuseBand it reaches needs no activity planes.
 		{engine: EngineNEON, depth: 2, rule: keepVisibleLL{RuleMaxMagnitude}, workers: 4},
+		{engine: EngineNEON, depth: 2, rule: keepVisibleLL{RuleWindowEnergy}, workers: 4},
 	} {
 		name := fmt.Sprintf("%s%s/depth%d", tc.engine, tc.split, tc.depth)
 		if tc.rule != nil {
 			name += "/" + tc.rule.Name()
+			// A custom rule over the default rule goes by its own name.
+			if kv, ok := tc.rule.(keepVisibleLL); ok && kv.Rule != RuleMaxMagnitude {
+				name += "-over-" + kv.Rule.Name()
+			}
 		}
 		if tc.workers > 0 {
 			name += fmt.Sprintf("/workers%d", tc.workers)

@@ -1,14 +1,19 @@
-// Package driver models the paper's custom kernel-level Linux driver: a
-// kmalloc'd physically-contiguous buffer that the accelerator reaches with
-// physical addresses and the application reaches through mmap'd virtual
-// addresses, ioctl-controlled read/write offsets, and the two-area double
-// buffering of Fig. 5 that overlaps user-space memcpy with hardware
-// processing.
+// Package driver models the paper's custom kernel-level Linux driver in
+// time. The real driver kmallocs a physically contiguous buffer that the
+// accelerator reaches by physical address and the application through
+// mmap'd virtual addresses, steers both with ioctl-controlled read and
+// write offsets, and splits it into the two areas of Fig. 5 so that the
+// user-space memcpy of one row overlaps the hardware run of another.
 //
-// All timing is simulated: the device keeps a CPU cursor and a hardware
-// cursor and advances them exactly as the Fig. 5 schedule does, so the
-// makespan of a row sequence reflects the copy/compute overlap (or its
-// absence, in single-buffered mode, which exists for the ablation study).
+// The model charges that schedule and moves no data through a kernel
+// buffer: the wave engine reads and writes the caller's rows directly.
+// The device keeps a CPU cursor and a hardware cursor and advances them
+// exactly as the Fig. 5 schedule does, charging per row the memcpy into
+// an area, the ioctl and command round trip, the hardware run, the pack or
+// unpack of the engine's interleaved row format and the deferred memcpy
+// out. So the makespan of a row sequence reflects the copy/compute
+// overlap (or its absence, in single-buffered mode, which exists for the
+// ablation study).
 package driver
 
 import (
@@ -16,7 +21,6 @@ import (
 	"fmt"
 
 	"zynqfusion/internal/hls"
-	"zynqfusion/internal/kernels"
 	"zynqfusion/internal/sim"
 )
 
@@ -46,20 +50,10 @@ type Config struct {
 	CmdQueueDepth int
 }
 
-// Ioctl request codes, mirroring the driver's read/write offset controls.
-type IoctlReq int
-
-// Supported ioctl requests.
-const (
-	SetReadOffset IoctlReq = iota + 1
-	SetWriteOffset
-)
-
 // Errors returned by the device.
 var (
-	ErrClosed    = errors.New("driver: device closed")
-	ErrBadOffset = errors.New("driver: offset outside kernel buffer")
-	ErrRowSize   = errors.New("driver: row does not fit buffer area")
+	ErrClosed  = errors.New("driver: device closed")
+	ErrRowSize = errors.New("driver: row does not fit buffer area")
 )
 
 // Device is one open handle to the wavelet accelerator.
@@ -67,11 +61,7 @@ type Device struct {
 	eng *hls.WaveEngine
 	cfg Config
 
-	// kmem is the kmalloc'd buffer: input areas first, output areas after.
-	// Each direction holds two hls.BRAMArea-sized areas.
-	kmem              []float32
-	readOff, writeOff int
-	closed            bool
+	closed bool
 
 	// Timeline cursors (simulated time since Open/Reset).
 	cpu     sim.Time    // when the CPU is next free
@@ -87,15 +77,9 @@ type Device struct {
 
 	// CPUBusy and HWBusy accumulate busy (not wall) time for reporting.
 	CPUBusy, HWBusy sim.Time
-
-	// rowScratch is the reusable staging buffer for the interleaved
-	// (hp, lp) row format at the accelerator boundary. On the real system
-	// the pack/unpack works in the fixed kernel buffer; allocating it per
-	// row was pure Go-side churn.
-	rowScratch []float32
 }
 
-// Open attaches to the wave engine and allocates the kernel buffers.
+// Open attaches to the wave engine.
 func Open(eng *hls.WaveEngine, cfg Config) (*Device, error) {
 	if eng == nil {
 		return nil, errors.New("driver: nil engine")
@@ -103,38 +87,7 @@ func Open(eng *hls.WaveEngine, cfg Config) (*Device, error) {
 	if cfg.UserCopyCyclesPerWord <= 0 || cfg.SyscallCycles < 0 {
 		return nil, fmt.Errorf("driver: invalid config %+v", cfg)
 	}
-	return &Device{
-		eng:  eng,
-		cfg:  cfg,
-		kmem: make([]float32, 4*hls.BRAMArea),
-	}, nil
-}
-
-// Mmap returns the user-space views of the input and output halves of the
-// kernel buffer. The views alias the same memory the hardware model reads
-// and writes, exactly as the remapped virtual addresses do on the real
-// system.
-func (d *Device) Mmap() (in, out []float32) {
-	return d.kmem[:2*hls.BRAMArea], d.kmem[2*hls.BRAMArea:]
-}
-
-// Ioctl adjusts the driver's data-movement offsets.
-func (d *Device) Ioctl(req IoctlReq, val int) error {
-	if d.closed {
-		return ErrClosed
-	}
-	if val < 0 || val >= 2*hls.BRAMArea {
-		return ErrBadOffset
-	}
-	switch req {
-	case SetReadOffset:
-		d.readOff = val
-	case SetWriteOffset:
-		d.writeOff = val
-	default:
-		return fmt.Errorf("driver: unknown ioctl request %d", req)
-	}
-	return nil
+	return &Device{eng: eng, cfg: cfg}, nil
 }
 
 // Close drains pending work and releases the handle.
@@ -145,16 +98,6 @@ func (d *Device) Close() error {
 	d.drain()
 	d.closed = true
 	return nil
-}
-
-// scratch returns the n-word staging buffer, grown as needed. Its previous
-// contents are dead by the time it is reused: runRow copies it into (or
-// fills it from) the kernel buffer synchronously before returning.
-func (d *Device) scratch(n int) []float32 {
-	if cap(d.rowScratch) < n {
-		d.rowScratch = make([]float32, n)
-	}
-	return d.rowScratch[:n]
 }
 
 // copyCost returns the modeled user-memcpy time for n words.
@@ -188,13 +131,17 @@ func (d *Device) ForwardRow(px []float32, lo, hi []float32) error {
 	if len(hi) != m {
 		return fmt.Errorf("%w: lo=%d hi=%d", ErrRowSize, m, len(hi))
 	}
-	out := d.scratch(2 * m)
-	if err := d.runRow(px, out, true); err != nil {
+	area, err := d.beginRow(len(px), 2*m)
+	if err != nil {
 		return err
 	}
+	ht, err := d.eng.Forward(px, lo, hi)
+	if err != nil {
+		return err
+	}
+	d.endRow(area, ht, 2*m)
 	// The engine emits interleaved (hp, lp) pairs; unpacking them is host
 	// work charged to the CPU cursor.
-	kernels.Deinterleave(out, hi, lo)
 	d.chargeCPUWords(m)
 	return nil
 }
@@ -209,16 +156,27 @@ func (d *Device) InverseRow(plo, phi []float32, out []float32) error {
 	if len(phi) != pairs {
 		return fmt.Errorf("%w: plo=%d phi=%d", ErrRowSize, pairs, len(phi))
 	}
-	in := d.scratch(2 * pairs)
-	kernels.Interleave(in, plo, phi)
+	// The engine reads interleaved (lo, hi) pairs; packing them is host
+	// work charged to the CPU cursor.
 	d.chargeCPUWords(pairs)
-	return d.runRow(in, out, false)
+	area, err := d.beginRow(2*pairs, len(out))
+	if err != nil {
+		return err
+	}
+	ht, err := d.eng.Inverse(plo, phi, out)
+	if err != nil {
+		return err
+	}
+	d.endRow(area, ht, len(out))
+	return nil
 }
 
-// runRow advances the Fig. 5 timeline for one hardware invocation.
-func (d *Device) runRow(in, out []float32, forward bool) error {
-	if len(in) > hls.BRAMArea || len(out) > hls.BRAMArea {
-		return fmt.Errorf("%w: in=%d out=%d", ErrRowSize, len(in), len(out))
+// beginRow advances the Fig. 5 timeline up to the hardware run of a row
+// of in input and out output words, and returns the buffer area it
+// occupies.
+func (d *Device) beginRow(in, out int) (int, error) {
+	if in > hls.BRAMArea || out > hls.BRAMArea {
+		return 0, fmt.Errorf("%w: in=%d out=%d", ErrRowSize, in, out)
 	}
 	area := int(d.rows) % 2
 	if !d.cfg.DoubleBuffered {
@@ -226,58 +184,36 @@ func (d *Device) runRow(in, out []float32, forward bool) error {
 		// Single buffer: the previous row must be fully drained first.
 		d.drain()
 	}
-	// The application steers the double buffering through the driver's
-	// offset ioctls ("we used this to create different read and write
-	// offsets to the kernel allocated memory"); the syscall cost is part
-	// of cmdCost.
-	if err := d.Ioctl(SetReadOffset, area*hls.BRAMArea); err != nil {
-		return err
-	}
-	if err := d.Ioctl(SetWriteOffset, area*hls.BRAMArea); err != nil {
-		return err
-	}
-
 	// User memcpy into the input area (must wait until the hardware has
 	// finished reading the area's previous contents).
 	start := maxTime(d.cpu, d.bufFree[area])
-	cin := d.copyCost(len(in))
+	cin := d.copyCost(in)
 	d.cpu = start + cin
 	d.CPUBusy += cin
-	inArea := d.kmem[d.readOff : d.readOff+len(in)]
-	copy(inArea, in)
-
-	// Command issue.
+	// The row's command. The application steers the double buffering
+	// through the driver's offset ioctls ("we used this to create
+	// different read and write offsets to the kernel allocated memory");
+	// their syscall cost is part of cmdCost.
 	cc := d.cmdCost()
 	d.cpu += cc
 	d.CPUBusy += cc
+	return area, nil
+}
 
-	// Hardware run.
-	outBase := 2*hls.BRAMArea + d.writeOff
-	outArea := d.kmem[outBase : outBase+len(out)]
-	var ht sim.Time
-	var err error
-	if forward {
-		ht, err = d.eng.Forward(inArea, outArea)
-	} else {
-		ht, err = d.eng.Inverse(inArea, outArea)
-	}
-	if err != nil {
-		return err
-	}
+// endRow places a row's hardware run of ht on the timeline. The caller
+// already holds the row's out result words; their copy-out is charged
+// when the next row starts (it overlaps that row's hardware run) or at
+// drain time.
+func (d *Device) endRow(area int, ht sim.Time, out int) {
 	hwStart := maxTime(d.hwFree, d.cpu)
 	hwEnd := hwStart + ht
 	d.hwFree = hwEnd
 	d.bufFree[area] = hwEnd
 	d.HWBusy += ht
-
-	// Deliver the data now; account the copy-out when the next row issues
-	// (it overlaps that row's hardware run) or at drain time.
-	copy(out, outArea)
 	d.drainPrevious()
 	d.pendOut = hwEnd
-	d.pendLen = len(out)
+	d.pendLen = out
 	d.rows++
-	return nil
 }
 
 // drainPrevious charges the pending copy-out, overlapping current hardware

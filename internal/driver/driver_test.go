@@ -136,35 +136,6 @@ func TestElapsedIncludesDrain(t *testing.T) {
 	}
 }
 
-func TestMmapAliasesKernelBuffer(t *testing.T) {
-	d := openDevice(t, true)
-	in, out := d.Mmap()
-	if len(in) != 2*hls.BRAMArea || len(out) != 2*hls.BRAMArea {
-		t.Fatalf("mmap sizes %d/%d", len(in), len(out))
-	}
-	in[0] = 42
-	in2, _ := d.Mmap()
-	if in2[0] != 42 {
-		t.Error("mmap views must alias the same kernel memory")
-	}
-}
-
-func TestIoctlValidation(t *testing.T) {
-	d := openDevice(t, true)
-	if err := d.Ioctl(SetReadOffset, 100); err != nil {
-		t.Errorf("valid offset: %v", err)
-	}
-	if err := d.Ioctl(SetWriteOffset, -1); !errors.Is(err, ErrBadOffset) {
-		t.Errorf("negative offset: %v", err)
-	}
-	if err := d.Ioctl(SetReadOffset, 2*hls.BRAMArea); !errors.Is(err, ErrBadOffset) {
-		t.Errorf("out-of-range offset: %v", err)
-	}
-	if err := d.Ioctl(IoctlReq(99), 0); err == nil {
-		t.Error("unknown ioctl should fail")
-	}
-}
-
 func TestClosedDeviceRejectsWork(t *testing.T) {
 	d := openDevice(t, true)
 	if err := d.Close(); err != nil {
@@ -178,8 +149,9 @@ func TestClosedDeviceRejectsWork(t *testing.T) {
 	if !errors.Is(err, ErrClosed) {
 		t.Errorf("work on closed device: %v", err)
 	}
-	if err := d.Ioctl(SetReadOffset, 0); !errors.Is(err, ErrClosed) {
-		t.Errorf("ioctl on closed device: %v", err)
+	err = d.InverseRow(make([]float32, m+signal.SynthesisPad), make([]float32, m+signal.SynthesisPad), make([]float32, 2*m))
+	if !errors.Is(err, ErrClosed) {
+		t.Errorf("inverse row on closed device: %v", err)
 	}
 }
 

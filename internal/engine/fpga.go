@@ -14,22 +14,15 @@ import (
 
 // FPGA is the hardware engine: kernel rows run on the modeled HLS wave
 // engine behind the kernel driver, with the Fig. 5 double-buffered
-// schedule. Filter coefficients are reloaded over AXI4-Lite whenever the
-// wavelet layer switches banks (tree or level changes), and that reload
-// time is charged.
+// schedule. The wave engine reloads its filter coefficients over
+// AXI4-Lite whenever the wavelet layer switches banks (tree or level
+// changes), and that reload time is charged to the host.
 type FPGA struct {
 	ps    sim.Clock
 	op    dvfs.OperatingPoint
 	watts sim.Watts
 	dev   *driver.Device
 	eng   *hls.WaveEngine
-
-	loaded    bool
-	curAL     signal.Taps
-	curAH     signal.Taps
-	curSL     signal.Taps
-	curSH     signal.Taps
-	haveSynth bool
 }
 
 // NewFPGA builds the full accelerator stack: ACP burst path, wave engine,
@@ -98,26 +91,9 @@ func (f *FPGA) Device() *driver.Device { return f.dev }
 // WaveEngine exposes the hardware model for inspection.
 func (f *FPGA) WaveEngine() *hls.WaveEngine { return f.eng }
 
-// ensureCoeffs reloads the engine register file if the requested filters
-// are not resident, charging the AXI4-Lite transfer time.
-func (f *FPGA) ensureCoeffs(al, ah, sl, sh *signal.Taps) {
-	if f.loaded && f.curAL == *al && f.curAH == *ah &&
-		(sl == nil || (f.haveSynth && f.curSL == *sl && f.curSH == *sh)) {
-		return
-	}
-	if sl == nil {
-		sl, sh = &f.curSL, &f.curSH
-	}
-	t := f.eng.LoadCoeffs(al, ah, sl, sh)
-	f.dev.ChargeHost(t)
-	f.curAL, f.curAH, f.curSL, f.curSH = *al, *ah, *sl, *sh
-	f.loaded = true
-	f.haveSynth = true
-}
-
 // Analyze implements signal.Kernel via the accelerator.
 func (f *FPGA) Analyze(al, ah *signal.Taps, px []float32, lo, hi []float32) {
-	f.ensureCoeffs(al, ah, nil, nil)
+	f.dev.ChargeHost(f.eng.UseAnalysis(al, ah))
 	if err := f.dev.ForwardRow(px, lo, hi); err != nil {
 		panic(fmt.Sprintf("engine: FPGA forward row: %v", err))
 	}
@@ -125,15 +101,7 @@ func (f *FPGA) Analyze(al, ah *signal.Taps, px []float32, lo, hi []float32) {
 
 // Synthesize implements signal.Kernel via the accelerator.
 func (f *FPGA) Synthesize(sl, sh *signal.Taps, plo, phi []float32, out []float32) {
-	// Synthesis banks are keyed alongside the analysis pair; reload if the
-	// requested synthesis filters are not resident.
-	if !(f.loaded && f.haveSynth && f.curSL == *sl && f.curSH == *sh) {
-		t := f.eng.LoadCoeffs(&f.curAL, &f.curAH, sl, sh)
-		f.dev.ChargeHost(t)
-		f.curSL, f.curSH = *sl, *sh
-		f.loaded = true
-		f.haveSynth = true
-	}
+	f.dev.ChargeHost(f.eng.UseSynthesis(sl, sh))
 	f.dev.ChargeHost(f.ps.Cycles(InverseExtraSyscallCycles))
 	if err := f.dev.InverseRow(plo, phi, out); err != nil {
 		panic(fmt.Sprintf("engine: FPGA inverse row: %v", err))

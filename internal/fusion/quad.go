@@ -26,6 +26,19 @@ type quadRule interface {
 	fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavelet.DTPyramid)
 }
 
+// builtin reports whether rule is exactly one of the built-in rule types,
+// the only rules whose fused kernels (quadRule, wsRule) compute their
+// FuseBand and FuseLL. A type embedding a built-in has those kernels in
+// its method set too, but it may override FuseBand or FuseLL, so it runs
+// its own methods like any other custom rule.
+func builtin(rule Rule) bool {
+	switch rule.(type) {
+	case MaxMagnitude, Average, WindowEnergy:
+		return true
+	}
+	return false
+}
+
 // FuseQuads combines two quad-shaped pyramids into dst entirely in quad
 // (tree) layout: per level and band pair one fused combine+rule+distribute
 // kernel (fuseComplexBand for a rule without one), then each tree's
@@ -41,7 +54,10 @@ func FuseQuads(ws *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) error {
 		return fmt.Errorf("%w: destination %dx%d/%d for sources %dx%d/%d", ErrPyramidMismatch,
 			dst.W, dst.H, dst.NumLevels(), a.W, a.H, a.NumLevels())
 	}
-	qr, _ := rule.(quadRule)
+	var qr quadRule
+	if builtin(rule) {
+		qr = rule.(quadRule)
+	}
 	levels := a.NumLevels()
 	for lv := 0; lv < levels; lv++ {
 		for bi := 0; bi < 3; bi++ {

@@ -30,6 +30,15 @@ type keepVisibleLL struct{ Rule }
 func (keepVisibleLL) Name() string                  { return "keep-visible-ll" }
 func (keepVisibleLL) FuseLL(dst, a, _ *frame.Frame) { copy(dst.Pix, a.Pix) }
 
+// embeddedMaxLL is the in-module form of keepVisibleLL: it embeds the
+// concrete MaxMagnitude, so the built-in's fused kernels are promoted into
+// its method set, and overrides FuseLL. The fusion entry points must run
+// its override, not the built-in's kernels.
+type embeddedMaxLL struct{ MaxMagnitude }
+
+func (embeddedMaxLL) Name() string                  { return "embedded-max-keep-ll" }
+func (embeddedMaxLL) FuseLL(dst, a, _ *frame.Frame) { copy(dst.Pix, a.Pix) }
+
 // TestFuseQuadsBitExact pins the fused combine+rule+distribute kernels
 // end to end against the sequential reference: quad forward → FuseQuads →
 // quad inverse on the fast NEON engine must reconstruct bit-identically to
@@ -38,7 +47,9 @@ func (keepVisibleLL) FuseLL(dst, a, _ *frame.Frame) { copy(dst.Pix, a.Pix) }
 // modeled charge totals and instruction ledger equal — for every built-in
 // rule, sequential and across a worker pool. A custom rule runs FuseQuads'
 // complex-band adapter; its reference fuses with the rule's own methods
-// (FuseInto) between the same complex forwards and inverse.
+// (FuseInto) between the same complex forwards and inverse, and so does a
+// rule embedding a concrete built-in: the built-in's kernel is selected
+// by exact type, never by method set.
 func TestFuseQuadsBitExact(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
@@ -46,7 +57,7 @@ func TestFuseQuadsBitExact(t *testing.T) {
 	const w, h, levels = 64, 48, 3
 	vis := randFrame(rng, w, h)
 	ir := randFrame(rng, w, h)
-	for _, rule := range []Rule{MaxMagnitude{}, Average{}, WindowEnergy{}, WindowEnergy{R: 2}, keepVisibleLL{MaxMagnitude{}}} {
+	for _, rule := range []Rule{MaxMagnitude{}, Average{}, WindowEnergy{}, WindowEnergy{R: 2}, keepVisibleLL{MaxMagnitude{}}, embeddedMaxLL{}} {
 		for _, workers := range []int{1, 4} {
 			t.Run(rule.Name(), func(t *testing.T) {
 				refK := engine.NewNEONEmulated(false)
@@ -60,7 +71,7 @@ func TestFuseQuadsBitExact(t *testing.T) {
 					t.Fatal(err)
 				}
 				fp := pa.CloneStructure()
-				if _, builtin := rule.(quadRule); builtin {
+				if builtin(rule) {
 					oracleFuse(rule, fp, pa, pb)
 				} else if err := FuseInto(rule, fp, pa, pb); err != nil {
 					t.Fatal(err)

@@ -64,9 +64,9 @@ func FuseIntoWorkspace(ws *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) e
 		return fmt.Errorf("%w: destination %dx%d/%d for sources %dx%d/%d", ErrPyramidMismatch,
 			dst.W, dst.H, dst.NumLevels(), a.W, a.H, a.NumLevels())
 	}
-	fast, _ := rule.(wsRule)
-	if ws == nil {
-		fast = nil
+	var fast wsRule
+	if ws != nil && builtin(rule) {
+		fast = rule.(wsRule)
 	}
 	for lv := range a.Levels {
 		for bi := range a.Levels[lv].Bands {
@@ -96,7 +96,9 @@ func FuseIntoWorkspace(ws *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) e
 
 // The built-in rules' FuseBand/FuseLL run the same tile task bodies the
 // workspace path dispatches, inline over the whole band, so every entry
-// point computes each coefficient with one expression.
+// point computes each coefficient with one expression. WindowEnergy's
+// FuseBand, which has no workspace for its activity planes, sums the
+// activity with windowActivity in the same order.
 
 // fuseLL is the lowpass blend every built-in rule uses.
 func fuseLL(dst, a, b *frame.Frame) {
@@ -169,10 +171,37 @@ type WindowEnergy struct {
 // Name implements Rule.
 func (w WindowEnergy) Name() string { return fmt.Sprintf("window-energy-r%d", w.R) }
 
-// FuseBand implements Rule. The activity maps are plainly allocated per
-// call; FuseIntoWorkspace reuses pooled ones.
+// FuseBand implements Rule. It needs no scratch, so a rule fusing through
+// it (a custom rule embedding WindowEnergy, on FuseQuads' complex-band
+// adapter) allocates nothing: each source's activity is summed into one
+// of dst's planes, and the selection then replaces each activity pair
+// with the chosen coefficient. dst must not alias a or b.
 func (w WindowEnergy) FuseBand(dst, a, b *wavelet.ComplexBand) {
-	w.fuseBandWS(NewWorkspace(nil, nil), dst, a, b)
+	windowActivity(dst.Re, a, w.R)
+	windowActivity(dst.Im, b, w.R)
+	t := selBandTask{dstRe: dst.Re, dstIm: dst.Im, aRe: a.Re, aIm: a.Im, bRe: b.Re, bIm: b.Im, ea: dst.Re, eb: dst.Im}
+	t.Tile(0, len(dst.Re), 0)
+}
+
+// windowActivity writes band b's activity into dst: per coefficient, the
+// squared magnitudes over its (2r+1)² window, clipped at the band edges,
+// summed from zero in winSumTask's order with each magnitude recomputed
+// by mag2Task's expression. It equals the workspace path's activity plane
+// bit for bit (for r = 0, 0 + m2 is m2).
+func windowActivity(dst []float32, b *wavelet.ComplexBand, r int) {
+	r = max(r, 0)
+	for y := 0; y < b.H; y++ {
+		for x := 0; x < b.W; x++ {
+			var s float32
+			for yy := max(y-r, 0); yy <= min(y+r, b.H-1); yy++ {
+				for xx := max(x-r, 0); xx <= min(x+r, b.W-1); xx++ {
+					i := yy*b.W + xx
+					s += b.Re[i]*b.Re[i] + b.Im[i]*b.Im[i]
+				}
+			}
+			dst[y*b.W+x] = s
+		}
+	}
 }
 
 // FuseLL implements Rule.

@@ -110,6 +110,34 @@ func TestWorkspaceRulesBitExact(t *testing.T) {
 	}
 }
 
+// TestWorkspaceRunsEmbeddedOverride pins FuseIntoWorkspace's rule
+// selection by exact type: a rule embedding the concrete MaxMagnitude, so
+// that the built-in's workspace kernel is in its method set, must fuse
+// with its own FuseLL (keeping the first source's residual) through a
+// workspace exactly as FuseInto does.
+func TestWorkspaceRunsEmbeddedOverride(t *testing.T) {
+	a, b, want := buildPyramidPair(t, 33, 31, 2, 5)
+	rule := embeddedMaxLL{}
+	if err := FuseInto(rule, want, a, b); err != nil {
+		t.Fatal(err)
+	}
+	for c := range a.LLs {
+		for i, v := range a.LLs[c].Pix {
+			if math.Float32bits(want.LLs[c].Pix[i]) != math.Float32bits(v) {
+				t.Fatalf("FuseInto: LL %d at %d is %g, the override keeps %g", c, i, want.LLs[c].Pix[i], v)
+			}
+		}
+	}
+	wk := kernels.NewWorkers(2)
+	defer wk.Close()
+	ws := NewWorkspace(nil, wk)
+	_, _, got := buildPyramidPair(t, 33, 31, 2, 5)
+	if err := FuseIntoWorkspace(ws, rule, got, a, b); err != nil {
+		t.Fatal(err)
+	}
+	comparePyramidBits(t, "FuseIntoWorkspace", want, got)
+}
+
 // TestWorkspaceFusionZeroAllocs pins the satellite claim: through a
 // workspace, WindowEnergy fusion performs zero steady-state allocations —
 // the activity maps that used to be two fresh planes per band per frame

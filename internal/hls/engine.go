@@ -13,7 +13,11 @@
 // as the shift-register datapath: the analysis chain is mul-first
 // (c0*x0, then + ck*xk), so it equals the scalar reference AnalyzeRef
 // except possibly in the sign of a zero sum, and the synthesis chain is
-// SynthesizeRef's.
+// SynthesizeRef's. Rows move between the engine and the caller as planar
+// subbands; Fig. 4's interleaved buffer formats are timed (their word
+// counts set the memcpy costs) but not built. The engine alone tracks
+// which filters are resident: UseAnalysis and UseSynthesis reload them
+// only on a change.
 package hls
 
 import (
@@ -73,10 +77,10 @@ type WaveEngine struct {
 	synthLP, synthHP       signal.Taps
 	coeffLoaded            bool
 
-	// scratch holds a row's lane layout: its input's two phases and its
-	// two output streams. It is the paper's 4096-word BRAM, and any row
-	// checkRow accepts fits in it.
-	scratch *[2 * BRAMArea]float32
+	// scratch holds the lane layout a row needs beyond the caller's rows:
+	// a forward row's two input phases, or an inverse row's two output
+	// phases. Any row checkRow accepts fits in one BRAM area.
+	scratch *[BRAMArea]float32
 
 	// Statistics.
 	ForwardRows, InverseRows int64
@@ -86,7 +90,7 @@ type WaveEngine struct {
 // New returns a wave engine clocked by pl, with its AXI-Lite port timed in
 // the ps domain and its DMA path using the given burst model.
 func New(ps, pl sim.Clock, acp *axi.Burst) *WaveEngine {
-	return &WaveEngine{Lite: axi.NewLite(ps), ACP: acp, pl: pl, scratch: new([2 * BRAMArea]float32)}
+	return &WaveEngine{Lite: axi.NewLite(ps), ACP: acp, pl: pl, scratch: new([BRAMArea]float32)}
 }
 
 // LoadCoeffs writes the four 12-tap filter register files through the
@@ -111,14 +115,35 @@ func (e *WaveEngine) LoadCoeffs(al, ah, sl, sh *signal.Taps) sim.Time {
 // CoeffsLoaded reports whether filters are resident.
 func (e *WaveEngine) CoeffsLoaded() bool { return e.coeffLoaded }
 
-// Forward runs one analysis row (mode 2). in holds 2*m+12 samples; out
-// receives 2*m interleaved outputs with the highpass first in each pair
-// (buff_out[2k] = hp, buff_out[2k+1] = lp, as in Fig. 4). It returns the
-// PL-side busy time: input memcpy, pipeline, output memcpy, which the
-// synthesized engine does not overlap.
-func (e *WaveEngine) Forward(in, out []float32) (sim.Time, error) {
-	m := len(out) / 2
-	if err := e.checkRow(m, len(in), 2*m+signal.TapCount, len(out)); err != nil {
+// UseAnalysis makes al and ah the resident analysis filters. Only when
+// they are not resident already does it reload the register file (keeping
+// the resident synthesis filters); it returns the PS time that took, zero
+// when no reload was needed.
+func (e *WaveEngine) UseAnalysis(al, ah *signal.Taps) sim.Time {
+	if e.coeffLoaded && e.analysisLP == *al && e.analysisHP == *ah {
+		return 0
+	}
+	return e.LoadCoeffs(al, ah, &e.synthLP, &e.synthHP)
+}
+
+// UseSynthesis is UseAnalysis for the synthesis filters: it keeps the
+// resident analysis filters.
+func (e *WaveEngine) UseSynthesis(sl, sh *signal.Taps) sim.Time {
+	if e.coeffLoaded && e.synthLP == *sl && e.synthHP == *sh {
+		return 0
+	}
+	return e.LoadCoeffs(&e.analysisLP, &e.analysisHP, sl, sh)
+}
+
+// Forward runs one analysis row (mode 2): px holds 2*m+12 samples, and lo
+// and hi receive the m lowpass and highpass outputs. The Fig. 4 engine
+// writes them as 2*m interleaved words, highpass first (buff_out[2k] = hp,
+// buff_out[2k+1] = lp); the model writes the caller's planar rows and
+// times the same words. It returns the PL-side busy time: input memcpy,
+// pipeline, output memcpy, which the synthesized engine does not overlap.
+func (e *WaveEngine) Forward(px, lo, hi []float32) (sim.Time, error) {
+	m := len(lo)
+	if err := e.checkRow(m, len(px), 2*m+signal.TapCount, 2*m, len(hi) == m); err != nil {
 		return 0, err
 	}
 
@@ -126,8 +151,7 @@ func (e *WaveEngine) Forward(in, out []float32) (sim.Time, error) {
 	// i+k/2 of the input's even phase (k even) or odd phase (k odd).
 	h := m + signal.TapCount/2
 	even, odd := e.scratch[:h], e.scratch[h:2*h]
-	lp, hp := e.scratch[2*h:2*h+m], e.scratch[2*h+m:2*h+2*m]
-	kernels.Deinterleave(in, even, odd)
+	kernels.Deinterleave(px, even, odd)
 	var rows kernels.AnalysisRows
 	for k := range rows {
 		phase := even
@@ -136,30 +160,29 @@ func (e *WaveEngine) Forward(in, out []float32) (sim.Time, error) {
 		}
 		rows[k] = phase[k/2 : k/2+m]
 	}
-	kernels.AnalyzeMulFirstLanes(&e.analysisLP, &e.analysisHP, &rows, lp, hp)
-	kernels.Interleave(out, hp, lp)
+	kernels.AnalyzeMulFirstLanes(&e.analysisLP, &e.analysisHP, &rows, lo, hi)
 
 	e.ForwardRows++
-	t := e.rowTime(len(in), m+6, len(out))
+	t := e.rowTime(len(px), m+6, 2*m)
 	e.PLBusy += t
 	return t, nil
 }
 
-// Inverse runs one synthesis row (mode 3). in holds m+5 interleaved
-// coefficient pairs (lo, hi per pair, 2*m+10 words); out receives 2*m
-// reconstructed samples. Timing mirrors Forward.
-func (e *WaveEngine) Inverse(in, out []float32) (sim.Time, error) {
+// Inverse runs one synthesis row (mode 3): plo and phi hold m+5 padded
+// lowpass and highpass coefficients, and out receives 2*m reconstructed
+// samples. The Fig. 4 engine reads them as m+5 interleaved (lo, hi)
+// pairs; the model reads the caller's planar rows and times the same
+// 2*m+10 words. Timing mirrors Forward.
+func (e *WaveEngine) Inverse(plo, phi, out []float32) (sim.Time, error) {
 	m := len(out) / 2
-	if err := e.checkRow(m, len(in), 2*(m+signal.SynthesisPad), len(out)); err != nil {
+	pairs := len(plo)
+	if err := e.checkRow(m, 2*pairs, 2*(m+signal.SynthesisPad), len(out), len(phi) == pairs); err != nil {
 		return 0, err
 	}
 
-	// Output pair i reads pairs i..i+5 of the (lo, hi) stream: window row
-	// j is the lo (hi) phase from pair j on.
-	pairs := m + signal.SynthesisPad
-	plo, phi := e.scratch[:pairs], e.scratch[pairs:2*pairs]
-	ev, od := e.scratch[2*pairs:2*pairs+m], e.scratch[2*pairs+m:2*pairs+2*m]
-	kernels.Deinterleave(in, plo, phi)
+	// Output pair i reads coefficients i..i+5 of each subband: window row
+	// j is the subband from coefficient j on.
+	ev, od := e.scratch[:m], e.scratch[m:2*m]
 	var wl, wh kernels.SynthesisRows
 	for j := range wl {
 		wl[j], wh[j] = plo[j:j+m], phi[j:j+m]
@@ -168,19 +191,22 @@ func (e *WaveEngine) Inverse(in, out []float32) (sim.Time, error) {
 	kernels.Interleave(out, ev, od)
 
 	e.InverseRows++
-	t := e.rowTime(len(in), pairs, len(out))
+	t := e.rowTime(2*pairs, pairs, len(out))
 	e.PLBusy += t
 	return t, nil
 }
 
-func (e *WaveEngine) checkRow(m, inLen, wantIn, outLen int) error {
+// checkRow validates a row of m output pairs: inLen input words where the
+// mode wants wantIn, outLen output words, and whether the row's two
+// planar buffers have equal lengths.
+func (e *WaveEngine) checkRow(m, inLen, wantIn, outLen int, paired bool) error {
 	if !e.coeffLoaded {
 		return ErrNoCoeffs
 	}
 	if m <= 0 {
 		return ErrWidthTooSmall
 	}
-	if inLen != wantIn || outLen != 2*m {
+	if !paired || inLen != wantIn || outLen != 2*m {
 		return fmt.Errorf("%w: in=%d want=%d out=%d", ErrBadLength, inLen, wantIn, outLen)
 	}
 	if inLen > BRAMArea || outLen > BRAMArea {

@@ -14,15 +14,13 @@ func TestInverseCapacityBounds(t *testing.T) {
 	// Largest legal inverse row: input pairs 2*(m+5) <= BRAMArea and
 	// output 2m <= BRAMArea.
 	m := BRAMArea/2 - signal.SynthesisPad
-	in := make([]float32, 2*(m+signal.SynthesisPad))
-	out := make([]float32, 2*m)
-	if _, err := e.Inverse(in, out); err != nil {
+	pairs := m + signal.SynthesisPad
+	if _, err := e.Inverse(make([]float32, pairs), make([]float32, pairs), make([]float32, 2*m)); err != nil {
 		t.Errorf("max inverse row should fit: %v", err)
 	}
 	m++
-	in = make([]float32, 2*(m+signal.SynthesisPad))
-	out = make([]float32, 2*m)
-	if _, err := e.Inverse(in, out); !errors.Is(err, ErrRowTooWide) {
+	pairs++
+	if _, err := e.Inverse(make([]float32, pairs), make([]float32, pairs), make([]float32, 2*m)); !errors.Is(err, ErrRowTooWide) {
 		t.Errorf("oversized inverse row: %v", err)
 	}
 }
@@ -30,9 +28,8 @@ func TestInverseCapacityBounds(t *testing.T) {
 func TestInverseRequiresCoefficients(t *testing.T) {
 	e := newEngine()
 	m := 8
-	in := make([]float32, 2*(m+signal.SynthesisPad))
-	out := make([]float32, 2*m)
-	if _, err := e.Inverse(in, out); !errors.Is(err, ErrNoCoeffs) {
+	pairs := m + signal.SynthesisPad
+	if _, err := e.Inverse(make([]float32, pairs), make([]float32, pairs), make([]float32, 2*m)); !errors.Is(err, ErrNoCoeffs) {
 		t.Errorf("inverse without coeffs: %v", err)
 	}
 }
@@ -42,15 +39,15 @@ func TestRowCountersAdvance(t *testing.T) {
 	loadDefault(t, e)
 	m := 8
 	fin := make([]float32, 2*m+signal.TapCount)
-	fout := make([]float32, 2*m)
-	iin := make([]float32, 2*(m+signal.SynthesisPad))
+	lo, hi := make([]float32, m), make([]float32, m)
+	plo, phi := make([]float32, m+signal.SynthesisPad), make([]float32, m+signal.SynthesisPad)
 	iout := make([]float32, 2*m)
 	for i := 0; i < 3; i++ {
-		if _, err := e.Forward(fin, fout); err != nil {
+		if _, err := e.Forward(fin, lo, hi); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.Inverse(iin, iout); err != nil {
+	if _, err := e.Inverse(plo, phi, iout); err != nil {
 		t.Fatal(err)
 	}
 	if e.ForwardRows != 3 || e.InverseRows != 1 {
@@ -68,8 +65,7 @@ func TestInverseTimingMirrorsForward(t *testing.T) {
 	loadDefault(t, e)
 	m := 50
 	fin := make([]float32, 2*m+signal.TapCount)
-	fout := make([]float32, 2*m)
-	ft, err := e.Forward(fin, fout)
+	ft, err := e.Forward(fin, make([]float32, m), make([]float32, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +73,8 @@ func TestInverseTimingMirrorsForward(t *testing.T) {
 	// 2*(m+6) = 2m+12 input words; output 2*(m+1)... choose m2 with
 	// matching geometry: inverse input words = 2*(m2+5), output 2*m2.
 	m2 := m + 1 // gives input 2m+12, same as forward's
-	iin := make([]float32, 2*(m2+signal.SynthesisPad))
-	iout := make([]float32, 2*m2)
-	it, err := e.Inverse(iin, iout)
+	pairs := m2 + signal.SynthesisPad
+	it, err := e.Inverse(make([]float32, pairs), make([]float32, pairs), make([]float32, 2*m2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +100,11 @@ func TestForwardDeterministicAcrossRuns(t *testing.T) {
 		for i := range in {
 			in[i] = float32(r.Float64())
 		}
-		out := make([]float32, 2*m)
-		if _, err := e.Forward(in, out); err != nil {
+		lo, hi := make([]float32, m), make([]float32, m)
+		if _, err := e.Forward(in, lo, hi); err != nil {
 			t.Fatal(err)
 		}
-		return out
+		return append(lo, hi...)
 	}
 	a, b := run(), run()
 	for i := range a {

@@ -33,17 +33,17 @@ func TestForwardBitExactAgainstReference(t *testing.T) {
 		for i := range in {
 			in[i] = float32(rng.Float64()*200 - 100)
 		}
-		out := make([]float32, 2*m)
-		if _, err := e.Forward(in, out); err != nil {
+		lo, hi := make([]float32, m), make([]float32, m)
+		if _, err := e.Forward(in, lo, hi); err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
 		wantLo := make([]float32, m)
 		wantHi := make([]float32, m)
 		signal.AnalyzeRef(&b.AL, &b.AH, in, wantLo, wantHi)
 		for i := 0; i < m; i++ {
-			if out[2*i] != wantHi[i] || out[2*i+1] != wantLo[i] {
-				t.Fatalf("m=%d pair %d: engine (%g,%g) ref (%g,%g)",
-					m, i, out[2*i], out[2*i+1], wantHi[i], wantLo[i])
+			if lo[i] != wantLo[i] || hi[i] != wantHi[i] {
+				t.Fatalf("m=%d output %d: engine (%g,%g) ref (%g,%g)",
+					m, i, lo[i], hi[i], wantLo[i], wantHi[i])
 			}
 		}
 	}
@@ -55,17 +55,14 @@ func TestInverseBitExactAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, m := range []int{1, 4, 11, 44} {
 		pairs := m + signal.SynthesisPad
-		in := make([]float32, 2*pairs)
 		plo := make([]float32, pairs)
 		phi := make([]float32, pairs)
 		for i := 0; i < pairs; i++ {
 			plo[i] = float32(rng.Float64()*20 - 10)
 			phi[i] = float32(rng.Float64()*20 - 10)
-			in[2*i] = plo[i]
-			in[2*i+1] = phi[i]
 		}
 		out := make([]float32, 2*m)
-		if _, err := e.Inverse(in, out); err != nil {
+		if _, err := e.Inverse(plo, phi, out); err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
 		want := make([]float32, 2*m)
@@ -81,8 +78,7 @@ func TestInverseBitExactAgainstReference(t *testing.T) {
 func TestEngineRequiresCoefficients(t *testing.T) {
 	e := newEngine()
 	in := make([]float32, 2*4+signal.TapCount)
-	out := make([]float32, 8)
-	if _, err := e.Forward(in, out); !errors.Is(err, ErrNoCoeffs) {
+	if _, err := e.Forward(in, make([]float32, 4), make([]float32, 4)); !errors.Is(err, ErrNoCoeffs) {
 		t.Errorf("Forward without coeffs: %v, want ErrNoCoeffs", err)
 	}
 }
@@ -92,14 +88,12 @@ func TestEngineRejectsOversizedRows(t *testing.T) {
 	loadDefault(t, e)
 	m := (BRAMArea - signal.TapCount) / 2 // largest legal input
 	in := make([]float32, 2*m+signal.TapCount)
-	out := make([]float32, 2*m)
-	if _, err := e.Forward(in, out); err != nil {
+	if _, err := e.Forward(in, make([]float32, m), make([]float32, m)); err != nil {
 		t.Errorf("row of %d words should fit: %v", len(in), err)
 	}
 	m = BRAMArea / 2 // output 2m == BRAMArea fits, input 2m+12 does not
 	in = make([]float32, 2*m+signal.TapCount)
-	out = make([]float32, 2*m)
-	if _, err := e.Forward(in, out); !errors.Is(err, ErrRowTooWide) {
+	if _, err := e.Forward(in, make([]float32, m), make([]float32, m)); !errors.Is(err, ErrRowTooWide) {
 		t.Errorf("oversized row: %v, want ErrRowTooWide", err)
 	}
 }
@@ -107,11 +101,21 @@ func TestEngineRejectsOversizedRows(t *testing.T) {
 func TestEngineRejectsBadLengths(t *testing.T) {
 	e := newEngine()
 	loadDefault(t, e)
-	if _, err := e.Forward(make([]float32, 20), make([]float32, 10)); !errors.Is(err, ErrBadLength) {
+	if _, err := e.Forward(make([]float32, 20), make([]float32, 5), make([]float32, 5)); !errors.Is(err, ErrBadLength) {
 		t.Errorf("bad length: %v", err)
 	}
-	if _, err := e.Forward(make([]float32, signal.TapCount), make([]float32, 0)); !errors.Is(err, ErrWidthTooSmall) {
+	if _, err := e.Forward(make([]float32, 2*5+signal.TapCount), make([]float32, 5), make([]float32, 4)); !errors.Is(err, ErrBadLength) {
+		t.Errorf("hi shorter than lo: %v", err)
+	}
+	if _, err := e.Forward(make([]float32, signal.TapCount), nil, nil); !errors.Is(err, ErrWidthTooSmall) {
 		t.Errorf("zero width: %v", err)
+	}
+	pairs := 5 + signal.SynthesisPad
+	if _, err := e.Inverse(make([]float32, pairs), make([]float32, pairs-1), make([]float32, 10)); !errors.Is(err, ErrBadLength) {
+		t.Errorf("inverse phi shorter than plo: %v", err)
+	}
+	if _, err := e.Inverse(make([]float32, pairs), make([]float32, pairs), make([]float32, 11)); !errors.Is(err, ErrBadLength) {
+		t.Errorf("inverse odd output: %v", err)
 	}
 }
 
@@ -122,15 +126,14 @@ func TestRowTimeComponents(t *testing.T) {
 	loadDefault(t, e)
 	m := 44
 	in := make([]float32, 2*m+signal.TapCount)
-	out := make([]float32, 2*m)
 	acpBefore := *e.ACP
-	got, err := e.Forward(in, out)
+	got, err := e.Forward(in, make([]float32, m), make([]float32, m))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pl := zynq.PL()
 	fresh := axi.NewACP(pl)
-	want := fresh.Transfer(len(in)) + pl.Cycles(int64(m+6+PipelineDepth)) + fresh.Transfer(len(out))
+	want := fresh.Transfer(len(in)) + pl.Cycles(int64(m+6+PipelineDepth)) + fresh.Transfer(2*m)
 	if got != want {
 		t.Errorf("row time %v, want %v", got, want)
 	}
@@ -146,8 +149,7 @@ func TestPipelineIsIIOne(t *testing.T) {
 	loadDefault(t, e)
 	run := func(m int) sim.Time {
 		in := make([]float32, 2*m+signal.TapCount)
-		out := make([]float32, 2*m)
-		tm, err := e.Forward(in, out)
+		tm, err := e.Forward(in, make([]float32, m), make([]float32, m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,6 +184,33 @@ func TestLoadCoeffsAccounting(t *testing.T) {
 	}
 	if !e.CoeffsLoaded() {
 		t.Error("coefficients should be resident")
+	}
+}
+
+// TestUseFiltersReloadOnlyOnChange pins the engine's filter residency: the
+// first request loads, a request for the resident pair costs nothing and
+// writes no register, and a change reloads all four register files (49
+// AXI-Lite writes) while keeping the other direction's resident pair.
+func TestUseFiltersReloadOnlyOnChange(t *testing.T) {
+	e := newEngine()
+	cdf, d4 := wavelet.CDF97, wavelet.Daub4
+	load := sim.Time(49) * zynq.PS().Cycles(axi.GPWordCycles)
+	step := func(what string, tm sim.Time, want sim.Time, writes int64) {
+		t.Helper()
+		if tm != want || e.Lite.Writes != writes {
+			t.Errorf("%s: %v and %d writes, want %v and %d", what, tm, e.Lite.Writes, want, writes)
+		}
+	}
+	step("first analysis", e.UseAnalysis(&cdf.AL, &cdf.AH), load, 49)
+	step("resident analysis", e.UseAnalysis(&cdf.AL, &cdf.AH), 0, 49)
+	step("first synthesis", e.UseSynthesis(&cdf.SL, &cdf.SH), load, 98)
+	step("resident synthesis", e.UseSynthesis(&cdf.SL, &cdf.SH), 0, 98)
+	step("analysis switch", e.UseAnalysis(&d4.AL, &d4.AH), load, 147)
+	step("synthesis kept", e.UseSynthesis(&cdf.SL, &cdf.SH), 0, 147)
+	step("synthesis switch", e.UseSynthesis(&d4.SL, &d4.SH), load, 196)
+	step("analysis kept", e.UseAnalysis(&d4.AL, &d4.AH), 0, 196)
+	if e.analysisLP != d4.AL || e.analysisHP != d4.AH || e.synthLP != d4.SL || e.synthHP != d4.SH {
+		t.Error("resident filters are not the last requested pairs")
 	}
 }
 

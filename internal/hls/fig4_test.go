@@ -10,9 +10,10 @@ import (
 )
 
 // The Fig. 4 dataflow as the synthesized engine runs it, one output per
-// shift-register step: the oracle the lane-form engine model is pinned
-// against, bit for bit. fig4Forward and fig4Inverse take the rows
-// Forward and Inverse accept, with the filters e has loaded.
+// shift-register step, on its interleaved buffer formats: the oracle the
+// lane-form engine model is pinned against, bit for bit. fig4Forward
+// writes buff_out as (hp, lp) pairs; fig4Inverse reads (lo, hi) pairs.
+// Both use the filters e has loaded.
 
 func fig4Forward(e *WaveEngine, in, out []float32) {
 	m := len(out) / 2
@@ -134,7 +135,9 @@ func fig4Value(rng *rand.Rand, fill int) float32 {
 
 // checkFig4 runs one forward row of m output pairs (when it fits the
 // BRAM area) and one inverse row of m pairs through the engine and the
-// Fig. 4 oracle, and fails on the first output whose bits differ.
+// Fig. 4 oracle, and fails on the first output whose bits differ. The
+// engine's planar rows are laid out in (or taken from) Fig. 4's buffer
+// formats here, in the test, for the comparison.
 func checkFig4(t *testing.T, m, bank, fill int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -159,14 +162,22 @@ func checkFig4(t *testing.T, m, bank, fill int, seed int64) {
 	}
 	got, want := make([]float32, 2*m), make([]float32, 2*m)
 	if in := row(2*m + signal.TapCount); len(in) <= BRAMArea {
-		if _, err := e.Forward(in, got); err != nil {
+		lo, hi := make([]float32, m), make([]float32, m)
+		if _, err := e.Forward(in, lo, hi); err != nil {
 			t.Fatalf("forward m=%d: %v", m, err)
+		}
+		for k := 0; k < m; k++ {
+			got[2*k], got[2*k+1] = hi[k], lo[k]
 		}
 		fig4Forward(e, in, want)
 		same("forward", got, want)
 	}
 	in := row(2 * (m + signal.SynthesisPad))
-	if _, err := e.Inverse(in, got); err != nil {
+	plo, phi := make([]float32, m+signal.SynthesisPad), make([]float32, m+signal.SynthesisPad)
+	for k := range plo {
+		plo[k], phi[k] = in[2*k], in[2*k+1]
+	}
+	if _, err := e.Inverse(plo, phi, got); err != nil {
 		t.Fatalf("inverse m=%d: %v", m, err)
 	}
 	fig4Inverse(e, in, want)

@@ -160,9 +160,9 @@ type StageSpan struct {
 	Start, End sim.Time
 }
 
-// stageAware mirrors sched.StageAware structurally (pipeline does not
-// import sched): engines that schedule per stage are notified before each
-// station runs.
+// stageAware is implemented by engines that act on stage boundaries (the
+// adaptive engine closes its cooperative-split pass there): they are
+// notified before each station runs.
 type stageAware interface {
 	BeginStage(stage string, frame int64)
 }

@@ -195,6 +195,13 @@ func (a *Adaptive) closePass() {
 	}
 }
 
+// BeginStage closes any open cooperative-split pass at a pipeline stage
+// boundary, which the pipelined executor announces before each station
+// runs: the two lanes sync there exactly as they do at a level boundary,
+// so a partition never spans the handoff between stages of different
+// frames.
+func (a *Adaptive) BeginStage(stage string, frame int64) { a.closePass() }
+
 // peeker is implemented by engines whose Elapsed would disturb internal
 // pipelining (the FPGA drains its double buffer); Peek prices work without
 // side effects.

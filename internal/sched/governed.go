@@ -15,19 +15,15 @@ type Gate interface {
 }
 
 // Governed wraps an inner policy with a Gate: whenever the inner policy
-// picks the FPGA but the gate denies it, the row is downgraded to the
-// fallback engine instead. This is how contending farm streams share the
-// one modeled wave engine — the loser of the frame-level arbitration
-// keeps fusing on NEON at full functional fidelity, only the cost model
-// routing changes.
+// picks the FPGA but the gate denies it, the row is downgraded to NEON
+// instead. This is how contending farm streams share the one modeled wave
+// engine — the loser of the frame-level arbitration keeps fusing on NEON
+// at full functional fidelity, only the cost model routing changes.
 type Governed struct {
 	// Inner is the wrapped policy (required).
 	Inner Policy
 	// Gate grants or denies the FPGA (required).
 	Gate Gate
-	// Fallback is the engine substituted for denied FPGA picks
-	// (default "neon").
-	Fallback string
 }
 
 // Name implements Policy.
@@ -37,9 +33,6 @@ func (g Governed) Name() string { return "governed(" + g.Inner.Name() + ")" }
 func (g Governed) Pick(pairs int, inverse bool) string {
 	e := g.Inner.Pick(pairs, inverse)
 	if e == "fpga" && !g.Gate.FPGAGranted() {
-		if g.Fallback != "" {
-			return g.Fallback
-		}
 		return "neon"
 	}
 	return e

@@ -32,13 +32,6 @@ func TestGovernedLeavesCPUPicksAlone(t *testing.T) {
 	}
 }
 
-func TestGovernedCustomFallback(t *testing.T) {
-	p := Governed{Inner: Static{Engine: "fpga"}, Gate: &fakeGate{}, Fallback: "arm"}
-	if got := p.Pick(40, false); got != "arm" {
-		t.Fatalf("want arm fallback, got %q", got)
-	}
-}
-
 func TestGovernedForwardsFeedback(t *testing.T) {
 	o := NewOnline(1)
 	g := &fakeGate{granted: true}

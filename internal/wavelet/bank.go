@@ -70,11 +70,6 @@ func reversedFilter(f filter) filter {
 	return filter{coeffs: r, a: -(f.a + len(f.coeffs) - 1)}
 }
 
-// delayedFilter returns h[n-d].
-func delayedFilter(f filter, d int) filter {
-	return filter{coeffs: f.coeffs, a: f.a + d}
-}
-
 // altShift builds s * (-1)^n * src[n-d] over the shifted support, the
 // classic alias-cancelling highpass construction.
 func altShift(src filter, d int, s float64) filter {

@@ -53,11 +53,6 @@ type ComplexBand struct {
 	re, im *frame.Frame // backing leases; nil for plainly allocated bands
 }
 
-// NewComplexBand allocates a zeroed w x h complex band.
-func NewComplexBand(w, h int) *ComplexBand {
-	return &ComplexBand{W: w, H: h, Re: make([]float32, w*h), Im: make([]float32, w*h)}
-}
-
 // newComplexBandPooled leases the band's two planes from pool.
 func newComplexBandPooled(w, h int, pool *bufpool.Pool) (*ComplexBand, error) {
 	re, err := pool.Get(w, h)

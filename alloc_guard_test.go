@@ -25,6 +25,7 @@ func TestAllocGuardSteadyStateFusion(t *testing.T) {
 		split   string
 		depth   int
 		rule    Rule
+		suffix  string // appended to the rule's name in the row's name
 		workers int
 	}{
 		{engine: EngineAdaptive, depth: 2},
@@ -45,15 +46,11 @@ func TestAllocGuardSteadyStateFusion(t *testing.T) {
 		// whose complex planes are workspace scratch leased once; the
 		// window-energy FuseBand it reaches needs no activity planes.
 		{engine: EngineNEON, depth: 2, rule: keepVisibleLL{RuleMaxMagnitude}, workers: 4},
-		{engine: EngineNEON, depth: 2, rule: keepVisibleLL{RuleWindowEnergy}, workers: 4},
+		{engine: EngineNEON, depth: 2, rule: keepVisibleLL{RuleWindowEnergy}, suffix: "-over-window-energy-r1", workers: 4},
 	} {
 		name := fmt.Sprintf("%s%s/depth%d", tc.engine, tc.split, tc.depth)
 		if tc.rule != nil {
-			name += "/" + tc.rule.Name()
-			// A custom rule over the default rule goes by its own name.
-			if kv, ok := tc.rule.(keepVisibleLL); ok && kv.Rule != RuleMaxMagnitude {
-				name += "-over-" + kv.Rule.Name()
-			}
+			name += "/" + tc.rule.Name() + tc.suffix
 		}
 		if tc.workers > 0 {
 			name += fmt.Sprintf("/workers%d", tc.workers)

@@ -96,9 +96,7 @@ func FuseIntoWorkspace(ws *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) e
 
 // The built-in rules' FuseBand/FuseLL run the same tile task bodies the
 // workspace path dispatches, inline over the whole band, so every entry
-// point computes each coefficient with one expression. WindowEnergy's
-// FuseBand, which has no workspace for its activity planes, sums the
-// activity with windowActivity in the same order.
+// point computes each coefficient with one expression.
 
 // fuseLL is the lowpass blend every built-in rule uses.
 func fuseLL(dst, a, b *frame.Frame) {
@@ -177,41 +175,24 @@ func (w WindowEnergy) Name() string { return fmt.Sprintf("window-energy-r%d", w.
 // of dst's planes, and the selection then replaces each activity pair
 // with the chosen coefficient. dst must not alias a or b.
 func (w WindowEnergy) FuseBand(dst, a, b *wavelet.ComplexBand) {
-	windowActivity(dst.Re, a, w.R)
-	windowActivity(dst.Im, b, w.R)
-	t := selBandTask{dstRe: dst.Re, dstIm: dst.Im, aRe: a.Re, aIm: a.Im, bRe: b.Re, bIm: b.Im, ea: dst.Re, eb: dst.Im}
-	t.Tile(0, len(dst.Re), 0)
-}
-
-// windowActivity writes band b's activity into dst: per coefficient, the
-// squared magnitudes over its (2r+1)² window, clipped at the band edges,
-// summed from zero in winSumTask's order with each magnitude recomputed
-// by mag2Task's expression. It equals the workspace path's activity plane
-// bit for bit (for r = 0, 0 + m2 is m2).
-func windowActivity(dst []float32, b *wavelet.ComplexBand, r int) {
-	r = max(r, 0)
-	for y := 0; y < b.H; y++ {
-		for x := 0; x < b.W; x++ {
-			var s float32
-			for yy := max(y-r, 0); yy <= min(y+r, b.H-1); yy++ {
-				for xx := max(x-r, 0); xx <= min(x+r, b.W-1); xx++ {
-					i := yy*b.W + xx
-					s += b.Re[i]*b.Re[i] + b.Im[i]*b.Im[i]
-				}
-			}
-			dst[y*b.W+x] = s
-		}
-	}
+	t := winActTask{dst: dst.Re, re: a.Re, im: a.Im, w: a.W, h: a.H, r: w.R}
+	t.Tile(0, a.H, 0)
+	t = winActTask{dst: dst.Im, re: b.Re, im: b.Im, w: b.W, h: b.H, r: w.R}
+	t.Tile(0, b.H, 0)
+	s := selBandTask{dstRe: dst.Re, dstIm: dst.Im, aRe: a.Re, aIm: a.Im, bRe: b.Re, bIm: b.Im, ea: dst.Re, eb: dst.Im}
+	s.Tile(0, len(dst.Re), 0)
 }
 
 // FuseLL implements Rule.
 func (WindowEnergy) FuseLL(dst, a, b *frame.Frame) { fuseLL(dst, a, b) }
 
 func (w WindowEnergy) fuseBandWS(ws *Workspace, dst, a, b *wavelet.ComplexBand) {
-	ea := bandActivityWS(ws, &ws.mag2A, &ws.actA, a, w.R)
-	eb := bandActivityWS(ws, &ws.mag2B, &ws.actB, b, w.R)
 	wk := ws.w
+	ws.act = winActTask{dst: dst.Re, re: a.Re, im: a.Im, w: a.W, h: a.H, r: w.R}
+	wk.Run(a.H, kernels.Grain(a.H, 12*a.W, wk.N()), &ws.act)
+	ws.act = winActTask{dst: dst.Im, re: b.Re, im: b.Im, w: b.W, h: b.H, r: w.R}
+	wk.Run(b.H, kernels.Grain(b.H, 12*b.W, wk.N()), &ws.act)
 	n := len(dst.Re)
-	ws.sel = selBandTask{dstRe: dst.Re, dstIm: dst.Im, aRe: a.Re, aIm: a.Im, bRe: b.Re, bIm: b.Im, ea: ea, eb: eb}
+	ws.sel = selBandTask{dstRe: dst.Re, dstIm: dst.Im, aRe: a.Re, aIm: a.Im, bRe: b.Re, bIm: b.Im, ea: dst.Re, eb: dst.Im}
 	wk.Run(n, kernels.Grain(n, 32, wk.N()), &ws.sel)
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // Workspace is the zero-allocation, tiled execution context of the
-// fusion rules. It owns the scratch planes WindowEnergy and FuseQuads'
-// complex-band adapter need (leased from the frame-store arena when one
+// fusion rules. It owns the scratch planes WindowEnergy's quad kernel and
+// FuseQuads' complex-band adapter need (leased from the frame-store arena when one
 // is attached, so no rule allocates planes per band per frame) and the
 // worker pool the per-pixel rule loops fan out across.
 //
@@ -23,10 +23,10 @@ type Workspace struct {
 	pool *bufpool.Pool
 	w    *kernels.Workers
 
-	mag2A, mag2B, actA, actB planeScratch
-	// WindowEnergy's quad kernel holds z1 and z2 activity alive at once
-	// (the complex-band path processes one band at a time), so it needs a
-	// second scratch bank.
+	// WindowEnergy's quad kernel holds the z1 (first bank) and z2
+	// (second bank) squared-magnitude and activity planes of each source
+	// alive at once.
+	mag2A, mag2B, actA, actB     planeScratch
 	mag2A2, mag2B2, actA2, actB2 planeScratch
 
 	// The adapter's band pair of each source and fused pair, on cplxS.
@@ -39,7 +39,7 @@ type Workspace struct {
 	avgB avgBandTask
 	avgP avgPixTask
 	sel  selBandTask
-	mag  mag2Task
+	act  winActTask
 	win  winSumTask
 	maxQ maxMagQuadTask
 	avgQ avgQuadTask
@@ -116,24 +116,6 @@ type wsRule interface {
 	fuseBandWS(ws *Workspace, dst, a, b *wavelet.ComplexBand)
 }
 
-// bandActivityWS is WindowEnergy's activity map with pooled scratch and
-// tiled dispatch: the pointwise squared-magnitude map, then (for r > 0)
-// the windowed sum.
-func bandActivityWS(ws *Workspace, mag2S, actS *planeScratch, b *wavelet.ComplexBand, r int) []float32 {
-	n := len(b.Re)
-	w := ws.w
-	mag2 := mag2S.grow(ws.pool, n)
-	ws.mag = mag2Task{dst: mag2, re: b.Re, im: b.Im}
-	w.Run(n, kernels.Grain(n, 12, w.N()), &ws.mag)
-	if r <= 0 {
-		return mag2
-	}
-	out := actS.grow(ws.pool, n)
-	ws.win = winSumTask{dst: out, mag2: mag2, w: b.W, h: b.H, r: r}
-	w.Run(b.H, kernels.Grain(b.H, 8*b.W, w.N()), &ws.win)
-	return out
-}
-
 // Tile tasks: the built-in rules' per-coefficient expressions.
 
 type maxMagBandTask struct {
@@ -187,13 +169,29 @@ func (t *selBandTask) Tile(lo, hi, _ int) {
 	}
 }
 
-type mag2Task struct {
+// winActTask writes one complex band's window activity into dst, rows
+// [lo, hi): per coefficient, the squared magnitudes over its (2r+1)²
+// window, clipped at the band edges, summed from zero in winSumTask's
+// order (so for r = 0 the activity is the squared magnitude itself).
+// Each magnitude is recomputed per tap, so it needs no scratch plane.
+type winActTask struct {
 	dst, re, im []float32
+	w, h, r     int
 }
 
-func (t *mag2Task) Tile(lo, hi, _ int) {
-	for i := lo; i < hi; i++ {
-		t.dst[i] = t.re[i]*t.re[i] + t.im[i]*t.im[i]
+func (t *winActTask) Tile(lo, hi, _ int) {
+	r := max(t.r, 0)
+	for y := lo; y < hi; y++ {
+		for x := 0; x < t.w; x++ {
+			var s float32
+			for yy := max(y-r, 0); yy <= min(y+r, t.h-1); yy++ {
+				for xx := max(x-r, 0); xx <= min(x+r, t.w-1); xx++ {
+					i := yy*t.w + xx
+					s += t.re[i]*t.re[i] + t.im[i]*t.im[i]
+				}
+			}
+			t.dst[y*t.w+x] = s
+		}
 	}
 }
 

@@ -143,7 +143,10 @@ func (e *WaveEngine) UseSynthesis(sl, sh *signal.Taps) sim.Time {
 // pipeline, output memcpy, which the synthesized engine does not overlap.
 func (e *WaveEngine) Forward(px, lo, hi []float32) (sim.Time, error) {
 	m := len(lo)
-	if err := e.checkRow(m, len(px), 2*m+signal.TapCount, 2*m, len(hi) == m); err != nil {
+	if len(hi) != m {
+		return 0, fmt.Errorf("%w: lo=%d hi=%d", ErrBadLength, m, len(hi))
+	}
+	if err := e.checkRow(m, len(px), 2*m+signal.TapCount); err != nil {
 		return 0, err
 	}
 
@@ -174,9 +177,15 @@ func (e *WaveEngine) Forward(px, lo, hi []float32) (sim.Time, error) {
 // pairs; the model reads the caller's planar rows and times the same
 // 2*m+10 words. Timing mirrors Forward.
 func (e *WaveEngine) Inverse(plo, phi, out []float32) (sim.Time, error) {
-	m := len(out) / 2
 	pairs := len(plo)
-	if err := e.checkRow(m, 2*pairs, 2*(m+signal.SynthesisPad), len(out), len(phi) == pairs); err != nil {
+	if len(phi) != pairs {
+		return 0, fmt.Errorf("%w: plo=%d phi=%d", ErrBadLength, pairs, len(phi))
+	}
+	m := len(out) / 2
+	if len(out) != 2*m {
+		return 0, fmt.Errorf("%w: odd output length %d", ErrBadLength, len(out))
+	}
+	if err := e.checkRow(m, 2*pairs, 2*(m+signal.SynthesisPad)); err != nil {
 		return 0, err
 	}
 
@@ -196,21 +205,20 @@ func (e *WaveEngine) Inverse(plo, phi, out []float32) (sim.Time, error) {
 	return t, nil
 }
 
-// checkRow validates a row of m output pairs: inLen input words where the
-// mode wants wantIn, outLen output words, and whether the row's two
-// planar buffers have equal lengths.
-func (e *WaveEngine) checkRow(m, inLen, wantIn, outLen int, paired bool) error {
+// checkRow validates a row of m output pairs (2*m output words) whose
+// input holds inLen words where the mode wants wantIn.
+func (e *WaveEngine) checkRow(m, inLen, wantIn int) error {
 	if !e.coeffLoaded {
 		return ErrNoCoeffs
 	}
 	if m <= 0 {
 		return ErrWidthTooSmall
 	}
-	if !paired || inLen != wantIn || outLen != 2*m {
-		return fmt.Errorf("%w: in=%d want=%d out=%d", ErrBadLength, inLen, wantIn, outLen)
+	if inLen != wantIn {
+		return fmt.Errorf("%w: in=%d want=%d", ErrBadLength, inLen, wantIn)
 	}
-	if inLen > BRAMArea || outLen > BRAMArea {
-		return fmt.Errorf("%w: in=%d out=%d area=%d", ErrRowTooWide, inLen, outLen, BRAMArea)
+	if inLen > BRAMArea || 2*m > BRAMArea {
+		return fmt.Errorf("%w: in=%d out=%d area=%d", ErrRowTooWide, inLen, 2*m, BRAMArea)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package hls
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"zynqfusion/internal/axi"
@@ -104,14 +105,14 @@ func TestEngineRejectsBadLengths(t *testing.T) {
 	if _, err := e.Forward(make([]float32, 20), make([]float32, 5), make([]float32, 5)); !errors.Is(err, ErrBadLength) {
 		t.Errorf("bad length: %v", err)
 	}
-	if _, err := e.Forward(make([]float32, 2*5+signal.TapCount), make([]float32, 5), make([]float32, 4)); !errors.Is(err, ErrBadLength) {
+	if _, err := e.Forward(make([]float32, 2*5+signal.TapCount), make([]float32, 5), make([]float32, 4)); !errors.Is(err, ErrBadLength) || !strings.Contains(err.Error(), "lo=5 hi=4") {
 		t.Errorf("hi shorter than lo: %v", err)
 	}
 	if _, err := e.Forward(make([]float32, signal.TapCount), nil, nil); !errors.Is(err, ErrWidthTooSmall) {
 		t.Errorf("zero width: %v", err)
 	}
 	pairs := 5 + signal.SynthesisPad
-	if _, err := e.Inverse(make([]float32, pairs), make([]float32, pairs-1), make([]float32, 10)); !errors.Is(err, ErrBadLength) {
+	if _, err := e.Inverse(make([]float32, pairs), make([]float32, pairs-1), make([]float32, 10)); !errors.Is(err, ErrBadLength) || !strings.Contains(err.Error(), "plo=10 phi=9") {
 		t.Errorf("inverse phi shorter than plo: %v", err)
 	}
 	if _, err := e.Inverse(make([]float32, pairs), make([]float32, pairs), make([]float32, 11)); !errors.Is(err, ErrBadLength) {

@@ -47,6 +47,11 @@ func TestAllocGuardSteadyStateFusion(t *testing.T) {
 		// window-energy FuseBand it reaches needs no activity planes.
 		{engine: EngineNEON, depth: 2, rule: keepVisibleLL{RuleMaxMagnitude}, workers: 4},
 		{engine: EngineNEON, depth: 2, rule: keepVisibleLL{RuleWindowEnergy}, suffix: "-over-window-energy-r1", workers: 4},
+		// The FPGA and adaptive engines route and charge first, then
+		// compute on the tiled passes: their route tables, lane plans and
+		// select scratch are reused frame over frame.
+		{engine: EngineFPGA, depth: 0, workers: 4},
+		{engine: EngineAdaptive, split: SplitOracle, depth: 2, workers: 4},
 	} {
 		name := fmt.Sprintf("%s%s/depth%d", tc.engine, tc.split, tc.depth)
 		if tc.rule != nil {

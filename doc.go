@@ -158,11 +158,15 @@
 // the wavelet and fusion arithmetic in Go. internal/kernels restructures
 // those hot paths into tile kernels — inner loops written so the compiler
 // elides every bounds check, tiles sized to an L1 working set —
-// dispatched across a bounded goroutine pool capped at GOMAXPROCS. Every
-// wavelet filter pass runs the engine's lane kernels
-// (TileKernel.AnalyzeLanes and SynthesizeLanes), SIMD across outputs,
-// each lane with the exact operation chain the engine's 1-D kernel
-// applies at that position. The vertical passes never transpose: a tile
+// dispatched across a bounded goroutine pool capped at GOMAXPROCS. A
+// level is routed and charged first: the engine's data-free row charges
+// (kernels.TileKernel) replay the sequential loops' call sequence and
+// return the chain (kernels.Chain) each row computes with. Every wavelet
+// filter pass then runs the lane kernels (kernels.AnalyzeOpLanes and
+// SynthesizeOpLanes), SIMD across outputs, each lane with the exact
+// operation chain its row's engine applies at that position — a column
+// band that mixes the wave engine's and NEON's chains computes both and
+// selects per lane. The vertical passes never transpose: a tile
 // is a band of output rows, computed for every column at once from the
 // periodically wrapped source rows read in place. The horizontal passes
 // run one lane per output of a row: the row is padded straight into its
@@ -191,16 +195,19 @@
 // The worker count is host-side scheduling only, never part of the
 // modeled platform: workers compute disjoint tiles, and every modeled
 // cycle/energy charge replays sequentially in the scalar code's exact
-// accumulation order, so fused pixels, StageTimes, energy and the NEON
-// instruction ledger are bit-for-bit identical at every setting.
+// accumulation order, so fused pixels, StageTimes, energy, the NEON
+// instruction ledger, the adaptive routing and every FPGA statistic are
+// bit-for-bit identical at every setting.
 //
 // There is one data path, shared by the sequential and pipelined
 // executors, and what the engine can do selects its traversal: engines
-// with concurrency-safe tile compute (ARM, fast NEON) run tiled passes —
-// each level-1 row pass shared by two tree combinations, both column
-// trees filtered from the same source rows in one row-band pass — while
-// stateful engines (FPGA, adaptive and split schedulers, the emulated
-// NEON unit) run the sequential per-row loops. Either way the forward
+// that charge rows without data (ARM, fast NEON, the FPGA, the adaptive
+// engine under every policy, split or not) run routed, tiled passes —
+// each level-1 row pass shared by two tree combinations that route it
+// alike, both column trees filtered from the same source rows in one
+// row-band pass — while kernels without data-free charges (the emulated
+// NEON unit, signal.RefKernel, hls.FixedKernel) run the sequential
+// per-row loops. Either way the forward
 // writes quad (tree) planes only, and every rule fuses them through one
 // seam, fusion.FuseQuads: for the built-in rules the complex conversion,
 // fusion rule and inverse conversion run per tile straight on those
@@ -208,8 +215,9 @@
 // each band pair converted into workspace scratch, fused by its own
 // FuseBand and converted back, and its residuals fused by its own FuseLL.
 // Every variant keeps
-// the determinism contract above: pixels, StageTimes, energy and the NEON
-// ledger equal the sequential per-row loops' bit for bit. On a 2-vCPU
+// the determinism contract above: pixels, StageTimes, energy, the NEON
+// ledger, routing and every FPGA statistic equal the sequential per-row
+// loops' bit for bit. On a 2-vCPU
 // amd64 host (GOMAXPROCS 2, Go 1.24) the production path ran 18.5-23.2x
 // over the scalar baseline at 1080p and 9.7-12.3x at 320x180 (two runs);
 // the record is regenerated by:

@@ -21,11 +21,15 @@ import (
 // DMA engine exists.
 const GPWordCycles = 25
 
+// LiteWords is the size of the AXI4-Lite register file in 32-bit words:
+// byte addresses 0x00 to 0xfc.
+const LiteWords = 64
+
 // Lite is an AXI4-Lite slave port: single-beat register reads/writes,
 // used to load filter coefficients and issue commands to the wave engine.
 type Lite struct {
 	ps   sim.Clock
-	regs map[uint32]uint32
+	regs [LiteWords]uint32
 	// WriteCycles and ReadCycles are the PS-visible cycles per access.
 	WriteCycles int64
 	ReadCycles  int64
@@ -38,15 +42,23 @@ type Lite struct {
 func NewLite(ps sim.Clock) *Lite {
 	return &Lite{
 		ps:          ps,
-		regs:        make(map[uint32]uint32),
 		WriteCycles: GPWordCycles,
 		ReadCycles:  GPWordCycles,
 	}
 }
 
+// reg returns the word of the register file at byte address addr. An
+// address past the file can only be a programming error.
+func (l *Lite) reg(addr uint32) *uint32 {
+	if addr >= 4*LiteWords {
+		panic(fmt.Sprintf("axi.Lite: register address %#x outside 0x00-0x%x", addr, 4*LiteWords-4))
+	}
+	return &l.regs[addr/4]
+}
+
 // Write stores a register value and returns the access time.
 func (l *Lite) Write(addr, val uint32) sim.Time {
-	l.regs[addr] = val
+	*l.reg(addr) = val
 	l.Writes++
 	return l.ps.Cycles(l.WriteCycles)
 }
@@ -54,8 +66,13 @@ func (l *Lite) Write(addr, val uint32) sim.Time {
 // Read fetches a register value and the access time.
 func (l *Lite) Read(addr uint32) (uint32, sim.Time) {
 	l.Reads++
-	return l.regs[addr], l.ps.Cycles(l.ReadCycles)
+	return *l.reg(addr), l.ps.Cycles(l.ReadCycles)
 }
+
+// Set stores a register value from the slave side — the peripheral
+// updating its own status — which takes no bus access: it is neither
+// counted nor timed.
+func (l *Lite) Set(addr, val uint32) { *l.reg(addr) = val }
 
 // Burst models an AXI4-Master burst path (the ACP in this design). A
 // transfer of n words costs Setup beats plus n*BeatsPerWord beats of the

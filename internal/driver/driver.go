@@ -13,7 +13,9 @@
 // unpack of the engine's interleaved row format and the deferred memcpy
 // out. So the makespan of a row sequence reflects the copy/compute
 // overlap (or its absence, in single-buffered mode, which exists for the
-// ablation study).
+// ablation study). ChargeForwardRow and ChargeInverseRow are the data
+// rows without data: the same checks, timeline steps and counters, for
+// callers that compute the row's outputs themselves.
 package driver
 
 import (
@@ -21,6 +23,7 @@ import (
 	"fmt"
 
 	"zynqfusion/internal/hls"
+	"zynqfusion/internal/signal"
 	"zynqfusion/internal/sim"
 )
 
@@ -105,10 +108,11 @@ func (d *Device) copyCost(n int) sim.Time {
 	return d.cfg.PS.CyclesF(d.cfg.UserCopyCyclesPerWord * float64(n))
 }
 
-// cmdCost returns the per-row driver and command overhead. With a command
-// queue, the syscall round trip is paid once per CmdQueueDepth rows.
-func (d *Device) cmdCost() sim.Time {
-	t := d.eng.CommandTime(d.cfg.StatusPolls)
+// cmdCost returns the per-row driver and command overhead of a row of the
+// given mode and pair count in a buffer area. With a command queue, the
+// syscall round trip is paid once per CmdQueueDepth rows.
+func (d *Device) cmdCost(mode hls.Mode, pairs, area int) sim.Time {
+	t := d.eng.CommandTime(mode, pairs, area*hls.BRAMArea, d.cfg.StatusPolls)
 	depth := d.cfg.CmdQueueDepth
 	if depth < 1 {
 		depth = 1
@@ -122,16 +126,11 @@ func (d *Device) cmdCost() sim.Time {
 // ForwardRow pushes one analysis row through the accelerator: user memcpy
 // into a buffer area, command, hardware run, and (overlapped with the next
 // row in double-buffered mode) user memcpy of the previous row's results.
-// px holds 2m+12 samples; lo and hi receive m coefficients each.
+// px holds 2m+12 samples; lo and hi receive m coefficients each. Its
+// checks, timeline steps and counters are ChargeForwardRow's.
 func (d *Device) ForwardRow(px []float32, lo, hi []float32) error {
-	if d.closed {
-		return ErrClosed
-	}
 	m := len(lo)
-	if len(hi) != m {
-		return fmt.Errorf("%w: lo=%d hi=%d", ErrRowSize, m, len(hi))
-	}
-	area, err := d.beginRow(len(px), 2*m)
+	area, err := d.beginForward(len(px), m, len(hi))
 	if err != nil {
 		return err
 	}
@@ -139,27 +138,51 @@ func (d *Device) ForwardRow(px []float32, lo, hi []float32) error {
 	if err != nil {
 		return err
 	}
-	d.endRow(area, ht, 2*m)
-	// The engine emits interleaved (hp, lp) pairs; unpacking them is host
-	// work charged to the CPU cursor.
-	d.chargeCPUWords(m)
+	d.endForward(area, ht, m)
 	return nil
 }
 
-// InverseRow pushes one synthesis row: plo/phi hold m+5 padded coefficient
-// pairs, out receives 2m samples.
-func (d *Device) InverseRow(plo, phi []float32, out []float32) error {
+// ChargeForwardRow is ForwardRow without data: it runs the checks, the
+// Fig. 5 timeline steps and every counter of one analysis row of m output
+// pairs, whose outputs the caller computes on the wave engine's chain.
+func (d *Device) ChargeForwardRow(m int) error {
+	area, err := d.beginForward(2*m+signal.TapCount, m, m)
+	if err != nil {
+		return err
+	}
+	ht, err := d.eng.ForwardTime(m)
+	if err != nil {
+		return err
+	}
+	d.endForward(area, ht, m)
+	return nil
+}
+
+// beginForward checks an analysis row of in input words and lo and hi
+// rows of m and mHi words and advances the timeline to its hardware run.
+func (d *Device) beginForward(in, m, mHi int) (int, error) {
 	if d.closed {
-		return ErrClosed
+		return 0, ErrClosed
 	}
-	pairs := len(plo)
-	if len(phi) != pairs {
-		return fmt.Errorf("%w: plo=%d phi=%d", ErrRowSize, pairs, len(phi))
+	if mHi != m {
+		return 0, fmt.Errorf("%w: lo=%d hi=%d", ErrRowSize, m, mHi)
 	}
-	// The engine reads interleaved (lo, hi) pairs; packing them is host
-	// work charged to the CPU cursor.
-	d.chargeCPUWords(pairs)
-	area, err := d.beginRow(2*pairs, len(out))
+	return d.beginRow(in, 2*m, hls.ModeForward, m)
+}
+
+// endForward places an analysis row's hardware run on the timeline. The
+// engine emits interleaved (hp, lp) pairs; unpacking them is host work
+// charged to the CPU cursor.
+func (d *Device) endForward(area int, ht sim.Time, m int) {
+	d.endRow(area, ht, 2*m)
+	d.chargeCPUWords(m)
+}
+
+// InverseRow pushes one synthesis row: plo/phi hold m+5 padded coefficient
+// pairs, out receives 2m samples. Its checks, timeline steps and counters
+// are ChargeInverseRow's.
+func (d *Device) InverseRow(plo, phi []float32, out []float32) error {
+	area, err := d.beginInverse(len(plo), len(phi), len(out))
 	if err != nil {
 		return err
 	}
@@ -171,10 +194,41 @@ func (d *Device) InverseRow(plo, phi []float32, out []float32) error {
 	return nil
 }
 
+// ChargeInverseRow is InverseRow without data, for a synthesis row of m
+// coefficient pairs: see ChargeForwardRow.
+func (d *Device) ChargeInverseRow(m int) error {
+	pairs := m + signal.SynthesisPad
+	area, err := d.beginInverse(pairs, pairs, 2*m)
+	if err != nil {
+		return err
+	}
+	ht, err := d.eng.InverseTime(m)
+	if err != nil {
+		return err
+	}
+	d.endRow(area, ht, 2*m)
+	return nil
+}
+
+// beginInverse checks a synthesis row of pairs and phiPairs padded
+// coefficients and out output words, charges packing them into the
+// engine's interleaved (lo, hi) format to the CPU cursor and advances the
+// timeline to the row's hardware run.
+func (d *Device) beginInverse(pairs, phiPairs, out int) (int, error) {
+	if d.closed {
+		return 0, ErrClosed
+	}
+	if phiPairs != pairs {
+		return 0, fmt.Errorf("%w: plo=%d phi=%d", ErrRowSize, pairs, phiPairs)
+	}
+	d.chargeCPUWords(pairs)
+	return d.beginRow(2*pairs, out, hls.ModeInverse, out/2)
+}
+
 // beginRow advances the Fig. 5 timeline up to the hardware run of a row
-// of in input and out output words, and returns the buffer area it
-// occupies.
-func (d *Device) beginRow(in, out int) (int, error) {
+// of in input and out output words, commanded in the given mode for the
+// given pair count, and returns the buffer area it occupies.
+func (d *Device) beginRow(in, out int, mode hls.Mode, pairs int) (int, error) {
 	if in > hls.BRAMArea || out > hls.BRAMArea {
 		return 0, fmt.Errorf("%w: in=%d out=%d", ErrRowSize, in, out)
 	}
@@ -194,7 +248,7 @@ func (d *Device) beginRow(in, out int) (int, error) {
 	// through the driver's offset ioctls ("we used this to create
 	// different read and write offsets to the kernel allocated memory");
 	// their syscall cost is part of cmdCost.
-	cc := d.cmdCost()
+	cc := d.cmdCost(mode, pairs, area)
 	d.cpu += cc
 	d.CPUBusy += cc
 	return area, nil

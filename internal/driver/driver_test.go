@@ -65,6 +65,51 @@ func TestForwardRowMatchesReference(t *testing.T) {
 	}
 }
 
+// TestRowCommandRegisterImage reads back the AXI-Lite registers a row's
+// command leaves: after one inverse row of m pairs the control register
+// holds the inverse mode, the width register m, both offsets the first
+// buffer area and the status register the engine's done flag; the next
+// row, a data-free forward row, moves both offsets to the second area.
+// The read-backs are the test's own accesses, so the port's counters are
+// checked before them.
+func TestRowCommandRegisterImage(t *testing.T) {
+	d := openDevice(t, true)
+	const m = 13
+	lite := d.eng.Lite
+	writes, reads := lite.Writes, lite.Reads
+	out := make([]float32, 2*m)
+	if err := d.InverseRow(make([]float32, m+signal.SynthesisPad), make([]float32, m+signal.SynthesisPad), out); err != nil {
+		t.Fatal(err)
+	}
+	if lite.Writes != writes+4 || lite.Reads != reads+int64(testConfig(true).StatusPolls) {
+		t.Fatalf("one row's command made %d writes and %d reads", lite.Writes-writes, lite.Reads-reads)
+	}
+	read := func(reg uint32) uint32 {
+		v, _ := lite.Read(reg)
+		return v
+	}
+	for _, r := range []struct {
+		name      string
+		reg, want uint32
+	}{
+		{"ctrl", hls.RegCtrl, uint32(hls.ModeInverse)},
+		{"width", hls.RegWidth, m},
+		{"status", hls.RegStatus, 1},
+		{"in offset", hls.RegInOffset, 0},
+		{"out offset", hls.RegOutOffset, 0},
+	} {
+		if got := read(r.reg); got != r.want {
+			t.Errorf("after an inverse row: %s = %d, want %d", r.name, got, r.want)
+		}
+	}
+	if err := d.ChargeForwardRow(m + 1); err != nil {
+		t.Fatal(err)
+	}
+	if ctrl, width, off := read(hls.RegCtrl), read(hls.RegWidth), read(hls.RegInOffset); ctrl != uint32(hls.ModeForward) || width != m+1 || off != hls.BRAMArea {
+		t.Errorf("after a forward row: ctrl %d, width %d, offset %d; want %d, %d, %d", ctrl, width, off, hls.ModeForward, m+1, hls.BRAMArea)
+	}
+}
+
 func TestInverseRowMatchesReference(t *testing.T) {
 	d := openDevice(t, true)
 	rng := rand.New(rand.NewSource(52))

@@ -9,6 +9,7 @@ import (
 
 	"zynqfusion/internal/axi"
 	"zynqfusion/internal/hls"
+	"zynqfusion/internal/kernels"
 	"zynqfusion/internal/sim"
 	"zynqfusion/internal/wavelet"
 	"zynqfusion/internal/zynq"
@@ -94,8 +95,8 @@ func (d *stagingDevice) copyCost(n int) sim.Time {
 	return d.cfg.PS.CyclesF(d.cfg.UserCopyCyclesPerWord * float64(n))
 }
 
-func (d *stagingDevice) cmdCost() sim.Time {
-	t := d.eng.CommandTime(d.cfg.StatusPolls)
+func (d *stagingDevice) cmdCost(mode hls.Mode, pairs int) sim.Time {
+	t := d.eng.CommandTime(mode, pairs, d.readOff, d.cfg.StatusPolls)
 	depth := d.cfg.CmdQueueDepth
 	if depth < 1 {
 		depth = 1
@@ -164,7 +165,11 @@ func (d *stagingDevice) runRow(in, out []float32, forward bool) error {
 	inArea := d.kmem[d.readOff : d.readOff+len(in)]
 	copy(inArea, in)
 
-	cc := d.cmdCost()
+	mode := hls.ModeInverse
+	if forward {
+		mode = hls.ModeForward
+	}
+	cc := d.cmdCost(mode, len(out)/2)
 	d.cpu += cc
 	d.CPUBusy += cc
 
@@ -290,16 +295,22 @@ func rowWidth(b byte) int {
 // interleaved host charges, drains, resets and a close, through the
 // timeline-only Device and the staging oracle, each on its own wave
 // engine, single- or double-buffered, at command-queue depths 0 to 5,
-// with or without filters loaded. After every step the error texts, the
-// outputs, Peek, Elapsed (on a copy, so the schedule is not drained),
-// CPUBusy, HWBusy, Rows and every wave-engine, ACP and AXI-Lite counter
-// must be equal.
+// with or without filters loaded. A row op with its top bit set runs on
+// the Device as a data-free row (ChargeForwardRow, ChargeInverseRow)
+// whose outputs the test computes on the wave engine's chain, against
+// the oracle's data row. After every step the error texts, the outputs,
+// Peek, Elapsed (on a copy, so the schedule is not drained), CPUBusy,
+// HWBusy, Rows, every wave-engine and ACP counter and the whole AXI-Lite
+// port — counters and register image — must be equal.
 func FuzzDeviceRows(f *testing.F) {
 	f.Add([]byte{0, 16, 6, 16, 1, 30, 7, 30, 14, 200, 2, 3, 15, 0}, true, uint8(1), true, int64(1))
 	f.Add([]byte{0, 16, 6, 16, 1, 30, 7, 30, 14, 200, 2, 3, 15, 1}, false, uint8(1), true, int64(2))
 	f.Add([]byte{0, 5, 0, 6, 0, 7, 0, 8, 0, 9, 6, 10, 6, 11}, true, uint8(4), true, int64(3))
 	f.Add([]byte{0, 246, 6, 247, 0, 247, 6, 248, 12, 9, 13, 9, 0, 0, 6, 0}, true, uint8(0), true, int64(4))
 	f.Add([]byte{0, 16, 6, 16, 15, 3, 0, 16, 15, 0}, false, uint8(2), false, int64(5))
+	f.Add([]byte{0x80, 16, 6, 16, 0x86, 30, 0, 7, 0x81, 247, 0x87, 248, 0x80, 0, 14, 9, 0x86, 3}, true, uint8(3), true, int64(6))
+	f.Add([]byte{0x80, 9, 0x86, 9, 15, 2, 0x86, 5, 0x83, 40}, false, uint8(1), true, int64(7))
+	f.Add([]byte{0x80, 9, 0x86, 9, 15, 2, 0x86, 5}, false, uint8(1), false, int64(8))
 	f.Fuzz(func(t *testing.T, ops []byte, double bool, depth uint8, loaded bool, seed int64) {
 		if len(ops) > 256 {
 			ops = ops[:256]
@@ -323,7 +334,8 @@ func FuzzDeviceRows(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, arg := ops[i]%16, ops[i+1]
-			step := fmt.Sprintf("step %d (op %d, arg %d)", i/2, op, arg)
+			dataFree := ops[i]&0x80 != 0 && op < 12
+			step := fmt.Sprintf("step %d (op %d, arg %d, data-free %v)", i/2, op, arg, dataFree)
 			var got, want []float32
 			var errD, errO error
 			switch m := rowWidth(arg); {
@@ -334,7 +346,13 @@ func FuzzDeviceRows(f *testing.F) {
 					n = m + 1
 				}
 				got, want = garbage(2*m+1), garbage(2*m+1)
-				errD = d.ForwardRow(px, got[:m], got[m:m+n])
+				if dataFree {
+					if errD = d.ChargeForwardRow(m); errD == nil {
+						chainForward(px, got[:m], got[m:2*m])
+					}
+				} else {
+					errD = d.ForwardRow(px, got[:m], got[m:m+n])
+				}
 				errO = o.ForwardRow(px, want[:m], want[m:m+n])
 			case op < 12 || op == 13:
 				plo, phi := randRow(rng, m+5), randRow(rng, m+6)
@@ -343,7 +361,13 @@ func FuzzDeviceRows(f *testing.F) {
 					n = m + 6
 				}
 				got, want = garbage(2*m), garbage(2*m)
-				errD = d.InverseRow(plo, phi[:n], got)
+				if dataFree {
+					if errD = d.ChargeInverseRow(m); errD == nil {
+						chainInverse(plo, phi[:n], got)
+					}
+				} else {
+					errD = d.InverseRow(plo, phi[:n], got)
+				}
 				errO = o.InverseRow(plo, phi[:n], want)
 			case op == 14:
 				c := sim.Time(arg) * 997 * sim.Picosecond
@@ -373,6 +397,39 @@ func FuzzDeviceRows(f *testing.F) {
 	})
 }
 
+// chainForward computes what a data-free analysis row leaves to its
+// caller: the row's outputs through the fuzz engines' filters (CDF 9/7)
+// on the wave engine's chain, one lane per output.
+func chainForward(px, lo, hi []float32) {
+	m := len(lo)
+	b := wavelet.CDF97
+	even, odd := make([]float32, m+6), make([]float32, m+6)
+	kernels.Deinterleave(px, even, odd)
+	var rows kernels.AnalysisRows
+	for k := range rows {
+		phase := even
+		if k%2 == 1 {
+			phase = odd
+		}
+		rows[k] = phase[k/2 : k/2+m]
+	}
+	kernels.AnalyzeOpLanes(kernels.ChainWaveEngine.AnalysisOp(0, m), &b.AL, &b.AH, &rows, lo, hi)
+}
+
+// chainInverse is chainForward for a synthesis row: pair i reads
+// coefficients i..i+5 of each padded subband.
+func chainInverse(plo, phi, out []float32) {
+	m := len(out) / 2
+	b := wavelet.CDF97
+	var wl, wh kernels.SynthesisRows
+	for j := range wl {
+		wl[j], wh[j] = plo[j:j+m], phi[j:j+m]
+	}
+	even, odd := make([]float32, m), make([]float32, m)
+	kernels.SynthesizeOpLanes(kernels.ChainWaveEngine.SynthesisOp(0, m), &b.SL, &b.SH, &wl, &wh, even, odd)
+	kernels.Interleave(out, even, odd)
+}
+
 // garbage returns n words of a NaN payload no row computes, so words a row
 // must not write compare equal only if neither device wrote them.
 func garbage(n int) []float32 {
@@ -392,11 +449,11 @@ func sameTimeline(t *testing.T, step string, d *Device, o *stagingDevice) {
 		fwd, inv                       int64
 		plBusy                         sim.Time
 		acpWords, acpTransfers         int64
-		liteWrites, liteReads          int64
+		lite                           axi.Lite
 	}
 	read := func(peek, elapsed, cpuBusy, hwBusy sim.Time, rows int64, e *hls.WaveEngine) stats {
 		return stats{peek, elapsed, cpuBusy, hwBusy, rows, e.ForwardRows, e.InverseRows, e.PLBusy,
-			e.ACP.Words, e.ACP.Transfers, e.Lite.Writes, e.Lite.Reads}
+			e.ACP.Words, e.ACP.Transfers, *e.Lite}
 	}
 	got := read(d.Peek(), dc.Elapsed(), d.CPUBusy, d.HWBusy, d.Rows(), d.eng)
 	want := read(o.Peek(), oc.Elapsed(), o.CPUBusy, o.HWBusy, o.Rows(), o.eng)

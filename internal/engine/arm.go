@@ -34,35 +34,26 @@ func (a *ARM) Name() string { return "arm" }
 // Analyze implements signal.Kernel with scalar loops.
 func (a *ARM) Analyze(al, ah *signal.Taps, px []float32, lo, hi []float32) {
 	kernels.AnalyzeRef(al, ah, px, lo, hi)
-	a.ChargeAnalyzeRow(len(lo))
+	a.ChargeAnalyzeRow(al, ah, len(lo))
 }
 
 // Synthesize implements signal.Kernel with scalar loops.
 func (a *ARM) Synthesize(sl, sh *signal.Taps, plo, phi []float32, out []float32) {
 	kernels.SynthesizeRef(sl, sh, plo, phi, out)
-	a.ChargeSynthesizeRow(len(out) / 2)
-}
-
-// AnalyzeLanes implements kernels.TileKernel: pure compute through the
-// BCE-clean reference chain per lane, safe for concurrent calls.
-func (a *ARM) AnalyzeLanes(al, ah *signal.Taps, rows *kernels.AnalysisRows, lo, hi []float32, _, _ int) {
-	kernels.AnalyzeRefLanes(al, ah, rows, lo, hi)
-}
-
-// SynthesizeLanes implements kernels.TileKernel.
-func (a *ARM) SynthesizeLanes(sl, sh *signal.Taps, wl, wh *kernels.SynthesisRows, even, odd []float32, _, _ int) {
-	kernels.SynthesizeRefLanes(sl, sh, wl, wh, even, odd)
+	a.ChargeSynthesizeRow(sl, sh, len(out)/2)
 }
 
 // ChargeAnalyzeRow implements kernels.TileKernel: the modeled cost of
-// one analysis row of m output pairs.
-func (a *ARM) ChargeAnalyzeRow(m int) {
+// one analysis row of m output pairs, computed on the reference chain.
+func (a *ARM) ChargeAnalyzeRow(_, _ *signal.Taps, m int) kernels.Chain {
 	a.cycles += ARMRowOverheadCycles + ARMFwdPairCycles*float64(m)
+	return kernels.ChainRef
 }
 
 // ChargeSynthesizeRow implements kernels.TileKernel.
-func (a *ARM) ChargeSynthesizeRow(m int) {
+func (a *ARM) ChargeSynthesizeRow(_, _ *signal.Taps, m int) kernels.Chain {
 	a.cycles += ARMRowOverheadCycles + ARMInvPairCycles*float64(m)
+	return kernels.ChainRef
 }
 
 // ChargeCPU implements Engine.

@@ -7,6 +7,7 @@ import (
 	"zynqfusion/internal/driver"
 	"zynqfusion/internal/dvfs"
 	"zynqfusion/internal/hls"
+	"zynqfusion/internal/kernels"
 	"zynqfusion/internal/signal"
 	"zynqfusion/internal/sim"
 	"zynqfusion/internal/zynq"
@@ -16,7 +17,11 @@ import (
 // engine behind the kernel driver, with the Fig. 5 double-buffered
 // schedule. The wave engine reloads its filter coefficients over
 // AXI4-Lite whenever the wavelet layer switches banks (tree or level
-// changes), and that reload time is charged to the host.
+// changes), and that reload time is charged to the host. Besides its
+// data rows (Analyze, Synthesize) it charges rows without data
+// (kernels.TileKernel): the same reloads, checks, timeline steps and
+// counters, leaving the outputs to the wavelet layer's tiled passes on
+// the wave engine's chain, kernels.ChainWaveEngine.
 type FPGA struct {
 	ps    sim.Clock
 	op    dvfs.OperatingPoint
@@ -94,17 +99,45 @@ func (f *FPGA) WaveEngine() *hls.WaveEngine { return f.eng }
 // Analyze implements signal.Kernel via the accelerator.
 func (f *FPGA) Analyze(al, ah *signal.Taps, px []float32, lo, hi []float32) {
 	f.dev.ChargeHost(f.eng.UseAnalysis(al, ah))
-	if err := f.dev.ForwardRow(px, lo, hi); err != nil {
-		panic(fmt.Sprintf("engine: FPGA forward row: %v", err))
-	}
+	rowOK("forward", f.dev.ForwardRow(px, lo, hi))
 }
 
 // Synthesize implements signal.Kernel via the accelerator.
 func (f *FPGA) Synthesize(sl, sh *signal.Taps, plo, phi []float32, out []float32) {
+	f.useSynthesis(sl, sh)
+	rowOK("inverse", f.dev.InverseRow(plo, phi, out))
+}
+
+// ChargeAnalyzeRow implements kernels.TileKernel: Analyze's filter
+// reload and driver row without data, with the same checks, Fig. 5
+// timeline steps and counters. The caller computes the row on the wave
+// engine's chain.
+func (f *FPGA) ChargeAnalyzeRow(al, ah *signal.Taps, m int) kernels.Chain {
+	f.dev.ChargeHost(f.eng.UseAnalysis(al, ah))
+	rowOK("forward", f.dev.ChargeForwardRow(m))
+	return kernels.ChainWaveEngine
+}
+
+// ChargeSynthesizeRow implements kernels.TileKernel for Synthesize.
+func (f *FPGA) ChargeSynthesizeRow(sl, sh *signal.Taps, m int) kernels.Chain {
+	f.useSynthesis(sl, sh)
+	rowOK("inverse", f.dev.ChargeInverseRow(m))
+	return kernels.ChainWaveEngine
+}
+
+// useSynthesis charges the host side of a synthesis row ahead of the
+// driver's: the filter reload, if any, and the inverse mode's extra
+// syscall work.
+func (f *FPGA) useSynthesis(sl, sh *signal.Taps) {
 	f.dev.ChargeHost(f.eng.UseSynthesis(sl, sh))
 	f.dev.ChargeHost(f.ps.Cycles(InverseExtraSyscallCycles))
-	if err := f.dev.InverseRow(plo, phi, out); err != nil {
-		panic(fmt.Sprintf("engine: FPGA inverse row: %v", err))
+}
+
+// rowOK panics on a driver row error: the wavelet layer only issues rows
+// that fit the engine, so an error is a programming error.
+func rowOK(dir string, err error) {
+	if err != nil {
+		panic(fmt.Sprintf("engine: FPGA %s row: %v", dir, err))
 	}
 }
 

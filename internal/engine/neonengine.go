@@ -13,7 +13,7 @@ import (
 // scalar-tail penalty. By default the fast kernels in internal/kernels
 // do the arithmetic — bit-for-bit identical to the emulated NEON unit,
 // with the instruction ledger applied in closed form — and the engine
-// supports tiled concurrent execution via kernels.TileKernel. The
+// supports the tiled passes via kernels.TileKernel. The
 // emulated-unit path (NewNEONEmulatedAt) remains as the wall-clock
 // benchmark baseline and for ledger-mechanism tests; it produces
 // byte-identical pixels, cycles and counts, just slower.
@@ -88,7 +88,7 @@ func (n *NEON) Analyze(al, ah *signal.Taps, px []float32, lo, hi []float32) {
 	} else {
 		kernels.NeonAnalyzeAuto(al, ah, px, lo, hi)
 	}
-	n.ChargeAnalyzeRow(len(lo))
+	n.ChargeAnalyzeRow(al, ah, len(lo))
 }
 
 // Synthesize implements signal.Kernel on the NEON unit.
@@ -103,30 +103,14 @@ func (n *NEON) Synthesize(sl, sh *signal.Taps, plo, phi []float32, out []float32
 		return
 	}
 	kernels.NeonSynthesize(sl, sh, plo, phi, out)
-	n.ChargeSynthesizeRow(len(out) / 2)
-}
-
-// AnalyzeLanes implements kernels.TileKernel: pure compute through the
-// lane form of the style's analysis kernel, taking the auto style's body
-// or tail chain by the outputs' position, safe for concurrent calls.
-func (n *NEON) AnalyzeLanes(al, ah *signal.Taps, rows *kernels.AnalysisRows, lo, hi []float32, pos, m int) {
-	if n.manual {
-		kernels.NeonAnalyzeManualLanes(al, ah, rows, lo, hi)
-		return
-	}
-	kernels.NeonAnalyzeAutoLanes(al, ah, rows, lo, hi, pos, m)
-}
-
-// SynthesizeLanes implements kernels.TileKernel.
-func (n *NEON) SynthesizeLanes(sl, sh *signal.Taps, wl, wh *kernels.SynthesisRows, even, odd []float32, pos, m int) {
-	kernels.NeonSynthesizeLanes(sl, sh, wl, wh, even, odd, pos, m)
+	n.ChargeSynthesizeRow(sl, sh, len(out)/2)
 }
 
 // ChargeAnalyzeRow implements kernels.TileKernel: the closed-form
 // instruction-ledger delta plus the same cycle expression the emulated
 // path charges. The scalar tail is m%4 pairs in auto style (the
 // emulation's ScalarOps delta / 24), zero in manual style.
-func (n *NEON) ChargeAnalyzeRow(m int) {
+func (n *NEON) ChargeAnalyzeRow(_, _ *signal.Taps, m int) kernels.Chain {
 	n.unit.C.Add(kernels.CountsAnalyze(n.manual, m))
 	tail := 0
 	if !n.manual {
@@ -135,15 +119,25 @@ func (n *NEON) ChargeAnalyzeRow(m int) {
 	n.cycles += NEONRowOverheadCycles +
 		NEONFwdPairCycles*float64(m) +
 		NEONTailPairCycles*float64(tail)
+	return n.chain()
 }
 
 // ChargeSynthesizeRow implements kernels.TileKernel (both vectorization
 // styles share the synthesis code path, so the tail is always m%4).
-func (n *NEON) ChargeSynthesizeRow(m int) {
+func (n *NEON) ChargeSynthesizeRow(_, _ *signal.Taps, m int) kernels.Chain {
 	n.unit.C.Add(kernels.CountsSynthesize(m))
 	n.cycles += NEONRowOverheadCycles +
 		NEONInvPairCycles*float64(m) +
 		NEONTailPairCycles*float64(m%4)
+	return n.chain()
+}
+
+// chain is the engine's vectorization style as a kernels.Chain.
+func (n *NEON) chain() kernels.Chain {
+	if n.manual {
+		return kernels.ChainNEONManual
+	}
+	return kernels.ChainNEONAuto
 }
 
 // TilingEnabled reports whether concurrent tile compute is allowed:

@@ -76,11 +76,12 @@ func TestNEONFastMatchesEmulated(t *testing.T) {
 	}
 }
 
-// TestTileKernelReplayMatchesSequential computes rows through the lane
-// kernels in the tiled horizontal passes' layout (lane i is output i of
-// the row), in a scrambled row order, then replays the charges in
-// canonical order, and checks that this reproduces the sequential engine
-// exactly: pixels, cycles and ledger.
+// TestTileKernelReplayMatchesSequential replays the row charges in
+// canonical order first, then computes the rows on the chains they
+// returned through the lane kernels in the tiled horizontal passes'
+// layout (lane i is output i of the row), in a scrambled row order, and
+// checks that this reproduces the sequential engine exactly: pixels,
+// cycles and ledger.
 func TestTileKernelReplayMatchesSequential(t *testing.T) {
 	engines := map[string]func() signal.Kernel{
 		"arm":         func() signal.Kernel { return NewARM() },
@@ -125,18 +126,19 @@ func TestTileKernelReplayMatchesSequential(t *testing.T) {
 		for r := 0; r < rows; r++ {
 			seqEng.Synthesize(&al, &ah, plos[r], phis[r], seqOut[r])
 		}
-		// Tiled: compute rows in a scrambled order, then replay charges
-		// in canonical order.
+		// Tiled: replay the charges in canonical order, then compute the
+		// rows on their chains in a scrambled order.
+		fwd, inv := make([]kernels.Chain, rows), make([]kernels.Chain, rows)
+		for r := 0; r < rows; r++ {
+			fwd[r] = tk.ChargeAnalyzeRow(&al, &ah, m)
+		}
+		for r := 0; r < rows; r++ {
+			inv[r] = tk.ChargeSynthesizeRow(&al, &ah, m)
+		}
 		order := rand.New(rand.NewSource(5)).Perm(rows)
 		for _, r := range order {
-			analyzeRowLanes(tk, &al, &ah, pxs[r], tileLo[r], tileHi[r])
-			synthesizeRowLanes(tk, &al, &ah, plos[r], phis[r], tileOut[r])
-		}
-		for r := 0; r < rows; r++ {
-			tk.ChargeAnalyzeRow(m)
-		}
-		for r := 0; r < rows; r++ {
-			tk.ChargeSynthesizeRow(m)
+			analyzeRowLanes(fwd[r], &al, &ah, pxs[r], tileLo[r], tileHi[r])
+			synthesizeRowLanes(inv[r], &al, &ah, plos[r], phis[r], tileOut[r])
 		}
 
 		for r := 0; r < rows; r++ {
@@ -167,11 +169,11 @@ func TestTileKernelReplayMatchesSequential(t *testing.T) {
 	}
 }
 
-// analyzeRowLanes computes one analysis row through tk's lane form. Tap
-// k of output i reads px[2i+k], which is element i+k/2 of px's even (k
-// even) or odd (k odd) phase, so tap k's row is a slice of one phase. The
-// body outputs and the m%4 tail run as separate calls.
-func analyzeRowLanes(tk kernels.TileKernel, al, ah *signal.Taps, px, lo, hi []float32) {
+// analyzeRowLanes computes one analysis row on chain c through the lane
+// kernels. Tap k of output i reads px[2i+k], which is element i+k/2 of
+// px's even (k even) or odd (k odd) phase, so tap k's row is a slice of
+// one phase. The body outputs and the m%4 tail run as separate calls.
+func analyzeRowLanes(c kernels.Chain, al, ah *signal.Taps, px, lo, hi []float32) {
 	m := len(lo)
 	var phases [2][]float32
 	for i, v := range px {
@@ -183,13 +185,14 @@ func analyzeRowLanes(tk kernels.TileKernel, al, ah *signal.Taps, px, lo, hi []fl
 		body[k] = phases[k%2][k/2 : k/2+m]
 		tail[k] = body[k][b:]
 	}
-	tk.AnalyzeLanes(al, ah, &body, lo[:b], hi[:b], 0, m)
-	tk.AnalyzeLanes(al, ah, &tail, lo[b:], hi[b:], b, m)
+	kernels.AnalyzeOpLanes(c.AnalysisOp(0, m), al, ah, &body, lo[:b], hi[:b])
+	kernels.AnalyzeOpLanes(c.AnalysisOp(b, m), al, ah, &tail, lo[b:], hi[b:])
 }
 
-// synthesizeRowLanes computes one synthesis row through tk's lane form:
-// window row j of pair i is coefficient i+j of each padded subband.
-func synthesizeRowLanes(tk kernels.TileKernel, sl, sh *signal.Taps, plo, phi, out []float32) {
+// synthesizeRowLanes computes one synthesis row on chain c through the
+// lane kernels: window row j of pair i is coefficient i+j of each padded
+// subband.
+func synthesizeRowLanes(c kernels.Chain, sl, sh *signal.Taps, plo, phi, out []float32) {
 	m := len(out) / 2
 	b := m - m%4
 	var wl, wh, tl, th kernels.SynthesisRows
@@ -198,8 +201,8 @@ func synthesizeRowLanes(tk kernels.TileKernel, sl, sh *signal.Taps, plo, phi, ou
 		tl[j], th[j] = wl[j][b:], wh[j][b:]
 	}
 	even, odd := make([]float32, m), make([]float32, m)
-	tk.SynthesizeLanes(sl, sh, &wl, &wh, even[:b], odd[:b], 0, m)
-	tk.SynthesizeLanes(sl, sh, &tl, &th, even[b:], odd[b:], b, m)
+	kernels.SynthesizeOpLanes(c.SynthesisOp(0, m), sl, sh, &wl, &wh, even[:b], odd[:b])
+	kernels.SynthesizeOpLanes(c.SynthesisOp(b, m), sl, sh, &tl, &th, even[b:], odd[b:])
 	for i := range even {
 		out[2*i], out[2*i+1] = even[i], odd[i]
 	}

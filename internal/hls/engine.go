@@ -17,7 +17,12 @@
 // subbands; Fig. 4's interleaved buffer formats are timed (their word
 // counts set the memcpy costs) but not built. The engine alone tracks
 // which filters are resident: UseAnalysis and UseSynthesis reload them
-// only on a change.
+// only on a change. ForwardTime and InverseTime run a row's checks,
+// counters and timing without data, for callers that compute the row on
+// the engine's chain themselves; Forward and Inverse are those plus the
+// lanes. Each row command writes its mode, pair count and buffer-area
+// offset to the AXI4-Lite registers, and a finished row raises the done
+// flag in RegStatus.
 package hls
 
 import (
@@ -141,12 +146,14 @@ func (e *WaveEngine) UseSynthesis(sl, sh *signal.Taps) sim.Time {
 // buff_out[2k+1] = lp); the model writes the caller's planar rows and
 // times the same words. It returns the PL-side busy time: input memcpy,
 // pipeline, output memcpy, which the synthesized engine does not overlap.
+// The checks, counters and time are ForwardTime's.
 func (e *WaveEngine) Forward(px, lo, hi []float32) (sim.Time, error) {
 	m := len(lo)
 	if len(hi) != m {
 		return 0, fmt.Errorf("%w: lo=%d hi=%d", ErrBadLength, m, len(hi))
 	}
-	if err := e.checkRow(m, len(px), 2*m+signal.TapCount); err != nil {
+	t, err := e.forwardRow(m, len(px))
+	if err != nil {
 		return 0, err
 	}
 
@@ -164,18 +171,31 @@ func (e *WaveEngine) Forward(px, lo, hi []float32) (sim.Time, error) {
 		rows[k] = phase[k/2 : k/2+m]
 	}
 	kernels.AnalyzeMulFirstLanes(&e.analysisLP, &e.analysisHP, &rows, lo, hi)
-
-	e.ForwardRows++
-	t := e.rowTime(len(px), m+6, 2*m)
-	e.PLBusy += t
 	return t, nil
+}
+
+// ForwardTime is Forward without data: the checks, row counter, status
+// flag and PL busy time of one analysis row of m output pairs, whose
+// outputs the caller computes itself on the engine's chain,
+// kernels.ChainWaveEngine.
+func (e *WaveEngine) ForwardTime(m int) (sim.Time, error) {
+	return e.forwardRow(m, 2*m+signal.TapCount)
+}
+
+func (e *WaveEngine) forwardRow(m, inLen int) (sim.Time, error) {
+	if err := e.checkRow(m, inLen, 2*m+signal.TapCount); err != nil {
+		return 0, err
+	}
+	e.ForwardRows++
+	return e.finishRow(e.rowTime(inLen, m+6, 2*m)), nil
 }
 
 // Inverse runs one synthesis row (mode 3): plo and phi hold m+5 padded
 // lowpass and highpass coefficients, and out receives 2*m reconstructed
 // samples. The Fig. 4 engine reads them as m+5 interleaved (lo, hi)
 // pairs; the model reads the caller's planar rows and times the same
-// 2*m+10 words. Timing mirrors Forward.
+// 2*m+10 words. Timing mirrors Forward; the checks, counters and time
+// are InverseTime's.
 func (e *WaveEngine) Inverse(plo, phi, out []float32) (sim.Time, error) {
 	pairs := len(plo)
 	if len(phi) != pairs {
@@ -185,7 +205,8 @@ func (e *WaveEngine) Inverse(plo, phi, out []float32) (sim.Time, error) {
 	if len(out) != 2*m {
 		return 0, fmt.Errorf("%w: odd output length %d", ErrBadLength, len(out))
 	}
-	if err := e.checkRow(m, 2*pairs, 2*(m+signal.SynthesisPad)); err != nil {
+	t, err := e.inverseRow(m, pairs)
+	if err != nil {
 		return 0, err
 	}
 
@@ -198,11 +219,29 @@ func (e *WaveEngine) Inverse(plo, phi, out []float32) (sim.Time, error) {
 	}
 	kernels.SynthesizeRefLanes(&e.synthLP, &e.synthHP, &wl, &wh, ev, od)
 	kernels.Interleave(out, ev, od)
-
-	e.InverseRows++
-	t := e.rowTime(2*pairs, pairs, len(out))
-	e.PLBusy += t
 	return t, nil
+}
+
+// InverseTime is Inverse without data, for a synthesis row of m
+// coefficient pairs: see ForwardTime.
+func (e *WaveEngine) InverseTime(m int) (sim.Time, error) {
+	return e.inverseRow(m, m+signal.SynthesisPad)
+}
+
+func (e *WaveEngine) inverseRow(m, pairs int) (sim.Time, error) {
+	if err := e.checkRow(m, 2*pairs, 2*(m+signal.SynthesisPad)); err != nil {
+		return 0, err
+	}
+	e.InverseRows++
+	return e.finishRow(e.rowTime(2*pairs, pairs, 2*m)), nil
+}
+
+// finishRow books a finished row's PL busy time t and raises the done
+// flag the host polls.
+func (e *WaveEngine) finishRow(t sim.Time) sim.Time {
+	e.PLBusy += t
+	e.Lite.Set(RegStatus, 1)
+	return t
 }
 
 // checkRow validates a row of m output pairs (2*m output words) whose
@@ -233,15 +272,18 @@ func (e *WaveEngine) rowTime(inWords, iters, outWords int) sim.Time {
 	return t
 }
 
-// CommandTime returns the PS time to issue one row command: control,
-// offset and width register writes plus completion polling ("App check for
-// accelerator completion and activate", Fig. 5). polls is the number of
-// status reads before the done flag is observed.
-func (e *WaveEngine) CommandTime(polls int) sim.Time {
-	t := e.Lite.Write(RegInOffset, 0)
-	t += e.Lite.Write(RegOutOffset, 0)
-	t += e.Lite.Write(RegWidth, 0)
-	t += e.Lite.Write(RegCtrl, uint32(ModeForward))
+// CommandTime returns the PS time to issue one row command: the input
+// and output offsets of the row's buffer area (offset, in words), its
+// pair count and then the control register's mode, which starts the
+// engine and lowers its done flag, plus completion polling ("App check
+// for accelerator completion and activate", Fig. 5). polls is the number
+// of status reads before the done flag is observed.
+func (e *WaveEngine) CommandTime(mode Mode, pairs, offset, polls int) sim.Time {
+	t := e.Lite.Write(RegInOffset, uint32(offset))
+	t += e.Lite.Write(RegOutOffset, uint32(offset))
+	t += e.Lite.Write(RegWidth, uint32(pairs))
+	t += e.Lite.Write(RegCtrl, uint32(mode))
+	e.Lite.Set(RegStatus, 0)
 	for i := 0; i < polls; i++ {
 		_, rt := e.Lite.Read(RegStatus)
 		t += rt

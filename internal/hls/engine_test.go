@@ -217,7 +217,7 @@ func TestUseFiltersReloadOnlyOnChange(t *testing.T) {
 
 func TestCommandTime(t *testing.T) {
 	e := newEngine()
-	tm := e.CommandTime(2)
+	tm := e.CommandTime(ModeForward, 8, 0, 2)
 	var want sim.Time // 4 writes + 2 polls, summed per transaction
 	for i := 0; i < 6; i++ {
 		want += zynq.PS().Cycles(axi.GPWordCycles)

@@ -45,55 +45,45 @@
 //     allocations. Tiles write disjoint output ranges, so pixel results
 //     are deterministic regardless of scheduling.
 //
-// Determinism contract: compute is separated from accounting. Engines
-// that support tiling implement TileKernel — concurrency-safe compute
-// methods plus per-row charge methods the caller replays sequentially in
-// canonical row order after the parallel region. Because the modeled
-// cycle accumulators are float64 (addition order matters), the replay
-// performs the same additions in the same order as the scalar path, so
-// chargeCPU totals, StageTimes and every golden output stay byte-
-// identical at any worker count.
+// Determinism contract: accounting is separated from compute, and comes
+// first. Engines that support tiling implement TileKernel — per-row
+// charge methods that apply a row's modeled cost without data and return
+// the Chain that computes it. The caller replays those charges
+// sequentially in canonical row order, recording each row's chain, and
+// then computes every row on its chain with the concurrency-safe lane
+// kernels (AnalyzeOpLanes, SynthesizeOpLanes). Because the modeled cycle
+// accumulators are float64 (addition order matters) and a routed or
+// double-buffered timeline depends on the order of its steps, the replay
+// performs the same steps in the same order as the scalar path, so
+// chargeCPU totals, StageTimes, routing and every golden output stay
+// byte-identical at any worker count.
 package kernels
 
 import "zynqfusion/internal/signal"
 
-// TileKernel is the compute/accounting split an engine offers when its
-// kernels may execute concurrently. AnalyzeLanes and SynthesizeLanes are
-// pure compute — one output (pair) of many 1-D transforms at once, one
-// lane each, bit-identical to the engine's Analyze/Synthesize and safe to
-// call from many goroutines at once — while ChargeAnalyzeRow and
-// ChargeSynthesizeRow apply the modeled cost of one 1-D row and must be
-// called sequentially, once per row in canonical row order, after the
-// parallel region. The sum of (compute, charge) over any schedule equals
-// the engine's sequential Analyze/Synthesize byte for byte: pixels,
-// cycles and instruction ledger alike.
-//
-// A lane is one column of a plane (the vertical passes: every lane at
-// position pos) or one output of a row (the horizontal passes: lane i at
-// position i). pos picks the chain, so a call's lanes must all sit on the
-// same side of the m%4 tail the 1-D kernels switch chains at: a row runs
-// its body outputs at pos 0 and its last m%4 outputs at pos m-m%4.
+// TileKernel is the accounting half of an engine whose rows the tiled
+// passes may compute: ChargeAnalyzeRow and ChargeSynthesizeRow apply the
+// modeled cost of one 1-D row, with no data, and return the Chain that
+// computes it. They must be called sequentially, once per row in
+// canonical row order (the order the sequential per-row loops call
+// Analyze and Synthesize); computing each row on its chain with the lane
+// kernels then reproduces the engine's sequential Analyze/Synthesize
+// byte for byte: pixels, cycles, instruction ledger and, for the FPGA
+// and adaptive engines, every driver, HLS and AXI statistic and routing
+// decision.
 type TileKernel interface {
-	// AnalyzeLanes computes output pos of an m-output analysis row for
-	// len(lo) lanes at once (see AnalysisRows), without accounting: per
-	// lane bit-identical to that output of Analyze over the lane's padded
-	// input.
-	AnalyzeLanes(al, ah *signal.Taps, rows *AnalysisRows, lo, hi []float32, pos, m int)
-	// SynthesizeLanes computes output pair pos of an m-pair synthesis row
-	// for len(even) lanes at once (see SynthesisRows), without accounting:
-	// per lane bit-identical to outputs 2*pos and 2*pos+1 of Synthesize
-	// over the lane's padded subbands.
-	SynthesizeLanes(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32, pos, m int)
 	// ChargeAnalyzeRow applies the modeled cost of one analysis row of m
-	// output pairs — exactly what Analyze would have charged.
-	ChargeAnalyzeRow(m int)
+	// output pairs through filters al and ah — exactly what Analyze
+	// would have charged — and returns the row's chain.
+	ChargeAnalyzeRow(al, ah *signal.Taps, m int) Chain
 	// ChargeSynthesizeRow applies the modeled cost of one synthesis row
-	// of m coefficient pairs — exactly what Synthesize would have charged.
-	ChargeSynthesizeRow(m int)
+	// of m coefficient pairs through filters sl and sh — exactly what
+	// Synthesize would have charged — and returns the row's chain.
+	ChargeSynthesizeRow(sl, sh *signal.Taps, m int) Chain
 }
 
-// AsTile returns the TileKernel view of k when k supports concurrent
-// tile compute. A kernel that additionally implements
+// AsTile returns the TileKernel view of k when k supports tiled
+// execution. A kernel that additionally implements
 // interface{ TilingEnabled() bool } can veto at runtime — e.g. a NEON
 // engine pinned to its emulated unit as the wall-clock benchmark
 // baseline, whose per-op ledger is stateful and must run sequentially.

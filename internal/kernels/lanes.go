@@ -21,11 +21,12 @@ import "zynqfusion/internal/signal"
 //     of the padded subband itself.
 //
 // Each lane performs exactly the operations, in exactly the order, that
-// the engine's 1-D kernel performs for its output — the 1-D kernels
-// switch chains at the remainder tail, so the lane forms take a position
-// pos in the m-output row and pick that position's chain for every lane.
-// Outputs are therefore bit-identical to the 1-D kernels (pinned by
-// TestLaneKernelsMatchColumns and FuzzLaneKernels, in both layouts). The
+// the engine's 1-D kernel performs for its output — the NEON 1-D kernels
+// switch chains at the remainder tail, so a row's Chain names the lane
+// chain (Op) at each position (chain.go), and a lane call runs one Op
+// for every lane. Outputs are therefore bit-identical to the 1-D kernels
+// (pinned by TestLaneKernelsMatchColumns and FuzzLaneKernels, in both
+// layouts). The
 // Go lane loops keep the statement shape of their 1-D kernels so that
 // arm64's FMA contraction treats both forms alike, and put every slice
 // length in the loop condition so the check_bce lint stays clean. On
@@ -62,18 +63,6 @@ func checkLanes(name string, rows [][]float32, a, b []float32) {
 			panic(name + ": inconsistent lengths")
 		}
 	}
-}
-
-// NeonAnalyzeAutoLanes is NeonAnalyzeAuto for output pos of an m-output
-// row, over len(lo) lanes: the mul-first vectorized-body chain, or the
-// zero-start tail chain for the last m%4 outputs.
-func NeonAnalyzeAutoLanes(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32, pos, m int) {
-	if pos < m-m%4 {
-		AnalyzeMulFirstLanes(al, ah, r, lo, hi)
-		return
-	}
-	checkLanes("kernels.NeonAnalyzeAutoLanes", r[:], lo, hi)
-	analyzeLanesZero(al, ah, r, lo, hi)
 }
 
 // AnalyzeMulFirstLanes runs the mul-first analysis chain over len(lo)
@@ -212,19 +201,12 @@ func analyzeLanesZero(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32) {
 	}
 }
 
-// NeonSynthesizeLanes is NeonSynthesize for output pair pos of an m-pair
-// row, over len(even) lanes: wl and wh are the lowpass and highpass
-// windows, even and odd the pair's two outputs per lane. The body and tail
-// chains differ only in the zero start (the interleave between the even
-// and odd chains, which the 1-D kernel varies, does not touch either
-// chain's order).
-func NeonSynthesizeLanes(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32, pos, m int) {
-	checkLanes("kernels.NeonSynthesizeLanes", wl[:], even, odd)
-	checkLanes("kernels.NeonSynthesizeLanes", wh[:], even, odd)
-	if pos >= m-m%4 {
-		synthesizeLanesZero(sl, sh, wl, wh, even, odd)
-		return
-	}
+// synthesizeMulFirstLanes runs NeonSynthesize's vectorized-body chain
+// over len(even) lanes: wl and wh are the lowpass and highpass windows,
+// even and odd the pair's two outputs per lane.
+func synthesizeMulFirstLanes(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32) {
+	checkLanes("kernels.SynthesizeOpLanes", wl[:], even, odd)
+	checkLanes("kernels.SynthesizeOpLanes", wh[:], even, odd)
 	rows, te, to := synthesisChains(sl, sh, wl, wh)
 	n := mulChainSIMD(&rows, &te, even)
 	mulChainSIMD(&rows, &to, odd)

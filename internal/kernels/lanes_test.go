@@ -32,8 +32,22 @@ type laneChain struct {
 	synth1D    func(sl, sh *signal.Taps, plo, phi, out []float32)
 }
 
+// chainAnalysis and chainSynthesis are the lane forms of a Chain: the lane
+// chain it runs at the call's position.
+func chainAnalysis(c Chain) func(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32, pos, m int) {
+	return func(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32, pos, m int) {
+		AnalyzeOpLanes(c.AnalysisOp(pos, m), al, ah, r, lo, hi)
+	}
+}
+
+func chainSynthesis(c Chain) func(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32, pos, m int) {
+	return func(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32, pos, m int) {
+		SynthesizeOpLanes(c.SynthesisOp(pos, m), sl, sh, wl, wh, even, odd)
+	}
+}
+
 var laneChains = []laneChain{
-	{name: "neon-auto", analyze: NeonAnalyzeAutoLanes, analyze1D: NeonAnalyzeAuto},
+	{name: "neon-auto", analyze: chainAnalysis(ChainNEONAuto), analyze1D: NeonAnalyzeAuto},
 	{name: "neon-auto-go", analyze1D: NeonAnalyzeAuto,
 		analyze: func(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32, pos, m int) {
 			if pos >= m-m%4 {
@@ -42,15 +56,10 @@ var laneChains = []laneChain{
 				analyzeLanesMulFirst(al, ah, r, lo, hi, 0)
 			}
 		}},
-	{name: "neon-manual", analyze1D: NeonAnalyzeManual,
-		analyze: func(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32, _, _ int) {
-			NeonAnalyzeManualLanes(al, ah, r, lo, hi)
-		}},
-	{name: "ref", analyze1D: AnalyzeRef,
-		analyze: func(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32, _, _ int) {
-			AnalyzeRefLanes(al, ah, r, lo, hi)
-		}},
-	{name: "neon-synth", synthesize: NeonSynthesizeLanes, synth1D: NeonSynthesize},
+	{name: "neon-manual", analyze: chainAnalysis(ChainNEONManual), analyze1D: NeonAnalyzeManual},
+	{name: "ref", analyze: chainAnalysis(ChainRef), analyze1D: AnalyzeRef},
+	{name: "neon-synth", synthesize: chainSynthesis(ChainNEONAuto), synth1D: NeonSynthesize},
+	{name: "neon-manual-synth", synthesize: chainSynthesis(ChainNEONManual), synth1D: NeonSynthesize},
 	{name: "neon-synth-go", synth1D: NeonSynthesize,
 		synthesize: func(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32, pos, m int) {
 			if pos >= m-m%4 {
@@ -59,10 +68,11 @@ var laneChains = []laneChain{
 				synthesizeLanesMulFirst(sl, sh, wl, wh, even, odd, 0)
 			}
 		}},
-	{name: "ref-synth", synth1D: SynthesizeRef,
-		synthesize: func(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32, _, _ int) {
-			SynthesizeRefLanes(sl, sh, wl, wh, even, odd)
-		}},
+	{name: "ref-synth", synthesize: chainSynthesis(ChainRef), synth1D: SynthesizeRef},
+	// The wave engine's synthesis is the reference pair chain; its
+	// analysis, the mul-first chain at every output, is pinned against
+	// the Fig. 4 dataflow in internal/hls.
+	{name: "wave-engine-synth", synthesize: chainSynthesis(ChainWaveEngine), synth1D: SynthesizeRef},
 }
 
 // laneValue draws an input sample: mostly ordinary values, with ±0,
@@ -278,12 +288,13 @@ func TestLaneKernelsRejectShortRows(t *testing.T) {
 	wh[5] = wh[5][:7]
 	out := make([]float32, 8)
 	for name, call := range map[string]func(){
-		"auto":       func() { NeonAnalyzeAutoLanes(&al, &ah, &r, out, out, 0, 8) },
-		"manual":     func() { NeonAnalyzeManualLanes(&al, &ah, &r, out, out) },
-		"ref":        func() { AnalyzeRefLanes(&al, &ah, &r, out, out) },
-		"neon-synth": func() { NeonSynthesizeLanes(&al, &ah, &wl, &wh, out, out, 0, 8) },
-		"ref-synth":  func() { SynthesizeRefLanes(&al, &ah, &wl, &wh, out, out) },
-		"mismatch":   func() { AnalyzeRefLanes(&al, &ah, &r, out[:2], out[:3]) },
+		"mul-first":       func() { AnalyzeOpLanes(OpMulFirst, &al, &ah, &r, out, out) },
+		"manual":          func() { AnalyzeOpLanes(OpPartial4, &al, &ah, &r, out, out) },
+		"ref":             func() { AnalyzeOpLanes(OpZero, &al, &ah, &r, out, out) },
+		"mul-first-synth": func() { SynthesizeOpLanes(OpMulFirst, &al, &ah, &wl, &wh, out, out) },
+		"zero-synth":      func() { SynthesizeOpLanes(OpZero, &al, &ah, &wl, &wh, out, out) },
+		"ref-synth":       func() { SynthesizeOpLanes(OpPair, &al, &ah, &wl, &wh, out, out) },
+		"mismatch":        func() { AnalyzeRefLanes(&al, &ah, &r, out[:2], out[:3]) },
 	} {
 		func() {
 			defer func() {
@@ -369,7 +380,7 @@ func BenchmarkLaneAnalyzeSSE(b *testing.B) {
 	lb := newLaneBench()
 	b.SetBytes(2 * benchLanes * 4)
 	for b.Loop() {
-		NeonAnalyzeAutoLanes(&lb.a, &lb.b, &lb.r, lb.o1, lb.o2, 0, 8)
+		AnalyzeOpLanes(OpMulFirst, &lb.a, &lb.b, &lb.r, lb.o1, lb.o2)
 	}
 }
 
@@ -386,6 +397,6 @@ func BenchmarkLaneSynthesizeSSE(b *testing.B) {
 	lb := newLaneBench()
 	b.SetBytes(2 * benchLanes * 4)
 	for b.Loop() {
-		NeonSynthesizeLanes(&lb.a, &lb.b, &lb.wl, &lb.wh, lb.o1, lb.o2, 0, 8)
+		SynthesizeOpLanes(OpMulFirst, &lb.a, &lb.b, &lb.wl, &lb.wh, lb.o1, lb.o2)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"zynqfusion/internal/dvfs"
 	"zynqfusion/internal/engine"
+	"zynqfusion/internal/kernels"
 	"zynqfusion/internal/power"
 	"zynqfusion/internal/signal"
 	"zynqfusion/internal/sim"
@@ -31,6 +32,15 @@ import (
 // Energy accounting differs from the fixed ARM+FPGA mode: the adaptive
 // system clock-gates the wave engine while rows run on NEON, so only the
 // spans actually spent in the FPGA draw the +19.2 mW.
+//
+// Rows route the same way with or without data: ChargeAnalyzeRow and
+// ChargeSynthesizeRow (kernels.TileKernel) route, probe and observe as
+// Analyze and Synthesize do around the routed engine's data-free row and
+// return its chain, so the wavelet layer replays a level's routing
+// first and computes every row on its engine's chain after. The per-row
+// path writes no map: routed statistics count per lane and publish into
+// RoutedTime and RoutedRows when the time is read, and each row class's
+// error-diffusion carry sits in a short list.
 type Adaptive struct {
 	policy  Policy
 	fb      Feedback    // policy's feedback hook, if any
@@ -44,6 +54,7 @@ type Adaptive struct {
 	arm       *engine.ARM
 	neon      *engine.NEON
 	fpga      *engine.FPGA
+	lanes     [numLanes]laneEngine // arm, neon, fpga by lane index
 
 	cpuCycles float64 // structure work
 
@@ -52,8 +63,8 @@ type Adaptive struct {
 	passOpen bool
 	passKey  rowClass
 	pass     laneStat
-	carry    map[rowClass]float64 // error-diffusion accumulators
-	overlap  sim.Time             // closed-pass overlap since the last Reset
+	carry    []classCarry // error-diffusion accumulators, one per class
+	overlap  sim.Time     // closed-pass overlap since the last Reset
 
 	// Drained accumulators (filled on Reset, emptied on DrainEnergy /
 	// DrainLanes).
@@ -63,11 +74,41 @@ type Adaptive struct {
 	laneFPGA    sim.Time
 	laneOverlap sim.Time
 
-	// Per-engine routed statistics since construction.
+	// Per-engine routed statistics since construction, brought up to date
+	// whenever the engine's time is read (Elapsed, Reset): the rows
+	// themselves count into routedRows and routedTime, indexed by lane.
 	RoutedTime map[string]sim.Time
 	RoutedRows map[string]int64
+	routedTime [numLanes]sim.Time
+	routedRows [numLanes]int64
 	// SplitPasses counts passes that actually used both lanes.
 	SplitPasses int64
+}
+
+// laneEngine is one engine the adaptive engine routes rows to: each of
+// ARM, NEON and FPGA runs rows with data (signal.Kernel) and without
+// (kernels.TileKernel).
+type laneEngine interface {
+	engine.Engine
+	kernels.TileKernel
+}
+
+// Lane indices of the routed engines.
+const (
+	laneARM = iota
+	laneNEON
+	laneFPGA
+	numLanes
+)
+
+// laneNames are the routed engines' names by lane index, the keys of
+// RoutedTime and RoutedRows.
+var laneNames = [numLanes]string{"arm", "neon", "fpga"}
+
+// classCarry is one row class's error-diffusion accumulator.
+type classCarry struct {
+	k rowClass
+	c float64
 }
 
 // rowClass identifies one row workload shape.
@@ -101,10 +142,10 @@ func NewAdaptiveAt(p Policy, op dvfs.OperatingPoint) *Adaptive {
 		arm:        engine.NewARMAt(op),
 		neon:       engine.NewNEONAt(false, op),
 		fpga:       engine.NewFPGAAt(op),
-		carry:      make(map[rowClass]float64),
 		RoutedTime: make(map[string]sim.Time),
 		RoutedRows: make(map[string]int64),
 	}
+	a.lanes = [numLanes]laneEngine{a.arm, a.neon, a.fpga}
 	a.fb, _ = p.(Feedback)
 	a.parts, _ = p.(Partitioner)
 	a.splitFB, _ = p.(split.Feedback)
@@ -117,25 +158,28 @@ func (a *Adaptive) Name() string { return "adaptive(" + a.policy.Name() + ")" }
 // Policy returns the routing policy.
 func (a *Adaptive) Policy() Policy { return a.policy }
 
-// route resolves one row's engine: a partition-aware policy may split the
+// FPGA exposes the wave-engine lane for inspection (tests, statistics).
+func (a *Adaptive) FPGA() *engine.FPGA { return a.fpga }
+
+// route resolves one row's lane: a partition-aware policy may split the
 // class across the NEON and FPGA lanes; otherwise the classic exclusive
 // Pick applies.
-func (a *Adaptive) route(pairs int, inverse bool) engine.Engine {
+func (a *Adaptive) route(pairs int, inverse bool) int {
 	if a.parts != nil {
 		if p, use := a.parts.Partition(pairs, inverse); use {
 			return a.splitRoute(rowClass{pairs: pairs, inverse: inverse}, p.Clamp())
 		}
 	}
 	a.closePass() // leaving partitioned territory ends any open pass
-	switch a.policy.Pick(pairs, inverse) {
+	switch e := a.policy.Pick(pairs, inverse); e {
 	case "arm":
-		return a.arm
-	case "fpga":
-		return a.fpga
+		return laneARM
 	case "neon":
-		return a.neon
+		return laneNEON
+	case "fpga":
+		return laneFPGA
 	default:
-		panic(fmt.Sprintf("sched: policy %q picked unknown engine", a.policy.Name()))
+		panic(fmt.Sprintf("sched: policy %q picked unknown engine %q", a.policy.Name(), e))
 	}
 }
 
@@ -144,7 +188,7 @@ func (a *Adaptive) route(pairs int, inverse bool) engine.Engine {
 // a pass and the row order is deterministic. A class change closes the
 // running pass (the lanes must sync before the next level/direction
 // starts).
-func (a *Adaptive) splitRoute(k rowClass, p split.Partition) engine.Engine {
+func (a *Adaptive) splitRoute(k rowClass, p split.Partition) int {
 	if a.passOpen && a.passKey != k {
 		a.closePass()
 	}
@@ -153,14 +197,28 @@ func (a *Adaptive) splitRoute(k rowClass, p split.Partition) engine.Engine {
 		a.passKey = k
 		a.pass = laneStat{}
 	}
-	c := a.carry[k] + p.FPGA
+	carry := a.carryOf(k)
+	c := *carry + p.FPGA
 	// 1e-9 absorbs float accumulation error so FPGA=1.0 routes every row.
 	if c >= 1-1e-9 {
-		a.carry[k] = c - 1
-		return a.fpga
+		*carry = c - 1
+		return laneFPGA
 	}
-	a.carry[k] = c
-	return a.neon
+	*carry = c
+	return laneNEON
+}
+
+// carryOf returns class k's error-diffusion accumulator, starting it at
+// zero on the class's first row. A transform routes a handful of classes
+// (one per level, direction and pass orientation), so a scan finds it.
+func (a *Adaptive) carryOf(k rowClass) *float64 {
+	for i := range a.carry {
+		if a.carry[i].k == k {
+			return &a.carry[i].c
+		}
+	}
+	a.carry = append(a.carry, classCarry{k: k})
+	return &a.carry[len(a.carry)-1].c
 }
 
 // closePass ends the running pass: the lanes sync, the overlapped span
@@ -202,53 +260,81 @@ func (a *Adaptive) closePass() {
 // frames.
 func (a *Adaptive) BeginStage(stage string, frame int64) { a.closePass() }
 
-// peeker is implemented by engines whose Elapsed would disturb internal
-// pipelining (the FPGA drains its double buffer); Peek prices work without
-// side effects.
-type peeker interface {
-	Peek() sim.Time
-}
-
-// probe reads an engine's running cost without draining it.
-func probe(e engine.Engine) sim.Time {
-	if p, ok := e.(peeker); ok {
-		return p.Peek()
+// probe reads a lane's running cost without draining it: the FPGA's
+// Elapsed would drain its double buffer, so its timeline is peeked.
+func (a *Adaptive) probe(lane int) sim.Time {
+	if lane == laneFPGA {
+		return a.fpga.Peek()
 	}
-	return e.Elapsed()
+	return a.lanes[lane].Elapsed()
 }
 
 // Analyze implements signal.Kernel, routing by row width.
 func (a *Adaptive) Analyze(al, ah *signal.Taps, px []float32, lo, hi []float32) {
-	e := a.route(len(lo), false)
-	before := probe(e)
-	e.Analyze(al, ah, px, lo, hi)
-	a.observe(len(lo), false, e, probe(e)-before)
+	lane := a.route(len(lo), false)
+	before := a.probe(lane)
+	a.lanes[lane].Analyze(al, ah, px, lo, hi)
+	a.observe(len(lo), false, lane, a.probe(lane)-before)
 }
 
 // Synthesize implements signal.Kernel, routing by row width.
 func (a *Adaptive) Synthesize(sl, sh *signal.Taps, plo, phi []float32, out []float32) {
 	pairs := len(out) / 2
-	e := a.route(pairs, true)
-	before := probe(e)
-	e.Synthesize(sl, sh, plo, phi, out)
-	a.observe(pairs, true, e, probe(e)-before)
+	lane := a.route(pairs, true)
+	before := a.probe(lane)
+	a.lanes[lane].Synthesize(sl, sh, plo, phi, out)
+	a.observe(pairs, true, lane, a.probe(lane)-before)
 }
 
-func (a *Adaptive) observe(pairs int, inverse bool, e engine.Engine, cost sim.Time) {
-	a.RoutedTime[e.Name()] += cost
-	a.RoutedRows[e.Name()]++
+// ChargeAnalyzeRow implements kernels.TileKernel: Analyze's routing,
+// probes and observation around the routed engine's data-free row, whose
+// chain it returns.
+func (a *Adaptive) ChargeAnalyzeRow(al, ah *signal.Taps, m int) kernels.Chain {
+	lane := a.route(m, false)
+	before := a.probe(lane)
+	c := a.lanes[lane].ChargeAnalyzeRow(al, ah, m)
+	a.observe(m, false, lane, a.probe(lane)-before)
+	return c
+}
+
+// ChargeSynthesizeRow implements kernels.TileKernel for Synthesize.
+func (a *Adaptive) ChargeSynthesizeRow(sl, sh *signal.Taps, m int) kernels.Chain {
+	lane := a.route(m, true)
+	before := a.probe(lane)
+	c := a.lanes[lane].ChargeSynthesizeRow(sl, sh, m)
+	a.observe(m, true, lane, a.probe(lane)-before)
+	return c
+}
+
+func (a *Adaptive) observe(pairs int, inverse bool, lane int, cost sim.Time) {
+	a.routedTime[lane] += cost
+	a.routedRows[lane]++
 	if a.passOpen {
-		switch e.Name() {
-		case "neon":
+		switch lane {
+		case laneNEON:
 			a.pass.neonRows++
 			a.pass.neonT += cost
-		case "fpga":
+		case laneFPGA:
 			a.pass.fpgaRows++
 			a.pass.fpgaT += cost
 		}
 	}
 	if a.fb != nil {
-		a.fb.Observe(pairs, inverse, e.Name(), cost)
+		a.fb.Observe(pairs, inverse, laneNames[lane], cost)
+	}
+}
+
+// publishRouted adds the rows routed since it last ran to RoutedTime and
+// RoutedRows. A lane gets its keys with its first row, as when the
+// maps were written per row.
+func (a *Adaptive) publishRouted() {
+	for lane, n := range a.routedRows {
+		if n == 0 {
+			continue
+		}
+		a.RoutedRows[laneNames[lane]] += n
+		a.RoutedTime[laneNames[lane]] += a.routedTime[lane]
+		a.routedRows[lane], a.routedTime[lane] = 0, 0
 	}
 }
 
@@ -263,8 +349,9 @@ func (a *Adaptive) ChargeCPUCycles(cycles float64) { a.cpuCycles += cycles }
 // Elapsed implements engine.Engine: the CPU-side spans add serially, and
 // closed cooperative passes rebate the overlapped span their two lanes
 // shared. An open pass's overlap is only known once it closes (Reset
-// closes it).
+// closes it). Like Reset, it brings RoutedTime and RoutedRows up to date.
 func (a *Adaptive) Elapsed() sim.Time {
+	a.publishRouted()
 	return a.ps.CyclesF(a.cpuCycles) + a.arm.Elapsed() + a.neon.Elapsed() + a.fpga.Elapsed() - a.overlap
 }
 
@@ -274,6 +361,7 @@ func (a *Adaptive) Elapsed() sim.Time {
 // DrainEnergy, and the per-lane concurrent accounting for DrainLanes.
 func (a *Adaptive) Reset() sim.Time {
 	a.closePass()
+	a.publishRouted()
 	cpu := a.ps.CyclesF(a.cpuCycles)
 	a.cpuCycles = 0
 	armT := a.arm.Reset()

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -75,11 +76,11 @@ var statEngines = []struct {
 }
 
 // fpgaStats fuses three frames of a scene through one engine of
-// statEngines at one pipeline depth (0: the sequential executor) and
-// returns the case's record line: hashes of every frame's pixels and
+// statEngines at one pipeline depth (0: the sequential executor) with a
+// pool of kernel workers and returns the case's record line: hashes of every frame's pixels and
 // StageTimes and of every driver tap, then the wave engine's HLS, ACP and
 // AXI-Lite counters and, for the adaptive engine, its routing statistics.
-func fpgaStats(t *testing.T, ei, w, h, depth int) string {
+func fpgaStats(t *testing.T, ei, w, h, depth, workers int) string {
 	t.Helper()
 	op := dvfs.Nominal()
 	se := statEngines[ei]
@@ -105,7 +106,7 @@ func fpgaStats(t *testing.T, ei, w, h, depth int) string {
 		eng = &tappedAdaptive{Adaptive: ad, tap: tap}
 	}
 
-	fu := pipeline.New(eng, pipeline.Config{Levels: 3, IncludeIO: true, KernelWorkers: 1})
+	fu := pipeline.New(eng, pipeline.Config{Levels: 3, IncludeIO: true, KernelWorkers: workers})
 	defer fu.Close()
 	fuse := fu.FuseFrames
 	if depth > 0 {
@@ -168,27 +169,39 @@ func hashPixels(h hash.Hash64, pix []float32) {
 // TestFPGAStatisticsPinned pins, for the FPGA engine (double- and
 // single-buffered, a 4-deep command queue, the GP port) and the adaptive
 // engine (threshold, oracle split, fixed 0.4 share) at pipeline depths 0
-// and 4 and three frame sizes, the fused pixels, StageTimes and energy,
-// the driver timeline at every drain (Rows, CPUBusy, HWBusy, Peek,
-// Elapsed), the HLS, ACP and AXI-Lite counters and the adaptive routing
-// statistics to the record in testdata/fpga_stats.golden. The record was
-// taken from the staging driver, whose rows were copied through a
-// kernel-buffer model and converted between the Fig. 4 interleaved
-// formats and planar rows; the timeline-only driver must reproduce it
-// bit for bit.
+// and 4, three frame sizes and 1 and 4 kernel workers, the fused pixels,
+// StageTimes and energy, the driver timeline at every drain (Rows,
+// CPUBusy, HWBusy, Peek, Elapsed), the HLS, ACP and AXI-Lite counters and
+// the adaptive routing statistics to the record in
+// testdata/fpga_stats.golden, one line per engine, size and depth that
+// every worker count must reproduce. The record was taken from the
+// staging driver and the sequential per-row loops, whose rows were copied
+// through a kernel-buffer model and converted between the Fig. 4
+// interleaved formats and planar rows; the timeline-only driver under
+// the routed, tiled traversals must reproduce it bit for bit.
 func TestFPGAStatisticsPinned(t *testing.T) {
 	want := readStatsGolden(t)
 	for _, sz := range [][2]int{{88, 72}, {321, 241}, {640, 480}} {
 		for ei, se := range statEngines {
 			for _, depth := range []int{0, 4} {
 				name := fmt.Sprintf("%s/%dx%d/depth%d", se.name, sz[0], sz[1], depth)
-				t.Run(name, func(t *testing.T) {
-					got := fpgaStats(t, ei, sz[0], sz[1], depth)
+				check := func(t *testing.T, workers int) {
+					got := fpgaStats(t, ei, sz[0], sz[1], depth, workers)
 					if w, ok := want[name]; !ok {
 						t.Fatalf("no record for %s; got\n%s %s", name, name, got)
 					} else if got != w {
-						t.Errorf("statistics differ from the record\n got: %s\nwant: %s", got, w)
+						t.Errorf("statistics differ from the record at %d workers\n got: %s\nwant: %s", workers, got, w)
 					}
+				}
+				t.Run(name, func(t *testing.T) {
+					check(t, 1)
+					t.Run("workers4", func(t *testing.T) {
+						// Give the pool its workers on hosts with fewer
+						// cores (NewWorkers caps at GOMAXPROCS).
+						prev := runtime.GOMAXPROCS(4)
+						defer runtime.GOMAXPROCS(prev)
+						check(t, 4)
+					})
 				})
 			}
 		}

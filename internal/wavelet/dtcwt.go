@@ -404,13 +404,13 @@ func (t *DTCWT) forward(p *DTPyramid, img *frame.Frame, levels int, complex bool
 }
 
 // forwardTrees runs the four tree decompositions of img into p's trees.
-// Engines without tile compute run each tree's sequential cascade. Tile
-// engines compute level 1 in one tiled traversal — each row tree's row
-// pass once, shared by its two tree combinations, and one row-band
-// vertical pass feeding both column trees — then cascade the deeper
-// levels per tree.
-// Level 1's charges are replayed in each tree's turn, so the charge
-// sequence is the sequential cascades'.
+// Engines without row charges run each tree's sequential cascade. Engines
+// with them replay every tree's cascade of charges in the sequential
+// order into the route table first, then compute level 1 in one tiled
+// traversal — each row tree's row pass once when its two tree
+// combinations route it alike, and one row-band vertical pass feeding
+// both column trees — and cascade the deeper levels per tree on their
+// routes.
 func (t *DTCWT) forwardTrees(p *DTPyramid, img *frame.Frame, levels int) error {
 	x := t.X
 	pool := t.poolOr()
@@ -422,15 +422,18 @@ func (t *DTCWT) forwardTrees(p *DTPyramid, img *frame.Frame, levels int) error {
 		}
 		return nil
 	}
-	ll, err := t.forwardLevel1(p, img, levels)
+	routes := x.routeTable(numTrees * levels)
+	for c := 0; c < numTrees; c++ {
+		x.replayForwardTree(p.trees[c], routes[c*levels:(c+1)*levels])
+	}
+	ll, err := t.forwardLevel1(p, img, levels, routes)
 	if err != nil {
 		return err
 	}
 	for c := 0; c < numTrees; c++ {
-		x.chargeForwardLevel(img.W, img.H)
 		cur := ll[c]
 		ll[c] = nil
-		if err := forwardCascade(x, p.trees[c], cur, levels > 1, 1, levels, pool); err != nil {
+		if err := forwardCascade(x, p.trees[c], cur, levels > 1, 1, levels, pool, routes[c*levels:(c+1)*levels]); err != nil {
 			for _, f := range ll {
 				if f != nil && levels > 1 {
 					f.Release()
@@ -442,10 +445,11 @@ func (t *DTCWT) forwardTrees(p *DTPyramid, img *frame.Frame, levels int) error {
 	return nil
 }
 
-// forwardLevel1 is the tile engines' charge-free level-1 traversal. It
-// returns each tree's level-1 lowpass: the residual itself at depth 1,
-// otherwise a leased plane the tree's deep cascade consumes.
-func (t *DTCWT) forwardLevel1(p *DTPyramid, img *frame.Frame, levels int) ([numTrees]*frame.Frame, error) {
+// forwardLevel1 is the tiled level-1 traversal of every tree on the
+// replayed routes (tree c's level 1 at routes[c*levels]). It returns each
+// tree's level-1 lowpass: the residual itself at depth 1, otherwise a
+// leased plane the tree's deep cascade consumes.
+func (t *DTCWT) forwardLevel1(p *DTPyramid, img *frame.Frame, levels int, routes []levelRoute) ([numTrees]*frame.Frame, error) {
 	x := t.X
 	pool := t.poolOr()
 	var ll [numTrees]*frame.Frame
@@ -477,9 +481,18 @@ func (t *DTCWT) forwardLevel1(p *DTPyramid, img *frame.Frame, levels int) ([numT
 	}
 	colA, colB := t.treeBanks('a', levels)[0], t.treeBanks('b', levels)[0]
 	for _, rt := range [2]byte{'a', 'b'} {
-		x.forwardRows(t.treeBanks(rt, levels)[0], pad, rowOut)
+		rowBank := t.treeBanks(rt, levels)[0]
 		cA, cB := comboIndex(rt, 'a'), comboIndex(rt, 'b')
-		x.forwardCols(colA, colB, rowOut, ll[cA], p.trees[cA].Levels[0], ll[cB], p.trees[cB].Levels[0])
+		rA, rB := &routes[cA*levels], &routes[cB*levels]
+		bA, bB := p.trees[cA].Levels[0], p.trees[cB].Levels[0]
+		x.forwardRows(rowBank, pad, rowOut, rA.rows.chains)
+		if sameRowOps(rA.rows.chains, rB.rows.chains, pad.W/2) {
+			x.forwardCols(colA, colB, rowOut, ll[cA], bA, ll[cB], bB, &rA.cols, &rB.cols)
+			continue
+		}
+		x.forwardCols(colA, nil, rowOut, ll[cA], bA, nil, Bands{}, &rA.cols, nil)
+		x.forwardRows(rowBank, pad, rowOut, rB.rows.chains)
+		x.forwardCols(colB, nil, rowOut, ll[cB], bB, nil, Bands{}, &rB.cols, nil)
 	}
 	rowOut.Release()
 	if padOwned != nil {

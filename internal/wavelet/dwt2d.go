@@ -151,17 +151,26 @@ func Forward2D(x *Xfm, rowBanks, colBanks []*Bank, img *frame.Frame, levels int)
 	return d, nil
 }
 
-// forward2DInto runs the analysis cascade into a pre-shaped decomposition.
+// forward2DInto runs the analysis cascade into a pre-shaped decomposition:
+// for an engine with row charges, every level's charges are replayed into
+// a route table first.
 func forward2DInto(x *Xfm, d *Decomp, img *frame.Frame, levels int, pool *bufpool.Pool) error {
-	return forwardCascade(x, d, img, false, 0, levels, pool)
+	var routes []levelRoute
+	if x.tile != nil {
+		routes = x.routeTable(levels)
+		x.replayForwardTree(d, routes)
+	}
+	return forwardCascade(x, d, img, false, 0, levels, pool, routes)
 }
 
 // forwardCascade runs analysis levels from..levels-1 of d, starting from
-// cur, the input of level from (released once consumed when owned).
-// Intermediate lowpass planes — each level's input to the next — are
-// scratch leased from pool for the duration of the cascade, like the
-// board's transform frame stores; the final one lands in d.LL.
-func forwardCascade(x *Xfm, d *Decomp, cur *frame.Frame, owned bool, from, levels int, pool *bufpool.Pool) error {
+// cur, the input of level from (released once consumed when owned), each
+// on its replayed route (routes[lv]) when routes is non-nil and through
+// the sequential per-row loops otherwise. Intermediate lowpass planes —
+// each level's input to the next — are scratch leased from pool for the
+// duration of the cascade, like the board's transform frame stores; the
+// final one lands in d.LL.
+func forwardCascade(x *Xfm, d *Decomp, cur *frame.Frame, owned bool, from, levels int, pool *bufpool.Pool, routes []levelRoute) error {
 	for lv := from; lv < levels; lv++ {
 		_, _, mw, mh := levelGeom(cur.W, cur.H)
 		ll := d.LL
@@ -174,7 +183,11 @@ func forwardCascade(x *Xfm, d *Decomp, cur *frame.Frame, owned bool, from, level
 				return err
 			}
 		}
-		err := forwardLevelInto(x, d.RowBanks[lv], d.ColBanks[lv], cur, ll, d.Levels[lv], pool)
+		var r *levelRoute
+		if routes != nil {
+			r = &routes[lv]
+		}
+		err := forwardLevelInto(x, d.RowBanks[lv], d.ColBanks[lv], cur, ll, d.Levels[lv], pool, r)
 		if owned {
 			cur.Release()
 		}
@@ -191,19 +204,19 @@ func forwardCascade(x *Xfm, d *Decomp, cur *frame.Frame, owned bool, from, level
 
 // forwardLevelInto performs one separable analysis level, writing the LL
 // subband into ll and the three detail subbands into b (all pre-shaped):
-// through the tile kernels with the charges replayed afterwards when the
-// engine offers them, through the sequential per-row loops otherwise.
+// through the tiled passes on route r, whose charges the caller replayed,
+// when r is non-nil, through the sequential per-row loops otherwise.
 // Every sample of every output plane is written, so reused (uncleared)
 // pooled planes give bit-identical results to fresh zeroed ones.
-func forwardLevelInto(x *Xfm, rowBank, colBank *Bank, img, ll *frame.Frame, b Bands, pool *bufpool.Pool) error {
+func forwardLevelInto(x *Xfm, rowBank, colBank *Bank, img, ll *frame.Frame, b Bands, pool *bufpool.Pool, r *levelRoute) error {
 	p, padOwned, err := padEvenCompute(img, pool)
 	if err != nil {
 		return err
 	}
-	if x.tile != nil {
+	if r != nil {
 		rowOut, err := pool.Get(p.W, p.H)
 		if err == nil {
-			x.forwardRows(rowBank, p, rowOut)
+			x.forwardRows(rowBank, p, rowOut, r.rows.chains)
 		}
 		if padOwned != nil {
 			padOwned.Release()
@@ -211,9 +224,8 @@ func forwardLevelInto(x *Xfm, rowBank, colBank *Bank, img, ll *frame.Frame, b Ba
 		if err != nil {
 			return err
 		}
-		x.forwardCols(colBank, nil, rowOut, ll, b, nil, Bands{})
+		x.forwardCols(colBank, nil, rowOut, ll, b, nil, Bands{}, &r.cols, nil)
 		rowOut.Release()
-		x.chargeForwardLevel(img.W, img.H)
 		return nil
 	}
 	if padOwned != nil {
@@ -304,12 +316,12 @@ func inverse2DPooled(x *Xfm, d *Decomp, pool *bufpool.Pool) (*frame.Frame, error
 }
 
 // inverseLevelPooled undoes one analysis level and crops to the recorded
-// size: through the tile kernels when the engine offers them, through the
-// sequential per-row loops otherwise (identical pixels and charges). The
-// horizontal synthesis runs in place over the vertical pass's plane — the
-// board's wave engine reads and writes the same frame store — so the level
-// needs one working plane, not two; the modeled memcpy charges are
-// unchanged.
+// size: routed and charged first and then through the tiled passes when
+// the engine charges rows without data, through the sequential per-row
+// loops otherwise (identical pixels and charges). The horizontal
+// synthesis runs in place over the vertical pass's plane — the board's
+// wave engine reads and writes the same frame store — so the level needs
+// one working plane, not two; the modeled memcpy charges are unchanged.
 func inverseLevelPooled(x *Xfm, rowBank, colBank *Bank, ll *frame.Frame, b Bands, orig wh, pool *bufpool.Pool) (*frame.Frame, error) {
 	mw, mh := ll.W, ll.H
 	w, h := 2*mw, 2*mh
@@ -320,8 +332,10 @@ func inverseLevelPooled(x *Xfm, rowBank, colBank *Bank, ll *frame.Frame, b Bands
 		return nil, err
 	}
 	if x.tile != nil {
-		x.inverseCols(colBank, ll, b, rowOut)
-		x.inverseRows(rowBank, rowOut)
+		r := &x.invRoute
+		x.replayInverseLevel(rowBank, colBank, w, h, r)
+		x.inverseCols(colBank, ll, b, rowOut, &r.cols)
+		x.inverseRows(rowBank, rowOut, r.rows.chains)
 	} else {
 		loCol := x.col.grow(x.pool, mh)
 		hiCol := x.hiCol.grow(x.pool, mh)

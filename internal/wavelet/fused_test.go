@@ -62,7 +62,8 @@ func newTimedDT(k timedKernel, workers int) (*DTCWT, *kernels.Workers) {
 func TestForwardPairBitExact(t *testing.T) {
 	withParallelism(t, 8)
 	sizes := []wh{{16, 16}, {33, 31}, {64, 48}, {97, 61}}
-	for name, mk := range tileEngines {
+	for _, te := range tileEngines {
+		name, mk := te.name, te.mk
 		for _, sz := range sizes {
 			levels := min(MaxLevels(sz.w, sz.h), 3)
 			vis := testFrame(sz.w, sz.h, int64(sz.w*100+sz.h))

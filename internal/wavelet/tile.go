@@ -7,56 +7,61 @@ import (
 )
 
 // Tiled 2-D passes: the separable wavelet levels as tile tasks over a
-// kernels.Workers pool. They run for every engine whose kernel offers
-// concurrency-safe tile compute (Xfm.TileCapable), at any worker count —
-// a nil or one-worker pool runs the same tiles inline. Engines without
-// tile compute run the sequential per-row loops in dwt2d.go instead.
+// kernels.Workers pool. They run for every engine that offers data-free
+// row charges (Xfm.TileCapable: ARM, NEON, the FPGA and the adaptive
+// engine under any policy), at any worker count — a nil or one-worker
+// pool runs the same tiles inline. Engines without them (the emulated
+// NEON unit, signal.RefKernel, hls.FixedKernel) run the sequential
+// per-row loops in dwt2d.go instead.
 //
-// Every pass runs the engine's lane kernels, SIMD across outputs. The
-// horizontal passes tile rows, one lane per output of the row: a row
-// pads into per-worker scratch as its two polyphase components
-// (analysis) or as its two padded subbands (synthesis), and each tap's
-// source row is a shifted slice of one of them. The vertical passes tile
-// bands of output rows, one lane per column: a column's periodic
-// extension only ever places whole source rows under an output, so
-// output row y of every column is computed at once reading those source
-// rows in place — no transpose, no staging block, and each band writes
-// output rows no other band touches. On amd64 the NEON engine's hot lane
-// chains run as AVX or SSE kernels, and the phase split, the synthesis
-// pair store and the tree accumulate as packed SSE (internal/kernels).
+// A level is routed and charged first (route.go), then computed: every
+// pass runs the lane kernels, SIMD across outputs, each row or column on
+// the chain its charge returned. The horizontal passes tile rows, one
+// lane per output of the row: a row pads into per-worker scratch as its
+// two polyphase components (analysis) or as its two padded subbands
+// (synthesis), and each tap's source row is a shifted slice of one of
+// them. The vertical passes tile bands of output rows, one lane per
+// column: a column's periodic extension only ever places whole source
+// rows under an output, so output row y of every column is computed at
+// once reading those source rows in place — no transpose, no staging
+// block, and each band writes output rows no other band touches. When
+// the route mixes chains across columns, each output row computes its
+// lanes chain by chain and selects per lane (lanePlan). On amd64 the
+// mul-first and pair chains run as AVX or SSE kernels, and the phase
+// split, the synthesis pair store and the tree accumulate as packed SSE
+// (internal/kernels).
 //
-// Every pass follows the kernel engine's determinism contract: the
-// parallel region performs only pure compute (padding and the engine's
-// bit-identical lane kernels) into disjoint output ranges, and all
+// Every pass follows the kernel engine's determinism contract: all
 // modeled accounting — the float64 cycle accumulators whose addition
-// order matters, and the NEON instruction ledger — is replayed
-// sequentially afterwards in exactly the order the sequential loops
-// charge it: per row for the horizontal passes, per column for the
-// vertical passes, as if each row or column had been padded, filtered and
-// stored (and each column gathered and scattered) on its own. A tiled level
+// order matters, the NEON instruction ledger, the FPGA's Fig. 5
+// timeline and the adaptive engine's routing — is replayed before the
+// parallel region in exactly the order the sequential loops charge it,
+// and the parallel region performs only pure compute (padding and the
+// bit-identical lane kernels) into disjoint output ranges. A tiled level
 // is therefore byte-identical to a sequential one in pixels, cycles,
-// StageTimes and ledger at any worker count.
+// StageTimes, ledger and every driver, HLS and AXI statistic at any
+// worker count.
 
-// fwdRowsTask runs the horizontal analysis pass through the engine's lane
+// fwdRowsTask runs the horizontal analysis pass through the lane
 // kernels, one lane per output of the row. Output i of an m-output row
 // reads padded samples 2i+k, k = 0..11: sample i+k/2 of the padded row's
 // even phase for even k, of its odd phase for odd k. With row y of src
 // padded straight into its two phases, tap k's source row is therefore
 // the m-sample slice of one phase starting at k/2, and the lanes write lo
-// to the left half of dst's row y and hi to the right half. The last m%4
-// outputs run as a second lane call at their position, so they take the
-// tail chain the 1-D kernel takes there.
+// to the left half of dst's row y and hi to the right half. When the
+// row's chain switches lane chain for the last m%4 outputs, those run as
+// a second lane call.
 type fwdRowsTask struct {
-	x     *Xfm
-	bank  *Bank
-	src   *frame.Frame
-	dst   *frame.Frame
-	w, mw int
+	bank   *Bank
+	src    *frame.Frame
+	dst    *frame.Frame
+	ws     []tileScratch
+	chains []kernels.Chain
+	w, mw  int
 }
 
 func (t *fwdRowsTask) Tile(lo, hi, worker int) {
-	x := t.x
-	ws := &x.ws[worker]
+	ws := &t.ws[worker]
 	body, tail := &ws.rows[0], &ws.rows[1]
 	al, ah := &t.bank.AL, &t.bank.AH
 	m := t.mw
@@ -72,22 +77,26 @@ func (t *fwdRowsTask) Tile(lo, hi, worker int) {
 			body[k] = phase[k/2 : k/2+m]
 			tail[k] = body[k][b:]
 		}
-		x.tile.AnalyzeLanes(al, ah, body, out[:b], out[m:m+b], 0, m)
-		if b < m {
-			x.tile.AnalyzeLanes(al, ah, tail, out[b:m], out[m+b:], b, m)
+		c := t.chains[y]
+		op, tailOp := c.AnalysisOp(0, m), c.AnalysisOp(m-1, m)
+		if op == tailOp {
+			kernels.AnalyzeOpLanes(op, al, ah, body, out[:m], out[m:])
+			continue
 		}
+		kernels.AnalyzeOpLanes(op, al, ah, body, out[:b], out[m:m+b])
+		kernels.AnalyzeOpLanes(tailOp, al, ah, tail, out[b:m], out[m+b:])
 	}
 }
 
 // forwardRows dispatches the horizontal analysis pass of src (even-sized)
-// into dst, charge-free; chargeForwardLevel replays its charges.
-func (x *Xfm) forwardRows(bank *Bank, src, dst *frame.Frame) {
+// into dst, row y on chains[y].
+func (x *Xfm) forwardRows(bank *Bank, src, dst *frame.Frame, chains []kernels.Chain) {
 	w, h := src.W, src.H
 	ws := x.workspaces(x.W.N())
 	for i := range ws {
 		ws[i].px.grow(x.pool, w+signal.TapCount)
 	}
-	x.fwdRows = fwdRowsTask{x: x, bank: bank, src: src, dst: dst, w: w, mw: w / 2}
+	x.fwdRows = fwdRowsTask{bank: bank, src: src, dst: dst, ws: ws, chains: chains, w: w, mw: w / 2}
 	x.W.Run(h, kernels.Grain(h, 8*w, x.W.N()), &x.fwdRows)
 }
 
@@ -95,25 +104,26 @@ func (x *Xfm) forwardRows(bank *Bank, src, dst *frame.Frame) {
 // Output row y of every column reads the TapCount source rows
 // (2y+k-AnalysisPad) mod h, k = 0..11 — exactly the samples the periodic
 // extension of each column would place under that output — so the rows
-// are read in place and the engine's lane kernel filters all columns of
-// one subband half at once, one lane per column. The left half (columns
-// below mw) writes row y of the lowpass and LH planes, the right half row
-// y of the HL and HH planes, through bank A and, when set, bank B (level
-// 1's second column tree reads the same rows). Each output is the one the
-// column-at-a-time filter computes, bit for bit; a band writes only its
-// own output rows.
+// are read in place and the lane kernels filter all columns of one
+// subband half at once, one lane per column, in the runs of routeA (and
+// routeB). The left half (columns below mw) writes row y of the lowpass
+// and LH planes, the right half row y of the HL and HH planes, through
+// bank A and, when set, bank B (level 1's second column tree reads the
+// same rows). Each output is the one the column-at-a-time filter
+// computes, bit for bit; a band writes only its own output rows.
 type fwdColsTask struct {
-	x                  *Xfm
 	bankA, bankB       *Bank
+	routeA, routeB     *passRoute
 	src                *frame.Frame
+	ws                 []tileScratch
 	llA, lhA, hlA, hhA []float32
 	llB, lhB, hlB, hhB []float32
 	w, h, mw, mh       int
 }
 
 func (t *fwdColsTask) Tile(lo, hi, worker int) {
-	x := t.x
-	left, right := &x.ws[worker].rows[0], &x.ws[worker].rows[1]
+	ws := &t.ws[worker]
+	left, right, sub := &ws.rows[0], &ws.rows[1], &ws.rows[2]
 	a, b := t.bankA, t.bankB
 	w, mw, mh := t.w, t.mw, t.mh
 	for y := lo; y < hi; y++ {
@@ -123,14 +133,35 @@ func (t *fwdColsTask) Tile(lo, hi, worker int) {
 			right[k] = t.src.Pix[r+mw : r+w]
 		}
 		o := y * mw
-		x.tile.AnalyzeLanes(&a.AL, &a.AH, left, t.llA[o:o+mw], t.lhA[o:o+mw], y, mh)
+		analyzeRuns(t.routeA.at(0, y, mh), a, left, sub, t.llA[o:o+mw], t.lhA[o:o+mw], ws.sel.buf)
 		if b != nil {
-			x.tile.AnalyzeLanes(&b.AL, &b.AH, left, t.llB[o:o+mw], t.lhB[o:o+mw], y, mh)
+			analyzeRuns(t.routeB.at(0, y, mh), b, left, sub, t.llB[o:o+mw], t.lhB[o:o+mw], ws.sel.buf)
 		}
-		x.tile.AnalyzeLanes(&a.AL, &a.AH, right, t.hlA[o:o+mw], t.hhA[o:o+mw], y, mh)
+		analyzeRuns(t.routeA.at(1, y, mh), a, right, sub, t.hlA[o:o+mw], t.hhA[o:o+mw], ws.sel.buf)
 		if b != nil {
-			x.tile.AnalyzeLanes(&b.AL, &b.AH, right, t.hlB[o:o+mw], t.hhB[o:o+mw], y, mh)
+			analyzeRuns(t.routeB.at(1, y, mh), b, right, sub, t.hlB[o:o+mw], t.hhB[o:o+mw], ws.sel.buf)
 		}
+	}
+}
+
+// analyzeRuns computes the lanes of one output row through bank's
+// analysis filters as plan lays them out; sub is scratch for a span of
+// the source rows and sel for the lanes of a chain computed aside.
+func analyzeRuns(plan *lanePlan, bank *Bank, rows, sub *kernels.AnalysisRows, lo, hi, sel []float32) {
+	al, ah := &bank.AL, &bank.AH
+	kernels.AnalyzeOpLanes(plan.primary, al, ah, rows, lo, hi)
+	for op, sp := range plan.spans {
+		n := sp.end - sp.start
+		if n == 0 {
+			continue
+		}
+		for k := range sub {
+			sub[k] = rows[k][sp.start:sp.end]
+		}
+		aLo, aHi := sel[:n], sel[len(sel)/2:len(sel)/2+n]
+		kernels.AnalyzeOpLanes(kernels.Op(op), al, ah, sub, aLo, aHi)
+		plan.copyRuns(kernels.Op(op), lo, aLo)
+		plan.copyRuns(kernels.Op(op), hi, aHi)
 	}
 }
 
@@ -144,17 +175,16 @@ func wrap(i, n int) int {
 }
 
 // forwardCols dispatches the vertical analysis pass of src (the row-pass
-// output) into ll and b through colBank, charge-free. When colBankB is
-// non-nil the same source rows also feed the second column tree, writing
-// llB and bB.
-func (x *Xfm) forwardCols(colBank, colBankB *Bank, src *frame.Frame, ll *frame.Frame, b Bands, llB *frame.Frame, bB Bands) {
+// output) into ll and b through colBank on routeA's chains. When colBankB
+// is non-nil the same source rows also feed the second column tree on
+// routeB's, writing llB and bB.
+func (x *Xfm) forwardCols(colBank, colBankB *Bank, src *frame.Frame, ll *frame.Frame, b Bands, llB *frame.Frame, bB Bands, routeA, routeB *passRoute) {
 	w, h := src.W, src.H
-	x.workspaces(x.W.N())
-	x.fwdCols = fwdColsTask{x: x, bankA: colBank, src: src,
+	x.fwdCols = fwdColsTask{bankA: colBank, routeA: routeA, src: src, ws: x.selScratch(w),
 		llA: ll.Pix, lhA: b.LH.Pix, hlA: b.HL.Pix, hhA: b.HH.Pix,
 		w: w, h: h, mw: w / 2, mh: h / 2}
 	if colBankB != nil {
-		x.fwdCols.bankB = colBankB
+		x.fwdCols.bankB, x.fwdCols.routeB = colBankB, routeB
 		x.fwdCols.llB, x.fwdCols.lhB, x.fwdCols.hlB, x.fwdCols.hhB = llB.Pix, bB.LH.Pix, bB.HL.Pix, bB.HH.Pix
 	}
 	// Bands split only for load balance: each band re-reads the source
@@ -162,25 +192,15 @@ func (x *Xfm) forwardCols(colBank, colBankB *Bank, src *frame.Frame, ll *frame.F
 	x.W.Run(h/2, kernels.Grain(h/2, 0, x.W.N()), &x.fwdCols)
 }
 
-// chargeForwardLevel replays the modeled charges of one analysis level
-// over a cw x ch input in exactly the order the sequential loops issue
-// them: the odd-size pad, then per row the pad memcpy and the kernel row,
-// then per column the gather, the pad, the kernel row and the scatter.
-func (x *Xfm) chargeForwardLevel(cw, ch int) {
-	pw, ph, mw, mh := levelGeom(cw, ch)
-	if pw != cw || ph != ch {
-		x.chargeCPU(pw * ph)
+// selScratch returns the per-worker scratch of a column pass over w
+// columns, each worker's select buffer sized for the two outputs of one
+// half.
+func (x *Xfm) selScratch(w int) []tileScratch {
+	ws := x.workspaces(x.W.N())
+	for i := range ws {
+		ws[i].sel.grow(x.pool, w)
 	}
-	for y := 0; y < ph; y++ {
-		x.chargeCPU(pw + signal.TapCount)
-		x.tile.ChargeAnalyzeRow(mw)
-	}
-	for cx := 0; cx < pw; cx++ {
-		x.chargeCPU(ph)
-		x.chargeCPU(ph + signal.TapCount)
-		x.tile.ChargeAnalyzeRow(mh)
-		x.chargeCPU(ph)
-	}
+	return ws
 }
 
 // invColsTask runs the vertical synthesis pass of both halves as bands
@@ -190,10 +210,12 @@ func (x *Xfm) chargeForwardLevel(cw, ch int) {
 // (2i-delay) mod h and (2i+1-delay) mod h of dst — the delay rotation the
 // column-at-a-time pass applies after synthesis. The left half (lowpass
 // and LH subbands) fills columns below mw, the right half (HL and HH) the
-// rest, so a band writes whole output rows no other band touches.
+// rest, each through its half's lane plan, so a band writes whole
+// output rows no other band touches.
 type invColsTask struct {
-	x              *Xfm
 	bank           *Bank
+	route          *passRoute
+	ws             []tileScratch
 	ll, lh, hl, hh []float32
 	dst            *frame.Frame
 	w, h, mw, mh   int
@@ -201,10 +223,9 @@ type invColsTask struct {
 }
 
 func (t *invColsTask) Tile(lo, hi, worker int) {
-	x := t.x
-	win := &x.ws[worker].win
+	ws := &t.ws[worker]
+	win := &ws.win
 	w, mw, mh := t.w, t.mw, t.mh
-	sl, sh := &t.bank.SL, &t.bank.SH
 	for i := lo; i < hi; i++ {
 		for j := range win[0] {
 			r := wrap(i+j-signal.SynthesisPad, mh) * mw
@@ -213,52 +234,66 @@ func (t *invColsTask) Tile(lo, hi, worker int) {
 		}
 		ev := t.dst.Row(wrap(2*i-t.delay, t.h))
 		od := t.dst.Row(wrap(2*i+1-t.delay, t.h))
-		x.tile.SynthesizeLanes(sl, sh, &win[0], &win[1], ev[:mw], od[:mw], i, mh)
-		x.tile.SynthesizeLanes(sl, sh, &win[2], &win[3], ev[mw:w], od[mw:w], i, mh)
+		synthesizeRuns(t.route.at(0, i, mh), t.bank, &win[0], &win[1], &win[4], &win[5], ev[:mw], od[:mw], ws.sel.buf)
+		synthesizeRuns(t.route.at(1, i, mh), t.bank, &win[2], &win[3], &win[4], &win[5], ev[mw:w], od[mw:w], ws.sel.buf)
+	}
+}
+
+// synthesizeRuns computes the lane pairs of one output row pair through
+// bank's synthesis filters as plan lays them out; subL and subH are
+// scratch for a span of the windows wl and wh, and sel for the lanes of
+// a chain computed aside.
+func synthesizeRuns(plan *lanePlan, bank *Bank, wl, wh, subL, subH *kernels.SynthesisRows, even, odd, sel []float32) {
+	sl, sh := &bank.SL, &bank.SH
+	kernels.SynthesizeOpLanes(plan.primary, sl, sh, wl, wh, even, odd)
+	for op, sp := range plan.spans {
+		n := sp.end - sp.start
+		if n == 0 {
+			continue
+		}
+		for j := range subL {
+			subL[j], subH[j] = wl[j][sp.start:sp.end], wh[j][sp.start:sp.end]
+		}
+		aEven, aOdd := sel[:n], sel[len(sel)/2:len(sel)/2+n]
+		kernels.SynthesizeOpLanes(kernels.Op(op), sl, sh, subL, subH, aEven, aOdd)
+		plan.copyRuns(kernels.Op(op), even, aEven)
+		plan.copyRuns(kernels.Op(op), odd, aOdd)
 	}
 }
 
 // inverseCols dispatches the vertical synthesis pass of one level — the
 // lowpass and LH subbands into the left half of dst, HL and HH into the
-// right — and replays its charges: per column of each half in turn, the
-// gather, the pads, the kernel row, the delay rotation and the scatter —
-// the exact sequence the sequential loop charges through Synthesize1D.
-func (x *Xfm) inverseCols(bank *Bank, ll *frame.Frame, b Bands, dst *frame.Frame) {
+// right — on route's chains.
+func (x *Xfm) inverseCols(bank *Bank, ll *frame.Frame, b Bands, dst *frame.Frame, route *passRoute) {
 	w, h := dst.W, dst.H
 	mw, mh := w/2, h/2
-	x.workspaces(x.W.N())
-	x.invCols = invColsTask{x: x, bank: bank, ll: ll.Pix, lh: b.LH.Pix, hl: b.HL.Pix, hh: b.HH.Pix,
+	x.invCols = invColsTask{bank: bank, route: route, ws: x.selScratch(w),
+		ll: ll.Pix, lh: b.LH.Pix, hl: b.HL.Pix, hh: b.HH.Pix,
 		dst: dst, w: w, h: h, mw: mw, mh: mh, delay: bank.delay}
 	x.W.Run(mh, kernels.Grain(mh, 0, x.W.N()), &x.invCols)
-	for cx := 0; cx < 2*mw; cx++ {
-		x.chargeCPU(2 * mh)
-		x.chargeCPU(2 * (mh + signal.SynthesisPad))
-		x.tile.ChargeSynthesizeRow(mh)
-		x.chargeCPU(2 * mh)
-		x.chargeCPU(h)
-	}
 }
 
 // invRowsTask runs the horizontal synthesis pass in place through the
-// engine's lane kernels, one lane per output pair of the row. Row y's two
-// halves pad into per-worker scratch (consumed before any output is
-// written, so in-place is safe); pair i reads coefficients i..i+5 of each
-// padded half, so window row j is the m-coefficient slice starting at j.
-// The last m%4 pairs run as a second lane call at their position, as in
-// the analysis pass. Pair i's even and odd outputs are stored straight to
-// row positions (2i-delay) mod w and (2i+1-delay) mod w: the interleave
-// and delay rotation of the 1-D path in one store, run as two
-// kernels.Interleave calls on either side of the row's wrap.
+// lane kernels, one lane per output pair of the row. Row y's two halves
+// pad into per-worker scratch (consumed before any output is written, so
+// in-place is safe); pair i reads coefficients i..i+5 of each padded
+// half, so window row j is the m-coefficient slice starting at j. When
+// the row's chain switches lane chain for the last m%4 pairs, those run
+// as a second lane call, as in the analysis pass. Pair i's even and odd
+// outputs are stored straight to row positions (2i-delay) mod w and
+// (2i+1-delay) mod w: the interleave and delay rotation of the 1-D path
+// in one store, run as two kernels.Interleave calls on either side of
+// the row's wrap.
 type invRowsTask struct {
-	x     *Xfm
-	bank  *Bank
-	dst   *frame.Frame
-	w, mw int
+	bank   *Bank
+	dst    *frame.Frame
+	ws     []tileScratch
+	chains []kernels.Chain
+	w, mw  int
 }
 
 func (t *invRowsTask) Tile(lo, hi, worker int) {
-	x := t.x
-	ws := &x.ws[worker]
+	ws := &t.ws[worker]
 	wl, wh := &ws.win[0], &ws.win[1]
 	tl, th := &ws.win[2], &ws.win[3]
 	sl, sh := &t.bank.SL, &t.bank.SH
@@ -278,9 +313,12 @@ func (t *invRowsTask) Tile(lo, hi, worker int) {
 			wl[j], wh[j] = plo[j:j+m], phi[j:j+m]
 			tl[j], th[j] = wl[j][b:], wh[j][b:]
 		}
-		x.tile.SynthesizeLanes(sl, sh, wl, wh, even[:b], odd[:b], 0, m)
-		if b < m {
-			x.tile.SynthesizeLanes(sl, sh, tl, th, even[b:], odd[b:], b, m)
+		c := t.chains[yy]
+		if op, tailOp := c.SynthesisOp(0, m), c.SynthesisOp(m-1, m); op == tailOp {
+			kernels.SynthesizeOpLanes(op, sl, sh, wl, wh, even, odd)
+		} else {
+			kernels.SynthesizeOpLanes(op, sl, sh, wl, wh, even[:b], odd[:b])
+			kernels.SynthesizeOpLanes(tailOp, sl, sh, tl, th, even[b:], odd[b:])
 		}
 		kernels.Interleave(row[start:], even[:p1], odd[:p1])
 		rest, p2 := row, p1
@@ -292,10 +330,9 @@ func (t *invRowsTask) Tile(lo, hi, worker int) {
 	}
 }
 
-// inverseRows dispatches the in-place horizontal synthesis pass and
-// replays its charges: per row, the pads, the kernel row, the rotation
-// and the write-back memcpy.
-func (x *Xfm) inverseRows(bank *Bank, dst *frame.Frame) {
+// inverseRows dispatches the in-place horizontal synthesis pass, row y
+// on chains[y].
+func (x *Xfm) inverseRows(bank *Bank, dst *frame.Frame, chains []kernels.Chain) {
 	w, h := dst.W, dst.H
 	mw := w / 2
 	ws := x.workspaces(x.W.N())
@@ -304,14 +341,8 @@ func (x *Xfm) inverseRows(bank *Bank, dst *frame.Frame) {
 		ws[i].phi.grow(x.pool, mw+signal.SynthesisPad)
 		ws[i].y.grow(x.pool, w)
 	}
-	x.invRows = invRowsTask{x: x, bank: bank, dst: dst, w: w, mw: mw}
+	x.invRows = invRowsTask{bank: bank, dst: dst, ws: ws, chains: chains, w: w, mw: mw}
 	x.W.Run(h, kernels.Grain(h, 8*w, x.W.N()), &x.invRows)
-	for y := 0; y < h; y++ {
-		x.chargeCPU(2 * (mw + signal.SynthesisPad))
-		x.tile.ChargeSynthesizeRow(mw)
-		x.chargeCPU(w)
-		x.chargeCPU(w)
-	}
 }
 
 // Pixel-map tasks: the DT-CWT's engine-independent structure loops

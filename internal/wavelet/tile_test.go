@@ -7,21 +7,26 @@ import (
 	"runtime"
 	"testing"
 
+	"zynqfusion/internal/axi"
 	"zynqfusion/internal/bufpool"
+	"zynqfusion/internal/dvfs"
 	"zynqfusion/internal/engine"
 	"zynqfusion/internal/frame"
 	"zynqfusion/internal/kernels"
 	"zynqfusion/internal/neon"
+	"zynqfusion/internal/sched"
 	"zynqfusion/internal/signal"
 	"zynqfusion/internal/sim"
+	"zynqfusion/internal/split"
 )
 
-// These tests pin the determinism claim at the transform layer: the tiled
-// traversals tile-capable engines run must match the sequential per-row
-// loops bit for bit — every subband coefficient, every lowpass residual,
-// the reconstruction, the modeled elapsed time and the NEON instruction
-// ledger — across odd, tiny and non-power-of-two geometries, all depths
-// and worker counts.
+// These tests pin the determinism claim at the transform layer: the routed,
+// tiled traversals tile-capable engines run must match the sequential
+// per-row loops bit for bit — every subband coefficient, every lowpass
+// residual, the reconstruction, the modeled elapsed time, the NEON
+// instruction ledger, the FPGA driver's timeline and every HLS, ACP and
+// AXI-Lite statistic, and the adaptive engine's routing — across odd,
+// tiny and non-power-of-two geometries, all depths and worker counts.
 
 // withParallelism raises GOMAXPROCS so worker pools get real parallelism
 // even on single-core CI shards (NewWorkers caps at GOMAXPROCS).
@@ -40,33 +45,139 @@ type timedKernel interface {
 // sequential per-row loops: the reference the tiled traversals must match.
 type seqKernel struct{ engine.Engine }
 
-var tileEngines = map[string]func() engine.Engine{
-	"arm":         func() engine.Engine { return engine.NewARM() },
-	"neon-auto":   func() engine.Engine { return engine.NewNEON(false) },
-	"neon-manual": func() engine.Engine { return engine.NewNEON(true) },
+// tileEngine names one engine constructor of the oracle tests.
+type tileEngine struct {
+	name string
+	mk   func() engine.Engine
+}
+
+// tileEngines are the engines whose tiled traversals are held to the
+// sequential loops: ARM and NEON, the FPGA in every driver variant, and
+// the adaptive engine under exclusive threshold routing, the oracle and a
+// fixed 40% split, the online learner (which switches engine within a
+// pass while it explores) and a governed split whose gate flips between
+// transforms (flipper).
+var tileEngines = []tileEngine{
+	{"arm", func() engine.Engine { return engine.NewARM() }},
+	{"neon-auto", func() engine.Engine { return engine.NewNEON(false) }},
+	{"neon-manual", func() engine.Engine { return engine.NewNEON(true) }},
+	{"fpga-double", func() engine.Engine { return engine.NewFPGAVariant(engine.FPGAVariant{DoubleBuffered: true}) }},
+	{"fpga-single", func() engine.Engine { return engine.NewFPGAVariant(engine.FPGAVariant{}) }},
+	{"fpga-queue4", func() engine.Engine {
+		return engine.NewFPGAVariant(engine.FPGAVariant{DoubleBuffered: true, CmdQueueDepth: 4})
+	}},
+	{"fpga-gpport", func() engine.Engine {
+		return engine.NewFPGAVariant(engine.FPGAVariant{DoubleBuffered: true, GPPort: true})
+	}},
+	{"adaptive-threshold", func() engine.Engine { return sched.NewAdaptive(sched.Threshold{}) }},
+	{"adaptive-oracle", func() engine.Engine {
+		return sched.NewAdaptive(sched.SplitDriven{S: split.NewOracle(dvfs.Nominal())})
+	}},
+	{"adaptive-fixed0.4", func() engine.Engine { return sched.NewAdaptive(sched.SplitDriven{S: split.Fixed{Frac: 0.4}}) }},
+	{"adaptive-online", func() engine.Engine { return sched.NewAdaptive(sched.NewOnline(2)) }},
+	{"adaptive-governed", func() engine.Engine {
+		g := &flipGate{granted: true}
+		inner := sched.SplitDriven{S: split.NewOracle(dvfs.Nominal())}
+		return &gatedAdaptive{Adaptive: sched.NewAdaptive(sched.Governed{Inner: inner, Gate: g}), gate: g}
+	}},
+}
+
+// flipGate grants or denies the FPGA, as flip last left it.
+type flipGate struct{ granted bool }
+
+func (g *flipGate) FPGAGranted() bool { return g.granted }
+
+// gatedAdaptive is an adaptive engine behind a governed policy whose
+// gate the test flips between transforms, as the farm's lease does
+// between pipeline stages.
+type gatedAdaptive struct {
+	*sched.Adaptive
+	gate *flipGate
+}
+
+func (a *gatedAdaptive) flip() { a.gate.granted = !a.gate.granted }
+
+// flipper is implemented by engines whose routing changes between
+// transforms.
+type flipper interface{ flip() }
+
+// unwrap returns the engine behind k: a seqKernel's, or k itself.
+func unwrap(k signal.Kernel) signal.Kernel {
+	if s, ok := k.(seqKernel); ok {
+		return s.Engine
+	}
+	return k
 }
 
 // ledger returns the NEON instruction ledger behind k, if any.
 func ledger(k signal.Kernel) (neon.Counts, bool) {
-	if s, ok := k.(seqKernel); ok {
-		k = s.Engine
-	}
-	if n, ok := k.(*engine.NEON); ok {
+	if n, ok := unwrap(k).(*engine.NEON); ok {
 		return n.Unit().C, true
 	}
 	return neon.Counts{}, false
 }
 
-// sameAccounting fails when two kernels' modeled time or NEON ledgers
-// differ.
+// adaptiveOf returns the adaptive engine behind k, if any.
+func adaptiveOf(k signal.Kernel) *sched.Adaptive {
+	switch e := unwrap(k).(type) {
+	case *sched.Adaptive:
+		return e
+	case *gatedAdaptive:
+		return e.Adaptive
+	}
+	return nil
+}
+
+// fpgaCounters are the wave-engine statistics of an FPGA lane: its
+// driver timeline (Rows, CPUBusy, HWBusy, Peek), the HLS and ACP
+// counters and the whole AXI-Lite port, register image included.
+type fpgaCounters struct {
+	rows                   int64
+	cpuBusy, hwBusy, peek  sim.Time
+	fwd, inv               int64
+	plBusy                 sim.Time
+	acpWords, acpTransfers int64
+	lite                   axi.Lite
+}
+
+// fpgaCountersOf reads the FPGA lane behind k, if any.
+func fpgaCountersOf(k signal.Kernel) (fpgaCounters, bool) {
+	f, ok := unwrap(k).(*engine.FPGA)
+	if ad := adaptiveOf(k); ad != nil {
+		f, ok = ad.FPGA(), true
+	}
+	if !ok {
+		return fpgaCounters{}, false
+	}
+	d, e := f.Device(), f.WaveEngine()
+	return fpgaCounters{d.Rows(), d.CPUBusy, d.HWBusy, d.Peek(),
+		e.ForwardRows, e.InverseRows, e.PLBusy, e.ACP.Words, e.ACP.Transfers, *e.Lite}, true
+}
+
+// sameAccounting fails when two kernels' modeled time, FPGA statistics,
+// NEON ledgers or adaptive routing differ. Reading the time first drains
+// an FPGA's double buffer (a reference kernel may be compared more than
+// once) and publishes an adaptive engine's routing.
 func sameAccounting(t *testing.T, label string, ref, got timedKernel) {
 	t.Helper()
-	if ref.Elapsed() != got.Elapsed() {
-		t.Fatalf("%s: modeled time %v, sequential %v", label, got.Elapsed(), ref.Elapsed())
+	if re, ge := ref.Elapsed(), got.Elapsed(); re != ge {
+		t.Fatalf("%s: modeled time %v, sequential %v", label, ge, re)
+	}
+	if rc, ok := fpgaCountersOf(ref); ok {
+		if gc, _ := fpgaCountersOf(got); gc != rc {
+			t.Fatalf("%s: FPGA statistics %+v, sequential %+v", label, gc, rc)
+		}
 	}
 	if rc, ok := ledger(ref); ok {
 		if gc, _ := ledger(got); gc != rc {
 			t.Fatalf("%s: instruction ledger differs from sequential", label)
+		}
+	}
+	if ra := adaptiveOf(ref); ra != nil {
+		ga := adaptiveOf(got)
+		want := fmt.Sprint(ra.RoutedRows, ra.RoutedTime, ra.SplitPasses)
+		if g := fmt.Sprint(ga.RoutedRows, ga.RoutedTime, ga.SplitPasses); g != want {
+			t.Fatalf("%s: routing %s, sequential %s", label, g, want)
 		}
 	}
 }
@@ -90,6 +201,9 @@ func runDTCWT(t *testing.T, k signal.Kernel, workers *kernels.Workers, img *fram
 	p, err := dt.Forward(img, levels)
 	if err != nil {
 		t.Fatalf("forward: %v", err)
+	}
+	if f, ok := unwrap(k).(flipper); ok {
+		f.flip()
 	}
 	rec, err := dt.Inverse(p)
 	if err != nil {
@@ -138,7 +252,8 @@ func compareFrames(t *testing.T, label string, a, b *frame.Frame) {
 func TestTiledDTCWTBitExact(t *testing.T) {
 	withParallelism(t, 8)
 	sizes := []wh{{7, 5}, {16, 16}, {17, 9}, {33, 31}, {64, 48}, {97, 61}, {160, 120}}
-	for name, mk := range tileEngines {
+	for _, te := range tileEngines {
+		name, mk := te.name, te.mk
 		for _, sz := range sizes {
 			maxLv := MaxLevels(sz.w, sz.h)
 			if maxLv > 3 {
@@ -182,7 +297,8 @@ func TestTiledRowPassesMatchRowLoops(t *testing.T) {
 	withParallelism(t, 4)
 	workers := kernels.NewWorkers(2)
 	defer workers.Close()
-	for name, mk := range tileEngines {
+	for _, te := range tileEngines {
+		name, mk := te.name, te.mk
 		for _, w := range []int{2, 6, 8, 14, 22, 40, 42} {
 			for _, delay := range []int{0, 1, 3, 4, w - 1} {
 				cdf := *CDF97
@@ -219,9 +335,14 @@ func checkRowPasses(t *testing.T, label string, mk func() engine.Engine, workers
 
 	tiled := NewXfm(mk())
 	tiled.SetWorkers(workers)
+	fwd, inv := make([]kernels.Chain, h), make([]kernels.Chain, h)
+	for y := range fwd {
+		fwd[y] = tiled.tile.ChargeAnalyzeRow(&bank.AL, &bank.AH, m)
+		inv[y] = tiled.tile.ChargeSynthesizeRow(&bank.SL, &bank.SH, m)
+	}
 	gotFwd, gotInv := frame.New(w, h), src.Clone()
-	tiled.forwardRows(bank, src, gotFwd)
-	tiled.inverseRows(bank, gotInv)
+	tiled.forwardRows(bank, src, gotFwd, fwd)
+	tiled.inverseRows(bank, gotInv, inv)
 	compareFrames(t, label+" analysis", wantFwd, gotFwd)
 	compareFrames(t, label+" synthesis", wantInv, gotInv)
 }
@@ -245,12 +366,20 @@ func TestTiledStructureLoopsAllEngines(t *testing.T) {
 }
 
 // FuzzTiledRoundTrip drives random geometries, depths, worker counts and
-// engines through the sequential-vs-tiled equivalence.
+// engines — the FPGA and adaptive engines among them — through the
+// sequential-vs-tiled equivalence. sameAccounting compares every FPGA
+// statistic and the routing after the whole round trip, and the fuzzer
+// draws the depth, so a level whose replay strays fails at the depth
+// that ends on it.
 func FuzzTiledRoundTrip(f *testing.F) {
 	f.Add(uint8(7), uint8(5), uint8(1), uint8(0), uint8(2), int64(1))
 	f.Add(uint8(16), uint8(16), uint8(2), uint8(1), uint8(3), int64(2))
 	f.Add(uint8(33), uint8(31), uint8(3), uint8(2), uint8(8), int64(3))
 	f.Add(uint8(2), uint8(48), uint8(1), uint8(1), uint8(2), int64(4))
+	f.Add(uint8(40), uint8(29), uint8(2), uint8(3), uint8(4), int64(5))
+	f.Add(uint8(45), uint8(44), uint8(3), uint8(8), uint8(3), int64(6))
+	f.Add(uint8(21), uint8(38), uint8(2), uint8(9), uint8(2), int64(7))
+	f.Add(uint8(30), uint8(30), uint8(3), uint8(11), uint8(5), int64(8))
 	f.Fuzz(func(t *testing.T, w8, h8, lv8, eng8, wk8 uint8, seed int64) {
 		withParallelism(t, 8)
 		w := 2 + int(w8)%47
@@ -260,8 +389,7 @@ func FuzzTiledRoundTrip(f *testing.F) {
 			t.Skip()
 		}
 		levels := 1 + int(lv8)%maxLv
-		names := []string{"arm", "neon-auto", "neon-manual"}
-		mk := tileEngines[names[int(eng8)%len(names)]]
+		mk := tileEngines[int(eng8)%len(tileEngines)].mk
 		workers := 1 + int(wk8)%8
 		img := testFrame(w, h, seed)
 

@@ -62,33 +62,37 @@ func (s *scratch) release() {
 // tileScratch is the private working set of one tile worker: the padded
 // phases, padded subbands and even/odd synthesis outputs of the
 // horizontal passes, sized before each parallel region (while
-// single-threaded) so tile bodies never touch the pool, and the
+// single-threaded) so tile bodies never touch the pool, the column
+// passes' select buffer (lanes of a second lane chain computed aside),
+// and the
 // source-row tables of the lane kernels (analysis: the vertical pass's
-// left and right halves, the horizontal pass's body and tail lanes;
-// synthesis: the vertical pass's lowpass, LH, HL and HH windows, the
-// horizontal pass's body and tail windows). The tables live here rather
-// than on the stack because they reach the lane kernels through the
-// TileKernel interface and would escape, allocating per row.
+// left and right halves, the horizontal pass's body and tail lanes, and
+// a run's slice of them; synthesis: the vertical pass's lowpass, LH, HL
+// and HH windows, the horizontal pass's body and tail windows, and a
+// run's slice of a window pair). The tables live here rather than on
+// the stack because they reach the lane kernels through pointers and
+// would escape, allocating per row.
 type tileScratch struct {
-	px, plo, phi, y scratch
-	rows            [2]kernels.AnalysisRows
-	win             [4]kernels.SynthesisRows
+	px, plo, phi, y, sel scratch
+	rows                 [3]kernels.AnalysisRows
+	win                  [6]kernels.SynthesisRows
 }
 
 func (t *tileScratch) release() {
-	for _, s := range []*scratch{&t.px, &t.plo, &t.phi, &t.y} {
+	for _, s := range []*scratch{&t.px, &t.plo, &t.phi, &t.y, &t.sel} {
 		s.release()
 	}
-	t.rows = [2]kernels.AnalysisRows{}
-	t.win = [4]kernels.SynthesisRows{}
+	t.rows = [3]kernels.AnalysisRows{}
+	t.win = [6]kernels.SynthesisRows{}
 }
 
 // Xfm performs 1-D analysis/synthesis passes with a given kernel, reusing
 // scratch buffers across calls. It is not safe for concurrent use — create
-// one Xfm per logical stream. When the kernel supports tiled execution its
-// 2-D passes run as tile tasks, fanned out across an attached
-// kernels.Workers pool (see SetWorkers); otherwise they run the sequential
-// per-row loops.
+// one Xfm per logical stream. When the kernel offers data-free row charges
+// (kernels.TileKernel) its 2-D passes are routed and charged first and
+// then computed as tile tasks, fanned out across an attached
+// kernels.Workers pool (see SetWorkers); otherwise they run the
+// sequential per-row loops, whose scratch is px through hi.
 type Xfm struct {
 	K signal.Kernel
 	// W dispatches tiled passes; nil (or a 1-worker pool) runs every tile
@@ -98,9 +102,14 @@ type Xfm struct {
 	px, plo, phi, y, y2, col, hiCol, lo, hi scratch
 
 	charger cpuCharger
-	tile    kernels.TileKernel // non-nil when K supports concurrent tile compute
+	tile    kernels.TileKernel // non-nil when K charges rows without data
 	pool    *bufpool.Pool      // scratch backing-store source; nil → plain make
 	ws      []tileScratch      // per-worker scratch for tiled passes
+
+	// routes is the forward replay's route table, one entry per tree and
+	// level; invRoute is the inverse's, one level at a time.
+	routes   []levelRoute
+	invRoute levelRoute
 
 	// Reusable task boxes: passing pointers to these through the Task
 	// interface keeps tiled dispatch at zero allocations per frame.
@@ -149,10 +158,10 @@ func (x *Xfm) ReleaseScratch() {
 	}
 }
 
-// TileCapable reports whether the kernel offers concurrency-safe tile
-// compute — the property that selects the tiled 2-D traversals over the
-// sequential per-row loops. Engines that veto tiling via TilingEnabled
-// report false.
+// TileCapable reports whether the kernel offers data-free row charges
+// (kernels.TileKernel) — the property that selects the routed, tiled 2-D
+// traversals over the sequential per-row loops. Engines that veto tiling
+// via TilingEnabled report false.
 func (x *Xfm) TileCapable() bool { return x.tile != nil }
 
 // workspaces returns the first n per-worker scratch sets, growing the

@@ -161,7 +161,9 @@
 // dispatched across a bounded goroutine pool capped at GOMAXPROCS. A
 // level is routed and charged first: the engine's data-free row charges
 // (kernels.TileKernel) replay the sequential loops' call sequence and
-// return the chain (kernels.Chain) each row computes with. Every wavelet
+// return the chain (kernels.Chain) each row computes with; the engine's
+// own Analyze and Synthesize are that charge plus the chain's row
+// (kernels.AnalyzeRow, SynthesizeRow). Every wavelet
 // filter pass then runs the lane kernels (kernels.AnalyzeOpLanes and
 // SynthesizeOpLanes), SIMD across outputs, each lane with the exact
 // operation chain its row's engine applies at that position — a column
@@ -178,12 +180,12 @@
 // otherwise — in chain order, bit-identical because amd64 never
 // contracts a*b+c; the max-magnitude quad rule, the phase split, the
 // synthesis pair store and the four-tree accumulate run packed SSE with
-// the same operations in the same order. The FPGA wave-engine model runs
-// on the same chains: its analysis rows on the mul-first chain and its
-// synthesis rows on the reference synthesis pair chain, which has its
-// own AVX and SSE forms, one lane per output of a row, bit-identical to
-// the Fig. 4 shift-register dataflow. Every other chain and GOARCH runs
-// the pure-Go loops.
+// the same operations in the same order. The FPGA wave engine is modeled
+// in time and registers only (internal/hls); its arithmetic is a chain
+// too, kernels.ChainWaveEngine: the mul-first analysis chain and the
+// reference synthesis pair chain, which has its own AVX and SSE forms,
+// bit-identical to the Fig. 4 shift-register dataflow as a row and as
+// lanes. Every other chain and GOARCH runs the pure-Go loops.
 // Options.KernelWorkers sizes the pool per fuser (0 selects GOMAXPROCS, 1
 // runs fully sequential); farm streams set StreamConfig.KernelWorkers:
 //

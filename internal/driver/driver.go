@@ -5,17 +5,17 @@
 // write offsets, and splits it into the two areas of Fig. 5 so that the
 // user-space memcpy of one row overlaps the hardware run of another.
 //
-// The model charges that schedule and moves no data through a kernel
-// buffer: the wave engine reads and writes the caller's rows directly.
-// The device keeps a CPU cursor and a hardware cursor and advances them
-// exactly as the Fig. 5 schedule does, charging per row the memcpy into
-// an area, the ioctl and command round trip, the hardware run, the pack or
-// unpack of the engine's interleaved row format and the deferred memcpy
-// out. So the makespan of a row sequence reflects the copy/compute
+// The model charges that schedule and moves no data: its rows are
+// ChargeForwardRow and ChargeInverseRow, which take a row's width, and
+// the caller computes the row's outputs on the wave engine's chain
+// (kernels.ChainWaveEngine). The device keeps a CPU cursor and a
+// hardware cursor and advances them exactly as the Fig. 5 schedule does,
+// charging per row the memcpy into an area, the ioctl and command round
+// trip, the hardware run (hls.WaveEngine.ForwardTime or InverseTime), the
+// pack or unpack of the engine's interleaved row format and the deferred
+// memcpy out. So the makespan of a row sequence reflects the copy/compute
 // overlap (or its absence, in single-buffered mode, which exists for the
-// ablation study). ChargeForwardRow and ChargeInverseRow are the data
-// rows without data: the same checks, timeline steps and counters, for
-// callers that compute the row's outputs themselves.
+// ablation study).
 package driver
 
 import (
@@ -71,9 +71,8 @@ type Device struct {
 	hwFree  sim.Time    // when the hardware is next free
 	bufFree [2]sim.Time // when each buffer area may be overwritten
 	// The copy-out of row k overlaps the hardware run of row k+1 in the
-	// Fig. 5 schedule. Data is delivered to the caller immediately (the
-	// simulated result already exists); only its time accounting is
-	// deferred until the next row is issued or the device drains.
+	// Fig. 5 schedule, so its time accounting is deferred until the next
+	// row is issued or the device drains.
 	pendOut sim.Time // completion time of the row awaiting copy-out
 	pendLen int      // words awaiting copy-out accounting (0 = none)
 	rows    int64
@@ -123,30 +122,16 @@ func (d *Device) cmdCost(mode hls.Mode, pairs, area int) sim.Time {
 	return t
 }
 
-// ForwardRow pushes one analysis row through the accelerator: user memcpy
-// into a buffer area, command, hardware run, and (overlapped with the next
-// row in double-buffered mode) user memcpy of the previous row's results.
-// px holds 2m+12 samples; lo and hi receive m coefficients each. Its
-// checks, timeline steps and counters are ChargeForwardRow's.
-func (d *Device) ForwardRow(px []float32, lo, hi []float32) error {
-	m := len(lo)
-	area, err := d.beginForward(len(px), m, len(hi))
-	if err != nil {
-		return err
-	}
-	ht, err := d.eng.Forward(px, lo, hi)
-	if err != nil {
-		return err
-	}
-	d.endForward(area, ht, m)
-	return nil
-}
-
-// ChargeForwardRow is ForwardRow without data: it runs the checks, the
-// Fig. 5 timeline steps and every counter of one analysis row of m output
-// pairs, whose outputs the caller computes on the wave engine's chain.
+// ChargeForwardRow charges one analysis row of m output pairs: the user
+// memcpy of its 2m+12 input samples into a buffer area, the command, the
+// hardware run and (overlapped with the next row in double-buffered
+// mode) the user memcpy of its results out. The engine emits interleaved
+// (hp, lp) pairs; unpacking them is host work charged to the CPU cursor.
 func (d *Device) ChargeForwardRow(m int) error {
-	area, err := d.beginForward(2*m+signal.TapCount, m, m)
+	if d.closed {
+		return ErrClosed
+	}
+	area, err := d.beginRow(2*m+signal.TapCount, 2*m, hls.ModeForward, m)
 	if err != nil {
 		return err
 	}
@@ -154,51 +139,22 @@ func (d *Device) ChargeForwardRow(m int) error {
 	if err != nil {
 		return err
 	}
-	d.endForward(area, ht, m)
-	return nil
-}
-
-// beginForward checks an analysis row of in input words and lo and hi
-// rows of m and mHi words and advances the timeline to its hardware run.
-func (d *Device) beginForward(in, m, mHi int) (int, error) {
-	if d.closed {
-		return 0, ErrClosed
-	}
-	if mHi != m {
-		return 0, fmt.Errorf("%w: lo=%d hi=%d", ErrRowSize, m, mHi)
-	}
-	return d.beginRow(in, 2*m, hls.ModeForward, m)
-}
-
-// endForward places an analysis row's hardware run on the timeline. The
-// engine emits interleaved (hp, lp) pairs; unpacking them is host work
-// charged to the CPU cursor.
-func (d *Device) endForward(area int, ht sim.Time, m int) {
 	d.endRow(area, ht, 2*m)
 	d.chargeCPUWords(m)
-}
-
-// InverseRow pushes one synthesis row: plo/phi hold m+5 padded coefficient
-// pairs, out receives 2m samples. Its checks, timeline steps and counters
-// are ChargeInverseRow's.
-func (d *Device) InverseRow(plo, phi []float32, out []float32) error {
-	area, err := d.beginInverse(len(plo), len(phi), len(out))
-	if err != nil {
-		return err
-	}
-	ht, err := d.eng.Inverse(plo, phi, out)
-	if err != nil {
-		return err
-	}
-	d.endRow(area, ht, len(out))
 	return nil
 }
 
-// ChargeInverseRow is InverseRow without data, for a synthesis row of m
-// coefficient pairs: see ChargeForwardRow.
+// ChargeInverseRow charges one synthesis row of m coefficient pairs like
+// ChargeForwardRow: packing its m+5 padded pairs into the engine's
+// interleaved (lo, hi) format is host work charged ahead of the copy-in,
+// and the row returns 2m samples.
 func (d *Device) ChargeInverseRow(m int) error {
+	if d.closed {
+		return ErrClosed
+	}
 	pairs := m + signal.SynthesisPad
-	area, err := d.beginInverse(pairs, pairs, 2*m)
+	d.chargeCPUWords(pairs)
+	area, err := d.beginRow(2*pairs, 2*m, hls.ModeInverse, m)
 	if err != nil {
 		return err
 	}
@@ -208,21 +164,6 @@ func (d *Device) ChargeInverseRow(m int) error {
 	}
 	d.endRow(area, ht, 2*m)
 	return nil
-}
-
-// beginInverse checks a synthesis row of pairs and phiPairs padded
-// coefficients and out output words, charges packing them into the
-// engine's interleaved (lo, hi) format to the CPU cursor and advances the
-// timeline to the row's hardware run.
-func (d *Device) beginInverse(pairs, phiPairs, out int) (int, error) {
-	if d.closed {
-		return 0, ErrClosed
-	}
-	if phiPairs != pairs {
-		return 0, fmt.Errorf("%w: plo=%d phi=%d", ErrRowSize, pairs, phiPairs)
-	}
-	d.chargeCPUWords(pairs)
-	return d.beginRow(2*pairs, out, hls.ModeInverse, out/2)
 }
 
 // beginRow advances the Fig. 5 timeline up to the hardware run of a row
@@ -254,10 +195,9 @@ func (d *Device) beginRow(in, out int, mode hls.Mode, pairs int) (int, error) {
 	return area, nil
 }
 
-// endRow places a row's hardware run of ht on the timeline. The caller
-// already holds the row's out result words; their copy-out is charged
-// when the next row starts (it overlaps that row's hardware run) or at
-// drain time.
+// endRow places a row's hardware run of ht on the timeline. The copy-out
+// of the row's out result words is charged when the next row starts (it
+// overlaps that row's hardware run) or at drain time.
 func (d *Device) endRow(area int, ht sim.Time, out int) {
 	hwStart := maxTime(d.hwFree, d.cpu)
 	hwEnd := hwStart + ht

@@ -1,12 +1,10 @@
 package driver
 
 import (
-	"math/rand"
 	"testing"
 
 	"zynqfusion/internal/axi"
 	"zynqfusion/internal/hls"
-	"zynqfusion/internal/signal"
 	"zynqfusion/internal/wavelet"
 	"zynqfusion/internal/zynq"
 )
@@ -28,10 +26,8 @@ func openWithQueue(t *testing.T, depth int) *Device {
 
 func runRows(t *testing.T, d *Device, rows, m int) int64 {
 	t.Helper()
-	rng := rand.New(rand.NewSource(61))
 	for k := 0; k < rows; k++ {
-		px := randRow(rng, 2*m+signal.TapCount)
-		if err := d.ForwardRow(px, make([]float32, m), make([]float32, m)); err != nil {
+		if err := d.ChargeForwardRow(m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,12 +57,10 @@ func TestCmdQueueStillPaysFirstSyscall(t *testing.T) {
 
 func TestPeekDoesNotDisturbSchedule(t *testing.T) {
 	d := openDevice(t, true)
-	rng := rand.New(rand.NewSource(62))
-	m := 32
+	const m = 32
 	var peeked []int64
 	for k := 0; k < 8; k++ {
-		px := randRow(rng, 2*m+signal.TapCount)
-		if err := d.ForwardRow(px, make([]float32, m), make([]float32, m)); err != nil {
+		if err := d.ChargeForwardRow(m); err != nil {
 			t.Fatal(err)
 		}
 		peeked = append(peeked, int64(d.Peek()))
@@ -74,10 +68,8 @@ func TestPeekDoesNotDisturbSchedule(t *testing.T) {
 	withPeek := int64(d.Elapsed())
 
 	d2 := openDevice(t, true)
-	rng = rand.New(rand.NewSource(62))
 	for k := 0; k < 8; k++ {
-		px := randRow(rng, 2*m+signal.TapCount)
-		if err := d2.ForwardRow(px, make([]float32, m), make([]float32, m)); err != nil {
+		if err := d2.ChargeForwardRow(m); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,12 +2,10 @@ package driver
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"zynqfusion/internal/axi"
 	"zynqfusion/internal/hls"
-	"zynqfusion/internal/signal"
 	"zynqfusion/internal/wavelet"
 	"zynqfusion/internal/zynq"
 )
@@ -35,41 +33,11 @@ func openDevice(t *testing.T, double bool) *Device {
 	return d
 }
 
-func randRow(rng *rand.Rand, n int) []float32 {
-	s := make([]float32, n)
-	for i := range s {
-		s[i] = float32(rng.Float64()*200 - 100)
-	}
-	return s
-}
-
-func TestForwardRowMatchesReference(t *testing.T) {
-	d := openDevice(t, true)
-	rng := rand.New(rand.NewSource(51))
-	b := wavelet.CDF97
-	for _, m := range []int{4, 11, 44} {
-		px := randRow(rng, 2*m+signal.TapCount)
-		lo := make([]float32, m)
-		hi := make([]float32, m)
-		if err := d.ForwardRow(px, lo, hi); err != nil {
-			t.Fatal(err)
-		}
-		wantLo := make([]float32, m)
-		wantHi := make([]float32, m)
-		signal.AnalyzeRef(&b.AL, &b.AH, px, wantLo, wantHi)
-		for i := range lo {
-			if lo[i] != wantLo[i] || hi[i] != wantHi[i] {
-				t.Fatalf("m=%d i=%d: (%g,%g) want (%g,%g)", m, i, lo[i], hi[i], wantLo[i], wantHi[i])
-			}
-		}
-	}
-}
-
 // TestRowCommandRegisterImage reads back the AXI-Lite registers a row's
 // command leaves: after one inverse row of m pairs the control register
 // holds the inverse mode, the width register m, both offsets the first
 // buffer area and the status register the engine's done flag; the next
-// row, a data-free forward row, moves both offsets to the second area.
+// row, a forward row, moves both offsets to the second area.
 // The read-backs are the test's own accesses, so the port's counters are
 // checked before them.
 func TestRowCommandRegisterImage(t *testing.T) {
@@ -77,8 +45,7 @@ func TestRowCommandRegisterImage(t *testing.T) {
 	const m = 13
 	lite := d.eng.Lite
 	writes, reads := lite.Writes, lite.Reads
-	out := make([]float32, 2*m)
-	if err := d.InverseRow(make([]float32, m+signal.SynthesisPad), make([]float32, m+signal.SynthesisPad), out); err != nil {
+	if err := d.ChargeInverseRow(m); err != nil {
 		t.Fatal(err)
 	}
 	if lite.Writes != writes+4 || lite.Reads != reads+int64(testConfig(true).StatusPolls) {
@@ -110,37 +77,14 @@ func TestRowCommandRegisterImage(t *testing.T) {
 	}
 }
 
-func TestInverseRowMatchesReference(t *testing.T) {
-	d := openDevice(t, true)
-	rng := rand.New(rand.NewSource(52))
-	b := wavelet.CDF97
-	m := 16
-	plo := randRow(rng, m+signal.SynthesisPad)
-	phi := randRow(rng, m+signal.SynthesisPad)
-	out := make([]float32, 2*m)
-	if err := d.InverseRow(plo, phi, out); err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float32, 2*m)
-	signal.SynthesizeRef(&b.SL, &b.SH, plo, phi, want)
-	for i := range out {
-		if out[i] != want[i] {
-			t.Fatalf("i=%d: %g want %g", i, out[i], want[i])
-		}
-	}
-}
-
 func TestDoubleBufferingBeatsSingle(t *testing.T) {
 	// The Fig. 5 motivation: with two areas, user copies overlap hardware
 	// processing, so a batch of rows finishes sooner than the sequential
 	// single-buffer schedule.
-	rng := rand.New(rand.NewSource(53))
 	run := func(double bool) (makespan int64) {
 		d := openDevice(t, double)
-		m := 64
 		for k := 0; k < 32; k++ {
-			px := randRow(rng, 2*m+signal.TapCount)
-			if err := d.ForwardRow(px, make([]float32, m), make([]float32, m)); err != nil {
+			if err := d.ChargeForwardRow(64); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -159,9 +103,7 @@ func TestDoubleBufferingBeatsSingle(t *testing.T) {
 
 func TestElapsedIncludesDrain(t *testing.T) {
 	d := openDevice(t, true)
-	m := 32
-	px := randRow(rand.New(rand.NewSource(54)), 2*m+signal.TapCount)
-	if err := d.ForwardRow(px, make([]float32, m), make([]float32, m)); err != nil {
+	if err := d.ChargeForwardRow(32); err != nil {
 		t.Fatal(err)
 	}
 	e1 := d.Elapsed()
@@ -189,42 +131,19 @@ func TestClosedDeviceRejectsWork(t *testing.T) {
 	if err := d.Close(); !errors.Is(err, ErrClosed) {
 		t.Errorf("double close: %v", err)
 	}
-	m := 8
-	err := d.ForwardRow(make([]float32, 2*m+signal.TapCount), make([]float32, m), make([]float32, m))
-	if !errors.Is(err, ErrClosed) {
+	if err := d.ChargeForwardRow(8); !errors.Is(err, ErrClosed) {
 		t.Errorf("work on closed device: %v", err)
 	}
-	err = d.InverseRow(make([]float32, m+signal.SynthesisPad), make([]float32, m+signal.SynthesisPad), make([]float32, 2*m))
-	if !errors.Is(err, ErrClosed) {
+	if err := d.ChargeInverseRow(8); !errors.Is(err, ErrClosed) {
 		t.Errorf("inverse row on closed device: %v", err)
 	}
 }
 
 func TestRowTooWideRejected(t *testing.T) {
 	d := openDevice(t, true)
-	m := hls.BRAMArea // output of 2m words cannot fit an area
-	err := d.ForwardRow(make([]float32, 2*m+signal.TapCount), make([]float32, m), make([]float32, m))
-	if !errors.Is(err, ErrRowSize) {
+	// An output of 2*BRAMArea words cannot fit an area.
+	if err := d.ChargeForwardRow(hls.BRAMArea); !errors.Is(err, ErrRowSize) {
 		t.Errorf("oversized row: %v", err)
-	}
-}
-
-// TestForwardRowRejectsMismatchedHi pins the subband length check: a hi
-// shorter or longer than lo is refused with ErrRowSize before the device
-// runs anything, as InverseRow refuses mismatched plo and phi.
-func TestForwardRowRejectsMismatchedHi(t *testing.T) {
-	d := openDevice(t, true)
-	m := 8
-	px := make([]float32, 2*m+signal.TapCount)
-	for _, n := range []int{m - 1, m + 1} {
-		err := d.ForwardRow(px, make([]float32, m), make([]float32, n))
-		if !errors.Is(err, ErrRowSize) {
-			t.Errorf("hi of %d for lo of %d: %v, want ErrRowSize", n, m, err)
-		}
-	}
-	if d.Rows() != 0 || d.CPUBusy != 0 || d.eng.ForwardRows != 0 {
-		t.Errorf("refused rows touched the device: rows=%d cpu=%v engine rows=%d",
-			d.Rows(), d.CPUBusy, d.eng.ForwardRows)
 	}
 }
 
@@ -244,13 +163,10 @@ func TestOpenValidatesConfig(t *testing.T) {
 func TestMakespanScalesWithRows(t *testing.T) {
 	// Twice the rows must land within [1x, 2x+slack] of the single-batch
 	// time and be strictly larger — a sanity property of the timeline.
-	rng := rand.New(rand.NewSource(55))
 	run := func(rows int) int64 {
 		d := openDevice(t, true)
-		m := 44
 		for k := 0; k < rows; k++ {
-			px := randRow(rng, 2*m+signal.TapCount)
-			if err := d.ForwardRow(px, make([]float32, m), make([]float32, m)); err != nil {
+			if err := d.ChargeForwardRow(44); err != nil {
 				t.Fatal(err)
 			}
 		}

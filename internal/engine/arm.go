@@ -31,16 +31,15 @@ func NewARMAt(op dvfs.OperatingPoint) *ARM {
 // Name implements Engine.
 func (a *ARM) Name() string { return "arm" }
 
-// Analyze implements signal.Kernel with scalar loops.
+// Analyze implements signal.Kernel: the row's charge, then the row on
+// the reference chain.
 func (a *ARM) Analyze(al, ah *signal.Taps, px []float32, lo, hi []float32) {
-	kernels.AnalyzeRef(al, ah, px, lo, hi)
-	a.ChargeAnalyzeRow(al, ah, len(lo))
+	kernels.AnalyzeRow(a.ChargeAnalyzeRow(al, ah, len(lo)), al, ah, px, lo, hi)
 }
 
-// Synthesize implements signal.Kernel with scalar loops.
+// Synthesize implements signal.Kernel like Analyze.
 func (a *ARM) Synthesize(sl, sh *signal.Taps, plo, phi []float32, out []float32) {
-	kernels.SynthesizeRef(sl, sh, plo, phi, out)
-	a.ChargeSynthesizeRow(sl, sh, len(out)/2)
+	kernels.SynthesizeRow(a.ChargeSynthesizeRow(sl, sh, len(out)/2), sl, sh, plo, phi, out)
 }
 
 // ChargeAnalyzeRow implements kernels.TileKernel: the modeled cost of

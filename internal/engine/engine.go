@@ -5,10 +5,15 @@ import (
 	"zynqfusion/internal/sim"
 )
 
-// Engine is one execution resource for the wavelet kernels. An Engine is
-// a signal.Kernel (the wavelet layer drives it row by row) plus the
-// accounting surface the scheduler and benchmarks need. Engines are not
-// safe for concurrent use.
+// Engine is one execution resource for the wavelet kernels: a
+// signal.Kernel plus the accounting surface the scheduler and benchmarks
+// need. A tile-capable engine (kernels.TileKernel: ARM, fast NEON, the
+// FPGA and the adaptive engine) charges its rows without data, and the
+// wavelet layer computes each row on the chain its charge returns; its
+// Analyze and Synthesize are that charge plus kernels.AnalyzeRow or
+// SynthesizeRow. The emulated NEON unit computes and charges its rows
+// one by one through Analyze and Synthesize. Engines are not safe for
+// concurrent use.
 type Engine interface {
 	signal.Kernel
 	// Name returns "arm", "neon" or "fpga".

@@ -13,15 +13,15 @@ import (
 	"zynqfusion/internal/zynq"
 )
 
-// FPGA is the hardware engine: kernel rows run on the modeled HLS wave
-// engine behind the kernel driver, with the Fig. 5 double-buffered
-// schedule. The wave engine reloads its filter coefficients over
-// AXI4-Lite whenever the wavelet layer switches banks (tree or level
-// changes), and that reload time is charged to the host. Besides its
-// data rows (Analyze, Synthesize) it charges rows without data
-// (kernels.TileKernel): the same reloads, checks, timeline steps and
-// counters, leaving the outputs to the wavelet layer's tiled passes on
-// the wave engine's chain, kernels.ChainWaveEngine.
+// FPGA is the hardware engine: kernel rows are charged to the modeled
+// HLS wave engine behind the kernel driver, with the Fig. 5
+// double-buffered schedule. The wave engine reloads its filter
+// coefficients over AXI4-Lite whenever the wavelet layer switches banks
+// (tree or level changes), and that reload time is charged to the host.
+// A row is charged without data (kernels.TileKernel: the reload, the
+// driver's checks, timeline steps and counters) and computed on the wave
+// engine's chain, kernels.ChainWaveEngine: by the wavelet layer's tiled
+// passes as lanes, or by Analyze and Synthesize as one row.
 type FPGA struct {
 	ps    sim.Clock
 	op    dvfs.OperatingPoint
@@ -96,41 +96,34 @@ func (f *FPGA) Device() *driver.Device { return f.dev }
 // WaveEngine exposes the hardware model for inspection.
 func (f *FPGA) WaveEngine() *hls.WaveEngine { return f.eng }
 
-// Analyze implements signal.Kernel via the accelerator.
+// Analyze implements signal.Kernel via the accelerator: the row's
+// charge, then the row on the wave engine's chain.
 func (f *FPGA) Analyze(al, ah *signal.Taps, px []float32, lo, hi []float32) {
-	f.dev.ChargeHost(f.eng.UseAnalysis(al, ah))
-	rowOK("forward", f.dev.ForwardRow(px, lo, hi))
+	kernels.AnalyzeRow(f.ChargeAnalyzeRow(al, ah, len(lo)), al, ah, px, lo, hi)
 }
 
-// Synthesize implements signal.Kernel via the accelerator.
+// Synthesize implements signal.Kernel like Analyze.
 func (f *FPGA) Synthesize(sl, sh *signal.Taps, plo, phi []float32, out []float32) {
-	f.useSynthesis(sl, sh)
-	rowOK("inverse", f.dev.InverseRow(plo, phi, out))
+	kernels.SynthesizeRow(f.ChargeSynthesizeRow(sl, sh, len(out)/2), sl, sh, plo, phi, out)
 }
 
-// ChargeAnalyzeRow implements kernels.TileKernel: Analyze's filter
-// reload and driver row without data, with the same checks, Fig. 5
-// timeline steps and counters. The caller computes the row on the wave
-// engine's chain.
+// ChargeAnalyzeRow implements kernels.TileKernel: the filter reload, if
+// any, and the driver's analysis row of m output pairs, without data.
+// The caller computes the row on the wave engine's chain.
 func (f *FPGA) ChargeAnalyzeRow(al, ah *signal.Taps, m int) kernels.Chain {
 	f.dev.ChargeHost(f.eng.UseAnalysis(al, ah))
 	rowOK("forward", f.dev.ChargeForwardRow(m))
 	return kernels.ChainWaveEngine
 }
 
-// ChargeSynthesizeRow implements kernels.TileKernel for Synthesize.
+// ChargeSynthesizeRow implements kernels.TileKernel for synthesis rows:
+// the filter reload, if any, and the inverse mode's extra syscall work
+// ahead of the driver's synthesis row of m coefficient pairs.
 func (f *FPGA) ChargeSynthesizeRow(sl, sh *signal.Taps, m int) kernels.Chain {
-	f.useSynthesis(sl, sh)
-	rowOK("inverse", f.dev.ChargeInverseRow(m))
-	return kernels.ChainWaveEngine
-}
-
-// useSynthesis charges the host side of a synthesis row ahead of the
-// driver's: the filter reload, if any, and the inverse mode's extra
-// syscall work.
-func (f *FPGA) useSynthesis(sl, sh *signal.Taps) {
 	f.dev.ChargeHost(f.eng.UseSynthesis(sl, sh))
 	f.dev.ChargeHost(f.ps.Cycles(InverseExtraSyscallCycles))
+	rowOK("inverse", f.dev.ChargeInverseRow(m))
+	return kernels.ChainWaveEngine
 }
 
 // rowOK panics on a driver row error: the wavelet layer only issues rows

@@ -72,7 +72,8 @@ func (n *NEON) Name() string { return "neon" }
 // Unit exposes the instruction ledger for inspection.
 func (n *NEON) Unit() *neon.Unit { return n.unit }
 
-// Analyze implements signal.Kernel on the NEON unit.
+// Analyze implements signal.Kernel on the NEON unit: on the emulated
+// unit, or as the row's charge plus the row on the engine's chain.
 func (n *NEON) Analyze(al, ah *signal.Taps, px []float32, lo, hi []float32) {
 	if n.emulate {
 		before := n.unit.C.ScalarOps
@@ -83,15 +84,10 @@ func (n *NEON) Analyze(al, ah *signal.Taps, px []float32, lo, hi []float32) {
 			NEONTailPairCycles*float64(tail)
 		return
 	}
-	if n.manual {
-		kernels.NeonAnalyzeManual(al, ah, px, lo, hi)
-	} else {
-		kernels.NeonAnalyzeAuto(al, ah, px, lo, hi)
-	}
-	n.ChargeAnalyzeRow(al, ah, len(lo))
+	kernels.AnalyzeRow(n.ChargeAnalyzeRow(al, ah, len(lo)), al, ah, px, lo, hi)
 }
 
-// Synthesize implements signal.Kernel on the NEON unit.
+// Synthesize implements signal.Kernel like Analyze.
 func (n *NEON) Synthesize(sl, sh *signal.Taps, plo, phi []float32, out []float32) {
 	if n.emulate {
 		before := n.unit.C.ScalarOps
@@ -102,8 +98,7 @@ func (n *NEON) Synthesize(sl, sh *signal.Taps, plo, phi []float32, out []float32
 			NEONTailPairCycles*float64(tail)
 		return
 	}
-	kernels.NeonSynthesize(sl, sh, plo, phi, out)
-	n.ChargeSynthesizeRow(sl, sh, len(out)/2)
+	kernels.SynthesizeRow(n.ChargeSynthesizeRow(sl, sh, len(out)/2), sl, sh, plo, phi, out)
 }
 
 // ChargeAnalyzeRow implements kernels.TileKernel: the closed-form

@@ -1,36 +1,35 @@
 // Package hls models the hardware wavelet engine that VIVADO_HLS
-// synthesizes from the paper's C++ (Fig. 4): a 12-coefficient dual-output
-// filter datapath fed through a 12-deep shift register, hardware memcpy
-// transfers between DDR and the internal BRAMs over the ACP, an AXI4-Lite
-// command/coefficient interface, and three operating modes (coefficient
-// load, forward transform, inverse transform).
+// synthesizes from the paper's C++ (Fig. 4) in time and registers: a
+// 12-coefficient dual-output filter datapath fed through a 12-deep shift
+// register, hardware memcpy transfers between DDR and the internal BRAMs
+// over the ACP, an AXI4-Lite command/coefficient interface, and three
+// operating modes (coefficient load, forward transform, inverse
+// transform).
 //
-// The model is functional and timing-accurate at the transaction level
-// (II=1 pipeline, non-overlapped memcpys, burst costs from the axi
-// package). Functionally it computes the outputs of the Fig. 4 dataflow
-// as lanes, one lane per output of a row, on the packed chains of the
-// kernels package, with the same operations per output in the same order
-// as the shift-register datapath: the analysis chain is mul-first
-// (c0*x0, then + ck*xk), so it equals the scalar reference AnalyzeRef
-// except possibly in the sign of a zero sum, and the synthesis chain is
-// SynthesizeRef's. Rows move between the engine and the caller as planar
-// subbands; Fig. 4's interleaved buffer formats are timed (their word
-// counts set the memcpy costs) but not built. The engine alone tracks
-// which filters are resident: UseAnalysis and UseSynthesis reload them
-// only on a change. ForwardTime and InverseTime run a row's checks,
-// counters and timing without data, for callers that compute the row on
-// the engine's chain themselves; Forward and Inverse are those plus the
-// lanes. Each row command writes its mode, pair count and buffer-area
-// offset to the AXI4-Lite registers, and a finished row raises the done
-// flag in RegStatus.
+// The model is timing-accurate at the transaction level (II=1 pipeline,
+// non-overlapped memcpys, burst costs from the axi package) and moves no
+// data. ForwardTime and InverseTime run one row's checks, counters and
+// PL busy time; Fig. 4's interleaved buffer formats are timed (their word
+// counts set the memcpy costs) but not built. The datapath's arithmetic
+// is kernels.ChainWaveEngine, which the callers compute each row on: the
+// analysis chain is mul-first (c0*x0, then + ck*xk), so it equals the
+// scalar reference except possibly in the sign of a zero sum, and the
+// synthesis chain is the reference's pair chain. fig4_test.go pins that
+// chain, as a row and as lanes, against the Fig. 4 shift-register
+// dataflow bit for bit. The engine alone tracks which filters are
+// resident: UseAnalysis and UseSynthesis reload them only on a change,
+// writing each coefficient's IEEE-754 word to the register file. Each
+// row command writes its mode, pair count and buffer-area offset to the
+// AXI4-Lite registers, and a finished row raises the done flag in
+// RegStatus.
 package hls
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"zynqfusion/internal/axi"
-	"zynqfusion/internal/kernels"
 	"zynqfusion/internal/signal"
 	"zynqfusion/internal/sim"
 )
@@ -68,7 +67,6 @@ const PipelineDepth = 42
 var (
 	ErrRowTooWide    = errors.New("hls: row exceeds the 2048-word BRAM area")
 	ErrNoCoeffs      = errors.New("hls: filter coefficients not loaded")
-	ErrBadLength     = errors.New("hls: buffer length inconsistent with width")
 	ErrWidthTooSmall = errors.New("hls: output width must be positive")
 )
 
@@ -82,11 +80,6 @@ type WaveEngine struct {
 	synthLP, synthHP       signal.Taps
 	coeffLoaded            bool
 
-	// scratch holds the lane layout a row needs beyond the caller's rows:
-	// a forward row's two input phases, or an inverse row's two output
-	// phases. Any row checkRow accepts fits in one BRAM area.
-	scratch *[BRAMArea]float32
-
 	// Statistics.
 	ForwardRows, InverseRows int64
 	PLBusy                   sim.Time
@@ -95,7 +88,7 @@ type WaveEngine struct {
 // New returns a wave engine clocked by pl, with its AXI-Lite port timed in
 // the ps domain and its DMA path using the given burst model.
 func New(ps, pl sim.Clock, acp *axi.Burst) *WaveEngine {
-	return &WaveEngine{Lite: axi.NewLite(ps), ACP: acp, pl: pl, scratch: new([BRAMArea]float32)}
+	return &WaveEngine{Lite: axi.NewLite(ps), ACP: acp, pl: pl}
 }
 
 // LoadCoeffs writes the four 12-tap filter register files through the
@@ -107,7 +100,7 @@ func (e *WaveEngine) LoadCoeffs(al, ah, sl, sh *signal.Taps) sim.Time {
 	addr := RegCoeffBase
 	for _, taps := range []*signal.Taps{al, ah, sl, sh} {
 		for _, c := range taps {
-			t += e.Lite.Write(addr, f32bits(c))
+			t += e.Lite.Write(addr, math.Float32bits(c))
 			addr += 4
 		}
 	}
@@ -140,96 +133,27 @@ func (e *WaveEngine) UseSynthesis(sl, sh *signal.Taps) sim.Time {
 	return e.LoadCoeffs(&e.analysisLP, &e.analysisHP, sl, sh)
 }
 
-// Forward runs one analysis row (mode 2): px holds 2*m+12 samples, and lo
-// and hi receive the m lowpass and highpass outputs. The Fig. 4 engine
-// writes them as 2*m interleaved words, highpass first (buff_out[2k] = hp,
-// buff_out[2k+1] = lp); the model writes the caller's planar rows and
-// times the same words. It returns the PL-side busy time: input memcpy,
-// pipeline, output memcpy, which the synthesized engine does not overlap.
-// The checks, counters and time are ForwardTime's.
-func (e *WaveEngine) Forward(px, lo, hi []float32) (sim.Time, error) {
-	m := len(lo)
-	if len(hi) != m {
-		return 0, fmt.Errorf("%w: lo=%d hi=%d", ErrBadLength, m, len(hi))
-	}
-	t, err := e.forwardRow(m, len(px))
-	if err != nil {
-		return 0, err
-	}
-
-	// Output i reads input samples 2i..2i+11; tap k's sample is sample
-	// i+k/2 of the input's even phase (k even) or odd phase (k odd).
-	h := m + signal.TapCount/2
-	even, odd := e.scratch[:h], e.scratch[h:2*h]
-	kernels.Deinterleave(px, even, odd)
-	var rows kernels.AnalysisRows
-	for k := range rows {
-		phase := even
-		if k%2 == 1 {
-			phase = odd
-		}
-		rows[k] = phase[k/2 : k/2+m]
-	}
-	kernels.AnalyzeMulFirstLanes(&e.analysisLP, &e.analysisHP, &rows, lo, hi)
-	return t, nil
-}
-
-// ForwardTime is Forward without data: the checks, row counter, status
-// flag and PL busy time of one analysis row of m output pairs, whose
-// outputs the caller computes itself on the engine's chain,
-// kernels.ChainWaveEngine.
+// ForwardTime runs one analysis row (mode 2) of m output pairs in time:
+// its checks, row counter and done flag, and its PL busy time — input
+// memcpy of 2*m+12 samples, pipeline, output memcpy of 2*m words (the
+// Fig. 4 engine writes the outputs interleaved, highpass first), which
+// the synthesized engine does not overlap. The caller computes the row's
+// outputs on kernels.ChainWaveEngine with the resident analysis filters.
 func (e *WaveEngine) ForwardTime(m int) (sim.Time, error) {
-	return e.forwardRow(m, 2*m+signal.TapCount)
-}
-
-func (e *WaveEngine) forwardRow(m, inLen int) (sim.Time, error) {
-	if err := e.checkRow(m, inLen, 2*m+signal.TapCount); err != nil {
+	in := 2*m + signal.TapCount
+	if err := e.checkRow(m, in); err != nil {
 		return 0, err
 	}
 	e.ForwardRows++
-	return e.finishRow(e.rowTime(inLen, m+6, 2*m)), nil
+	return e.finishRow(e.rowTime(in, m+6, 2*m)), nil
 }
 
-// Inverse runs one synthesis row (mode 3): plo and phi hold m+5 padded
-// lowpass and highpass coefficients, and out receives 2*m reconstructed
-// samples. The Fig. 4 engine reads them as m+5 interleaved (lo, hi)
-// pairs; the model reads the caller's planar rows and times the same
-// 2*m+10 words. Timing mirrors Forward; the checks, counters and time
-// are InverseTime's.
-func (e *WaveEngine) Inverse(plo, phi, out []float32) (sim.Time, error) {
-	pairs := len(plo)
-	if len(phi) != pairs {
-		return 0, fmt.Errorf("%w: plo=%d phi=%d", ErrBadLength, pairs, len(phi))
-	}
-	m := len(out) / 2
-	if len(out) != 2*m {
-		return 0, fmt.Errorf("%w: odd output length %d", ErrBadLength, len(out))
-	}
-	t, err := e.inverseRow(m, pairs)
-	if err != nil {
-		return 0, err
-	}
-
-	// Output pair i reads coefficients i..i+5 of each subband: window row
-	// j is the subband from coefficient j on.
-	ev, od := e.scratch[:m], e.scratch[m:2*m]
-	var wl, wh kernels.SynthesisRows
-	for j := range wl {
-		wl[j], wh[j] = plo[j:j+m], phi[j:j+m]
-	}
-	kernels.SynthesizeRefLanes(&e.synthLP, &e.synthHP, &wl, &wh, ev, od)
-	kernels.Interleave(out, ev, od)
-	return t, nil
-}
-
-// InverseTime is Inverse without data, for a synthesis row of m
-// coefficient pairs: see ForwardTime.
+// InverseTime is ForwardTime for one synthesis row (mode 3) of m
+// coefficient pairs: the Fig. 4 engine reads m+5 padded (lo, hi) pairs,
+// 2*m+10 words, and writes 2*m samples.
 func (e *WaveEngine) InverseTime(m int) (sim.Time, error) {
-	return e.inverseRow(m, m+signal.SynthesisPad)
-}
-
-func (e *WaveEngine) inverseRow(m, pairs int) (sim.Time, error) {
-	if err := e.checkRow(m, 2*pairs, 2*(m+signal.SynthesisPad)); err != nil {
+	pairs := m + signal.SynthesisPad
+	if err := e.checkRow(m, 2*pairs); err != nil {
 		return 0, err
 	}
 	e.InverseRows++
@@ -245,16 +169,13 @@ func (e *WaveEngine) finishRow(t sim.Time) sim.Time {
 }
 
 // checkRow validates a row of m output pairs (2*m output words) whose
-// input holds inLen words where the mode wants wantIn.
-func (e *WaveEngine) checkRow(m, inLen, wantIn int) error {
+// input holds inLen words.
+func (e *WaveEngine) checkRow(m, inLen int) error {
 	if !e.coeffLoaded {
 		return ErrNoCoeffs
 	}
 	if m <= 0 {
 		return ErrWidthTooSmall
-	}
-	if inLen != wantIn {
-		return fmt.Errorf("%w: in=%d want=%d", ErrBadLength, inLen, wantIn)
 	}
 	if inLen > BRAMArea || 2*m > BRAMArea {
 		return fmt.Errorf("%w: in=%d out=%d area=%d", ErrRowTooWide, inLen, 2*m, BRAMArea)
@@ -289,12 +210,4 @@ func (e *WaveEngine) CommandTime(mode Mode, pairs, offset, polls int) sim.Time {
 		t += rt
 	}
 	return t
-}
-
-// f32bits reinterprets a float32 register write without importing math
-// into the hot path. Only used for the AXI-Lite coefficient image.
-func f32bits(f float32) uint32 {
-	// The register image is never read back numerically; a stable mapping
-	// suffices and avoids unsafe. Scale preserves 3 decimal places.
-	return uint32(int32(f * 1000))
 }

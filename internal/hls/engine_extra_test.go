@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"zynqfusion/internal/signal"
+	"zynqfusion/internal/sim"
 )
 
 func TestInverseCapacityBounds(t *testing.T) {
@@ -14,22 +15,17 @@ func TestInverseCapacityBounds(t *testing.T) {
 	// Largest legal inverse row: input pairs 2*(m+5) <= BRAMArea and
 	// output 2m <= BRAMArea.
 	m := BRAMArea/2 - signal.SynthesisPad
-	pairs := m + signal.SynthesisPad
-	if _, err := e.Inverse(make([]float32, pairs), make([]float32, pairs), make([]float32, 2*m)); err != nil {
+	if _, err := e.InverseTime(m); err != nil {
 		t.Errorf("max inverse row should fit: %v", err)
 	}
-	m++
-	pairs++
-	if _, err := e.Inverse(make([]float32, pairs), make([]float32, pairs), make([]float32, 2*m)); !errors.Is(err, ErrRowTooWide) {
+	if _, err := e.InverseTime(m + 1); !errors.Is(err, ErrRowTooWide) {
 		t.Errorf("oversized inverse row: %v", err)
 	}
 }
 
 func TestInverseRequiresCoefficients(t *testing.T) {
 	e := newEngine()
-	m := 8
-	pairs := m + signal.SynthesisPad
-	if _, err := e.Inverse(make([]float32, pairs), make([]float32, pairs), make([]float32, 2*m)); !errors.Is(err, ErrNoCoeffs) {
+	if _, err := e.InverseTime(8); !errors.Is(err, ErrNoCoeffs) {
 		t.Errorf("inverse without coeffs: %v", err)
 	}
 }
@@ -37,17 +33,13 @@ func TestInverseRequiresCoefficients(t *testing.T) {
 func TestRowCountersAdvance(t *testing.T) {
 	e := newEngine()
 	loadDefault(t, e)
-	m := 8
-	fin := make([]float32, 2*m+signal.TapCount)
-	lo, hi := make([]float32, m), make([]float32, m)
-	plo, phi := make([]float32, m+signal.SynthesisPad), make([]float32, m+signal.SynthesisPad)
-	iout := make([]float32, 2*m)
+	const m = 8
 	for i := 0; i < 3; i++ {
-		if _, err := e.Forward(fin, lo, hi); err != nil {
+		if _, err := e.ForwardTime(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.Inverse(plo, phi, iout); err != nil {
+	if _, err := e.InverseTime(m); err != nil {
 		t.Fatal(err)
 	}
 	if e.ForwardRows != 3 || e.InverseRows != 1 {
@@ -64,8 +56,7 @@ func TestInverseTimingMirrorsForward(t *testing.T) {
 	e := newEngine()
 	loadDefault(t, e)
 	m := 50
-	fin := make([]float32, 2*m+signal.TapCount)
-	ft, err := e.Forward(fin, make([]float32, m), make([]float32, m))
+	ft, err := e.ForwardTime(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +64,7 @@ func TestInverseTimingMirrorsForward(t *testing.T) {
 	// 2*(m+6) = 2m+12 input words; output 2*(m+1)... choose m2 with
 	// matching geometry: inverse input words = 2*(m2+5), output 2*m2.
 	m2 := m + 1 // gives input 2m+12, same as forward's
-	pairs := m2 + signal.SynthesisPad
-	it, err := e.Inverse(make([]float32, pairs), make([]float32, pairs), make([]float32, 2*m2))
+	it, err := e.InverseTime(m2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +81,7 @@ func TestInverseTimingMirrorsForward(t *testing.T) {
 }
 
 func TestForwardDeterministicAcrossRuns(t *testing.T) {
-	run := func() []float32 {
+	run := func() ([]float32, sim.Time) {
 		e := newEngine()
 		loadDefault(t, e)
 		m := 16
@@ -101,12 +91,17 @@ func TestForwardDeterministicAcrossRuns(t *testing.T) {
 			in[i] = float32(r.Float64())
 		}
 		lo, hi := make([]float32, m), make([]float32, m)
-		if _, err := e.Forward(in, lo, hi); err != nil {
+		tm, err := forwardRow(e, in, lo, hi)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return append(lo, hi...)
+		return append(lo, hi...), tm
 	}
-	a, b := run(), run()
+	a, ta := run()
+	b, tb := run()
+	if ta != tb {
+		t.Fatalf("row time %v, then %v", ta, tb)
+	}
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("engine model must be deterministic")

@@ -2,11 +2,12 @@ package hls
 
 import (
 	"errors"
+	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"zynqfusion/internal/axi"
+	"zynqfusion/internal/kernels"
 	"zynqfusion/internal/signal"
 	"zynqfusion/internal/sim"
 	"zynqfusion/internal/wavelet"
@@ -25,6 +26,29 @@ func loadDefault(t *testing.T, e *WaveEngine) *wavelet.Bank {
 	return b
 }
 
+// forwardRow runs one analysis row as the engine's callers do: the
+// engine's time-only row, then the row's outputs on the engine's chain
+// with the resident filters.
+func forwardRow(e *WaveEngine, px, lo, hi []float32) (sim.Time, error) {
+	t, err := e.ForwardTime(len(lo))
+	if err == nil {
+		kernels.AnalyzeRow(kernels.ChainWaveEngine, &e.analysisLP, &e.analysisHP, px, lo, hi)
+	}
+	return t, err
+}
+
+// inverseRow is forwardRow for a synthesis row.
+func inverseRow(e *WaveEngine, plo, phi, out []float32) (sim.Time, error) {
+	t, err := e.InverseTime(len(out) / 2)
+	if err == nil {
+		kernels.SynthesizeRow(kernels.ChainWaveEngine, &e.synthLP, &e.synthHP, plo, phi, out)
+	}
+	return t, err
+}
+
+// TestForwardBitExactAgainstReference holds the engine's analysis chain
+// to the scalar reference in value (they may differ only in the sign of
+// a zero sum, which TestWaveEngineMatchesFig4 pins).
 func TestForwardBitExactAgainstReference(t *testing.T) {
 	e := newEngine()
 	b := loadDefault(t, e)
@@ -35,7 +59,7 @@ func TestForwardBitExactAgainstReference(t *testing.T) {
 			in[i] = float32(rng.Float64()*200 - 100)
 		}
 		lo, hi := make([]float32, m), make([]float32, m)
-		if _, err := e.Forward(in, lo, hi); err != nil {
+		if _, err := forwardRow(e, in, lo, hi); err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
 		wantLo := make([]float32, m)
@@ -63,7 +87,7 @@ func TestInverseBitExactAgainstReference(t *testing.T) {
 			phi[i] = float32(rng.Float64()*20 - 10)
 		}
 		out := make([]float32, 2*m)
-		if _, err := e.Inverse(plo, phi, out); err != nil {
+		if _, err := inverseRow(e, plo, phi, out); err != nil {
 			t.Fatalf("m=%d: %v", m, err)
 		}
 		want := make([]float32, 2*m)
@@ -78,9 +102,8 @@ func TestInverseBitExactAgainstReference(t *testing.T) {
 
 func TestEngineRequiresCoefficients(t *testing.T) {
 	e := newEngine()
-	in := make([]float32, 2*4+signal.TapCount)
-	if _, err := e.Forward(in, make([]float32, 4), make([]float32, 4)); !errors.Is(err, ErrNoCoeffs) {
-		t.Errorf("Forward without coeffs: %v, want ErrNoCoeffs", err)
+	if _, err := e.ForwardTime(4); !errors.Is(err, ErrNoCoeffs) {
+		t.Errorf("ForwardTime without coeffs: %v, want ErrNoCoeffs", err)
 	}
 }
 
@@ -88,35 +111,31 @@ func TestEngineRejectsOversizedRows(t *testing.T) {
 	e := newEngine()
 	loadDefault(t, e)
 	m := (BRAMArea - signal.TapCount) / 2 // largest legal input
-	in := make([]float32, 2*m+signal.TapCount)
-	if _, err := e.Forward(in, make([]float32, m), make([]float32, m)); err != nil {
-		t.Errorf("row of %d words should fit: %v", len(in), err)
+	if _, err := e.ForwardTime(m); err != nil {
+		t.Errorf("row of %d words should fit: %v", 2*m+signal.TapCount, err)
 	}
 	m = BRAMArea / 2 // output 2m == BRAMArea fits, input 2m+12 does not
-	in = make([]float32, 2*m+signal.TapCount)
-	if _, err := e.Forward(in, make([]float32, m), make([]float32, m)); !errors.Is(err, ErrRowTooWide) {
+	if _, err := e.ForwardTime(m); !errors.Is(err, ErrRowTooWide) {
 		t.Errorf("oversized row: %v, want ErrRowTooWide", err)
 	}
 }
 
+// TestEngineRejectsBadLengths pins the width check: a row of no or a
+// negative number of output pairs is refused in either mode, and counts
+// no row.
 func TestEngineRejectsBadLengths(t *testing.T) {
 	e := newEngine()
 	loadDefault(t, e)
-	if _, err := e.Forward(make([]float32, 20), make([]float32, 5), make([]float32, 5)); !errors.Is(err, ErrBadLength) {
-		t.Errorf("bad length: %v", err)
+	for _, m := range []int{0, -1} {
+		if _, err := e.ForwardTime(m); !errors.Is(err, ErrWidthTooSmall) {
+			t.Errorf("forward width %d: %v, want ErrWidthTooSmall", m, err)
+		}
+		if _, err := e.InverseTime(m); !errors.Is(err, ErrWidthTooSmall) {
+			t.Errorf("inverse width %d: %v, want ErrWidthTooSmall", m, err)
+		}
 	}
-	if _, err := e.Forward(make([]float32, 2*5+signal.TapCount), make([]float32, 5), make([]float32, 4)); !errors.Is(err, ErrBadLength) || !strings.Contains(err.Error(), "lo=5 hi=4") {
-		t.Errorf("hi shorter than lo: %v", err)
-	}
-	if _, err := e.Forward(make([]float32, signal.TapCount), nil, nil); !errors.Is(err, ErrWidthTooSmall) {
-		t.Errorf("zero width: %v", err)
-	}
-	pairs := 5 + signal.SynthesisPad
-	if _, err := e.Inverse(make([]float32, pairs), make([]float32, pairs-1), make([]float32, 10)); !errors.Is(err, ErrBadLength) || !strings.Contains(err.Error(), "plo=10 phi=9") {
-		t.Errorf("inverse phi shorter than plo: %v", err)
-	}
-	if _, err := e.Inverse(make([]float32, pairs), make([]float32, pairs), make([]float32, 11)); !errors.Is(err, ErrBadLength) {
-		t.Errorf("inverse odd output: %v", err)
+	if e.ForwardRows != 0 || e.InverseRows != 0 || e.PLBusy != 0 {
+		t.Errorf("refused rows counted: %d/%d rows, %v busy", e.ForwardRows, e.InverseRows, e.PLBusy)
 	}
 }
 
@@ -126,15 +145,14 @@ func TestRowTimeComponents(t *testing.T) {
 	e := newEngine()
 	loadDefault(t, e)
 	m := 44
-	in := make([]float32, 2*m+signal.TapCount)
 	acpBefore := *e.ACP
-	got, err := e.Forward(in, make([]float32, m), make([]float32, m))
+	got, err := e.ForwardTime(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pl := zynq.PL()
 	fresh := axi.NewACP(pl)
-	want := fresh.Transfer(len(in)) + pl.Cycles(int64(m+6+PipelineDepth)) + fresh.Transfer(2*m)
+	want := fresh.Transfer(2*m+signal.TapCount) + pl.Cycles(int64(m+6+PipelineDepth)) + fresh.Transfer(2*m)
 	if got != want {
 		t.Errorf("row time %v, want %v", got, want)
 	}
@@ -149,8 +167,7 @@ func TestPipelineIsIIOne(t *testing.T) {
 	e := newEngine()
 	loadDefault(t, e)
 	run := func(m int) sim.Time {
-		in := make([]float32, 2*m+signal.TapCount)
-		tm, err := e.Forward(in, make([]float32, m), make([]float32, m))
+		tm, err := e.ForwardTime(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,6 +230,35 @@ func TestUseFiltersReloadOnlyOnChange(t *testing.T) {
 	if e.analysisLP != d4.AL || e.analysisHP != d4.AH || e.synthLP != d4.SL || e.synthHP != d4.SH {
 		t.Error("resident filters are not the last requested pairs")
 	}
+}
+
+// TestCoeffRegistersHoldFloat32Bits reads the 48 coefficient words back
+// as the filters' IEEE-754 words: after a full load, and after a
+// synthesis reload that keeps the resident analysis pair. CDF 9/7 and
+// Daubechies-4 taps that differ by less than 1e-3 must still differ in
+// their words.
+func TestCoeffRegistersHoldFloat32Bits(t *testing.T) {
+	e := newEngine()
+	cdf, d4 := wavelet.CDF97, wavelet.Daub4
+	check := func(what string, banks [4]*signal.Taps) {
+		t.Helper()
+		lite := *e.Lite // read a copy, so the engine's counters stay put
+		addr := RegCoeffBase
+		for b, taps := range banks {
+			for k, c := range taps {
+				if got, _ := lite.Read(addr); got != math.Float32bits(c) {
+					t.Fatalf("%s: filter %d tap %d reads %#08x, want %#08x (%v)", what, b, k, got, math.Float32bits(c), c)
+				}
+				addr += 4
+			}
+		}
+	}
+	e.LoadCoeffs(&cdf.AL, &cdf.AH, &cdf.SL, &cdf.SH)
+	check("load", [4]*signal.Taps{&cdf.AL, &cdf.AH, &cdf.SL, &cdf.SH})
+	if e.UseSynthesis(&d4.SL, &d4.SH) == 0 {
+		t.Fatal("a new synthesis pair did not reload")
+	}
+	check("synthesis reload", [4]*signal.Taps{&cdf.AL, &cdf.AH, &d4.SL, &d4.SH})
 }
 
 func TestCommandTime(t *testing.T) {

@@ -5,17 +5,21 @@ import (
 	"math/rand"
 	"testing"
 
+	"zynqfusion/internal/kernels"
 	"zynqfusion/internal/signal"
 	"zynqfusion/internal/wavelet"
 )
 
 // The Fig. 4 dataflow as the synthesized engine runs it, one output per
 // shift-register step, on its interleaved buffer formats: the oracle the
-// lane-form engine model is pinned against, bit for bit. fig4Forward
-// writes buff_out as (hp, lp) pairs; fig4Inverse reads (lo, hi) pairs.
-// Both use the filters e has loaded.
+// engine's arithmetic, kernels.ChainWaveEngine, is pinned against bit for
+// bit, both as a row (AnalyzeRow, SynthesizeRow: what the FPGA engine's
+// Analyze and Synthesize compute) and as the row-layout lanes the tiled
+// horizontal passes compute. fig4Forward writes buff_out as (hp, lp)
+// pairs through the analysis filters al and ah; fig4Inverse reads
+// (lo, hi) pairs through the synthesis filters sl and sh.
 
-func fig4Forward(e *WaveEngine, in, out []float32) {
+func fig4Forward(al, ah *signal.Taps, in, out []float32) {
 	m := len(out) / 2
 	// The shift register advances by two samples per iteration; outputs
 	// start once it is full.
@@ -24,11 +28,11 @@ func fig4Forward(e *WaveEngine, in, out []float32) {
 		inA := in[i*2]
 		inB := in[i*2+1]
 		var hpAcc, lpAcc float32
-		hpAcc = e.analysisHP[0] * sr[0]
-		lpAcc = e.analysisLP[0] * sr[0]
+		hpAcc = ah[0] * sr[0]
+		lpAcc = al[0] * sr[0]
 		for j := 1; j < signal.TapCount; j++ {
-			hpAcc += e.analysisHP[j] * sr[j]
-			lpAcc += e.analysisLP[j] * sr[j]
+			hpAcc += ah[j] * sr[j]
+			lpAcc += al[j] * sr[j]
 			if j < signal.TapCount-1 {
 				sr[j-1] = sr[j+1]
 			}
@@ -42,7 +46,7 @@ func fig4Forward(e *WaveEngine, in, out []float32) {
 	}
 }
 
-func fig4Inverse(e *WaveEngine, in, out []float32) {
+func fig4Inverse(sl, sh *signal.Taps, in, out []float32) {
 	m := len(out) / 2
 	const half = signal.TapCount / 2
 	var srLo, srHi [half]float32
@@ -59,8 +63,8 @@ func fig4Inverse(e *WaveEngine, in, out []float32) {
 		}
 		var even, odd float32
 		for k := 0; k < half; k++ {
-			even += e.synthLP[2*k]*srLo[half-1-k] + e.synthHP[2*k]*srHi[half-1-k]
-			odd += e.synthLP[2*k+1]*srLo[half-1-k] + e.synthHP[2*k+1]*srHi[half-1-k]
+			even += sl[2*k]*srLo[half-1-k] + sh[2*k]*srHi[half-1-k]
+			odd += sl[2*k+1]*srLo[half-1-k] + sh[2*k+1]*srHi[half-1-k]
 		}
 		o := i - (half - 1)
 		out[2*o] = even
@@ -90,8 +94,9 @@ const (
 	numFills
 )
 
-func loadBank(e *WaveEngine, bank int, rng *rand.Rand) {
-	var t [4]signal.Taps
+// bankTaps returns a bank's analysis and synthesis filter pairs: AL, AH,
+// SL, SH.
+func bankTaps(bank int, rng *rand.Rand) (t [4]signal.Taps) {
 	switch bank {
 	case bankCDF97:
 		b := wavelet.CDF97
@@ -109,7 +114,7 @@ func loadBank(e *WaveEngine, bank int, rng *rand.Rand) {
 			}
 		}
 	}
-	e.LoadCoeffs(&t[0], &t[1], &t[2], &t[3])
+	return t
 }
 
 func fig4Value(rng *rand.Rand, fill int) float32 {
@@ -133,16 +138,65 @@ func fig4Value(rng *rand.Rand, fill int) float32 {
 	return v
 }
 
-// checkFig4 runs one forward row of m output pairs (when it fits the
-// BRAM area) and one inverse row of m pairs through the engine and the
-// Fig. 4 oracle, and fails on the first output whose bits differ. The
-// engine's planar rows are laid out in (or taken from) Fig. 4's buffer
-// formats here, in the test, for the comparison.
+// forwardLanes computes an analysis row on chain c as the tiled
+// horizontal pass (wavelet's fwdRowsTask) does, one lane per output: tap
+// k's lane row is the m-sample slice of the padded row's even (k even)
+// or odd (k odd) phase from k/2 on, and when the chain switches lane
+// chain for the last m%4 outputs, those run as a second lane call.
+func forwardLanes(c kernels.Chain, al, ah *signal.Taps, px, lo, hi []float32) {
+	m := len(lo)
+	even, odd := make([]float32, m+signal.TapCount/2), make([]float32, m+signal.TapCount/2)
+	kernels.Deinterleave(px, even, odd)
+	b := m - m%4
+	var body, tail kernels.AnalysisRows
+	for k := range body {
+		phase := even
+		if k%2 == 1 {
+			phase = odd
+		}
+		body[k] = phase[k/2 : k/2+m]
+		tail[k] = body[k][b:]
+	}
+	if op, tailOp := c.AnalysisOp(0, m), c.AnalysisOp(m-1, m); op == tailOp {
+		kernels.AnalyzeOpLanes(op, al, ah, &body, lo, hi)
+	} else {
+		kernels.AnalyzeOpLanes(op, al, ah, &body, lo[:b], hi[:b])
+		kernels.AnalyzeOpLanes(tailOp, al, ah, &tail, lo[b:], hi[b:])
+	}
+}
+
+// inverseLanes is forwardLanes for a synthesis row, as wavelet's
+// invRowsTask computes it: window row j of pair i is coefficient i+j of
+// each padded subband, and out receives the pairs interleaved.
+func inverseLanes(c kernels.Chain, sl, sh *signal.Taps, plo, phi, out []float32) {
+	m := len(out) / 2
+	b := m - m%4
+	var wl, wh, tl, th kernels.SynthesisRows
+	for j := range wl {
+		wl[j], wh[j] = plo[j:j+m], phi[j:j+m]
+		tl[j], th[j] = wl[j][b:], wh[j][b:]
+	}
+	even, odd := make([]float32, m), make([]float32, m)
+	if op, tailOp := c.SynthesisOp(0, m), c.SynthesisOp(m-1, m); op == tailOp {
+		kernels.SynthesizeOpLanes(op, sl, sh, &wl, &wh, even, odd)
+	} else {
+		kernels.SynthesizeOpLanes(op, sl, sh, &wl, &wh, even[:b], odd[:b])
+		kernels.SynthesizeOpLanes(tailOp, sl, sh, &tl, &th, even[b:], odd[b:])
+	}
+	kernels.Interleave(out, even, odd)
+}
+
+// checkFig4 runs one forward row of m output pairs and one inverse row
+// of m pairs through the Fig. 4 oracle and through the wave engine's
+// chain, as a row and as lanes, and fails on the first output whose bits
+// differ. The chain's planar rows are laid out in (or taken from)
+// Fig. 4's buffer formats here, in the test, for the comparison.
 func checkFig4(t *testing.T, m, bank, fill int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	e := newEngine()
-	loadBank(e, bank, rng)
+	f := bankTaps(bank, rng)
+	al, ah, sl, sh := &f[0], &f[1], &f[2], &f[3]
+	c := kernels.ChainWaveEngine
 	row := func(n int) []float32 {
 		in := make([]float32, n)
 		for i := range in {
@@ -160,34 +214,36 @@ func checkFig4(t *testing.T, m, bank, fill int, seed int64) {
 			}
 		}
 	}
-	got, want := make([]float32, 2*m), make([]float32, 2*m)
-	if in := row(2*m + signal.TapCount); len(in) <= BRAMArea {
+	want := make([]float32, 2*m)
+	in := row(2*m + signal.TapCount)
+	fig4Forward(al, ah, in, want)
+	for name, run := range map[string]func(lo, hi []float32){
+		"forward row":   func(lo, hi []float32) { kernels.AnalyzeRow(c, al, ah, in, lo, hi) },
+		"forward lanes": func(lo, hi []float32) { forwardLanes(c, al, ah, in, lo, hi) },
+	} {
 		lo, hi := make([]float32, m), make([]float32, m)
-		if _, err := e.Forward(in, lo, hi); err != nil {
-			t.Fatalf("forward m=%d: %v", m, err)
-		}
-		for k := 0; k < m; k++ {
-			got[2*k], got[2*k+1] = hi[k], lo[k]
-		}
-		fig4Forward(e, in, want)
-		same("forward", got, want)
+		run(lo, hi)
+		got := make([]float32, 2*m)
+		kernels.Interleave(got, hi, lo)
+		same(name, got, want)
 	}
-	in := row(2 * (m + signal.SynthesisPad))
+	in = row(2 * (m + signal.SynthesisPad))
 	plo, phi := make([]float32, m+signal.SynthesisPad), make([]float32, m+signal.SynthesisPad)
-	for k := range plo {
-		plo[k], phi[k] = in[2*k], in[2*k+1]
-	}
-	if _, err := e.Inverse(plo, phi, got); err != nil {
-		t.Fatalf("inverse m=%d: %v", m, err)
-	}
-	fig4Inverse(e, in, want)
-	same("inverse", got, want)
+	kernels.Deinterleave(in, plo, phi)
+	fig4Inverse(sl, sh, in, want)
+	got := make([]float32, 2*m)
+	kernels.SynthesizeRow(c, sl, sh, plo, phi, got)
+	same("inverse row", got, want)
+	got = make([]float32, 2*m)
+	inverseLanes(c, sl, sh, plo, phi, got)
+	same("inverse lanes", got, want)
 }
 
-// TestWaveEngineMatchesFig4 pins the lane-form engine model against the
-// Fig. 4 shift-register dataflow, bit for bit: every row width up to
-// 170 pairs and the widest rows the BRAM area takes (forward m = 1018,
-// inverse m = 1019), over every bank and input flavour.
+// TestWaveEngineMatchesFig4 pins the wave engine's chain, as a row and as
+// lanes, against the Fig. 4 shift-register dataflow, bit for bit: every
+// row width up to 170 pairs and the widest rows the BRAM area takes
+// (forward m = 1018, inverse m = 1019), over every bank and input
+// flavour.
 func TestWaveEngineMatchesFig4(t *testing.T) {
 	widths := []int{(BRAMArea - signal.TapCount) / 2, BRAMArea/2 - signal.SynthesisPad}
 	for m := 1; m <= 170; m++ {
@@ -202,9 +258,9 @@ func TestWaveEngineMatchesFig4(t *testing.T) {
 	}
 }
 
-// FuzzWaveEngineRows drives the engine-vs-Fig. 4 equivalence over
-// fuzz-chosen row widths (up to the BRAM area's widest inverse row),
-// banks, input flavours and data.
+// FuzzWaveEngineRows drives the chain-vs-Fig. 4 equivalence, row and
+// lanes, over fuzz-chosen row widths (up to the BRAM area's widest
+// inverse row), banks, input flavours and data.
 func FuzzWaveEngineRows(f *testing.F) {
 	f.Add(uint16(7), uint8(bankZero), uint8(fillNegative), int64(1))
 	f.Add(uint16(160), uint8(bankNegZero), uint8(fillPositive), int64(2))

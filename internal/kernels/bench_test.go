@@ -62,7 +62,7 @@ func BenchmarkAnalyzeRefFast(b *testing.B) {
 	r := newBenchRow()
 	b.SetBytes(2 * benchM * 4)
 	for i := 0; i < b.N; i++ {
-		AnalyzeRef(&r.al, &r.ah, r.px, r.lo, r.hi)
+		AnalyzeRow(ChainRef, &r.al, &r.ah, r.px, r.lo, r.hi)
 	}
 }
 
@@ -96,7 +96,7 @@ func BenchmarkNeonAnalyzeManualFast(b *testing.B) {
 	r := newBenchRow()
 	b.SetBytes(2 * benchM * 4)
 	for i := 0; i < b.N; i++ {
-		NeonAnalyzeManual(&r.al, &r.ah, r.px, r.lo, r.hi)
+		AnalyzeRow(ChainNEONManual, &r.al, &r.ah, r.px, r.lo, r.hi)
 	}
 }
 

@@ -4,9 +4,11 @@ import "zynqfusion/internal/signal"
 
 // Chain names the arithmetic an engine computes its 1-D rows with: which
 // lane chain (Op) runs at each output position of a row. An engine's row
-// charge returns it (TileKernel), and the tiled passes compute the row
-// on it, so a row routed to the FPGA comes out bit-identical to the wave
-// engine's and a row routed to NEON to the NEON unit's.
+// charge returns it (TileKernel); the tiled passes compute the row on it
+// as lanes (AnalyzeOpLanes, SynthesizeOpLanes) and the engine's own
+// Analyze and Synthesize as one row (AnalyzeRow, SynthesizeRow), so a row
+// routed to the FPGA comes out bit-identical to the wave engine's and a
+// row routed to NEON to the NEON unit's.
 type Chain uint8
 
 // The engines' chains.
@@ -111,4 +113,74 @@ func SynthesizeOpLanes(op Op, sl, sh *signal.Taps, wl, wh *SynthesisRows, even, 
 	default:
 		panic("kernels.SynthesizeOpLanes: not a synthesis chain")
 	}
+}
+
+// AnalyzeRow computes one analysis row on chain c, without accounting:
+// lo[i] and hi[i] are the 12-tap outputs of al and ah over px[2i:2i+12]
+// (px holds 2*len(lo)+12 samples), each on the lane chain
+// c.AnalysisOp(i, len(lo)) names. It is the 1-D form of AnalyzeOpLanes,
+// bit-identical to it, and safe for concurrent calls.
+func AnalyzeRow(c Chain, al, ah *signal.Taps, px, lo, hi []float32) {
+	m := len(lo)
+	if len(hi) != m || len(px) != 2*m+signal.TapCount {
+		panic("kernels.AnalyzeRow: inconsistent lengths")
+	}
+	// A chain switches lane chain only for the last m%4 outputs.
+	op, tailOp := c.AnalysisOp(0, m), c.AnalysisOp(m-1, m)
+	rest := 0
+	if op != tailOp {
+		rest = m % 4
+	}
+	px, lo, hi = analyzeRow(op, al, ah, px, lo, hi, rest)
+	analyzeRow(tailOp, al, ah, px, lo, hi, 0)
+}
+
+// SynthesizeRow computes one synthesis row on chain c, without
+// accounting: plo and phi hold m+5 padded lowpass and highpass
+// coefficients, and out receives the 2*m reconstructed samples, pair i
+// on the lane chain c.SynthesisOp(i, m) names. It is the 1-D form of
+// SynthesizeOpLanes, bit-identical to it, and safe for concurrent calls.
+func SynthesizeRow(c Chain, sl, sh *signal.Taps, plo, phi, out []float32) {
+	m := len(out) / 2
+	if len(out) != 2*m || len(plo) != m+signal.SynthesisPad || len(phi) != m+signal.SynthesisPad {
+		panic("kernels.SynthesizeRow: inconsistent lengths")
+	}
+	op, tailOp := c.SynthesisOp(0, m), c.SynthesisOp(m-1, m)
+	rest := 0
+	if op != tailOp {
+		rest = m % 4
+	}
+	plo, phi, out = synthesizeRow(op, sl, sh, plo, phi, out, rest)
+	synthesizeRow(tailOp, sl, sh, plo, phi, out, 0)
+}
+
+// analyzeRow runs the row loop of lane chain op. Each row loop computes
+// a row's outputs from the front until rest of them remain, walking
+// shrinking slices, and returns what remains of its slices. Its loop
+// condition keeps len(lo) > 0 (len(out) >= 2 for synthesis) beside the
+// rest test: the compiler cannot tell that rest is not negative, and the
+// check_bce lint needs the bound.
+func analyzeRow(op Op, al, ah *signal.Taps, px, lo, hi []float32, rest int) ([]float32, []float32, []float32) {
+	switch op {
+	case OpMulFirst:
+		return analyzeRowMulFirst(al, ah, px, lo, hi, rest)
+	case OpZero:
+		return analyzeRowZero(al, ah, px, lo, hi, rest)
+	case OpPartial4:
+		return analyzeRowPartial4(al, ah, px, lo, hi, rest)
+	}
+	panic("kernels.AnalyzeRow: not an analysis chain")
+}
+
+// synthesizeRow is analyzeRow for synthesis: rest counts output pairs.
+func synthesizeRow(op Op, sl, sh *signal.Taps, plo, phi, out []float32, rest int) ([]float32, []float32, []float32) {
+	switch op {
+	case OpMulFirst:
+		return synthesizeRowMulFirst(sl, sh, plo, phi, out, rest)
+	case OpZero:
+		return synthesizeRowZero(sl, sh, plo, phi, out, rest)
+	case OpPair:
+		return synthesizeRowPair(sl, sh, plo, phi, out, rest)
+	}
+	panic("kernels.SynthesizeRow: not a synthesis chain")
 }

@@ -9,35 +9,37 @@
 // binding constraint on fleet-scale benches. This package removes that
 // constraint twice over:
 //
-//   - Fast kernels: bit-identical re-implementations of the scalar
-//     reference and emulated-NEON filter kernels with bounds-check-
-//     eliminated inner loops (verified with -gcflags=-d=ssa/check_bce).
-//     Every floating-point operation is performed in the same order and
-//     association as the emulated original, so outputs match bit for bit;
-//     the per-instruction NEON ledger the cycle model reads is applied in
-//     closed form (CountsAnalyze/CountsSynthesize), pinned against the
-//     emulation by tests.
-//
-//   - Lane kernels: the same chains re-arranged so SIMD runs across
-//     outputs (lanes.go): one lane per column for the vertical passes,
-//     reading source rows in place, and one lane per output of a row for
-//     the horizontal passes, reading the row's two polyphase components
-//     (PadPeriodicPhases). On amd64 two chains run as assembly, AVX
-//     where the CPU and OS support it (SIMD names the path) and SSE
-//     otherwise: the mul-first chain (the NEON analysis and synthesis
-//     bodies) and the reference synthesis pair chain. The FPGA
-//     wave-engine model (internal/hls) is a caller of both: it runs its
-//     analysis rows on AnalyzeMulFirstLanes and its synthesis rows on
-//     SynthesizeRefLanes. Each lane keeps its 1-D chain's operation
-//     order, so they too are bit-identical.
+//   - Row and lane kernels under one Chain (chain.go): an engine's
+//     1-D arithmetic is a Chain, which names the lane chain (Op) each
+//     output of a row runs — mul-first, zero-start, four partial sums
+//     or the synthesis pair chain. Each Op has one row loop (ref.go,
+//     neonfast.go): a bounds-check-eliminated, bit-identical
+//     re-implementation of the scalar reference or emulated-NEON loop
+//     (verified with -gcflags=-d=ssa/check_bce), performing every
+//     floating-point operation in the same order and association, and
+//     AnalyzeRow/SynthesizeRow run a row on its chain's loops. The NEON
+//     instruction ledger the cycle model reads is applied in closed form
+//     (CountsAnalyze/CountsSynthesize), pinned against the emulation by
+//     tests. Each Op also has a lane form (lanes.go), the same chain
+//     re-arranged so SIMD runs across outputs: one lane per column for
+//     the vertical passes, reading source rows in place, and one lane
+//     per output of a row for the horizontal passes, reading the row's
+//     two polyphase components (PadPeriodicPhases); AnalyzeOpLanes and
+//     SynthesizeOpLanes dispatch them. On amd64 two chains run as
+//     assembly, AVX where the CPU and OS support it (SIMD names the
+//     path) and SSE otherwise: the mul-first chain (the NEON analysis
+//     and synthesis bodies and the FPGA wave engine's analysis,
+//     ChainWaveEngine) and the reference synthesis pair chain (the
+//     reference's synthesis and the wave engine's). Each lane keeps its
+//     row loop's operation order, so rows and lanes are bit-identical.
 //
 //   - Packed per-element kernels (pixels.go): the max-magnitude quad
 //     rule, the synthesis pair store (Interleave), the phase split
-//     (Deinterleave, which PadPeriodicPhases and the wave-engine model
-//     call) and the four-tree accumulate run packed SSE on amd64 with
-//     the Go loop's operations in its order, and as that Go loop
-//     elsewhere. The q2c/c2q element map is written once, as Combine and
-//     Distribute, which every Go loop over quad planes calls.
+//     (Deinterleave, which PadPeriodicPhases calls) and the four-tree
+//     accumulate run packed SSE on amd64 with the Go loop's operations
+//     in its order, and as that Go loop elsewhere. The q2c/c2q element
+//     map is written once, as Combine and Distribute, which every Go
+//     loop over quad planes calls.
 //
 //   - Tile dispatch: a bounded, restartable worker pool (Workers) that
 //     splits independent row/column/pixel ranges into cache-sized tiles
@@ -48,10 +50,11 @@
 // Determinism contract: accounting is separated from compute, and comes
 // first. Engines that support tiling implement TileKernel — per-row
 // charge methods that apply a row's modeled cost without data and return
-// the Chain that computes it. The caller replays those charges
-// sequentially in canonical row order, recording each row's chain, and
-// then computes every row on its chain with the concurrency-safe lane
-// kernels (AnalyzeOpLanes, SynthesizeOpLanes). Because the modeled cycle
+// the Chain that computes it; their data rows (signal.Kernel) are that
+// charge plus AnalyzeRow or SynthesizeRow. The caller replays those
+// charges sequentially in canonical row order, recording each row's
+// chain, and then computes every row on its chain with the
+// concurrency-safe lane kernels (AnalyzeOpLanes, SynthesizeOpLanes). Because the modeled cycle
 // accumulators are float64 (addition order matters) and a routed or
 // double-buffered timeline depends on the order of its steps, the replay
 // performs the same steps in the same order as the scalar path, so
@@ -66,9 +69,10 @@ import "zynqfusion/internal/signal"
 // modeled cost of one 1-D row, with no data, and return the Chain that
 // computes it. They must be called sequentially, once per row in
 // canonical row order (the order the sequential per-row loops call
-// Analyze and Synthesize); computing each row on its chain with the lane
-// kernels then reproduces the engine's sequential Analyze/Synthesize
-// byte for byte: pixels, cycles, instruction ledger and, for the FPGA
+// Analyze and Synthesize, which are each a charge plus AnalyzeRow or
+// SynthesizeRow on the chain it returns); computing each row on its
+// chain with the lane kernels then reproduces the engine's sequential
+// Analyze/Synthesize byte for byte: pixels, cycles, instruction ledger and, for the FPGA
 // and adaptive engines, every driver, HLS and AXI statistic and routing
 // decision.
 type TileKernel interface {

@@ -57,7 +57,7 @@ func TestAnalyzeRefMatchesSignal(t *testing.T) {
 		wantLo, wantHi := make([]float32, m), make([]float32, m)
 		signal.AnalyzeRef(&al, &ah, px, wantLo, wantHi)
 		gotLo, gotHi := make([]float32, m), make([]float32, m)
-		AnalyzeRef(&al, &ah, px, gotLo, gotHi)
+		AnalyzeRow(ChainRef, &al, &ah, px, gotLo, gotHi)
 		bitsEqual(t, "lo", gotLo, wantLo)
 		bitsEqual(t, "hi", gotHi, wantHi)
 	}
@@ -72,7 +72,7 @@ func TestSynthesizeRefMatchesSignal(t *testing.T) {
 		want := make([]float32, 2*m)
 		signal.SynthesizeRef(&sl, &sh, plo, phi, want)
 		got := make([]float32, 2*m)
-		SynthesizeRef(&sl, &sh, plo, phi, got)
+		SynthesizeRow(ChainRef, &sl, &sh, plo, phi, got)
 		bitsEqual(t, "out", got, want)
 	}
 }
@@ -92,7 +92,7 @@ func TestNeonAnalyzeMatchesEmulation(t *testing.T) {
 			}
 			gotLo, gotHi := make([]float32, m), make([]float32, m)
 			if manual {
-				NeonAnalyzeManual(&al, &ah, px, gotLo, gotHi)
+				AnalyzeRow(ChainNEONManual, &al, &ah, px, gotLo, gotHi)
 			} else {
 				NeonAnalyzeAuto(&al, &ah, px, gotLo, gotHi)
 			}
@@ -131,7 +131,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 		gotLo, gotHi := make([]float32, m), make([]float32, m)
 
 		signal.AnalyzeRef(&al, &ah, px, wantLo, wantHi)
-		AnalyzeRef(&al, &ah, px, gotLo, gotHi)
+		AnalyzeRow(ChainRef, &al, &ah, px, gotLo, gotHi)
 		bitsEqual(t, "ref lo", gotLo, wantLo)
 		bitsEqual(t, "ref hi", gotHi, wantHi)
 
@@ -142,7 +142,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 		bitsEqual(t, "auto hi", gotHi, wantHi)
 
 		neon.AnalyzeManual(&u, &al, &ah, px, wantLo, wantHi)
-		NeonAnalyzeManual(&al, &ah, px, gotLo, gotHi)
+		AnalyzeRow(ChainNEONManual, &al, &ah, px, gotLo, gotHi)
 		bitsEqual(t, "manual lo", gotLo, wantLo)
 		bitsEqual(t, "manual hi", gotHi, wantHi)
 
@@ -151,7 +151,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 		want := make([]float32, 2*m)
 		got := make([]float32, 2*m)
 		signal.SynthesizeRef(&al, &ah, plo, phi, want)
-		SynthesizeRef(&al, &ah, plo, phi, got)
+		SynthesizeRow(ChainRef, &al, &ah, plo, phi, got)
 		bitsEqual(t, "ref syn", got, want)
 		neon.SynthesizeAuto(&u, &al, &ah, plo, phi, want)
 		NeonSynthesize(&al, &ah, plo, phi, got)

@@ -21,19 +21,19 @@ import "zynqfusion/internal/signal"
 //     of the padded subband itself.
 //
 // Each lane performs exactly the operations, in exactly the order, that
-// the engine's 1-D kernel performs for its output — the NEON 1-D kernels
-// switch chains at the remainder tail, so a row's Chain names the lane
-// chain (Op) at each position (chain.go), and a lane call runs one Op
-// for every lane. Outputs are therefore bit-identical to the 1-D kernels
-// (pinned by TestLaneKernelsMatchColumns and FuzzLaneKernels, in both
-// layouts). The
-// Go lane loops keep the statement shape of their 1-D kernels so that
-// arm64's FMA contraction treats both forms alike, and put every slice
-// length in the loop condition so the check_bce lint stays clean. On
-// amd64 two chains run packed (lanes_amd64.s): the mul-first chain (the
-// NEON auto analysis body, the NEON synthesis body and the wave-engine
-// model's analysis) and the reference synthesis pair chain (the
-// reference kernel's synthesis and the wave-engine model's). Each runs
+// the row loop of its lane chain (Op) performs for its output — the NEON
+// chains switch Op at the remainder tail, so a row's Chain names the Op
+// at each position (chain.go), and a lane call runs one Op for every
+// lane. Outputs are therefore bit-identical to AnalyzeRow and
+// SynthesizeRow (pinned by TestLaneKernelsMatchColumns and
+// FuzzLaneKernels, in both layouts, for every Chain). The Go lane loops
+// keep the statement shape of their row loops so that arm64's FMA
+// contraction treats both forms alike, and put every slice length in the
+// loop condition so the check_bce lint stays clean. On amd64 two chains
+// run packed (lanes_amd64.s): the mul-first chain (the NEON auto
+// analysis body, the NEON synthesis body and the wave engine's analysis)
+// and the reference synthesis pair chain (the reference synthesis and
+// the wave engine's). Each runs
 // eight lanes per AVX VMULPS/VADDPS when a CPUID+XGETBV check at
 // start-up finds AVX, four lanes per SSE MULPS/ADDPS on amd64 hosts
 // without it, and the Go lane loop for the lanes left over. amd64 never
@@ -67,8 +67,8 @@ func checkLanes(name string, rows [][]float32, a, b []float32) {
 
 // AnalyzeMulFirstLanes runs the mul-first analysis chain over len(lo)
 // lanes: per lane lo = al[0]*x0, then + al[k]*xk for taps 1..11, and hi
-// alike with ah — NeonAnalyzeAuto's vectorized-body chain, at every
-// lane whatever its position.
+// alike with ah — analyzeRowMulFirst's chain, at every lane whatever
+// its position.
 func AnalyzeMulFirstLanes(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32) {
 	checkLanes("kernels.AnalyzeMulFirstLanes", r[:], lo, hi)
 	rows := (*[signal.TapCount][]float32)(r)
@@ -77,8 +77,8 @@ func AnalyzeMulFirstLanes(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32
 	analyzeLanesMulFirst(al, ah, r, lo, hi, n)
 }
 
-// NeonAnalyzeManualLanes is NeonAnalyzeManual over len(lo) lanes: the
-// same four-partial-sum chain at every position.
+// NeonAnalyzeManualLanes is the four-partial-sum row loop
+// (analyzeRowPartial4) over len(lo) lanes.
 func NeonAnalyzeManualLanes(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32) {
 	checkLanes("kernels.NeonAnalyzeManualLanes", r[:], lo, hi)
 	r0, r1, r2, r3, r4, r5 := r[0], r[1], r[2], r[3], r[4], r[5]
@@ -116,15 +116,16 @@ func NeonAnalyzeManualLanes(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float
 	}
 }
 
-// AnalyzeRefLanes is AnalyzeRef over len(lo) lanes: the reference chain,
-// accumulating from zero in tap order, at every position.
+// AnalyzeRefLanes is the zero-start row loop (analyzeRowZero) over
+// len(lo) lanes: the reference chain, accumulating from zero in tap
+// order.
 func AnalyzeRefLanes(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32) {
 	checkLanes("kernels.AnalyzeRefLanes", r[:], lo, hi)
 	analyzeLanesZero(al, ah, r, lo, hi)
 }
 
-// analyzeLanesMulFirst is NeonAnalyzeAuto's vectorized-body chain per
-// lane, for lanes from on: al[0]*x0, then + al[k]*xk for taps 1..11.
+// analyzeLanesMulFirst is analyzeRowMulFirst's chain per lane, for
+// lanes from on: al[0]*x0, then + al[k]*xk for taps 1..11.
 func analyzeLanesMulFirst(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32, from int) {
 	r0, r1, r2, r3, r4, r5 := r[0], r[1], r[2], r[3], r[4], r[5]
 	r6, r7, r8, r9, r10, r11 := r[6], r[7], r[8], r[9], r[10], r[11]
@@ -161,9 +162,8 @@ func analyzeLanesMulFirst(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32
 	}
 }
 
-// analyzeLanesZero is the chain that accumulates from zero in tap order:
-// NeonAnalyzeAuto's scalar tail and AnalyzeRef alike (acc += a*b and
-// acc = acc + a*b are the same expression).
+// analyzeLanesZero is analyzeRowZero's chain per lane: it accumulates
+// from zero in tap order.
 func analyzeLanesZero(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32) {
 	r0, r1, r2, r3, r4, r5 := r[0], r[1], r[2], r[3], r[4], r[5]
 	r6, r7, r8, r9, r10, r11 := r[6], r[7], r[8], r[9], r[10], r[11]
@@ -201,8 +201,8 @@ func analyzeLanesZero(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32) {
 	}
 }
 
-// synthesizeMulFirstLanes runs NeonSynthesize's vectorized-body chain
-// over len(even) lanes: wl and wh are the lowpass and highpass windows,
+// synthesizeMulFirstLanes runs synthesizeRowMulFirst's chain over
+// len(even) lanes: wl and wh are the lowpass and highpass windows,
 // even and odd the pair's two outputs per lane.
 func synthesizeMulFirstLanes(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32) {
 	checkLanes("kernels.SynthesizeOpLanes", wl[:], even, odd)
@@ -223,8 +223,9 @@ func synthesisChains(sl, sh *signal.Taps, wl, wh *SynthesisRows) (rows [signal.T
 	return rows, te, to
 }
 
-// SynthesizeRefLanes is SynthesizeRef over len(even) lanes: the
-// reference chain adding (sl*l + sh*h) as one term per step, from zero.
+// SynthesizeRefLanes is the pair row loop (synthesizeRowPair) over
+// len(even) lanes: the reference chain adding (sl*l + sh*h) as one term
+// per step, from zero.
 func SynthesizeRefLanes(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32) {
 	checkLanes("kernels.SynthesizeRefLanes", wl[:], even, odd)
 	checkLanes("kernels.SynthesizeRefLanes", wh[:], even, odd)
@@ -234,8 +235,8 @@ func SynthesizeRefLanes(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []
 	synthesizeLanesRef(sl, sh, wl, wh, even, odd, n)
 }
 
-// synthesizeLanesRef is SynthesizeRef's chain per lane, for lanes from
-// on, in the reference's statement order.
+// synthesizeLanesRef is synthesizeRowPair's chain per lane, for lanes
+// from on, in the reference's statement order.
 func synthesizeLanesRef(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32, from int) {
 	l0, l1, l2, l3, l4, l5 := wl[0], wl[1], wl[2], wl[3], wl[4], wl[5]
 	h0, h1, h2, h3, h4, h5 := wh[0], wh[1], wh[2], wh[3], wh[4], wh[5]
@@ -260,8 +261,8 @@ func synthesizeLanesRef(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []
 	}
 }
 
-// synthesizeLanesMulFirst is NeonSynthesize's vectorized-body chain per
-// lane, for lanes from on, in the body's statement order.
+// synthesizeLanesMulFirst is synthesizeRowMulFirst's chain per lane,
+// for lanes from on, in the body's statement order.
 func synthesizeLanesMulFirst(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32, from int) {
 	l0, l1, l2, l3, l4, l5 := wl[0], wl[1], wl[2], wl[3], wl[4], wl[5]
 	h0, h1, h2, h3, h4, h5 := wh[0], wh[1], wh[2], wh[3], wh[4], wh[5]
@@ -297,8 +298,8 @@ func synthesizeLanesMulFirst(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, o
 	}
 }
 
-// synthesizeLanesZero is NeonSynthesize's scalar-tail chain per lane:
-// both chains start from zero, in the tail's statement order.
+// synthesizeLanesZero is synthesizeRowZero's chain per lane: both
+// chains start from zero, in the tail's statement order.
 func synthesizeLanesZero(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32) {
 	l0, l1, l2, l3, l4, l5 := wl[0], wl[1], wl[2], wl[3], wl[4], wl[5]
 	h0, h1, h2, h3, h4, h5 := wh[0], wh[1], wh[2], wh[3], wh[4], wh[5]

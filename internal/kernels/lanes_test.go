@@ -10,44 +10,54 @@ import (
 	"zynqfusion/internal/signal"
 )
 
-// These tests pin the lane kernels against the 1-D kernels they
-// re-arrange, in both layouts. Columns: run the 1-D kernel down each of W
-// padded columns, then every lane form over the rows those columns share
-// must reproduce output pos of every column bit for bit; lane counts
-// 0..67 run every SIMD remainder. Row: run the 1-D kernel over one padded
-// row, then every lane form over the row's phases (analysis) or padded
-// subbands (synthesis), one lane per output, body and m%4 tail as
-// separate calls, must reproduce the whole row. The inputs mix ±0,
-// subnormals and ±Inf with ordinary values, and a zero-tap flavour over
-// all-negative inputs makes the mul-first and zero-start chains disagree
-// in the sign of zero, so a lane that picks the wrong chain fails.
+// These tests pin the lane kernels against the row kernels of every
+// Chain (AnalyzeRow, SynthesizeRow), in both layouts. Columns: run the
+// row kernel down each of W padded columns, then every lane form over the
+// rows those columns share must reproduce output pos of every column bit
+// for bit; lane counts 0..67 run every SIMD remainder. Row: run the row
+// kernel over one padded row, then every lane form over the row's phases
+// (analysis) or padded subbands (synthesis), one lane per output, body
+// and m%4 tail as separate calls, must reproduce the whole row. The
+// inputs mix ±0, subnormals and ±Inf with ordinary values, and a
+// zero-tap flavour over all-negative inputs makes the mul-first and
+// zero-start chains disagree in the sign of zero, so a lane or a row
+// that picks the wrong chain fails. The row loops themselves are pinned
+// against signal's reference and the emulated NEON unit in
+// kernels_test.go, and the wave engine's chain against the Fig. 4
+// dataflow in internal/hls.
 
-// laneChain pairs a 1-D kernel with one lane form of it.
+// laneChain pairs a row kernel with one lane form of it.
 type laneChain struct {
 	name string
-	// Exactly one of analyze/synthesize is set, with its 1-D kernel.
+	// Exactly one of analyze/synthesize is set, with its row kernel.
 	analyze    func(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32, pos, m int)
 	analyze1D  func(al, ah *signal.Taps, px, lo, hi []float32)
 	synthesize func(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32, pos, m int)
 	synth1D    func(sl, sh *signal.Taps, plo, phi, out []float32)
 }
 
-// chainAnalysis and chainSynthesis are the lane forms of a Chain: the lane
-// chain it runs at the call's position.
-func chainAnalysis(c Chain) func(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32, pos, m int) {
-	return func(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32, pos, m int) {
-		AnalyzeOpLanes(c.AnalysisOp(pos, m), al, ah, r, lo, hi)
+// chainAnalysis and chainSynthesis pair chain c's row kernel with its
+// lane form: the lane chain it runs at the call's position.
+func chainAnalysis(name string, c Chain) laneChain {
+	return laneChain{name: name,
+		analyze: func(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32, pos, m int) {
+			AnalyzeOpLanes(c.AnalysisOp(pos, m), al, ah, r, lo, hi)
+		},
+		analyze1D: func(al, ah *signal.Taps, px, lo, hi []float32) { AnalyzeRow(c, al, ah, px, lo, hi) },
 	}
 }
 
-func chainSynthesis(c Chain) func(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32, pos, m int) {
-	return func(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32, pos, m int) {
-		SynthesizeOpLanes(c.SynthesisOp(pos, m), sl, sh, wl, wh, even, odd)
+func chainSynthesis(name string, c Chain) laneChain {
+	return laneChain{name: name,
+		synthesize: func(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32, pos, m int) {
+			SynthesizeOpLanes(c.SynthesisOp(pos, m), sl, sh, wl, wh, even, odd)
+		},
+		synth1D: func(sl, sh *signal.Taps, plo, phi, out []float32) { SynthesizeRow(c, sl, sh, plo, phi, out) },
 	}
 }
 
 var laneChains = []laneChain{
-	{name: "neon-auto", analyze: chainAnalysis(ChainNEONAuto), analyze1D: NeonAnalyzeAuto},
+	chainAnalysis("neon-auto", ChainNEONAuto),
 	{name: "neon-auto-go", analyze1D: NeonAnalyzeAuto,
 		analyze: func(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32, pos, m int) {
 			if pos >= m-m%4 {
@@ -56,10 +66,10 @@ var laneChains = []laneChain{
 				analyzeLanesMulFirst(al, ah, r, lo, hi, 0)
 			}
 		}},
-	{name: "neon-manual", analyze: chainAnalysis(ChainNEONManual), analyze1D: NeonAnalyzeManual},
-	{name: "ref", analyze: chainAnalysis(ChainRef), analyze1D: AnalyzeRef},
-	{name: "neon-synth", synthesize: chainSynthesis(ChainNEONAuto), synth1D: NeonSynthesize},
-	{name: "neon-manual-synth", synthesize: chainSynthesis(ChainNEONManual), synth1D: NeonSynthesize},
+	chainAnalysis("neon-manual", ChainNEONManual),
+	chainAnalysis("ref", ChainRef),
+	chainSynthesis("neon-synth", ChainNEONAuto),
+	chainSynthesis("neon-manual-synth", ChainNEONManual),
 	{name: "neon-synth-go", synth1D: NeonSynthesize,
 		synthesize: func(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32, pos, m int) {
 			if pos >= m-m%4 {
@@ -68,11 +78,9 @@ var laneChains = []laneChain{
 				synthesizeLanesMulFirst(sl, sh, wl, wh, even, odd, 0)
 			}
 		}},
-	{name: "ref-synth", synthesize: chainSynthesis(ChainRef), synth1D: SynthesizeRef},
-	// The wave engine's synthesis is the reference pair chain; its
-	// analysis, the mul-first chain at every output, is pinned against
-	// the Fig. 4 dataflow in internal/hls.
-	{name: "wave-engine-synth", synthesize: chainSynthesis(ChainWaveEngine), synth1D: SynthesizeRef},
+	chainSynthesis("ref-synth", ChainRef),
+	chainSynthesis("wave-engine-synth", ChainWaveEngine),
+	chainAnalysis("wave-engine", ChainWaveEngine),
 }
 
 // laneValue draws an input sample: mostly ordinary values, with ±0,
@@ -108,7 +116,7 @@ func laneInputs(seed int64) (a, b signal.Taps, fill func() float32) {
 }
 
 // checkLaneChain runs chain c over lanes columns of an m-output column
-// (m pairs for synthesis) at position pos and compares with the 1-D
+// (m pairs for synthesis) at position pos and compares with the row
 // kernel run down each column. It reports the first mismatch.
 func checkLaneChain(c laneChain, lanes, m, pos int, seed int64) error {
 	ta, tb, fill := laneInputs(seed)
@@ -173,7 +181,7 @@ func checkLaneChain(c laneChain, lanes, m, pos int, seed int64) error {
 }
 
 // checkLaneRow runs chain c in the row layout over one m-output row (m
-// pairs for synthesis) and compares with the 1-D kernel over the same
+// pairs for synthesis) and compares with the row kernel over the same
 // padded row: analysis reads the phases PadPeriodicPhases builds from a
 // 2m-sample signal, synthesis window row j is coefficient j on of each
 // padded subband. It reports the first mismatch.
@@ -307,7 +315,7 @@ func TestLaneKernelsRejectShortRows(t *testing.T) {
 	}
 }
 
-// FuzzLaneKernels drives the lane-vs-1-D equivalence over fuzz-chosen
+// FuzzLaneKernels drives the lane-vs-row equivalence over fuzz-chosen
 // chains and data: with the layout bit (chain8's top bit) clear, in the
 // column layout over fuzz-chosen lane counts and positions; with it set,
 // in the row layout over a fuzz-chosen row length.

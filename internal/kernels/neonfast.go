@@ -6,15 +6,15 @@ import (
 )
 
 // This file re-implements the emulated NEON kernels (internal/neon) as
-// direct float32 code. The emulation's per-lane arithmetic chains are
-// independent per output coefficient, so each output can be computed
-// scalar-style as long as every chain performs the same operations in
-// the same order and the same expression shapes (mul-first in the
-// vectorized body, accumulate-from-zero in the scalar tail; acc + a*b
-// for each multiply-accumulate). That makes these functions bit-for-bit
-// identical to the emulation on every platform — including arm64, where
-// the compiler fuses acc + a*b into an FMA in both versions — while
-// skipping the method-call and ledger bookkeeping that made the
+// direct float32 row loops (see chain.go). The emulation's per-lane
+// arithmetic chains are independent per output coefficient, so each
+// output can be computed scalar-style as long as every chain performs the
+// same operations in the same order and the same expression shapes
+// (mul-first in the vectorized body, accumulate-from-zero in the scalar
+// tail; acc + a*b for each multiply-accumulate). That makes these loops
+// bit-for-bit identical to the emulation on every platform — including
+// arm64, where the compiler fuses acc + a*b into an FMA in both versions
+// — while skipping the method-call and ledger bookkeeping that made the
 // emulation the wall-clock bottleneck. The instruction ledger the cycle
 // model needs is reproduced in closed form by CountsAnalyze /
 // CountsSynthesize, pinned against the live emulation by tests.
@@ -27,12 +27,21 @@ import (
 // plus the scalar remainder tail (accumulate from zero) for the last
 // m%4 outputs.
 func NeonAnalyzeAuto(al, ah *signal.Taps, px, lo, hi []float32) {
-	if len(hi) != len(lo) || len(px) != 2*len(lo)+signal.TapCount {
-		panic("kernels.NeonAnalyzeAuto: inconsistent lengths")
-	}
-	tail := len(lo) % 4
-	// Vectorized body: per-lane chain is al[0]*win[0] then + taps 1..11.
-	for len(lo) > tail && len(hi) > 0 && len(px) >= signal.TapCount {
+	AnalyzeRow(ChainNEONAuto, al, ah, px, lo, hi)
+}
+
+// NeonSynthesize mirrors neon.SynthesizeAuto (and SynthesizeManual,
+// which is the same function): the four-wide body, then the scalar tail
+// for the last m%4 output pairs.
+func NeonSynthesize(sl, sh *signal.Taps, plo, phi, out []float32) {
+	SynthesizeRow(ChainNEONAuto, sl, sh, plo, phi, out)
+}
+
+// analyzeRowMulFirst is the mul-first chain, NEON auto's vectorized body
+// per lane: al[0]*win[0], then + al[k]*win[k] for taps 1..11. It is
+// ChainNEONAuto's body and ChainWaveEngine's analysis at every output.
+func analyzeRowMulFirst(al, ah *signal.Taps, px, lo, hi []float32, rest int) ([]float32, []float32, []float32) {
+	for len(lo) > rest && len(lo) > 0 && len(hi) > 0 && len(px) >= signal.TapCount {
 		win := px[:signal.TapCount]
 		accL := al[0] * win[0]
 		accH := ah[0] * win[0]
@@ -64,51 +73,15 @@ func NeonAnalyzeAuto(al, ah *signal.Taps, px, lo, hi []float32) {
 		hi = hi[1:]
 		px = px[2:]
 	}
-	// Scalar remainder: accumulators start at zero (0 + a*b first step),
-	// exactly like the emulated ScalarMAC tail.
-	for len(lo) > 0 && len(hi) > 0 && len(px) >= signal.TapCount {
-		win := px[:signal.TapCount]
-		var accL, accH float32
-		accL = accL + al[0]*win[0]
-		accH = accH + ah[0]*win[0]
-		accL = accL + al[1]*win[1]
-		accH = accH + ah[1]*win[1]
-		accL = accL + al[2]*win[2]
-		accH = accH + ah[2]*win[2]
-		accL = accL + al[3]*win[3]
-		accH = accH + ah[3]*win[3]
-		accL = accL + al[4]*win[4]
-		accH = accH + ah[4]*win[4]
-		accL = accL + al[5]*win[5]
-		accH = accH + ah[5]*win[5]
-		accL = accL + al[6]*win[6]
-		accH = accH + ah[6]*win[6]
-		accL = accL + al[7]*win[7]
-		accH = accH + ah[7]*win[7]
-		accL = accL + al[8]*win[8]
-		accH = accH + ah[8]*win[8]
-		accL = accL + al[9]*win[9]
-		accH = accH + ah[9]*win[9]
-		accL = accL + al[10]*win[10]
-		accH = accH + ah[10]*win[10]
-		accL = accL + al[11]*win[11]
-		accH = accH + ah[11]*win[11]
-		lo[0] = accL
-		hi[0] = accH
-		lo = lo[1:]
-		hi = hi[1:]
-		px = px[2:]
-	}
+	return px, lo, hi
 }
 
-// NeonAnalyzeManual mirrors neon.AnalyzeManual: three quad multiply-
+// analyzeRowPartial4 mirrors neon.AnalyzeManual: three quad multiply-
 // accumulates per filter (four independent lane chains over taps t,
-// t+4, t+8) reduced by the emulated vpadd chain (l0+l2)+(l1+l3).
-func NeonAnalyzeManual(al, ah *signal.Taps, px, lo, hi []float32) {
-	if len(hi) != len(lo) || len(px) != 2*len(lo)+signal.TapCount {
-		panic("kernels.NeonAnalyzeManual: inconsistent lengths")
-	}
-	for len(lo) > 0 && len(hi) > 0 && len(px) >= signal.TapCount {
+// t+4, t+8) reduced by the emulated vpadd chain (l0+l2)+(l1+l3). It is
+// ChainNEONManual's analysis.
+func analyzeRowPartial4(al, ah *signal.Taps, px, lo, hi []float32, rest int) ([]float32, []float32, []float32) {
+	for len(lo) > rest && len(lo) > 0 && len(hi) > 0 && len(px) >= signal.TapCount {
 		win := px[:signal.TapCount]
 		l0 := al[0] * win[0]
 		l1 := al[1] * win[1]
@@ -140,22 +113,14 @@ func NeonAnalyzeManual(al, ah *signal.Taps, px, lo, hi []float32) {
 		hi = hi[1:]
 		px = px[2:]
 	}
+	return px, lo, hi
 }
 
-// NeonSynthesize mirrors neon.SynthesizeAuto (and SynthesizeManual,
-// which is the same function): four-wide body with mul-first chains
-// interleaving sl-even, sl-odd, sh-even, sh-odd per step, then the
-// scalar tail with chains from zero ordered sl-even, sh-even, sl-odd,
-// sh-odd — the interleave differs between body and tail in the
-// emulation, and both chains are preserved exactly.
-func NeonSynthesize(sl, sh *signal.Taps, plo, phi, out []float32) {
-	m := len(out) / 2
-	if len(out) != 2*m || len(plo) != m+signal.SynthesisPad || len(phi) != m+signal.SynthesisPad {
-		panic("kernels.NeonSynthesize: inconsistent lengths")
-	}
-	// The tail covers the last m%4 output pairs = len(out)%8 samples.
-	tail := len(out) % 8
-	for len(out) > tail+1 && len(plo) >= synWindow && len(phi) >= synWindow {
+// synthesizeRowMulFirst is NEON synthesis's four-wide body per lane:
+// mul-first chains interleaving sl-even, sl-odd, sh-even, sh-odd per
+// step. It is the NEON chains' synthesis body.
+func synthesizeRowMulFirst(sl, sh *signal.Taps, plo, phi, out []float32, rest int) ([]float32, []float32, []float32) {
+	for len(out) > 2*rest+1 && len(out) >= 2 && len(plo) >= synWindow && len(phi) >= synWindow {
 		wl := plo[:synWindow]
 		wh := phi[:synWindow]
 		// k=0: l = wl[5], h = wh[5]; mul-first like VmulqF32.
@@ -190,7 +155,15 @@ func NeonSynthesize(sl, sh *signal.Taps, plo, phi, out []float32) {
 		plo = plo[1:]
 		phi = phi[1:]
 	}
-	for len(out) >= 2 && len(plo) >= synWindow && len(phi) >= synWindow {
+	return plo, phi, out
+}
+
+// synthesizeRowZero is NEON synthesis's scalar tail per lane: chains
+// from zero ordered sl-even, sh-even, sl-odd, sh-odd — the interleave
+// differs from the body's in the emulation, and both are preserved
+// exactly. It is the NEON chains' synthesis for the last m%4 pairs.
+func synthesizeRowZero(sl, sh *signal.Taps, plo, phi, out []float32, rest int) ([]float32, []float32, []float32) {
+	for len(out) > 2*rest+1 && len(out) >= 2 && len(plo) >= synWindow && len(phi) >= synWindow {
 		wl := plo[:synWindow]
 		wh := phi[:synWindow]
 		var even, odd float32
@@ -225,6 +198,7 @@ func NeonSynthesize(sl, sh *signal.Taps, plo, phi, out []float32) {
 		plo = plo[1:]
 		phi = phi[1:]
 	}
+	return plo, phi, out
 }
 
 // CountsAnalyze returns the neon.Counts delta one emulated analysis row

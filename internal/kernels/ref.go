@@ -3,24 +3,24 @@ package kernels
 import "zynqfusion/internal/signal"
 
 // This file holds the bounds-check-eliminated mirror of the scalar
-// reference kernels in internal/signal. Bit-for-bit equivalence is the
-// whole point, so the floating-point operations are the same operations
-// in the same order and association as the reference loops — the taps
-// are only unrolled (constant indices into constant-length windows) and
-// the loops restated over shrinking slices, whose constant-bound
-// conditions the compiler's prove pass discharges without runtime
-// checks. Equivalence is pinned by TestAnalyzeRefMatchesSignal /
-// TestSynthesizeRefMatchesSignal; BCE cleanliness by the check_bce CI
-// lint.
+// reference kernels in internal/signal, as row loops (see chain.go):
+// the zero-start analysis chain and the pair synthesis chain. Bit-for-bit
+// equivalence is the whole point, so the floating-point operations are
+// the same operations in the same order and association as the reference
+// loops — the taps are only unrolled (constant indices into
+// constant-length windows) and the loops restated over shrinking slices,
+// whose constant-bound conditions the compiler's prove pass discharges
+// without runtime checks. Equivalence is pinned by
+// TestAnalyzeRefMatchesSignal / TestSynthesizeRefMatchesSignal; BCE
+// cleanliness by the check_bce CI lint.
 
-// AnalyzeRef is the BCE-clean mirror of signal.AnalyzeRef: lo[i] and
+// analyzeRowZero is the zero-start chain, signal.AnalyzeRef's: lo[i] and
 // hi[i] are the 12-tap dot products of al/ah with px[2i:2i+12],
-// accumulated in tap order from zero, exactly like the reference.
-func AnalyzeRef(al, ah *signal.Taps, px, lo, hi []float32) {
-	if len(hi) != len(lo) || len(px) != 2*len(lo)+signal.TapCount {
-		panic("kernels.AnalyzeRef: inconsistent lengths")
-	}
-	for len(lo) > 0 && len(hi) > 0 && len(px) >= signal.TapCount {
+// accumulated in tap order from zero. It is ChainRef's analysis and
+// ChainNEONAuto's m%4 tail (acc += a*b and acc = acc + a*b are the same
+// expression).
+func analyzeRowZero(al, ah *signal.Taps, px, lo, hi []float32, rest int) ([]float32, []float32, []float32) {
+	for len(lo) > rest && len(lo) > 0 && len(hi) > 0 && len(px) >= signal.TapCount {
 		win := px[:signal.TapCount]
 		var accL, accH float32
 		accL += al[0] * win[0]
@@ -53,22 +53,20 @@ func AnalyzeRef(al, ah *signal.Taps, px, lo, hi []float32) {
 		hi = hi[1:]
 		px = px[2:]
 	}
+	return px, lo, hi
 }
 
 // synWindow is the synthesis sliding-window length: SynthesisPad + 1
 // live coefficients per output pair.
 const synWindow = signal.SynthesisPad + 1
 
-// SynthesizeRef is the BCE-clean mirror of signal.SynthesizeRef:
+// synthesizeRowPair is the pair chain, signal.SynthesizeRef's:
 // out[2i]/out[2i+1] are the six-step polyphase sums over the reversed
-// windows plo[i:i+6]/phi[i:i+6], with the reference's fused
-// sl*l + sh*h addend shape preserved per step.
-func SynthesizeRef(sl, sh *signal.Taps, plo, phi, out []float32) {
-	m := len(out) / 2
-	if len(out) != 2*m || len(plo) != m+signal.SynthesisPad || len(phi) != m+signal.SynthesisPad {
-		panic("kernels.SynthesizeRef: inconsistent lengths")
-	}
-	for len(out) >= 2 && len(plo) >= synWindow && len(phi) >= synWindow {
+// windows plo[i:i+6]/phi[i:i+6], with the reference's fused sl*l + sh*h
+// addend shape preserved per step. It is the synthesis of ChainRef and
+// ChainWaveEngine.
+func synthesizeRowPair(sl, sh *signal.Taps, plo, phi, out []float32, rest int) ([]float32, []float32, []float32) {
+	for len(out) > 2*rest+1 && len(out) >= 2 && len(plo) >= synWindow && len(phi) >= synWindow {
 		wl := plo[:synWindow]
 		wh := phi[:synWindow]
 		var even, odd float32
@@ -91,4 +89,5 @@ func SynthesizeRef(sl, sh *signal.Taps, plo, phi, out []float32) {
 		plo = plo[1:]
 		phi = phi[1:]
 	}
+	return plo, phi, out
 }

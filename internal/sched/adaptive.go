@@ -33,14 +33,15 @@ import (
 // system clock-gates the wave engine while rows run on NEON, so only the
 // spans actually spent in the FPGA draw the +19.2 mW.
 //
-// Rows route the same way with or without data: ChargeAnalyzeRow and
-// ChargeSynthesizeRow (kernels.TileKernel) route, probe and observe as
-// Analyze and Synthesize do around the routed engine's data-free row and
-// return its chain, so the wavelet layer replays a level's routing
-// first and computes every row on its engine's chain after. The per-row
-// path writes no map: routed statistics count per lane and publish into
-// RoutedTime and RoutedRows when the time is read, and each row class's
-// error-diffusion carry sits in a short list.
+// A row is routed once, without data: ChargeAnalyzeRow and
+// ChargeSynthesizeRow (kernels.TileKernel) route, probe and observe
+// around the routed engine's data-free row and return its chain, so the
+// wavelet layer replays a level's routing first and computes every row
+// on its engine's chain after; Analyze and Synthesize are that charge
+// plus the row on the chain. The per-row path writes no map: routed
+// statistics count per lane and publish into RoutedTime and RoutedRows
+// when the time is read, and each row class's error-diffusion carry sits
+// in a short list.
 type Adaptive struct {
 	policy  Policy
 	fb      Feedback    // policy's feedback hook, if any
@@ -86,11 +87,11 @@ type Adaptive struct {
 }
 
 // laneEngine is one engine the adaptive engine routes rows to: each of
-// ARM, NEON and FPGA runs rows with data (signal.Kernel) and without
-// (kernels.TileKernel).
+// ARM, NEON and FPGA charges rows without data (kernels.TileKernel) on
+// its own timeline, which probe reads.
 type laneEngine interface {
-	engine.Engine
 	kernels.TileKernel
+	Elapsed() sim.Time
 }
 
 // Lane indices of the routed engines.
@@ -269,26 +270,21 @@ func (a *Adaptive) probe(lane int) sim.Time {
 	return a.lanes[lane].Elapsed()
 }
 
-// Analyze implements signal.Kernel, routing by row width.
+// Analyze implements signal.Kernel: the routed row's charge, then the
+// row on the routed engine's chain.
 func (a *Adaptive) Analyze(al, ah *signal.Taps, px []float32, lo, hi []float32) {
-	lane := a.route(len(lo), false)
-	before := a.probe(lane)
-	a.lanes[lane].Analyze(al, ah, px, lo, hi)
-	a.observe(len(lo), false, lane, a.probe(lane)-before)
+	kernels.AnalyzeRow(a.ChargeAnalyzeRow(al, ah, len(lo)), al, ah, px, lo, hi)
 }
 
-// Synthesize implements signal.Kernel, routing by row width.
+// Synthesize implements signal.Kernel like Analyze.
 func (a *Adaptive) Synthesize(sl, sh *signal.Taps, plo, phi []float32, out []float32) {
-	pairs := len(out) / 2
-	lane := a.route(pairs, true)
-	before := a.probe(lane)
-	a.lanes[lane].Synthesize(sl, sh, plo, phi, out)
-	a.observe(pairs, true, lane, a.probe(lane)-before)
+	kernels.SynthesizeRow(a.ChargeSynthesizeRow(sl, sh, len(out)/2), sl, sh, plo, phi, out)
 }
 
-// ChargeAnalyzeRow implements kernels.TileKernel: Analyze's routing,
-// probes and observation around the routed engine's data-free row, whose
-// chain it returns.
+// ChargeAnalyzeRow implements kernels.TileKernel: it routes the row by
+// width, charges the routed engine's data-free row between two probes of
+// that engine's cost and observes the difference, and returns the
+// routed engine's chain.
 func (a *Adaptive) ChargeAnalyzeRow(al, ah *signal.Taps, m int) kernels.Chain {
 	lane := a.route(m, false)
 	before := a.probe(lane)
@@ -297,7 +293,7 @@ func (a *Adaptive) ChargeAnalyzeRow(al, ah *signal.Taps, m int) kernels.Chain {
 	return c
 }
 
-// ChargeSynthesizeRow implements kernels.TileKernel for Synthesize.
+// ChargeSynthesizeRow implements kernels.TileKernel for synthesis rows.
 func (a *Adaptive) ChargeSynthesizeRow(sl, sh *signal.Taps, m int) kernels.Chain {
 	lane := a.route(m, true)
 	before := a.probe(lane)

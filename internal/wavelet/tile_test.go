@@ -43,6 +43,10 @@ type timedKernel interface {
 // seqKernel exposes an engine's signal.Kernel, ChargeCPU and accounting
 // methods but not its TileKernel methods, so a transform over it runs the
 // sequential per-row loops: the reference the tiled traversals must match.
+// A tile-capable engine's Analyze and Synthesize are its row charge plus
+// kernels.AnalyzeRow or SynthesizeRow, so the oracle holds the tiled
+// replay to the sequential loops' charge order, and the lanes to the
+// row loops.
 type seqKernel struct{ engine.Engine }
 
 // tileEngine names one engine constructor of the oracle tests.

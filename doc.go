@@ -163,12 +163,16 @@
 // (kernels.TileKernel) replay the sequential loops' call sequence and
 // return the chain (kernels.Chain) each row computes with; the engine's
 // own Analyze and Synthesize are that charge plus the chain's row
-// (kernels.AnalyzeRow, SynthesizeRow). Every wavelet
-// filter pass then runs the lane kernels (kernels.AnalyzeOpLanes and
-// SynthesizeOpLanes), SIMD across outputs, each lane with the exact
-// operation chain its row's engine applies at that position — a column
-// band that mixes the wave engine's and NEON's chains computes both and
-// selects per lane. The vertical passes never transpose: a tile
+// (kernels.AnalyzeRow, SynthesizeRow). That call sequence is written
+// once per direction, as a step walk the replay and the sequential
+// loops share. Every wavelet filter pass then runs the lane kernels
+// (kernels.AnalyzeOpLanes and SynthesizeOpLanes), SIMD across outputs,
+// each lane with the exact operation chain its row's engine applies at
+// that position — a column band that mixes the wave engine's and NEON's
+// chains computes each over the whole band and picks every lane from its
+// own. The reference chain has one scalar form, signal.AnalyzeRef and
+// SynthesizeRef, which kernels.AnalyzeRow and SynthesizeRow run for it.
+// The vertical passes never transpose: a tile
 // is a band of output rows, computed for every column at once from the
 // periodically wrapped source rows read in place. The horizontal passes
 // run one lane per output of a row: the row is padded straight into its

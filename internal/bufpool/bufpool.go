@@ -13,9 +13,9 @@
 //
 // CapBytes bounds the arena the way the board's DDR budget does: once the
 // pool's total footprint (leased + pooled bytes) reaches the cap, Get
-// either fails (ErrOverCap, the default) or blocks until another holder
-// releases, selectable per pool. Sub-pools carve a budgeted slice out of a
-// parent arena, giving each farm stream a deterministic memory ceiling.
+// sheds parked planes and then fails with ErrOverCap. Sub-pools carve a
+// budgeted slice out of a parent arena, giving each farm stream a
+// deterministic memory ceiling.
 //
 // A leased plane's pixels are NOT cleared on reuse; the lease contract is
 // that every sample is written before it is read, which the golden tests
@@ -52,15 +52,6 @@ type Options struct {
 	// CapBytes bounds the arena footprint (leased plus pooled bytes).
 	// Zero disables the bound.
 	CapBytes int64
-	// Block makes an at-cap Get wait for a Release instead of failing
-	// with ErrOverCap. Blocking acquires come from other goroutines'
-	// releases, so a single-goroutine pipeline must size its cap for its
-	// whole working set or use the failing mode. A blocked waiter is only
-	// woken by planes coming back to the pool it waits on — bytes parked
-	// on a sibling sub-pool's free list do not count until that sub-pool
-	// sheds or drains — so sub-pool arrangements should prefer the
-	// failing mode (the farm's choice).
-	Block bool
 	// Passthrough disables pooling entirely: Get allocates a fresh plain
 	// frame and Release recycles nothing. It is the allocating baseline
 	// the golden tests and benchmarks compare the pooled path against.
@@ -87,8 +78,6 @@ type Stats struct {
 	HighWaterBytes int64 `json:"high_water_bytes"`
 	// CapBytes echoes the configured bound (0 = unbounded).
 	CapBytes int64 `json:"cap_bytes"`
-	// BlockedGets counts acquires that had to wait at the cap.
-	BlockedGets int64 `json:"blocked_gets"`
 }
 
 // HitRate returns the fraction of acquires served without allocating.
@@ -108,7 +97,6 @@ type Pool struct {
 	parent *Pool // non-nil for sub-pools; storage bytes charge upward
 
 	mu       sync.Mutex
-	cond     *sync.Cond             // lazily created for blocking acquires
 	free     map[int][]*frame.Frame // per-shape free lists, keyed by pixel count
 	children []*Pool
 
@@ -118,7 +106,6 @@ type Pool struct {
 	pooledBytes                  int64
 	childBytes                   int64 // sub-pool arena bytes charged here
 	highWater                    int64
-	blockedGets                  int64
 
 	// onShed, when set, observes every plane dropped at the cap (argument
 	// is the plane's bytes). It runs with p.mu held, so it must only touch
@@ -145,7 +132,7 @@ func Passthrough() *Pool {
 // p's cap and high-water ledger. capBytes <= 0 leaves the child bounded
 // only by the parent. Sub-pools of a passthrough pool are passthrough.
 func (p *Pool) Sub(capBytes int64) *Pool {
-	c := New(Options{CapBytes: capBytes, Block: p.opts.Block, Passthrough: p.opts.Passthrough})
+	c := New(Options{CapBytes: capBytes, Passthrough: p.opts.Passthrough})
 	c.parent = p
 	p.mu.Lock()
 	p.children = append(p.children, c)
@@ -172,8 +159,7 @@ func (p *Pool) footprintLocked() int64 {
 
 // Get leases a w x h plane with one reference: a per-shape free-list hit
 // reuses a plane (pixels NOT cleared), a miss allocates within CapBytes.
-// At the cap, Get trims the free lists first, then fails with ErrOverCap
-// (or blocks for a Release when the pool was built with Block).
+// At the cap, Get trims the free lists first, then fails with ErrOverCap.
 func (p *Pool) Get(w, h int) (*frame.Frame, error) {
 	if w < 0 || h < 0 {
 		return nil, fmt.Errorf("bufpool: bad shape %dx%d", w, h)
@@ -206,32 +192,10 @@ func (p *Pool) Get(w, h int) (*frame.Frame, error) {
 	// Miss: admit fresh bytes under the cap, shedding pooled planes of
 	// other shapes first — the arena is shared, not partitioned.
 	for p.opts.CapBytes > 0 && p.footprintLocked()+bytes > p.opts.CapBytes {
-		if p.shedLocked() {
-			continue
-		}
-		if !p.opts.Block {
+		if !p.shedLocked() {
 			p.mu.Unlock()
 			return nil, fmt.Errorf("%w: need %d bytes for %dx%d, cap %d, leased %d",
 				ErrOverCap, bytes, w, h, p.opts.CapBytes, p.outstandingBytes+p.childBytes)
-		}
-		p.blockedGets++
-		if p.cond == nil {
-			p.cond = sync.NewCond(&p.mu)
-		}
-		p.cond.Wait()
-		// A release may have parked a matching plane; retry the hit path.
-		if list := p.free[n]; len(list) > 0 {
-			f := list[len(list)-1]
-			p.free[n] = list[:len(list)-1]
-			p.hits++
-			p.pooledBytes -= bytes
-			p.outstanding++
-			p.outstandingBytes += bytes
-			p.mu.Unlock()
-			if !f.Rearm(w, h) {
-				panic("bufpool: free-list plane lost its storage")
-			}
-			return f, nil
 		}
 	}
 	p.misses++
@@ -299,19 +263,11 @@ func (p *Pool) shedLocked() bool {
 func (p *Pool) admitChild(bytes int64) error {
 	p.mu.Lock()
 	for p.opts.CapBytes > 0 && p.footprintLocked()+bytes > p.opts.CapBytes {
-		if p.shedLocked() {
-			continue
-		}
-		if !p.opts.Block {
+		if !p.shedLocked() {
 			p.mu.Unlock()
 			return fmt.Errorf("%w: sub-pool needs %d bytes, parent cap %d, leased %d",
 				ErrOverCap, bytes, p.opts.CapBytes, p.outstandingBytes+p.childBytes)
 		}
-		p.blockedGets++
-		if p.cond == nil {
-			p.cond = sync.NewCond(&p.mu)
-		}
-		p.cond.Wait()
 	}
 	p.childBytes += bytes
 	p.mu.Unlock()
@@ -333,9 +289,6 @@ func (p *Pool) admitChild(bytes int64) error {
 func (p *Pool) releaseChild(bytes int64) {
 	p.mu.Lock()
 	p.childBytes -= bytes
-	if p.cond != nil {
-		p.cond.Broadcast()
-	}
 	p.mu.Unlock()
 	if p.parent != nil {
 		p.parent.releaseChild(bytes)
@@ -363,9 +316,6 @@ func (p *Pool) recycle(f *frame.Frame) {
 	p.outstandingBytes -= bytes
 	p.pooledBytes += bytes
 	p.free[n] = append(p.free[n], f)
-	if p.cond != nil {
-		p.cond.Broadcast()
-	}
 	p.mu.Unlock()
 }
 
@@ -389,9 +339,6 @@ func (p *Pool) Drain() {
 	p.pooledBytes = 0
 	outstanding := p.outstanding
 	kids := append([]*Pool(nil), p.children...)
-	if p.cond != nil {
-		p.cond.Broadcast()
-	}
 	p.mu.Unlock()
 	for _, c := range kids {
 		outstanding += c.Outstanding()
@@ -465,7 +412,6 @@ func (p *Pool) Stats() Stats {
 		PooledBytes:      p.pooledBytes,
 		HighWaterBytes:   p.highWater,
 		CapBytes:         p.opts.CapBytes,
-		BlockedGets:      p.blockedGets,
 	}
 	kids := append([]*Pool(nil), p.children...) // detach reuses the backing array
 	p.mu.Unlock()
@@ -478,7 +424,6 @@ func (p *Pool) Stats() Stats {
 		st.Outstanding += cs.Outstanding
 		st.OutstandingBytes += cs.OutstandingBytes
 		st.PooledBytes += cs.PooledBytes
-		st.BlockedGets += cs.BlockedGets
 	}
 	return st
 }

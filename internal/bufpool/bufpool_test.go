@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestGetHitMissAndStats(t *testing.T) {
@@ -78,39 +77,6 @@ func TestCapBytesFailingAcquire(t *testing.T) {
 	c.Release()
 	if err := p.CheckLeaks(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCapBytesBlockingAcquire(t *testing.T) {
-	p := New(Options{CapBytes: 256, Block: true})
-	a, err := p.Get(8, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make(chan error, 1)
-	go func() {
-		b, err := p.Get(8, 8)
-		if err == nil {
-			b.Release()
-		}
-		got <- err
-	}()
-	select {
-	case err := <-got:
-		t.Fatalf("blocking Get returned before release: %v", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	a.Release()
-	select {
-	case err := <-got:
-		if err != nil {
-			t.Fatalf("blocked Get failed after release: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocked Get never woke after release")
-	}
-	if st := p.Stats(); st.BlockedGets == 0 {
-		t.Fatalf("blocked acquire not counted: %+v", st)
 	}
 }
 
@@ -233,7 +199,7 @@ func TestPassthroughNeverReuses(t *testing.T) {
 }
 
 func TestConcurrentGetRelease(t *testing.T) {
-	p := New(Options{CapBytes: 1 << 20, Block: true})
+	p := New(Options{CapBytes: 1 << 20})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

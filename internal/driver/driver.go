@@ -15,7 +15,8 @@
 // pack or unpack of the engine's interleaved row format and the deferred
 // memcpy out. So the makespan of a row sequence reflects the copy/compute
 // overlap (or its absence, in single-buffered mode, which exists for the
-// ablation study).
+// ablation study). A row is checked before any of it is charged, so a
+// refused row leaves the timeline as it was.
 package driver
 
 import (
@@ -127,14 +128,13 @@ func (d *Device) cmdCost(mode hls.Mode, pairs, area int) sim.Time {
 // hardware run and (overlapped with the next row in double-buffered
 // mode) the user memcpy of its results out. The engine emits interleaved
 // (hp, lp) pairs; unpacking them is host work charged to the CPU cursor.
+// A refused row (see checkRow) charges nothing.
 func (d *Device) ChargeForwardRow(m int) error {
-	if d.closed {
-		return ErrClosed
-	}
-	area, err := d.beginRow(2*m+signal.TapCount, 2*m, hls.ModeForward, m)
-	if err != nil {
+	in := 2*m + signal.TapCount
+	if err := d.checkRow(in, 2*m, d.eng.CheckForward(m)); err != nil {
 		return err
 	}
+	area := d.beginRow(in, hls.ModeForward, m)
 	ht, err := d.eng.ForwardTime(m)
 	if err != nil {
 		return err
@@ -147,17 +147,14 @@ func (d *Device) ChargeForwardRow(m int) error {
 // ChargeInverseRow charges one synthesis row of m coefficient pairs like
 // ChargeForwardRow: packing its m+5 padded pairs into the engine's
 // interleaved (lo, hi) format is host work charged ahead of the copy-in,
-// and the row returns 2m samples.
+// and the row returns 2m samples. A refused row charges nothing.
 func (d *Device) ChargeInverseRow(m int) error {
-	if d.closed {
-		return ErrClosed
-	}
 	pairs := m + signal.SynthesisPad
-	d.chargeCPUWords(pairs)
-	area, err := d.beginRow(2*pairs, 2*m, hls.ModeInverse, m)
-	if err != nil {
+	if err := d.checkRow(2*pairs, 2*m, d.eng.CheckInverse(m)); err != nil {
 		return err
 	}
+	d.chargeCPUWords(pairs)
+	area := d.beginRow(2*pairs, hls.ModeInverse, m)
 	ht, err := d.eng.InverseTime(m)
 	if err != nil {
 		return err
@@ -166,13 +163,24 @@ func (d *Device) ChargeInverseRow(m int) error {
 	return nil
 }
 
-// beginRow advances the Fig. 5 timeline up to the hardware run of a row
-// of in input and out output words, commanded in the given mode for the
-// given pair count, and returns the buffer area it occupies.
-func (d *Device) beginRow(in, out int, mode hls.Mode, pairs int) (int, error) {
-	if in > hls.BRAMArea || out > hls.BRAMArea {
-		return 0, fmt.Errorf("%w: in=%d out=%d", ErrRowSize, in, out)
+// checkRow refuses a row of in input and out output words before any of
+// it is charged: on a closed device (ErrClosed), when it does not fit a
+// buffer area (ErrRowSize), and then with engineErr, the wave engine's
+// own check of the row.
+func (d *Device) checkRow(in, out int, engineErr error) error {
+	if d.closed {
+		return ErrClosed
 	}
+	if in > hls.BRAMArea || out > hls.BRAMArea {
+		return fmt.Errorf("%w: in=%d out=%d", ErrRowSize, in, out)
+	}
+	return engineErr
+}
+
+// beginRow advances the Fig. 5 timeline up to the hardware run of a
+// checked row of in input words, commanded in the given mode for the
+// given pair count, and returns the buffer area it occupies.
+func (d *Device) beginRow(in int, mode hls.Mode, pairs int) int {
 	area := int(d.rows) % 2
 	if !d.cfg.DoubleBuffered {
 		area = 0
@@ -192,7 +200,7 @@ func (d *Device) beginRow(in, out int, mode hls.Mode, pairs int) (int, error) {
 	cc := d.cmdCost(mode, pairs, area)
 	d.cpu += cc
 	d.CPUBusy += cc
-	return area, nil
+	return area
 }
 
 // endRow places a row's hardware run of ht on the timeline. The copy-out

@@ -2,10 +2,12 @@ package driver
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"zynqfusion/internal/axi"
 	"zynqfusion/internal/hls"
+	"zynqfusion/internal/sim"
 	"zynqfusion/internal/wavelet"
 	"zynqfusion/internal/zynq"
 )
@@ -136,6 +138,65 @@ func TestClosedDeviceRejectsWork(t *testing.T) {
 	}
 	if err := d.ChargeInverseRow(8); !errors.Is(err, ErrClosed) {
 		t.Errorf("inverse row on closed device: %v", err)
+	}
+}
+
+// TestRefusedRowsChargeNothing pins the check order of a row: a row the
+// wave engine refuses — zero width, or no filters loaded — returns its
+// error before any of its host work is charged, in either direction, so
+// the row count, both busy counters, the makespan and the AXI-Lite
+// write and read counts stay as they were.
+func TestRefusedRowsChargeNothing(t *testing.T) {
+	type state struct {
+		rows                  int64
+		cpuBusy, hwBusy, peek sim.Time
+		writes, reads         int64
+	}
+	for _, tc := range []struct {
+		name   string
+		loaded bool
+		m      int
+		want   error
+	}{
+		{"zero width", true, 0, hls.ErrWidthTooSmall},
+		{"no filters", false, 8, hls.ErrNoCoeffs},
+	} {
+		for _, inverse := range []bool{false, true} {
+			label := fmt.Sprintf("%s, inverse %v", tc.name, inverse)
+			pl := zynq.PL()
+			eng := hls.New(zynq.PS(), pl, axi.NewACP(pl))
+			if tc.loaded {
+				b := wavelet.CDF97
+				eng.LoadCoeffs(&b.AL, &b.AH, &b.SL, &b.SH)
+			}
+			d, err := Open(eng, testConfig(true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A timeline that is not at rest: host work and, with filters
+			// loaded, an accepted row whose copy-out is still pending.
+			d.ChargeHost(997 * sim.Nanosecond)
+			if tc.loaded {
+				if err := d.ChargeForwardRow(16); err != nil {
+					t.Fatal(err)
+				}
+			}
+			read := func() state {
+				return state{d.Rows(), d.CPUBusy, d.HWBusy, d.Peek(), eng.Lite.Writes, eng.Lite.Reads}
+			}
+			before := read()
+			if inverse {
+				err = d.ChargeInverseRow(tc.m)
+			} else {
+				err = d.ChargeForwardRow(tc.m)
+			}
+			if !errors.Is(err, tc.want) {
+				t.Errorf("%s: error %v, want %v", label, err, tc.want)
+			}
+			if after := read(); after != before {
+				t.Errorf("%s: a refused row charged: %+v, before %+v", label, after, before)
+			}
+		}
 	}
 }
 

@@ -14,12 +14,13 @@ import (
 )
 
 // stagingDevice is the Fig. 5 driver written as the kernel module stages
-// a row: the pack into Fig. 4's interleaved format (inverse rows), the
-// ioctls that set the read and write offsets of the row's area in the
-// kmalloc'd buffer, the copy into the area, the command at the read
-// offset, the hardware run (timed by the engine's ForwardTime or
-// InverseTime), the unpack (forward rows) and the deferred copy out,
-// each charged where the module performs it. It is the oracle the
+// a row: the checks of the request (an open handle, a row that fits an
+// area, then the engine's own check), the pack into Fig. 4's interleaved
+// format (inverse rows), the ioctls that set the read and write offsets
+// of the row's area in the kmalloc'd buffer, the copy into the area, the
+// command at the read offset, the hardware run (timed by the engine's
+// ForwardTime or InverseTime), the unpack (forward rows) and the
+// deferred copy out, each charged where the module performs it. It is the oracle the
 // timeline-only Device is pinned against: the same charges in the same
 // order, so every error, cursor, counter and register must agree.
 type stagingDevice struct {
@@ -97,10 +98,11 @@ func (d *stagingDevice) cmdCost(mode hls.Mode, pairs int) sim.Time {
 }
 
 func (d *stagingDevice) ChargeForwardRow(m int) error {
-	if d.closed {
-		return ErrClosed
+	in := 2*m + signal.TapCount
+	if err := d.check(in, 2*m, d.eng.CheckForward(m)); err != nil {
+		return err
 	}
-	if err := d.runRow(2*m+signal.TapCount, 2*m, hls.ModeForward, m); err != nil {
+	if err := d.runRow(in, 2*m, hls.ModeForward, m); err != nil {
 		return err
 	}
 	d.chargeCPUWords(m) // unpack the (hp, lp) pairs
@@ -108,18 +110,28 @@ func (d *stagingDevice) ChargeForwardRow(m int) error {
 }
 
 func (d *stagingDevice) ChargeInverseRow(m int) error {
-	if d.closed {
-		return ErrClosed
-	}
 	pairs := m + signal.SynthesisPad
+	if err := d.check(2*pairs, 2*m, d.eng.CheckInverse(m)); err != nil {
+		return err
+	}
 	d.chargeCPUWords(pairs) // pack the (lo, hi) pairs
 	return d.runRow(2*pairs, 2*m, hls.ModeInverse, m)
 }
 
-func (d *stagingDevice) runRow(in, out int, mode hls.Mode, m int) error {
+// check refuses a request before the module stages any of it: on a
+// closed handle, for a row of in input or out output words that does not
+// fit an area, and then with the engine's own check of the row.
+func (d *stagingDevice) check(in, out int, engineErr error) error {
+	if d.closed {
+		return ErrClosed
+	}
 	if in > hls.BRAMArea || out > hls.BRAMArea {
 		return fmt.Errorf("%w: in=%d out=%d", ErrRowSize, in, out)
 	}
+	return engineErr
+}
+
+func (d *stagingDevice) runRow(in, out int, mode hls.Mode, m int) error {
 	area := int(d.rows) % 2
 	if !d.cfg.DoubleBuffered {
 		area = 0

@@ -209,8 +209,6 @@ func WritePrometheus(w io.Writer, m Metrics) error {
 	p.Sample("", float64(mem.Pool.Misses))
 	p.Family("farm_pool_releases_total", "counter", "Planes returned to the arena.")
 	p.Sample("", float64(mem.Pool.Releases))
-	p.Family("farm_pool_blocked_gets_total", "counter", "Acquires that waited at the arena cap.")
-	p.Sample("", float64(mem.Pool.BlockedGets))
 	p.Family("farm_pool_hit_rate", "gauge", "Fraction of acquires served without allocating (1.0 before any acquire).")
 	p.Sample("", mem.PoolHitRate)
 	p.Family("farm_pool_outstanding", "gauge", "Currently leased planes.")

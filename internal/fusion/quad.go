@@ -3,6 +3,7 @@ package fusion
 import (
 	"fmt"
 
+	"zynqfusion/internal/bufpool"
 	"zynqfusion/internal/kernels"
 	"zynqfusion/internal/wavelet"
 )
@@ -95,7 +96,7 @@ func fuseComplexBand(ws *Workspace, rule Rule, lv, bi int, dst, a, b *wavelet.DT
 	z := &ws.cplx
 	for k := range z {
 		z[k] = wavelet.ComplexBand{W: band.W, H: band.H,
-			Re: ws.cplxS[2*k].grow(ws.pool, n), Im: ws.cplxS[2*k+1].grow(ws.pool, n)}
+			Re: ws.cplxS[2*k].Grow(ws.pool, n), Im: ws.cplxS[2*k+1].Grow(ws.pool, n)}
 	}
 	w := ws.w
 	for i, src := range [2]*wavelet.DTPyramid{a, b} {
@@ -177,11 +178,11 @@ func (we WindowEnergy) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavele
 	// Windowed activity reads neighbors, so the four squared-magnitude
 	// maps (z1/z2 of each stream) materialize in scratch — the same two
 	// passes per complex band the complex-band rule runs, fed from quads.
-	activity := func(t *quadMag2Task, mag2S, actS *planeScratch, p *wavelet.DTPyramid) []float32 {
+	activity := func(t *quadMag2Task, mag2S, actS *bufpool.Scratch, p *wavelet.DTPyramid) []float32 {
 		t.p, t.q, t.r, t.s = quadPlanes(p, lv, bi)
-		t.dst = mag2S.grow(ws.pool, n)
+		t.dst = mag2S.Grow(ws.pool, n)
 		w.Run(n, kernels.Grain(n, 24, w.N()), t)
-		out := actS.grow(ws.pool, n)
+		out := actS.Grow(ws.pool, n)
 		ws.win = winSumTask{dst: out, mag2: t.dst, w: band.W, h: band.H, r: we.R}
 		w.Run(band.H, kernels.Grain(band.H, 8*band.W, w.N()), &ws.win)
 		return out

@@ -2,7 +2,6 @@ package fusion
 
 import (
 	"zynqfusion/internal/bufpool"
-	"zynqfusion/internal/frame"
 	"zynqfusion/internal/kernels"
 	"zynqfusion/internal/wavelet"
 )
@@ -26,12 +25,12 @@ type Workspace struct {
 	// WindowEnergy's quad kernel holds the z1 (first bank) and z2
 	// (second bank) squared-magnitude and activity planes of each source
 	// alive at once.
-	mag2A, mag2B, actA, actB     planeScratch
-	mag2A2, mag2B2, actA2, actB2 planeScratch
+	mag2A, mag2B, actA, actB     bufpool.Scratch
+	mag2A2, mag2B2, actA2, actB2 bufpool.Scratch
 
 	// The adapter's band pair of each source and fused pair, on cplxS.
 	cplx  [6]wavelet.ComplexBand
-	cplxS [12]planeScratch
+	cplxS [12]bufpool.Scratch
 
 	// Reusable task boxes: pointer-through-interface keeps dispatch at
 	// zero allocations per frame.
@@ -61,53 +60,12 @@ func (ws *Workspace) Release() {
 	if ws == nil {
 		return
 	}
-	ws.mag2A.release()
-	ws.mag2B.release()
-	ws.actA.release()
-	ws.actB.release()
-	ws.mag2A2.release()
-	ws.mag2B2.release()
-	ws.actA2.release()
-	ws.actB2.release()
+	for _, s := range []*bufpool.Scratch{&ws.mag2A, &ws.mag2B, &ws.actA, &ws.actB, &ws.mag2A2, &ws.mag2B2, &ws.actA2, &ws.actB2} {
+		s.Release()
+	}
 	for i := range ws.cplxS {
-		ws.cplxS[i].release()
+		ws.cplxS[i].Release()
 	}
-}
-
-// planeScratch is one reusable activity plane, pool-leased when possible.
-type planeScratch struct {
-	buf   []float32
-	lease *frame.Frame
-}
-
-func (s *planeScratch) grow(pool *bufpool.Pool, n int) []float32 {
-	if cap(s.buf) >= n {
-		s.buf = s.buf[:n]
-		return s.buf
-	}
-	if s.lease != nil {
-		s.lease.Release()
-		s.lease = nil
-	}
-	s.buf = nil
-	if pool != nil {
-		if f, err := pool.Get(n, 1); err == nil {
-			s.lease = f
-			s.buf = f.Pix[:n]
-		}
-	}
-	if s.buf == nil {
-		s.buf = make([]float32, n)
-	}
-	return s.buf
-}
-
-func (s *planeScratch) release() {
-	if s.lease != nil {
-		s.lease.Release()
-		s.lease = nil
-	}
-	s.buf = nil
 }
 
 // wsRule is the workspace path the built-in rules provide; their lowpass

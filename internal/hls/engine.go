@@ -134,30 +134,42 @@ func (e *WaveEngine) UseSynthesis(sl, sh *signal.Taps) sim.Time {
 }
 
 // ForwardTime runs one analysis row (mode 2) of m output pairs in time:
-// its checks, row counter and done flag, and its PL busy time — input
-// memcpy of 2*m+12 samples, pipeline, output memcpy of 2*m words (the
-// Fig. 4 engine writes the outputs interleaved, highpass first), which
-// the synthesized engine does not overlap. The caller computes the row's
-// outputs on kernels.ChainWaveEngine with the resident analysis filters.
+// its checks (CheckForward), row counter and done flag, and its PL busy
+// time — input memcpy of 2*m+12 samples, pipeline, output memcpy of 2*m
+// words (the Fig. 4 engine writes the outputs interleaved, highpass
+// first), which the synthesized engine does not overlap. The caller
+// computes the row's outputs on kernels.ChainWaveEngine with the resident
+// analysis filters.
 func (e *WaveEngine) ForwardTime(m int) (sim.Time, error) {
-	in := 2*m + signal.TapCount
-	if err := e.checkRow(m, in); err != nil {
+	if err := e.CheckForward(m); err != nil {
 		return 0, err
 	}
 	e.ForwardRows++
-	return e.finishRow(e.rowTime(in, m+6, 2*m)), nil
+	return e.finishRow(e.rowTime(2*m+signal.TapCount, m+6, 2*m)), nil
 }
 
 // InverseTime is ForwardTime for one synthesis row (mode 3) of m
 // coefficient pairs: the Fig. 4 engine reads m+5 padded (lo, hi) pairs,
 // 2*m+10 words, and writes 2*m samples.
 func (e *WaveEngine) InverseTime(m int) (sim.Time, error) {
-	pairs := m + signal.SynthesisPad
-	if err := e.checkRow(m, 2*pairs); err != nil {
+	if err := e.CheckInverse(m); err != nil {
 		return 0, err
 	}
 	e.InverseRows++
+	pairs := m + signal.SynthesisPad
 	return e.finishRow(e.rowTime(2*pairs, pairs, 2*m)), nil
+}
+
+// CheckForward returns the error ForwardTime(m) refuses the row with, or
+// nil, and changes nothing: a caller checks a row before charging any of
+// its host work.
+func (e *WaveEngine) CheckForward(m int) error {
+	return e.checkRow(m, 2*m+signal.TapCount)
+}
+
+// CheckInverse is CheckForward for InverseTime.
+func (e *WaveEngine) CheckInverse(m int) error {
+	return e.checkRow(m, 2*(m+signal.SynthesisPad))
 }
 
 // finishRow books a finished row's PL busy time t and raises the done

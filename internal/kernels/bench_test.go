@@ -58,14 +58,6 @@ func BenchmarkAnalyzeRefSignal(b *testing.B) {
 	}
 }
 
-func BenchmarkAnalyzeRefFast(b *testing.B) {
-	r := newBenchRow()
-	b.SetBytes(2 * benchM * 4)
-	for i := 0; i < b.N; i++ {
-		AnalyzeRow(ChainRef, &r.al, &r.ah, r.px, r.lo, r.hi)
-	}
-}
-
 func BenchmarkNeonAnalyzeAutoEmulated(b *testing.B) {
 	r := newBenchRow()
 	var u neon.Unit

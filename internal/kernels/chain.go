@@ -125,13 +125,12 @@ func AnalyzeRow(c Chain, al, ah *signal.Taps, px, lo, hi []float32) {
 	if len(hi) != m || len(px) != 2*m+signal.TapCount {
 		panic("kernels.AnalyzeRow: inconsistent lengths")
 	}
-	// A chain switches lane chain only for the last m%4 outputs.
+	// A chain switches lane chain only for the last m%4 outputs, so the
+	// body's loop runs only when its op differs from the tail's.
 	op, tailOp := c.AnalysisOp(0, m), c.AnalysisOp(m-1, m)
-	rest := 0
 	if op != tailOp {
-		rest = m % 4
+		px, lo, hi = analyzeRow(op, al, ah, px, lo, hi, m%4)
 	}
-	px, lo, hi = analyzeRow(op, al, ah, px, lo, hi, rest)
 	analyzeRow(tailOp, al, ah, px, lo, hi, 0)
 }
 
@@ -146,11 +145,9 @@ func SynthesizeRow(c Chain, sl, sh *signal.Taps, plo, phi, out []float32) {
 		panic("kernels.SynthesizeRow: inconsistent lengths")
 	}
 	op, tailOp := c.SynthesisOp(0, m), c.SynthesisOp(m-1, m)
-	rest := 0
 	if op != tailOp {
-		rest = m % 4
+		plo, phi, out = synthesizeRow(op, sl, sh, plo, phi, out, m%4)
 	}
-	plo, phi, out = synthesizeRow(op, sl, sh, plo, phi, out, rest)
 	synthesizeRow(tailOp, sl, sh, plo, phi, out, 0)
 }
 
@@ -159,13 +156,17 @@ func SynthesizeRow(c Chain, sl, sh *signal.Taps, plo, phi, out []float32) {
 // shrinking slices, and returns what remains of its slices. Its loop
 // condition keeps len(lo) > 0 (len(out) >= 2 for synthesis) beside the
 // rest test: the compiler cannot tell that rest is not negative, and the
-// check_bce lint needs the bound.
+// check_bce lint needs the bound. The zero-start chain is the scalar
+// reference itself, signal.AnalyzeRef, which computes every output it is
+// given: it only ever runs a whole row (ChainRef) or a row's tail
+// (ChainNEONAuto), where rest is 0.
 func analyzeRow(op Op, al, ah *signal.Taps, px, lo, hi []float32, rest int) ([]float32, []float32, []float32) {
 	switch op {
 	case OpMulFirst:
 		return analyzeRowMulFirst(al, ah, px, lo, hi, rest)
 	case OpZero:
-		return analyzeRowZero(al, ah, px, lo, hi, rest)
+		signal.AnalyzeRef(al, ah, px, lo, hi)
+		return nil, nil, nil
 	case OpPartial4:
 		return analyzeRowPartial4(al, ah, px, lo, hi, rest)
 	}
@@ -173,6 +174,8 @@ func analyzeRow(op Op, al, ah *signal.Taps, px, lo, hi []float32, rest int) ([]f
 }
 
 // synthesizeRow is analyzeRow for synthesis: rest counts output pairs.
+// The pair chain is signal.SynthesizeRef, which only ever runs a whole
+// row (ChainRef, ChainWaveEngine).
 func synthesizeRow(op Op, sl, sh *signal.Taps, plo, phi, out []float32, rest int) ([]float32, []float32, []float32) {
 	switch op {
 	case OpMulFirst:
@@ -180,7 +183,8 @@ func synthesizeRow(op Op, sl, sh *signal.Taps, plo, phi, out []float32, rest int
 	case OpZero:
 		return synthesizeRowZero(sl, sh, plo, phi, out, rest)
 	case OpPair:
-		return synthesizeRowPair(sl, sh, plo, phi, out, rest)
+		signal.SynthesizeRef(sl, sh, plo, phi, out)
+		return nil, nil, nil
 	}
 	panic("kernels.SynthesizeRow: not a synthesis chain")
 }

@@ -12,20 +12,23 @@
 //   - Row and lane kernels under one Chain (chain.go): an engine's
 //     1-D arithmetic is a Chain, which names the lane chain (Op) each
 //     output of a row runs — mul-first, zero-start, four partial sums
-//     or the synthesis pair chain. Each Op has one row loop (ref.go,
-//     neonfast.go): a bounds-check-eliminated, bit-identical
-//     re-implementation of the scalar reference or emulated-NEON loop
-//     (verified with -gcflags=-d=ssa/check_bce), performing every
-//     floating-point operation in the same order and association, and
-//     AnalyzeRow/SynthesizeRow run a row on its chain's loops. The NEON
-//     instruction ledger the cycle model reads is applied in closed form
-//     (CountsAnalyze/CountsSynthesize), pinned against the emulation by
-//     tests. Each Op also has a lane form (lanes.go), the same chain
-//     re-arranged so SIMD runs across outputs: one lane per column for
-//     the vertical passes, reading source rows in place, and one lane
-//     per output of a row for the horizontal passes, reading the row's
-//     two polyphase components (PadPeriodicPhases); AnalyzeOpLanes and
-//     SynthesizeOpLanes dispatch them. On amd64 two chains run as
+//     or the synthesis pair chain. Each Op has one row loop. The two
+//     reference chains (zero-start analysis, pair synthesis) run
+//     signal.AnalyzeRef and SynthesizeRef themselves, the one scalar
+//     form of the reference; the emulated NEON unit's chains run
+//     bounds-check-eliminated, bit-identical re-implementations of its
+//     loops (neonfast.go, verified with -gcflags=-d=ssa/check_bce),
+//     performing every floating-point operation in the same order and
+//     association. AnalyzeRow/SynthesizeRow run a row on its chain's
+//     loops. The NEON instruction ledger the cycle model reads is
+//     applied in closed form (CountsAnalyze/CountsSynthesize), pinned
+//     against the emulation by tests. Each Op also has a lane form
+//     (lanes.go), the same chain re-arranged so SIMD runs across
+//     outputs: one lane per column for the vertical passes, reading
+//     source rows in place, and one lane per output of a row for the
+//     horizontal passes, reading the row's two polyphase components
+//     (PadPeriodicPhases); AnalyzeOpLanes and SynthesizeOpLanes
+//     dispatch them. On amd64 two chains run as
 //     assembly, AVX where the CPU and OS support it (SIMD names the
 //     path) and SSE otherwise: the mul-first chain (the NEON analysis
 //     and synthesis bodies and the FPGA wave engine's analysis,

@@ -49,34 +49,6 @@ func bitsEqual(t *testing.T, name string, got, want []float32) {
 
 var kernelSizes = []int{1, 2, 3, 4, 5, 7, 8, 11, 16, 17, 23, 31, 32, 40, 61, 97, 240, 960}
 
-func TestAnalyzeRefMatchesSignal(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, m := range kernelSizes {
-		al, ah := testTaps(rng)
-		px := randSlice(rng, 2*m+signal.TapCount)
-		wantLo, wantHi := make([]float32, m), make([]float32, m)
-		signal.AnalyzeRef(&al, &ah, px, wantLo, wantHi)
-		gotLo, gotHi := make([]float32, m), make([]float32, m)
-		AnalyzeRow(ChainRef, &al, &ah, px, gotLo, gotHi)
-		bitsEqual(t, "lo", gotLo, wantLo)
-		bitsEqual(t, "hi", gotHi, wantHi)
-	}
-}
-
-func TestSynthesizeRefMatchesSignal(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, m := range kernelSizes {
-		sl, sh := testTaps(rng)
-		plo := randSlice(rng, m+signal.SynthesisPad)
-		phi := randSlice(rng, m+signal.SynthesisPad)
-		want := make([]float32, 2*m)
-		signal.SynthesizeRef(&sl, &sh, plo, phi, want)
-		got := make([]float32, 2*m)
-		SynthesizeRow(ChainRef, &sl, &sh, plo, phi, got)
-		bitsEqual(t, "out", got, want)
-	}
-}
-
 func TestNeonAnalyzeMatchesEmulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var u neon.Unit

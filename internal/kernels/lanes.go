@@ -24,12 +24,15 @@ import "zynqfusion/internal/signal"
 // the row loop of its lane chain (Op) performs for its output — the NEON
 // chains switch Op at the remainder tail, so a row's Chain names the Op
 // at each position (chain.go), and a lane call runs one Op for every
-// lane. Outputs are therefore bit-identical to AnalyzeRow and
-// SynthesizeRow (pinned by TestLaneKernelsMatchColumns and
-// FuzzLaneKernels, in both layouts, for every Chain). The Go lane loops
-// keep the statement shape of their row loops so that arm64's FMA
-// contraction treats both forms alike, and put every slice length in the
-// loop condition so the check_bce lint stays clean. On amd64 two chains
+// lane. The row loops of the two reference chains, zero-start analysis
+// and pair synthesis, are signal.AnalyzeRef and SynthesizeRef
+// themselves; the others are the emulated NEON unit's (neonfast.go).
+// Outputs are therefore bit-identical to AnalyzeRow and SynthesizeRow
+// (pinned by TestLaneKernelsMatchColumns and FuzzLaneKernels, in both
+// layouts, for every Chain). The Go lane loops keep the statement shape
+// of their row loops so that arm64's FMA contraction treats both forms
+// alike, and put every slice length in the loop condition so the
+// check_bce lint stays clean. On amd64 two chains
 // run packed (lanes_amd64.s): the mul-first chain (the NEON auto
 // analysis body, the NEON synthesis body and the wave engine's analysis)
 // and the reference synthesis pair chain (the reference synthesis and
@@ -44,6 +47,10 @@ import "zynqfusion/internal/signal"
 // row k holds, per lane, the padded sample that lane's output reads under
 // tap k (sample 2*pos+k of a column; sample 2i+k of a row for lane i).
 type AnalysisRows [signal.TapCount][]float32
+
+// synWindow is the synthesis sliding-window length: SynthesisPad + 1
+// live coefficients per output pair.
+const synWindow = signal.SynthesisPad + 1
 
 // SynthesisRows are the synWindow source rows of one subband a synthesis
 // lane call reads: row j holds, per lane, the padded coefficient that
@@ -116,7 +123,7 @@ func NeonAnalyzeManualLanes(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float
 	}
 }
 
-// AnalyzeRefLanes is the zero-start row loop (analyzeRowZero) over
+// AnalyzeRefLanes is the zero-start row loop (signal.AnalyzeRef) over
 // len(lo) lanes: the reference chain, accumulating from zero in tap
 // order.
 func AnalyzeRefLanes(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32) {
@@ -162,7 +169,7 @@ func analyzeLanesMulFirst(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32
 	}
 }
 
-// analyzeLanesZero is analyzeRowZero's chain per lane: it accumulates
+// analyzeLanesZero is signal.AnalyzeRef's chain per lane: it accumulates
 // from zero in tap order.
 func analyzeLanesZero(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32) {
 	r0, r1, r2, r3, r4, r5 := r[0], r[1], r[2], r[3], r[4], r[5]
@@ -223,7 +230,7 @@ func synthesisChains(sl, sh *signal.Taps, wl, wh *SynthesisRows) (rows [signal.T
 	return rows, te, to
 }
 
-// SynthesizeRefLanes is the pair row loop (synthesizeRowPair) over
+// SynthesizeRefLanes is the pair row loop (signal.SynthesizeRef) over
 // len(even) lanes: the reference chain adding (sl*l + sh*h) as one term
 // per step, from zero.
 func SynthesizeRefLanes(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32) {
@@ -235,8 +242,8 @@ func SynthesizeRefLanes(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []
 	synthesizeLanesRef(sl, sh, wl, wh, even, odd, n)
 }
 
-// synthesizeLanesRef is synthesizeRowPair's chain per lane, for lanes
-// from on, in the reference's statement order.
+// synthesizeLanesRef is signal.SynthesizeRef's chain per lane, for
+// lanes from on, in the reference's statement order.
 func synthesizeLanesRef(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32, from int) {
 	l0, l1, l2, l3, l4, l5 := wl[0], wl[1], wl[2], wl[3], wl[4], wl[5]
 	h0, h1, h2, h3, h4, h5 := wh[0], wh[1], wh[2], wh[3], wh[4], wh[5]

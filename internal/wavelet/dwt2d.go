@@ -205,77 +205,58 @@ func forwardCascade(x *Xfm, d *Decomp, cur *frame.Frame, owned bool, from, level
 // forwardLevelInto performs one separable analysis level, writing the LL
 // subband into ll and the three detail subbands into b (all pre-shaped):
 // through the tiled passes on route r, whose charges the caller replayed,
-// when r is non-nil, through the sequential per-row loops otherwise.
-// Every sample of every output plane is written, so reused (uncleared)
-// pooled planes give bit-identical results to fresh zeroed ones.
+// when r is non-nil, and otherwise through the kernel one 1-D row and
+// column at a time inside the level's step walk (forwardSteps). Either
+// way the padded plane is released after the row pass. Every sample of
+// every output plane is written, so reused (uncleared) pooled planes
+// give bit-identical results to fresh zeroed ones.
 func forwardLevelInto(x *Xfm, rowBank, colBank *Bank, img, ll *frame.Frame, b Bands, pool *bufpool.Pool, r *levelRoute) error {
 	p, padOwned, err := padEvenCompute(img, pool)
 	if err != nil {
 		return err
 	}
-	if r != nil {
-		rowOut, err := pool.Get(p.W, p.H)
-		if err == nil {
-			x.forwardRows(rowBank, p, rowOut, r.rows.chains)
-		}
+	releasePad := func() {
 		if padOwned != nil {
 			padOwned.Release()
 		}
-		if err != nil {
-			return err
-		}
-		x.forwardCols(colBank, nil, rowOut, ll, b, nil, Bands{}, &r.cols, nil)
-		rowOut.Release()
-		return nil
 	}
-	if padOwned != nil {
-		x.chargeCPU(padOwned.W * padOwned.H)
-	}
-	w, h := p.W, p.H
-	mw, mh := w/2, h/2
-
-	// Horizontal pass: each row splits into lo (left half) and hi (right).
-	rowOut, err := pool.Get(w, h)
+	rowOut, err := pool.Get(p.W, p.H)
 	if err != nil {
-		if padOwned != nil {
-			padOwned.Release()
-		}
+		releasePad()
 		return err
 	}
-	for y := 0; y < h; y++ {
-		row := p.Row(y)
+	defer rowOut.Release()
+	if r != nil {
+		x.forwardRows(rowBank, p, rowOut, r.rows.chains)
+		releasePad()
+		x.forwardCols(colBank, nil, rowOut, ll, b, nil, Bands{}, &r.cols, nil)
+		return nil
+	}
+	// Each row splits into lo (left half) and hi (right half); each column
+	// of both halves then splits into the level's four subbands.
+	w, h := p.W, p.H
+	mw, mh := w/2, h/2
+	x.forwardSteps(img.W, img.H, func(y int) {
 		out := rowOut.Row(y)
-		x.Analyze1D(rowBank, row, out[:mw], out[mw:])
-	}
-	if padOwned != nil {
-		padOwned.Release()
-	}
-
-	// Vertical pass on each column of both halves.
-	hl, lh, hh := b.HL, b.LH, b.HH
-	col := x.col.grow(x.pool, h)
-	clo := x.lo.grow(x.pool, mh)
-	chi := x.hi.grow(x.pool, mh)
-	for cx := 0; cx < w; cx++ {
-		for y := 0; y < h; y++ {
+		x.Analyze1D(rowBank, p.Row(y), out[:mw], out[mw:])
+		if y == h-1 {
+			releasePad()
+		}
+	}, func(cx int) {
+		col := x.col.Grow(x.pool, h)
+		for y := range col {
 			col[y] = rowOut.Pix[y*w+cx]
 		}
-		x.chargeCPU(h)
-		lo, hi := x.Analyze1D(colBank, col, clo, chi)
-		if cx < mw {
-			for y := 0; y < mh; y++ {
-				ll.Pix[y*mw+cx] = lo[y]
-				lh.Pix[y*mw+cx] = hi[y]
-			}
-		} else {
-			for y := 0; y < mh; y++ {
-				hl.Pix[y*mw+cx-mw] = lo[y]
-				hh.Pix[y*mw+cx-mw] = hi[y]
-			}
+		lo, hi := x.Analyze1D(colBank, col, x.lo.Grow(x.pool, mh), x.hi.Grow(x.pool, mh))
+		dLo, dHi, c := ll, b.LH, cx
+		if cx >= mw {
+			dLo, dHi, c = b.HL, b.HH, cx-mw
 		}
-		x.chargeCPU(h)
-	}
-	rowOut.Release()
+		for y := range lo {
+			dLo.Pix[y*mw+c] = lo[y]
+			dHi.Pix[y*mw+c] = hi[y]
+		}
+	})
 	return nil
 }
 
@@ -317,8 +298,9 @@ func inverse2DPooled(x *Xfm, d *Decomp, pool *bufpool.Pool) (*frame.Frame, error
 
 // inverseLevelPooled undoes one analysis level and crops to the recorded
 // size: routed and charged first and then through the tiled passes when
-// the engine charges rows without data, through the sequential per-row
-// loops otherwise (identical pixels and charges). The horizontal
+// the engine charges rows without data, and otherwise through the kernel
+// one 1-D column and row at a time inside the level's step walk
+// (inverseSteps), with identical pixels and charges. The horizontal
 // synthesis runs in place over the vertical pass's plane — the board's
 // wave engine reads and writes the same frame store — so the level needs
 // one working plane, not two; the modeled memcpy charges are unchanged.
@@ -337,35 +319,25 @@ func inverseLevelPooled(x *Xfm, rowBank, colBank *Bank, ll *frame.Frame, b Bands
 		x.inverseCols(colBank, ll, b, rowOut, &r.cols)
 		x.inverseRows(rowBank, rowOut, r.rows.chains)
 	} else {
-		loCol := x.col.grow(x.pool, mh)
-		hiCol := x.hiCol.grow(x.pool, mh)
-		y2 := x.y2.grow(x.pool, h)
-		for half, src := range [2][2]*frame.Frame{{ll, b.LH}, {b.HL, b.HH}} {
-			for cx := 0; cx < mw; cx++ {
-				for y := 0; y < mh; y++ {
-					loCol[y] = src[0].Pix[y*mw+cx]
-					hiCol[y] = src[1].Pix[y*mw+cx]
-				}
-				x.chargeCPU(2 * mh)
-				y2 = x.Synthesize1D(colBank, loCol, hiCol, y2)
-				for y := 0; y < h; y++ {
-					rowOut.Pix[y*w+cx+half*mw] = y2[y]
-				}
-				x.chargeCPU(h)
+		x.inverseSteps(w, h, func(cx int) {
+			lo, hi, c := ll, b.LH, cx
+			if cx >= mw {
+				lo, hi, c = b.HL, b.HH, cx-mw
 			}
-		}
-
-		// Horizontal synthesis row by row, in place: Synthesize1D consumes
-		// the subband halves into its padded scratch before any output is
-		// written, so writing the reconstruction back over the same row is
-		// safe.
-		y2 = x.y2.grow(x.pool, w)
-		for y := 0; y < h; y++ {
+			loCol, hiCol := x.col.Grow(x.pool, mh), x.hiCol.Grow(x.pool, mh)
+			for y := range loCol {
+				loCol[y] = lo.Pix[y*mw+c]
+				hiCol[y] = hi.Pix[y*mw+c]
+			}
+			for y, v := range x.Synthesize1D(colBank, loCol, hiCol, x.y2.Grow(x.pool, h)) {
+				rowOut.Pix[y*w+cx] = v
+			}
+		}, func(y int) {
+			// In place: Synthesize1D consumes the subband halves into its
+			// padded scratch before any output is written.
 			row := rowOut.Row(y)
-			y2 = x.Synthesize1D(rowBank, row[:mw], row[mw:], y2)
-			copy(row, y2)
-			x.chargeCPU(w)
-		}
+			copy(row, x.Synthesize1D(rowBank, row[:mw], row[mw:], x.y2.Grow(x.pool, w)))
+		})
 	}
 
 	if orig.w == w && orig.h == h {

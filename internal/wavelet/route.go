@@ -5,14 +5,16 @@ import (
 	"zynqfusion/internal/signal"
 )
 
-// Route tables: route and charge first, compute after. No modeled
-// quantity depends on pixel values — row width and filter bank decide an
-// engine's route, its modeled cost and every driver, HLS and AXI
-// statistic — so the tiled traversals first replay the sequential
-// per-row loops' exact call sequence without data (structure charges,
-// coefficient reloads and row charges interleaved as forwardLevelInto
-// and inverseLevelPooled issue them) through the engine's TileKernel
-// charges, recording the chain each returned, and only then compute
+// Step walks and route tables: route and charge first, compute after. A
+// level's steps are written once per direction, as a walk
+// (forwardSteps, inverseSteps) that issues every structure charge in the
+// sequential order and calls back once per 1-D row and column. The
+// sequential per-row loops compute each row through the engine inside
+// those callbacks. No modeled quantity depends on pixel values — row
+// width and filter bank decide an engine's route, its modeled cost and
+// every driver, HLS and AXI statistic — so the tiled traversals first
+// replay the walk without data (replayForwardLevel, replayInverseLevel),
+// recording the chain each row charge returned, and only then compute
 // every row and column on its chain. The route table is the explicit
 // CPU/FPGA partition of a level: under a split policy one pass mixes the
 // wave engine's chains with NEON's, and each output row of a column pass
@@ -37,26 +39,20 @@ type passRoute struct {
 }
 
 // lanePlan is how the lanes of one half of a column pass's output row
-// compute: the lane chain of the most lanes (primary) over every lane
-// straight into the output, then each other chain over the span of its
-// runs aside, whose runs are copied over the primary's lanes. A split
-// partition interleaves the wave engine's columns with NEON's in runs of
-// a few lanes; a lane call per run would leave most lanes to the scalar
-// remainder loops, where computing every chain over whole spans keeps
-// them all on the packed chains (at 320x240 under the oracle split,
-// 7.3 ms/frame against 24.2 ms run by run). A uniform pass is one call.
+// compute: ops is each lane's chain, primary the chain of the most
+// lanes, computed over every lane straight into the output, and others
+// the other chains present, each computed over every lane aside and
+// picked lane by lane over the primary's. A split partition interleaves
+// the wave engine's columns with NEON's in runs of a few lanes; a lane
+// call per run would leave most lanes to the scalar remainder loops,
+// where computing every chain over the whole half keeps them all on the
+// packed chains (at 320x240 under the oracle split, 24.2 ms/frame run by
+// run against 7.3 ms computing each chain over nearly the whole half). A
+// uniform half is one call.
 type lanePlan struct {
-	runs    []laneRun
+	ops     []kernels.Op
 	primary kernels.Op
-	// spans[op] are the lanes [start, end) covering op's runs, empty for
-	// the primary and for chains without runs.
-	spans [numOps]laneRun
-}
-
-// laneRun is a run of lanes [start, end) computed by one lane chain.
-type laneRun struct {
-	start, end int
-	op         kernels.Op
+	others  []kernels.Op
 }
 
 // numOps bounds the kernels.Op values.
@@ -78,31 +74,23 @@ func (p *passRoute) plan(opAt func(kernels.Chain, int, int) kernels.Op, m, half 
 	for part, pos := range [2]int{0, m - 1} {
 		for h := range p.plans[part] {
 			lp := &p.plans[part][h]
-			runs := lp.runs[:0]
+			lp.ops = lp.ops[:0]
 			var count [numOps]int
-			for i, c := range p.chains[h*half : (h+1)*half] {
+			for _, c := range p.chains[h*half : (h+1)*half] {
 				op := opAt(c, pos, m)
+				lp.ops = append(lp.ops, op)
 				count[op]++
-				if n := len(runs); n > 0 && runs[n-1].op == op {
-					runs[n-1].end = i + 1
-					continue
-				}
-				runs = append(runs, laneRun{start: i, end: i + 1, op: op})
 			}
-			lp.runs = runs
 			lp.primary = 0
 			for op, n := range count {
 				if n > count[lp.primary] {
 					lp.primary = kernels.Op(op)
 				}
 			}
-			lp.spans = [numOps]laneRun{}
-			for _, r := range runs {
-				if sp := &lp.spans[r.op]; r.op != lp.primary {
-					if sp.start == sp.end {
-						sp.start = r.start
-					}
-					sp.end = r.end
+			lp.others = lp.others[:0]
+			for op, n := range count {
+				if n > 0 && kernels.Op(op) != lp.primary {
+					lp.others = append(lp.others, kernels.Op(op))
 				}
 			}
 		}
@@ -118,16 +106,12 @@ func (p *passRoute) at(half, pos, m int) *lanePlan {
 	return &p.plans[1][half]
 }
 
-// copyRuns copies the lanes of op's runs from aside, which holds the
-// lanes of op's span, into dst.
-func (lp *lanePlan) copyRuns(op kernels.Op, dst, aside []float32) {
-	first := lp.spans[op].start
-	for _, r := range lp.runs {
-		if r.op != op {
-			continue
-		}
-		for i := r.start; i < r.end; i++ {
-			dst[i] = aside[i-first]
+// pick copies the lanes that compute on op from aside, which holds op's
+// output at every lane, into dst.
+func (lp *lanePlan) pick(op kernels.Op, dst, aside []float32) {
+	for i, o := range lp.ops {
+		if o == op {
+			dst[i] = aside[i]
 		}
 	}
 }
@@ -144,13 +128,58 @@ func sameRowOps(a, b []kernels.Chain, m int) bool {
 }
 
 // routeTable returns the first n level routes of the transform's table,
-// growing it on first use; the chain lists and runs keep their storage
-// frame over frame.
+// growing it on first use; the chain lists and lane plans keep their
+// storage frame over frame.
 func (x *Xfm) routeTable(n int) []levelRoute {
 	for len(x.routes) < n {
 		x.routes = append(x.routes, levelRoute{})
 	}
 	return x.routes[:n]
+}
+
+// forwardSteps walks one analysis level over a cw x ch input in the
+// sequential order, issuing its structure charges around the steps: the
+// odd-size pad, then per row the pad memcpy before row(y), then per
+// column the gather and the pad before col(cx) and the scatter after it.
+// Columns run over the padded plane, the row pass's lowpass half first.
+func (x *Xfm) forwardSteps(cw, ch int, row, col func(int)) {
+	pw, ph, _, _ := levelGeom(cw, ch)
+	if pw != cw || ph != ch {
+		x.chargeCPU(pw * ph)
+	}
+	for y := 0; y < ph; y++ {
+		x.chargeCPU(pw + signal.TapCount)
+		row(y)
+	}
+	for cx := 0; cx < pw; cx++ {
+		x.chargeCPU(ph)
+		x.chargeCPU(ph + signal.TapCount)
+		col(cx)
+		x.chargeCPU(ph)
+	}
+}
+
+// inverseSteps walks one synthesis level into a w x h plane in the
+// sequential order: per column — the left half's (lowpass and LH
+// subbands) first, then the right half's (HL and HH) — the gather and
+// the pads before col(cx) and the delay rotation and scatter after it,
+// then per row the pads before row(y) and the rotation and write-back
+// memcpy after it.
+func (x *Xfm) inverseSteps(w, h int, col, row func(int)) {
+	mw, mh := w/2, h/2
+	for cx := 0; cx < w; cx++ {
+		x.chargeCPU(2 * mh)
+		x.chargeCPU(2 * (mh + signal.SynthesisPad))
+		col(cx)
+		x.chargeCPU(2 * mh)
+		x.chargeCPU(h)
+	}
+	for y := 0; y < h; y++ {
+		x.chargeCPU(2 * (mw + signal.SynthesisPad))
+		row(y)
+		x.chargeCPU(w)
+		x.chargeCPU(w)
+	}
 }
 
 // replayForwardTree replays the charges of the analysis levels of tree d
@@ -162,52 +191,30 @@ func (x *Xfm) replayForwardTree(d *Decomp, routes []levelRoute) {
 	}
 }
 
-// replayForwardLevel replays the modeled charges of one analysis level
-// over a cw x ch input in exactly the order the sequential loops issue
-// them — the odd-size pad, then per row the pad memcpy and the kernel
-// row, then per column the gather, the pad, the kernel row and the
-// scatter — and records each row's and column's chain in r.
+// replayForwardLevel walks one analysis level over a cw x ch input
+// without data, charging each row and column through the engine, and
+// records each one's chain in r.
 func (x *Xfm) replayForwardLevel(rowBank, colBank *Bank, cw, ch int, r *levelRoute) {
 	pw, ph, mw, mh := levelGeom(cw, ch)
-	if pw != cw || ph != ch {
-		x.chargeCPU(pw * ph)
-	}
-	rows := r.rows.reset(ph)
-	for y := range rows {
-		x.chargeCPU(pw + signal.TapCount)
+	rows, cols := r.rows.reset(ph), r.cols.reset(pw)
+	x.forwardSteps(cw, ch, func(y int) {
 		rows[y] = x.tile.ChargeAnalyzeRow(&rowBank.AL, &rowBank.AH, mw)
-	}
-	cols := r.cols.reset(pw)
-	for cx := range cols {
-		x.chargeCPU(ph)
-		x.chargeCPU(ph + signal.TapCount)
+	}, func(cx int) {
 		cols[cx] = x.tile.ChargeAnalyzeRow(&colBank.AL, &colBank.AH, mh)
-		x.chargeCPU(ph)
-	}
+	})
 	r.cols.plan(kernels.Chain.AnalysisOp, mh, mw)
 }
 
-// replayInverseLevel replays the modeled charges of one synthesis level
-// into a w x h plane in the sequential loops' order — per column of each
-// half in turn the gather, the pads, the kernel row, the delay rotation
-// and the scatter, then per row the pads, the kernel row, the rotation
-// and the write-back memcpy — and records each chain in r.
+// replayInverseLevel walks one synthesis level into a w x h plane
+// without data, charging each column and row through the engine, and
+// records each one's chain in r.
 func (x *Xfm) replayInverseLevel(rowBank, colBank *Bank, w, h int, r *levelRoute) {
 	mw, mh := w/2, h/2
-	cols := r.cols.reset(w)
-	for cx := range cols {
-		x.chargeCPU(2 * mh)
-		x.chargeCPU(2 * (mh + signal.SynthesisPad))
+	cols, rows := r.cols.reset(w), r.rows.reset(h)
+	x.inverseSteps(w, h, func(cx int) {
 		cols[cx] = x.tile.ChargeSynthesizeRow(&colBank.SL, &colBank.SH, mh)
-		x.chargeCPU(2 * mh)
-		x.chargeCPU(h)
-	}
-	r.cols.plan(kernels.Chain.SynthesisOp, mh, mw)
-	rows := r.rows.reset(h)
-	for y := range rows {
-		x.chargeCPU(2 * (mw + signal.SynthesisPad))
+	}, func(y int) {
 		rows[y] = x.tile.ChargeSynthesizeRow(&rowBank.SL, &rowBank.SH, mw)
-		x.chargeCPU(w)
-		x.chargeCPU(w)
-	}
+	})
+	r.cols.plan(kernels.Chain.SynthesisOp, mh, mw)
 }

@@ -11,10 +11,12 @@ import (
 // row charges (Xfm.TileCapable: ARM, NEON, the FPGA and the adaptive
 // engine under any policy), at any worker count — a nil or one-worker
 // pool runs the same tiles inline. Engines without them (the emulated
-// NEON unit, signal.RefKernel, hls.FixedKernel) run the sequential
-// per-row loops in dwt2d.go instead.
+// NEON unit, signal.RefKernel, hls.FixedKernel) compute each 1-D row
+// and column through the engine inside the level's step walk instead
+// (route.go, dwt2d.go).
 //
-// A level is routed and charged first (route.go), then computed: every
+// A level is routed and charged first — the same step walk, replayed
+// without data into a route table (route.go) — then computed: every
 // pass runs the lane kernels, SIMD across outputs, each row or column on
 // the chain its charge returned. The horizontal passes tile rows, one
 // lane per output of the row: a row pads into per-worker scratch as its
@@ -25,22 +27,23 @@ import (
 // rows under an output, so output row y of every column is computed at
 // once reading those source rows in place — no transpose, no staging
 // block, and each band writes output rows no other band touches. When
-// the route mixes chains across columns, each output row computes its
-// lanes chain by chain and selects per lane (lanePlan). On amd64 the
-// mul-first and pair chains run as AVX or SSE kernels, and the phase
-// split, the synthesis pair store and the tree accumulate as packed SSE
-// (internal/kernels).
+// the route mixes chains across columns, each output row computes the
+// primary chain into its output and every other chain over the whole
+// half aside, and picks each lane from its own chain (lanePlan). On
+// amd64 the mul-first and pair chains run as AVX or SSE kernels, and
+// the phase split, the synthesis pair store and the tree accumulate as
+// packed SSE (internal/kernels).
 //
 // Every pass follows the kernel engine's determinism contract: all
 // modeled accounting — the float64 cycle accumulators whose addition
 // order matters, the NEON instruction ledger, the FPGA's Fig. 5
 // timeline and the adaptive engine's routing — is replayed before the
-// parallel region in exactly the order the sequential loops charge it,
-// and the parallel region performs only pure compute (padding and the
-// bit-identical lane kernels) into disjoint output ranges. A tiled level
-// is therefore byte-identical to a sequential one in pixels, cycles,
-// StageTimes, ledger and every driver, HLS and AXI statistic at any
-// worker count.
+// parallel region by the step walk the sequential loops run, so in
+// exactly their order, and the parallel region performs only pure
+// compute (padding and the bit-identical lane kernels) into disjoint
+// output ranges. A tiled level is therefore byte-identical to a
+// sequential one in pixels, cycles, StageTimes, ledger and every driver,
+// HLS and AXI statistic at any worker count.
 
 // fwdRowsTask runs the horizontal analysis pass through the lane
 // kernels, one lane per output of the row. Output i of an m-output row
@@ -68,7 +71,7 @@ func (t *fwdRowsTask) Tile(lo, hi, worker int) {
 	b := m - m%4
 	for y := lo; y < hi; y++ {
 		out := t.dst.Row(y)
-		even, odd := kernels.PadPeriodicPhases(t.src.Row(y), ws.px.buf)
+		even, odd := kernels.PadPeriodicPhases(t.src.Row(y), ws.px.Buf())
 		for k := range body {
 			phase := even
 			if k%2 == 1 {
@@ -94,7 +97,7 @@ func (x *Xfm) forwardRows(bank *Bank, src, dst *frame.Frame, chains []kernels.Ch
 	w, h := src.W, src.H
 	ws := x.workspaces(x.W.N())
 	for i := range ws {
-		ws[i].px.grow(x.pool, w+signal.TapCount)
+		ws[i].px.Grow(x.pool, w+signal.TapCount)
 	}
 	x.fwdRows = fwdRowsTask{bank: bank, src: src, dst: dst, ws: ws, chains: chains, w: w, mw: w / 2}
 	x.W.Run(h, kernels.Grain(h, 8*w, x.W.N()), &x.fwdRows)
@@ -105,8 +108,8 @@ func (x *Xfm) forwardRows(bank *Bank, src, dst *frame.Frame, chains []kernels.Ch
 // (2y+k-AnalysisPad) mod h, k = 0..11 — exactly the samples the periodic
 // extension of each column would place under that output — so the rows
 // are read in place and the lane kernels filter all columns of one
-// subband half at once, one lane per column, in the runs of routeA (and
-// routeB). The left half (columns below mw) writes row y of the lowpass
+// subband half at once, one lane per column, on the lane plans of routeA
+// (and routeB). The left half (columns below mw) writes row y of the lowpass
 // and LH planes, the right half row y of the HL and HH planes, through
 // bank A and, when set, bank B (level 1's second column tree reads the
 // same rows). Each output is the one the column-at-a-time filter
@@ -123,7 +126,8 @@ type fwdColsTask struct {
 
 func (t *fwdColsTask) Tile(lo, hi, worker int) {
 	ws := &t.ws[worker]
-	left, right, sub := &ws.rows[0], &ws.rows[1], &ws.rows[2]
+	left, right := &ws.rows[0], &ws.rows[1]
+	sel := ws.sel.Buf()
 	a, b := t.bankA, t.bankB
 	w, mw, mh := t.w, t.mw, t.mh
 	for y := lo; y < hi; y++ {
@@ -133,35 +137,29 @@ func (t *fwdColsTask) Tile(lo, hi, worker int) {
 			right[k] = t.src.Pix[r+mw : r+w]
 		}
 		o := y * mw
-		analyzeRuns(t.routeA.at(0, y, mh), a, left, sub, t.llA[o:o+mw], t.lhA[o:o+mw], ws.sel.buf)
+		analyzeRuns(t.routeA.at(0, y, mh), a, left, t.llA[o:o+mw], t.lhA[o:o+mw], sel)
 		if b != nil {
-			analyzeRuns(t.routeB.at(0, y, mh), b, left, sub, t.llB[o:o+mw], t.lhB[o:o+mw], ws.sel.buf)
+			analyzeRuns(t.routeB.at(0, y, mh), b, left, t.llB[o:o+mw], t.lhB[o:o+mw], sel)
 		}
-		analyzeRuns(t.routeA.at(1, y, mh), a, right, sub, t.hlA[o:o+mw], t.hhA[o:o+mw], ws.sel.buf)
+		analyzeRuns(t.routeA.at(1, y, mh), a, right, t.hlA[o:o+mw], t.hhA[o:o+mw], sel)
 		if b != nil {
-			analyzeRuns(t.routeB.at(1, y, mh), b, right, sub, t.hlB[o:o+mw], t.hhB[o:o+mw], ws.sel.buf)
+			analyzeRuns(t.routeB.at(1, y, mh), b, right, t.hlB[o:o+mw], t.hhB[o:o+mw], sel)
 		}
 	}
 }
 
 // analyzeRuns computes the lanes of one output row through bank's
-// analysis filters as plan lays them out; sub is scratch for a span of
-// the source rows and sel for the lanes of a chain computed aside.
-func analyzeRuns(plan *lanePlan, bank *Bank, rows, sub *kernels.AnalysisRows, lo, hi, sel []float32) {
+// analysis filters as plan lays them out; sel holds the two outputs of
+// every lane of a chain computed aside.
+func analyzeRuns(plan *lanePlan, bank *Bank, rows *kernels.AnalysisRows, lo, hi, sel []float32) {
 	al, ah := &bank.AL, &bank.AH
 	kernels.AnalyzeOpLanes(plan.primary, al, ah, rows, lo, hi)
-	for op, sp := range plan.spans {
-		n := sp.end - sp.start
-		if n == 0 {
-			continue
-		}
-		for k := range sub {
-			sub[k] = rows[k][sp.start:sp.end]
-		}
-		aLo, aHi := sel[:n], sel[len(sel)/2:len(sel)/2+n]
-		kernels.AnalyzeOpLanes(kernels.Op(op), al, ah, sub, aLo, aHi)
-		plan.copyRuns(kernels.Op(op), lo, aLo)
-		plan.copyRuns(kernels.Op(op), hi, aHi)
+	n := len(lo)
+	for _, op := range plan.others {
+		aLo, aHi := sel[:n], sel[n:2*n]
+		kernels.AnalyzeOpLanes(op, al, ah, rows, aLo, aHi)
+		plan.pick(op, lo, aLo)
+		plan.pick(op, hi, aHi)
 	}
 }
 
@@ -193,12 +191,12 @@ func (x *Xfm) forwardCols(colBank, colBankB *Bank, src *frame.Frame, ll *frame.F
 }
 
 // selScratch returns the per-worker scratch of a column pass over w
-// columns, each worker's select buffer sized for the two outputs of one
-// half.
+// columns, each worker's select buffer sized for the two outputs of
+// every lane of one half.
 func (x *Xfm) selScratch(w int) []tileScratch {
 	ws := x.workspaces(x.W.N())
 	for i := range ws {
-		ws[i].sel.grow(x.pool, w)
+		ws[i].sel.Grow(x.pool, w)
 	}
 	return ws
 }
@@ -225,6 +223,7 @@ type invColsTask struct {
 func (t *invColsTask) Tile(lo, hi, worker int) {
 	ws := &t.ws[worker]
 	win := &ws.win
+	sel := ws.sel.Buf()
 	w, mw, mh := t.w, t.mw, t.mh
 	for i := lo; i < hi; i++ {
 		for j := range win[0] {
@@ -234,30 +233,24 @@ func (t *invColsTask) Tile(lo, hi, worker int) {
 		}
 		ev := t.dst.Row(wrap(2*i-t.delay, t.h))
 		od := t.dst.Row(wrap(2*i+1-t.delay, t.h))
-		synthesizeRuns(t.route.at(0, i, mh), t.bank, &win[0], &win[1], &win[4], &win[5], ev[:mw], od[:mw], ws.sel.buf)
-		synthesizeRuns(t.route.at(1, i, mh), t.bank, &win[2], &win[3], &win[4], &win[5], ev[mw:w], od[mw:w], ws.sel.buf)
+		synthesizeRuns(t.route.at(0, i, mh), t.bank, &win[0], &win[1], ev[:mw], od[:mw], sel)
+		synthesizeRuns(t.route.at(1, i, mh), t.bank, &win[2], &win[3], ev[mw:w], od[mw:w], sel)
 	}
 }
 
 // synthesizeRuns computes the lane pairs of one output row pair through
-// bank's synthesis filters as plan lays them out; subL and subH are
-// scratch for a span of the windows wl and wh, and sel for the lanes of
-// a chain computed aside.
-func synthesizeRuns(plan *lanePlan, bank *Bank, wl, wh, subL, subH *kernels.SynthesisRows, even, odd, sel []float32) {
+// bank's synthesis filters, over the windows wl and wh, as plan lays
+// them out; sel holds the two outputs of every lane of a chain computed
+// aside.
+func synthesizeRuns(plan *lanePlan, bank *Bank, wl, wh *kernels.SynthesisRows, even, odd, sel []float32) {
 	sl, sh := &bank.SL, &bank.SH
 	kernels.SynthesizeOpLanes(plan.primary, sl, sh, wl, wh, even, odd)
-	for op, sp := range plan.spans {
-		n := sp.end - sp.start
-		if n == 0 {
-			continue
-		}
-		for j := range subL {
-			subL[j], subH[j] = wl[j][sp.start:sp.end], wh[j][sp.start:sp.end]
-		}
-		aEven, aOdd := sel[:n], sel[len(sel)/2:len(sel)/2+n]
-		kernels.SynthesizeOpLanes(kernels.Op(op), sl, sh, subL, subH, aEven, aOdd)
-		plan.copyRuns(kernels.Op(op), even, aEven)
-		plan.copyRuns(kernels.Op(op), odd, aOdd)
+	n := len(even)
+	for _, op := range plan.others {
+		aEven, aOdd := sel[:n], sel[n:2*n]
+		kernels.SynthesizeOpLanes(op, sl, sh, wl, wh, aEven, aOdd)
+		plan.pick(op, even, aEven)
+		plan.pick(op, odd, aOdd)
 	}
 }
 
@@ -299,7 +292,8 @@ func (t *invRowsTask) Tile(lo, hi, worker int) {
 	sl, sh := &t.bank.SL, &t.bank.SH
 	w, m := t.w, t.mw
 	b := m - m%4
-	even, odd := ws.y.buf[:m], ws.y.buf[m:w]
+	y := ws.y.Buf()
+	even, odd := y[:m], y[m:w]
 	// Pairs [0, p1) fill row[start:]; when w-start is odd, pair p1
 	// straddles the wrap (even at w-1, odd at 0) and the rest fill row[1:],
 	// otherwise they fill row from 0.
@@ -307,8 +301,8 @@ func (t *invRowsTask) Tile(lo, hi, worker int) {
 	p1, straddle := (w-start)/2, (w-start)%2 == 1
 	for yy := lo; yy < hi; yy++ {
 		row := t.dst.Row(yy)
-		plo := kernels.PadPeriodicPairs(row[:m], ws.plo.buf)
-		phi := kernels.PadPeriodicPairs(row[m:], ws.phi.buf)
+		plo := kernels.PadPeriodicPairs(row[:m], ws.plo.Buf())
+		phi := kernels.PadPeriodicPairs(row[m:], ws.phi.Buf())
 		for j := range wl {
 			wl[j], wh[j] = plo[j:j+m], phi[j:j+m]
 			tl[j], th[j] = wl[j][b:], wh[j][b:]
@@ -337,9 +331,9 @@ func (x *Xfm) inverseRows(bank *Bank, dst *frame.Frame, chains []kernels.Chain) 
 	mw := w / 2
 	ws := x.workspaces(x.W.N())
 	for i := range ws {
-		ws[i].plo.grow(x.pool, mw+signal.SynthesisPad)
-		ws[i].phi.grow(x.pool, mw+signal.SynthesisPad)
-		ws[i].y.grow(x.pool, w)
+		ws[i].plo.Grow(x.pool, mw+signal.SynthesisPad)
+		ws[i].phi.Grow(x.pool, mw+signal.SynthesisPad)
+		ws[i].y.Grow(x.pool, w)
 	}
 	x.invRows = invRowsTask{bank: bank, dst: dst, ws: ws, chains: chains, w: w, mw: mw}
 	x.W.Run(h, kernels.Grain(h, 8*w, x.W.N()), &x.invRows)

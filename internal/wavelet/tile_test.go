@@ -414,19 +414,20 @@ func FuzzTiledRoundTrip(f *testing.F) {
 // after warmup.
 func scratchState(x *Xfm) []string {
 	var out []string
-	add := func(name string, s *scratch) {
-		if cap(s.buf) == 0 {
+	add := func(name string, s *bufpool.Scratch) {
+		buf := s.Buf()
+		if cap(buf) == 0 {
 			out = append(out, name+":empty")
 			return
 		}
-		out = append(out, fmt.Sprintf("%s:%p+%d", name, s.buf[:1], cap(s.buf)))
+		out = append(out, fmt.Sprintf("%s:%p+%d", name, buf[:1], cap(buf)))
 	}
-	for i, s := range []*scratch{&x.px, &x.plo, &x.phi, &x.y, &x.y2, &x.col, &x.hiCol, &x.lo, &x.hi} {
+	for i, s := range []*bufpool.Scratch{&x.px, &x.plo, &x.phi, &x.y, &x.y2, &x.col, &x.hiCol, &x.lo, &x.hi} {
 		add(fmt.Sprintf("x%d", i), s)
 	}
 	for wi := range x.ws {
 		ws := &x.ws[wi]
-		for i, s := range []*scratch{&ws.px, &ws.plo, &ws.phi, &ws.y} {
+		for i, s := range []*bufpool.Scratch{&ws.px, &ws.plo, &ws.phi, &ws.y, &ws.sel} {
 			add(fmt.Sprintf("ws%d.%d", wi, i), s)
 		}
 	}

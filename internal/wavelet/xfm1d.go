@@ -2,7 +2,6 @@ package wavelet
 
 import (
 	"zynqfusion/internal/bufpool"
-	"zynqfusion/internal/frame"
 	"zynqfusion/internal/kernels"
 	"zynqfusion/internal/signal"
 )
@@ -15,75 +14,29 @@ type cpuCharger interface {
 	ChargeCPU(samples int)
 }
 
-// scratch is one reusable float32 work buffer. Its backing store is leased
-// from the transform's frame pool when one is attached (the board keeps
-// line buffers in the same DDR arena as its frame stores), falling back to
-// a plain allocation when the pool is absent or at its cap. A buffer only
-// reallocates when asked to grow beyond its capacity, so in steady state
-// grow is a reslice.
-type scratch struct {
-	buf   []float32
-	lease *frame.Frame
-}
-
-// grow returns the buffer resized to n samples. Contents are unspecified;
-// every caller fully overwrites before reading.
-func (s *scratch) grow(pool *bufpool.Pool, n int) []float32 {
-	if cap(s.buf) >= n {
-		s.buf = s.buf[:n]
-		return s.buf
-	}
-	if s.lease != nil {
-		s.lease.Release()
-		s.lease = nil
-	}
-	s.buf = nil
-	if pool != nil {
-		if f, err := pool.Get(n, 1); err == nil {
-			s.lease = f
-			s.buf = f.Pix[:n]
-		}
-	}
-	if s.buf == nil {
-		s.buf = make([]float32, n)
-	}
-	return s.buf
-}
-
-// release returns the lease (if any) and drops the buffer.
-func (s *scratch) release() {
-	if s.lease != nil {
-		s.lease.Release()
-		s.lease = nil
-	}
-	s.buf = nil
-}
-
 // tileScratch is the private working set of one tile worker: the padded
 // phases, padded subbands and even/odd synthesis outputs of the
-// horizontal passes, sized before each parallel region (while
-// single-threaded) so tile bodies never touch the pool, the column
-// passes' select buffer (lanes of a second lane chain computed aside),
-// and the
-// source-row tables of the lane kernels (analysis: the vertical pass's
-// left and right halves, the horizontal pass's body and tail lanes, and
-// a run's slice of them; synthesis: the vertical pass's lowpass, LH, HL
-// and HH windows, the horizontal pass's body and tail windows, and a
-// run's slice of a window pair). The tables live here rather than on
-// the stack because they reach the lane kernels through pointers and
-// would escape, allocating per row.
+// horizontal passes, and the column passes' select buffer (every lane of
+// a second lane chain, computed aside), sized before each parallel
+// region (while single-threaded) so tile bodies never touch the pool;
+// and the source-row tables of the lane kernels (analysis: the vertical
+// pass's left and right halves, or the horizontal pass's body and tail
+// lanes; synthesis: the vertical pass's lowpass, LH, HL and HH windows,
+// or the horizontal pass's body and tail windows). The tables live here
+// rather than on the stack because they reach the lane kernels through
+// pointers and would escape, allocating per row.
 type tileScratch struct {
-	px, plo, phi, y, sel scratch
-	rows                 [3]kernels.AnalysisRows
-	win                  [6]kernels.SynthesisRows
+	px, plo, phi, y, sel bufpool.Scratch
+	rows                 [2]kernels.AnalysisRows
+	win                  [4]kernels.SynthesisRows
 }
 
 func (t *tileScratch) release() {
-	for _, s := range []*scratch{&t.px, &t.plo, &t.phi, &t.y, &t.sel} {
-		s.release()
+	for _, s := range []*bufpool.Scratch{&t.px, &t.plo, &t.phi, &t.y, &t.sel} {
+		s.Release()
 	}
-	t.rows = [3]kernels.AnalysisRows{}
-	t.win = [6]kernels.SynthesisRows{}
+	t.rows = [2]kernels.AnalysisRows{}
+	t.win = [4]kernels.SynthesisRows{}
 }
 
 // Xfm performs 1-D analysis/synthesis passes with a given kernel, reusing
@@ -99,7 +52,7 @@ type Xfm struct {
 	// on the caller.
 	W *kernels.Workers
 
-	px, plo, phi, y, y2, col, hiCol, lo, hi scratch
+	px, plo, phi, y, y2, col, hiCol, lo, hi bufpool.Scratch
 
 	charger cpuCharger
 	tile    kernels.TileKernel // non-nil when K charges rows without data
@@ -144,15 +97,9 @@ func (x *Xfm) UseScratchPool(p *bufpool.Pool) { x.pool = p }
 // ReleaseScratch returns every pooled scratch lease and drops the scratch
 // buffers. The transform stays usable; the next pass re-acquires.
 func (x *Xfm) ReleaseScratch() {
-	x.px.release()
-	x.plo.release()
-	x.phi.release()
-	x.y.release()
-	x.y2.release()
-	x.col.release()
-	x.hiCol.release()
-	x.lo.release()
-	x.hi.release()
+	for _, s := range []*bufpool.Scratch{&x.px, &x.plo, &x.phi, &x.y, &x.y2, &x.col, &x.hiCol, &x.lo, &x.hi} {
+		s.Release()
+	}
 	for i := range x.ws {
 		x.ws[i].release()
 	}
@@ -180,37 +127,38 @@ func (x *Xfm) chargeCPU(samples int) {
 }
 
 // Analyze1D decomposes an even-length signal into lo and hi subbands of
-// half length using bank b. dstLo and dstHi may be nil or reused slices.
+// half length using bank b, through the kernel. It charges no structure
+// work: the pad's charge is forwardSteps'. dstLo and dstHi may be nil or
+// reused slices.
 func (x *Xfm) Analyze1D(b *Bank, in []float32, dstLo, dstHi []float32) (lo, hi []float32) {
 	n := len(in)
 	if n == 0 || n%2 != 0 {
 		panic("wavelet.Analyze1D: signal length must be even and nonzero")
 	}
 	m := n / 2
-	px := kernels.PadPeriodic(in, x.px.grow(x.pool, n+signal.TapCount))
-	x.chargeCPU(len(px))
+	px := kernels.PadPeriodic(in, x.px.Grow(x.pool, n+signal.TapCount))
 	lo = grow(dstLo, m)
 	hi = grow(dstHi, m)
 	x.K.Analyze(&b.AL, &b.AH, px, lo, hi)
 	return lo, hi
 }
 
-// Synthesize1D reconstructs the signal from its subbands, compensating the
-// bank's round-trip delay so the output aligns with the analysis input.
+// Synthesize1D reconstructs the signal from its subbands through the
+// kernel, compensating the bank's round-trip delay so the output aligns
+// with the analysis input. It charges no structure work: the pads' and
+// the rotation's charges are inverseSteps'.
 func (x *Xfm) Synthesize1D(b *Bank, lo, hi []float32, dst []float32) []float32 {
 	m := len(lo)
 	if len(hi) != m || m == 0 {
 		panic("wavelet.Synthesize1D: subband length mismatch")
 	}
 	n := 2 * m
-	plo := kernels.PadPeriodicPairs(lo, x.plo.grow(x.pool, m+signal.SynthesisPad))
-	phi := kernels.PadPeriodicPairs(hi, x.phi.grow(x.pool, m+signal.SynthesisPad))
-	x.chargeCPU(len(plo) + len(phi))
-	y := x.y.grow(x.pool, n)
+	plo := kernels.PadPeriodicPairs(lo, x.plo.Grow(x.pool, m+signal.SynthesisPad))
+	phi := kernels.PadPeriodicPairs(hi, x.phi.Grow(x.pool, m+signal.SynthesisPad))
+	y := x.y.Grow(x.pool, n)
 	x.K.Synthesize(&b.SL, &b.SH, plo, phi, y)
 	dst = grow(dst, n)
 	signal.Rotate(dst, y, b.delay)
-	x.chargeCPU(n)
 	return dst
 }
 

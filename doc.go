@@ -170,11 +170,12 @@
 // each lane with the exact operation chain its row's engine applies at
 // that position — a column band that mixes the wave engine's and NEON's
 // chains computes each over the whole band and picks every lane from its
-// own. The reference chain has one scalar form, signal.AnalyzeRef and
-// SynthesizeRef, which kernels.AnalyzeRow and SynthesizeRow run for it.
-// The vertical passes never transpose: a tile
-// is a band of output rows, computed for every column at once from the
-// periodically wrapped source rows read in place. The horizontal passes
+// own. Each lane chain has one form, its lane loop: kernels.AnalyzeRow
+// and SynthesizeRow run a 1-D row as the horizontal passes' lanes, and
+// the scalar forms (signal.AnalyzeRef and SynthesizeRef, the emulated
+// NEON unit) are test oracles only. The vertical passes never
+// transpose: a tile is a band of output rows, computed for every column
+// at once from the periodically wrapped source rows read in place. The horizontal passes
 // run one lane per output of a row: the row is padded straight into its
 // two polyphase components (kernels.PadPeriodicPhases), so every tap
 // reads a shifted slice of one of them, and synthesis stores its even
@@ -188,8 +189,8 @@
 // in time and registers only (internal/hls); its arithmetic is a chain
 // too, kernels.ChainWaveEngine: the mul-first analysis chain and the
 // reference synthesis pair chain, which has its own AVX and SSE forms,
-// bit-identical to the Fig. 4 shift-register dataflow as a row and as
-// lanes. Every other chain and GOARCH runs the pure-Go loops.
+// bit-identical to the Fig. 4 shift-register dataflow. Every other
+// chain and GOARCH runs the pure-Go lane loops.
 // Options.KernelWorkers sizes the pool per fuser (0 selects GOMAXPROCS, 1
 // runs fully sequential); farm streams set StreamConfig.KernelWorkers:
 //

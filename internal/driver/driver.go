@@ -54,11 +54,8 @@ type Config struct {
 	CmdQueueDepth int
 }
 
-// Errors returned by the device.
-var (
-	ErrClosed  = errors.New("driver: device closed")
-	ErrRowSize = errors.New("driver: row does not fit buffer area")
-)
+// ErrClosed is returned for a row or Close on a closed device.
+var ErrClosed = errors.New("driver: device closed")
 
 // Device is one open handle to the wavelet accelerator.
 type Device struct {
@@ -130,16 +127,11 @@ func (d *Device) cmdCost(mode hls.Mode, pairs, area int) sim.Time {
 // (hp, lp) pairs; unpacking them is host work charged to the CPU cursor.
 // A refused row (see checkRow) charges nothing.
 func (d *Device) ChargeForwardRow(m int) error {
-	in := 2*m + signal.TapCount
-	if err := d.checkRow(in, 2*m, d.eng.CheckForward(m)); err != nil {
+	if err := d.checkRow(d.eng.CheckForward(m)); err != nil {
 		return err
 	}
-	area := d.beginRow(in, hls.ModeForward, m)
-	ht, err := d.eng.ForwardTime(m)
-	if err != nil {
-		return err
-	}
-	d.endRow(area, ht, 2*m)
+	area := d.beginRow(2*m+signal.TapCount, hls.ModeForward, m)
+	d.endRow(area, d.eng.ForwardTime(m), 2*m)
 	d.chargeCPUWords(m)
 	return nil
 }
@@ -149,30 +141,22 @@ func (d *Device) ChargeForwardRow(m int) error {
 // interleaved (lo, hi) format is host work charged ahead of the copy-in,
 // and the row returns 2m samples. A refused row charges nothing.
 func (d *Device) ChargeInverseRow(m int) error {
-	pairs := m + signal.SynthesisPad
-	if err := d.checkRow(2*pairs, 2*m, d.eng.CheckInverse(m)); err != nil {
+	if err := d.checkRow(d.eng.CheckInverse(m)); err != nil {
 		return err
 	}
+	pairs := m + signal.SynthesisPad
 	d.chargeCPUWords(pairs)
 	area := d.beginRow(2*pairs, hls.ModeInverse, m)
-	ht, err := d.eng.InverseTime(m)
-	if err != nil {
-		return err
-	}
-	d.endRow(area, ht, 2*m)
+	d.endRow(area, d.eng.InverseTime(m), 2*m)
 	return nil
 }
 
-// checkRow refuses a row of in input and out output words before any of
-// it is charged: on a closed device (ErrClosed), when it does not fit a
-// buffer area (ErrRowSize), and then with engineErr, the wave engine's
-// own check of the row.
-func (d *Device) checkRow(in, out int, engineErr error) error {
+// checkRow refuses a row before any of it is charged: on a closed device
+// (ErrClosed), and then with engineErr, the wave engine's check of the
+// row, which owns the buffer-area bound (hls.ErrRowTooWide).
+func (d *Device) checkRow(engineErr error) error {
 	if d.closed {
 		return ErrClosed
-	}
-	if in > hls.BRAMArea || out > hls.BRAMArea {
-		return fmt.Errorf("%w: in=%d out=%d", ErrRowSize, in, out)
 	}
 	return engineErr
 }

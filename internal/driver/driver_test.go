@@ -202,8 +202,9 @@ func TestRefusedRowsChargeNothing(t *testing.T) {
 
 func TestRowTooWideRejected(t *testing.T) {
 	d := openDevice(t, true)
-	// An output of 2*BRAMArea words cannot fit an area.
-	if err := d.ChargeForwardRow(hls.BRAMArea); !errors.Is(err, ErrRowSize) {
+	// An output of 2*BRAMArea words cannot fit an area: the wave engine's
+	// check refuses it.
+	if err := d.ChargeForwardRow(hls.BRAMArea); !errors.Is(err, hls.ErrRowTooWide) {
 		t.Errorf("oversized row: %v", err)
 	}
 }

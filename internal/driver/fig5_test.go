@@ -14,8 +14,8 @@ import (
 )
 
 // stagingDevice is the Fig. 5 driver written as the kernel module stages
-// a row: the checks of the request (an open handle, a row that fits an
-// area, then the engine's own check), the pack into Fig. 4's interleaved
+// a row: the checks of the request (an open handle, then the engine's
+// own check, which holds the area bound), the pack into Fig. 4's interleaved
 // format (inverse rows), the ioctls that set the read and write offsets
 // of the row's area in the kmalloc'd buffer, the copy into the area, the
 // command at the read offset, the hardware run (timed by the engine's
@@ -98,11 +98,10 @@ func (d *stagingDevice) cmdCost(mode hls.Mode, pairs int) sim.Time {
 }
 
 func (d *stagingDevice) ChargeForwardRow(m int) error {
-	in := 2*m + signal.TapCount
-	if err := d.check(in, 2*m, d.eng.CheckForward(m)); err != nil {
+	if err := d.check(d.eng.CheckForward(m)); err != nil {
 		return err
 	}
-	if err := d.runRow(in, 2*m, hls.ModeForward, m); err != nil {
+	if err := d.runRow(2*m+signal.TapCount, 2*m, hls.ModeForward, m); err != nil {
 		return err
 	}
 	d.chargeCPUWords(m) // unpack the (hp, lp) pairs
@@ -110,23 +109,19 @@ func (d *stagingDevice) ChargeForwardRow(m int) error {
 }
 
 func (d *stagingDevice) ChargeInverseRow(m int) error {
-	pairs := m + signal.SynthesisPad
-	if err := d.check(2*pairs, 2*m, d.eng.CheckInverse(m)); err != nil {
+	if err := d.check(d.eng.CheckInverse(m)); err != nil {
 		return err
 	}
+	pairs := m + signal.SynthesisPad
 	d.chargeCPUWords(pairs) // pack the (lo, hi) pairs
 	return d.runRow(2*pairs, 2*m, hls.ModeInverse, m)
 }
 
 // check refuses a request before the module stages any of it: on a
-// closed handle, for a row of in input or out output words that does not
-// fit an area, and then with the engine's own check of the row.
-func (d *stagingDevice) check(in, out int, engineErr error) error {
+// closed handle, and then with the engine's own check of the row.
+func (d *stagingDevice) check(engineErr error) error {
 	if d.closed {
 		return ErrClosed
-	}
-	if in > hls.BRAMArea || out > hls.BRAMArea {
-		return fmt.Errorf("%w: in=%d out=%d", ErrRowSize, in, out)
 	}
 	return engineErr
 }
@@ -154,14 +149,10 @@ func (d *stagingDevice) runRow(in, out int, mode hls.Mode, m int) error {
 	d.CPUBusy += cc
 
 	var ht sim.Time
-	var err error
 	if mode == hls.ModeForward {
-		ht, err = d.eng.ForwardTime(m)
+		ht = d.eng.ForwardTime(m)
 	} else {
-		ht, err = d.eng.InverseTime(m)
-	}
-	if err != nil {
-		return err
+		ht = d.eng.InverseTime(m)
 	}
 	hwStart := maxTime(d.hwFree, d.cpu)
 	hwEnd := hwStart + ht

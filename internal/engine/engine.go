@@ -11,9 +11,10 @@ import (
 // FPGA and the adaptive engine) charges its rows without data, and the
 // wavelet layer computes each row on the chain its charge returns; its
 // Analyze and Synthesize are that charge plus kernels.AnalyzeRow or
-// SynthesizeRow. The emulated NEON unit computes and charges its rows
-// one by one through Analyze and Synthesize. Engines are not safe for
-// concurrent use.
+// SynthesizeRow, the same lanes the tiled row passes run, over one row.
+// The emulated NEON unit computes and charges its rows one by one
+// through Analyze and Synthesize. Engines are not safe for concurrent
+// use.
 type Engine interface {
 	signal.Kernel
 	// Name returns "arm", "neon" or "fpga".

@@ -20,8 +20,8 @@ import (
 // (tree or level changes), and that reload time is charged to the host.
 // A row is charged without data (kernels.TileKernel: the reload, the
 // driver's checks, timeline steps and counters) and computed on the wave
-// engine's chain, kernels.ChainWaveEngine: by the wavelet layer's tiled
-// passes as lanes, or by Analyze and Synthesize as one row.
+// engine's chain, kernels.ChainWaveEngine, as lanes: by the wavelet
+// layer's tiled passes, or by Analyze and Synthesize over one row.
 type FPGA struct {
 	ps    sim.Clock
 	op    dvfs.OperatingPoint

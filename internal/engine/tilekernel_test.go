@@ -169,43 +169,24 @@ func TestTileKernelReplayMatchesSequential(t *testing.T) {
 	}
 }
 
-// analyzeRowLanes computes one analysis row on chain c through the lane
-// kernels. Tap k of output i reads px[2i+k], which is element i+k/2 of
-// px's even (k even) or odd (k odd) phase, so tap k's row is a slice of
-// one phase. The body outputs and the m%4 tail run as separate calls.
+// analyzeRowLanes computes one analysis row on chain c as the tiled
+// horizontal pass does, through the lane kernels over the padded row's
+// whole even and odd phases (kernels.AnalyzeRowLanes).
 func analyzeRowLanes(c kernels.Chain, al, ah *signal.Taps, px, lo, hi []float32) {
 	m := len(lo)
-	var phases [2][]float32
-	for i, v := range px {
-		phases[i%2] = append(phases[i%2], v)
-	}
-	b := m - m%4
-	var body, tail kernels.AnalysisRows
-	for k := range body {
-		body[k] = phases[k%2][k/2 : k/2+m]
-		tail[k] = body[k][b:]
-	}
-	kernels.AnalyzeOpLanes(c.AnalysisOp(0, m), al, ah, &body, lo[:b], hi[:b])
-	kernels.AnalyzeOpLanes(c.AnalysisOp(b, m), al, ah, &tail, lo[b:], hi[b:])
+	even, odd := make([]float32, m+signal.TapCount/2), make([]float32, m+signal.TapCount/2)
+	kernels.Deinterleave(px, even, odd)
+	kernels.AnalyzeRowLanes(c, al, ah, even, odd, lo, hi, 0, m)
 }
 
-// synthesizeRowLanes computes one synthesis row on chain c through the
-// lane kernels: window row j of pair i is coefficient i+j of each padded
-// subband.
+// synthesizeRowLanes computes one synthesis row on chain c as the tiled
+// horizontal pass does, through the lane kernels over the whole padded
+// subbands (kernels.SynthesizeRowLanes).
 func synthesizeRowLanes(c kernels.Chain, sl, sh *signal.Taps, plo, phi, out []float32) {
 	m := len(out) / 2
-	b := m - m%4
-	var wl, wh, tl, th kernels.SynthesisRows
-	for j := range wl {
-		wl[j], wh[j] = plo[j:j+m], phi[j:j+m]
-		tl[j], th[j] = wl[j][b:], wh[j][b:]
-	}
 	even, odd := make([]float32, m), make([]float32, m)
-	kernels.SynthesizeOpLanes(c.SynthesisOp(0, m), sl, sh, &wl, &wh, even[:b], odd[:b])
-	kernels.SynthesizeOpLanes(c.SynthesisOp(b, m), sl, sh, &tl, &th, even[b:], odd[b:])
-	for i := range even {
-		out[2*i], out[2*i+1] = even[i], odd[i]
-	}
+	kernels.SynthesizeRowLanes(c, sl, sh, plo, phi, even, odd, 0, m)
+	kernels.Interleave(out, even, odd)
 }
 
 func cyclesOf(t *testing.T, k signal.Kernel) float64 {

@@ -8,20 +8,22 @@
 //
 // The model is timing-accurate at the transaction level (II=1 pipeline,
 // non-overlapped memcpys, burst costs from the axi package) and moves no
-// data. ForwardTime and InverseTime run one row's checks, counters and
-// PL busy time; Fig. 4's interleaved buffer formats are timed (their word
-// counts set the memcpy costs) but not built. The datapath's arithmetic
-// is kernels.ChainWaveEngine, which the callers compute each row on: the
-// analysis chain is mul-first (c0*x0, then + ck*xk), so it equals the
-// scalar reference except possibly in the sign of a zero sum, and the
-// synthesis chain is the reference's pair chain. fig4_test.go pins that
-// chain, as a row and as lanes, against the Fig. 4 shift-register
-// dataflow bit for bit. The engine alone tracks which filters are
-// resident: UseAnalysis and UseSynthesis reload them only on a change,
-// writing each coefficient's IEEE-754 word to the register file. Each
-// row command writes its mode, pair count and buffer-area offset to the
-// AXI4-Lite registers, and a finished row raises the done flag in
-// RegStatus.
+// data. CheckForward and CheckInverse refuse a row the engine cannot run,
+// the buffer-area bound included, and ForwardTime and InverseTime run a
+// checked row's counters and PL busy time; Fig. 4's interleaved buffer
+// formats are timed (their word counts set the memcpy costs) but not
+// built. The datapath's arithmetic is kernels.ChainWaveEngine, which the
+// callers compute each row on: the analysis chain is mul-first (c0*x0,
+// then + ck*xk), so it equals the scalar reference except possibly in the
+// sign of a zero sum, and the synthesis chain is the reference's pair
+// chain. fig4_test.go pins that chain's lanes, as the FPGA engine's
+// Analyze and Synthesize run them (kernels.AnalyzeRow, SynthesizeRow) and
+// as the tiled row passes do, against the Fig. 4 shift-register dataflow
+// bit for bit. The engine alone tracks which filters are resident:
+// UseAnalysis and UseSynthesis reload them only on a change, writing each
+// coefficient's IEEE-754 word to the register file. Each row command
+// writes its mode, pair count and buffer-area offset to the AXI4-Lite
+// registers, and a finished row raises the done flag in RegStatus.
 package hls
 
 import (
@@ -134,40 +136,37 @@ func (e *WaveEngine) UseSynthesis(sl, sh *signal.Taps) sim.Time {
 }
 
 // ForwardTime runs one analysis row (mode 2) of m output pairs in time:
-// its checks (CheckForward), row counter and done flag, and its PL busy
-// time — input memcpy of 2*m+12 samples, pipeline, output memcpy of 2*m
-// words (the Fig. 4 engine writes the outputs interleaved, highpass
-// first), which the synthesized engine does not overlap. The caller
-// computes the row's outputs on kernels.ChainWaveEngine with the resident
-// analysis filters.
-func (e *WaveEngine) ForwardTime(m int) (sim.Time, error) {
-	if err := e.CheckForward(m); err != nil {
-		return 0, err
-	}
+// its row counter and done flag, and its PL busy time — input memcpy of
+// 2*m+12 samples, pipeline, output memcpy of 2*m words (the Fig. 4
+// engine writes the outputs interleaved, highpass first), which the
+// synthesized engine does not overlap. The caller has checked the row
+// (CheckForward) and computes its outputs on kernels.ChainWaveEngine
+// with the resident analysis filters.
+func (e *WaveEngine) ForwardTime(m int) sim.Time {
 	e.ForwardRows++
-	return e.finishRow(e.rowTime(2*m+signal.TapCount, m+6, 2*m)), nil
+	return e.finishRow(e.rowTime(2*m+signal.TapCount, m+6, 2*m))
 }
 
 // InverseTime is ForwardTime for one synthesis row (mode 3) of m
-// coefficient pairs: the Fig. 4 engine reads m+5 padded (lo, hi) pairs,
-// 2*m+10 words, and writes 2*m samples.
-func (e *WaveEngine) InverseTime(m int) (sim.Time, error) {
-	if err := e.CheckInverse(m); err != nil {
-		return 0, err
-	}
+// coefficient pairs that CheckInverse accepted: the Fig. 4 engine reads
+// m+5 padded (lo, hi) pairs, 2*m+10 words, and writes 2*m samples.
+func (e *WaveEngine) InverseTime(m int) sim.Time {
 	e.InverseRows++
 	pairs := m + signal.SynthesisPad
-	return e.finishRow(e.rowTime(2*pairs, pairs, 2*m)), nil
+	return e.finishRow(e.rowTime(2*pairs, pairs, 2*m))
 }
 
-// CheckForward returns the error ForwardTime(m) refuses the row with, or
-// nil, and changes nothing: a caller checks a row before charging any of
-// its host work.
+// CheckForward returns the error the engine refuses an analysis row of m
+// output pairs with, or nil, and changes nothing: no filters loaded
+// (ErrNoCoeffs), no outputs (ErrWidthTooSmall), or an input or output
+// that does not fit a buffer area (ErrRowTooWide). A caller checks a row
+// before charging any of its host work or timing it.
 func (e *WaveEngine) CheckForward(m int) error {
 	return e.checkRow(m, 2*m+signal.TapCount)
 }
 
-// CheckInverse is CheckForward for InverseTime.
+// CheckInverse is CheckForward for a synthesis row of m coefficient
+// pairs.
 func (e *WaveEngine) CheckInverse(m int) error {
 	return e.checkRow(m, 2*(m+signal.SynthesisPad))
 }

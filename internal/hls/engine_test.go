@@ -27,23 +27,25 @@ func loadDefault(t *testing.T, e *WaveEngine) *wavelet.Bank {
 }
 
 // forwardRow runs one analysis row as the engine's callers do: the
-// engine's time-only row, then the row's outputs on the engine's chain
-// with the resident filters.
+// engine's check, its time-only row, then the row's outputs on the
+// engine's chain with the resident filters.
 func forwardRow(e *WaveEngine, px, lo, hi []float32) (sim.Time, error) {
-	t, err := e.ForwardTime(len(lo))
-	if err == nil {
-		kernels.AnalyzeRow(kernels.ChainWaveEngine, &e.analysisLP, &e.analysisHP, px, lo, hi)
+	if err := e.CheckForward(len(lo)); err != nil {
+		return 0, err
 	}
-	return t, err
+	t := e.ForwardTime(len(lo))
+	kernels.AnalyzeRow(kernels.ChainWaveEngine, &e.analysisLP, &e.analysisHP, px, lo, hi)
+	return t, nil
 }
 
 // inverseRow is forwardRow for a synthesis row.
 func inverseRow(e *WaveEngine, plo, phi, out []float32) (sim.Time, error) {
-	t, err := e.InverseTime(len(out) / 2)
-	if err == nil {
-		kernels.SynthesizeRow(kernels.ChainWaveEngine, &e.synthLP, &e.synthHP, plo, phi, out)
+	if err := e.CheckInverse(len(out) / 2); err != nil {
+		return 0, err
 	}
-	return t, err
+	t := e.InverseTime(len(out) / 2)
+	kernels.SynthesizeRow(kernels.ChainWaveEngine, &e.synthLP, &e.synthHP, plo, phi, out)
+	return t, nil
 }
 
 // TestForwardBitExactAgainstReference holds the engine's analysis chain
@@ -102,8 +104,8 @@ func TestInverseBitExactAgainstReference(t *testing.T) {
 
 func TestEngineRequiresCoefficients(t *testing.T) {
 	e := newEngine()
-	if _, err := e.ForwardTime(4); !errors.Is(err, ErrNoCoeffs) {
-		t.Errorf("ForwardTime without coeffs: %v, want ErrNoCoeffs", err)
+	if err := e.CheckForward(4); !errors.Is(err, ErrNoCoeffs) {
+		t.Errorf("CheckForward without coeffs: %v, want ErrNoCoeffs", err)
 	}
 }
 
@@ -111,26 +113,26 @@ func TestEngineRejectsOversizedRows(t *testing.T) {
 	e := newEngine()
 	loadDefault(t, e)
 	m := (BRAMArea - signal.TapCount) / 2 // largest legal input
-	if _, err := e.ForwardTime(m); err != nil {
+	if err := e.CheckForward(m); err != nil {
 		t.Errorf("row of %d words should fit: %v", 2*m+signal.TapCount, err)
 	}
 	m = BRAMArea / 2 // output 2m == BRAMArea fits, input 2m+12 does not
-	if _, err := e.ForwardTime(m); !errors.Is(err, ErrRowTooWide) {
+	if err := e.CheckForward(m); !errors.Is(err, ErrRowTooWide) {
 		t.Errorf("oversized row: %v, want ErrRowTooWide", err)
 	}
 }
 
 // TestEngineRejectsBadLengths pins the width check: a row of no or a
-// negative number of output pairs is refused in either mode, and counts
-// no row.
+// negative number of output pairs is refused in either mode, and the
+// check counts no row.
 func TestEngineRejectsBadLengths(t *testing.T) {
 	e := newEngine()
 	loadDefault(t, e)
 	for _, m := range []int{0, -1} {
-		if _, err := e.ForwardTime(m); !errors.Is(err, ErrWidthTooSmall) {
+		if err := e.CheckForward(m); !errors.Is(err, ErrWidthTooSmall) {
 			t.Errorf("forward width %d: %v, want ErrWidthTooSmall", m, err)
 		}
-		if _, err := e.InverseTime(m); !errors.Is(err, ErrWidthTooSmall) {
+		if err := e.CheckInverse(m); !errors.Is(err, ErrWidthTooSmall) {
 			t.Errorf("inverse width %d: %v, want ErrWidthTooSmall", m, err)
 		}
 	}
@@ -146,10 +148,7 @@ func TestRowTimeComponents(t *testing.T) {
 	loadDefault(t, e)
 	m := 44
 	acpBefore := *e.ACP
-	got, err := e.ForwardTime(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := e.ForwardTime(m)
 	pl := zynq.PL()
 	fresh := axi.NewACP(pl)
 	want := fresh.Transfer(2*m+signal.TapCount) + pl.Cycles(int64(m+6+PipelineDepth)) + fresh.Transfer(2*m)
@@ -167,11 +166,7 @@ func TestPipelineIsIIOne(t *testing.T) {
 	e := newEngine()
 	loadDefault(t, e)
 	run := func(m int) sim.Time {
-		tm, err := e.ForwardTime(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tm
+		return e.ForwardTime(m)
 	}
 	t1 := run(100)
 	t2 := run(200)

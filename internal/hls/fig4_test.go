@@ -13,9 +13,10 @@ import (
 // The Fig. 4 dataflow as the synthesized engine runs it, one output per
 // shift-register step, on its interleaved buffer formats: the oracle the
 // engine's arithmetic, kernels.ChainWaveEngine, is pinned against bit for
-// bit, both as a row (AnalyzeRow, SynthesizeRow: what the FPGA engine's
-// Analyze and Synthesize compute) and as the row-layout lanes the tiled
-// horizontal passes compute. fig4Forward writes buff_out as (hp, lp)
+// bit, both as a row (AnalyzeRow, SynthesizeRow: the row-layout lanes a
+// chunk at a time, what the FPGA engine's Analyze and Synthesize compute)
+// and as the tiled horizontal passes call those lanes, over the whole
+// row. fig4Forward writes buff_out as (hp, lp)
 // pairs through the analysis filters al and ah; fig4Inverse reads
 // (lo, hi) pairs through the synthesis filters sl and sh.
 
@@ -139,50 +140,22 @@ func fig4Value(rng *rand.Rand, fill int) float32 {
 }
 
 // forwardLanes computes an analysis row on chain c as the tiled
-// horizontal pass (wavelet's fwdRowsTask) does, one lane per output: tap
-// k's lane row is the m-sample slice of the padded row's even (k even)
-// or odd (k odd) phase from k/2 on, and when the chain switches lane
-// chain for the last m%4 outputs, those run as a second lane call.
+// horizontal pass (wavelet's fwdRowsTask) does: the padded row's even
+// and odd phases whole, one lane per output (kernels.AnalyzeRowLanes).
 func forwardLanes(c kernels.Chain, al, ah *signal.Taps, px, lo, hi []float32) {
 	m := len(lo)
 	even, odd := make([]float32, m+signal.TapCount/2), make([]float32, m+signal.TapCount/2)
 	kernels.Deinterleave(px, even, odd)
-	b := m - m%4
-	var body, tail kernels.AnalysisRows
-	for k := range body {
-		phase := even
-		if k%2 == 1 {
-			phase = odd
-		}
-		body[k] = phase[k/2 : k/2+m]
-		tail[k] = body[k][b:]
-	}
-	if op, tailOp := c.AnalysisOp(0, m), c.AnalysisOp(m-1, m); op == tailOp {
-		kernels.AnalyzeOpLanes(op, al, ah, &body, lo, hi)
-	} else {
-		kernels.AnalyzeOpLanes(op, al, ah, &body, lo[:b], hi[:b])
-		kernels.AnalyzeOpLanes(tailOp, al, ah, &tail, lo[b:], hi[b:])
-	}
+	kernels.AnalyzeRowLanes(c, al, ah, even, odd, lo, hi, 0, m)
 }
 
 // inverseLanes is forwardLanes for a synthesis row, as wavelet's
-// invRowsTask computes it: window row j of pair i is coefficient i+j of
-// each padded subband, and out receives the pairs interleaved.
+// invRowsTask computes it from the whole padded subbands, and out
+// receives the pairs interleaved.
 func inverseLanes(c kernels.Chain, sl, sh *signal.Taps, plo, phi, out []float32) {
 	m := len(out) / 2
-	b := m - m%4
-	var wl, wh, tl, th kernels.SynthesisRows
-	for j := range wl {
-		wl[j], wh[j] = plo[j:j+m], phi[j:j+m]
-		tl[j], th[j] = wl[j][b:], wh[j][b:]
-	}
 	even, odd := make([]float32, m), make([]float32, m)
-	if op, tailOp := c.SynthesisOp(0, m), c.SynthesisOp(m-1, m); op == tailOp {
-		kernels.SynthesizeOpLanes(op, sl, sh, &wl, &wh, even, odd)
-	} else {
-		kernels.SynthesizeOpLanes(op, sl, sh, &wl, &wh, even[:b], odd[:b])
-		kernels.SynthesizeOpLanes(tailOp, sl, sh, &tl, &th, even[b:], odd[b:])
-	}
+	kernels.SynthesizeRowLanes(c, sl, sh, plo, phi, even, odd, 0, m)
 	kernels.Interleave(out, even, odd)
 }
 

@@ -9,32 +9,33 @@
 // binding constraint on fleet-scale benches. This package removes that
 // constraint twice over:
 //
-//   - Row and lane kernels under one Chain (chain.go): an engine's
-//     1-D arithmetic is a Chain, which names the lane chain (Op) each
+//   - One form per lane chain (chain.go, lanes.go): an engine's 1-D
+//     arithmetic is a Chain, which names the lane chain (Op) each
 //     output of a row runs — mul-first, zero-start, four partial sums
-//     or the synthesis pair chain. Each Op has one row loop. The two
-//     reference chains (zero-start analysis, pair synthesis) run
-//     signal.AnalyzeRef and SynthesizeRef themselves, the one scalar
-//     form of the reference; the emulated NEON unit's chains run
-//     bounds-check-eliminated, bit-identical re-implementations of its
-//     loops (neonfast.go, verified with -gcflags=-d=ssa/check_bce),
-//     performing every floating-point operation in the same order and
-//     association. AnalyzeRow/SynthesizeRow run a row on its chain's
-//     loops. The NEON instruction ledger the cycle model reads is
-//     applied in closed form (CountsAnalyze/CountsSynthesize), pinned
-//     against the emulation by tests. Each Op also has a lane form
-//     (lanes.go), the same chain re-arranged so SIMD runs across
-//     outputs: one lane per column for the vertical passes, reading
-//     source rows in place, and one lane per output of a row for the
+//     or the synthesis pair chain. Each Op has one implementation, its
+//     lane loop (lanes.go): many independent outputs at once, SIMD
+//     across them, each performing its scalar oracle's floating-point
+//     operations in the same order and association — the emulated NEON
+//     unit's (internal/neon) or the reference's (signal.AnalyzeRef,
+//     SynthesizeRef), both kept as test oracles only. Two layouts feed
+//     the lanes: one lane per column for the vertical passes, reading
+//     source rows in place (AnalyzeOpLanes and SynthesizeOpLanes
+//     dispatch an Op), and one lane per output of a row for the
 //     horizontal passes, reading the row's two polyphase components
-//     (PadPeriodicPhases); AnalyzeOpLanes and SynthesizeOpLanes
-//     dispatch them. On amd64 two chains run as
-//     assembly, AVX where the CPU and OS support it (SIMD names the
-//     path) and SSE otherwise: the mul-first chain (the NEON analysis
-//     and synthesis bodies and the FPGA wave engine's analysis,
-//     ChainWaveEngine) and the reference synthesis pair chain (the
-//     reference's synthesis and the wave engine's). Each lane keeps its
-//     row loop's operation order, so rows and lanes are bit-identical.
+//     (PadPeriodicPhases) or its padded subbands (AnalyzeRowLanes and
+//     SynthesizeRowLanes run a row's Chain, its body and its m%4 tail,
+//     TailStart). AnalyzeRow and SynthesizeRow compute a whole 1-D row
+//     in that row layout, a chunk at a time on the stack. On amd64 two
+//     chains run as assembly, AVX where the CPU and OS support it (SIMD
+//     names the path) and SSE otherwise: the mul-first chain (the NEON
+//     analysis and synthesis bodies and the FPGA wave engine's
+//     analysis, ChainWaveEngine) and the reference synthesis pair chain
+//     (the reference's synthesis and the wave engine's). Every loop is
+//     written so the compiler proves its bounds (verified with
+//     -gcflags=-d=ssa/check_bce). The NEON instruction ledger the cycle
+//     model reads is applied in closed form
+//     (CountsAnalyze/CountsSynthesize), pinned against the emulation by
+//     tests.
 //
 //   - Packed per-element kernels (pixels.go): the max-magnitude quad
 //     rule, the synthesis pair store (Interleave), the phase split

@@ -47,88 +47,144 @@ func bitsEqual(t *testing.T, name string, got, want []float32) {
 	}
 }
 
-var kernelSizes = []int{1, 2, 3, 4, 5, 7, 8, 11, 16, 17, 23, 31, 32, 40, 61, 97, 240, 960}
+// kernelSizes are the row widths the row tests run: below, at and past
+// one four-wide group, odd tails, a 1080p half-row, both sides of a
+// chunk seam, past two chunks, and a wide row with an m%4 tail.
+var kernelSizes = []int{1, 2, 3, 4, 5, 7, 8, 11, 16, 17, 23, 31, 32, 40, 61, 97, 240, 960,
+	rowChunk - 1, rowChunk, rowChunk + 1, 2*rowChunk + 3, 1021}
+
+// fillN returns n samples drawn from fill.
+func fillN(fill func() float32, n int) []float32 {
+	s := make([]float32, n)
+	for i := range s {
+		s[i] = fill()
+	}
+	return s
+}
+
+// The row tests draw their inputs from laneInputs in both flavours: seed
+// 4i gives zero taps over all-negative samples, where every product is
+// -0, so the mul-first chain yields -0 and the zero-start chain +0 and a
+// row that runs either chain where the other belongs fails; seed 4i+1
+// gives ordinary taps over samples mixing ±0, subnormals and ±Inf.
 
 func TestNeonAnalyzeMatchesEmulation(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
 	var u neon.Unit
-	for _, manual := range []bool{false, true} {
-		for _, m := range kernelSizes {
-			al, ah := testTaps(rng)
-			px := randSlice(rng, 2*m+signal.TapCount)
-			wantLo, wantHi := make([]float32, m), make([]float32, m)
-			if manual {
-				neon.AnalyzeManual(&u, &al, &ah, px, wantLo, wantHi)
-			} else {
-				neon.AnalyzeAuto(&u, &al, &ah, px, wantLo, wantHi)
+	for i, m := range kernelSizes {
+		for _, seed := range []int64{int64(4 * i), int64(4*i + 1)} {
+			al, ah, fill := laneInputs(seed)
+			px := fillN(fill, 2*m+signal.TapCount)
+			for _, manual := range []bool{false, true} {
+				wantLo, wantHi := make([]float32, m), make([]float32, m)
+				gotLo, gotHi := make([]float32, m), make([]float32, m)
+				if manual {
+					neon.AnalyzeManual(&u, &al, &ah, px, wantLo, wantHi)
+					AnalyzeRow(ChainNEONManual, &al, &ah, px, gotLo, gotHi)
+				} else {
+					neon.AnalyzeAuto(&u, &al, &ah, px, wantLo, wantHi)
+					NeonAnalyzeAuto(&al, &ah, px, gotLo, gotHi)
+				}
+				name := fmt.Sprintf("seed=%d manual=%v m=%d", seed, manual, m)
+				bitsEqual(t, name+" lo", gotLo, wantLo)
+				bitsEqual(t, name+" hi", gotHi, wantHi)
 			}
-			gotLo, gotHi := make([]float32, m), make([]float32, m)
-			if manual {
-				AnalyzeRow(ChainNEONManual, &al, &ah, px, gotLo, gotHi)
-			} else {
-				NeonAnalyzeAuto(&al, &ah, px, gotLo, gotHi)
-			}
-			bitsEqual(t, "lo", gotLo, wantLo)
-			bitsEqual(t, "hi", gotHi, wantHi)
 		}
 	}
 }
 
 func TestNeonSynthesizeMatchesEmulation(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
 	var u neon.Unit
-	for _, m := range kernelSizes {
-		sl, sh := testTaps(rng)
-		plo := randSlice(rng, m+signal.SynthesisPad)
-		phi := randSlice(rng, m+signal.SynthesisPad)
-		want := make([]float32, 2*m)
-		neon.SynthesizeAuto(&u, &sl, &sh, plo, phi, want)
-		got := make([]float32, 2*m)
-		NeonSynthesize(&sl, &sh, plo, phi, got)
-		bitsEqual(t, "out", got, want)
+	for i, m := range kernelSizes {
+		for _, seed := range []int64{int64(4 * i), int64(4*i + 1)} {
+			sl, sh, fill := laneInputs(seed)
+			plo := fillN(fill, m+signal.SynthesisPad)
+			phi := fillN(fill, m+signal.SynthesisPad)
+			want := make([]float32, 2*m)
+			neon.SynthesizeAuto(&u, &sl, &sh, plo, phi, want)
+			got := make([]float32, 2*m)
+			NeonSynthesize(&sl, &sh, plo, phi, got)
+			bitsEqual(t, fmt.Sprintf("seed=%d m=%d out", seed, m), got, want)
+		}
 	}
 }
 
-// FuzzKernelEquivalence drives all fast kernels against their emulated
-// and reference originals on fuzz-chosen sizes and data.
+// FuzzKernelEquivalence holds the rows of the NEON and reference chains
+// to the emulated NEON unit and signal's scalar reference on
+// fuzz-chosen widths, up to three chunks, and data, in both flavours.
+// The last two seeds run past one and two chunk seams, with an m%4 tail
+// that starts inside the last chunk.
 func FuzzKernelEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(7))
-	f.Add(int64(99), uint8(240))
-	f.Fuzz(func(t *testing.T, seed int64, mRaw uint8) {
-		m := int(mRaw)%64 + 1
-		rng := rand.New(rand.NewSource(seed))
-		al, ah := testTaps(rng)
-		px := randSlice(rng, 2*m+signal.TapCount)
-		wantLo, wantHi := make([]float32, m), make([]float32, m)
-		gotLo, gotHi := make([]float32, m), make([]float32, m)
-
-		signal.AnalyzeRef(&al, &ah, px, wantLo, wantHi)
-		AnalyzeRow(ChainRef, &al, &ah, px, gotLo, gotHi)
-		bitsEqual(t, "ref lo", gotLo, wantLo)
-		bitsEqual(t, "ref hi", gotHi, wantHi)
-
-		var u neon.Unit
-		neon.AnalyzeAuto(&u, &al, &ah, px, wantLo, wantHi)
-		NeonAnalyzeAuto(&al, &ah, px, gotLo, gotHi)
-		bitsEqual(t, "auto lo", gotLo, wantLo)
-		bitsEqual(t, "auto hi", gotHi, wantHi)
-
-		neon.AnalyzeManual(&u, &al, &ah, px, wantLo, wantHi)
-		AnalyzeRow(ChainNEONManual, &al, &ah, px, gotLo, gotHi)
-		bitsEqual(t, "manual lo", gotLo, wantLo)
-		bitsEqual(t, "manual hi", gotHi, wantHi)
-
-		plo := randSlice(rng, m+signal.SynthesisPad)
-		phi := randSlice(rng, m+signal.SynthesisPad)
-		want := make([]float32, 2*m)
-		got := make([]float32, 2*m)
-		signal.SynthesizeRef(&al, &ah, plo, phi, want)
-		SynthesizeRow(ChainRef, &al, &ah, plo, phi, got)
-		bitsEqual(t, "ref syn", got, want)
-		neon.SynthesizeAuto(&u, &al, &ah, plo, phi, want)
-		NeonSynthesize(&al, &ah, plo, phi, got)
-		bitsEqual(t, "neon syn", got, want)
+	f.Add(int64(1), uint16(7))
+	f.Add(int64(99), uint16(240))
+	f.Add(int64(5), uint16(rowChunk+6))
+	f.Add(int64(8), uint16(2*rowChunk+6))
+	f.Fuzz(func(t *testing.T, seed int64, mRaw uint16) {
+		m := int(mRaw)%(3*rowChunk) + 1
+		checkKernelEquivalence(t, 4*seed, m)
+		checkKernelEquivalence(t, 4*seed+1, m)
 	})
+}
+
+// checkKernelEquivalence compares every row chain with an oracle at
+// width m: ChainRef's rows with signal.AnalyzeRef and SynthesizeRef, the
+// NEON chains' with the emulated unit.
+func checkKernelEquivalence(t *testing.T, seed int64, m int) {
+	t.Helper()
+	al, ah, fill := laneInputs(seed)
+	px := fillN(fill, 2*m+signal.TapCount)
+	wantLo, wantHi := make([]float32, m), make([]float32, m)
+	gotLo, gotHi := make([]float32, m), make([]float32, m)
+	name := fmt.Sprintf("seed=%d m=%d", seed, m)
+
+	signal.AnalyzeRef(&al, &ah, px, wantLo, wantHi)
+	AnalyzeRow(ChainRef, &al, &ah, px, gotLo, gotHi)
+	bitsEqual(t, name+" ref lo", gotLo, wantLo)
+	bitsEqual(t, name+" ref hi", gotHi, wantHi)
+
+	var u neon.Unit
+	neon.AnalyzeAuto(&u, &al, &ah, px, wantLo, wantHi)
+	NeonAnalyzeAuto(&al, &ah, px, gotLo, gotHi)
+	bitsEqual(t, name+" auto lo", gotLo, wantLo)
+	bitsEqual(t, name+" auto hi", gotHi, wantHi)
+
+	neon.AnalyzeManual(&u, &al, &ah, px, wantLo, wantHi)
+	AnalyzeRow(ChainNEONManual, &al, &ah, px, gotLo, gotHi)
+	bitsEqual(t, name+" manual lo", gotLo, wantLo)
+	bitsEqual(t, name+" manual hi", gotHi, wantHi)
+
+	plo := fillN(fill, m+signal.SynthesisPad)
+	phi := fillN(fill, m+signal.SynthesisPad)
+	want := make([]float32, 2*m)
+	got := make([]float32, 2*m)
+	signal.SynthesizeRef(&al, &ah, plo, phi, want)
+	SynthesizeRow(ChainRef, &al, &ah, plo, phi, got)
+	bitsEqual(t, name+" ref syn", got, want)
+	neon.SynthesizeAuto(&u, &al, &ah, plo, phi, want)
+	NeonSynthesize(&al, &ah, plo, phi, got)
+	bitsEqual(t, name+" neon syn", got, want)
+}
+
+// TestRowsAllocateNothing pins that a row stages its chunks on the
+// stack: AnalyzeRow and SynthesizeRow allocate nothing on any chain, at
+// widths on both sides of a chunk seam.
+func TestRowsAllocateNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	al, ah := testTaps(rng)
+	for _, c := range []Chain{ChainNEONAuto, ChainNEONManual, ChainRef, ChainWaveEngine} {
+		for _, m := range []int{1, 5, 160, rowChunk - 1, rowChunk, rowChunk + 1, 2*rowChunk + 3, 1000} {
+			px := randSlice(rng, 2*m+signal.TapCount)
+			lo, hi := make([]float32, m), make([]float32, m)
+			plo := randSlice(rng, m+signal.SynthesisPad)
+			phi := randSlice(rng, m+signal.SynthesisPad)
+			out := make([]float32, 2*m)
+			if n := testing.AllocsPerRun(5, func() { AnalyzeRow(c, &al, &ah, px, lo, hi) }); n != 0 {
+				t.Errorf("chain %d m=%d: AnalyzeRow allocates %v times", c, m, n)
+			}
+			if n := testing.AllocsPerRun(5, func() { SynthesizeRow(c, &al, &ah, plo, phi, out) }); n != 0 {
+				t.Errorf("chain %d m=%d: SynthesizeRow allocates %v times", c, m, n)
+			}
+		}
+	}
 }
 
 func TestCountsMatchEmulation(t *testing.T) {

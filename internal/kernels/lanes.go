@@ -21,27 +21,29 @@ import "zynqfusion/internal/signal"
 //     of the padded subband itself.
 //
 // Each lane performs exactly the operations, in exactly the order, that
-// the row loop of its lane chain (Op) performs for its output — the NEON
+// its lane chain (Op) performs for one output in the scalar oracles: the
+// emulated NEON unit (internal/neon) for the mul-first, partial-sum and
+// NEON zero-start chains, and signal.AnalyzeRef and SynthesizeRef for
+// the reference's zero-start analysis and pair synthesis. The NEON
 // chains switch Op at the remainder tail, so a row's Chain names the Op
 // at each position (chain.go), and a lane call runs one Op for every
-// lane. The row loops of the two reference chains, zero-start analysis
-// and pair synthesis, are signal.AnalyzeRef and SynthesizeRef
-// themselves; the others are the emulated NEON unit's (neonfast.go).
-// Outputs are therefore bit-identical to AnalyzeRow and SynthesizeRow
-// (pinned by TestLaneKernelsMatchColumns and FuzzLaneKernels, in both
-// layouts, for every Chain). The Go lane loops keep the statement shape
-// of their row loops so that arm64's FMA contraction treats both forms
-// alike, and put every slice length in the loop condition so the
-// check_bce lint stays clean. On amd64 two chains
-// run packed (lanes_amd64.s): the mul-first chain (the NEON auto
-// analysis body, the NEON synthesis body and the wave engine's analysis)
-// and the reference synthesis pair chain (the reference synthesis and
-// the wave engine's). Each runs
-// eight lanes per AVX VMULPS/VADDPS when a CPUID+XGETBV check at
-// start-up finds AVX, four lanes per SSE MULPS/ADDPS on amd64 hosts
-// without it, and the Go lane loop for the lanes left over. amd64 never
-// contracts a*b+c, so packed multiplies and adds issued in chain order
-// round exactly like the scalar code.
+// lane. These loops are each Op's only form in the package: a 1-D row
+// (AnalyzeRow, SynthesizeRow) runs them in the row layout. The rows are
+// pinned against the oracles in kernels_test.go, and the column layout
+// against the rows by TestLaneKernelsMatchColumns and FuzzLaneKernels,
+// for every Chain. The Go lane loops keep the oracles' statement shape
+// so that arm64's FMA contraction treats both alike, and put every slice
+// length in the loop condition so the check_bce lint stays clean.
+//
+// On amd64 two chains run packed (lanes_amd64.s): the mul-first chain
+// (the NEON auto analysis body, the NEON synthesis body and the wave
+// engine's analysis) and the reference synthesis pair chain (the
+// reference synthesis and the wave engine's). Each runs eight lanes per
+// AVX VMULPS/VADDPS when a CPUID+XGETBV check at start-up finds AVX,
+// four lanes per SSE MULPS/ADDPS on amd64 hosts without it, and the Go
+// lane loop for the lanes left over. amd64 never contracts a*b+c, so
+// packed multiplies and adds issued in chain order round exactly like
+// the scalar code.
 
 // AnalysisRows are the TapCount source rows an analysis lane call reads:
 // row k holds, per lane, the padded sample that lane's output reads under
@@ -74,8 +76,8 @@ func checkLanes(name string, rows [][]float32, a, b []float32) {
 
 // AnalyzeMulFirstLanes runs the mul-first analysis chain over len(lo)
 // lanes: per lane lo = al[0]*x0, then + al[k]*xk for taps 1..11, and hi
-// alike with ah — analyzeRowMulFirst's chain, at every lane whatever
-// its position.
+// alike with ah — the emulated NEON unit's four-wide body chain, at
+// every lane whatever its position.
 func AnalyzeMulFirstLanes(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32) {
 	checkLanes("kernels.AnalyzeMulFirstLanes", r[:], lo, hi)
 	rows := (*[signal.TapCount][]float32)(r)
@@ -84,8 +86,9 @@ func AnalyzeMulFirstLanes(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32
 	analyzeLanesMulFirst(al, ah, r, lo, hi, n)
 }
 
-// NeonAnalyzeManualLanes is the four-partial-sum row loop
-// (analyzeRowPartial4) over len(lo) lanes.
+// NeonAnalyzeManualLanes runs the four-partial-sum chain of
+// neon.AnalyzeManual over len(lo) lanes: per filter, partial sums over
+// taps k, k+4 and k+8, each mul-first, reduced as (l0+l2)+(l1+l3).
 func NeonAnalyzeManualLanes(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32) {
 	checkLanes("kernels.NeonAnalyzeManualLanes", r[:], lo, hi)
 	r0, r1, r2, r3, r4, r5 := r[0], r[1], r[2], r[3], r[4], r[5]
@@ -123,16 +126,15 @@ func NeonAnalyzeManualLanes(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float
 	}
 }
 
-// AnalyzeRefLanes is the zero-start row loop (signal.AnalyzeRef) over
-// len(lo) lanes: the reference chain, accumulating from zero in tap
-// order.
+// AnalyzeRefLanes runs signal.AnalyzeRef's chain over len(lo) lanes:
+// the reference chain, accumulating from zero in tap order.
 func AnalyzeRefLanes(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32) {
 	checkLanes("kernels.AnalyzeRefLanes", r[:], lo, hi)
 	analyzeLanesZero(al, ah, r, lo, hi)
 }
 
-// analyzeLanesMulFirst is analyzeRowMulFirst's chain per lane, for
-// lanes from on: al[0]*x0, then + al[k]*xk for taps 1..11.
+// analyzeLanesMulFirst is the mul-first chain per lane, for lanes from
+// on: al[0]*x0, then + al[k]*xk for taps 1..11.
 func analyzeLanesMulFirst(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32, from int) {
 	r0, r1, r2, r3, r4, r5 := r[0], r[1], r[2], r[3], r[4], r[5]
 	r6, r7, r8, r9, r10, r11 := r[6], r[7], r[8], r[9], r[10], r[11]
@@ -208,9 +210,9 @@ func analyzeLanesZero(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32) {
 	}
 }
 
-// synthesizeMulFirstLanes runs synthesizeRowMulFirst's chain over
-// len(even) lanes: wl and wh are the lowpass and highpass windows,
-// even and odd the pair's two outputs per lane.
+// synthesizeMulFirstLanes runs the emulated NEON synthesis body's
+// mul-first chains over len(even) lanes: wl and wh are the lowpass and
+// highpass windows, even and odd the pair's two outputs per lane.
 func synthesizeMulFirstLanes(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32) {
 	checkLanes("kernels.SynthesizeOpLanes", wl[:], even, odd)
 	checkLanes("kernels.SynthesizeOpLanes", wh[:], even, odd)
@@ -230,7 +232,7 @@ func synthesisChains(sl, sh *signal.Taps, wl, wh *SynthesisRows) (rows [signal.T
 	return rows, te, to
 }
 
-// SynthesizeRefLanes is the pair row loop (signal.SynthesizeRef) over
+// SynthesizeRefLanes runs signal.SynthesizeRef's pair chain over
 // len(even) lanes: the reference chain adding (sl*l + sh*h) as one term
 // per step, from zero.
 func SynthesizeRefLanes(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32) {
@@ -268,8 +270,9 @@ func synthesizeLanesRef(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []
 	}
 }
 
-// synthesizeLanesMulFirst is synthesizeRowMulFirst's chain per lane,
-// for lanes from on, in the body's statement order.
+// synthesizeLanesMulFirst is the NEON synthesis body's chain per lane,
+// for lanes from on, in the body's statement order: mul-first chains
+// interleaving sl-even, sl-odd, sh-even, sh-odd per window step.
 func synthesizeLanesMulFirst(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32, from int) {
 	l0, l1, l2, l3, l4, l5 := wl[0], wl[1], wl[2], wl[3], wl[4], wl[5]
 	h0, h1, h2, h3, h4, h5 := wh[0], wh[1], wh[2], wh[3], wh[4], wh[5]
@@ -305,8 +308,10 @@ func synthesizeLanesMulFirst(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, o
 	}
 }
 
-// synthesizeLanesZero is synthesizeRowZero's chain per lane: both
-// chains start from zero, in the tail's statement order.
+// synthesizeLanesZero is the NEON synthesis tail's chain per lane: both
+// chains start from zero, in the scalar remainder loop's statement order
+// (sl-even, sh-even, sl-odd, sh-odd per window step), which differs from
+// the body's interleave.
 func synthesizeLanesZero(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32) {
 	l0, l1, l2, l3, l4, l5 := wl[0], wl[1], wl[2], wl[3], wl[4], wl[5]
 	h0, h1, h2, h3, h4, h5 := wh[0], wh[1], wh[2], wh[3], wh[4], wh[5]

@@ -10,34 +10,35 @@ import (
 	"zynqfusion/internal/signal"
 )
 
-// These tests pin the lane kernels against the row kernels of every
-// Chain (AnalyzeRow, SynthesizeRow), in both layouts. Columns: run the
-// row kernel down each of W padded columns, then every lane form over the
-// rows those columns share must reproduce output pos of every column bit
-// for bit; lane counts 0..67 run every SIMD remainder. Row: run the row
-// kernel over one padded row, then every lane form over the row's phases
-// (analysis) or padded subbands (synthesis), one lane per output, body
-// and m%4 tail as separate calls, must reproduce the whole row. The
-// inputs mix ±0, subnormals and ±Inf with ordinary values, and a
-// zero-tap flavour over all-negative inputs makes the mul-first and
-// zero-start chains disagree in the sign of zero, so a lane or a row
-// that picks the wrong chain fails. The row loops themselves are pinned
-// against signal's reference and the emulated NEON unit in
-// kernels_test.go, and the wave engine's chain against the Fig. 4
-// dataflow in internal/hls.
+// These tests pin each Chain's lanes in the column layout against its
+// rows (AnalyzeRow, SynthesizeRow: the same lanes in the horizontal
+// passes' row layout, staged a chunk at a time), and the row layout
+// built whole against the rows. Columns: run the row down each of W
+// padded columns, then every lane form over the rows those columns
+// share must reproduce output pos of every column bit for bit; lane
+// counts 0..67 run every SIMD remainder. Row: run the row over one
+// padded row, then every lane form over the row's phases (analysis) or
+// padded subbands (synthesis), one lane per output, body and m%4 tail as
+// separate calls, must reproduce the whole row. The inputs mix ±0,
+// subnormals and ±Inf with ordinary values, and a zero-tap flavour over
+// all-negative inputs makes the mul-first and zero-start chains disagree
+// in the sign of zero, so a lane or a row that picks the wrong chain
+// fails. The rows themselves are pinned against signal's reference and
+// the emulated NEON unit in kernels_test.go, and the wave engine's chain
+// against the Fig. 4 dataflow in internal/hls.
 
-// laneChain pairs a row kernel with one lane form of it.
+// laneChain pairs a chain's rows with one column-layout lane form of it.
 type laneChain struct {
 	name string
-	// Exactly one of analyze/synthesize is set, with its row kernel.
+	// Exactly one of analyze/synthesize is set, with its row.
 	analyze    func(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32, pos, m int)
 	analyze1D  func(al, ah *signal.Taps, px, lo, hi []float32)
 	synthesize func(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32, pos, m int)
 	synth1D    func(sl, sh *signal.Taps, plo, phi, out []float32)
 }
 
-// chainAnalysis and chainSynthesis pair chain c's row kernel with its
-// lane form: the lane chain it runs at the call's position.
+// chainAnalysis and chainSynthesis pair chain c's rows with its lane
+// form: the lane chain it runs at the call's position.
 func chainAnalysis(name string, c Chain) laneChain {
 	return laneChain{name: name,
 		analyze: func(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32, pos, m int) {
@@ -60,7 +61,7 @@ var laneChains = []laneChain{
 	chainAnalysis("neon-auto", ChainNEONAuto),
 	{name: "neon-auto-go", analyze1D: NeonAnalyzeAuto,
 		analyze: func(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32, pos, m int) {
-			if pos >= m-m%4 {
+			if pos >= TailStart(m) {
 				analyzeLanesZero(al, ah, r, lo, hi)
 			} else {
 				analyzeLanesMulFirst(al, ah, r, lo, hi, 0)
@@ -72,7 +73,7 @@ var laneChains = []laneChain{
 	chainSynthesis("neon-manual-synth", ChainNEONManual),
 	{name: "neon-synth-go", synth1D: NeonSynthesize,
 		synthesize: func(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32, pos, m int) {
-			if pos >= m-m%4 {
+			if pos >= TailStart(m) {
 				synthesizeLanesZero(sl, sh, wl, wh, even, odd)
 			} else {
 				synthesizeLanesMulFirst(sl, sh, wl, wh, even, odd, 0)
@@ -116,8 +117,8 @@ func laneInputs(seed int64) (a, b signal.Taps, fill func() float32) {
 }
 
 // checkLaneChain runs chain c over lanes columns of an m-output column
-// (m pairs for synthesis) at position pos and compares with the row
-// kernel run down each column. It reports the first mismatch.
+// (m pairs for synthesis) at position pos and compares with the row run
+// down each column. It reports the first mismatch.
 func checkLaneChain(c laneChain, lanes, m, pos int, seed int64) error {
 	ta, tb, fill := laneInputs(seed)
 	if c.analyze != nil {
@@ -180,14 +181,14 @@ func checkLaneChain(c laneChain, lanes, m, pos int, seed int64) error {
 	return nil
 }
 
-// checkLaneRow runs chain c in the row layout over one m-output row (m
-// pairs for synthesis) and compares with the row kernel over the same
+// checkLaneRow runs chain c in the row layout over one whole m-output
+// row (m pairs for synthesis) and compares with the row over the same
 // padded row: analysis reads the phases PadPeriodicPhases builds from a
 // 2m-sample signal, synthesis window row j is coefficient j on of each
 // padded subband. It reports the first mismatch.
 func checkLaneRow(c laneChain, m int, seed int64) error {
 	ta, tb, fill := laneInputs(seed)
-	b := m - m%4
+	b := TailStart(m)
 	if c.analyze != nil {
 		x := make([]float32, 2*m)
 		for i := range x {
@@ -267,9 +268,10 @@ func TestLaneKernelsMatchColumns(t *testing.T) {
 				}
 			}
 		}
-		// Row layout: m below, at and past one SIMD group, odd tails, and
-		// the QVGA/VGA half-widths with and without a tail.
-		for _, m := range []int{1, 3, 4, 5, 8, 13, 160, 320, 321} {
+		// Row layout: m below, at and past one SIMD group, odd tails, the
+		// QVGA/VGA half-widths with and without a tail, and a tail that
+		// starts inside the rows' second chunk.
+		for _, m := range []int{1, 3, 4, 5, 8, 13, 160, 320, 321, rowChunk + 7} {
 			for seed := int64(0); seed < 4; seed++ {
 				if err := checkLaneRow(c, m, seed+int64(m)*4); err != nil {
 					t.Fatalf("%s row m=%d seed=%d: %v", c.name, m, seed+int64(m)*4, err)
@@ -315,10 +317,11 @@ func TestLaneKernelsRejectShortRows(t *testing.T) {
 	}
 }
 
-// FuzzLaneKernels drives the lane-vs-row equivalence over fuzz-chosen
-// chains and data: with the layout bit (chain8's top bit) clear, in the
-// column layout over fuzz-chosen lane counts and positions; with it set,
-// in the row layout over a fuzz-chosen row length.
+// FuzzLaneKernels drives the equivalence of each chain's layouts with
+// its rows over fuzz-chosen chains and data: with the layout bit
+// (chain8's top bit) clear, the column layout over fuzz-chosen lane
+// counts and positions; with it set, the row layout built whole over a
+// fuzz-chosen row length.
 func FuzzLaneKernels(f *testing.F) {
 	f.Add(uint8(67), uint8(0), uint8(0x62), int64(1))
 	f.Add(uint8(5), uint8(4), uint8(0x30), int64(4))

@@ -100,7 +100,7 @@ func (p *passRoute) plan(opAt func(kernels.Chain, int, int) kernels.Op, m, half 
 // at returns the plan of one half of output row pos of an m-output
 // column.
 func (p *passRoute) at(half, pos, m int) *lanePlan {
-	if pos < m-m%4 {
+	if pos < kernels.TailStart(m) {
 		return &p.plans[0][half]
 	}
 	return &p.plans[1][half]

@@ -46,48 +46,26 @@ import (
 // HLS and AXI statistic at any worker count.
 
 // fwdRowsTask runs the horizontal analysis pass through the lane
-// kernels, one lane per output of the row. Output i of an m-output row
-// reads padded samples 2i+k, k = 0..11: sample i+k/2 of the padded row's
-// even phase for even k, of its odd phase for odd k. With row y of src
-// padded straight into its two phases, tap k's source row is therefore
-// the m-sample slice of one phase starting at k/2, and the lanes write lo
-// to the left half of dst's row y and hi to the right half. When the
-// row's chain switches lane chain for the last m%4 outputs, those run as
-// a second lane call.
+// kernels, one lane per output of the row. Row y of src pads straight
+// into its two polyphase components, and kernels.AnalyzeRowLanes
+// computes the row from them on its chain, writing lo to the left half
+// of dst's row y and hi to the right half.
 type fwdRowsTask struct {
 	bank   *Bank
 	src    *frame.Frame
 	dst    *frame.Frame
 	ws     []tileScratch
 	chains []kernels.Chain
-	w, mw  int
+	mw     int
 }
 
 func (t *fwdRowsTask) Tile(lo, hi, worker int) {
 	ws := &t.ws[worker]
-	body, tail := &ws.rows[0], &ws.rows[1]
-	al, ah := &t.bank.AL, &t.bank.AH
 	m := t.mw
-	b := m - m%4
 	for y := lo; y < hi; y++ {
 		out := t.dst.Row(y)
 		even, odd := kernels.PadPeriodicPhases(t.src.Row(y), ws.px.Buf())
-		for k := range body {
-			phase := even
-			if k%2 == 1 {
-				phase = odd
-			}
-			body[k] = phase[k/2 : k/2+m]
-			tail[k] = body[k][b:]
-		}
-		c := t.chains[y]
-		op, tailOp := c.AnalysisOp(0, m), c.AnalysisOp(m-1, m)
-		if op == tailOp {
-			kernels.AnalyzeOpLanes(op, al, ah, body, out[:m], out[m:])
-			continue
-		}
-		kernels.AnalyzeOpLanes(op, al, ah, body, out[:b], out[m:m+b])
-		kernels.AnalyzeOpLanes(tailOp, al, ah, tail, out[b:m], out[m+b:])
+		kernels.AnalyzeRowLanes(t.chains[y], &t.bank.AL, &t.bank.AH, even, odd, out[:m], out[m:], 0, m)
 	}
 }
 
@@ -99,7 +77,7 @@ func (x *Xfm) forwardRows(bank *Bank, src, dst *frame.Frame, chains []kernels.Ch
 	for i := range ws {
 		ws[i].px.Grow(x.pool, w+signal.TapCount)
 	}
-	x.fwdRows = fwdRowsTask{bank: bank, src: src, dst: dst, ws: ws, chains: chains, w: w, mw: w / 2}
+	x.fwdRows = fwdRowsTask{bank: bank, src: src, dst: dst, ws: ws, chains: chains, mw: w / 2}
 	x.W.Run(h, kernels.Grain(h, 8*w, x.W.N()), &x.fwdRows)
 }
 
@@ -125,9 +103,8 @@ type fwdColsTask struct {
 }
 
 func (t *fwdColsTask) Tile(lo, hi, worker int) {
-	ws := &t.ws[worker]
-	left, right := &ws.rows[0], &ws.rows[1]
-	sel := ws.sel.Buf()
+	var left, right kernels.AnalysisRows
+	sel := t.ws[worker].sel.Buf()
 	a, b := t.bankA, t.bankB
 	w, mw, mh := t.w, t.mw, t.mh
 	for y := lo; y < hi; y++ {
@@ -137,13 +114,13 @@ func (t *fwdColsTask) Tile(lo, hi, worker int) {
 			right[k] = t.src.Pix[r+mw : r+w]
 		}
 		o := y * mw
-		analyzeRuns(t.routeA.at(0, y, mh), a, left, t.llA[o:o+mw], t.lhA[o:o+mw], sel)
+		analyzeRuns(t.routeA.at(0, y, mh), a, &left, t.llA[o:o+mw], t.lhA[o:o+mw], sel)
 		if b != nil {
-			analyzeRuns(t.routeB.at(0, y, mh), b, left, t.llB[o:o+mw], t.lhB[o:o+mw], sel)
+			analyzeRuns(t.routeB.at(0, y, mh), b, &left, t.llB[o:o+mw], t.lhB[o:o+mw], sel)
 		}
-		analyzeRuns(t.routeA.at(1, y, mh), a, right, t.hlA[o:o+mw], t.hhA[o:o+mw], sel)
+		analyzeRuns(t.routeA.at(1, y, mh), a, &right, t.hlA[o:o+mw], t.hhA[o:o+mw], sel)
 		if b != nil {
-			analyzeRuns(t.routeB.at(1, y, mh), b, right, t.hlB[o:o+mw], t.hhB[o:o+mw], sel)
+			analyzeRuns(t.routeB.at(1, y, mh), b, &right, t.hlB[o:o+mw], t.hhB[o:o+mw], sel)
 		}
 	}
 }
@@ -221,9 +198,8 @@ type invColsTask struct {
 }
 
 func (t *invColsTask) Tile(lo, hi, worker int) {
-	ws := &t.ws[worker]
-	win := &ws.win
-	sel := ws.sel.Buf()
+	var win [4]kernels.SynthesisRows
+	sel := t.ws[worker].sel.Buf()
 	w, mw, mh := t.w, t.mw, t.mh
 	for i := lo; i < hi; i++ {
 		for j := range win[0] {
@@ -269,14 +245,11 @@ func (x *Xfm) inverseCols(bank *Bank, ll *frame.Frame, b Bands, dst *frame.Frame
 // invRowsTask runs the horizontal synthesis pass in place through the
 // lane kernels, one lane per output pair of the row. Row y's two halves
 // pad into per-worker scratch (consumed before any output is written, so
-// in-place is safe); pair i reads coefficients i..i+5 of each padded
-// half, so window row j is the m-coefficient slice starting at j. When
-// the row's chain switches lane chain for the last m%4 pairs, those run
-// as a second lane call, as in the analysis pass. Pair i's even and odd
-// outputs are stored straight to row positions (2i-delay) mod w and
-// (2i+1-delay) mod w: the interleave and delay rotation of the 1-D path
-// in one store, run as two kernels.Interleave calls on either side of
-// the row's wrap.
+// in-place is safe), and kernels.SynthesizeRowLanes computes the row's
+// pairs from them on its chain. Pair i's even and odd outputs are stored
+// straight to row positions (2i-delay) mod w and (2i+1-delay) mod w: the
+// interleave and delay rotation of the 1-D path in one store, run as two
+// kernels.Interleave calls on either side of the row's wrap.
 type invRowsTask struct {
 	bank   *Bank
 	dst    *frame.Frame
@@ -287,11 +260,8 @@ type invRowsTask struct {
 
 func (t *invRowsTask) Tile(lo, hi, worker int) {
 	ws := &t.ws[worker]
-	wl, wh := &ws.win[0], &ws.win[1]
-	tl, th := &ws.win[2], &ws.win[3]
 	sl, sh := &t.bank.SL, &t.bank.SH
 	w, m := t.w, t.mw
-	b := m - m%4
 	y := ws.y.Buf()
 	even, odd := y[:m], y[m:w]
 	// Pairs [0, p1) fill row[start:]; when w-start is odd, pair p1
@@ -303,17 +273,7 @@ func (t *invRowsTask) Tile(lo, hi, worker int) {
 		row := t.dst.Row(yy)
 		plo := kernels.PadPeriodicPairs(row[:m], ws.plo.Buf())
 		phi := kernels.PadPeriodicPairs(row[m:], ws.phi.Buf())
-		for j := range wl {
-			wl[j], wh[j] = plo[j:j+m], phi[j:j+m]
-			tl[j], th[j] = wl[j][b:], wh[j][b:]
-		}
-		c := t.chains[yy]
-		if op, tailOp := c.SynthesisOp(0, m), c.SynthesisOp(m-1, m); op == tailOp {
-			kernels.SynthesizeOpLanes(op, sl, sh, wl, wh, even, odd)
-		} else {
-			kernels.SynthesizeOpLanes(op, sl, sh, wl, wh, even[:b], odd[:b])
-			kernels.SynthesizeOpLanes(tailOp, sl, sh, tl, th, even[b:], odd[b:])
-		}
+		kernels.SynthesizeRowLanes(t.chains[yy], sl, sh, plo, phi, even, odd, 0, m)
 		kernels.Interleave(row[start:], even[:p1], odd[:p1])
 		rest, p2 := row, p1
 		if straddle {

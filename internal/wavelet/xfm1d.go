@@ -18,25 +18,16 @@ type cpuCharger interface {
 // phases, padded subbands and even/odd synthesis outputs of the
 // horizontal passes, and the column passes' select buffer (every lane of
 // a second lane chain, computed aside), sized before each parallel
-// region (while single-threaded) so tile bodies never touch the pool;
-// and the source-row tables of the lane kernels (analysis: the vertical
-// pass's left and right halves, or the horizontal pass's body and tail
-// lanes; synthesis: the vertical pass's lowpass, LH, HL and HH windows,
-// or the horizontal pass's body and tail windows). The tables live here
-// rather than on the stack because they reach the lane kernels through
-// pointers and would escape, allocating per row.
+// region (while single-threaded) so tile bodies never touch the pool.
+// The lane kernels' source-row tables stay on the tile bodies' stacks.
 type tileScratch struct {
 	px, plo, phi, y, sel bufpool.Scratch
-	rows                 [2]kernels.AnalysisRows
-	win                  [4]kernels.SynthesisRows
 }
 
 func (t *tileScratch) release() {
 	for _, s := range []*bufpool.Scratch{&t.px, &t.plo, &t.phi, &t.y, &t.sel} {
 		s.Release()
 	}
-	t.rows = [2]kernels.AnalysisRows{}
-	t.win = [4]kernels.SynthesisRows{}
 }
 
 // Xfm performs 1-D analysis/synthesis passes with a given kernel, reusing

@@ -165,7 +165,12 @@
 // own Analyze and Synthesize are that charge plus the chain's row
 // (kernels.AnalyzeRow, SynthesizeRow). That call sequence is written
 // once per direction, as a step walk the replay and the sequential
-// loops share. Every wavelet filter pass then runs the lane kernels
+// loops share. The replay runs on the calling goroutine while the
+// workers wait, so a row charge is kept cheap: the driver books each
+// FPGA row from a plan of its width's Fig. 5 charges, made once, the
+// oracle and energy split policies compute each row class's partition
+// once, and every float ledger still adds once per row, in row order.
+// Every wavelet filter pass then runs the lane kernels
 // (kernels.AnalyzeOpLanes and SynthesizeOpLanes), SIMD across outputs,
 // each lane with the exact operation chain its row's engine applies at
 // that position — a column band that mixes the wave engine's and NEON's

@@ -51,9 +51,17 @@ func NewLite(ps sim.Clock) *Lite {
 // address past the file can only be a programming error.
 func (l *Lite) reg(addr uint32) *uint32 {
 	if addr >= 4*LiteWords {
-		panic(fmt.Sprintf("axi.Lite: register address %#x outside 0x00-0x%x", addr, 4*LiteWords-4))
+		badRegister(addr)
 	}
 	return &l.regs[addr/4]
+}
+
+// badRegister panics for reg. Kept out of line, so that reg and the
+// accessors inline.
+//
+//go:noinline
+func badRegister(addr uint32) {
+	panic(fmt.Sprintf("axi.Lite: register address %#x outside 0x00-0x%x", addr, 4*LiteWords-4))
 }
 
 // Write stores a register value and returns the access time.

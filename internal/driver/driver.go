@@ -13,7 +13,11 @@
 // charging per row the memcpy into an area, the ioctl and command round
 // trip, the hardware run (hls.WaveEngine.ForwardTime or InverseTime), the
 // pack or unpack of the engine's interleaved row format and the deferred
-// memcpy out. So the makespan of a row sequence reflects the copy/compute
+// memcpy out. Those charges depend only on a row's mode and width, so
+// the device plans them once per width (hls.WaveEngine.PlanRow and the
+// host copies) and books every row from its plan along one timeline path;
+// the wave engine makes a plan again when its ports' timing fields
+// change. So the makespan of a row sequence reflects the copy/compute
 // overlap (or its absence, in single-buffered mode, which exists for the
 // ablation study). A row is checked before any of it is charged, so a
 // refused row leaves the timeline as it was.
@@ -64,6 +68,15 @@ type Device struct {
 
 	closed bool
 
+	// syscall is the driver round trip, paid once every depth rows.
+	syscall sim.Time
+	depth   int64
+	// plans holds the plan of every row mode and width charged so far,
+	// last the most recent one (a blank plan, which matches no row, before
+	// the first).
+	plans []*rowPlan
+	last  *rowPlan
+
 	// Timeline cursors (simulated time since Open/Reset).
 	cpu     sim.Time    // when the CPU is next free
 	hwFree  sim.Time    // when the hardware is next free
@@ -71,12 +84,25 @@ type Device struct {
 	// The copy-out of row k overlaps the hardware run of row k+1 in the
 	// Fig. 5 schedule, so its time accounting is deferred until the next
 	// row is issued or the device drains.
-	pendOut sim.Time // completion time of the row awaiting copy-out
-	pendLen int      // words awaiting copy-out accounting (0 = none)
-	rows    int64
+	pending  bool     // a row awaits copy-out
+	pendOut  sim.Time // its completion time
+	pendCost sim.Time // its copy-out time
+	rows     int64
 
 	// CPUBusy and HWBusy accumulate busy (not wall) time for reporting.
 	CPUBusy, HWBusy sim.Time
+}
+
+// rowPlan is every charge of one checked row of a mode and width, in
+// integer picoseconds: the wave engine's plan of its command and run, and
+// the host's work around them — the pack of an inverse row's pairs ahead
+// of the copy-in, the user memcpys into and out of a buffer area, and the
+// unpack of a forward row's pairs after the run.
+type rowPlan struct {
+	mode                          hls.Mode
+	m                             int
+	eng                           hls.RowPlan
+	pack, copyIn, copyOut, unpack sim.Time
 }
 
 // Open attaches to the wave engine.
@@ -87,7 +113,13 @@ func Open(eng *hls.WaveEngine, cfg Config) (*Device, error) {
 	if cfg.UserCopyCyclesPerWord <= 0 || cfg.SyscallCycles < 0 {
 		return nil, fmt.Errorf("driver: invalid config %+v", cfg)
 	}
-	return &Device{eng: eng, cfg: cfg}, nil
+	return &Device{
+		eng:     eng,
+		cfg:     cfg,
+		syscall: cfg.PS.Cycles(cfg.SyscallCycles),
+		depth:   int64(max(cfg.CmdQueueDepth, 1)),
+		last:    &rowPlan{},
+	}, nil
 }
 
 // Close drains pending work and releases the handle.
@@ -105,35 +137,14 @@ func (d *Device) copyCost(n int) sim.Time {
 	return d.cfg.PS.CyclesF(d.cfg.UserCopyCyclesPerWord * float64(n))
 }
 
-// cmdCost returns the per-row driver and command overhead of a row of the
-// given mode and pair count in a buffer area. With a command queue, the
-// syscall round trip is paid once per CmdQueueDepth rows.
-func (d *Device) cmdCost(mode hls.Mode, pairs, area int) sim.Time {
-	t := d.eng.CommandTime(mode, pairs, area*hls.BRAMArea, d.cfg.StatusPolls)
-	depth := d.cfg.CmdQueueDepth
-	if depth < 1 {
-		depth = 1
-	}
-	if d.rows%int64(depth) == 0 {
-		t += d.cfg.PS.Cycles(d.cfg.SyscallCycles)
-	}
-	return t
-}
-
 // ChargeForwardRow charges one analysis row of m output pairs: the user
 // memcpy of its 2m+12 input samples into a buffer area, the command, the
 // hardware run and (overlapped with the next row in double-buffered
 // mode) the user memcpy of its results out. The engine emits interleaved
 // (hp, lp) pairs; unpacking them is host work charged to the CPU cursor.
-// A refused row (see checkRow) charges nothing.
+// A refused row (see chargeRow) charges nothing.
 func (d *Device) ChargeForwardRow(m int) error {
-	if err := d.checkRow(d.eng.CheckForward(m)); err != nil {
-		return err
-	}
-	area := d.beginRow(2*m+signal.TapCount, hls.ModeForward, m)
-	d.endRow(area, d.eng.ForwardTime(m), 2*m)
-	d.chargeCPUWords(m)
-	return nil
+	return d.chargeRow(hls.ModeForward, m)
 }
 
 // ChargeInverseRow charges one synthesis row of m coefficient pairs like
@@ -141,78 +152,101 @@ func (d *Device) ChargeForwardRow(m int) error {
 // interleaved (lo, hi) format is host work charged ahead of the copy-in,
 // and the row returns 2m samples. A refused row charges nothing.
 func (d *Device) ChargeInverseRow(m int) error {
-	if err := d.checkRow(d.eng.CheckInverse(m)); err != nil {
-		return err
-	}
-	pairs := m + signal.SynthesisPad
-	d.chargeCPUWords(pairs)
-	area := d.beginRow(2*pairs, hls.ModeInverse, m)
-	d.endRow(area, d.eng.InverseTime(m), 2*m)
-	return nil
+	return d.chargeRow(hls.ModeInverse, m)
 }
 
-// checkRow refuses a row before any of it is charged: on a closed device
-// (ErrClosed), and then with engineErr, the wave engine's check of the
-// row, which owns the buffer-area bound (hls.ErrRowTooWide).
-func (d *Device) checkRow(engineErr error) error {
+// plan returns the plan of a checked row of the given mode and width,
+// making it on the first such row. Every row of a width runs the same
+// schedule, so only the timeline's cursors differ from row to row.
+func (d *Device) plan(mode hls.Mode, m int) *rowPlan {
+	if p := d.last; p.mode == mode && p.m == m {
+		return p
+	}
+	return d.findPlan(mode, m)
+}
+
+// findPlan is plan past the most recent width.
+func (d *Device) findPlan(mode hls.Mode, m int) *rowPlan {
+	for _, p := range d.plans {
+		if p.mode == mode && p.m == m {
+			d.last = p
+			return p
+		}
+	}
+	p := &rowPlan{mode: mode, m: m, eng: d.eng.PlanRow(mode, m, d.cfg.StatusPolls), copyOut: d.copyCost(2 * m)}
+	if mode == hls.ModeForward {
+		p.copyIn, p.unpack = d.copyCost(2*m+signal.TapCount), d.copyCost(m)
+	} else {
+		pairs := m + signal.SynthesisPad
+		p.pack, p.copyIn = d.copyCost(pairs), d.copyCost(2*pairs)
+	}
+	d.plans = append(d.plans, p)
+	d.last = p
+	return p
+}
+
+// chargeRow charges one row of the given mode and width, or refuses it
+// before any of it is charged: on a closed device (ErrClosed), and then
+// with the wave engine's check of the row (CheckForward, CheckInverse),
+// which owns the buffer-area bound (hls.ErrRowTooWide). A checked row
+// advances the Fig. 5 timeline by its plan: the pack, the user memcpy
+// into the row's buffer area (once the hardware has finished reading the
+// area's previous contents), the command, the hardware run, the previous
+// row's deferred copy-out and the unpack. The row's own copy-out is
+// charged when the next row starts (it overlaps that row's hardware run)
+// or at drain time.
+func (d *Device) chargeRow(mode hls.Mode, m int) error {
 	if d.closed {
 		return ErrClosed
 	}
-	return engineErr
-}
-
-// beginRow advances the Fig. 5 timeline up to the hardware run of a
-// checked row of in input words, commanded in the given mode for the
-// given pair count, and returns the buffer area it occupies.
-func (d *Device) beginRow(in int, mode hls.Mode, pairs int) int {
+	var err error
+	if mode == hls.ModeForward {
+		err = d.eng.CheckForward(m)
+	} else {
+		err = d.eng.CheckInverse(m)
+	}
+	if err != nil {
+		return err
+	}
+	p := d.plan(mode, m)
+	d.ChargeHost(p.pack)
 	area := int(d.rows) % 2
 	if !d.cfg.DoubleBuffered {
 		area = 0
 		// Single buffer: the previous row must be fully drained first.
 		d.drain()
 	}
-	// User memcpy into the input area (must wait until the hardware has
-	// finished reading the area's previous contents).
+	// The application steers the double buffering through the driver's
+	// offset ioctls ("we used this to create different read and write
+	// offsets to the kernel allocated memory"); their syscall cost is part
+	// of the round trip, which a command queue pays once per depth rows.
+	cmd, run := d.eng.RunPlanned(&p.eng, area*hls.BRAMArea)
+	// Testing depth 1 first spares the paper's per-row ioctl a division.
+	if d.depth == 1 || d.rows%d.depth == 0 {
+		cmd += d.syscall
+	}
 	start := maxTime(d.cpu, d.bufFree[area])
-	cin := d.copyCost(in)
-	d.cpu = start + cin
-	d.CPUBusy += cin
-	// The row's command. The application steers the double buffering
-	// through the driver's offset ioctls ("we used this to create
-	// different read and write offsets to the kernel allocated memory");
-	// their syscall cost is part of cmdCost.
-	cc := d.cmdCost(mode, pairs, area)
-	d.cpu += cc
-	d.CPUBusy += cc
-	return area
-}
-
-// endRow places a row's hardware run of ht on the timeline. The copy-out
-// of the row's out result words is charged when the next row starts (it
-// overlaps that row's hardware run) or at drain time.
-func (d *Device) endRow(area int, ht sim.Time, out int) {
-	hwStart := maxTime(d.hwFree, d.cpu)
-	hwEnd := hwStart + ht
-	d.hwFree = hwEnd
-	d.bufFree[area] = hwEnd
-	d.HWBusy += ht
+	d.cpu = start + p.copyIn + cmd
+	d.CPUBusy += p.copyIn + cmd
+	hwEnd := maxTime(d.hwFree, d.cpu) + run
+	d.hwFree, d.bufFree[area] = hwEnd, hwEnd
+	d.HWBusy += run
 	d.drainPrevious()
-	d.pendOut = hwEnd
-	d.pendLen = out
+	d.pending, d.pendOut, d.pendCost = true, hwEnd, p.copyOut
 	d.rows++
+	d.ChargeHost(p.unpack)
+	return nil
 }
 
 // drainPrevious charges the pending copy-out, overlapping current hardware
 // work where the schedule allows.
 func (d *Device) drainPrevious() {
-	if d.pendLen == 0 {
+	if !d.pending {
 		return
 	}
-	start := maxTime(d.cpu, d.pendOut)
-	cout := d.copyCost(d.pendLen)
-	d.cpu = start + cout
-	d.CPUBusy += cout
-	d.pendLen = 0
+	d.cpu = maxTime(d.cpu, d.pendOut) + d.pendCost
+	d.CPUBusy += d.pendCost
+	d.pending = false
 }
 
 // drain finishes all outstanding work (end of a batch).
@@ -232,21 +266,13 @@ func (d *Device) ChargeHost(t sim.Time) {
 	d.CPUBusy += t
 }
 
-// chargeCPUWords charges pack/unpack host work at the memcpy rate.
-func (d *Device) chargeCPUWords(n int) {
-	t := d.copyCost(n)
-	d.cpu += t
-	d.CPUBusy += t
-}
-
 // Peek reports the makespan the device would have if it drained now,
 // without disturbing the double-buffered schedule. Schedulers use it to
 // price individual rows.
 func (d *Device) Peek() sim.Time {
 	cpu := d.cpu
-	if d.pendLen != 0 {
-		start := maxTime(cpu, d.pendOut)
-		cpu = start + d.copyCost(d.pendLen)
+	if d.pending {
+		cpu = maxTime(cpu, d.pendOut) + d.pendCost
 	}
 	return maxTime(cpu, d.hwFree)
 }

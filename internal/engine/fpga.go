@@ -28,6 +28,8 @@ type FPGA struct {
 	watts sim.Watts
 	dev   *driver.Device
 	eng   *hls.WaveEngine
+	// invExtra is InverseExtraSyscallCycles at the PS clock.
+	invExtra sim.Time
 }
 
 // NewFPGA builds the full accelerator stack: ACP burst path, wave engine,
@@ -84,7 +86,8 @@ func NewFPGAVariantAt(v FPGAVariant, op dvfs.OperatingPoint) *FPGA {
 	if err != nil {
 		panic("engine: driver open failed: " + err.Error())
 	}
-	return &FPGA{ps: ps, op: op, watts: dvfs.ModePower("fpga", op), dev: dev, eng: eng}
+	return &FPGA{ps: ps, op: op, watts: dvfs.ModePower("fpga", op), dev: dev, eng: eng,
+		invExtra: ps.Cycles(InverseExtraSyscallCycles)}
 }
 
 // Name implements Engine.
@@ -121,7 +124,7 @@ func (f *FPGA) ChargeAnalyzeRow(al, ah *signal.Taps, m int) kernels.Chain {
 // ahead of the driver's synthesis row of m coefficient pairs.
 func (f *FPGA) ChargeSynthesizeRow(sl, sh *signal.Taps, m int) kernels.Chain {
 	f.dev.ChargeHost(f.eng.UseSynthesis(sl, sh))
-	f.dev.ChargeHost(f.ps.Cycles(InverseExtraSyscallCycles))
+	f.dev.ChargeHost(f.invExtra)
 	rowOK("inverse", f.dev.ChargeInverseRow(m))
 	return kernels.ChainWaveEngine
 }

@@ -26,6 +26,20 @@ type NEON struct {
 	manual  bool
 	emulate bool
 	cycles  float64
+	// charges holds the row charge of every direction and width charged
+	// so far, last the most recent one's index.
+	charges []rowCharge
+	last    int
+}
+
+// rowCharge is what one fast-path row of a direction and width adds to
+// the NEON engine's ledgers: the instruction counts and the cycle addend,
+// which each row adds to the running sum in row order.
+type rowCharge struct {
+	m       int
+	inverse bool
+	counts  neon.Counts
+	cycles  float64
 }
 
 // NewNEON returns a NEON engine at the nominal operating point. manual
@@ -103,28 +117,57 @@ func (n *NEON) Synthesize(sl, sh *signal.Taps, plo, phi []float32, out []float32
 
 // ChargeAnalyzeRow implements kernels.TileKernel: the closed-form
 // instruction-ledger delta plus the same cycle expression the emulated
-// path charges. The scalar tail is m%4 pairs in auto style (the
-// emulation's ScalarOps delta / 24), zero in manual style.
+// path charges (rowCharge).
 func (n *NEON) ChargeAnalyzeRow(_, _ *signal.Taps, m int) kernels.Chain {
-	n.unit.C.Add(kernels.CountsAnalyze(n.manual, m))
-	tail := 0
-	if !n.manual {
-		tail = m % 4
-	}
-	n.cycles += NEONRowOverheadCycles +
-		NEONFwdPairCycles*float64(m) +
-		NEONTailPairCycles*float64(tail)
+	n.charge(false, m)
 	return n.chain()
 }
 
-// ChargeSynthesizeRow implements kernels.TileKernel (both vectorization
-// styles share the synthesis code path, so the tail is always m%4).
+// ChargeSynthesizeRow implements kernels.TileKernel.
 func (n *NEON) ChargeSynthesizeRow(_, _ *signal.Taps, m int) kernels.Chain {
-	n.unit.C.Add(kernels.CountsSynthesize(m))
-	n.cycles += NEONRowOverheadCycles +
-		NEONInvPairCycles*float64(m) +
-		NEONTailPairCycles*float64(m%4)
+	n.charge(true, m)
 	return n.chain()
+}
+
+// charge books one row of the given direction and width, making its
+// rowCharge on the first such row.
+func (n *NEON) charge(inverse bool, m int) {
+	if n.last >= len(n.charges) || n.charges[n.last].m != m || n.charges[n.last].inverse != inverse {
+		n.last = n.findCharge(inverse, m)
+	}
+	c := &n.charges[n.last]
+	n.unit.C.Add(&c.counts)
+	n.cycles += c.cycles
+}
+
+// findCharge returns the index of the rowCharge of a direction and width.
+// An analysis row's scalar tail is m%4 pairs in auto style (the
+// emulation's ScalarOps delta / 24), zero in manual style; both styles
+// share the synthesis code path, so a synthesis row's tail is always m%4.
+func (n *NEON) findCharge(inverse bool, m int) int {
+	for i := range n.charges {
+		if n.charges[i].m == m && n.charges[i].inverse == inverse {
+			return i
+		}
+	}
+	c := rowCharge{m: m, inverse: inverse}
+	if inverse {
+		c.counts = kernels.CountsSynthesize(m)
+		c.cycles = NEONRowOverheadCycles +
+			NEONInvPairCycles*float64(m) +
+			NEONTailPairCycles*float64(m%4)
+	} else {
+		c.counts = kernels.CountsAnalyze(n.manual, m)
+		tail := 0
+		if !n.manual {
+			tail = m % 4
+		}
+		c.cycles = NEONRowOverheadCycles +
+			NEONFwdPairCycles*float64(m) +
+			NEONTailPairCycles*float64(tail)
+	}
+	n.charges = append(n.charges, c)
+	return len(n.charges) - 1
 }
 
 // chain is the engine's vectorization style as a kernels.Chain.

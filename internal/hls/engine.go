@@ -19,17 +19,22 @@
 // chain. fig4_test.go pins that chain's lanes, as the FPGA engine's
 // Analyze and Synthesize run them (kernels.AnalyzeRow, SynthesizeRow) and
 // as the tiled row passes do, against the Fig. 4 shift-register dataflow
-// bit for bit. The engine alone tracks which filters are resident:
-// UseAnalysis and UseSynthesis reload them only on a change, writing each
-// coefficient's IEEE-754 word to the register file. Each row command
-// writes its mode, pair count and buffer-area offset to the AXI4-Lite
-// registers, and a finished row raises the done flag in RegStatus.
+// bit for bit. The engine alone tracks which filters are resident, as
+// the IEEE-754 words its coefficient registers hold: UseAnalysis and
+// UseSynthesis reload them only when a tap's word changes. Each row
+// command writes its mode, pair count and buffer-area offset to the
+// AXI4-Lite registers, and a finished row raises the done flag in
+// RegStatus. Every row of a width runs the same schedule, so a driver
+// times a width's rows once (PlanRow, which runs CommandTime and
+// ForwardTime or InverseTime on a copy of the engine) and books each row
+// from that plan (RunPlanned).
 package hls
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"zynqfusion/internal/axi"
 	"zynqfusion/internal/signal"
@@ -78,9 +83,10 @@ type WaveEngine struct {
 	ACP  *axi.Burst
 	pl   sim.Clock
 
-	analysisLP, analysisHP signal.Taps
-	synthLP, synthHP       signal.Taps
-	coeffLoaded            bool
+	// coeffs are the resident filters as the coefficient registers hold
+	// them: the analysis lowpass and highpass, then the synthesis pair.
+	coeffs      [4]coeffWords
+	coeffLoaded bool
 
 	// Statistics.
 	ForwardRows, InverseRows int64
@@ -100,14 +106,13 @@ func (e *WaveEngine) LoadCoeffs(al, ah, sl, sh *signal.Taps) sim.Time {
 	var t sim.Time
 	t += e.Lite.Write(RegCtrl, uint32(ModeLoadCoeff))
 	addr := RegCoeffBase
-	for _, taps := range []*signal.Taps{al, ah, sl, sh} {
-		for _, c := range taps {
-			t += e.Lite.Write(addr, math.Float32bits(c))
+	for i, taps := range []*signal.Taps{al, ah, sl, sh} {
+		e.coeffs[i] = *wordsOf(taps)
+		for _, w := range e.coeffs[i] {
+			t += e.Lite.Write(addr, w)
 			addr += 4
 		}
 	}
-	e.analysisLP, e.analysisHP = *al, *ah
-	e.synthLP, e.synthHP = *sl, *sh
 	e.coeffLoaded = true
 	return t
 }
@@ -116,23 +121,54 @@ func (e *WaveEngine) LoadCoeffs(al, ah, sl, sh *signal.Taps) sim.Time {
 func (e *WaveEngine) CoeffsLoaded() bool { return e.coeffLoaded }
 
 // UseAnalysis makes al and ah the resident analysis filters. Only when
-// they are not resident already does it reload the register file (keeping
+// they are not resident already — when any tap's IEEE-754 word differs
+// from the register file's — does it reload the register file (keeping
 // the resident synthesis filters); it returns the PS time that took, zero
-// when no reload was needed.
+// when no reload was needed. So a switch between +0 and -0 taps reloads,
+// and NaN taps load once.
 func (e *WaveEngine) UseAnalysis(al, ah *signal.Taps) sim.Time {
-	if e.coeffLoaded && e.analysisLP == *al && e.analysisHP == *ah {
+	if e.coeffLoaded && e.coeffs[0].holds(al) && e.coeffs[1].holds(ah) {
 		return 0
 	}
-	return e.LoadCoeffs(al, ah, &e.synthLP, &e.synthHP)
+	sl, sh := e.coeffs[2].taps(), e.coeffs[3].taps()
+	return e.LoadCoeffs(al, ah, &sl, &sh)
 }
 
 // UseSynthesis is UseAnalysis for the synthesis filters: it keeps the
 // resident analysis filters.
 func (e *WaveEngine) UseSynthesis(sl, sh *signal.Taps) sim.Time {
-	if e.coeffLoaded && e.synthLP == *sl && e.synthHP == *sh {
+	if e.coeffLoaded && e.coeffs[2].holds(sl) && e.coeffs[3].holds(sh) {
 		return 0
 	}
-	return e.LoadCoeffs(&e.analysisLP, &e.analysisHP, sl, sh)
+	al, ah := e.coeffs[0].taps(), e.coeffs[1].taps()
+	return e.LoadCoeffs(&al, &ah, sl, sh)
+}
+
+// coeffWords is one filter as the coefficient registers hold it: its
+// taps' IEEE-754 words.
+type coeffWords [signal.TapCount]uint32
+
+// wordsOf views a filter's taps in place as their IEEE-754 words, which
+// is math.Float32bits of every tap: float32 and uint32 share size and
+// alignment. Read as words, a tap is compared without a trip through a
+// float register.
+func wordsOf(t *signal.Taps) *coeffWords { return (*coeffWords)(unsafe.Pointer(t)) }
+
+// holds reports whether w holds t's taps, word for word. Every row
+// checks residency, so the compares are written out.
+func (w *coeffWords) holds(t *signal.Taps) bool {
+	v := wordsOf(t)
+	return w[0] == v[0] && w[1] == v[1] && w[2] == v[2] && w[3] == v[3] && w[4] == v[4] && w[5] == v[5] &&
+		w[6] == v[6] && w[7] == v[7] && w[8] == v[8] && w[9] == v[9] && w[10] == v[10] && w[11] == v[11]
+}
+
+// taps returns the filter w holds.
+func (w *coeffWords) taps() signal.Taps {
+	var t signal.Taps
+	for k, v := range w {
+		t[k] = math.Float32frombits(v)
+	}
+	return t
 }
 
 // ForwardTime runs one analysis row (mode 2) of m output pairs in time:
@@ -202,6 +238,91 @@ func (e *WaveEngine) rowTime(inWords, iters, outWords int) sim.Time {
 	t += e.pl.Cycles(int64(iters + PipelineDepth))
 	t += e.ACP.Transfer(outWords)
 	return t
+}
+
+// RowPlan is one checked row of a mode and pair count as the engine runs
+// it: the PS time of its command (CommandTime) and the PL time of its run
+// (ForwardTime or InverseTime), in integer picoseconds, and the AXI-Lite
+// and ACP accesses they count. PlanRow computes it by running those
+// functions on a copy of the engine; RunPlanned books it. Every row of a
+// width runs the same schedule (Fig. 5), so a driver plans each width
+// once and books its rows from the plan.
+type RowPlan struct {
+	mode         Mode
+	pairs, polls int
+	cmd, run     sim.Time
+	// The AXI-Lite and ACP accesses the command and the run count.
+	writes, reads, words, transfers int64
+	// The port timings the times were computed at.
+	bus busTiming
+}
+
+// busTiming is what a row's times depend on besides its mode and width:
+// the ports and their exported timing fields (each port's clock is fixed
+// when it is made).
+type busTiming struct {
+	lite               *axi.Lite
+	acp                *axi.Burst
+	write, read, setup int64
+	beat               uint64
+}
+
+// current reports whether the engine's ports and timing fields are still
+// the ones b holds.
+func (b *busTiming) current(e *WaveEngine) bool {
+	return b.lite == e.Lite && b.acp == e.ACP && b.write == e.Lite.WriteCycles && b.read == e.Lite.ReadCycles &&
+		b.setup == e.ACP.Setup && b.beat == math.Float64bits(e.ACP.BeatsPerWord)
+}
+
+// PlanRow returns the plan of a row of the given mode (ModeForward or
+// ModeInverse) and pair count whose completion the host polls for with
+// polls status reads. It runs CommandTime and then ForwardTime or
+// InverseTime on a copy of the engine and its ports, so it changes
+// nothing. The caller has checked the row (CheckForward, CheckInverse).
+func (e *WaveEngine) PlanRow(mode Mode, pairs, polls int) RowPlan {
+	lite, acp := *e.Lite, *e.ACP
+	c := WaveEngine{Lite: &lite, ACP: &acp, pl: e.pl}
+	p := RowPlan{mode: mode, pairs: pairs, polls: polls,
+		bus: busTiming{e.Lite, e.ACP, e.Lite.WriteCycles, e.Lite.ReadCycles, e.ACP.Setup, math.Float64bits(e.ACP.BeatsPerWord)}}
+	p.cmd = c.CommandTime(mode, pairs, 0, polls)
+	if mode == ModeForward {
+		p.run = c.ForwardTime(pairs)
+	} else {
+		p.run = c.InverseTime(pairs)
+	}
+	p.writes, p.reads = lite.Writes-e.Lite.Writes, lite.Reads-e.Lite.Reads
+	p.words, p.transfers = acp.Words-e.ACP.Words, acp.Transfers-e.ACP.Transfers
+	return p
+}
+
+// RunPlanned books one row of plan p with its buffer area at offset (in
+// words) and returns the row's command time and run time: what
+// CommandTime(mode, pairs, offset, polls) and then ForwardTime or
+// InverseTime leave behind — the command's registers, the done flag
+// raised, the accesses counted, the row counter and PL busy time — and
+// return. A plan made before a change to the ports or their timing
+// fields is made again first.
+func (e *WaveEngine) RunPlanned(p *RowPlan, offset int) (cmd, run sim.Time) {
+	if !p.bus.current(e) {
+		*p = e.PlanRow(p.mode, p.pairs, p.polls)
+	}
+	l := e.Lite
+	l.Set(RegInOffset, uint32(offset))
+	l.Set(RegOutOffset, uint32(offset))
+	l.Set(RegWidth, uint32(p.pairs))
+	l.Set(RegCtrl, uint32(p.mode))
+	l.Set(RegStatus, 1)
+	l.Writes += p.writes
+	l.Reads += p.reads
+	e.ACP.Words += p.words
+	e.ACP.Transfers += p.transfers
+	if p.mode == ModeForward {
+		e.ForwardRows++
+	} else {
+		e.InverseRows++
+	}
+	e.PLBusy += p.run
+	return p.cmd, p.run
 }
 
 // CommandTime returns the PS time to issue one row command: the input

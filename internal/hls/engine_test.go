@@ -34,7 +34,8 @@ func forwardRow(e *WaveEngine, px, lo, hi []float32) (sim.Time, error) {
 		return 0, err
 	}
 	t := e.ForwardTime(len(lo))
-	kernels.AnalyzeRow(kernels.ChainWaveEngine, &e.analysisLP, &e.analysisHP, px, lo, hi)
+	al, ah := e.coeffs[0].taps(), e.coeffs[1].taps()
+	kernels.AnalyzeRow(kernels.ChainWaveEngine, &al, &ah, px, lo, hi)
 	return t, nil
 }
 
@@ -44,7 +45,8 @@ func inverseRow(e *WaveEngine, plo, phi, out []float32) (sim.Time, error) {
 		return 0, err
 	}
 	t := e.InverseTime(len(out) / 2)
-	kernels.SynthesizeRow(kernels.ChainWaveEngine, &e.synthLP, &e.synthHP, plo, phi, out)
+	sl, sh := e.coeffs[2].taps(), e.coeffs[3].taps()
+	kernels.SynthesizeRow(kernels.ChainWaveEngine, &sl, &sh, plo, phi, out)
 	return t, nil
 }
 
@@ -222,8 +224,35 @@ func TestUseFiltersReloadOnlyOnChange(t *testing.T) {
 	step("synthesis kept", e.UseSynthesis(&cdf.SL, &cdf.SH), 0, 147)
 	step("synthesis switch", e.UseSynthesis(&d4.SL, &d4.SH), load, 196)
 	step("analysis kept", e.UseAnalysis(&d4.AL, &d4.AH), 0, 196)
-	if e.analysisLP != d4.AL || e.analysisHP != d4.AH || e.synthLP != d4.SL || e.synthHP != d4.SH {
+	if !e.coeffs[0].holds(&d4.AL) || !e.coeffs[1].holds(&d4.AH) || !e.coeffs[2].holds(&d4.SL) || !e.coeffs[3].holds(&d4.SH) {
 		t.Error("resident filters are not the last requested pairs")
+	}
+}
+
+// TestUseFiltersCompareWords pins filter residency to the taps' IEEE-754
+// words: switching a +0 tap for -0 reloads (49 AXI-Lite writes) and the
+// tap's register then reads 0x80000000, though the two compare equal as
+// floats; NaN taps, which never compare equal as floats, load once.
+func TestUseFiltersCompareWords(t *testing.T) {
+	e := newEngine()
+	cdf := wavelet.CDF97
+	pos, neg := cdf.AL, cdf.AL
+	pos[3], neg[3] = 0, float32(math.Copysign(0, -1))
+	e.UseAnalysis(&pos, &cdf.AH)
+	writes := e.Lite.Writes
+	if e.UseAnalysis(&neg, &cdf.AH) == 0 || e.Lite.Writes != writes+49 {
+		t.Fatalf("+0 -> -0 tap: %d writes, want a reload of 49", e.Lite.Writes-writes)
+	}
+	lite := *e.Lite // read a copy, so the engine's counters stay put
+	if got, _ := lite.Read(RegCoeffBase + 4*3); got != 0x80000000 {
+		t.Errorf("-0 tap register reads %#08x, want 0x80000000", got)
+	}
+	nan := cdf.SL
+	nan[0] = float32(math.NaN())
+	e.UseSynthesis(&nan, &cdf.SH)
+	writes = e.Lite.Writes
+	if tm := e.UseSynthesis(&nan, &cdf.SH); tm != 0 || e.Lite.Writes != writes {
+		t.Errorf("resident NaN taps reloaded: %v and %d writes", tm, e.Lite.Writes-writes)
 	}
 }
 

@@ -220,22 +220,33 @@ func SynthesizeRowLanes(c Chain, sl, sh *signal.Taps, plo, phi, even, odd []floa
 
 // analyzePhases runs lane chain op over len(lo) lanes whose tap rows are
 // the phases even and odd at the row layout's offsets.
+// The table is filled in place, row by row: a composite literal would be
+// built aside and copied.
 func analyzePhases(op Op, al, ah *signal.Taps, even, odd, lo, hi []float32) {
 	var r AnalysisRows
 	if len(even) >= signal.TapCount/2 && len(odd) >= signal.TapCount/2 {
-		r = AnalysisRows{even, odd, even[1:], odd[1:], even[2:], odd[2:],
-			even[3:], odd[3:], even[4:], odd[4:], even[5:], odd[5:]}
+		r[0], r[1] = even, odd
+		r[2], r[3] = even[1:], odd[1:]
+		r[4], r[5] = even[2:], odd[2:]
+		r[6], r[7] = even[3:], odd[3:]
+		r[8], r[9] = even[4:], odd[4:]
+		r[10], r[11] = even[5:], odd[5:]
 	}
 	AnalyzeOpLanes(op, al, ah, &r, lo, hi)
 }
 
 // synthesizeWindows runs lane chain op over len(even) lane pairs whose
-// window rows are plo and phi at the row layout's offsets.
+// window rows are plo and phi at the row layout's offsets, filled in
+// place like analyzePhases'.
 func synthesizeWindows(op Op, sl, sh *signal.Taps, plo, phi, even, odd []float32) {
 	var wl, wh SynthesisRows
 	if len(plo) >= synWindow && len(phi) >= synWindow {
-		wl = SynthesisRows{plo, plo[1:], plo[2:], plo[3:], plo[4:], plo[5:]}
-		wh = SynthesisRows{phi, phi[1:], phi[2:], phi[3:], phi[4:], phi[5:]}
+		wl[0], wh[0] = plo, phi
+		wl[1], wh[1] = plo[1:], phi[1:]
+		wl[2], wh[2] = plo[2:], phi[2:]
+		wl[3], wh[3] = plo[3:], phi[3:]
+		wl[4], wh[4] = plo[4:], phi[4:]
+		wl[5], wh[5] = plo[5:], phi[5:]
 	}
 	SynthesizeOpLanes(op, sl, sh, &wl, &wh, even, odd)
 }

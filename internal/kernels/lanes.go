@@ -216,20 +216,30 @@ func analyzeLanesZero(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32) {
 func synthesizeMulFirstLanes(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32) {
 	checkLanes("kernels.SynthesizeOpLanes", wl[:], even, odd)
 	checkLanes("kernels.SynthesizeOpLanes", wh[:], even, odd)
-	rows, te, to := synthesisChains(sl, sh, wl, wh)
-	n := mulChainSIMD(&rows, &te, even)
-	mulChainSIMD(&rows, &to, odd)
+	var c synthesisChains
+	c.lay(sl, sh, wl, wh)
+	n := mulChainSIMD(&c.rows, &c.even, even)
+	mulChainSIMD(&c.rows, &c.odd, odd)
 	synthesizeLanesMulFirst(sl, sh, wl, wh, even, odd, n)
 }
 
-// synthesisChains lays a synthesis lane call out for the packed chains:
-// the even chain walks (sl[0], wl[5]), (sh[0], wh[5]), (sl[2], wl[4]),
-// ..., the odd chain the odd taps over the same rows.
-func synthesisChains(sl, sh *signal.Taps, wl, wh *SynthesisRows) (rows [signal.TapCount][]float32, te, to signal.Taps) {
-	rows = [signal.TapCount][]float32{wl[5], wh[5], wl[4], wh[4], wl[3], wh[3], wl[2], wh[2], wl[1], wh[1], wl[0], wh[0]}
-	te = signal.Taps{sl[0], sh[0], sl[2], sh[2], sl[4], sh[4], sl[6], sh[6], sl[8], sh[8], sl[10], sh[10]}
-	to = signal.Taps{sl[1], sh[1], sl[3], sh[3], sl[5], sh[5], sl[7], sh[7], sl[9], sh[9], sl[11], sh[11]}
-	return rows, te, to
+// synthesisChains is a synthesis lane call laid out for the packed
+// chains: the even chain walks (sl[0], wl[5]), (sh[0], wh[5]), (sl[2],
+// wl[4]), ..., the odd chain the odd taps over the same rows.
+type synthesisChains struct {
+	rows      [signal.TapCount][]float32
+	even, odd signal.Taps
+}
+
+// lay fills c in place, one window step per line: returning the tables,
+// or assigning composite literals, would build them aside and copy them.
+func (c *synthesisChains) lay(sl, sh *signal.Taps, wl, wh *SynthesisRows) {
+	c.rows[0], c.rows[1], c.even[0], c.even[1], c.odd[0], c.odd[1] = wl[5], wh[5], sl[0], sh[0], sl[1], sh[1]
+	c.rows[2], c.rows[3], c.even[2], c.even[3], c.odd[2], c.odd[3] = wl[4], wh[4], sl[2], sh[2], sl[3], sh[3]
+	c.rows[4], c.rows[5], c.even[4], c.even[5], c.odd[4], c.odd[5] = wl[3], wh[3], sl[4], sh[4], sl[5], sh[5]
+	c.rows[6], c.rows[7], c.even[6], c.even[7], c.odd[6], c.odd[7] = wl[2], wh[2], sl[6], sh[6], sl[7], sh[7]
+	c.rows[8], c.rows[9], c.even[8], c.even[9], c.odd[8], c.odd[9] = wl[1], wh[1], sl[8], sh[8], sl[9], sh[9]
+	c.rows[10], c.rows[11], c.even[10], c.even[11], c.odd[10], c.odd[11] = wl[0], wh[0], sl[10], sh[10], sl[11], sh[11]
 }
 
 // SynthesizeRefLanes runs signal.SynthesizeRef's pair chain over
@@ -238,9 +248,10 @@ func synthesisChains(sl, sh *signal.Taps, wl, wh *SynthesisRows) (rows [signal.T
 func SynthesizeRefLanes(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []float32) {
 	checkLanes("kernels.SynthesizeRefLanes", wl[:], even, odd)
 	checkLanes("kernels.SynthesizeRefLanes", wh[:], even, odd)
-	rows, te, to := synthesisChains(sl, sh, wl, wh)
-	n := pairChainSIMD(&rows, &te, even)
-	pairChainSIMD(&rows, &to, odd)
+	var c synthesisChains
+	c.lay(sl, sh, wl, wh)
+	n := pairChainSIMD(&c.rows, &c.even, even)
+	pairChainSIMD(&c.rows, &c.odd, odd)
 	synthesizeLanesRef(sl, sh, wl, wh, even, odd, n)
 }
 

@@ -88,9 +88,10 @@ func TestPairChainPackedMatchesGo(t *testing.T) {
 				synthesizeLanesRef(&sl, &sh, &wl, &wh, wantE, wantO, 0)
 				n := lanes / k.width * k.width
 				even, odd := make([]float32, n), make([]float32, n)
-				rows, te, to := synthesisChains(&sl, &sh, &wl, &wh)
-				k.run(&rows, &te, even)
-				k.run(&rows, &to, odd)
+				var c synthesisChains
+				c.lay(&sl, &sh, &wl, &wh)
+				k.run(&c.rows, &c.even, even)
+				k.run(&c.rows, &c.odd, odd)
 				if err := firstDiff(even, wantE[:n]); err != nil {
 					t.Fatalf("%s lanes=%d seed=%d: even %v", k.name, lanes, seed, err)
 				}
@@ -180,8 +181,7 @@ func BenchmarkMulChainAVX(b *testing.B) {
 type pairBench struct {
 	sl, sh    signal.Taps
 	wl, wh    SynthesisRows
-	rows      [signal.TapCount][]float32
-	te, to    signal.Taps
+	c         synthesisChains
 	even, odd []float32
 }
 
@@ -192,7 +192,7 @@ func newPairBench() *pairBench {
 	for j := range pb.wl {
 		pb.wl[j], pb.wh[j] = randBench(rng, benchLanes), randBench(rng, benchLanes)
 	}
-	pb.rows, pb.te, pb.to = synthesisChains(&pb.sl, &pb.sh, &pb.wl, &pb.wh)
+	pb.c.lay(&pb.sl, &pb.sh, &pb.wl, &pb.wh)
 	return pb
 }
 
@@ -200,14 +200,14 @@ func benchPairChain(b *testing.B, run func(rows *[signal.TapCount][]float32, tap
 	pb := newPairBench()
 	// Warm the wide execution units first, as benchMulChain does.
 	for range benchChainRows {
-		run(&pb.rows, &pb.te, pb.even)
-		run(&pb.rows, &pb.to, pb.odd)
+		run(&pb.c.rows, &pb.c.even, pb.even)
+		run(&pb.c.rows, &pb.c.odd, pb.odd)
 	}
 	b.SetBytes(2 * benchChainRows * benchLanes * 4)
 	for b.Loop() {
 		for range benchChainRows {
-			run(&pb.rows, &pb.te, pb.even)
-			run(&pb.rows, &pb.to, pb.odd)
+			run(&pb.c.rows, &pb.c.even, pb.even)
+			run(&pb.c.rows, &pb.c.odd, pb.odd)
 		}
 	}
 }

@@ -207,7 +207,7 @@ func TestCountsAddQuick(t *testing.T) {
 		c.Loads = int64(a)
 		var d Counts
 		d.Loads = int64(b)
-		c.Add(d)
+		c.Add(&d)
 		return c.Loads == int64(a)+int64(b)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -38,7 +38,7 @@ type Counts struct {
 }
 
 // Add accumulates other into c.
-func (c *Counts) Add(other Counts) {
+func (c *Counts) Add(other *Counts) {
 	c.Loads += other.Loads
 	c.Loads2 += other.Loads2
 	c.Stores += other.Stores

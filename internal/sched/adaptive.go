@@ -61,11 +61,12 @@ type Adaptive struct {
 
 	// Cooperative-split pass state: a pass is a maximal run of same-class
 	// rows; its two lanes overlap when both ran.
-	passOpen bool
-	passKey  rowClass
-	pass     laneStat
-	carry    []classCarry // error-diffusion accumulators, one per class
-	overlap  sim.Time     // closed-pass overlap since the last Reset
+	passOpen  bool
+	passKey   rowClass
+	pass      laneStat
+	passCarry int          // the open pass's class in carry
+	carry     []classCarry // error-diffusion accumulators, one per class
+	overlap   sim.Time     // closed-pass overlap since the last Reset
 
 	// Drained accumulators (filled on Reset, emptied on DrainEnergy /
 	// DrainLanes).
@@ -88,7 +89,7 @@ type Adaptive struct {
 
 // laneEngine is one engine the adaptive engine routes rows to: each of
 // ARM, NEON and FPGA charges rows without data (kernels.TileKernel) on
-// its own timeline, which probe reads.
+// its own timeline, which the row charges read around each row.
 type laneEngine interface {
 	kernels.TileKernel
 	Elapsed() sim.Time
@@ -197,8 +198,9 @@ func (a *Adaptive) splitRoute(k rowClass, p split.Partition) int {
 		a.passOpen = true
 		a.passKey = k
 		a.pass = laneStat{}
+		a.passCarry = a.carryOf(k)
 	}
-	carry := a.carryOf(k)
+	carry := &a.carry[a.passCarry].c
 	c := *carry + p.FPGA
 	// 1e-9 absorbs float accumulation error so FPGA=1.0 routes every row.
 	if c >= 1-1e-9 {
@@ -209,17 +211,18 @@ func (a *Adaptive) splitRoute(k rowClass, p split.Partition) int {
 	return laneNEON
 }
 
-// carryOf returns class k's error-diffusion accumulator, starting it at
-// zero on the class's first row. A transform routes a handful of classes
-// (one per level, direction and pass orientation), so a scan finds it.
-func (a *Adaptive) carryOf(k rowClass) *float64 {
+// carryOf returns the index of class k's error-diffusion accumulator,
+// starting it at zero on the class's first row. A transform routes a
+// handful of classes (one per level, direction and pass orientation), so
+// a scan finds it; a pass looks it up once.
+func (a *Adaptive) carryOf(k rowClass) int {
 	for i := range a.carry {
 		if a.carry[i].k == k {
-			return &a.carry[i].c
+			return i
 		}
 	}
 	a.carry = append(a.carry, classCarry{k: k})
-	return &a.carry[len(a.carry)-1].c
+	return len(a.carry) - 1
 }
 
 // closePass ends the running pass: the lanes sync, the overlapped span
@@ -261,15 +264,6 @@ func (a *Adaptive) closePass() {
 // frames.
 func (a *Adaptive) BeginStage(stage string, frame int64) { a.closePass() }
 
-// probe reads a lane's running cost without draining it: the FPGA's
-// Elapsed would drain its double buffer, so its timeline is peeked.
-func (a *Adaptive) probe(lane int) sim.Time {
-	if lane == laneFPGA {
-		return a.fpga.Peek()
-	}
-	return a.lanes[lane].Elapsed()
-}
-
 // Analyze implements signal.Kernel: the routed row's charge, then the
 // row on the routed engine's chain.
 func (a *Adaptive) Analyze(al, ah *signal.Taps, px []float32, lo, hi []float32) {
@@ -283,22 +277,37 @@ func (a *Adaptive) Synthesize(sl, sh *signal.Taps, plo, phi []float32, out []flo
 
 // ChargeAnalyzeRow implements kernels.TileKernel: it routes the row by
 // width, charges the routed engine's data-free row between two probes of
-// that engine's cost and observes the difference, and returns the
-// routed engine's chain.
+// that engine's running cost and observes the difference, and returns
+// the routed engine's chain. The FPGA's Elapsed would drain its double
+// buffer, so its timeline is peeked.
 func (a *Adaptive) ChargeAnalyzeRow(al, ah *signal.Taps, m int) kernels.Chain {
 	lane := a.route(m, false)
-	before := a.probe(lane)
-	c := a.lanes[lane].ChargeAnalyzeRow(al, ah, m)
-	a.observe(m, false, lane, a.probe(lane)-before)
+	if lane == laneFPGA {
+		before := a.fpga.Peek()
+		c := a.fpga.ChargeAnalyzeRow(al, ah, m)
+		a.observe(m, false, lane, a.fpga.Peek()-before)
+		return c
+	}
+	e := a.lanes[lane]
+	before := e.Elapsed()
+	c := e.ChargeAnalyzeRow(al, ah, m)
+	a.observe(m, false, lane, e.Elapsed()-before)
 	return c
 }
 
 // ChargeSynthesizeRow implements kernels.TileKernel for synthesis rows.
 func (a *Adaptive) ChargeSynthesizeRow(sl, sh *signal.Taps, m int) kernels.Chain {
 	lane := a.route(m, true)
-	before := a.probe(lane)
-	c := a.lanes[lane].ChargeSynthesizeRow(sl, sh, m)
-	a.observe(m, true, lane, a.probe(lane)-before)
+	if lane == laneFPGA {
+		before := a.fpga.Peek()
+		c := a.fpga.ChargeSynthesizeRow(sl, sh, m)
+		a.observe(m, true, lane, a.fpga.Peek()-before)
+		return c
+	}
+	e := a.lanes[lane]
+	before := e.Elapsed()
+	c := e.ChargeSynthesizeRow(sl, sh, m)
+	a.observe(m, true, lane, e.Elapsed()-before)
 	return c
 }
 

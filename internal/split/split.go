@@ -26,6 +26,7 @@ package split
 
 import (
 	"fmt"
+	"math"
 
 	"zynqfusion/internal/dvfs"
 	"zynqfusion/internal/engine"
@@ -144,6 +145,8 @@ type Oracle struct {
 	// MinPairs keeps rows narrower than this NEON-only (0 selects
 	// DefaultMinPairs).
 	MinPairs int
+
+	memo memo
 }
 
 // NewOracle returns the oracle split policy for an operating point.
@@ -152,17 +155,71 @@ func NewOracle(op dvfs.OperatingPoint) *Oracle { return &Oracle{Op: op} }
 // Name implements Policy.
 func (o *Oracle) Name() string { return "split-oracle-" + o.Op.Name }
 
-// Split implements Policy.
+// Split implements Policy. Each row class's partition is computed once
+// (memo) until Op or MinPairs changes.
 func (o *Oracle) Split(pairs int, inverse bool) Partition {
-	min := o.MinPairs
-	if min == 0 {
-		min = DefaultMinPairs
-	}
-	if pairs < min {
+	return o.memo.split(o.Op, o.MinPairs, classKey{pairs, inverse}, o.compute)
+}
+
+func (o *Oracle) compute(k classKey) Partition {
+	if k.pairs < minPairs(o.MinPairs) {
 		return Partition{}
 	}
-	neon, fpga := RowTimes(pairs, inverse, o.Op)
+	neon, fpga := RowTimes(k.pairs, k.inverse, o.Op)
 	return Partition{FPGA: balanced(neon, fpga)}.Clamp()
+}
+
+// minPairs resolves a policy's MinPairs field: 0 selects
+// DefaultMinPairs.
+func minPairs(n int) int {
+	if n == 0 {
+		return DefaultMinPairs
+	}
+	return n
+}
+
+// memo caches a pure split policy's partition per row class, for the
+// operating point and MinPairs it was computed at: a change to the
+// point's clock or voltage (its name enters no partition) or to MinPairs
+// empties it. A level routes every row of a class through the policy,
+// and a transform has a handful of classes, so a scan finds one.
+type memo struct {
+	at    memoKey
+	parts []memoEntry
+	last  int // the most recent class's index in parts
+}
+
+// memoKey is what a memoized policy's partitions depend on besides the
+// row class.
+type memoKey struct {
+	hz, volts uint64
+	minPairs  int
+}
+
+type memoEntry struct {
+	k classKey
+	p Partition
+}
+
+// split returns class k's partition at op and minPairs, computing it
+// with compute on the class's first row.
+func (m *memo) split(op dvfs.OperatingPoint, minPairs int, k classKey, compute func(classKey) Partition) Partition {
+	if at := (memoKey{math.Float64bits(op.Hz), math.Float64bits(op.Volts), minPairs}); at != m.at {
+		m.at, m.parts = at, m.parts[:0]
+	}
+	if m.last < len(m.parts) && m.parts[m.last].k == k {
+		return m.parts[m.last].p
+	}
+	for i, e := range m.parts {
+		if e.k == k {
+			m.last = i
+			return e.p
+		}
+	}
+	p := compute(k)
+	m.last = len(m.parts)
+	m.parts = append(m.parts, memoEntry{k, p})
+	return p
 }
 
 // EnergySplit picks the partition minimizing modeled energy per pass
@@ -182,6 +239,8 @@ type EnergySplit struct {
 	// MinPairs keeps rows narrower than this NEON-only (0 selects
 	// DefaultMinPairs).
 	MinPairs int
+
+	memo memo
 }
 
 // NewEnergySplit returns the energy-minimizing split policy for an
@@ -191,16 +250,17 @@ func NewEnergySplit(op dvfs.OperatingPoint) *EnergySplit { return &EnergySplit{O
 // Name implements Policy.
 func (e *EnergySplit) Name() string { return "split-energy-" + e.Op.Name }
 
-// Split implements Policy.
+// Split implements Policy. Each row class's grid search runs once
+// (memo) until Op or MinPairs changes.
 func (e *EnergySplit) Split(pairs int, inverse bool) Partition {
-	min := e.MinPairs
-	if min == 0 {
-		min = DefaultMinPairs
-	}
-	if pairs < min {
+	return e.memo.split(e.Op, e.MinPairs, classKey{pairs, inverse}, e.compute)
+}
+
+func (e *EnergySplit) compute(k classKey) Partition {
+	if k.pairs < minPairs(e.MinPairs) {
 		return Partition{}
 	}
-	tn, tf := RowTimes(pairs, inverse, e.Op)
+	tn, tf := RowTimes(k.pairs, k.inverse, e.Op)
 	pn := float64(dvfs.ModePower("neon", e.Op))
 	pf := float64(dvfs.ModePower("fpga", e.Op))
 	pi := float64(power.Idle)
@@ -277,11 +337,7 @@ func (a *AdaptiveSplit) stateFor(pairs int, inverse bool) *climbState {
 
 // Split implements Policy.
 func (a *AdaptiveSplit) Split(pairs int, inverse bool) Partition {
-	min := a.MinPairs
-	if min == 0 {
-		min = DefaultMinPairs
-	}
-	if pairs < min {
+	if pairs < minPairs(a.MinPairs) {
 		return Partition{}
 	}
 	return Partition{FPGA: a.stateFor(pairs, inverse).frac}.Clamp()

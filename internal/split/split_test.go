@@ -137,6 +137,46 @@ func TestEnergySplitCooperativeBeatsExclusiveModel(t *testing.T) {
 	}
 }
 
+// TestSplitMemoFollowsFields holds the memoized Oracle and EnergySplit
+// to a fresh policy's partition for every class they are asked about,
+// asked in a repeating order, and after Op or MinPairs changes under
+// them.
+func TestSplitMemoFollowsFields(t *testing.T) {
+	oracle, energy := NewOracle(dvfs.Nominal()), NewEnergySplit(dvfs.Nominal())
+	for _, tc := range []struct {
+		name  string
+		p     Policy
+		set   func(op dvfs.OperatingPoint, minPairs int)
+		fresh func(op dvfs.OperatingPoint, minPairs int) Policy
+	}{
+		{"oracle", oracle,
+			func(op dvfs.OperatingPoint, n int) { oracle.Op, oracle.MinPairs = op, n },
+			func(op dvfs.OperatingPoint, n int) Policy { return &Oracle{Op: op, MinPairs: n} }},
+		{"energy", energy,
+			func(op dvfs.OperatingPoint, n int) { energy.Op, energy.MinPairs = op, n },
+			func(op dvfs.OperatingPoint, n int) Policy { return &EnergySplit{Op: op, MinPairs: n} }},
+	} {
+		for _, step := range []struct {
+			op       dvfs.OperatingPoint
+			minPairs int
+		}{{dvfs.Nominal(), 0}, {op("222MHz"), 0}, {op("222MHz"), 40}, {dvfs.Nominal(), 40}, {dvfs.Nominal(), 0}} {
+			tc.set(step.op, step.minPairs)
+			for round := 0; round < 2; round++ {
+				for _, pairs := range []int{3, 44, 44, 160, 30, 44} {
+					for _, inverse := range []bool{false, true} {
+						got := tc.p.Split(pairs, inverse)
+						want := tc.fresh(step.op, step.minPairs).Split(pairs, inverse)
+						if got != want {
+							t.Errorf("%s at %s, MinPairs %d: Split(%d, %v) = %v, a fresh policy %v",
+								tc.name, step.op.Name, step.minPairs, pairs, inverse, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestAdaptiveSplitSeedsFromProbe(t *testing.T) {
 	a := NewAdaptiveSplit(dvfs.Nominal())
 	got := a.Split(44, false).FPGA

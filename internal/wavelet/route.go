@@ -39,24 +39,27 @@ type passRoute struct {
 }
 
 // lanePlan is how the lanes of one half of a column pass's output row
-// compute: ops is each lane's chain, primary the chain of the most
-// lanes, computed over every lane straight into the output, and others
-// the other chains present, each computed over every lane aside and
-// picked lane by lane over the primary's. A split partition interleaves
-// the wave engine's columns with NEON's in runs of a few lanes; a lane
-// call per run would leave most lanes to the scalar remainder loops,
-// where computing every chain over the whole half keeps them all on the
-// packed chains (at 320x240 under the oracle split, 24.2 ms/frame run by
-// run against 7.3 ms computing each chain over nearly the whole half). A
-// uniform half is one call.
+// compute: primary is the chain of the most lanes, computed over every
+// lane straight into the output, and others the other chains present,
+// each computed over every lane aside, with lanes[op] the lanes that
+// compute on op, which pick copies over the primary's. A split partition
+// interleaves the wave engine's columns with NEON's in runs of a few
+// lanes; a lane call per run would leave most lanes to the scalar
+// remainder loops, where computing every chain over the whole half keeps
+// them all on the packed chains (at 320x240 under the oracle split, 24.2
+// ms/frame run by run against 7.3 ms computing each chain over nearly the
+// whole half). A uniform half is one call and picks nothing.
 type lanePlan struct {
-	ops     []kernels.Op
 	primary kernels.Op
 	others  []kernels.Op
+	lanes   [numOps][]int32 // empty for the primary
 }
 
-// numOps bounds the kernels.Op values.
-const numOps = int(kernels.OpPair) + 1
+// numOps and numChains bound the kernels.Op and kernels.Chain values.
+const (
+	numOps    = int(kernels.OpPair) + 1
+	numChains = int(kernels.ChainWaveEngine) + 1
+)
 
 // reset resizes the chain list to n entries for a replay to fill.
 func (p *passRoute) reset(n int) []kernels.Chain {
@@ -69,17 +72,24 @@ func (p *passRoute) reset(n int) []kernels.Chain {
 
 // plan builds the lane plans of a column pass whose halves are half
 // columns wide, for m-output columns; opAt is the chains' Op for the
-// pass's direction.
+// pass's direction. A part no output row falls in (the tail when m is a
+// multiple of four) is left as it was.
 func (p *passRoute) plan(opAt func(kernels.Chain, int, int) kernels.Op, m, half int) {
+	tail := kernels.TailStart(m)
 	for part, pos := range [2]int{0, m - 1} {
+		if part == 0 && tail == 0 || part == 1 && tail == m {
+			continue
+		}
+		var opOf [numChains]kernels.Op
+		for c := range opOf {
+			opOf[c] = opAt(kernels.Chain(c), pos, m)
+		}
 		for h := range p.plans[part] {
 			lp := &p.plans[part][h]
-			lp.ops = lp.ops[:0]
+			chains := p.chains[h*half : (h+1)*half]
 			var count [numOps]int
-			for _, c := range p.chains[h*half : (h+1)*half] {
-				op := opAt(c, pos, m)
-				lp.ops = append(lp.ops, op)
-				count[op]++
+			for _, c := range chains {
+				count[opOf[c]]++
 			}
 			lp.primary = 0
 			for op, n := range count {
@@ -89,8 +99,17 @@ func (p *passRoute) plan(opAt func(kernels.Chain, int, int) kernels.Op, m, half 
 			}
 			lp.others = lp.others[:0]
 			for op, n := range count {
+				lp.lanes[op] = lp.lanes[op][:0]
 				if n > 0 && kernels.Op(op) != lp.primary {
 					lp.others = append(lp.others, kernels.Op(op))
+				}
+			}
+			if len(lp.others) == 0 {
+				continue
+			}
+			for i, c := range chains {
+				if op := opOf[c]; op != lp.primary {
+					lp.lanes[op] = append(lp.lanes[op], int32(i))
 				}
 			}
 		}
@@ -109,10 +128,8 @@ func (p *passRoute) at(half, pos, m int) *lanePlan {
 // pick copies the lanes that compute on op from aside, which holds op's
 // output at every lane, into dst.
 func (lp *lanePlan) pick(op kernels.Op, dst, aside []float32) {
-	for i, o := range lp.ops {
-		if o == op {
-			dst[i] = aside[i]
-		}
+	for _, i := range lp.lanes[op] {
+		dst[i] = aside[i]
 	}
 }
 

@@ -20,6 +20,8 @@ import (
 // orders (four partial sums, the pair chain, the NEON tail's
 // interleave), and zero taps over negative samples make every product -0,
 // which the mul-first chains keep and the zero-start chains turn into +0.
+// Each plan's lane lists must name exactly the lanes off its primary
+// chain, each under its own Op, and others exactly the Ops they hold.
 func TestLanePlanSelectsEachLanesChain(t *testing.T) {
 	const (
 		m    = 7
@@ -65,11 +67,38 @@ func TestLanePlanSelectsEachLanesChain(t *testing.T) {
 				for h := 0; h < 2; h++ {
 					label := fmt.Sprintf("%s zero=%v pos=%d half=%d", tc.name, zero, pos, h)
 					chains := tc.chains[h*half : (h+1)*half]
+					checkLaneLists(t, label+" analysis", ar.at(h, pos, m), chains, kernels.Chain.AnalysisOp, pos, m)
+					checkLaneLists(t, label+" synthesis", sr.at(h, pos, m), chains, kernels.Chain.SynthesisOp, pos, m)
 					checkAnalyzeSelect(t, label, ar.at(h, pos, m), bank, chains, pos, m, laneTestRows(rng, zero, half))
 					checkSynthesizeSelect(t, label, sr.at(h, pos, m), bank, chains, pos, m, laneTestRows(rng, zero, half))
 				}
 			}
 		}
+	}
+}
+
+// checkLaneLists fails unless plan's lane lists hold, for every Op but
+// the primary, exactly the lanes of chains that compute on it at output
+// pos, in lane order, and plan.others exactly the Ops with lanes.
+func checkLaneLists(t *testing.T, label string, plan *lanePlan, chains []kernels.Chain, opAt func(kernels.Chain, int, int) kernels.Op, pos, m int) {
+	t.Helper()
+	var want [numOps][]int32
+	for i, c := range chains {
+		if op := opAt(c, pos, m); op != plan.primary {
+			want[op] = append(want[op], int32(i))
+		}
+	}
+	var others []kernels.Op
+	for op := range want {
+		if fmt.Sprint(plan.lanes[op]) != fmt.Sprint(want[op]) {
+			t.Errorf("%s: lanes of op %d = %v, want %v (primary %d)", label, op, plan.lanes[op], want[op], plan.primary)
+		}
+		if len(want[op]) > 0 {
+			others = append(others, kernels.Op(op))
+		}
+	}
+	if fmt.Sprint(plan.others) != fmt.Sprint(others) {
+		t.Errorf("%s: others %v, want %v", label, plan.others, others)
 	}
 }
 

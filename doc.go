@@ -127,8 +127,9 @@
 // buffers, transform pyramids, per-level scratch, fused outputs — is a
 // reference-counted lease from a pool, reused frame over frame, so the
 // steady-state fusion hot path performs zero heap allocations (a CI guard
-// pins <= 2 per frame). Pooling is always on; Options.BufferPool makes
-// the ceiling explicit:
+// pins <= 2 per frame), and so does a warm capture of a webcam+thermal
+// pair through the BT.656 chain (pinned at 0). Pooling is always on;
+// Options.BufferPool makes the ceiling explicit:
 //
 //	fuser, err := zynqfusion.New(zynqfusion.Options{
 //		BufferPool: zynqfusion.BufferPool{CapBytes: 8 << 20},

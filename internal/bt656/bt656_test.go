@@ -187,7 +187,7 @@ func TestScalerGeometry(t *testing.T) {
 			t.Fatalf("scaled to %dx%d", out.W, out.H)
 		}
 	}
-	if _, err := (Scaler{}).Scale(src); err == nil {
+	if _, err := (&Scaler{}).Scale(src); err == nil {
 		t.Error("zero output size should fail")
 	}
 }
@@ -196,7 +196,7 @@ func TestScalerPreservesConstants(t *testing.T) {
 	src := frame.New(720, 243)
 	src.Fill(127)
 	for _, bl := range []bool{false, true} {
-		out, err := Scaler{OutW: 640, OutH: 480, Bilinear: bl}.Scale(src)
+		out, err := (&Scaler{OutW: 640, OutH: 480, Bilinear: bl}).Scale(src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestScalerPreservesConstants(t *testing.T) {
 func TestScalerIdentityWhenSameSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	src := randLumaFrame(rng, 64, 48)
-	out, err := Scaler{OutW: 64, OutH: 48}.Scale(src)
+	out, err := (&Scaler{OutW: 64, OutH: 48}).Scale(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package bt656
 
 import (
+	"bytes"
+
 	"zynqfusion/internal/frame"
 )
 
@@ -47,13 +49,32 @@ func NewDecoder(width int) *Decoder {
 // Write consumes a chunk of the byte stream. It never fails; stream errors
 // are counted in Stats. It implements io.Writer so camera models can pipe
 // into it.
+//
+// Between timing references the stream is payload, which step only
+// appends to an open line; Write takes each such run up to the next 0xFF
+// in one piece and hands step the timing-reference bytes alone.
 func (d *Decoder) Write(p []byte) (int, error) {
-	for _, b := range p {
-		d.step(b)
+	n := len(p)
+	for len(p) > 0 {
+		if d.pstate == 0 {
+			run := bytes.IndexByte(p, preamble1)
+			if run < 0 {
+				run = len(p)
+			}
+			if d.active {
+				d.line = append(d.line, p[:run]...)
+			}
+			if p = p[run:]; len(p) == 0 {
+				break
+			}
+		}
+		d.step(p[0])
+		p = p[1:]
 	}
-	return len(p), nil
+	return n, nil
 }
 
+// step advances the state machine by one byte.
 func (d *Decoder) step(b byte) {
 	// Timing-reference preamble tracking runs even inside active video:
 	// 0xFF cannot occur in payload, so a preamble always means control.
@@ -134,8 +155,9 @@ func (d *Decoder) endLine() {
 	} else {
 		y = make([]byte, d.width)
 	}
-	for i := 0; i < d.width; i++ {
-		y[i] = d.line[2*i+1] // Cb Y Cr Y multiplex: luma at odd offsets
+	line := d.line
+	for i := range y {
+		y[i] = line[2*i+1] // Cb Y Cr Y multiplex: luma at odd offsets
 	}
 	d.lines = append(d.lines, y)
 	d.Stats.Lines++
@@ -201,6 +223,8 @@ func (d *Decoder) NextFrame() (*frame.Frame, bool) {
 		return nil, false
 	}
 	f := d.completed[0]
-	d.completed = d.completed[1:]
+	n := copy(d.completed, d.completed[1:])
+	d.completed[n] = nil
+	d.completed = d.completed[:n]
 	return f, true
 }

@@ -2,6 +2,7 @@ package bt656
 
 import (
 	"fmt"
+	"slices"
 
 	"zynqfusion/internal/frame"
 )
@@ -30,34 +31,44 @@ func (e *Encoder) Encode(dst []byte, f *frame.Frame) []byte {
 	if e.Interlaced {
 		e.field = !e.field
 	}
-	lineWords := f.W * 2
-
-	appendLine := func(dst []byte, v bool, y []float32) []byte {
-		// EAV of the previous line, blanking gap, then SAV + payload.
-		dst = append(dst, preamble1, preamble2, preamble3, XY(field, v, true))
-		for i := 0; i < 8; i++ {
-			dst = append(dst, blankChroma, blankLuma)
-		}
-		dst = append(dst, preamble1, preamble2, preamble3, XY(field, v, false))
-		if y == nil {
-			for i := 0; i < lineWords/2; i++ {
-				dst = append(dst, blankChroma, blankLuma)
+	blanking = max(blanking, 0)
+	// Lines differ only in their XY words and luma, so each line after
+	// the field's first starts as a copy of the line before it.
+	lineLen := len(lineHead) + 2*f.W
+	dst = slices.Grow(dst, (blanking+f.H)*lineLen)
+	for r := -blanking; r < f.H; r++ {
+		n := len(dst)
+		dst = dst[:n+lineLen]
+		line := dst[n:]
+		if r == -blanking {
+			copy(line, lineHead[:])
+			for i := len(lineHead); i < len(line); i += 2 {
+				line[i], line[i+1] = blankChroma, blankLuma
 			}
-			return dst
+		} else {
+			copy(line, dst[n-lineLen:n])
 		}
-		for _, s := range y {
-			dst = append(dst, blankChroma, clampLuma(s))
+		v := r < 0
+		line[3] = XY(field, v, true)
+		line[len(lineHead)-1] = XY(field, v, false)
+		if v {
+			continue // blanking lines all copy the first, blank line
 		}
-		return dst
-	}
-
-	for i := 0; i < blanking; i++ {
-		dst = appendLine(dst, true, nil)
-	}
-	for r := 0; r < f.H; r++ {
-		dst = appendLine(dst, false, f.Row(r))
+		words := line[len(lineHead):]
+		for i, s := range f.Row(r) {
+			words[2*i+1] = clampLuma(s)
+		}
 	}
 	return dst
+}
+
+// lineHead opens every line: the EAV of the previous line, eight blanking
+// words and the SAV, with both XY words left zero.
+var lineHead = [...]byte{
+	preamble1, preamble2, preamble3, 0,
+	blankChroma, blankLuma, blankChroma, blankLuma, blankChroma, blankLuma, blankChroma, blankLuma,
+	blankChroma, blankLuma, blankChroma, blankLuma, blankChroma, blankLuma, blankChroma, blankLuma,
+	preamble1, preamble2, preamble3, 0,
 }
 
 func clampLuma(v float32) byte {

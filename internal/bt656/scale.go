@@ -9,15 +9,43 @@ import (
 // Scaler is the Video_Scale block of Fig. 7, converting the camera's
 // native field geometry (720x243 per field for the thermal head) to the
 // display/processing geometry (640x480, 60 Hz).
+//
+// Like the hardware block it works from a line buffer: it keeps a plan of
+// every output column's and row's taps for the last (source, output)
+// geometry it served, and a two-row buffer of horizontally interpolated
+// source rows, so each source row is interpolated once however many output
+// rows it feeds. Steady-state scaling allocates nothing. A Scaler is not
+// safe for concurrent use.
 type Scaler struct {
 	OutW, OutH int
 	// Bilinear selects bilinear interpolation; false gives the cheaper
 	// nearest-neighbor hardware.
 	Bilinear bool
+
+	plan *scalePlan
+}
+
+// scalePlan is a Scaler's tap tables for one geometry. For bilinear
+// scaling output column x reads source columns x0[x] and x1[x] with the
+// right tap weighted ax[x], and output row y blends the interpolated
+// source rows y0[y] and y1[y] with the lower weighted ay[y]. Nearest
+// neighbor reads x0 and y0 only.
+type scalePlan struct {
+	srcW, srcH, outW, outH int
+	bilinear               bool
+
+	x0, x1, y0, y1 []int
+	ax, ay         []float32
+
+	// line[k] holds the horizontal interpolation of source row lineY[k];
+	// row r always lands in slot r&1, since an output row's two source
+	// rows are either adjacent or the same row.
+	line  [2][]float32
+	lineY [2]int
 }
 
 // Scale resamples src to the configured output geometry.
-func (s Scaler) Scale(src *frame.Frame) (*frame.Frame, error) {
+func (s *Scaler) Scale(src *frame.Frame) (*frame.Frame, error) {
 	if s.OutW <= 0 || s.OutH <= 0 {
 		return nil, fmt.Errorf("bt656.Scaler: bad output size %dx%d", s.OutW, s.OutH)
 	}
@@ -32,7 +60,7 @@ func (s Scaler) Scale(src *frame.Frame) (*frame.Frame, error) {
 // configured output geometry — the in-place form a hardware scaler block
 // writing its fixed output frame store uses. Every output sample is
 // written.
-func (s Scaler) ScaleInto(dst, src *frame.Frame) error {
+func (s *Scaler) ScaleInto(dst, src *frame.Frame) error {
 	if s.OutW <= 0 || s.OutH <= 0 {
 		return fmt.Errorf("bt656.Scaler: bad output size %dx%d", s.OutW, s.OutH)
 	}
@@ -42,44 +70,89 @@ func (s Scaler) ScaleInto(dst, src *frame.Frame) error {
 	if dst.W != s.OutW || dst.H != s.OutH {
 		return fmt.Errorf("bt656.Scaler: destination %dx%d, want %dx%d", dst.W, dst.H, s.OutW, s.OutH)
 	}
-	sx := float64(src.W) / float64(s.OutW)
-	sy := float64(src.H) / float64(s.OutH)
-	for y := 0; y < s.OutH; y++ {
-		fy := (float64(y)+0.5)*sy - 0.5
-		for x := 0; x < s.OutW; x++ {
-			fx := (float64(x)+0.5)*sx - 0.5
-			if s.Bilinear {
-				dst.Set(x, y, bilinear(src, fx, fy))
-			} else {
-				dst.Set(x, y, nearest(src, fx, fy))
+	p := s.planFor(src.W, src.H)
+	if !p.bilinear {
+		for y, sy := range p.y0 {
+			in, out := src.Row(sy), dst.Row(y)
+			for x, sx := range p.x0 {
+				out[x] = in[sx]
 			}
+		}
+		return nil
+	}
+	p.lineY = [2]int{-1, -1}
+	for y, ay := range p.ay {
+		top := p.lerpRow(src, p.y0[y])
+		bot := p.lerpRow(src, p.y1[y])
+		out := dst.Row(y)
+		top, bot = top[:len(out)], bot[:len(out)]
+		ia := 1 - ay
+		for x := range out {
+			out[x] = top[x]*ia + bot[x]*ay
 		}
 	}
 	return nil
 }
 
-func nearest(src *frame.Frame, fx, fy float64) float32 {
-	x := clampInt(int(fx+0.5), 0, src.W-1)
-	y := clampInt(int(fy+0.5), 0, src.H-1)
-	return src.At(x, y)
+// lerpRow returns source row r interpolated to the output width,
+// computing it only if the line buffer does not hold it yet.
+func (p *scalePlan) lerpRow(src *frame.Frame, r int) []float32 {
+	k := r & 1
+	l := p.line[k]
+	if p.lineY[k] != r {
+		in := src.Row(r)
+		x0, x1, ax := p.x0[:len(l)], p.x1[:len(l)], p.ax[:len(l)]
+		for x := range l {
+			l[x] = in[x0[x]]*(1-ax[x]) + in[x1[x]]*ax[x]
+		}
+		p.lineY[k] = r
+	}
+	return l
 }
 
-func bilinear(src *frame.Frame, fx, fy float64) float32 {
-	x0 := clampInt(int(fx), 0, src.W-1)
-	y0 := clampInt(int(fy), 0, src.H-1)
-	x1 := clampInt(x0+1, 0, src.W-1)
-	y1 := clampInt(y0+1, 0, src.H-1)
-	ax := float32(fx - float64(x0))
-	ay := float32(fy - float64(y0))
-	if ax < 0 {
-		ax = 0
+// planFor returns the plan for a srcW x srcH source at the configured
+// output geometry, rebuilding it when any of the four sides or the
+// interpolation mode changed since the last call.
+func (s *Scaler) planFor(srcW, srcH int) *scalePlan {
+	if p := s.plan; p != nil && p.srcW == srcW && p.srcH == srcH &&
+		p.outW == s.OutW && p.outH == s.OutH && p.bilinear == s.Bilinear {
+		return p
 	}
-	if ay < 0 {
-		ay = 0
+	p := &scalePlan{srcW: srcW, srcH: srcH, outW: s.OutW, outH: s.OutH, bilinear: s.Bilinear}
+	p.x0, p.x1, p.ax = taps(srcW, s.OutW, s.Bilinear)
+	p.y0, p.y1, p.ay = taps(srcH, s.OutH, s.Bilinear)
+	if s.Bilinear {
+		p.line = [2][]float32{make([]float32, s.OutW), make([]float32, s.OutW)}
 	}
-	top := src.At(x0, y0)*(1-ax) + src.At(x1, y0)*ax
-	bot := src.At(x0, y1)*(1-ax) + src.At(x1, y1)*ax
-	return top*(1-ay) + bot*ay
+	s.plan = p
+	return p
+}
+
+// taps maps n output positions onto a source axis of length src, with
+// the sample-centre alignment (i+0.5)*src/n - 0.5. Bilinear taps are the
+// two neighbours around that position and the far one's weight; a
+// nearest-neighbour tap is the rounded position alone.
+func taps(src, n int, bilinear bool) (i0, i1 []int, a []float32) {
+	scale := float64(src) / float64(n)
+	i0 = make([]int, n)
+	if bilinear {
+		i1 = make([]int, n)
+		a = make([]float32, n)
+	}
+	for i := range i0 {
+		f := (float64(i)+0.5)*scale - 0.5
+		if !bilinear {
+			i0[i] = clampInt(int(f+0.5), 0, src-1)
+			continue
+		}
+		i0[i] = clampInt(int(f), 0, src-1)
+		i1[i] = clampInt(i0[i]+1, 0, src-1)
+		a[i] = float32(f - float64(i0[i]))
+		if a[i] < 0 {
+			a[i] = 0
+		}
+	}
+	return i0, i1, a
 }
 
 func clampInt(v, lo, hi int) int {

@@ -91,7 +91,8 @@ type Thermal struct {
 	native struct{ w, h int }
 	enc    bt656.Encoder
 	dec    *bt656.Decoder
-	scaler bt656.Scaler
+	up     bt656.Scaler // sensor render to the native field
+	scaler bt656.Scaler // decoded field to the target geometry
 	fifo   bt656.OutputFIFO
 	stream []byte
 
@@ -116,6 +117,7 @@ func NewThermal(s *Scene, targetW, targetH int) (*Thermal, error) {
 	// 243 active lines per field).
 	t.native.w, t.native.h = 720, 243
 	t.dec = bt656.NewDecoder(t.native.w)
+	t.up = bt656.Scaler{OutW: t.native.w, OutH: t.native.h, Bilinear: true}
 	t.scaler = bt656.Scaler{OutW: targetW, OutH: targetH, Bilinear: true}
 	return t, nil
 }
@@ -129,8 +131,9 @@ func (t *Thermal) FIFO() *bt656.OutputFIFO { return &t.fifo }
 // SetPool makes the thermal camera deliver frames as leases from p (the
 // consumer Releases each). Without a pool every capture is a fresh plain
 // frame. The BT.656 intermediates — sensor render, native field store,
-// byte stream, decoder lines — are persistent either way, mirroring the
-// fixed capture buffers of the Fig. 7 chain.
+// byte stream, decoder lines and field stores, the scalers' line buffers —
+// are persistent either way, mirroring the fixed capture buffers of the
+// Fig. 7 chain, so a pooled capture allocates nothing once warm.
 func (t *Thermal) SetPool(p *bufpool.Pool) { t.pool = p }
 
 // Capture renders the scene at the sensor, pushes it through the BT.656
@@ -146,8 +149,7 @@ func (t *Thermal) Capture() (*frame.Frame, error) {
 	if t.field == nil {
 		t.field = frame.New(t.native.w, t.native.h)
 	}
-	up := bt656.Scaler{OutW: t.native.w, OutH: t.native.h, Bilinear: true}
-	if err := up.ScaleInto(t.field, t.sensor); err != nil {
+	if err := t.up.ScaleInto(t.field, t.sensor); err != nil {
 		return nil, err
 	}
 	t.stream = t.enc.Encode(t.stream[:0], t.field)

@@ -1,6 +1,7 @@
 package camera
 
 import (
+	"fmt"
 	"testing"
 
 	"zynqfusion/internal/bufpool"
@@ -84,5 +85,74 @@ func TestThermalCapBoundedPoolFailsCleanly(t *testing.T) {
 	s.Advance()
 	if _, err := th.Capture(); err == nil {
 		t.Fatal("capture fit an impossible budget")
+	}
+}
+
+// TestCaptureAllocatesNothing pins steady-state capture at zero heap
+// allocations: once warm, a pooled webcam+thermal pair renders, encodes,
+// decodes and scales through persistent stores and a reseeded noise
+// source, and leases its two outputs from the pool.
+func TestCaptureAllocatesNothing(t *testing.T) {
+	for _, sz := range []struct{ w, h int }{{88, 72}, {640, 480}} {
+		s := NewScene(sz.w, sz.h, 21)
+		w := NewWebcam(s)
+		th, err := NewThermal(s, sz.w, sz.h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := bufpool.New(bufpool.Options{})
+		w.SetPool(pool)
+		th.SetPool(pool)
+		var failed error
+		pair := func() {
+			s.Advance()
+			v, err := w.Capture()
+			if err != nil {
+				failed = err
+				return
+			}
+			ir, err := th.Capture()
+			if err != nil {
+				failed = err
+				return
+			}
+			v.Release()
+			ir.Release()
+		}
+		for i := 0; i < 3; i++ {
+			pair()
+		}
+		allocs := testing.AllocsPerRun(10, pair)
+		if failed != nil {
+			t.Fatal(failed)
+		}
+		if allocs != 0 {
+			t.Errorf("%dx%d: %v allocations per warm capture pair, want 0", sz.w, sz.h, allocs)
+		}
+	}
+}
+
+// BenchmarkThermalCapture times one pooled thermal capture: scene
+// render, upscale to the 720x243 field, BT.656 encode and decode, and
+// the scale to the target geometry.
+func BenchmarkThermalCapture(b *testing.B) {
+	for _, sz := range []struct{ w, h int }{{88, 72}, {640, 480}} {
+		b.Run(fmt.Sprintf("%dx%d", sz.w, sz.h), func(b *testing.B) {
+			s := NewScene(sz.w, sz.h, 1)
+			th, err := NewThermal(s, sz.w, sz.h)
+			if err != nil {
+				b.Fatal(err)
+			}
+			th.SetPool(bufpool.New(bufpool.Options{}))
+			b.ReportAllocs()
+			for b.Loop() {
+				s.Advance()
+				f, err := th.Capture()
+				if err != nil {
+					b.Fatal(err)
+				}
+				f.Release()
+			}
+		})
 	}
 }

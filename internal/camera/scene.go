@@ -19,16 +19,22 @@ import (
 )
 
 // Scene is a deterministic synthetic world observed by both cameras. The
-// same seed always produces the same sequence of frames.
+// same seed always produces the same sequence of frames. Rendering reseeds
+// the scene's noise source, so a Scene is not safe for concurrent use.
 type Scene struct {
 	W, H int
-	rng  *rand.Rand
-	t    int // frame counter
+	// rng draws the scene at construction, then is reseeded per frame for
+	// each render's sensor noise.
+	rng *rand.Rand
+	t   int // frame counter
 
 	// Hotspots are warm moving objects visible only in the infrared band.
 	hotspots []hotspot
 	// texture is the static visible-band background texture.
 	texture []float32
+	// ambient[x+y] is the thermal background at (x, y), which depends
+	// only on x+y.
+	ambient []float32
 }
 
 type hotspot struct {
@@ -52,6 +58,10 @@ func NewScene(w, h int, seed int64) *Scene {
 			n := 25 * (rng.Float64() - 0.5)
 			s.texture[y*w+x] = float32(g + n)
 		}
+	}
+	s.ambient = make([]float32, max(w+h-1, 0))
+	for k := range s.ambient {
+		s.ambient[k] = float32(35 + 10*math.Sin(2*math.Pi*float64(k)/float64(w+h)))
 	}
 	// Two or three warm objects wandering the scene.
 	n := 2 + rng.Intn(2)
@@ -107,9 +117,9 @@ func (s *Scene) VisibleInto(f *frame.Frame) {
 		s.splat(f, h, -18, 0.8) // slight darkening, soft edge
 	}
 	// A little per-frame sensor noise.
-	nrng := rand.New(rand.NewSource(int64(s.t)*7919 + 13))
+	s.rng.Seed(int64(s.t)*7919 + 13)
 	for i := range f.Pix {
-		f.Pix[i] += float32(4 * (nrng.Float64() - 0.5))
+		f.Pix[i] += float32(4 * (s.rng.Float64() - 0.5))
 	}
 }
 
@@ -128,16 +138,14 @@ func (s *Scene) ThermalInto(f *frame.Frame) {
 		panic("camera: ThermalInto frame geometry mismatch")
 	}
 	for y := 0; y < s.H; y++ {
-		for x := 0; x < s.W; x++ {
-			f.Set(x, y, float32(35+10*math.Sin(2*math.Pi*float64(x+y)/float64(s.W+s.H))))
-		}
+		copy(f.Row(y), s.ambient[y:y+s.W])
 	}
 	for _, h := range s.hotspots {
 		s.splat(f, h, h.heat, 0.6)
 	}
-	nrng := rand.New(rand.NewSource(int64(s.t)*104729 + 29))
+	s.rng.Seed(int64(s.t)*104729 + 29)
 	for i := range f.Pix {
-		f.Pix[i] += float32(6 * (nrng.Float64() - 0.5))
+		f.Pix[i] += float32(6 * (s.rng.Float64() - 0.5))
 	}
 }
 

@@ -19,8 +19,11 @@ func TestSLOSoak(t *testing.T) {
 	defer fm.Close()
 
 	decl := &slo.SLO{DeadlineHitRatio: 0.95, WindowScale: 1e-3}
+	// The queue holds the whole frame budget, so drop-oldest never
+	// shortens the stream: it must live long enough to page and then
+	// degrade however fast capture outruns fusion.
 	starved := StreamConfig{
-		ID: "starved", Seed: 99, W: 32, H: 24, Frames: 80,
+		ID: "starved", Seed: 99, W: 32, H: 24, Frames: 80, QueueCap: 80,
 		Pipelined: true, Depth: 4, DeadlineMS: 1, SLO: decl,
 	}
 	if _, err := fm.Submit(starved); err != nil {

@@ -114,11 +114,13 @@ type Result struct {
 // The mix cycles NEON-only, FPGA-preferring (degrades to NEON under the
 // flapping budget) and pipelined streams; fused pixels are engine- and
 // depth-invariant, so the mix stresses the control plane without
-// touching the bit-identity contract.
+// touching the bit-identity contract. Each queue holds the stream's
+// whole frame budget, so drop-oldest never races capture against fusion
+// and every stream fuses all of its frames.
 func StreamConfigFor(i int, o Options) farm.StreamConfig {
 	cfg := farm.StreamConfig{
 		ID: fmt.Sprintf("c%d", i), Seed: int64(1000 + i),
-		W: 32, H: 24, Frames: o.Frames,
+		W: 32, H: 24, Frames: o.Frames, QueueCap: int(o.Frames),
 		IntervalMS: o.IntervalMS, DeadlineMS: o.DeadlineMS,
 	}
 	switch i % 3 {

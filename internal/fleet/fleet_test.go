@@ -103,9 +103,13 @@ func TestFleetAdmissionRefusal(t *testing.T) {
 
 	// Four streams guarantee each of the two boards hosts at least one
 	// (bounded-load caps are 1,2,2,3 as K grows), so both budgets burn.
+	// Each burn stream's queue holds its whole frame budget, so no frame
+	// is dropped and every board fuses enough frames to burn.
 	boards := map[string]bool{}
 	for i := 0; i < 4; i++ {
-		_, bid, err := c.Submit(tinyStream(fmt.Sprintf("burn%d", i), int64(i+1), 40))
+		burn := tinyStream(fmt.Sprintf("burn%d", i), int64(i+1), 40)
+		burn.QueueCap = 40
+		_, bid, err := c.Submit(burn)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package bt656
 
 import (
 	"fmt"
+	"io"
 	"slices"
 
 	"zynqfusion/internal/frame"
@@ -9,7 +10,10 @@ import (
 
 // Encoder serializes luma frames into a BT.656 byte stream, standing in
 // for the thermal camera head (the Thermoteknix module emits monochrome
-// video, so chroma is neutral).
+// video, so chroma is neutral). Like the camera head it sends a field a
+// line at a time: BeginField sends the vertical blanking lines and each
+// WriteLine one active line, so the link needs no field-sized buffer.
+// Encode is the whole-field form over the same two calls.
 type Encoder struct {
 	// BlankingLines is the count of vertical blanking lines emitted before
 	// the active field (default 20, NTSC-like).
@@ -17,49 +21,85 @@ type Encoder struct {
 	// Field alternates when interlaced output is enabled.
 	Interlaced bool
 	field      bool
+
+	// line is the line being sent. Lines of a field differ only in their
+	// XY words and luma, so it is laid out once per field.
+	line []byte
+	cur  bool // F flag of the field being sent
 }
 
 // Encode appends the BT.656 serialization of one field carrying f to dst
 // and returns it. Luma is clamped to [1, 254] because 0x00 and 0xFF are
 // reserved for timing reference codes.
 func (e *Encoder) Encode(dst []byte, f *frame.Frame) []byte {
-	blanking := e.BlankingLines
-	if blanking == 0 {
-		blanking = 20
+	w := appendWriter{slices.Grow(dst, (e.blanking()+f.H)*(len(lineHead)+2*f.W))}
+	e.BeginField(&w, f.W) // appending never fails
+	for r := 0; r < f.H; r++ {
+		e.WriteLine(&w, f.Row(r)) // every row holds f.W samples
 	}
-	field := e.field
+	return w.b
+}
+
+// BeginField starts a field of lines w samples wide on out and sends its
+// vertical blanking lines. It returns out's first write error.
+func (e *Encoder) BeginField(out io.Writer, w int) error {
+	e.cur = e.field
 	if e.Interlaced {
 		e.field = !e.field
 	}
-	blanking = max(blanking, 0)
-	// Lines differ only in their XY words and luma, so each line after
-	// the field's first starts as a copy of the line before it.
-	lineLen := len(lineHead) + 2*f.W
-	dst = slices.Grow(dst, (blanking+f.H)*lineLen)
-	for r := -blanking; r < f.H; r++ {
-		n := len(dst)
-		dst = dst[:n+lineLen]
-		line := dst[n:]
-		if r == -blanking {
-			copy(line, lineHead[:])
-			for i := len(lineHead); i < len(line); i += 2 {
-				line[i], line[i+1] = blankChroma, blankLuma
-			}
-		} else {
-			copy(line, dst[n-lineLen:n])
-		}
-		v := r < 0
-		line[3] = XY(field, v, true)
-		line[len(lineHead)-1] = XY(field, v, false)
-		if v {
-			continue // blanking lines all copy the first, blank line
-		}
-		words := line[len(lineHead):]
-		for i, s := range f.Row(r) {
-			words[2*i+1] = clampLuma(s)
+	n := len(lineHead) + 2*max(w, 0)
+	if cap(e.line) < n {
+		e.line = make([]byte, n)
+	}
+	e.line = e.line[:n]
+	copy(e.line, lineHead[:])
+	for i := len(lineHead); i < n; i += 2 {
+		e.line[i], e.line[i+1] = blankChroma, blankLuma
+	}
+	for range e.blanking() {
+		if err := e.send(out, true); err != nil {
+			return err
 		}
 	}
-	return dst
+	return nil
+}
+
+// WriteLine sends one active line of the field BeginField started,
+// carrying luma y, which must hold the field's width in samples.
+func (e *Encoder) WriteLine(out io.Writer, y []float32) error {
+	if len(e.line) < len(lineHead) || 2*len(y) != len(e.line)-len(lineHead) {
+		return fmt.Errorf("bt656.Encoder: line of %d samples outside a field of that width", len(y))
+	}
+	words := e.line[len(lineHead):]
+	for i, s := range y {
+		words[2*i+1] = clampLuma(s)
+	}
+	return e.send(out, false)
+}
+
+// send writes the line with the field's XY words for a blanking (v) or
+// active line.
+func (e *Encoder) send(out io.Writer, v bool) error {
+	e.line[3] = XY(e.cur, v, true)
+	e.line[len(lineHead)-1] = XY(e.cur, v, false)
+	_, err := out.Write(e.line)
+	return err
+}
+
+// blanking is the field's count of vertical blanking lines.
+func (e *Encoder) blanking() int {
+	if e.BlankingLines == 0 {
+		return 20
+	}
+	return max(e.BlankingLines, 0)
+}
+
+// appendWriter is an io.Writer appending to a byte slice.
+type appendWriter struct{ b []byte }
+
+func (w *appendWriter) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
 }
 
 // lineHead opens every line: the EAV of the previous line, eight blanking

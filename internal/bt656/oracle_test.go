@@ -1,7 +1,9 @@
 package bt656
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -133,11 +135,11 @@ func sameBits(a, b *frame.Frame) error {
 	return nil
 }
 
-// TestScaleIntoMatchesPerSample holds the planned, line-buffered scaler to
-// the per-sample bilinear and nearest-neighbour loops bit for bit. One
-// Scaler serves every case in turn, and neighbouring cases differ in one
-// side only, so a plan kept across a change of any source or output side
-// or of mode fails.
+// TestScaleIntoMatchesPerSample holds the planned, line-buffered scaler,
+// in place and streamed, to the per-sample bilinear and nearest-neighbour
+// loops bit for bit. One Scaler serves every case in turn, and
+// neighbouring cases differ in one side only, so a plan kept across a
+// change of any source or output side or of mode fails.
 func TestScaleIntoMatchesPerSample(t *testing.T) {
 	type geom struct{ sw, sh, dw, dh int }
 	cases := []geom{
@@ -161,8 +163,8 @@ func TestScaleIntoMatchesPerSample(t *testing.T) {
 			if err := sameBits(got, scaleRef(src, g.dw, g.dh, bl)); err != nil {
 				t.Fatalf("%dx%d -> %dx%d bilinear=%v: %v", g.sw, g.sh, g.dw, g.dh, bl, err)
 			}
-			// A second frame through the warm plan: the line buffer must
-			// not carry rows across calls.
+			// A second frame through the warm plan, and a third streamed:
+			// the line buffer must not carry rows across calls.
 			src = oddFrame(rng, g.sw, g.sh, false)
 			if err := s.ScaleInto(got, src); err != nil {
 				t.Fatal(err)
@@ -170,6 +172,51 @@ func TestScaleIntoMatchesPerSample(t *testing.T) {
 			if err := sameBits(got, scaleRef(src, g.dw, g.dh, bl)); err != nil {
 				t.Fatalf("%dx%d -> %dx%d bilinear=%v, second frame: %v", g.sw, g.sh, g.dw, g.dh, bl, err)
 			}
+			src = oddFrame(rng, g.sw, g.sh, false)
+			got.Fill(-1)
+			y := 0
+			err := s.ScaleLines(src, func(row []float32) error {
+				if y < got.H {
+					copy(got.Row(y), row)
+				}
+				y++
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if y != g.dh {
+				t.Fatalf("%dx%d -> %dx%d: ScaleLines emitted %d rows", g.sw, g.sh, g.dw, g.dh, y)
+			}
+			if err := sameBits(got, scaleRef(src, g.dw, g.dh, bl)); err != nil {
+				t.Fatalf("%dx%d -> %dx%d bilinear=%v, third frame by lines: %v", g.sw, g.sh, g.dw, g.dh, bl, err)
+			}
+		}
+	}
+}
+
+// TestScaleLinesStopsAtEmitError checks that ScaleLines hands on emit's
+// first error and emits no row after it, and validates like ScaleInto.
+func TestScaleLinesStopsAtEmitError(t *testing.T) {
+	s := Scaler{OutW: 9, OutH: 7, Bilinear: true}
+	src := frame.New(4, 3)
+	stop := errors.New("sink full")
+	rows := 0
+	err := s.ScaleLines(src, func([]float32) error {
+		if rows++; rows == 3 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop || rows != 3 {
+		t.Fatalf("err %v after %d rows, want %v after 3", err, rows, stop)
+	}
+	for _, c := range []struct {
+		s   Scaler
+		src *frame.Frame
+	}{{Scaler{OutW: 0, OutH: 7}, src}, {s, frame.New(0, 3)}} {
+		if err := c.s.ScaleLines(c.src, func([]float32) error { return nil }); err == nil {
+			t.Errorf("%dx%d -> %dx%d: no error", c.src.W, c.src.H, c.s.OutW, c.s.OutH)
 		}
 	}
 }
@@ -193,6 +240,102 @@ func TestEncodeMatchesAppendLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestLinesMatchEncode sends fields a line at a time, as the thermal
+// camera does, into a decoder fed each line by its own Write, and holds
+// the byte stream to the whole-field encoder and the decoded fields and
+// DecoderStats to the whole stream decoded byte by byte.
+func TestLinesMatchEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(214))
+	lines := Encoder{Interlaced: true, BlankingLines: 3}
+	whole := lines
+	var sent lineLog
+	dec := NewDecoder(33)
+	var stream []byte
+	for i := 0; i < 3; i++ {
+		src := randLumaFrame(rng, 33, 17+i)
+		if err := lines.BeginField(io.MultiWriter(&sent, dec), src.W); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < src.H; r++ {
+			if err := lines.WriteLine(io.MultiWriter(&sent, dec), src.Row(r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stream = whole.Encode(stream, src)
+	}
+	dec.Flush()
+	if string(sent.b) != string(stream) {
+		t.Fatalf("line-by-line stream differs from Encode's (len %d, want %d)", len(sent.b), len(stream))
+	}
+	if want := 3*3 + 17 + 18 + 19; sent.writes != want {
+		t.Errorf("%d writes, want one per line (%d)", sent.writes, want)
+	}
+	ref := NewDecoder(33)
+	writeBytewise(ref, stream)
+	ref.Flush()
+	if dec.Stats != ref.Stats {
+		t.Fatalf("stats %+v, want %+v", dec.Stats, ref.Stats)
+	}
+	for {
+		got, ok := dec.NextFrame()
+		want, wok := ref.NextFrame()
+		if ok != wok {
+			t.Fatalf("field pending %v, want %v", ok, wok)
+		}
+		if !ok {
+			break
+		}
+		if err := sameBits(got, want); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestWriteLineRejectsForeignWidths checks that WriteLine refuses a line
+// before any field and a line whose width is not the field's, and that
+// BeginField and WriteLine hand on the link's write error.
+func TestWriteLineRejectsForeignWidths(t *testing.T) {
+	var e Encoder
+	var sink lineLog
+	if err := e.WriteLine(&sink, make([]float32, 4)); err == nil {
+		t.Error("WriteLine before BeginField: no error")
+	}
+	if err := e.BeginField(&sink, 4); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{3, 5, 0} {
+		if err := e.WriteLine(&sink, make([]float32, n)); err == nil {
+			t.Errorf("line of %d samples in a 4-wide field: no error", n)
+		}
+	}
+	if err := e.WriteLine(&sink, make([]float32, 4)); err != nil {
+		t.Fatal(err)
+	}
+	broken := errors.New("link down")
+	if err := e.BeginField(failWriter{broken}, 4); err != broken {
+		t.Errorf("BeginField on a failing link: %v, want %v", err, broken)
+	}
+	if err := e.WriteLine(failWriter{broken}, make([]float32, 4)); err != broken {
+		t.Errorf("WriteLine on a failing link: %v, want %v", err, broken)
+	}
+}
+
+// lineLog records what is written to it and how many writes carried it.
+type lineLog struct {
+	b      []byte
+	writes int
+}
+
+func (l *lineLog) Write(p []byte) (int, error) {
+	l.b = append(l.b, p...)
+	l.writes++
+	return len(p), nil
+}
+
+type failWriter struct{ err error }
+
+func (w failWriter) Write([]byte) (int, error) { return 0, w.err }
 
 // TestNextFrameKeepsFieldOrder queues several fields at once and pops
 // them oldest first, twice over, recycling each into the decoder.

@@ -14,8 +14,10 @@ import (
 // every output column's and row's taps for the last (source, output)
 // geometry it served, and a two-row buffer of horizontally interpolated
 // source rows, so each source row is interpolated once however many output
-// rows it feeds. Steady-state scaling allocates nothing. A Scaler is not
-// safe for concurrent use.
+// rows it feeds. ScaleLines streams the output a row at a time, so a
+// consumer that takes lines (the BT.656 encoder) needs no output frame
+// store. Steady-state scaling allocates nothing. A Scaler is not safe for
+// concurrent use.
 type Scaler struct {
 	OutW, OutH int
 	// Bilinear selects bilinear interpolation; false gives the cheaper
@@ -42,6 +44,8 @@ type scalePlan struct {
 	// rows are either adjacent or the same row.
 	line  [2][]float32
 	lineY [2]int
+	// out is the output row ScaleLines hands on.
+	out []float32
 }
 
 // Scale resamples src to the configured output geometry.
@@ -61,37 +65,67 @@ func (s *Scaler) Scale(src *frame.Frame) (*frame.Frame, error) {
 // writing its fixed output frame store uses. Every output sample is
 // written.
 func (s *Scaler) ScaleInto(dst, src *frame.Frame) error {
+	if err := s.check(src); err != nil {
+		return err
+	}
+	if dst.W != s.OutW || dst.H != s.OutH {
+		return fmt.Errorf("bt656.Scaler: destination %dx%d, want %dx%d", dst.W, dst.H, s.OutW, s.OutH)
+	}
+	p := s.planFor(src.W, src.H)
+	p.lineY = [2]int{-1, -1}
+	for y := range p.y0 {
+		p.rowInto(dst.Row(y), src, y)
+	}
+	return nil
+}
+
+// ScaleLines resamples src to the configured output geometry and hands
+// each output row to emit, top to bottom — the streaming form of
+// ScaleInto, for a consumer that takes the output a line at a time. The
+// row is the Scaler's own buffer, overwritten by the next row. ScaleLines
+// stops at emit's first error and returns it.
+func (s *Scaler) ScaleLines(src *frame.Frame, emit func(row []float32) error) error {
+	if err := s.check(src); err != nil {
+		return err
+	}
+	p := s.planFor(src.W, src.H)
+	p.lineY = [2]int{-1, -1}
+	for y := range p.y0 {
+		p.rowInto(p.out, src, y)
+		if err := emit(p.out); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (s *Scaler) check(src *frame.Frame) error {
 	if s.OutW <= 0 || s.OutH <= 0 {
 		return fmt.Errorf("bt656.Scaler: bad output size %dx%d", s.OutW, s.OutH)
 	}
 	if src.W == 0 || src.H == 0 {
 		return fmt.Errorf("bt656.Scaler: empty source")
 	}
-	if dst.W != s.OutW || dst.H != s.OutH {
-		return fmt.Errorf("bt656.Scaler: destination %dx%d, want %dx%d", dst.W, dst.H, s.OutW, s.OutH)
-	}
-	p := s.planFor(src.W, src.H)
-	if !p.bilinear {
-		for y, sy := range p.y0 {
-			in, out := src.Row(sy), dst.Row(y)
-			for x, sx := range p.x0 {
-				out[x] = in[sx]
-			}
-		}
-		return nil
-	}
-	p.lineY = [2]int{-1, -1}
-	for y, ay := range p.ay {
-		top := p.lerpRow(src, p.y0[y])
-		bot := p.lerpRow(src, p.y1[y])
-		out := dst.Row(y)
-		top, bot = top[:len(out)], bot[:len(out)]
-		ia := 1 - ay
-		for x := range out {
-			out[x] = top[x]*ia + bot[x]*ay
-		}
-	}
 	return nil
+}
+
+// rowInto computes output row y of src into out.
+func (p *scalePlan) rowInto(out []float32, src *frame.Frame, y int) {
+	if !p.bilinear {
+		in := src.Row(p.y0[y])
+		for x, sx := range p.x0 {
+			out[x] = in[sx]
+		}
+		return
+	}
+	top := p.lerpRow(src, p.y0[y])
+	bot := p.lerpRow(src, p.y1[y])
+	top, bot = top[:len(out)], bot[:len(out)]
+	ay := p.ay[y]
+	ia := 1 - ay
+	for x := range out {
+		out[x] = top[x]*ia + bot[x]*ay
+	}
 }
 
 // lerpRow returns source row r interpolated to the output width,
@@ -124,6 +158,7 @@ func (s *Scaler) planFor(srcW, srcH int) *scalePlan {
 	if s.Bilinear {
 		p.line = [2][]float32{make([]float32, s.OutW), make([]float32, s.OutW)}
 	}
+	p.out = make([]float32, s.OutW)
 	s.plan = p
 	return p
 }

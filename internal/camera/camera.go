@@ -91,14 +91,12 @@ type Thermal struct {
 	native struct{ w, h int }
 	enc    bt656.Encoder
 	dec    *bt656.Decoder
-	up     bt656.Scaler // sensor render to the native field
+	up     bt656.Scaler // sensor render to the native field, a line at a time
 	scaler bt656.Scaler // decoded field to the target geometry
 	fifo   bt656.OutputFIFO
-	stream []byte
 
 	pool   *bufpool.Pool // delivered frames lease from here when set
 	sensor *frame.Frame  // reusable scene render at the sensor geometry
-	field  *frame.Frame  // reusable native-geometry field store
 
 	// TargetW and TargetH are the fusion geometry (the paper fuses 88x72
 	// because the longwave sensor resolution is the limit).
@@ -130,11 +128,14 @@ func (t *Thermal) FIFO() *bt656.OutputFIFO { return &t.fifo }
 
 // SetPool makes the thermal camera deliver frames as leases from p (the
 // consumer Releases each). Without a pool every capture is a fresh plain
-// frame. The BT.656 intermediates — sensor render, native field store,
-// byte stream, decoder lines and field stores, the scalers' line buffers —
-// are persistent either way, mirroring the fixed capture buffers of the
+// frame. The BT.656 intermediates — sensor render, the encoder's line,
+// decoder lines and field stores, the scalers' line buffers — are
+// persistent either way, mirroring the fixed capture buffers of the
 // Fig. 7 chain, so a pooled capture allocates nothing once warm.
 func (t *Thermal) SetPool(p *bufpool.Pool) { t.pool = p }
+
+// sendLine puts one line of the native field on the BT.656 link.
+func (t *Thermal) sendLine(y []float32) error { return t.enc.WriteLine(t.dec, y) }
 
 // Capture renders the scene at the sensor, pushes it through the BT.656
 // path and returns the scaled frame. It fails only if the handshake FIFO
@@ -146,14 +147,12 @@ func (t *Thermal) Capture() (*frame.Frame, error) {
 		t.sensor = frame.New(t.scene.W, t.scene.H)
 	}
 	t.scene.ThermalInto(t.sensor)
-	if t.field == nil {
-		t.field = frame.New(t.native.w, t.native.h)
-	}
-	if err := t.up.ScaleInto(t.field, t.sensor); err != nil {
+	// The head upscales the render to its native field and sends it line
+	// by line; the decoder takes each line off the link as it arrives.
+	if err := t.enc.BeginField(t.dec, t.native.w); err != nil {
 		return nil, err
 	}
-	t.stream = t.enc.Encode(t.stream[:0], t.field)
-	if _, err := t.dec.Write(t.stream); err != nil {
+	if err := t.up.ScaleLines(t.sensor, t.sendLine); err != nil {
 		return nil, err
 	}
 	t.dec.Flush()

@@ -197,12 +197,17 @@
 // reference synthesis pair chain, which has its own AVX and SSE forms,
 // bit-identical to the Fig. 4 shift-register dataflow. Every other
 // chain and GOARCH runs the pure-Go lane loops.
-// Options.KernelWorkers sizes the pool per fuser (0 selects GOMAXPROCS, 1
-// runs fully sequential); farm streams set StreamConfig.KernelWorkers:
+// Options.KernelWorkers sizes the pool per fuser; farm streams set
+// StreamConfig.KernelWorkers. 0 selects GOMAXPROCS workers and sizes each
+// pass: only a pass that moves at least kernels.MinParallelBytes (1 MiB)
+// wakes the helpers, and a smaller one runs on the caller, because
+// waking a helper costs more CPU than a small pass saves. 1 runs fully
+// sequential, and any other count dispatches every pass of more than one
+// tile:
 //
 //	fuser, err := zynqfusion.New(zynqfusion.Options{
 //		Engine:        zynqfusion.EngineNEON,
-//		KernelWorkers: 0, // one worker per schedulable core
+//		KernelWorkers: 0, // up to one worker per schedulable core, sized per pass
 //	})
 //
 // The worker count is host-side scheduling only, never part of the

@@ -1,6 +1,7 @@
 package bt656
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -74,6 +75,44 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		}
 		if dec.Stats.ProtectionErrors != 0 || dec.Stats.LengthErrors != 0 {
 			t.Errorf("%dx%d: unexpected errors %+v", sz.w, sz.h, dec.Stats)
+		}
+	}
+}
+
+// TestNonFiniteLumaStaysInPayloadRange encodes NaN and ±Inf samples
+// beside in-range ones: no payload byte may be a timing-reference byte
+// (0x00 or 0xFF), and the stream decodes without errors, NaN and -Inf
+// to 1 and +Inf to 254.
+func TestNonFiniteLumaStaysInPayloadRange(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	src := frame.New(4, 2)
+	copy(src.Pix, []float32{nan, 100, inf, -inf, 0.2, nan, 254.4, 7})
+	want := []float32{1, 100, 254, 1, 1, 1, 254, 7}
+	var enc Encoder
+	stream := enc.Encode(nil, src)
+	line := len(lineHead) + 2*src.W
+	for off := 0; off < len(stream); off += line {
+		for i, b := range stream[off+len(lineHead) : off+line] {
+			if b == 0x00 || b == 0xFF {
+				t.Fatalf("line at byte %d: payload byte %d is 0x%02X", off, i, b)
+			}
+		}
+	}
+	dec := NewDecoder(src.W)
+	if _, err := dec.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	dec.Flush()
+	got, ok := dec.NextFrame()
+	if !ok || got.W != src.W || got.H != src.H {
+		t.Fatalf("decoded %v (ok %v), want a %dx%d frame", got, ok, src.W, src.H)
+	}
+	if dec.Stats.ProtectionErrors != 0 || dec.Stats.LengthErrors != 0 {
+		t.Fatalf("decoder errors %+v", dec.Stats)
+	}
+	for i, v := range got.Pix {
+		if v != want[i] {
+			t.Errorf("sample %d (%g) decoded to %g, want %g", i, src.Pix[i], v, want[i])
 		}
 	}
 }

@@ -111,8 +111,11 @@ var lineHead = [...]byte{
 	preamble1, preamble2, preamble3, 0,
 }
 
+// clampLuma quantizes a luma sample to the payload range [1, 254]; 0x00
+// and 0xFF are reserved for timing reference codes. NaN, which fails
+// every compare, clamps to 1 with the values below range.
 func clampLuma(v float32) byte {
-	if v < 1 {
+	if !(v >= 1) {
 		return 1
 	}
 	if v > 254 {

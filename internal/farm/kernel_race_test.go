@@ -8,12 +8,14 @@ import (
 )
 
 // TestFarmParallelKernelDeterminism runs the same bounded streams with the
-// kernel worker pool pinned sequential and then sized to GOMAXPROCS, and
-// requires the accumulated modeled stage times and energy to match bit for
-// bit: worker count is host-side scheduling only and must never leak into
-// the platform model. The streams use lease-free engines (arm, neon) so
-// the comparison is not confounded by FPGA-grant ordering, and the queue
-// out-sizes the frame budget so backpressure cannot drop frames.
+// kernel worker pool pinned sequential, sized explicitly to GOMAXPROCS
+// (which dispatches every multi-tile pass) and left at 0 (which sizes each
+// pass: at 40x32 all of them run inline), and requires the accumulated
+// modeled stage times and energy to match bit for bit: worker count is
+// host-side scheduling only and must never leak into the platform model.
+// The streams use lease-free engines (arm, neon) so the comparison is not
+// confounded by FPGA-grant ordering, and the queue out-sizes the frame
+// budget so backpressure cannot drop frames.
 func TestFarmParallelKernelDeterminism(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
@@ -62,10 +64,14 @@ func TestFarmParallelKernelDeterminism(t *testing.T) {
 	}
 
 	seq := run(1)
-	par := run(0) // GOMAXPROCS-wide pools
+	par := run(8) // GOMAXPROCS-wide pools
+	auto := run(0)
 	for id, want := range seq {
 		if got := par[id]; got != want {
 			t.Fatalf("%s: parallel-kernel accounting diverged\nsequential: %+v\nparallel:   %+v", id, want, got)
+		}
+		if got := auto[id]; got != want {
+			t.Fatalf("%s: auto-sized pool accounting diverged\nsequential: %+v\nauto:       %+v", id, want, got)
 		}
 	}
 }

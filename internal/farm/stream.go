@@ -92,8 +92,11 @@ type StreamConfig struct {
 	// DeadlineMS.
 	SLO *slo.SLO `json:"slo,omitempty"`
 	// KernelWorkers sizes the goroutine pool the stream's wavelet and
-	// fusion hot loops tile across: 0 selects GOMAXPROCS, 1 pins the
-	// stream sequential, larger values are capped at GOMAXPROCS. Worker
+	// fusion hot loops tile across: 0 selects GOMAXPROCS and sizes each
+	// pass (only a pass of at least kernels.MinParallelBytes wakes the
+	// helpers, so small frames run on the stream's own goroutine), 1 pins
+	// the stream sequential, larger values dispatch every pass of more
+	// than one tile and are capped at GOMAXPROCS. Worker
 	// count is host-side scheduling only — fused pixels, modeled stage
 	// times and energy are bit-identical at every setting — so it trades
 	// host CPU between streams without touching the platform model.
@@ -361,7 +364,7 @@ func resolveStream(cfg StreamConfig, rules *slo.Rules) (streamSpec, error) {
 		return streamSpec{}, fmt.Errorf("farm: pipeline_depth %d requires pipelined: true", cfg.Depth)
 	}
 	if cfg.KernelWorkers < 0 {
-		return streamSpec{}, fmt.Errorf("farm: kernel_workers must be non-negative, got %d (zero selects GOMAXPROCS)", cfg.KernelWorkers)
+		return streamSpec{}, fmt.Errorf("farm: kernel_workers must be non-negative, got %d (zero selects GOMAXPROCS, sized per pass)", cfg.KernelWorkers)
 	}
 	cfg = cfg.withDefaults()
 	if cfg.W <= 0 || cfg.H <= 0 {

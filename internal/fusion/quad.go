@@ -101,12 +101,12 @@ func fuseComplexBand(ws *Workspace, rule Rule, lv, bi int, dst, a, b *wavelet.DT
 	w := ws.w
 	for i, src := range [2]*wavelet.DTPyramid{a, b} {
 		ws.conv = convTask{q: quadOf(src, lv, bi), z1: &z[2*i], z2: &z[2*i+1]}
-		w.Run(n, kernels.Grain(n, 32, w.N()), &ws.conv)
+		w.For(n, 32, &ws.conv)
 	}
 	rule.FuseBand(&z[4], &z[0], &z[2])
 	rule.FuseBand(&z[5], &z[1], &z[3])
 	ws.conv = convTask{q: quadOf(dst, lv, bi), z1: &z[4], z2: &z[5], distribute: true}
-	w.Run(n, kernels.Grain(n, 32, w.N()), &ws.conv)
+	w.For(n, 32, &ws.conv)
 }
 
 // convTask converts quad q into the complex pair (z1, z2) — q2c — or,
@@ -151,7 +151,7 @@ func (MaxMagnitude) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavelet.D
 	n := len(a.TreeBand(wavelet.TreeAA, lv, bi).Pix)
 	t := &ws.maxQ
 	t.a, t.b, t.f = quadOf(a, lv, bi), quadOf(b, lv, bi), quadOf(dst, lv, bi)
-	w.Run(n, kernels.Grain(n, 48, w.N()), t)
+	w.For(n, 48, t)
 }
 
 func (Average) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavelet.DTPyramid) {
@@ -161,7 +161,7 @@ func (Average) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavelet.DTPyra
 	t.pa, t.qa, t.ra, t.sa = quadPlanes(a, lv, bi)
 	t.pb, t.qb, t.rb, t.sb = quadPlanes(b, lv, bi)
 	t.pf, t.qf, t.rf, t.sf = quadPlanes(dst, lv, bi)
-	w.Run(n, kernels.Grain(n, 48, w.N()), t)
+	w.For(n, 48, t)
 }
 
 func (we WindowEnergy) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavelet.DTPyramid) {
@@ -181,10 +181,10 @@ func (we WindowEnergy) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavele
 	activity := func(t *quadMag2Task, mag2S, actS *bufpool.Scratch, p *wavelet.DTPyramid) []float32 {
 		t.p, t.q, t.r, t.s = quadPlanes(p, lv, bi)
 		t.dst = mag2S.Grow(ws.pool, n)
-		w.Run(n, kernels.Grain(n, 24, w.N()), t)
+		w.For(n, 24, t)
 		out := actS.Grow(ws.pool, n)
 		ws.win = winSumTask{dst: out, mag2: t.dst, w: band.W, h: band.H, r: we.R}
-		w.Run(band.H, kernels.Grain(band.H, 8*band.W, w.N()), &ws.win)
+		w.For(band.H, 8*band.W, &ws.win)
 		return out
 	}
 	ws.magQ.second = false
@@ -198,7 +198,7 @@ func (we WindowEnergy) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavele
 	t.pb, t.qb, t.rb, t.sb = quadPlanes(b, lv, bi)
 	t.pf, t.qf, t.rf, t.sf = quadPlanes(dst, lv, bi)
 	t.e1a, t.e1b, t.e2a, t.e2b = e1a, e1b, e2a, e2b
-	w.Run(n, kernels.Grain(n, 64, w.N()), t)
+	w.For(n, 64, t)
 }
 
 // maxMagQuadTask fuses one band pair under the max-magnitude rule in a

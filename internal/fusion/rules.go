@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"zynqfusion/internal/frame"
-	"zynqfusion/internal/kernels"
 	"zynqfusion/internal/wavelet"
 )
 
@@ -109,7 +108,7 @@ func averageLLWS(ws *Workspace, dst, a, b *frame.Frame) {
 	w := ws.w
 	n := len(dst.Pix)
 	ws.avgP = avgPixTask{dst: dst.Pix, a: a.Pix, b: b.Pix}
-	w.Run(n, kernels.Grain(n, 12, w.N()), &ws.avgP)
+	w.For(n, 12, &ws.avgP)
 }
 
 // MaxMagnitude is the classic choose-max fusion rule: for every complex
@@ -133,7 +132,7 @@ func (MaxMagnitude) fuseBandWS(ws *Workspace, dst, a, b *wavelet.ComplexBand) {
 	w := ws.w
 	n := len(dst.Re)
 	ws.max = maxMagBandTask{dstRe: dst.Re, dstIm: dst.Im, aRe: a.Re, aIm: a.Im, bRe: b.Re, bIm: b.Im}
-	w.Run(n, kernels.Grain(n, 24, w.N()), &ws.max)
+	w.For(n, 24, &ws.max)
 }
 
 // Average blends both sources equally everywhere. It is the baseline rule:
@@ -156,7 +155,7 @@ func (Average) fuseBandWS(ws *Workspace, dst, a, b *wavelet.ComplexBand) {
 	w := ws.w
 	n := len(dst.Re)
 	ws.avgB = avgBandTask{dstRe: dst.Re, dstIm: dst.Im, aRe: a.Re, aIm: a.Im, bRe: b.Re, bIm: b.Im}
-	w.Run(n, kernels.Grain(n, 24, w.N()), &ws.avgB)
+	w.For(n, 24, &ws.avgB)
 }
 
 // WindowEnergy selects per coefficient by comparing local activity (the
@@ -189,10 +188,10 @@ func (WindowEnergy) FuseLL(dst, a, b *frame.Frame) { fuseLL(dst, a, b) }
 func (w WindowEnergy) fuseBandWS(ws *Workspace, dst, a, b *wavelet.ComplexBand) {
 	wk := ws.w
 	ws.act = winActTask{dst: dst.Re, re: a.Re, im: a.Im, w: a.W, h: a.H, r: w.R}
-	wk.Run(a.H, kernels.Grain(a.H, 12*a.W, wk.N()), &ws.act)
+	wk.For(a.H, 12*a.W, &ws.act)
 	ws.act = winActTask{dst: dst.Im, re: b.Re, im: b.Im, w: b.W, h: b.H, r: w.R}
-	wk.Run(b.H, kernels.Grain(b.H, 12*b.W, wk.N()), &ws.act)
+	wk.For(b.H, 12*b.W, &ws.act)
 	n := len(dst.Re)
 	ws.sel = selBandTask{dstRe: dst.Re, dstIm: dst.Im, aRe: a.Re, aIm: a.Im, bRe: b.Re, bIm: b.Im, ea: dst.Re, eb: dst.Im}
-	wk.Run(n, kernels.Grain(n, 32, wk.N()), &ws.sel)
+	wk.For(n, 32, &ws.sel)
 }

@@ -48,8 +48,13 @@
 //   - Tile dispatch: a bounded, restartable worker pool (Workers) that
 //     splits independent row/column/pixel ranges into cache-sized tiles
 //     and fans them out across goroutines with zero steady-state
-//     allocations. Tiles write disjoint output ranges, so pixel results
-//     are deterministic regardless of scheduling.
+//     allocations. Each pass states the bytes it moves per item (For,
+//     Run), and this package alone decides whether it dispatches: the
+//     default pool (NewWorkers(0)) wakes its helpers only for a pass of
+//     at least MinParallelBytes and runs a smaller one on the caller,
+//     while a pool of an explicit size dispatches every pass of more
+//     than one tile. Tiles write disjoint output ranges, so pixel
+//     results are deterministic regardless of scheduling.
 //
 // Determinism contract: accounting is separated from compute, and comes
 // first. Engines that support tiling implement TileKernel — per-row
@@ -112,6 +117,19 @@ func AsTile(k any) (TileKernel, bool) {
 // them. Tiles also shrink to keep every worker busy (at least four tasks
 // per worker), whichever bound is tighter.
 const TileBytes = 32 << 10
+
+// MinParallelBytes is the smallest pass a pool built by NewWorkers(0)
+// hands to its helpers; a smaller pass runs on the caller. Waking a
+// helper costs about 10 µs per pass, and on a 2-vCPU Xeon two busy
+// threads of one process each run 1.11–1.54× slower than one alone, so a
+// pass must be large for the second worker to pay. There, a 3-level
+// fuse's 80 passes all move under 1 MiB at 320x240, where two workers
+// cost 14–40% more CPU per frame than one with no steady wall-time gain,
+// while 640x480's 2–4 MiB level-1 passes gain 11–30% wall time. Of
+// 512 KiB, 1 MiB and 2 MiB, 1 MiB read the lowest split-qvga-pipe4 CPU
+// per frame (no pass at 320x240 or 640x480 moves 1–2 MiB, so 2 MiB runs
+// the same passes inline).
+const MinParallelBytes = 1 << 20
 
 // Grain returns the tile length (rows, columns or samples per task) for
 // fanning n items of itemBytes each across the given worker count: the

@@ -24,6 +24,11 @@ type Task interface {
 // 1-worker pool (or a nil *Workers) degenerates to a plain sequential
 // loop with no goroutines and no channel traffic.
 //
+// A pool built with NewWorkers(0) sizes each pass: it wakes its helpers
+// only for a pass that moves at least MinParallelBytes and runs a
+// smaller one on the caller. A pool of an explicit size dispatches
+// every pass of more than one tile.
+//
 // Helper goroutines are spawned lazily on the first parallel Run and
 // parked between runs on a channel receive, so an idle pool costs
 // nothing but N-1 parked goroutines. Close parks them permanently; a
@@ -34,7 +39,8 @@ type Task interface {
 // execution context (one Fuser). Run must not be called from inside a
 // Tile.
 type Workers struct {
-	n int // configured worker count, >= 1
+	n    int  // configured worker count, >= 1
+	auto bool // built by NewWorkers(n <= 0): passes below MinParallelBytes run inline
 
 	mu     sync.Mutex // guards spawn/close state transitions
 	live   int        // helper goroutines currently parked or running
@@ -51,14 +57,18 @@ type Workers struct {
 	next  atomic.Int64
 }
 
-// NewWorkers returns a pool of n workers. n <= 0 selects GOMAXPROCS;
-// any n is capped at GOMAXPROCS, since extra workers beyond the
-// schedulable parallelism only add contention on the tile counter.
+// NewWorkers returns a pool of n workers. n <= 0 selects GOMAXPROCS
+// workers and sizes each pass: only a pass that moves at least
+// MinParallelBytes wakes the helpers. An explicit n dispatches every
+// pass of more than one tile. Any n is capped at GOMAXPROCS, since
+// extra workers beyond the schedulable parallelism only add contention
+// on the tile counter.
 func NewWorkers(n int) *Workers {
-	if max := runtime.GOMAXPROCS(0); n <= 0 || n > max {
+	auto := n <= 0
+	if max := runtime.GOMAXPROCS(0); auto || n > max {
 		n = max
 	}
-	w := &Workers{n: n}
+	w := &Workers{n: n, auto: auto}
 	w.start = make(chan struct{}, w.n)
 	w.done = make(chan struct{}, w.n)
 	return w
@@ -73,20 +83,28 @@ func (w *Workers) N() int {
 	return w.n
 }
 
+// For runs t over n items of itemBytes each (the bytes one item reads
+// and writes) in Grain-sized tiles: Run(n, Grain(n, itemBytes, N()),
+// itemBytes, t).
+func (w *Workers) For(n, itemBytes int, t Task) {
+	w.Run(n, Grain(n, itemBytes, w.N()), itemBytes, t)
+}
+
 // Run executes t.Tile over [0, n) in tiles of at most grain indices,
 // using the caller plus up to N-1 pool goroutines, and returns when
 // every tile has completed. Tiles are claimed dynamically (atomic
-// counter), so uneven tile costs self-balance. When the pool is nil,
-// single-worker, closed-and-empty, or n fits in one tile, the whole
-// range runs inline on the caller.
-func (w *Workers) Run(n, grain int, t Task) {
+// counter), so uneven tile costs self-balance. The whole range runs
+// inline on the caller when the pool is nil or single-worker, when n
+// fits in one tile, and on a pool built by NewWorkers(0) when the pass
+// moves less than MinParallelBytes (n items of itemBytes each).
+func (w *Workers) Run(n, grain, itemBytes int, t Task) {
 	if n <= 0 {
 		return
 	}
 	if grain < 1 {
 		grain = 1
 	}
-	if w == nil || w.n <= 1 || n <= grain {
+	if w == nil || w.n <= 1 || n <= grain || w.auto && int64(n)*int64(itemBytes) < MinParallelBytes {
 		t.Tile(0, n, 0)
 		return
 	}

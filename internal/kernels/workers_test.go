@@ -35,7 +35,7 @@ func TestWorkersCoverage(t *testing.T) {
 					hits:    make([]atomic.Int32, n+1),
 					perWork: make([]atomic.Int64, w.N()),
 				}
-				w.Run(n, grain, task)
+				w.Run(n, grain, 0, task)
 				var total int64
 				for i := 0; i < n; i++ {
 					if got := task.hits[i].Load(); got != 1 {
@@ -57,12 +57,12 @@ func TestWorkersCloseReopen(t *testing.T) {
 	w := NewWorkers(4)
 	defer w.Close()
 	task := &coverTask{hits: make([]atomic.Int32, 100), perWork: make([]atomic.Int64, w.N())}
-	w.Run(100, 5, task)
+	w.Run(100, 5, 0, task)
 	w.Close()
 	w.Close() // idempotent
 	// Still usable after Close: respawns helpers transparently.
 	task2 := &coverTask{hits: make([]atomic.Int32, 100), perWork: make([]atomic.Int64, w.N())}
-	w.Run(100, 5, task2)
+	w.Run(100, 5, 0, task2)
 	for i := range task2.hits {
 		if task2.hits[i].Load() != 1 {
 			t.Fatalf("index %d not covered after reopen", i)
@@ -77,7 +77,7 @@ func TestWorkersCloseStopsGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	w := NewWorkers(0)
 	task := &coverTask{hits: make([]atomic.Int32, 1000), perWork: make([]atomic.Int64, w.N())}
-	w.Run(1000, 1, task)
+	w.Run(1000, 1, MinParallelBytes, task)
 	w.Close()
 	for i := 0; i < 100; i++ {
 		if runtime.NumGoroutine() <= before {
@@ -94,7 +94,7 @@ func TestWorkersNilAndSequential(t *testing.T) {
 		t.Fatalf("nil pool N = %d", nilPool.N())
 	}
 	task := &coverTask{hits: make([]atomic.Int32, 10), perWork: make([]atomic.Int64, 1)}
-	nilPool.Run(10, 4, task)
+	nilPool.Run(10, 4, 0, task)
 	nilPool.Close()
 	for i := range task.hits {
 		if task.hits[i].Load() != 1 {
@@ -111,7 +111,7 @@ func TestWorkersWorkerIDsInRange(t *testing.T) {
 	var bad atomic.Int32
 	task := &idCheckTask{n: w.N(), bad: &bad}
 	for round := 0; round < 50; round++ {
-		w.Run(256, 1, task)
+		w.Run(256, 1, 0, task)
 	}
 	if bad.Load() != 0 {
 		t.Fatalf("worker id out of [0,%d)", w.N())
@@ -130,25 +130,76 @@ func (c *idCheckTask) Tile(lo, hi, worker int) {
 }
 
 func TestWorkersRunZeroAllocs(t *testing.T) {
-	w := testPool(t, 0)
+	w := testPool(t, 4)
 	task := &coverTask{hits: make([]atomic.Int32, 4096), perWork: make([]atomic.Int64, w.N())}
-	w.Run(4096, 32, task) // warm up: spawn helpers
+	w.Run(4096, 32, 0, task) // warm up: spawn helpers
 	allocs := testing.AllocsPerRun(100, func() {
-		w.Run(4096, 32, task)
+		w.Run(4096, 32, 0, task)
 	})
 	if allocs != 0 {
 		t.Fatalf("Run allocates %.1f per call, want 0", allocs)
 	}
 }
 
+// liveHelpers reports how many helper goroutines w has spawned.
+func liveHelpers(w *Workers) int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.live
+}
+
+// TestAutoPoolSizesPasses pins the dispatch policy of NewWorkers(0): a
+// pass below MinParallelBytes runs every tile on the caller and spawns
+// no helper, a pass at or above it spawns the helpers, and a pool of an
+// explicit size dispatches any pass of more than one tile.
+func TestAutoPoolSizesPasses(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const itemBytes = 1 << 10
+	const below = MinParallelBytes/itemBytes - 1
+	run := func(w *Workers, n, item int) *coverTask {
+		task := &coverTask{hits: make([]atomic.Int32, n), perWork: make([]atomic.Int64, w.N())}
+		w.For(n, item, task)
+		for i := range task.hits {
+			if got := task.hits[i].Load(); got != 1 {
+				t.Fatalf("n=%d: index %d ran %d times", n, i, got)
+			}
+		}
+		return task
+	}
+
+	auto := testPool(t, 0)
+	if auto.N() != 4 {
+		t.Fatalf("auto pool N = %d, want GOMAXPROCS 4", auto.N())
+	}
+	task := run(auto, below, itemBytes)
+	if got := task.perWork[0].Load(); got != below {
+		t.Fatalf("pass of %d bytes: worker 0 ran %d of %d items", below*itemBytes, got, below)
+	}
+	if got := liveHelpers(auto); got != 0 {
+		t.Fatalf("pass of %d bytes spawned %d helpers, want none", below*itemBytes, got)
+	}
+	run(auto, below+1, itemBytes)
+	if got := liveHelpers(auto); got != 3 {
+		t.Fatalf("pass of MinParallelBytes spawned %d helpers, want 3", got)
+	}
+
+	for _, n := range []int{2, 4} {
+		explicit := testPool(t, n)
+		run(explicit, 2, 1) // 2 bytes, two tiles of one item
+		if got := liveHelpers(explicit); got != n-1 {
+			t.Fatalf("explicit pool of %d spawned %d helpers for a two-tile pass, want %d", n, got, n-1)
+		}
+	}
+}
+
 func BenchmarkWorkersDispatch(b *testing.B) {
-	w := NewWorkers(0)
+	w := NewWorkers(runtime.GOMAXPROCS(0))
 	defer w.Close()
 	task := &coverTask{hits: make([]atomic.Int32, 1024), perWork: make([]atomic.Int64, w.N())}
-	w.Run(1024, 8, task)
+	w.Run(1024, 8, 0, task)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Run(1024, 8, task)
+		w.Run(1024, 8, 0, task)
 	}
 }

@@ -113,14 +113,17 @@ func (u *Unit) VmulqF32(a, b Float32x4) Float32x4 {
 	return Float32x4{a[0] * b[0], a[1] * b[1], a[2] * b[2], a[3] * b[3]}
 }
 
-// VmlaqF32 is the fused multiply-accumulate acc + a*b (vmlaq_f32).
+// VmlaqF32 is the multiply-accumulate acc + a*b (vmlaq_f32). It is not
+// fused: the Cortex-A9's VMLA.F32 rounds the product before the add, so
+// each lane converts its product to float32 explicitly, which keeps a
+// compiler that contracts a*b+c (arm64) from emitting a fused multiply-add.
 func (u *Unit) VmlaqF32(acc, a, b Float32x4) Float32x4 {
 	u.C.Mlas++
 	return Float32x4{
-		acc[0] + a[0]*b[0],
-		acc[1] + a[1]*b[1],
-		acc[2] + a[2]*b[2],
-		acc[3] + a[3]*b[3],
+		acc[0] + float32(a[0]*b[0]),
+		acc[1] + float32(a[1]*b[1]),
+		acc[2] + float32(a[2]*b[2]),
+		acc[3] + float32(a[3]*b[3]),
 	}
 }
 

@@ -35,8 +35,11 @@ type Config struct {
 	// selects the allocating baseline the golden tests compare against.
 	Pool *bufpool.Pool
 	// KernelWorkers sizes the worker pool the wavelet and fusion hot
-	// loops tile across: 0 selects GOMAXPROCS, 1 runs fully sequential,
-	// and any value is capped at GOMAXPROCS. Worker count never changes
+	// loops tile across: 0 selects GOMAXPROCS and sizes each pass (only a
+	// pass of at least kernels.MinParallelBytes wakes the helpers), 1
+	// runs fully sequential, any other count dispatches every pass of
+	// more than one tile, and any value is capped at GOMAXPROCS. Worker
+	// count never changes
 	// results — compute runs in disjoint tiles and all modeled accounting
 	// replays in sequential order — so pixels, StageTimes and energy are
 	// byte-identical at any setting. The pool's helper goroutines spawn

@@ -7,7 +7,6 @@ import (
 
 	"zynqfusion/internal/bufpool"
 	"zynqfusion/internal/frame"
-	"zynqfusion/internal/kernels"
 )
 
 // The dual tree runs four separable decompositions, one per (row tree,
@@ -554,7 +553,7 @@ func (t *DTCWT) inverse(p *DTPyramid, distribute bool) (*frame.Frame, error) {
 		}
 		// The last accumulation also applies the four-tree average.
 		x.pixAcc = accTask{dst: acc.Pix, src: rec.Pix, scale: c == numTrees-1}
-		x.W.Run(len(acc.Pix), kernels.Grain(len(acc.Pix), 8, x.W.N()), &x.pixAcc)
+		x.W.For(len(acc.Pix), 8, &x.pixAcc)
 		rec.Release()
 	}
 	x.chargeCPU(numTrees * len(acc.Pix))
@@ -609,7 +608,7 @@ func combineLevel(x *Xfm, trees [numTrees]*Decomp, lv int, out *DTLevel) {
 		n := len(p.Pix)
 		x.q2c = q2cTask{p: p.Pix, q: q.Pix, r: r.Pix, s: s.Pix,
 			z1re: z1.Re, z1im: z1.Im, z2re: z2.Re, z2im: z2.Im}
-		x.W.Run(n, kernels.Grain(n, 32, x.W.N()), &x.q2c)
+		x.W.For(n, 32, &x.q2c)
 	}
 }
 
@@ -627,7 +626,7 @@ func distributeLevel(x *Xfm, trees [numTrees]*Decomp, l DTLevel, lv int) {
 		n := len(p.Pix)
 		x.c2q = c2qTask{z1re: z1.Re, z1im: z1.Im, z2re: z2.Re, z2im: z2.Im,
 			p: p.Pix, q: q.Pix, r: r.Pix, s: s.Pix}
-		x.W.Run(n, kernels.Grain(n, 32, x.W.N()), &x.c2q)
+		x.W.For(n, 32, &x.c2q)
 	}
 }
 

@@ -78,7 +78,7 @@ func (x *Xfm) forwardRows(bank *Bank, src, dst *frame.Frame, chains []kernels.Ch
 		ws[i].px.Grow(x.pool, w+signal.TapCount)
 	}
 	x.fwdRows = fwdRowsTask{bank: bank, src: src, dst: dst, ws: ws, chains: chains, mw: w / 2}
-	x.W.Run(h, kernels.Grain(h, 8*w, x.W.N()), &x.fwdRows)
+	x.W.For(h, 8*w, &x.fwdRows)
 }
 
 // fwdColsTask runs the vertical analysis pass as bands of output rows.
@@ -163,8 +163,10 @@ func (x *Xfm) forwardCols(colBank, colBankB *Bank, src *frame.Frame, ll *frame.F
 		x.fwdCols.llB, x.fwdCols.lhB, x.fwdCols.hlB, x.fwdCols.hhB = llB.Pix, bB.LH.Pix, bB.HL.Pix, bB.HH.Pix
 	}
 	// Bands split only for load balance: each band re-reads the source
-	// rows under its first output, so taller bands amortize that.
-	x.W.Run(h/2, kernels.Grain(h/2, 0, x.W.N()), &x.fwdCols)
+	// rows under its first output, so taller bands amortize that. An
+	// output row moves 16w bytes: two new source rows in, four half-rows
+	// out.
+	x.W.Run(h/2, kernels.Grain(h/2, 0, x.W.N()), 16*w, &x.fwdCols)
 }
 
 // selScratch returns the per-worker scratch of a column pass over w
@@ -239,7 +241,9 @@ func (x *Xfm) inverseCols(bank *Bank, ll *frame.Frame, b Bands, dst *frame.Frame
 	x.invCols = invColsTask{bank: bank, route: route, ws: x.selScratch(w),
 		ll: ll.Pix, lh: b.LH.Pix, hl: b.HL.Pix, hh: b.HH.Pix,
 		dst: dst, w: w, h: h, mw: mw, mh: mh, delay: bank.delay}
-	x.W.Run(mh, kernels.Grain(mh, 0, x.W.N()), &x.invCols)
+	// Load-balance bands, as in forwardCols; a band row moves 16w bytes:
+	// four half-rows in, two rows out.
+	x.W.Run(mh, kernels.Grain(mh, 0, x.W.N()), 16*w, &x.invCols)
 }
 
 // invRowsTask runs the horizontal synthesis pass in place through the
@@ -296,7 +300,7 @@ func (x *Xfm) inverseRows(bank *Bank, dst *frame.Frame, chains []kernels.Chain) 
 		ws[i].y.Grow(x.pool, w)
 	}
 	x.invRows = invRowsTask{bank: bank, dst: dst, ws: ws, chains: chains, w: w, mw: mw}
-	x.W.Run(h, kernels.Grain(h, 8*w, x.W.N()), &x.invRows)
+	x.W.For(h, 8*w, &x.invRows)
 }
 
 // Pixel-map tasks: the DT-CWT's engine-independent structure loops

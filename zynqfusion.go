@@ -150,9 +150,13 @@ type Options struct {
 	// that has not been released).
 	BufferPool BufferPool
 	// KernelWorkers sizes the goroutine pool the tiled wavelet and fusion
-	// hot loops fan out across: 0 (the default) selects GOMAXPROCS, 1
-	// runs fully sequential on the calling goroutine, and any value is
-	// capped at GOMAXPROCS. Worker count is pure host-side scheduling — it
+	// hot loops fan out across: 0 (the default) selects GOMAXPROCS workers
+	// and sizes each pass, waking the helpers only for a pass that moves
+	// at least kernels.MinParallelBytes (1 MiB: at 640x480 the level-1
+	// passes, at 320x240 none) and running a smaller one on the calling
+	// goroutine; 1 runs fully sequential on the calling goroutine; any
+	// other count dispatches every pass of more than one tile. Any value
+	// is capped at GOMAXPROCS. Worker count is pure host-side scheduling — it
 	// never changes results or the modeled platform accounting: compute
 	// runs in disjoint tiles and every cycle/energy charge replays in
 	// sequential order, so pixels, Stats and energy are bit-for-bit
@@ -206,7 +210,7 @@ func New(opts Options) (*Fuser, error) {
 		return nil, fmt.Errorf("zynqfusion: Options.PipelineDepth = %d exceeds MaxPipelineDepth %d; depth past the stage count buys nothing", opts.PipelineDepth, MaxPipelineDepth)
 	}
 	if opts.KernelWorkers < 0 {
-		return nil, fmt.Errorf("zynqfusion: Options.KernelWorkers must be non-negative, got %d (0 = GOMAXPROCS, 1 = sequential)", opts.KernelWorkers)
+		return nil, fmt.Errorf("zynqfusion: Options.KernelWorkers must be non-negative, got %d (0 = GOMAXPROCS, sized per pass; 1 = sequential; n = n workers on every pass)", opts.KernelWorkers)
 	}
 	op := dvfs.Nominal()
 	if opts.OperatingPoint != "" {

@@ -250,13 +250,12 @@
 // format (stream/stage/engine/point labels, self-linting encoder);
 // per-stream log-spaced histograms record frame latency, energy, queue
 // depth and deadline slack (p50/p95/p99 in telemetry, native histogram
-// series in the Prometheus view, profiler.FromHistogram for a bar-chart
-// rendering); /trace serves recent frames as Chrome trace_event JSON —
-// per-station stage spans with cross-frame pipeline overlap, DVFS
-// switch markers, clock and split-ratio counter tracks and the
-// governor's FPGA-lease spans, loadable in Perfetto — and /events
-// serves a bounded structured event ring (drops, deadline misses,
-// lease denials, operating-point switches, pool sheds, stream
+// series in the Prometheus view); /trace serves recent frames as Chrome
+// trace_event JSON — per-station stage spans with cross-frame pipeline
+// overlap, DVFS switch markers, clock and split-ratio counter tracks and
+// the governor's most recent FPGA-lease spans, loadable in Perfetto —
+// and /events serves a bounded structured event ring (drops, deadline
+// misses, lease denials, operating-point switches, pool sheds, stream
 // lifecycle). fusiond -pprof additionally exposes /debug/pprof/.
 // A demo trace comes from:
 //

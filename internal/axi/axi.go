@@ -27,25 +27,16 @@ const LiteWords = 64
 
 // Lite is an AXI4-Lite slave port: single-beat register reads/writes,
 // used to load filter coefficients and issue commands to the wave engine.
+// Each access costs GPWordCycles of the PS clock.
 type Lite struct {
 	ps   sim.Clock
 	regs [LiteWords]uint32
-	// WriteCycles and ReadCycles are the PS-visible cycles per access.
-	WriteCycles int64
-	ReadCycles  int64
 	// Writes and Reads count accesses.
 	Writes, Reads int64
 }
 
-// NewLite returns an AXI4-Lite port in the given PS clock domain with the
-// default single-beat access costs.
-func NewLite(ps sim.Clock) *Lite {
-	return &Lite{
-		ps:          ps,
-		WriteCycles: GPWordCycles,
-		ReadCycles:  GPWordCycles,
-	}
-}
+// NewLite returns an AXI4-Lite port in the given PS clock domain.
+func NewLite(ps sim.Clock) *Lite { return &Lite{ps: ps} }
 
 // reg returns the word of the register file at byte address addr. An
 // address past the file can only be a programming error.
@@ -68,13 +59,13 @@ func badRegister(addr uint32) {
 func (l *Lite) Write(addr, val uint32) sim.Time {
 	*l.reg(addr) = val
 	l.Writes++
-	return l.ps.Cycles(l.WriteCycles)
+	return l.ps.Cycles(GPWordCycles)
 }
 
 // Read fetches a register value and the access time.
 func (l *Lite) Read(addr uint32) (uint32, sim.Time) {
 	l.Reads++
-	return *l.reg(addr), l.ps.Cycles(l.ReadCycles)
+	return *l.reg(addr), l.ps.Cycles(GPWordCycles)
 }
 
 // Set stores a register value from the slave side — the peripheral
@@ -82,28 +73,29 @@ func (l *Lite) Read(addr uint32) (uint32, sim.Time) {
 // counted nor timed.
 func (l *Lite) Set(addr, val uint32) { *l.reg(addr) = val }
 
+// The ACP burst calibration, in bus cycles (see the engine cost model).
+const (
+	// BurstSetup is the fixed per-transfer overhead: address handshake,
+	// ACP snoop, and the first-beat latency.
+	BurstSetup = 30
+	// BurstBeatsPerWord is the sustained per-word cost; > 1 captures
+	// snoop and DDR contention on the ACP path.
+	BurstBeatsPerWord = 1.5
+)
+
 // Burst models an AXI4-Master burst path (the ACP in this design). A
-// transfer of n words costs Setup beats plus n*BeatsPerWord beats of the
-// bus clock.
+// transfer of n words costs BurstSetup beats plus n*BurstBeatsPerWord
+// beats of the bus clock.
 type Burst struct {
 	clk sim.Clock
-	// Setup is the fixed per-transfer overhead in bus cycles: address
-	// handshake, ACP snoop, and the first-beat latency.
-	Setup int64
-	// BeatsPerWord is the sustained per-word cost in bus cycles; > 1
-	// captures snoop and DDR contention on the ACP path.
-	BeatsPerWord float64
 	// Words and Transfers accumulate traffic statistics.
 	Words     int64
 	Transfers int64
 }
 
 // NewACP returns the burst model of the Accelerator Coherency Port used by
-// the hardware memcpy. The defaults are calibrated in the engine cost
-// model.
-func NewACP(pl sim.Clock) *Burst {
-	return &Burst{clk: pl, Setup: 30, BeatsPerWord: 1.5}
-}
+// the hardware memcpy.
+func NewACP(pl sim.Clock) *Burst { return &Burst{clk: pl} }
 
 // Transfer accounts an n-word burst and returns its duration. It panics on
 // a negative count, which can only be a programming error.
@@ -113,7 +105,7 @@ func (b *Burst) Transfer(words int) sim.Time {
 	}
 	b.Words += int64(words)
 	b.Transfers++
-	return b.clk.CyclesF(float64(b.Setup) + b.BeatsPerWord*float64(words))
+	return b.clk.CyclesF(BurstSetup + BurstBeatsPerWord*float64(words))
 }
 
 // GPTransfer returns the time for the CPU to move n words through the

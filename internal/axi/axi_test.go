@@ -33,7 +33,7 @@ func TestLiteRegisterFile(t *testing.T) {
 func TestBurstTiming(t *testing.T) {
 	b := NewACP(pl())
 	tm := b.Transfer(100)
-	want := pl().CyclesF(float64(b.Setup) + b.BeatsPerWord*100)
+	want := pl().CyclesF(BurstSetup + BurstBeatsPerWord*100)
 	if tm != want {
 		t.Errorf("transfer %v want %v", tm, want)
 	}
@@ -44,7 +44,7 @@ func TestBurstTiming(t *testing.T) {
 
 func TestBurstZeroWords(t *testing.T) {
 	b := NewACP(pl())
-	if tm := b.Transfer(0); tm != pl().CyclesF(float64(b.Setup)) {
+	if tm := b.Transfer(0); tm != pl().CyclesF(BurstSetup) {
 		t.Errorf("empty transfer should cost only setup, got %v", tm)
 	}
 }

@@ -28,9 +28,9 @@ func scaleRef(src *frame.Frame, w, h int, bl bool) *frame.Frame {
 	sx := float64(src.W) / float64(w)
 	sy := float64(src.H) / float64(h)
 	for y := 0; y < h; y++ {
-		fy := (float64(y)+0.5)*sy - 0.5
+		fy := float64((float64(y)+0.5)*sy) - 0.5
 		for x := 0; x < w; x++ {
-			fx := (float64(x)+0.5)*sx - 0.5
+			fx := float64((float64(x)+0.5)*sx) - 0.5
 			if bl {
 				dst.Set(x, y, bilinear(src, fx, fy))
 			} else {
@@ -60,9 +60,9 @@ func bilinear(src *frame.Frame, fx, fy float64) float32 {
 	if ay < 0 {
 		ay = 0
 	}
-	top := src.At(x0, y0)*(1-ax) + src.At(x1, y0)*ax
-	bot := src.At(x0, y1)*(1-ax) + src.At(x1, y1)*ax
-	return top*(1-ay) + bot*ay
+	top := float32(src.At(x0, y0)*(1-ax)) + float32(src.At(x1, y0)*ax)
+	bot := float32(src.At(x0, y1)*(1-ax)) + float32(src.At(x1, y1)*ax)
+	return float32(top*(1-ay)) + float32(bot*ay)
 }
 
 // encodeRef appends one field two bytes at a time.

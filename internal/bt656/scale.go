@@ -123,8 +123,10 @@ func (p *scalePlan) rowInto(out []float32, src *frame.Frame, y int) {
 	top, bot = top[:len(out)], bot[:len(out)]
 	ay := p.ay[y]
 	ia := 1 - ay
+	// Each product is rounded before the add, so that a compiler that
+	// contracts a*b+c (arm64) computes what amd64 does.
 	for x := range out {
-		out[x] = top[x]*ia + bot[x]*ay
+		out[x] = float32(top[x]*ia) + float32(bot[x]*ay)
 	}
 }
 
@@ -137,7 +139,7 @@ func (p *scalePlan) lerpRow(src *frame.Frame, r int) []float32 {
 		in := src.Row(r)
 		x0, x1, ax := p.x0[:len(l)], p.x1[:len(l)], p.ax[:len(l)]
 		for x := range l {
-			l[x] = in[x0[x]]*(1-ax[x]) + in[x1[x]]*ax[x]
+			l[x] = float32(in[x0[x]]*(1-ax[x])) + float32(in[x1[x]]*ax[x])
 		}
 		p.lineY[k] = r
 	}
@@ -175,7 +177,7 @@ func taps(src, n int, bilinear bool) (i0, i1 []int, a []float32) {
 		a = make([]float32, n)
 	}
 	for i := range i0 {
-		f := (float64(i)+0.5)*scale - 0.5
+		f := float64((float64(i)+0.5)*scale) - 0.5
 		if !bilinear {
 			i0[i] = clampInt(int(f+0.5), 0, src-1)
 			continue

@@ -15,12 +15,11 @@
 // pack or unpack of the engine's interleaved row format and the deferred
 // memcpy out. Those charges depend only on a row's mode and width, so
 // the device plans them once per width (hls.WaveEngine.PlanRow and the
-// host copies) and books every row from its plan along one timeline path;
-// the wave engine makes a plan again when its ports' timing fields
-// change. So the makespan of a row sequence reflects the copy/compute
-// overlap (or its absence, in single-buffered mode, which exists for the
-// ablation study). A row is checked before any of it is charged, so a
-// refused row leaves the timeline as it was.
+// host copies) and books every row from its plan along one timeline path.
+// So the makespan of a row sequence reflects the copy/compute overlap (or
+// its absence, in single-buffered mode, which exists for the ablation
+// study). A row is checked before any of it is charged, so a refused row
+// leaves the timeline as it was.
 package driver
 
 import (

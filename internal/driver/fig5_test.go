@@ -234,9 +234,7 @@ func rowWidth(b byte) int {
 
 // FuzzDeviceRows runs one fuzz-chosen sequence of forward and inverse rows
 // of fuzz-chosen widths (including empty and oversized rows),
-// interleaved host charges, changes to the ports' timing fields
-// (AXI-Lite WriteCycles or ReadCycles, ACP Setup or BeatsPerWord, which
-// a planned width must follow), drains, resets and a close, through the
+// interleaved host charges, drains, resets and a close, through the
 // timeline-only Device's charge rows and the staging oracle, each on its
 // own wave engine, single- or double-buffered, at command-queue depths 0
 // to 5, with or without filters loaded. After every step the error
@@ -281,11 +279,8 @@ func FuzzDeviceRows(f *testing.F) {
 			switch m := rowWidth(arg); {
 			case op < 6 || op == 12:
 				errD, errO = d.ChargeForwardRow(m), o.ChargeForwardRow(m)
-			case op < 12:
+			case op < 12 || op == 13:
 				errD, errO = d.ChargeInverseRow(m), o.ChargeInverseRow(m)
-			case op == 13:
-				setBusTiming(d.eng, arg)
-				setBusTiming(o.eng, arg)
 			case op == 14:
 				c := sim.Time(arg) * 997 * sim.Picosecond
 				d.ChargeHost(c)
@@ -307,23 +302,6 @@ func FuzzDeviceRows(f *testing.F) {
 			sameTimeline(t, step, d, o)
 		}
 	})
-}
-
-// setBusTiming changes one of the ports' exported timing fields, as arg
-// picks: the AXI-Lite port's WriteCycles or ReadCycles (1 to 64 cycles)
-// or the ACP's Setup (0 to 63 cycles) or BeatsPerWord (0.5 to 4.375).
-func setBusTiming(e *hls.WaveEngine, arg byte) {
-	v := int64(arg / 4)
-	switch arg % 4 {
-	case 0:
-		e.Lite.WriteCycles = 1 + v
-	case 1:
-		e.Lite.ReadCycles = 1 + v
-	case 2:
-		e.ACP.Setup = v
-	default:
-		e.ACP.BeatsPerWord = 0.5 + float64(v%32)/8
-	}
 }
 
 func sameTimeline(t *testing.T, step string, d *Device, o *stagingDevice) {

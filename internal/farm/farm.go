@@ -326,13 +326,8 @@ func (f *Farm) Trace(stream string, frames int) ([]obs.TraceView, bool) {
 	for _, s := range streams {
 		views = append(views, obs.TraceView{Process: s.ID(), Spans: s.TraceSpans(frames)})
 	}
-	lease := obs.TraceView{Process: "fpga-lease"}
-	for _, sp := range f.gov.Spans() {
-		lease.Spans = append(lease.Spans, obs.TraceSpan{
-			Track: "fpga", Name: sp.Stream, Start: sp.Start, End: sp.End,
-		})
-	}
-	views = append(views, lease)
+	lease := f.gov.lease
+	views = append(views, obs.TraceView{Process: lease.Process(), Spans: lease.Spans(0)})
 	return views, true
 }
 

@@ -7,9 +7,9 @@
 package farm
 
 import (
-	"sort"
 	"sync"
 
+	"zynqfusion/internal/obs"
 	"zynqfusion/internal/pipeline"
 	"zynqfusion/internal/power"
 	"zynqfusion/internal/sim"
@@ -56,7 +56,9 @@ type Governor struct {
 	// FPGA lease state.
 	holder string
 	clock  sim.Time // global modeled FPGA timeline; advances by granted busy spans
-	spans  []Span
+	// lease is the lease timeline: the most recent granted spans, as
+	// track "fpga" entries named by holder, frame 0.
+	lease *obs.TraceRecorder
 
 	grants        int64
 	denials       int64
@@ -74,14 +76,13 @@ type Governor struct {
 type account struct {
 	busy   sim.Time
 	energy sim.Joules
-	frames int64
 	done   bool // stream finished: keep the ledger, stop counting its draw
 }
 
 // NewGovernor returns a governor with the given aggregate power budget
 // (0 disables budget enforcement; contention arbitration always applies).
 func NewGovernor(budget sim.Watts) *Governor {
-	return &Governor{budget: budget, accounts: make(map[string]*account)}
+	return &Governor{budget: budget, accounts: make(map[string]*account), lease: obs.NewTraceRecorder("fpga-lease", 0)}
 }
 
 // SetBudget rebinds the aggregate power budget (0 disables enforcement).
@@ -132,9 +133,10 @@ func (g *Governor) TryAcquire(stream string) bool {
 }
 
 // Release returns the lease, recording the FPGA busy time the holder
-// consumed as a span on the global timeline. Releasing a lease the caller
-// does not hold panics: that is a farm logic error, not a runtime
-// condition.
+// consumed as a span on the global timeline (whose ring keeps the most
+// recent obs.DefaultTraceSpans spans; Stats' FPGABusy counts them all).
+// Releasing a lease the caller does not hold panics: that is a farm logic
+// error, not a runtime condition.
 func (g *Governor) Release(stream string, busy sim.Time) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -143,7 +145,7 @@ func (g *Governor) Release(stream string, busy sim.Time) {
 	}
 	g.holder = ""
 	if busy > 0 {
-		g.spans = append(g.spans, Span{Stream: stream, Start: g.clock, End: g.clock + busy})
+		g.lease.Span(0, "fpga", stream, g.clock, g.clock+busy)
 		g.clock += busy
 	}
 }
@@ -159,7 +161,6 @@ func (g *Governor) AddFrame(stream string, st pipeline.StageTimes) {
 	}
 	a.busy += st.Total
 	a.energy += st.Energy
-	a.frames++
 }
 
 // AddIdle accounts deadline slack: the board idles at the quiescent power
@@ -224,22 +225,14 @@ func (g *Governor) Totals() (sim.Time, sim.Joules) {
 	return t, e
 }
 
-// StreamEnergy returns the accumulated energy drained by one stream.
-func (g *Governor) StreamEnergy(stream string) sim.Joules {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if a := g.accounts[stream]; a != nil {
-		return a.energy
-	}
-	return 0
-}
-
-// Spans returns a copy of the granted FPGA spans in grant order.
+// Spans returns the retained granted FPGA spans — the most recent
+// obs.DefaultTraceSpans — in grant order.
 func (g *Governor) Spans() []Span {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]Span, len(g.spans))
-	copy(out, g.spans)
+	ts := g.lease.Spans(0)
+	out := make([]Span, len(ts))
+	for i, s := range ts {
+		out[i] = Span{Stream: s.Name, Start: s.Start, End: s.End}
+	}
 	return out
 }
 
@@ -264,23 +257,6 @@ func (g *Governor) Stats() GovernorStats {
 		AggregatePower: g.aggregatePowerLocked(),
 		PowerBudget:    g.budget,
 	}
-}
-
-// EnergyByStream returns per-stream accumulated energy in stream-name
-// order.
-func (g *Governor) EnergyByStream() []power.LabeledEnergy {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	names := make([]string, 0, len(g.accounts))
-	for n := range g.accounts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]power.LabeledEnergy, len(names))
-	for i, n := range names {
-		out[i] = power.LabeledEnergy{Label: n, E: g.accounts[n].energy}
-	}
-	return out
 }
 
 // gate is the per-stream sched.Gate handle: the stream worker flips it

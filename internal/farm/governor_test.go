@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"zynqfusion/internal/obs"
 	"zynqfusion/internal/pipeline"
 	"zynqfusion/internal/power"
 	"zynqfusion/internal/sim"
@@ -136,12 +137,43 @@ func TestGovernorAccounting(t *testing.T) {
 	if energy != 0.006 {
 		t.Fatalf("energy = %v, want 0.006", energy)
 	}
-	if e := g.StreamEnergy("a"); e != 0.002 {
-		t.Fatalf("stream a energy = %v", e)
+}
+
+// TestGovernorLeaseRingKeepsNewest grants more leases than the lease
+// timeline's ring holds: Spans keeps exactly the newest, in grant order
+// and non-overlapping, while Stats' FPGABusy counts every lease.
+func TestGovernorLeaseRingKeepsNewest(t *testing.T) {
+	const leases = obs.DefaultTraceSpans + 300
+	g := NewGovernor(0)
+	ids := []string{"a", "b", "c"}
+	var busy sim.Time
+	for i := 0; i < leases; i++ {
+		id := ids[i%len(ids)]
+		if !g.TryAcquire(id) {
+			t.Fatalf("lease %d denied", i)
+		}
+		d := sim.Time(i+1) * sim.Microsecond
+		g.Release(id, d)
+		busy += d
 	}
-	by := g.EnergyByStream()
-	if len(by) != 2 || by[0].Label != "a" || by[1].Label != "b" {
-		t.Fatalf("EnergyByStream order wrong: %+v", by)
+	if st := g.Stats(); st.FPGABusy != busy || st.Grants != leases {
+		t.Fatalf("FPGABusy %v over %d grants, want %v over %d", st.FPGABusy, st.Grants, busy, leases)
+	}
+	spans := g.Spans()
+	if len(spans) != obs.DefaultTraceSpans {
+		t.Fatalf("%d spans retained, want %d", len(spans), obs.DefaultTraceSpans)
+	}
+	for k, sp := range spans {
+		i := leases - obs.DefaultTraceSpans + k // the lease this span must be
+		if sp.Stream != ids[i%len(ids)] || sp.End-sp.Start != sim.Time(i+1)*sim.Microsecond {
+			t.Fatalf("span %d = %+v, want lease %d", k, sp, i)
+		}
+		if k > 0 && sp.Start != spans[k-1].End {
+			t.Fatalf("span %d starts at %v, its predecessor ends at %v", k, sp.Start, spans[k-1].End)
+		}
+	}
+	if last := spans[len(spans)-1]; last.End != busy {
+		t.Fatalf("newest span ends at %v, the timeline at %v", last.End, busy)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"zynqfusion/internal/obs"
 	"zynqfusion/internal/sim"
 )
 
@@ -99,6 +100,11 @@ func TestFarmSplitFractionalBusyMetering(t *testing.T) {
 	if m.Governor.FPGABusy != routedFPGA {
 		t.Fatalf("governor FPGA busy %v != routed wave-engine time %v",
 			m.Governor.FPGABusy, routedFPGA)
+	}
+	// The lease timeline's ring holds every span of this run, so the sum
+	// below checks them all.
+	if m.Governor.Grants > obs.DefaultTraceSpans {
+		t.Fatalf("%d leases granted; the lease ring keeps only %d", m.Governor.Grants, obs.DefaultTraceSpans)
 	}
 	var spanSum sim.Time
 	spans := fm.Governor().Spans()

@@ -79,6 +79,8 @@ var (
 
 // WaveEngine is one instance of the hardware wavelet engine.
 type WaveEngine struct {
+	// Lite and ACP are the engine's ports, fixed by New: a row plan
+	// (PlanRow) holds the accesses and times they give.
 	Lite *axi.Lite
 	ACP  *axi.Burst
 	pl   sim.Clock
@@ -245,33 +247,15 @@ func (e *WaveEngine) rowTime(inWords, iters, outWords int) sim.Time {
 // (ForwardTime or InverseTime), in integer picoseconds, and the AXI-Lite
 // and ACP accesses they count. PlanRow computes it by running those
 // functions on a copy of the engine; RunPlanned books it. Every row of a
-// width runs the same schedule (Fig. 5), so a driver plans each width
-// once and books its rows from the plan.
+// width runs the same schedule (Fig. 5) and the ports' timings are fixed
+// (axi.GPWordCycles, axi.BurstSetup, axi.BurstBeatsPerWord), so a driver
+// plans each width once and books its rows from the plan.
 type RowPlan struct {
-	mode         Mode
-	pairs, polls int
-	cmd, run     sim.Time
+	mode     Mode
+	pairs    int
+	cmd, run sim.Time
 	// The AXI-Lite and ACP accesses the command and the run count.
 	writes, reads, words, transfers int64
-	// The port timings the times were computed at.
-	bus busTiming
-}
-
-// busTiming is what a row's times depend on besides its mode and width:
-// the ports and their exported timing fields (each port's clock is fixed
-// when it is made).
-type busTiming struct {
-	lite               *axi.Lite
-	acp                *axi.Burst
-	write, read, setup int64
-	beat               uint64
-}
-
-// current reports whether the engine's ports and timing fields are still
-// the ones b holds.
-func (b *busTiming) current(e *WaveEngine) bool {
-	return b.lite == e.Lite && b.acp == e.ACP && b.write == e.Lite.WriteCycles && b.read == e.Lite.ReadCycles &&
-		b.setup == e.ACP.Setup && b.beat == math.Float64bits(e.ACP.BeatsPerWord)
 }
 
 // PlanRow returns the plan of a row of the given mode (ModeForward or
@@ -282,8 +266,7 @@ func (b *busTiming) current(e *WaveEngine) bool {
 func (e *WaveEngine) PlanRow(mode Mode, pairs, polls int) RowPlan {
 	lite, acp := *e.Lite, *e.ACP
 	c := WaveEngine{Lite: &lite, ACP: &acp, pl: e.pl}
-	p := RowPlan{mode: mode, pairs: pairs, polls: polls,
-		bus: busTiming{e.Lite, e.ACP, e.Lite.WriteCycles, e.Lite.ReadCycles, e.ACP.Setup, math.Float64bits(e.ACP.BeatsPerWord)}}
+	p := RowPlan{mode: mode, pairs: pairs}
 	p.cmd = c.CommandTime(mode, pairs, 0, polls)
 	if mode == ModeForward {
 		p.run = c.ForwardTime(pairs)
@@ -300,12 +283,8 @@ func (e *WaveEngine) PlanRow(mode Mode, pairs, polls int) RowPlan {
 // CommandTime(mode, pairs, offset, polls) and then ForwardTime or
 // InverseTime leave behind — the command's registers, the done flag
 // raised, the accesses counted, the row counter and PL busy time — and
-// return. A plan made before a change to the ports or their timing
-// fields is made again first.
+// return.
 func (e *WaveEngine) RunPlanned(p *RowPlan, offset int) (cmd, run sim.Time) {
-	if !p.bus.current(e) {
-		*p = e.PlanRow(p.mode, p.pairs, p.polls)
-	}
 	l := e.Lite
 	l.Set(RegInOffset, uint32(offset))
 	l.Set(RegOutOffset, uint32(offset))

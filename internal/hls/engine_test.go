@@ -173,8 +173,7 @@ func TestPipelineIsIIOne(t *testing.T) {
 	t1 := run(100)
 	t2 := run(200)
 	pl := zynq.PL()
-	acp := axi.NewACP(pl)
-	wantDelta := pl.CyclesF(acp.BeatsPerWord*float64(2*100+2*100)) + pl.Cycles(100)
+	wantDelta := pl.CyclesF(axi.BurstBeatsPerWord*float64(2*100+2*100)) + pl.Cycles(100)
 	delta := t2 - t1
 	if delta != wantDelta {
 		t.Errorf("marginal cost %v, want %v (II=1)", delta, wantDelta)

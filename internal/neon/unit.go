@@ -143,9 +143,10 @@ func (u *Unit) HAddF32(v Float32x4) float32 {
 }
 
 // ScalarMAC models a scalar VFP multiply-accumulate in a remainder loop.
+// Like VmlaqF32's lanes it rounds the product before the add (VMLA.F32).
 func (u *Unit) ScalarMAC(acc, a, b float32) float32 {
 	u.C.ScalarOps++
-	return acc + a*b
+	return acc + float32(a*b)
 }
 
 // ScalarLoad models a scalar load in a remainder loop.

@@ -1,5 +1,6 @@
-// Package power models the ZC702 board power rails and provides the
-// sampling recorder the paper's "power-recording software" corresponds to.
+// Package power models the ZC702 board power rails: the board power of
+// each compute mode. Every energy figure comes from the engines' drains,
+// which scale these anchors to the operating point (internal/dvfs).
 //
 // Calibration (paper, section VII): fusing on the ARM consumes
 // approximately the same board power as ARM+NEON; ARM+FPGA adds a net
@@ -9,8 +10,6 @@
 package power
 
 import (
-	"fmt"
-	"sort"
 	"strings"
 
 	"zynqfusion/internal/sim"
@@ -48,83 +47,3 @@ func ModePower(mode string) sim.Watts {
 		return Idle
 	}
 }
-
-// Phase is one interval of constant board power in a recording.
-type Phase struct {
-	Label string
-	P     sim.Watts
-	Dur   sim.Time
-}
-
-// Recorder integrates board power over labeled phases of simulated time,
-// standing in for the power-recording software run alongside the fusion
-// process in the paper. The zero value is ready to use.
-type Recorder struct {
-	phases []Phase
-}
-
-// Record appends a phase.
-func (r *Recorder) Record(label string, p sim.Watts, dur sim.Time) {
-	if dur < 0 {
-		panic("power.Recorder: negative duration")
-	}
-	r.phases = append(r.phases, Phase{Label: label, P: p, Dur: dur})
-}
-
-// Total returns the recording length.
-func (r *Recorder) Total() sim.Time {
-	var t sim.Time
-	for _, ph := range r.phases {
-		t += ph.Dur
-	}
-	return t
-}
-
-// Energy integrates power over the whole recording.
-func (r *Recorder) Energy() sim.Joules {
-	var e sim.Joules
-	for _, ph := range r.phases {
-		e += sim.EnergyOver(ph.P, ph.Dur)
-	}
-	return e
-}
-
-// MeanPower returns energy divided by time (0 for an empty recording).
-func (r *Recorder) MeanPower() sim.Watts {
-	t := r.Total()
-	if t == 0 {
-		return 0
-	}
-	return sim.Watts(float64(r.Energy()) / t.Seconds())
-}
-
-// EnergyByLabel returns per-label energy totals in deterministic order.
-func (r *Recorder) EnergyByLabel() []LabeledEnergy {
-	acc := map[string]sim.Joules{}
-	for _, ph := range r.phases {
-		acc[ph.Label] += sim.EnergyOver(ph.P, ph.Dur)
-	}
-	keys := make([]string, 0, len(acc))
-	for k := range acc {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]LabeledEnergy, len(keys))
-	for i, k := range keys {
-		out[i] = LabeledEnergy{Label: k, E: acc[k]}
-	}
-	return out
-}
-
-// LabeledEnergy pairs a phase label with its integrated energy.
-type LabeledEnergy struct {
-	Label string
-	E     sim.Joules
-}
-
-func (l LabeledEnergy) String() string {
-	return fmt.Sprintf("%s=%s", l.Label, l.E)
-}
-
-// Reset clears the recording.
-func (r *Recorder) Reset() { r.phases = r.phases[:0] }

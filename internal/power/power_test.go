@@ -57,56 +57,3 @@ func TestModePowerUnknownFallsBackToIdle(t *testing.T) {
 		}
 	}
 }
-
-func TestRecorderIntegration(t *testing.T) {
-	var r Recorder
-	r.Record("compute", ARMActive, 2*sim.Second)
-	r.Record("wave", FPGAActive, sim.Second)
-	if r.Total() != 3*sim.Second {
-		t.Errorf("total %v", r.Total())
-	}
-	wantE := sim.EnergyOver(ARMActive, 2*sim.Second) + sim.EnergyOver(FPGAActive, sim.Second)
-	if math.Abs(float64(r.Energy()-wantE)) > 1e-12 {
-		t.Errorf("energy %v want %v", r.Energy(), wantE)
-	}
-	mean := r.MeanPower()
-	if mean <= ARMActive || mean >= FPGAActive {
-		t.Errorf("mean power %v outside bounds", mean)
-	}
-}
-
-func TestRecorderByLabel(t *testing.T) {
-	var r Recorder
-	r.Record("b", ARMActive, sim.Second)
-	r.Record("a", ARMActive, sim.Second)
-	r.Record("b", ARMActive, sim.Second)
-	byLabel := r.EnergyByLabel()
-	if len(byLabel) != 2 || byLabel[0].Label != "a" || byLabel[1].Label != "b" {
-		t.Fatalf("labels %v", byLabel)
-	}
-	if float64(byLabel[1].E) <= float64(byLabel[0].E) {
-		t.Error("label b should carry twice the energy")
-	}
-	if byLabel[0].String() == "" {
-		t.Error("empty label string")
-	}
-}
-
-func TestRecorderReset(t *testing.T) {
-	var r Recorder
-	r.Record("x", ARMActive, sim.Second)
-	r.Reset()
-	if r.Total() != 0 || r.Energy() != 0 || r.MeanPower() != 0 {
-		t.Error("reset did not clear")
-	}
-}
-
-func TestRecorderRejectsNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	var r Recorder
-	r.Record("x", ARMActive, -sim.Second)
-}

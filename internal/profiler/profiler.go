@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strings"
 
-	"zynqfusion/internal/obs"
 	"zynqfusion/internal/pipeline"
 	"zynqfusion/internal/sim"
 )
@@ -46,41 +45,6 @@ func FromStages(st pipeline.StageTimes) Profile {
 	}
 	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Share > entries[j].Share })
 	return Profile{Entries: entries, Total: total}
-}
-
-// FromHistogram renders an obs latency summary as a percentile profile:
-// one entry each for p50, p95, p99 and max, labeled "<label> p50" etc.,
-// with Share relative to the max so the bar chart reads as a tail-latency
-// staircase. unit converts one histogram unit into modeled time (the
-// farm's latency histograms record milliseconds, so pass
-// sim.Millisecond); Total is the distribution's summed observation time.
-// An empty summary yields an empty profile.
-func FromHistogram(label string, s obs.Summary, unit sim.Time) Profile {
-	if s.Count == 0 {
-		return Profile{}
-	}
-	toTime := func(v float64) sim.Time { return sim.Time(v * float64(unit)) }
-	entries := []Entry{
-		{Stage: label + " p50", Time: toTime(s.P50)},
-		{Stage: label + " p95", Time: toTime(s.P95)},
-		{Stage: label + " p99", Time: toTime(s.P99)},
-		{Stage: label + " max", Time: toTime(s.Max)},
-	}
-	if max := entries[len(entries)-1].Time; max > 0 {
-		for i := range entries {
-			entries[i].Share = float64(entries[i].Time) / float64(max)
-		}
-	}
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Share > entries[j].Share })
-	return Profile{Entries: entries, Total: toTime(s.Sum)}
-}
-
-// Dominant returns the stage with the largest share.
-func (p Profile) Dominant() Entry {
-	if len(p.Entries) == 0 {
-		return Entry{}
-	}
-	return p.Entries[0]
 }
 
 // Share returns the fraction for a named stage (0 when absent).

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"zynqfusion/internal/obs"
 	"zynqfusion/internal/pipeline"
 	"zynqfusion/internal/sim"
 )
@@ -35,17 +34,6 @@ func TestFromStagesShares(t *testing.T) {
 	}
 }
 
-func TestDominantStage(t *testing.T) {
-	p := FromStages(sample())
-	if d := p.Dominant(); d.Stage != "forward DT-CWT" {
-		t.Errorf("dominant %q", d.Stage)
-	}
-	var empty Profile
-	if d := empty.Dominant(); d.Stage != "" {
-		t.Errorf("empty profile dominant %q", d.Stage)
-	}
-}
-
 func TestSortedDescending(t *testing.T) {
 	p := FromStages(sample())
 	for i := 1; i < len(p.Entries); i++ {
@@ -73,43 +61,5 @@ func TestZeroProfile(t *testing.T) {
 		if e.Share != 0 {
 			t.Errorf("share %g for empty profile", e.Share)
 		}
-	}
-}
-
-func TestFromHistogramPercentiles(t *testing.T) {
-	s := obs.Summary{
-		Count: 100, Sum: 1200,
-		Min: 1, Max: 50, P50: 10, P95: 20, P99: 40,
-	}
-	p := FromHistogram("latency", s, sim.Millisecond)
-	if p.Total != 1200*sim.Millisecond {
-		t.Fatalf("total %v", p.Total)
-	}
-	// Sorted descending by share: max, p99, p95, p50.
-	wantOrder := []string{"latency max", "latency p99", "latency p95", "latency p50"}
-	for i, e := range p.Entries {
-		if e.Stage != wantOrder[i] {
-			t.Fatalf("entry %d = %q, want %q", i, e.Stage, wantOrder[i])
-		}
-	}
-	if got := p.Share("latency p50"); got != 10.0/50.0 {
-		t.Fatalf("p50 share %v", got)
-	}
-	if got := p.Dominant(); got.Stage != "latency max" || got.Time != 50*sim.Millisecond {
-		t.Fatalf("dominant %+v", got)
-	}
-	// The bar-chart rendering carries over unchanged.
-	out := p.String()
-	for _, want := range []string{"latency p99", "80.0%", "#"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("String() missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFromHistogramEmpty(t *testing.T) {
-	p := FromHistogram("latency", obs.Summary{}, sim.Millisecond)
-	if len(p.Entries) != 0 || p.Total != 0 {
-		t.Fatalf("empty summary produced %+v", p)
 	}
 }

@@ -26,7 +26,6 @@ package split
 
 import (
 	"fmt"
-	"math"
 
 	"zynqfusion/internal/dvfs"
 	"zynqfusion/internal/engine"
@@ -131,69 +130,47 @@ func balanced(neon, fpga sim.Time) float64 {
 	return float64(neon) / float64(neon+fpga)
 }
 
-// DefaultMinPairs is the row width below which the split policies keep the
+// MinPairs is the row width below which the split policies keep the
 // whole pass on NEON: the deepest levels run only a handful of rows, so
 // the per-pass merge/sync overhead outweighs the concurrency gain.
-const DefaultMinPairs = 6
+const MinPairs = 6
 
 // Oracle returns the cost-model optimal split per row class at one
 // operating point: lanes balance at the estimated per-row rates, the
 // cooperative analogue of sched.ThresholdForClock.
 type Oracle struct {
-	// Op is the PS operating point the estimates are computed at.
-	Op dvfs.OperatingPoint
-	// MinPairs keeps rows narrower than this NEON-only (0 selects
-	// DefaultMinPairs).
-	MinPairs int
-
+	// op is the PS operating point the estimates are computed at.
+	op   dvfs.OperatingPoint
 	memo memo
 }
 
 // NewOracle returns the oracle split policy for an operating point.
-func NewOracle(op dvfs.OperatingPoint) *Oracle { return &Oracle{Op: op} }
+func NewOracle(op dvfs.OperatingPoint) *Oracle { return &Oracle{op: op} }
 
 // Name implements Policy.
-func (o *Oracle) Name() string { return "split-oracle-" + o.Op.Name }
+func (o *Oracle) Name() string { return "split-oracle-" + o.op.Name }
 
 // Split implements Policy. Each row class's partition is computed once
-// (memo) until Op or MinPairs changes.
+// (memo).
 func (o *Oracle) Split(pairs int, inverse bool) Partition {
-	return o.memo.split(o.Op, o.MinPairs, classKey{pairs, inverse}, o.compute)
+	return o.memo.split(classKey{pairs, inverse}, o.compute)
 }
 
 func (o *Oracle) compute(k classKey) Partition {
-	if k.pairs < minPairs(o.MinPairs) {
+	if k.pairs < MinPairs {
 		return Partition{}
 	}
-	neon, fpga := RowTimes(k.pairs, k.inverse, o.Op)
+	neon, fpga := RowTimes(k.pairs, k.inverse, o.op)
 	return Partition{FPGA: balanced(neon, fpga)}.Clamp()
 }
 
-// minPairs resolves a policy's MinPairs field: 0 selects
-// DefaultMinPairs.
-func minPairs(n int) int {
-	if n == 0 {
-		return DefaultMinPairs
-	}
-	return n
-}
-
-// memo caches a pure split policy's partition per row class, for the
-// operating point and MinPairs it was computed at: a change to the
-// point's clock or voltage (its name enters no partition) or to MinPairs
-// empties it. A level routes every row of a class through the policy,
-// and a transform has a handful of classes, so a scan finds one.
+// memo caches a pure split policy's partition per row class; the
+// policy's operating point is fixed when it is made. A level routes every
+// row of a class through the policy, and a transform has a handful of
+// classes, so a scan finds one.
 type memo struct {
-	at    memoKey
 	parts []memoEntry
 	last  int // the most recent class's index in parts
-}
-
-// memoKey is what a memoized policy's partitions depend on besides the
-// row class.
-type memoKey struct {
-	hz, volts uint64
-	minPairs  int
 }
 
 type memoEntry struct {
@@ -201,12 +178,9 @@ type memoEntry struct {
 	p Partition
 }
 
-// split returns class k's partition at op and minPairs, computing it
-// with compute on the class's first row.
-func (m *memo) split(op dvfs.OperatingPoint, minPairs int, k classKey, compute func(classKey) Partition) Partition {
-	if at := (memoKey{math.Float64bits(op.Hz), math.Float64bits(op.Volts), minPairs}); at != m.at {
-		m.at, m.parts = at, m.parts[:0]
-	}
+// split returns class k's partition, computing it with compute on the
+// class's first row.
+func (m *memo) split(k classKey, compute func(classKey) Partition) Partition {
 	if m.last < len(m.parts) && m.parts[m.last].k == k {
 		return m.parts[m.last].p
 	}
@@ -234,35 +208,31 @@ func (m *memo) split(op dvfs.OperatingPoint, minPairs int, k classKey, compute f
 // balanced point but shifts with the operating point: at low PS clocks
 // t_n stretches while t_f's PL share does not, growing the FPGA share.
 type EnergySplit struct {
-	// Op is the PS operating point the estimates are computed at.
-	Op dvfs.OperatingPoint
-	// MinPairs keeps rows narrower than this NEON-only (0 selects
-	// DefaultMinPairs).
-	MinPairs int
-
+	// op is the PS operating point the estimates are computed at.
+	op   dvfs.OperatingPoint
 	memo memo
 }
 
 // NewEnergySplit returns the energy-minimizing split policy for an
 // operating point.
-func NewEnergySplit(op dvfs.OperatingPoint) *EnergySplit { return &EnergySplit{Op: op} }
+func NewEnergySplit(op dvfs.OperatingPoint) *EnergySplit { return &EnergySplit{op: op} }
 
 // Name implements Policy.
-func (e *EnergySplit) Name() string { return "split-energy-" + e.Op.Name }
+func (e *EnergySplit) Name() string { return "split-energy-" + e.op.Name }
 
 // Split implements Policy. Each row class's grid search runs once
-// (memo) until Op or MinPairs changes.
+// (memo).
 func (e *EnergySplit) Split(pairs int, inverse bool) Partition {
-	return e.memo.split(e.Op, e.MinPairs, classKey{pairs, inverse}, e.compute)
+	return e.memo.split(classKey{pairs, inverse}, e.compute)
 }
 
 func (e *EnergySplit) compute(k classKey) Partition {
-	if k.pairs < minPairs(e.MinPairs) {
+	if k.pairs < MinPairs {
 		return Partition{}
 	}
-	tn, tf := RowTimes(k.pairs, k.inverse, e.Op)
-	pn := float64(dvfs.ModePower("neon", e.Op))
-	pf := float64(dvfs.ModePower("fpga", e.Op))
+	tn, tf := RowTimes(k.pairs, k.inverse, e.op)
+	pn := float64(dvfs.ModePower("neon", e.op))
+	pf := float64(dvfs.ModePower("fpga", e.op))
 	pi := float64(power.Idle)
 	best, bestE := 0.0, 0.0
 	for i := 0; i <= 100; i++ {
@@ -283,21 +253,19 @@ func (e *EnergySplit) compute(k classKey) Partition {
 
 // AdaptiveSplit hill-climbs the FPGA share per row class online: each
 // completed pass reports the two lanes' measured times, and the share
-// steps toward the lane that finished first, halving the step whenever
-// the direction flips. The starting share is seeded from the cost-model
-// probe (RowTimes), so the first frames already run near the oracle point
-// and the climber only has to track what the model missed.
+// steps toward the lane that finished first (climbStep at first), halving
+// the step whenever the direction flips. The starting share is seeded
+// from the cost-model probe (RowTimes), so the first frames already run
+// near the oracle point and the climber only has to track what the model
+// missed.
 type AdaptiveSplit struct {
-	// Op seeds the initial shares (the probe operating point).
-	Op dvfs.OperatingPoint
-	// Step is the initial climb step (0 selects 0.10).
-	Step float64
-	// MinPairs keeps rows narrower than this NEON-only (0 selects
-	// DefaultMinPairs).
-	MinPairs int
-
+	// op seeds the initial shares (the probe operating point).
+	op    dvfs.OperatingPoint
 	state map[classKey]*climbState
 }
+
+// climbStep is AdaptiveSplit's initial climb step.
+const climbStep = 0.10
 
 type classKey struct {
 	pairs   int
@@ -312,10 +280,10 @@ type climbState struct {
 
 // NewAdaptiveSplit returns the online hill-climbing split policy seeded at
 // an operating point.
-func NewAdaptiveSplit(op dvfs.OperatingPoint) *AdaptiveSplit { return &AdaptiveSplit{Op: op} }
+func NewAdaptiveSplit(op dvfs.OperatingPoint) *AdaptiveSplit { return &AdaptiveSplit{op: op} }
 
 // Name implements Policy.
-func (a *AdaptiveSplit) Name() string { return "split-adaptive-" + a.Op.Name }
+func (a *AdaptiveSplit) Name() string { return "split-adaptive-" + a.op.Name }
 
 func (a *AdaptiveSplit) stateFor(pairs int, inverse bool) *climbState {
 	if a.state == nil {
@@ -324,12 +292,8 @@ func (a *AdaptiveSplit) stateFor(pairs int, inverse bool) *climbState {
 	k := classKey{pairs: pairs, inverse: inverse}
 	st, ok := a.state[k]
 	if !ok {
-		neon, fpga := RowTimes(pairs, inverse, a.Op)
-		step := a.Step
-		if step == 0 {
-			step = 0.10
-		}
-		st = &climbState{frac: balanced(neon, fpga), step: step}
+		neon, fpga := RowTimes(pairs, inverse, a.op)
+		st = &climbState{frac: balanced(neon, fpga), step: climbStep}
 		a.state[k] = st
 	}
 	return st
@@ -337,7 +301,7 @@ func (a *AdaptiveSplit) stateFor(pairs int, inverse bool) *climbState {
 
 // Split implements Policy.
 func (a *AdaptiveSplit) Split(pairs int, inverse bool) Partition {
-	if pairs < minPairs(a.MinPairs) {
+	if pairs < MinPairs {
 		return Partition{}
 	}
 	return Partition{FPGA: a.stateFor(pairs, inverse).frac}.Clamp()

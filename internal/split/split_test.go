@@ -137,40 +137,53 @@ func TestEnergySplitCooperativeBeatsExclusiveModel(t *testing.T) {
 	}
 }
 
+// points are the operating points the policy tests run at: the lowest,
+// the nominal and the highest PS clock.
+var points = []string{"222MHz", "533MHz", "667MHz"}
+
 // TestSplitMemoFollowsFields holds the memoized Oracle and EnergySplit
 // to a fresh policy's partition for every class they are asked about,
-// asked in a repeating order, and after Op or MinPairs changes under
-// them.
+// asked in a repeating order, at each operating point: the memo follows
+// the operating point its policy was made with.
 func TestSplitMemoFollowsFields(t *testing.T) {
-	oracle, energy := NewOracle(dvfs.Nominal()), NewEnergySplit(dvfs.Nominal())
-	for _, tc := range []struct {
-		name  string
-		p     Policy
-		set   func(op dvfs.OperatingPoint, minPairs int)
-		fresh func(op dvfs.OperatingPoint, minPairs int) Policy
-	}{
-		{"oracle", oracle,
-			func(op dvfs.OperatingPoint, n int) { oracle.Op, oracle.MinPairs = op, n },
-			func(op dvfs.OperatingPoint, n int) Policy { return &Oracle{Op: op, MinPairs: n} }},
-		{"energy", energy,
-			func(op dvfs.OperatingPoint, n int) { energy.Op, energy.MinPairs = op, n },
-			func(op dvfs.OperatingPoint, n int) Policy { return &EnergySplit{Op: op, MinPairs: n} }},
-	} {
-		for _, step := range []struct {
-			op       dvfs.OperatingPoint
-			minPairs int
-		}{{dvfs.Nominal(), 0}, {op("222MHz"), 0}, {op("222MHz"), 40}, {dvfs.Nominal(), 40}, {dvfs.Nominal(), 0}} {
-			tc.set(step.op, step.minPairs)
+	for _, name := range points {
+		for _, tc := range []struct {
+			name   string
+			policy func(dvfs.OperatingPoint) Policy
+		}{
+			{"oracle", func(at dvfs.OperatingPoint) Policy { return NewOracle(at) }},
+			{"energy", func(at dvfs.OperatingPoint) Policy { return NewEnergySplit(at) }},
+		} {
+			p := tc.policy(op(name))
 			for round := 0; round < 2; round++ {
 				for _, pairs := range []int{3, 44, 44, 160, 30, 44} {
 					for _, inverse := range []bool{false, true} {
-						got := tc.p.Split(pairs, inverse)
-						want := tc.fresh(step.op, step.minPairs).Split(pairs, inverse)
+						got := p.Split(pairs, inverse)
+						want := tc.policy(op(name)).Split(pairs, inverse)
 						if got != want {
-							t.Errorf("%s at %s, MinPairs %d: Split(%d, %v) = %v, a fresh policy %v",
-								tc.name, step.op.Name, step.minPairs, pairs, inverse, got, want)
+							t.Errorf("%s at %s: Split(%d, %v) = %v, a fresh policy %v",
+								tc.name, name, pairs, inverse, got, want)
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestSplitPoliciesKeepNarrowRowsOnNEON pins the row floor: at every
+// operating point and in both directions each split policy keeps a
+// class of MinPairs-1 pairs all on NEON and gives one of MinPairs pairs
+// a share of the wave engine.
+func TestSplitPoliciesKeepNarrowRowsOnNEON(t *testing.T) {
+	for _, name := range points {
+		for _, p := range []Policy{NewOracle(op(name)), NewEnergySplit(op(name)), NewAdaptiveSplit(op(name))} {
+			for _, inverse := range []bool{false, true} {
+				if got := p.Split(MinPairs-1, inverse); got != (Partition{}) {
+					t.Errorf("%s: Split(%d, %v) = %v, want all NEON", p.Name(), MinPairs-1, inverse, got)
+				}
+				if got := p.Split(MinPairs, inverse); got.FPGA <= 0 {
+					t.Errorf("%s: Split(%d, %v) = %v, want an FPGA share", p.Name(), MinPairs, inverse, got)
 				}
 			}
 		}
@@ -219,15 +232,25 @@ func TestAdaptiveSplitClimbsTowardLaggingLane(t *testing.T) {
 	}
 }
 
+// TestAdaptiveSplitStaysClamped drives one class's share down and another's
+// up for more passes than the climbStep walk from the seed to either end
+// takes: each share must stop at its clamp.
 func TestAdaptiveSplitStaysClamped(t *testing.T) {
-	a := &AdaptiveSplit{Op: dvfs.Nominal(), Step: 0.5}
-	for i := 0; i < 10; i++ {
+	a := NewAdaptiveSplit(dvfs.Nominal())
+	for i := 0; i < 2*int(1/climbStep); i++ {
 		a.ObservePass(44, false, PassObservation{
 			NEONRows: 10, FPGARows: 30,
 			NEONTime: 1 * sim.Microsecond, FPGATime: 500 * sim.Microsecond,
 		})
+		a.ObservePass(44, true, PassObservation{
+			NEONRows: 30, FPGARows: 10,
+			NEONTime: 500 * sim.Microsecond, FPGATime: 1 * sim.Microsecond,
+		})
 	}
-	if f := a.Split(44, false).FPGA; f < 0 || f > 1 {
-		t.Errorf("share escaped [0,1]: %g", f)
+	if f := a.Split(44, false).FPGA; f != 0 {
+		t.Errorf("share driven down ended at %g, want the clamp 0", f)
+	}
+	if f := a.Split(44, true).FPGA; f != 1 {
+		t.Errorf("share driven up ended at %g, want the clamp 1", f)
 	}
 }

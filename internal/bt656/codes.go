@@ -8,6 +8,14 @@
 // H (0 = SAV, start of active video; 1 = EAV, end of active video) plus
 // four protection bits that let the decoder detect single-bit errors.
 // Active video is 8-bit YCbCr 4:2:2 multiplexed as Cb Y Cr Y.
+//
+// The chain's four hottest per-sample loops (the encoder's luma
+// quantizer, the decoder's luma pick and its byte-to-float32 field store,
+// and the scaler's vertical blend) run packed SSE2 kernels on amd64 over
+// the largest multiple of their step, and their Go loops over the rest
+// and on every other GOARCH. Each kernel issues exactly the IEEE
+// operations of its Go loop, so both forms give the same bits. SSE2 is
+// the amd64 baseline, so every amd64 host runs the same path.
 package bt656
 
 // Timing reference code preamble bytes.

@@ -17,8 +17,11 @@ type DecoderStats struct {
 }
 
 // Decoder is the BT.656 stream decoder state machine. Feed bytes with
-// Write; collect decoded luma fields with NextFrame. The zero value is not
-// usable; call NewDecoder with the expected active width.
+// Write; collect decoded luma fields with NextFrame. Each accepted line
+// keeps its luma bytes, picked out of the Cb Y Cr Y multiplex sixteen at
+// a time, and a completed field widens them to float32 samples sixteen at
+// a time. The zero value is not usable; call NewDecoder with the expected
+// active width.
 type Decoder struct {
 	width int
 	Stats DecoderStats
@@ -155,10 +158,7 @@ func (d *Decoder) endLine() {
 	} else {
 		y = make([]byte, d.width)
 	}
-	line := d.line
-	for i := range y {
-		y[i] = line[2*i+1] // Cb Y Cr Y multiplex: luma at odd offsets
-	}
+	pickLuma(y, d.line)
 	d.lines = append(d.lines, y)
 	d.Stats.Lines++
 }
@@ -174,10 +174,7 @@ func (d *Decoder) finishField() {
 	}
 	f := d.takeFrame(d.width, len(d.lines))
 	for r, y := range d.lines {
-		row := f.Row(r)
-		for i, v := range y {
-			row[i] = float32(v)
-		}
+		widen(f.Row(r), y)
 	}
 	d.spareLines = append(d.spareLines, d.lines...)
 	d.lines = d.lines[:0]

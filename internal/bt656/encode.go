@@ -13,7 +13,10 @@ import (
 // video, so chroma is neutral). Like the camera head it sends a field a
 // line at a time: BeginField sends the vertical blanking lines and each
 // WriteLine one active line, so the link needs no field-sized buffer.
-// Encode is the whole-field form over the same two calls.
+// BeginField lays the line out once per field; WriteLine restamps only
+// its XY words and its luma, which the packed quantizer writes eight
+// samples at a time. Encode is the whole-field form over the same two
+// calls.
 type Encoder struct {
 	// BlankingLines is the count of vertical blanking lines emitted before
 	// the active field (default 20, NTSC-like).
@@ -70,10 +73,7 @@ func (e *Encoder) WriteLine(out io.Writer, y []float32) error {
 	if len(e.line) < len(lineHead) || 2*len(y) != len(e.line)-len(lineHead) {
 		return fmt.Errorf("bt656.Encoder: line of %d samples outside a field of that width", len(y))
 	}
-	words := e.line[len(lineHead):]
-	for i, s := range y {
-		words[2*i+1] = clampLuma(s)
-	}
+	lumaWords(e.line[len(lineHead):], y)
 	return e.send(out, false)
 }
 

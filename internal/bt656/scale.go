@@ -14,7 +14,9 @@ import (
 // every output column's and row's taps for the last (source, output)
 // geometry it served, and a two-row buffer of horizontally interpolated
 // source rows, so each source row is interpolated once however many output
-// rows it feeds. ScaleLines streams the output a row at a time, so a
+// rows it feeds. An output row blends its two buffered rows four samples
+// at a time; the horizontal interpolation gathers through the plan's taps
+// and stays a Go loop. ScaleLines streams the output a row at a time, so a
 // consumer that takes lines (the BT.656 encoder) needs no output frame
 // store. Steady-state scaling allocates nothing. A Scaler is not safe for
 // concurrent use.
@@ -118,16 +120,8 @@ func (p *scalePlan) rowInto(out []float32, src *frame.Frame, y int) {
 		}
 		return
 	}
-	top := p.lerpRow(src, p.y0[y])
-	bot := p.lerpRow(src, p.y1[y])
-	top, bot = top[:len(out)], bot[:len(out)]
 	ay := p.ay[y]
-	ia := 1 - ay
-	// Each product is rounded before the add, so that a compiler that
-	// contracts a*b+c (arm64) computes what amd64 does.
-	for x := range out {
-		out[x] = float32(top[x]*ia) + float32(bot[x]*ay)
-	}
+	blend(out, p.lerpRow(src, p.y0[y]), p.lerpRow(src, p.y1[y]), 1-ay, ay)
 }
 
 // lerpRow returns source row r interpolated to the output width,

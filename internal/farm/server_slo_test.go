@@ -13,7 +13,10 @@ import (
 )
 
 // sloTestFarm runs a two-stream farm to completion — one declaring an
-// always-burning SLO, one SLO-free — behind an HTTP server.
+// always-burning SLO, one SLO-free — behind an HTTP server. The burning
+// stream's queue holds its whole frame budget, so drop-oldest never
+// leaves its latency SLI below slo.DefaultMinEvents however fast capture
+// outruns fusion.
 func sloTestFarm(t *testing.T) (*Farm, *httptest.Server) {
 	t.Helper()
 	fm := New(Config{})
@@ -21,7 +24,7 @@ func sloTestFarm(t *testing.T) (*Farm, *httptest.Server) {
 	t.Cleanup(srv.Close)
 	t.Cleanup(fm.Close)
 	if _, err := fm.Submit(StreamConfig{
-		ID: "burn", Seed: 1, W: 32, H: 24, Frames: 40,
+		ID: "burn", Seed: 1, W: 32, H: 24, Frames: 40, QueueCap: 40,
 		SLO: &slo.SLO{LatencyBoundMS: 0.001, WindowScale: 1e-3},
 	}); err != nil {
 		t.Fatal(err)

@@ -163,7 +163,10 @@ func TestSLOAdmissionControl(t *testing.T) {
 	srv := httptest.NewServer(NewServer(fm))
 	defer srv.Close()
 
-	s, err := fm.Submit(StreamConfig{ID: "burn", Seed: 1, W: 32, H: 24, Frames: 40})
+	// Each burning stream's queue holds its whole frame budget, so
+	// drop-oldest never leaves its latency SLI below slo.DefaultMinEvents
+	// however fast capture outruns fusion.
+	s, err := fm.Submit(StreamConfig{ID: "burn", Seed: 1, W: 32, H: 24, Frames: 40, QueueCap: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +214,7 @@ func TestSLOAdmissionControl(t *testing.T) {
 	}
 	fm2 := New(Config{SLO: open})
 	defer fm2.Close()
-	if _, err := fm2.Submit(StreamConfig{ID: "burn", Seed: 1, W: 32, H: 24, Frames: 40}); err != nil {
+	if _, err := fm2.Submit(StreamConfig{ID: "burn", Seed: 1, W: 32, H: 24, Frames: 40, QueueCap: 40}); err != nil {
 		t.Fatal(err)
 	}
 	fm2.Wait()

@@ -345,7 +345,9 @@ func (a *Adaptive) publishRouted() {
 
 // ChargeCPU implements engine.Engine (structure work on the ARM core).
 func (a *Adaptive) ChargeCPU(samples int) {
-	a.cpuCycles += engine.StructureCyclesPerSample * float64(samples)
+	// The product is rounded before the add, so that a compiler that
+	// contracts a*b+c (arm64) keeps the ledger amd64 keeps.
+	a.cpuCycles += float64(engine.StructureCyclesPerSample * float64(samples))
 }
 
 // ChargeCPUCycles implements engine.Engine.

@@ -30,15 +30,17 @@ import (
 // 533 MHz clock it returns exactly the default thresholds.
 func ThresholdForClock(ps sim.Clock) Threshold {
 	ratio := ps.Hertz() / zynq.PSHz
+	// Each scaled PL cost is rounded before crossoverPairs subtracts it,
+	// so that a compiler that contracts a*b-c (arm64) finds amd64's widths.
 	return Threshold{
 		FwdPairs: crossoverPairs(
 			float64(engine.SyscallCycles)-engine.NEONRowOverheadCycles,
 			engine.NEONFwdPairCycles,
-			engine.PLFwdPairNominalCycles*ratio),
+			float64(engine.PLFwdPairNominalCycles*ratio)),
 		InvPairs: crossoverPairs(
 			float64(engine.SyscallCycles+engine.InverseExtraSyscallCycles)-engine.NEONRowOverheadCycles,
 			engine.NEONInvPairCycles,
-			engine.PLInvPairNominalCycles*ratio),
+			float64(engine.PLInvPairNominalCycles*ratio)),
 	}
 }
 

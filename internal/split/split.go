@@ -111,11 +111,13 @@ func RowTimes(pairs int, inverse bool, op dvfs.OperatingPoint) (neon, fpga sim.T
 		neonPair, plPair = engine.NEONInvPairCycles, engine.PLInvPairNominalCycles
 		syscall += engine.InverseExtraSyscallCycles
 	}
-	neon = ps.CyclesF(engine.NEONRowOverheadCycles + neonPair*float64(pairs))
+	// Each product is rounded before its add, so that a compiler that
+	// contracts a*b+c (arm64) prices a row, and so routes it, as amd64 does.
+	neon = ps.CyclesF(engine.NEONRowOverheadCycles + float64(neonPair*float64(pairs)))
 	// Host side: round trip plus copying the padded input row in and the
 	// subband pair out of the mmap'd kernel buffer.
 	words := float64(2*pairs+signal.TapCount) + float64(2*pairs)
-	host := ps.CyclesF(syscall + engine.UserCopyCyclesPerWord*words)
+	host := ps.CyclesF(syscall + float64(engine.UserCopyCyclesPerWord*words))
 	pl := zynq.PS().CyclesF(plPair * float64(pairs))
 	return neon, host + pl
 }
@@ -243,7 +245,8 @@ func (e *EnergySplit) compute(k classKey) Partition {
 		if fpgaT < overlap {
 			overlap = fpgaT
 		}
-		en := pn*cpuT + pf*fpgaT - pi*overlap
+		// Rounded products, as in RowTimes.
+		en := float64(pn*cpuT) + float64(pf*fpgaT) - float64(pi*overlap)
 		if i == 0 || en < bestE {
 			best, bestE = f, en
 		}
@@ -322,7 +325,7 @@ func (a *AdaptiveSplit) ObservePass(pairs int, inverse bool, obs PassObservation
 		st.step /= 2 // overshot the balance point: refine
 	}
 	st.last = dir
-	st.frac += float64(dir) * st.step
+	st.frac += float64(float64(dir) * st.step) // rounded product, as in RowTimes
 	if st.frac < 0 {
 		st.frac = 0
 	}

@@ -195,7 +195,7 @@ func (b *Bank) solveDelay() error {
 		state ^= state << 13
 		state ^= state >> 17
 		state ^= state << 5
-		x[i] = float32(state%2048)/1024 - 1
+		x[i] = float32(float32(state%2048)/1024) - 1 // rounded before the add on every GOARCH
 	}
 	y := roundTrip(b, x)
 	var peak float32 = 1e-9

@@ -85,8 +85,10 @@ func (b *ComplexBand) Mag(i int) float64 {
 // Energy returns the mean squared magnitude of the band.
 func (b *ComplexBand) Energy() float64 {
 	var s float64
+	// Each product is rounded before its add, so that a compiler that
+	// contracts a*b+c (arm64) computes what amd64 does.
 	for i := range b.Re {
-		s += float64(b.Re[i])*float64(b.Re[i]) + float64(b.Im[i])*float64(b.Im[i])
+		s += float64(float64(b.Re[i])*float64(b.Re[i])) + float64(float64(b.Im[i])*float64(b.Im[i]))
 	}
 	if len(b.Re) == 0 {
 		return 0
@@ -233,8 +235,9 @@ func (tb TreeBanks) banksFor(tree byte, levels int) []*Bank {
 // DTCWT runs forward and inverse dual-tree transforms through a kernel.
 // It is not safe for concurrent use.
 type DTCWT struct {
-	X     *Xfm
-	Banks TreeBanks
+	X *Xfm
+	// banks are the trees' filter banks, fixed at construction.
+	banks TreeBanks
 
 	pool *bufpool.Pool // nil → the allocating fallback
 
@@ -248,13 +251,13 @@ type DTCWT struct {
 // NewDTCWT returns a transform bound to the kernel inside x, with plainly
 // allocated (non-pooled) planes.
 func NewDTCWT(x *Xfm, banks TreeBanks) *DTCWT {
-	return &DTCWT{X: x, Banks: banks}
+	return &DTCWT{X: x, banks: banks}
 }
 
 // NewDTCWTPooled returns a transform whose working planes — pyramids,
 // per-level scratch, reconstructions — are leased from pool.
 func NewDTCWTPooled(x *Xfm, banks TreeBanks, pool *bufpool.Pool) *DTCWT {
-	return &DTCWT{X: x, Banks: banks, pool: pool}
+	return &DTCWT{X: x, banks: banks, pool: pool}
 }
 
 // Pool returns the transform's plane pool (nil for the allocating path).
@@ -270,8 +273,8 @@ func (t *DTCWT) poolOr() *bufpool.Pool {
 // treeBanks returns the cached per-level bank slices for a tree.
 func (t *DTCWT) treeBanks(tree byte, levels int) []*Bank {
 	if t.bankLevels != levels {
-		t.banksA = t.Banks.banksFor('a', levels)
-		t.banksB = t.Banks.banksFor('b', levels)
+		t.banksA = t.banks.banksFor('a', levels)
+		t.banksB = t.banks.banksFor('b', levels)
 		t.bankLevels = levels
 	}
 	if tree == 'a' {

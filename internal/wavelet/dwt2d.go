@@ -417,7 +417,8 @@ func placeNormalized(dst, src *frame.Frame, x0, y0 int) {
 func BandEnergy(f *frame.Frame) float64 {
 	var s float64
 	for _, v := range f.Pix {
-		s += float64(v) * float64(v)
+		x := float64(v)
+		s += float64(x * x) // rounded before the add on every GOARCH
 	}
 	if len(f.Pix) == 0 {
 		return 0

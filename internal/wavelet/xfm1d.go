@@ -38,7 +38,8 @@ func (t *tileScratch) release() {
 // kernels.Workers pool (see SetWorkers); otherwise they run the
 // sequential per-row loops, whose scratch is px through hi.
 type Xfm struct {
-	K signal.Kernel
+	// k is the kernel NewXfm bound; charger and tile are its views.
+	k signal.Kernel
 	// W dispatches tiled passes; nil (or a 1-worker pool) runs every tile
 	// on the caller.
 	W *kernels.Workers
@@ -46,7 +47,7 @@ type Xfm struct {
 	px, plo, phi, y, y2, col, hiCol, lo, hi bufpool.Scratch
 
 	charger cpuCharger
-	tile    kernels.TileKernel // non-nil when K charges rows without data
+	tile    kernels.TileKernel // non-nil when k charges rows without data
 	pool    *bufpool.Pool      // scratch backing-store source; nil → plain make
 	ws      []tileScratch      // per-worker scratch for tiled passes
 
@@ -68,7 +69,7 @@ type Xfm struct {
 
 // NewXfm returns a transformer driving the given kernel.
 func NewXfm(k signal.Kernel) *Xfm {
-	x := &Xfm{K: k}
+	x := &Xfm{k: k}
 	x.charger, _ = k.(cpuCharger)
 	x.tile, _ = kernels.AsTile(k)
 	return x
@@ -130,7 +131,7 @@ func (x *Xfm) Analyze1D(b *Bank, in []float32, dstLo, dstHi []float32) (lo, hi [
 	px := kernels.PadPeriodic(in, x.px.Grow(x.pool, n+signal.TapCount))
 	lo = grow(dstLo, m)
 	hi = grow(dstHi, m)
-	x.K.Analyze(&b.AL, &b.AH, px, lo, hi)
+	x.k.Analyze(&b.AL, &b.AH, px, lo, hi)
 	return lo, hi
 }
 
@@ -147,7 +148,7 @@ func (x *Xfm) Synthesize1D(b *Bank, lo, hi []float32, dst []float32) []float32 {
 	plo := kernels.PadPeriodicPairs(lo, x.plo.Grow(x.pool, m+signal.SynthesisPad))
 	phi := kernels.PadPeriodicPairs(hi, x.phi.Grow(x.pool, m+signal.SynthesisPad))
 	y := x.y.Grow(x.pool, n)
-	x.K.Synthesize(&b.SL, &b.SH, plo, phi, y)
+	x.k.Synthesize(&b.SL, &b.SH, plo, phi, y)
 	dst = grow(dst, n)
 	signal.Rotate(dst, y, b.delay)
 	return dst

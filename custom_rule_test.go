@@ -59,7 +59,10 @@ func TestEmbeddedRuleMatchesComplexChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fp := pa.CloneStructure()
+		fp := &wavelet.DTPyramid{}
+		if err := dt.ShapePyramid(fp, vis.W, vis.H, 3); err != nil {
+			t.Fatal(err)
+		}
 		if err := fusion.FuseInto(rule, fp, pa, pb); err != nil {
 			t.Fatal(err)
 		}

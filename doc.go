@@ -232,7 +232,12 @@
 // planes, so no complex band plane is ever built; any other rule has
 // each band pair converted into workspace scratch, fused by its own
 // FuseBand and converted back, and its residuals fused by its own FuseLL.
-// Every variant keeps
+// So each built-in rule exists twice: as its FuseBand/FuseLL, which
+// custom rules and the test oracle run, and as its fused quad kernel. The
+// complex view (ForwardInto, fusion.FuseInto, Inverse) now serves only
+// the test oracle, cmd/waveinspect, the ablation-quality experiment's
+// shift sensitivity, and perfbench's traced composition and
+// worker-speedup probe. Every variant keeps
 // the determinism contract above: pixels, StageTimes, energy, the NEON
 // ledger, routing and every FPGA statistic equal the sequential per-row
 // loops' bit for bit. On a 2-vCPU

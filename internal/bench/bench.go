@@ -54,7 +54,7 @@ func NewEngine(kind EngineKind) (engine.Engine, error) {
 	case KindAdaptive:
 		return sched.NewAdaptive(sched.Threshold{}), nil
 	case KindAdaptiveOnline:
-		return sched.NewAdaptive(sched.NewOnline(2)), nil
+		return sched.NewAdaptive(sched.NewOnline()), nil
 	default:
 		return nil, fmt.Errorf("bench: unknown engine kind %q", kind)
 	}

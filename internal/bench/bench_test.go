@@ -2,8 +2,14 @@ package bench
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
+
+	"zynqfusion/internal/fusion"
+	"zynqfusion/internal/hls"
+	"zynqfusion/internal/signal"
+	"zynqfusion/internal/wavelet"
 )
 
 func TestAllExperimentsRun(t *testing.T) {
@@ -170,6 +176,52 @@ func TestAdaptiveNeverLosesToStatic(t *testing.T) {
 		ada := res[s][KindAdaptive].Stages.Total
 		if float64(ada) > 1.02*float64(best) {
 			t.Errorf("%s: adaptive %v more than 2%% behind best static %v", s, ada, best)
+		}
+	}
+}
+
+// TestFuseOnSeamMatchesComplexChain holds the ablation experiments' fuse
+// (ForwardQuadInto → FuseQuads → InverseFused) to the complex-view chain
+// (Forward → FuseInto → Inverse) bit for bit, on the two kernels without
+// data-free charges they run, for every built-in rule.
+func TestFuseOnSeamMatchesComplexChain(t *testing.T) {
+	for _, k := range []signal.Kernel{signal.RefKernel{}, hls.FixedKernel{}} {
+		for _, rule := range []fusion.Rule{fusion.MaxMagnitude{}, fusion.Average{}, fusion.WindowEnergy{R: 1}} {
+			for _, s := range []Size{{88, 72}, {33, 17}} {
+				vis, ir := SourcePair(s)
+				got, err := fuseOnSeam(k, rule, vis, ir, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dt := wavelet.NewDTCWT(wavelet.NewXfm(k), wavelet.DefaultTreeBanks())
+				pa, err := dt.Forward(vis, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pb, err := dt.Forward(ir, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fp := &wavelet.DTPyramid{}
+				if err := dt.ShapePyramid(fp, s.W, s.H, 3); err != nil {
+					t.Fatal(err)
+				}
+				if err := fusion.FuseInto(rule, fp, pa, pb); err != nil {
+					t.Fatal(err)
+				}
+				want, err := dt.Inverse(fp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.SameSize(want) {
+					t.Fatalf("%T %s %s: %dx%d, complex chain %dx%d", k, rule.Name(), s, got.W, got.H, want.W, want.H)
+				}
+				for i := range want.Pix {
+					if math.Float32bits(got.Pix[i]) != math.Float32bits(want.Pix[i]) {
+						t.Fatalf("%T %s %s: pixel %d is %g, complex chain %g", k, rule.Name(), s, i, got.Pix[i], want.Pix[i])
+					}
+				}
+			}
 		}
 	}
 }

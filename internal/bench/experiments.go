@@ -215,20 +215,7 @@ func RunAblationQuality(w io.Writer) error {
 	vis, ir := SourcePair(Size{88, 72})
 
 	// DT-CWT fusion through the reference kernel.
-	dt := wavelet.NewDTCWT(wavelet.NewXfm(signal.RefKernel{}), wavelet.DefaultTreeBanks())
-	pa, err := dt.Forward(vis, 3)
-	if err != nil {
-		return err
-	}
-	pb, err := dt.Forward(ir, 3)
-	if err != nil {
-		return err
-	}
-	fp, err := fusion.Fuse(fusion.MaxMagnitude{}, pa, pb)
-	if err != nil {
-		return err
-	}
-	dtFused, err := dt.Inverse(fp)
+	dtFused, err := fuseOnSeam(signal.RefKernel{}, fusion.MaxMagnitude{}, vis, ir, 3)
 	if err != nil {
 		return err
 	}
@@ -258,7 +245,10 @@ func RunAblationQuality(w io.Writer) error {
 		return err
 	}
 
-	dtShift, dwtShift := shiftSensitivity(vis)
+	dtShift, dwtShift, err := shiftSensitivity(vis)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(w, "shift sensitivity (rel. L2 magnitude change under 1px shift): DT-CWT %.4f, DWT %.4f\n",
 		dtShift, dwtShift)
 	fmt.Fprintln(w, "paper: the DT-CWT's approximate shift invariance and orientation selectivity")
@@ -307,7 +297,7 @@ func abs32(v float32) float32 {
 
 // shiftSensitivity measures the relative level-2 magnitude change of both
 // transforms under a one-pixel shift.
-func shiftSensitivity(img *frame.Frame) (dtcwt, dwt float64) {
+func shiftSensitivity(img *frame.Frame) (dtcwt, dwt float64, err error) {
 	shifted := frame.New(img.W, img.H)
 	for y := 0; y < img.H; y++ {
 		for x := 0; x < img.W; x++ {
@@ -315,8 +305,14 @@ func shiftSensitivity(img *frame.Frame) (dtcwt, dwt float64) {
 		}
 	}
 	dt := wavelet.NewDTCWT(wavelet.NewXfm(signal.RefKernel{}), wavelet.DefaultTreeBanks())
-	pa, _ := dt.Forward(img, 2)
-	pb, _ := dt.Forward(shifted, 2)
+	pa, err := dt.Forward(img, 2)
+	if err != nil {
+		return 0, 0, err
+	}
+	pb, err := dt.Forward(shifted, 2)
+	if err != nil {
+		return 0, 0, err
+	}
 	var num, den float64
 	for bi := range pa.Levels[1].Bands {
 		ba, bb := pa.Levels[1].Bands[bi], pb.Levels[1].Bands[bi]
@@ -330,8 +326,14 @@ func shiftSensitivity(img *frame.Frame) (dtcwt, dwt float64) {
 
 	xf := wavelet.NewXfm(signal.RefKernel{})
 	banks := []*wavelet.Bank{wavelet.CDF97, wavelet.CDF97}
-	da, _ := wavelet.Forward2D(xf, banks, banks, img, 2)
-	db, _ := wavelet.Forward2D(xf, banks, banks, shifted, 2)
+	da, err := wavelet.Forward2D(xf, banks, banks, img, 2)
+	if err != nil {
+		return 0, 0, err
+	}
+	db, err := wavelet.Forward2D(xf, banks, banks, shifted, 2)
+	if err != nil {
+		return 0, 0, err
+	}
 	num, den = 0, 0
 	for _, sel := range []func(wavelet.Bands) *frame.Frame{
 		func(b wavelet.Bands) *frame.Frame { return b.HL },
@@ -346,7 +348,7 @@ func shiftSensitivity(img *frame.Frame) (dtcwt, dwt float64) {
 		}
 	}
 	dwt = sqrt(num / den)
-	return dtcwt, dwt
+	return dtcwt, dwt, nil
 }
 
 func sqrt(v float64) float64 {

@@ -95,27 +95,11 @@ func RunAblationCmdQueue(w io.Writer) error {
 // of a grey level of the float path.
 func RunAblationFixedPoint(w io.Writer) error {
 	vis, ir := SourcePair(Size{88, 72})
-	fuse := func(k signal.Kernel) (*frame.Frame, error) {
-		dt := wavelet.NewDTCWT(wavelet.NewXfm(k), wavelet.DefaultTreeBanks())
-		pa, err := dt.Forward(vis, 3)
-		if err != nil {
-			return nil, err
-		}
-		pb, err := dt.Forward(ir, 3)
-		if err != nil {
-			return nil, err
-		}
-		fp, err := fusion.Fuse(fusion.MaxMagnitude{}, pa, pb)
-		if err != nil {
-			return nil, err
-		}
-		return dt.Inverse(fp)
-	}
-	floatOut, err := fuse(signal.RefKernel{})
+	floatOut, err := fuseOnSeam(signal.RefKernel{}, fusion.MaxMagnitude{}, vis, ir, 3)
 	if err != nil {
 		return err
 	}
-	fixedOut, err := fuse(hls.FixedKernel{})
+	fixedOut, err := fuseOnSeam(hls.FixedKernel{}, fusion.MaxMagnitude{}, vis, ir, 3)
 	if err != nil {
 		return err
 	}

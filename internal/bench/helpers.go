@@ -3,8 +3,12 @@ package bench
 import (
 	"zynqfusion/internal/axi"
 	"zynqfusion/internal/engine"
+	"zynqfusion/internal/frame"
+	"zynqfusion/internal/fusion"
 	"zynqfusion/internal/pipeline"
+	"zynqfusion/internal/signal"
 	"zynqfusion/internal/sim"
+	"zynqfusion/internal/wavelet"
 	"zynqfusion/internal/zynq"
 )
 
@@ -50,4 +54,25 @@ func measureFPGAVariant(v engine.FPGAVariant) (sim.Time, error) {
 		acc.Add(st)
 	}
 	return acc.Total, nil
+}
+
+// fuseOnSeam fuses vis and ir with rule at the given depth on a transform
+// driving k, through the product's fusion seam: ForwardQuadInto of each
+// source, FuseQuads into a quad-shaped destination, InverseFused.
+func fuseOnSeam(k signal.Kernel, rule fusion.Rule, vis, ir *frame.Frame, levels int) (*frame.Frame, error) {
+	dt := wavelet.NewDTCWT(wavelet.NewXfm(k), wavelet.DefaultTreeBanks())
+	pa, pb, fp := &wavelet.DTPyramid{}, &wavelet.DTPyramid{}, &wavelet.DTPyramid{}
+	if err := dt.ForwardQuadInto(pa, vis, levels); err != nil {
+		return nil, err
+	}
+	if err := dt.ForwardQuadInto(pb, ir, levels); err != nil {
+		return nil, err
+	}
+	if err := dt.ShapeQuadPyramid(fp, vis.W, vis.H, levels); err != nil {
+		return nil, err
+	}
+	if err := fusion.FuseQuads(fusion.NewWorkspace(nil, nil), rule, fp, pa, pb); err != nil {
+		return nil, err
+	}
+	return dt.InverseFused(fp)
 }

@@ -49,19 +49,22 @@ func NewScene(w, h int, seed int64) *Scene {
 	rng := rand.New(rand.NewSource(seed))
 	s := &Scene{W: w, H: h, rng: rng}
 	// Visible background: smooth gradients plus band-limited noise, so the
-	// visible channel has edges and texture at several scales.
+	// visible channel has edges and texture at several scales. Every
+	// product is rounded before its add (and so is each Float64, which
+	// scales an integer by 2^-63), so that a compiler that contracts a*b+c
+	// (arm64) renders what amd64 does.
 	s.texture = make([]float32, w*h)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			g := 90 + 60*math.Sin(2*math.Pi*float64(x)/float64(w)) +
-				40*math.Cos(2*math.Pi*3*float64(y)/float64(h))
-			n := 25 * (rng.Float64() - 0.5)
+			g := 90 + float64(60*math.Sin(2*math.Pi*float64(x)/float64(w))) +
+				float64(40*math.Cos(2*math.Pi*3*float64(y)/float64(h)))
+			n := float64(25 * (float64(rng.Float64()) - 0.5))
 			s.texture[y*w+x] = float32(g + n)
 		}
 	}
 	s.ambient = make([]float32, max(w+h-1, 0))
 	for k := range s.ambient {
-		s.ambient[k] = float32(35 + 10*math.Sin(2*math.Pi*float64(k)/float64(w+h)))
+		s.ambient[k] = float32(35 + float64(10*math.Sin(2*math.Pi*float64(k)/float64(w+h))))
 	}
 	// Two or three warm objects wandering the scene.
 	n := 2 + rng.Intn(2)
@@ -69,10 +72,10 @@ func NewScene(w, h int, seed int64) *Scene {
 		s.hotspots = append(s.hotspots, hotspot{
 			x:    rng.Float64() * float64(w),
 			y:    rng.Float64() * float64(h),
-			dx:   (rng.Float64() - 0.5) * 2,
-			dy:   (rng.Float64() - 0.5) * 2,
-			r:    3 + rng.Float64()*float64(min(w, h))/8,
-			heat: 120 + rng.Float64()*100,
+			dx:   (float64(rng.Float64()) - 0.5) * 2,
+			dy:   (float64(rng.Float64()) - 0.5) * 2,
+			r:    3 + float64(rng.Float64()*float64(min(w, h))/8),
+			heat: 120 + float64(rng.Float64()*100),
 		})
 	}
 	return s
@@ -119,7 +122,7 @@ func (s *Scene) VisibleInto(f *frame.Frame) {
 	// A little per-frame sensor noise.
 	s.rng.Seed(int64(s.t)*7919 + 13)
 	for i := range f.Pix {
-		f.Pix[i] += float32(4 * (s.rng.Float64() - 0.5))
+		f.Pix[i] += float32(4 * (float64(s.rng.Float64()) - 0.5))
 	}
 }
 
@@ -145,20 +148,20 @@ func (s *Scene) ThermalInto(f *frame.Frame) {
 	}
 	s.rng.Seed(int64(s.t)*104729 + 29)
 	for i := range f.Pix {
-		f.Pix[i] += float32(6 * (s.rng.Float64() - 0.5))
+		f.Pix[i] += float32(6 * (float64(s.rng.Float64()) - 0.5))
 	}
 }
 
 // splat adds a Gaussian blob of the given amplitude at a hotspot.
 func (s *Scene) splat(f *frame.Frame, h hotspot, amp, sharp float64) {
 	r2 := h.r * h.r
-	x0 := clamp(int(h.x-3*h.r), 0, s.W-1)
-	x1 := clamp(int(h.x+3*h.r), 0, s.W-1)
-	y0 := clamp(int(h.y-3*h.r), 0, s.H-1)
-	y1 := clamp(int(h.y+3*h.r), 0, s.H-1)
+	x0 := clamp(int(h.x-float64(3*h.r)), 0, s.W-1)
+	x1 := clamp(int(h.x+float64(3*h.r)), 0, s.W-1)
+	y0 := clamp(int(h.y-float64(3*h.r)), 0, s.H-1)
+	y1 := clamp(int(h.y+float64(3*h.r)), 0, s.H-1)
 	for y := y0; y <= y1; y++ {
 		for x := x0; x <= x1; x++ {
-			d2 := (float64(x)-h.x)*(float64(x)-h.x) + (float64(y)-h.y)*(float64(y)-h.y)
+			d2 := float64((float64(x)-h.x)*(float64(x)-h.x)) + float64((float64(y)-h.y)*(float64(y)-h.y))
 			f.Pix[y*s.W+x] += float32(amp * math.Exp(-sharp*d2/r2))
 		}
 	}

@@ -44,20 +44,22 @@ func (a *ARM) Synthesize(sl, sh *signal.Taps, plo, phi []float32, out []float32)
 
 // ChargeAnalyzeRow implements kernels.TileKernel: the modeled cost of
 // one analysis row of m output pairs, computed on the reference chain.
+// Every ledger product is rounded before its add, so that a compiler that
+// contracts a*b+c (arm64) keeps the ledger amd64 keeps.
 func (a *ARM) ChargeAnalyzeRow(_, _ *signal.Taps, m int) kernels.Chain {
-	a.cycles += ARMRowOverheadCycles + ARMFwdPairCycles*float64(m)
+	a.cycles += ARMRowOverheadCycles + float64(ARMFwdPairCycles*float64(m))
 	return kernels.ChainRef
 }
 
 // ChargeSynthesizeRow implements kernels.TileKernel.
 func (a *ARM) ChargeSynthesizeRow(_, _ *signal.Taps, m int) kernels.Chain {
-	a.cycles += ARMRowOverheadCycles + ARMInvPairCycles*float64(m)
+	a.cycles += ARMRowOverheadCycles + float64(ARMInvPairCycles*float64(m))
 	return kernels.ChainRef
 }
 
 // ChargeCPU implements Engine.
 func (a *ARM) ChargeCPU(samples int) {
-	a.cycles += StructureCyclesPerSample * float64(samples)
+	a.cycles += float64(StructureCyclesPerSample * float64(samples))
 }
 
 // ChargeCPUCycles implements Engine.

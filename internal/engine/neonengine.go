@@ -94,8 +94,8 @@ func (n *NEON) Analyze(al, ah *signal.Taps, px []float32, lo, hi []float32) {
 		n.kern.Analyze(al, ah, px, lo, hi)
 		tail := (n.unit.C.ScalarOps - before) / (2 * signal.TapCount) // pairs done in scalar
 		n.cycles += NEONRowOverheadCycles +
-			NEONFwdPairCycles*float64(len(lo)) +
-			NEONTailPairCycles*float64(tail)
+			float64(NEONFwdPairCycles*float64(len(lo))) +
+			float64(NEONTailPairCycles*float64(tail))
 		return
 	}
 	kernels.AnalyzeRow(n.ChargeAnalyzeRow(al, ah, len(lo)), al, ah, px, lo, hi)
@@ -108,8 +108,8 @@ func (n *NEON) Synthesize(sl, sh *signal.Taps, plo, phi []float32, out []float32
 		n.kern.Synthesize(sl, sh, plo, phi, out)
 		tail := (n.unit.C.ScalarOps - before) / (2 * signal.TapCount)
 		n.cycles += NEONRowOverheadCycles +
-			NEONInvPairCycles*float64(len(out)/2) +
-			NEONTailPairCycles*float64(tail)
+			float64(NEONInvPairCycles*float64(len(out)/2)) +
+			float64(NEONTailPairCycles*float64(tail))
 		return
 	}
 	kernels.SynthesizeRow(n.ChargeSynthesizeRow(sl, sh, len(out)/2), sl, sh, plo, phi, out)
@@ -150,12 +150,14 @@ func (n *NEON) findCharge(inverse bool, m int) int {
 			return i
 		}
 	}
+	// Every ledger product is rounded before its add, so that a compiler
+	// that contracts a*b+c (arm64) keeps the ledger amd64 keeps.
 	c := rowCharge{m: m, inverse: inverse}
 	if inverse {
 		c.counts = kernels.CountsSynthesize(m)
 		c.cycles = NEONRowOverheadCycles +
-			NEONInvPairCycles*float64(m) +
-			NEONTailPairCycles*float64(m%4)
+			float64(NEONInvPairCycles*float64(m)) +
+			float64(NEONTailPairCycles*float64(m%4))
 	} else {
 		c.counts = kernels.CountsAnalyze(n.manual, m)
 		tail := 0
@@ -163,8 +165,8 @@ func (n *NEON) findCharge(inverse bool, m int) int {
 			tail = m % 4
 		}
 		c.cycles = NEONRowOverheadCycles +
-			NEONFwdPairCycles*float64(m) +
-			NEONTailPairCycles*float64(tail)
+			float64(NEONFwdPairCycles*float64(m)) +
+			float64(NEONTailPairCycles*float64(tail))
 	}
 	n.charges = append(n.charges, c)
 	return len(n.charges) - 1
@@ -184,7 +186,7 @@ func (n *NEON) TilingEnabled() bool { return !n.emulate }
 
 // ChargeCPU implements Engine.
 func (n *NEON) ChargeCPU(samples int) {
-	n.cycles += StructureCyclesPerSample * float64(samples)
+	n.cycles += float64(StructureCyclesPerSample * float64(samples))
 }
 
 // ChargeCPUCycles implements Engine.

@@ -132,7 +132,7 @@ func innerPolicyAt(engine string, op dvfs.OperatingPoint) (sched.Policy, error) 
 	case "adaptive":
 		return sched.ThresholdForClock(op.Clock()), nil
 	case "adaptive-online":
-		return sched.NewOnline(2), nil
+		return sched.NewOnline(), nil
 	case "arm", "neon", "fpga":
 		return sched.Static{Engine: engine}, nil
 	case "split-oracle":

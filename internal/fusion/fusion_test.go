@@ -22,6 +22,15 @@ func newDT() *wavelet.DTCWT {
 	return wavelet.NewDTCWT(wavelet.NewXfm(signal.RefKernel{}), wavelet.DefaultTreeBanks())
 }
 
+// fuse fuses a and b with rule into a new destination shaped like a.
+func fuse(rule Rule, a, b *wavelet.DTPyramid) (*wavelet.DTPyramid, error) {
+	dst := &wavelet.DTPyramid{}
+	if err := newDT().ShapePyramid(dst, a.W, a.H, a.NumLevels()); err != nil {
+		return nil, err
+	}
+	return dst, FuseInto(rule, dst, a, b)
+}
+
 func TestFuseIdenticalIsIdentity(t *testing.T) {
 	// Fusing an image with itself must reconstruct the image itself, for
 	// every rule: the core functional-correctness invariant of the whole
@@ -38,7 +47,7 @@ func TestFuseIdenticalIsIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rule := range []Rule{MaxMagnitude{}, Average{}, WindowEnergy{R: 1}} {
-		fp, err := Fuse(rule, pa, pb)
+		fp, err := fuse(rule, pa, pb)
 		if err != nil {
 			t.Fatalf("%s: %v", rule.Name(), err)
 		}
@@ -60,13 +69,13 @@ func TestFuseDoesNotMutateSources(t *testing.T) {
 	b := randFrame(rng, 32, 32)
 	pa, _ := tr.Forward(a, 2)
 	pb, _ := tr.Forward(b, 2)
-	before := pa.Levels[0].Bands[0].Clone()
-	if _, err := Fuse(MaxMagnitude{}, pa, pb); err != nil {
+	before := append([]float32(nil), pa.Levels[0].Bands[0].Re...)
+	if _, err := fuse(MaxMagnitude{}, pa, pb); err != nil {
 		t.Fatal(err)
 	}
-	for i := range before.Re {
-		if before.Re[i] != pa.Levels[0].Bands[0].Re[i] {
-			t.Fatal("Fuse mutated its source pyramid")
+	for i := range before {
+		if before[i] != pa.Levels[0].Bands[0].Re[i] {
+			t.Fatal("FuseInto mutated its source pyramid")
 		}
 	}
 }
@@ -76,7 +85,7 @@ func TestFuseSizeMismatch(t *testing.T) {
 	tr := newDT()
 	pa, _ := tr.Forward(randFrame(rng, 32, 32), 2)
 	pb, _ := tr.Forward(randFrame(rng, 64, 48), 2)
-	if _, err := Fuse(MaxMagnitude{}, pa, pb); err == nil {
+	if _, err := fuse(MaxMagnitude{}, pa, pb); err == nil {
 		t.Error("expected geometry mismatch error")
 	}
 }
@@ -91,7 +100,7 @@ func TestMaxMagnitudePicksStrongerSource(t *testing.T) {
 	tex := randFrame(rng, 64, 64)
 	pf, _ := tr.Forward(flat, 2)
 	pt, _ := tr.Forward(tex, 2)
-	fused, err := Fuse(MaxMagnitude{}, pf, pt)
+	fused, err := fuse(MaxMagnitude{}, pf, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +128,7 @@ func TestAverageHalvesOpposingDetails(t *testing.T) {
 	}
 	pa, _ := tr.Forward(a, 1)
 	pb, _ := tr.Forward(b, 1)
-	fp, err := Fuse(Average{}, pa, pb)
+	fp, err := fuse(Average{}, pa, pb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +161,11 @@ func TestWindowEnergyMatchesMaxOnDisjointContent(t *testing.T) {
 	}
 	pa, _ := tr.Forward(a, 2)
 	pb, _ := tr.Forward(b, 2)
-	f1, err := Fuse(MaxMagnitude{}, pa, pb)
+	f1, err := fuse(MaxMagnitude{}, pa, pb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := Fuse(WindowEnergy{R: 1}, pa, pb)
+	f2, err := fuse(WindowEnergy{R: 1}, pa, pb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +263,7 @@ func TestFusionMIRanksRealFusionAboveConstant(t *testing.T) {
 	b := randFrame(rng, 48, 48)
 	pa, _ := tr.Forward(a, 2)
 	pb, _ := tr.Forward(b, 2)
-	fp, _ := Fuse(MaxMagnitude{}, pa, pb)
+	fp, _ := fuse(MaxMagnitude{}, pa, pb)
 	fused, _ := tr.Inverse(fp)
 	miFused, err := FusionMI(a, b, fused)
 	if err != nil {

@@ -6,9 +6,9 @@ import (
 )
 
 // The scalar oracle: the built-in rules as plain per-coefficient loops
-// over complex bands. It is the one reference every production entry
-// point — FuseBand/FuseLL, FuseIntoWorkspace at any worker count, and the
-// quad-layout FuseQuads — must match bit for bit.
+// over complex bands. It is the one reference each built-in rule's two
+// forms — its FuseBand/FuseLL (FuseInto) and its fused quad kernel
+// (FuseQuads, at any worker count) — must match bit for bit.
 
 // oracleFuse fuses a and b into the complex-shaped dst with rule's
 // oracle loops.
@@ -27,8 +27,8 @@ func oracleFuseBand(rule Rule, dst, a, b *wavelet.ComplexBand) {
 	switch r := rule.(type) {
 	case MaxMagnitude:
 		for i := range dst.Re {
-			ma := a.Re[i]*a.Re[i] + a.Im[i]*a.Im[i]
-			mb := b.Re[i]*b.Re[i] + b.Im[i]*b.Im[i]
+			ma := float32(a.Re[i]*a.Re[i]) + float32(a.Im[i]*a.Im[i])
+			mb := float32(b.Re[i]*b.Re[i]) + float32(b.Im[i]*b.Im[i])
 			if ma >= mb {
 				dst.Re[i], dst.Im[i] = a.Re[i], a.Im[i]
 			} else {
@@ -65,7 +65,7 @@ func oracleFuseLL(dst, a, b *frame.Frame) {
 func oracleActivity(b *wavelet.ComplexBand, r int) []float32 {
 	mag2 := make([]float32, len(b.Re))
 	for i := range b.Re {
-		mag2[i] = b.Re[i]*b.Re[i] + b.Im[i]*b.Im[i]
+		mag2[i] = float32(b.Re[i]*b.Re[i]) + float32(b.Im[i]*b.Im[i])
 	}
 	if r <= 0 {
 		return mag2

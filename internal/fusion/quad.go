@@ -1,8 +1,6 @@
 package fusion
 
 import (
-	"fmt"
-
 	"zynqfusion/internal/bufpool"
 	"zynqfusion/internal/kernels"
 	"zynqfusion/internal/wavelet"
@@ -28,10 +26,10 @@ type quadRule interface {
 }
 
 // builtin reports whether rule is exactly one of the built-in rule types,
-// the only rules whose fused kernels (quadRule, wsRule) compute their
-// FuseBand and FuseLL. A type embedding a built-in has those kernels in
-// its method set too, but it may override FuseBand or FuseLL, so it runs
-// its own methods like any other custom rule.
+// the only rules whose fused quad kernels compute their FuseBand and
+// FuseLL. A type embedding a built-in has those kernels in its method set
+// too, but it may override FuseBand or FuseLL, so it runs its own methods
+// like any other custom rule.
 func builtin(rule Rule) bool {
 	switch rule.(type) {
 	case MaxMagnitude, Average, WindowEnergy:
@@ -45,15 +43,10 @@ func builtin(rule Rule) bool {
 // kernel (fuseComplexBand for a rule without one), then each tree's
 // lowpass residual. All three pyramids may be quad-shaped (complex planes
 // elided); dst's tree planes and residuals come out bit-identical to the
-// FuseIntoWorkspace + distribute chain.
+// FuseInto + distribute chain.
 func FuseQuads(ws *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) error {
-	if a.W != b.W || a.H != b.H || a.NumLevels() != b.NumLevels() {
-		return fmt.Errorf("%w: %dx%d/%d vs %dx%d/%d", ErrPyramidMismatch,
-			a.W, a.H, a.NumLevels(), b.W, b.H, b.NumLevels())
-	}
-	if dst.W != a.W || dst.H != a.H || dst.NumLevels() != a.NumLevels() {
-		return fmt.Errorf("%w: destination %dx%d/%d for sources %dx%d/%d", ErrPyramidMismatch,
-			dst.W, dst.H, dst.NumLevels(), a.W, a.H, a.NumLevels())
+	if err := checkGeometry(dst, a, b); err != nil {
+		return err
 	}
 	var qr quadRule
 	if builtin(rule) {
@@ -62,10 +55,6 @@ func FuseQuads(ws *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) error {
 	levels := a.NumLevels()
 	for lv := 0; lv < levels; lv++ {
 		for bi := 0; bi < 3; bi++ {
-			fa, fb := a.TreeBand(wavelet.TreeAA, lv, bi), b.TreeBand(wavelet.TreeAA, lv, bi)
-			if !fa.SameSize(fb) {
-				return fmt.Errorf("%w: level %d band %d", ErrPyramidMismatch, lv+1, bi)
-			}
 			if qr != nil {
 				qr.fuseQuadBand(ws, lv, bi, dst, a, b)
 			} else {
@@ -74,9 +63,6 @@ func FuseQuads(ws *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) error {
 		}
 	}
 	for c := range a.LLs {
-		if !a.LLs[c].SameSize(b.LLs[c]) {
-			return fmt.Errorf("%w: lowpass residual %d", ErrPyramidMismatch, c)
-		}
 		if qr != nil {
 			averageLLWS(ws, dst.LLs[c], a.LLs[c], b.LLs[c])
 		} else {
@@ -99,58 +85,28 @@ func fuseComplexBand(ws *Workspace, rule Rule, lv, bi int, dst, a, b *wavelet.DT
 			Re: ws.cplxS[2*k].Grow(ws.pool, n), Im: ws.cplxS[2*k+1].Grow(ws.pool, n)}
 	}
 	w := ws.w
-	for i, src := range [2]*wavelet.DTPyramid{a, b} {
-		ws.conv = convTask{q: quadOf(src, lv, bi), z1: &z[2*i], z2: &z[2*i+1]}
+	conv := func(p *wavelet.DTPyramid, z1, z2 *wavelet.ComplexBand, c2q bool) {
+		ws.conv = kernels.ConvTask{Q: p.TreeQuad(lv, bi), Z1Re: z1.Re, Z1Im: z1.Im, Z2Re: z2.Re, Z2Im: z2.Im, C2Q: c2q}
 		w.For(n, 32, &ws.conv)
 	}
+	conv(a, &z[0], &z[1], false)
+	conv(b, &z[2], &z[3], false)
 	rule.FuseBand(&z[4], &z[0], &z[2])
 	rule.FuseBand(&z[5], &z[1], &z[3])
-	ws.conv = convTask{q: quadOf(dst, lv, bi), z1: &z[4], z2: &z[5], distribute: true}
-	w.For(n, 32, &ws.conv)
+	conv(dst, &z[4], &z[5], true)
 }
 
-// convTask converts quad q into the complex pair (z1, z2) — q2c — or,
-// when distribute, the pair back into q (c2q).
-type convTask struct {
-	q          kernels.Quad
-	z1, z2     *wavelet.ComplexBand
-	distribute bool
-}
-
-func (t *convTask) Tile(lo, hi, _ int) {
-	p, q, r, s := t.q.P[lo:hi], t.q.Q[lo:hi], t.q.R[lo:hi], t.q.S[lo:hi]
-	z1re, z1im, z2re, z2im := t.z1.Re[lo:hi], t.z1.Im[lo:hi], t.z2.Re[lo:hi], t.z2.Im[lo:hi]
-	if t.distribute {
-		for i := range p {
-			p[i], q[i], r[i], s[i] = kernels.Distribute(z1re[i], z1im[i], z2re[i], z2im[i])
-		}
-		return
-	}
-	for i := range p {
-		z1re[i], z1im[i], z2re[i], z2im[i] = kernels.Combine(p[i], q[i], r[i], s[i])
-	}
-}
-
-// quadPlanes gathers the four tree planes of band bi at level lv in q2c
-// order: p = AA, q = BB, r = AB, s = BA.
+// quadPlanes returns the four planes of p.TreeQuad(lv, bi) in q2c order.
 func quadPlanes(p *wavelet.DTPyramid, lv, bi int) (pp, qq, rr, ss []float32) {
-	return p.TreeBand(wavelet.TreeAA, lv, bi).Pix,
-		p.TreeBand(wavelet.TreeBB, lv, bi).Pix,
-		p.TreeBand(wavelet.TreeAB, lv, bi).Pix,
-		p.TreeBand(wavelet.TreeBA, lv, bi).Pix
-}
-
-// quadOf gathers the four tree planes of band bi at level lv as a quad.
-func quadOf(p *wavelet.DTPyramid, lv, bi int) kernels.Quad {
-	pp, qq, rr, ss := quadPlanes(p, lv, bi)
-	return kernels.Quad{P: pp, Q: qq, R: rr, S: ss}
+	q := p.TreeQuad(lv, bi)
+	return q.P, q.Q, q.R, q.S
 }
 
 func (MaxMagnitude) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavelet.DTPyramid) {
 	w := ws.w
 	n := len(a.TreeBand(wavelet.TreeAA, lv, bi).Pix)
 	t := &ws.maxQ
-	t.a, t.b, t.f = quadOf(a, lv, bi), quadOf(b, lv, bi), quadOf(dst, lv, bi)
+	t.a, t.b, t.f = a.TreeQuad(lv, bi), b.TreeQuad(lv, bi), dst.TreeQuad(lv, bi)
 	w.For(n, 48, t)
 }
 
@@ -205,7 +161,8 @@ func (we WindowEnergy) fuseQuadBand(ws *Workspace, lv, bi int, dst, a, b *wavele
 // single traversal: per tile, one kernels.MaxMagQuad call over the tile's
 // range of the three quads (q2c both streams, pick the larger-magnitude
 // coefficient per complex band, c2q the winners back to quad layout —
-// packed SSE on amd64). Its expressions mirror maxMagBandTask exactly.
+// packed SSE on amd64). Its expressions mirror MaxMagnitude.FuseBand
+// exactly.
 type maxMagQuadTask struct {
 	a, b, f kernels.Quad
 }
@@ -221,7 +178,9 @@ func quadRange(q *kernels.Quad, lo, hi int) kernels.Quad {
 }
 
 // avgQuadTask fuses one band pair under the average rule in a single
-// traversal: q2c both streams, blend equally, c2q back.
+// traversal: q2c both streams, blend equally, c2q back. Here and in
+// quadMag2Task each product is rounded before its add, so that a compiler
+// that contracts a*b+c (arm64) computes what amd64 does.
 type avgQuadTask struct {
 	pa, qa, ra, sa []float32
 	pb, qb, rb, sb []float32
@@ -235,10 +194,10 @@ func (t *avgQuadTask) Tile(lo, hi, _ int) {
 	for i := lo; i < hi; i++ {
 		z1ra, z1ia, z2ra, z2ia := kernels.Combine(pa[i], qa[i], ra[i], sa[i])
 		z1rb, z1ib, z2rb, z2ib := kernels.Combine(pb[i], qb[i], rb[i], sb[i])
-		f1r := 0.5 * (z1ra + z1rb)
-		f1i := 0.5 * (z1ia + z1ib)
-		f2r := 0.5 * (z2ra + z2rb)
-		f2i := 0.5 * (z2ia + z2ib)
+		f1r := float32(0.5 * (z1ra + z1rb))
+		f1i := float32(0.5 * (z1ia + z1ib))
+		f2r := float32(0.5 * (z2ra + z2rb))
+		f2i := float32(0.5 * (z2ia + z2ib))
 		pf[i], qf[i], rf[i], sf[i] = kernels.Distribute(f1r, f1i, f2r, f2i)
 	}
 }
@@ -256,13 +215,13 @@ func (t *quadMag2Task) Tile(lo, hi, _ int) {
 	if !t.second {
 		for i := lo; i < hi; i++ {
 			re, im, _, _ := kernels.Combine(p[i], q[i], r[i], s[i])
-			dst[i] = re*re + im*im
+			dst[i] = float32(re*re) + float32(im*im)
 		}
 		return
 	}
 	for i := lo; i < hi; i++ {
 		_, _, re, im := kernels.Combine(p[i], q[i], r[i], s[i])
-		dst[i] = re*re + im*im
+		dst[i] = float32(re*re) + float32(im*im)
 	}
 }
 

@@ -70,7 +70,10 @@ func TestFuseQuadsBitExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fp := pa.CloneStructure()
+				fp := &wavelet.DTPyramid{}
+				if err := refDT.ShapePyramid(fp, w, h, levels); err != nil {
+					t.Fatal(err)
+				}
 				if builtin(rule) {
 					oracleFuse(rule, fp, pa, pb)
 				} else if err := FuseInto(rule, fp, pa, pb); err != nil {

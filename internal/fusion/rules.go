@@ -28,33 +28,11 @@ type Rule interface {
 // ErrPyramidMismatch reports pyramids with differing geometry.
 var ErrPyramidMismatch = errors.New("fusion: pyramid geometry mismatch")
 
-// Fuse combines two DT-CWT pyramids level by level with the given rule,
-// returning a new pyramid that shares the geometry of a. The inputs are not
-// modified.
-func Fuse(rule Rule, a, b *wavelet.DTPyramid) (*wavelet.DTPyramid, error) {
-	out := a.CloneStructure()
-	if err := FuseInto(rule, out, a, b); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// FuseInto combines a and b into dst, a pyramid already shaped for the
-// same geometry (DTCWT.ShapePyramid, or a prior fusion's output). Every
-// fused coefficient — detail bands and lowpass residuals — is written, so
-// dst's prior contents never leak through; this is the zero-copy hot path
-// that replaces the CloneStructure deep copy on every frame. The inputs
-// are not modified, and dst must not alias either of them.
-func FuseInto(rule Rule, dst, a, b *wavelet.DTPyramid) error {
-	return FuseIntoWorkspace(nil, rule, dst, a, b)
-}
-
-// FuseIntoWorkspace is FuseInto running through a workspace: built-in
-// rules lease their activity scratch from the workspace's pool and tile
-// their per-pixel loops across its worker pool. A nil workspace — or a
-// custom Rule — selects the rule's own FuseBand/FuseLL. It fuses complex
-// views (ForwardInto's output) off the production path, FuseQuads.
-func FuseIntoWorkspace(ws *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) error {
+// checkGeometry returns an ErrPyramidMismatch error unless sources a and b
+// share one geometry (frame size, depth, every detail band and lowpass
+// residual) and dst has their size and depth. FuseInto and FuseQuads run
+// it before writing anything.
+func checkGeometry(dst, a, b *wavelet.DTPyramid) error {
 	if a.W != b.W || a.H != b.H || a.NumLevels() != b.NumLevels() {
 		return fmt.Errorf("%w: %dx%d/%d vs %dx%d/%d", ErrPyramidMismatch,
 			a.W, a.H, a.NumLevels(), b.W, b.H, b.NumLevels())
@@ -63,20 +41,10 @@ func FuseIntoWorkspace(ws *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) e
 		return fmt.Errorf("%w: destination %dx%d/%d for sources %dx%d/%d", ErrPyramidMismatch,
 			dst.W, dst.H, dst.NumLevels(), a.W, a.H, a.NumLevels())
 	}
-	var fast wsRule
-	if ws != nil && builtin(rule) {
-		fast = rule.(wsRule)
-	}
-	for lv := range a.Levels {
-		for bi := range a.Levels[lv].Bands {
-			ba, bb := a.Levels[lv].Bands[bi], b.Levels[lv].Bands[bi]
-			if ba.W != bb.W || ba.H != bb.H {
+	for lv := 0; lv < a.NumLevels(); lv++ {
+		for bi := 0; bi < 3; bi++ {
+			if !a.TreeBand(wavelet.TreeAA, lv, bi).SameSize(b.TreeBand(wavelet.TreeAA, lv, bi)) {
 				return fmt.Errorf("%w: level %d band %d", ErrPyramidMismatch, lv+1, bi)
-			}
-			if fast != nil {
-				fast.fuseBandWS(ws, dst.Levels[lv].Bands[bi], ba, bb)
-			} else {
-				rule.FuseBand(dst.Levels[lv].Bands[bi], ba, bb)
 			}
 		}
 	}
@@ -84,18 +52,43 @@ func FuseIntoWorkspace(ws *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) e
 		if !a.LLs[c].SameSize(b.LLs[c]) {
 			return fmt.Errorf("%w: lowpass residual %d", ErrPyramidMismatch, c)
 		}
-		if fast != nil {
-			averageLLWS(ws, dst.LLs[c], a.LLs[c], b.LLs[c])
-		} else {
-			rule.FuseLL(dst.LLs[c], a.LLs[c], b.LLs[c])
-		}
 	}
 	return nil
 }
 
-// The built-in rules' FuseBand/FuseLL run the same tile task bodies the
-// workspace path dispatches, inline over the whole band, so every entry
-// point computes each coefficient with one expression.
+// FuseInto combines the complex views of a and b (ForwardInto's output)
+// into dst, a pyramid already shaped for the same geometry
+// (DTCWT.ShapePyramid, or a prior fusion's output), with the rule's own
+// FuseBand per complex band and FuseLL per lowpass residual. Every fused
+// coefficient is written, so dst's prior contents never leak through. The
+// inputs are not modified, and dst must not alias either of them.
+// FuseQuads, the production seam, is pinned against it.
+func FuseInto(rule Rule, dst, a, b *wavelet.DTPyramid) error {
+	if err := checkGeometry(dst, a, b); err != nil {
+		return err
+	}
+	for lv := range a.Levels {
+		for bi := range a.Levels[lv].Bands {
+			rule.FuseBand(dst.Levels[lv].Bands[bi], a.Levels[lv].Bands[bi], b.Levels[lv].Bands[bi])
+		}
+	}
+	for c := range a.LLs {
+		rule.FuseLL(dst.LLs[c], a.LLs[c], b.LLs[c])
+	}
+	return nil
+}
+
+// FuseIntoWorkspace is FuseInto; the workspace is not used.
+//
+// Deprecated: use FuseInto, or FuseQuads over quad pyramids.
+func FuseIntoWorkspace(_ *Workspace, rule Rule, dst, a, b *wavelet.DTPyramid) error {
+	return FuseInto(rule, dst, a, b)
+}
+
+// The built-in rules' FuseBand and FuseLL are the per-coefficient
+// expressions their fused quad kernels (quad.go) compute bit for bit.
+// Each product is rounded before its add, so that a compiler that
+// contracts a*b+c (arm64) computes what amd64 does.
 
 // fuseLL is the lowpass blend every built-in rule uses.
 func fuseLL(dst, a, b *frame.Frame) {
@@ -103,12 +96,10 @@ func fuseLL(dst, a, b *frame.Frame) {
 	t.Tile(0, len(dst.Pix), 0)
 }
 
-// averageLLWS is the tiled lowpass blend of the workspace path.
+// averageLLWS is fuseLL tiled across the workspace's workers.
 func averageLLWS(ws *Workspace, dst, a, b *frame.Frame) {
-	w := ws.w
-	n := len(dst.Pix)
 	ws.avgP = avgPixTask{dst: dst.Pix, a: a.Pix, b: b.Pix}
-	w.For(n, 12, &ws.avgP)
+	ws.w.For(len(dst.Pix), 12, &ws.avgP)
 }
 
 // MaxMagnitude is the classic choose-max fusion rule: for every complex
@@ -121,19 +112,19 @@ func (MaxMagnitude) Name() string { return "max-magnitude" }
 
 // FuseBand implements Rule.
 func (MaxMagnitude) FuseBand(dst, a, b *wavelet.ComplexBand) {
-	t := maxMagBandTask{dstRe: dst.Re, dstIm: dst.Im, aRe: a.Re, aIm: a.Im, bRe: b.Re, bIm: b.Im}
-	t.Tile(0, len(dst.Re), 0)
+	for i := range dst.Re {
+		ma := float32(a.Re[i]*a.Re[i]) + float32(a.Im[i]*a.Im[i])
+		mb := float32(b.Re[i]*b.Re[i]) + float32(b.Im[i]*b.Im[i])
+		if ma >= mb {
+			dst.Re[i], dst.Im[i] = a.Re[i], a.Im[i]
+		} else {
+			dst.Re[i], dst.Im[i] = b.Re[i], b.Im[i]
+		}
+	}
 }
 
 // FuseLL implements Rule.
 func (MaxMagnitude) FuseLL(dst, a, b *frame.Frame) { fuseLL(dst, a, b) }
-
-func (MaxMagnitude) fuseBandWS(ws *Workspace, dst, a, b *wavelet.ComplexBand) {
-	w := ws.w
-	n := len(dst.Re)
-	ws.max = maxMagBandTask{dstRe: dst.Re, dstIm: dst.Im, aRe: a.Re, aIm: a.Im, bRe: b.Re, bIm: b.Im}
-	w.For(n, 24, &ws.max)
-}
 
 // Average blends both sources equally everywhere. It is the baseline rule:
 // simple, artifact-free, but it halves feature contrast.
@@ -144,19 +135,14 @@ func (Average) Name() string { return "average" }
 
 // FuseBand implements Rule.
 func (Average) FuseBand(dst, a, b *wavelet.ComplexBand) {
-	t := avgBandTask{dstRe: dst.Re, dstIm: dst.Im, aRe: a.Re, aIm: a.Im, bRe: b.Re, bIm: b.Im}
-	t.Tile(0, len(dst.Re), 0)
+	for i := range dst.Re {
+		dst.Re[i] = 0.5 * (a.Re[i] + b.Re[i])
+		dst.Im[i] = 0.5 * (a.Im[i] + b.Im[i])
+	}
 }
 
 // FuseLL implements Rule.
 func (Average) FuseLL(dst, a, b *frame.Frame) { fuseLL(dst, a, b) }
-
-func (Average) fuseBandWS(ws *Workspace, dst, a, b *wavelet.ComplexBand) {
-	w := ws.w
-	n := len(dst.Re)
-	ws.avgB = avgBandTask{dstRe: dst.Re, dstIm: dst.Im, aRe: a.Re, aIm: a.Im, bRe: b.Re, bIm: b.Im}
-	w.For(n, 24, &ws.avgB)
-}
 
 // WindowEnergy selects per coefficient by comparing local activity (the
 // summed squared magnitude over a (2R+1)^2 window), which is less noise-
@@ -174,24 +160,37 @@ func (w WindowEnergy) Name() string { return fmt.Sprintf("window-energy-r%d", w.
 // of dst's planes, and the selection then replaces each activity pair
 // with the chosen coefficient. dst must not alias a or b.
 func (w WindowEnergy) FuseBand(dst, a, b *wavelet.ComplexBand) {
-	t := winActTask{dst: dst.Re, re: a.Re, im: a.Im, w: a.W, h: a.H, r: w.R}
-	t.Tile(0, a.H, 0)
-	t = winActTask{dst: dst.Im, re: b.Re, im: b.Im, w: b.W, h: b.H, r: w.R}
-	t.Tile(0, b.H, 0)
-	s := selBandTask{dstRe: dst.Re, dstIm: dst.Im, aRe: a.Re, aIm: a.Im, bRe: b.Re, bIm: b.Im, ea: dst.Re, eb: dst.Im}
-	s.Tile(0, len(dst.Re), 0)
+	windowActivity(dst.Re, a, w.R)
+	windowActivity(dst.Im, b, w.R)
+	for i := range dst.Re {
+		if dst.Re[i] >= dst.Im[i] {
+			dst.Re[i], dst.Im[i] = a.Re[i], a.Im[i]
+		} else {
+			dst.Re[i], dst.Im[i] = b.Re[i], b.Im[i]
+		}
+	}
 }
 
 // FuseLL implements Rule.
 func (WindowEnergy) FuseLL(dst, a, b *frame.Frame) { fuseLL(dst, a, b) }
 
-func (w WindowEnergy) fuseBandWS(ws *Workspace, dst, a, b *wavelet.ComplexBand) {
-	wk := ws.w
-	ws.act = winActTask{dst: dst.Re, re: a.Re, im: a.Im, w: a.W, h: a.H, r: w.R}
-	wk.For(a.H, 12*a.W, &ws.act)
-	ws.act = winActTask{dst: dst.Im, re: b.Re, im: b.Im, w: b.W, h: b.H, r: w.R}
-	wk.For(b.H, 12*b.W, &ws.act)
-	n := len(dst.Re)
-	ws.sel = selBandTask{dstRe: dst.Re, dstIm: dst.Im, aRe: a.Re, aIm: a.Im, bRe: b.Re, bIm: b.Im, ea: dst.Re, eb: dst.Im}
-	wk.For(n, 32, &ws.sel)
+// windowActivity writes band z's window activity into dst: per
+// coefficient, the squared magnitudes over its (2r+1)² window, clipped at
+// the band edges, summed from zero in winSumTask's order (so for r = 0 the
+// activity is the squared magnitude itself). Each magnitude is recomputed
+// per tap, so it needs no scratch plane.
+func windowActivity(dst []float32, z *wavelet.ComplexBand, r int) {
+	r = max(r, 0)
+	for y := 0; y < z.H; y++ {
+		for x := 0; x < z.W; x++ {
+			var s float32
+			for yy := max(y-r, 0); yy <= min(y+r, z.H-1); yy++ {
+				for xx := max(x-r, 0); xx <= min(x+r, z.W-1); xx++ {
+					i := yy*z.W + xx
+					s += float32(z.Re[i]*z.Re[i]) + float32(z.Im[i]*z.Im[i])
+				}
+			}
+			dst[y*z.W+x] = s
+		}
+	}
 }

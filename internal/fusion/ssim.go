@@ -26,8 +26,8 @@ func SSIM(a, b *frame.Frame) (float64, error) {
 	for y := 0; y+win <= a.H; y += win {
 		for x := 0; x+win <= a.W; x += win {
 			ma, mb, va, vb, cov := windowStats(a, b, x, y, win)
-			num := (2*ma*mb + c1) * (2*cov + c2)
-			den := (ma*ma + mb*mb + c1) * (va + vb + c2)
+			num := (float64(2*ma*mb) + c1) * (float64(2*cov) + c2)
+			den := (float64(ma*ma) + float64(mb*mb) + c1) * (va + vb + c2)
 			sum += num / den
 			n++
 		}
@@ -46,20 +46,20 @@ func windowStats(a, b *frame.Frame, x0, y0, win int) (ma, mb, va, vb, cov float6
 			mb += float64(b.At(x, y))
 		}
 	}
-	ma *= inv
-	mb *= inv
+	ma = float64(ma * inv)
+	mb = float64(mb * inv)
 	for y := y0; y < y0+win; y++ {
 		for x := x0; x < x0+win; x++ {
 			da := float64(a.At(x, y)) - ma
 			db := float64(b.At(x, y)) - mb
-			va += da * da
-			vb += db * db
-			cov += da * db
+			va += float64(da * da)
+			vb += float64(db * db)
+			cov += float64(da * db)
 		}
 	}
-	va *= inv
-	vb *= inv
-	cov *= inv
+	va = float64(va * inv)
+	vb = float64(vb * inv)
+	cov = float64(cov * inv)
 	return ma, mb, va, vb, cov
 }
 

@@ -6,16 +6,12 @@ import (
 	"zynqfusion/internal/wavelet"
 )
 
-// Workspace is the zero-allocation, tiled execution context of the
-// fusion rules. It owns the scratch planes WindowEnergy's quad kernel and
-// FuseQuads' complex-band adapter need (leased from the frame-store arena when one
-// is attached, so no rule allocates planes per band per frame) and the
-// worker pool the per-pixel rule loops fan out across.
-//
-// Rules run through a workspace produce bit-identical coefficients to
-// their FuseBand/FuseLL at any worker count: both run the same tile task
-// bodies, and only the scheduling and the scratch backing store differ.
-// Custom Rule implementations simply fall back to their own methods.
+// Workspace is FuseQuads' zero-allocation, tiled execution context. It
+// owns the scratch planes WindowEnergy's quad kernel and the complex-band
+// adapter need (leased from the frame-store arena when one is attached,
+// so no rule allocates planes per band per frame) and the worker pool the
+// per-pixel loops fan out across. Tiles write disjoint ranges, so the
+// fused pyramid is the same at any worker count.
 //
 // A Workspace is not safe for concurrent use; it belongs to one fuser.
 type Workspace struct {
@@ -34,17 +30,13 @@ type Workspace struct {
 
 	// Reusable task boxes: pointer-through-interface keeps dispatch at
 	// zero allocations per frame.
-	max  maxMagBandTask
-	avgB avgBandTask
 	avgP avgPixTask
-	sel  selBandTask
-	act  winActTask
 	win  winSumTask
 	maxQ maxMagQuadTask
 	avgQ avgQuadTask
 	selQ selQuadTask
 	magQ quadMag2Task
-	conv convTask
+	conv kernels.ConvTask
 }
 
 // NewWorkspace returns a workspace leasing scratch from pool (nil → plain
@@ -68,40 +60,7 @@ func (ws *Workspace) Release() {
 	}
 }
 
-// wsRule is the workspace path the built-in rules provide; their lowpass
-// residuals all blend with averageLLWS.
-type wsRule interface {
-	fuseBandWS(ws *Workspace, dst, a, b *wavelet.ComplexBand)
-}
-
-// Tile tasks: the built-in rules' per-coefficient expressions.
-
-type maxMagBandTask struct {
-	dstRe, dstIm, aRe, aIm, bRe, bIm []float32
-}
-
-func (t *maxMagBandTask) Tile(lo, hi, _ int) {
-	for i := lo; i < hi; i++ {
-		ma := t.aRe[i]*t.aRe[i] + t.aIm[i]*t.aIm[i]
-		mb := t.bRe[i]*t.bRe[i] + t.bIm[i]*t.bIm[i]
-		if ma >= mb {
-			t.dstRe[i], t.dstIm[i] = t.aRe[i], t.aIm[i]
-		} else {
-			t.dstRe[i], t.dstIm[i] = t.bRe[i], t.bIm[i]
-		}
-	}
-}
-
-type avgBandTask struct {
-	dstRe, dstIm, aRe, aIm, bRe, bIm []float32
-}
-
-func (t *avgBandTask) Tile(lo, hi, _ int) {
-	for i := lo; i < hi; i++ {
-		t.dstRe[i] = 0.5 * (t.aRe[i] + t.bRe[i])
-		t.dstIm[i] = 0.5 * (t.aIm[i] + t.bIm[i])
-	}
-}
+// Tile tasks of the per-pixel loops FuseQuads dispatches.
 
 type avgPixTask struct {
 	dst, a, b []float32
@@ -110,46 +69,6 @@ type avgPixTask struct {
 func (t *avgPixTask) Tile(lo, hi, _ int) {
 	for i := lo; i < hi; i++ {
 		t.dst[i] = 0.5 * (t.a[i] + t.b[i])
-	}
-}
-
-type selBandTask struct {
-	dstRe, dstIm, aRe, aIm, bRe, bIm, ea, eb []float32
-}
-
-func (t *selBandTask) Tile(lo, hi, _ int) {
-	for i := lo; i < hi; i++ {
-		if t.ea[i] >= t.eb[i] {
-			t.dstRe[i], t.dstIm[i] = t.aRe[i], t.aIm[i]
-		} else {
-			t.dstRe[i], t.dstIm[i] = t.bRe[i], t.bIm[i]
-		}
-	}
-}
-
-// winActTask writes one complex band's window activity into dst, rows
-// [lo, hi): per coefficient, the squared magnitudes over its (2r+1)²
-// window, clipped at the band edges, summed from zero in winSumTask's
-// order (so for r = 0 the activity is the squared magnitude itself).
-// Each magnitude is recomputed per tap, so it needs no scratch plane.
-type winActTask struct {
-	dst, re, im []float32
-	w, h, r     int
-}
-
-func (t *winActTask) Tile(lo, hi, _ int) {
-	r := max(t.r, 0)
-	for y := lo; y < hi; y++ {
-		for x := 0; x < t.w; x++ {
-			var s float32
-			for yy := max(y-r, 0); yy <= min(y+r, t.h-1); yy++ {
-				for xx := max(x-r, 0); xx <= min(x+r, t.w-1); xx++ {
-					i := yy*t.w + xx
-					s += t.re[i]*t.re[i] + t.im[i]*t.im[i]
-				}
-			}
-			t.dst[y*t.w+x] = s
-		}
 	}
 }
 

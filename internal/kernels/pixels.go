@@ -16,9 +16,11 @@ const invSqrt2 = 0.7071067811865476
 
 // Combine is the q2c map of one element, Quad's z1 and z2 from p = AA,
 // q = BB, r = AB and s = BA: each part one rounded add or subtract, then
-// one rounded multiply. It must stay inlinable.
+// one rounded multiply. The conversions keep each product rounded where a
+// caller adds to it, so arm64 cannot fuse it into a multiply-add. It must
+// stay inlinable.
 func Combine(p, q, r, s float32) (z1re, z1im, z2re, z2im float32) {
-	return (p - q) * invSqrt2, (r + s) * invSqrt2, (p + q) * invSqrt2, (s - r) * invSqrt2
+	return float32((p - q) * invSqrt2), float32((r + s) * invSqrt2), float32((p + q) * invSqrt2), float32((s - r) * invSqrt2)
 }
 
 // Distribute is the c2q map of one element, Combine's inverse:
@@ -35,6 +37,35 @@ func Distribute(z1re, z1im, z2re, z2im float32) (p, q, r, s float32) {
 //	z1 = ((P-Q) + i(R+S)) / √2,  z2 = ((P+Q) + i(S-R)) / √2.
 type Quad struct {
 	P, Q, R, S []float32
+}
+
+// ConvTask is the one q2c/c2q loop over whole planes, a Task: per index of
+// a tile it combines Q into the complex pair z1 = (Z1Re, Z1Im) and
+// z2 = (Z2Re, Z2Im), or, with C2Q set, distributes the pair back into Q.
+// Every plane must hold each index a tile covers.
+type ConvTask struct {
+	Q                      Quad
+	Z1Re, Z1Im, Z2Re, Z2Im []float32
+	C2Q                    bool
+}
+
+// Tile implements Task.
+func (t *ConvTask) Tile(lo, hi, _ int) {
+	p, q, r, s := t.Q.P, t.Q.Q, t.Q.R, t.Q.S
+	z1re, z1im, z2re, z2im := t.Z1Re, t.Z1Im, t.Z2Re, t.Z2Im
+	if lo < 0 || hi > len(p) || hi > len(q) || hi > len(r) || hi > len(s) ||
+		hi > len(z1re) || hi > len(z1im) || hi > len(z2re) || hi > len(z2im) {
+		panic("kernels.ConvTask: tile outside its planes")
+	}
+	if t.C2Q {
+		for i := lo; i < hi; i++ {
+			p[i], q[i], r[i], s[i] = Distribute(z1re[i], z1im[i], z2re[i], z2im[i])
+		}
+		return
+	}
+	for i := lo; i < hi; i++ {
+		z1re[i], z1im[i], z2re[i], z2im[i] = Combine(p[i], q[i], r[i], s[i])
+	}
 }
 
 // MaxMagQuad fuses a and b into dst under the max-magnitude rule for every
@@ -62,15 +93,17 @@ func maxMagQuadGo(dst, a, b *Quad, from int) {
 		i < len(pb) && i < len(qb) && i < len(rb) && i < len(sb); i++ {
 		z1ra, z1ia, z2ra, z2ia := Combine(pa[i], qa[i], ra[i], sa[i])
 		z1rb, z1ib, z2rb, z2ib := Combine(pb[i], qb[i], rb[i], sb[i])
+		// Each product is rounded before its add, as the packed form's
+		// MULPS then ADDPS round it, on every GOARCH.
 		f1r, f1i := z1ra, z1ia
-		ma := z1ra*z1ra + z1ia*z1ia
-		mb := z1rb*z1rb + z1ib*z1ib
+		ma := float32(z1ra*z1ra) + float32(z1ia*z1ia)
+		mb := float32(z1rb*z1rb) + float32(z1ib*z1ib)
 		if !(ma >= mb) {
 			f1r, f1i = z1rb, z1ib
 		}
 		f2r, f2i := z2ra, z2ia
-		ma = z2ra*z2ra + z2ia*z2ia
-		mb = z2rb*z2rb + z2ib*z2ib
+		ma = float32(z2ra*z2ra) + float32(z2ia*z2ia)
+		mb = float32(z2rb*z2rb) + float32(z2ib*z2ib)
 		if !(ma >= mb) {
 			f2r, f2i = z2rb, z2ib
 		}

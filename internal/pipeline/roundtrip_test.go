@@ -8,6 +8,7 @@ import (
 	"zynqfusion/internal/dvfs"
 	"zynqfusion/internal/engine"
 	"zynqfusion/internal/fusion"
+	"zynqfusion/internal/wavelet"
 )
 
 // TestForwardInverseRoundTripMatchesFuseFrames drives a fuser's transform
@@ -52,8 +53,11 @@ func TestForwardInverseRoundTripMatchesFuseFrames(t *testing.T) {
 				if staged.drain() <= 0 {
 					t.Error("forward stage reported no time")
 				}
-				fused, err := fusion.Fuse(staged.Config().Rule, pa, pb)
-				if err != nil {
+				fused := &wavelet.DTPyramid{}
+				if err := staged.dt.ShapePyramid(fused, vis.W, vis.H, cfg.Levels); err != nil {
+					t.Fatal(err)
+				}
+				if err := fusion.FuseInto(staged.Config().Rule, fused, pa, pb); err != nil {
 					t.Fatal(err)
 				}
 				got, err := staged.dt.Inverse(fused)

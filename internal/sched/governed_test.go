@@ -33,12 +33,14 @@ func TestGovernedLeavesCPUPicksAlone(t *testing.T) {
 }
 
 func TestGovernedForwardsFeedback(t *testing.T) {
-	o := NewOnline(1)
+	o := NewOnline()
 	g := &fakeGate{granted: true}
 	p := Governed{Inner: o, Gate: g}
-	p.Observe(20, false, "neon", 100*sim.Nanosecond)
-	p.Observe(20, false, "fpga", 10*sim.Nanosecond)
-	if !o.Decided(20, false) {
+	for i := 0; i < onlineExplore; i++ {
+		p.Observe(20, false, "neon", 100*sim.Nanosecond)
+		p.Observe(20, false, "fpga", 10*sim.Nanosecond)
+	}
+	if !decided(o, 20, false) {
 		t.Fatal("feedback should reach the inner online policy")
 	}
 	if got := p.Pick(20, false); got != "fpga" {

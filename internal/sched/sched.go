@@ -15,7 +15,6 @@ package sched
 import (
 	"fmt"
 
-	"zynqfusion/internal/power"
 	"zynqfusion/internal/sim"
 	"zynqfusion/internal/split"
 )
@@ -155,36 +154,21 @@ func (th Threshold) Pick(pairs int, inverse bool) string {
 	return "neon"
 }
 
-// Objective selects what the online policy minimizes.
-type Objective int
-
-// Optimization objectives.
-const (
-	// MinTime minimizes row latency (the performance-optimal point).
-	MinTime Objective = iota
-	// MinEnergy weights each row's latency by the board power of the
-	// engine that ran it, minimizing energy. Because ARM+FPGA draws 3.6%
-	// more board power, the energy objective flips decisions only near
-	// the time-parity widths — exactly the paper's Fig. 10 observation
-	// that the energy crossover sits above the time crossover.
-	MinEnergy
-)
-
-// Online learns the best engine per (row width, direction) by running
-// each candidate a fixed number of times and then exploiting the one with
-// the lower mean cost under the configured objective. It is
-// deterministic: exploration alternates candidates in order.
+// Online learns the faster engine per (row width, direction): it runs
+// NEON and the FPGA onlineExplore times each, then exploits the one with
+// the lower mean row time. It is deterministic: exploration alternates
+// the candidates in order.
 type Online struct {
-	// Explore is the number of measurements per candidate before
-	// exploitation starts (default 2).
-	Explore int
-	// Candidates are the engines considered (default neon, fpga).
-	Candidates []string
-	// Objective is what to minimize (default MinTime).
-	Objective Objective
-
 	stats map[onlineKey]*onlineStat
 }
+
+// onlineExplore is the number of measurements per candidate before
+// exploitation starts.
+const onlineExplore = 2
+
+// onlineCandidates are the engines Online chooses between, in exploration
+// order.
+var onlineCandidates = [...]string{"neon", "fpga"}
 
 type onlineKey struct {
 	pairs   int
@@ -197,29 +181,24 @@ type onlineStat struct {
 	cost sim.Time
 }
 
-// NewOnline returns an online policy with the given exploration budget.
-func NewOnline(explore int) *Online {
-	if explore <= 0 {
-		explore = 2
-	}
-	return &Online{Explore: explore, Candidates: []string{"neon", "fpga"}}
-}
+// NewOnline returns an online policy.
+func NewOnline() *Online { return &Online{} }
 
 // Name implements Policy.
-func (o *Online) Name() string { return fmt.Sprintf("online-x%d", o.Explore) }
+func (o *Online) Name() string { return fmt.Sprintf("online-x%d", onlineExplore) }
 
 // Pick implements Policy.
 func (o *Online) Pick(pairs int, inverse bool) string {
 	// Explore any candidate that lacks measurements.
-	for _, c := range o.Candidates {
-		if st := o.stat(pairs, inverse, c); st.n < o.Explore {
+	for _, c := range onlineCandidates {
+		if st := o.stat(pairs, inverse, c); st.n < onlineExplore {
 			return c
 		}
 	}
 	// Exploit the lowest mean cost.
-	best := o.Candidates[0]
+	best := onlineCandidates[0]
 	bestMean := o.mean(pairs, inverse, best)
-	for _, c := range o.Candidates[1:] {
+	for _, c := range onlineCandidates[1:] {
 		if m := o.mean(pairs, inverse, c); m < bestMean {
 			best, bestMean = c, m
 		}
@@ -231,24 +210,7 @@ func (o *Online) Pick(pairs int, inverse bool) string {
 func (o *Online) Observe(pairs int, inverse bool, engine string, cost sim.Time) {
 	st := o.stat(pairs, inverse, engine)
 	st.n++
-	if o.Objective == MinEnergy {
-		// Weight the span by the engine's board power: the ledger then
-		// holds energy in arbitrary-but-consistent units.
-		st.cost += sim.Time(float64(cost) * float64(power.ModePower(engine)))
-		return
-	}
 	st.cost += cost
-}
-
-// Decided reports whether the policy has finished exploring the given
-// workload shape.
-func (o *Online) Decided(pairs int, inverse bool) bool {
-	for _, c := range o.Candidates {
-		if o.stat(pairs, inverse, c).n < o.Explore {
-			return false
-		}
-	}
-	return true
 }
 
 func (o *Online) stat(pairs int, inverse bool, engine string) *onlineStat {

@@ -122,7 +122,7 @@ func TestAdaptiveMatchesNEONAtSmallFrames(t *testing.T) {
 func TestOnlineConvergesToThresholdChoices(t *testing.T) {
 	// After exploration the online policy must route wide rows to the
 	// FPGA and narrow rows to NEON, matching the calibrated crossover.
-	o := NewOnline(2)
+	o := NewOnline()
 	a := NewAdaptive(o)
 	rng := rand.New(rand.NewSource(95))
 	fu := pipeline.New(a, pipeline.Config{})
@@ -135,7 +135,7 @@ func TestOnlineConvergesToThresholdChoices(t *testing.T) {
 	}
 	// Analysis row widths present at 88x72/3 levels: 44, 36 (level 1),
 	// 22, 18 (level 2), 11, 9 (level 3).
-	if !o.Decided(44, false) || !o.Decided(11, false) {
+	if !decided(o, 44, false) || !decided(o, 11, false) {
 		t.Fatal("online policy should have finished exploring the common widths")
 	}
 	if got := o.Pick(44, false); got != "fpga" {
@@ -147,41 +147,27 @@ func TestOnlineConvergesToThresholdChoices(t *testing.T) {
 }
 
 func TestOnlineExploresBothCandidatesFirst(t *testing.T) {
-	o := NewOnline(3)
+	o := NewOnline()
 	seen := map[string]int{}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 2*onlineExplore; i++ {
 		e := o.Pick(20, false)
 		seen[e]++
 		o.Observe(20, false, e, sim.Time(1000*(i+1)))
 	}
-	if seen["neon"] != 3 || seen["fpga"] != 3 {
+	if seen["neon"] != onlineExplore || seen["fpga"] != onlineExplore {
 		t.Errorf("exploration unbalanced: %v", seen)
 	}
 }
 
-func TestOnlineEnergyObjectiveWeighsPower(t *testing.T) {
-	// With equal measured times, the energy objective must prefer the
-	// lower-power engine (NEON); the time objective is indifferent but
-	// deterministic.
-	oT := NewOnline(1)
-	oE := NewOnline(1)
-	oE.Objective = MinEnergy
-	for _, o := range []*Online{oT, oE} {
-		o.Observe(20, false, "neon", sim.Time(1000))
-		o.Observe(20, false, "fpga", sim.Time(1000))
+// decided reports whether o has measured every candidate onlineExplore
+// times for rows of the given shape.
+func decided(o *Online, pairs int, inverse bool) bool {
+	for _, c := range onlineCandidates {
+		if o.stat(pairs, inverse, c).n < onlineExplore {
+			return false
+		}
 	}
-	if got := oE.Pick(20, false); got != "neon" {
-		t.Errorf("energy objective picked %s at time parity, want neon", got)
-	}
-	// And when the FPGA is clearly faster, even the energy objective
-	// must pick it (3.6%% power delta < time advantage).
-	oE2 := NewOnline(1)
-	oE2.Objective = MinEnergy
-	oE2.Observe(44, false, "neon", sim.Time(2000))
-	oE2.Observe(44, false, "fpga", sim.Time(1000))
-	if got := oE2.Pick(44, false); got != "fpga" {
-		t.Errorf("energy objective picked %s with 2x faster FPGA, want fpga", got)
-	}
+	return true
 }
 
 func TestAdaptiveEnergySplitsPower(t *testing.T) {

@@ -86,7 +86,9 @@ type Kernel interface {
 }
 
 // AnalyzeRef is the scalar reference analysis filter. It is the ground
-// truth the accelerated kernels are tested against.
+// truth the accelerated kernels are tested against. Here and in
+// SynthesizeRef each product is rounded before its add, so that a compiler
+// that contracts a*b+c (arm64) computes what amd64 does.
 func AnalyzeRef(al, ah *Taps, px []float32, lo, hi []float32) {
 	m := len(lo)
 	if len(hi) != m || len(px) != 2*m+TapCount {
@@ -96,8 +98,8 @@ func AnalyzeRef(al, ah *Taps, px []float32, lo, hi []float32) {
 		var accL, accH float32
 		win := px[2*i : 2*i+TapCount]
 		for j := 0; j < TapCount; j++ {
-			accL += al[j] * win[j]
-			accH += ah[j] * win[j]
+			accL += float32(al[j] * win[j])
+			accH += float32(ah[j] * win[j])
 		}
 		lo[i] = accL
 		hi[i] = accH
@@ -116,8 +118,8 @@ func SynthesizeRef(sl, sh *Taps, plo, phi []float32, out []float32) {
 		for k := 0; k < halfTaps; k++ {
 			l := plo[base-k]
 			h := phi[base-k]
-			even += sl[2*k]*l + sh[2*k]*h
-			odd += sl[2*k+1]*l + sh[2*k+1]*h
+			even += float32(sl[2*k]*l) + float32(sh[2*k]*h)
+			odd += float32(sl[2*k+1]*l) + float32(sh[2*k+1]*h)
 		}
 		out[2*i] = even
 		out[2*i+1] = odd

@@ -7,6 +7,7 @@ import (
 
 	"zynqfusion/internal/bufpool"
 	"zynqfusion/internal/frame"
+	"zynqfusion/internal/kernels"
 )
 
 // The dual tree runs four separable decompositions, one per (row tree,
@@ -96,14 +97,6 @@ func (b *ComplexBand) Energy() float64 {
 	return s / float64(len(b.Re))
 }
 
-// Clone returns a deep copy of the band.
-func (b *ComplexBand) Clone() *ComplexBand {
-	n := &ComplexBand{W: b.W, H: b.H, Re: make([]float32, len(b.Re)), Im: make([]float32, len(b.Im))}
-	copy(n.Re, b.Re)
-	copy(n.Im, b.Im)
-	return n
-}
-
 // DTLevel holds the six oriented complex subbands of one scale.
 type DTLevel struct {
 	Bands [6]*ComplexBand
@@ -157,39 +150,6 @@ func (p *DTPyramid) shaped(w, h, levels int, complex bool) bool {
 		}
 	}
 	return !complex || p.Levels[0].Bands[0] != nil
-}
-
-// CloneStructure deep-copies the pyramid (bands, residuals and the
-// per-tree bookkeeping needed for inversion) into plain storage. Fusion
-// rules write into a clone so the source pyramids stay usable; the pooled
-// hot path avoids the copy entirely with FuseInto over a shaped workspace.
-func (p *DTPyramid) CloneStructure() *DTPyramid {
-	n := &DTPyramid{W: p.W, H: p.H, Levels: make([]DTLevel, len(p.Levels))}
-	for lv := range p.Levels {
-		for bi, b := range p.Levels[lv].Bands {
-			n.Levels[lv].Bands[bi] = b.Clone()
-		}
-	}
-	for c := range p.LLs {
-		n.LLs[c] = p.LLs[c].Clone()
-		n.trees[c] = p.trees[c].clone()
-	}
-	return n
-}
-
-// clone deep-copies a tree decomposition (banks are immutable and shared).
-func (d *Decomp) clone() *Decomp {
-	n := &Decomp{
-		RowBanks: d.RowBanks,
-		ColBanks: d.ColBanks,
-		Levels:   make([]Bands, len(d.Levels)),
-		LL:       d.LL.Clone(),
-		sizes:    append([]wh(nil), d.sizes...),
-	}
-	for i, b := range d.Levels {
-		n.Levels[i] = Bands{HL: b.HL.Clone(), LH: b.LH.Clone(), HH: b.HH.Clone()}
-	}
-	return n
 }
 
 // TreeBanks selects the filter banks of the dual tree.
@@ -395,7 +355,7 @@ func (t *DTCWT) forward(p *DTPyramid, img *frame.Frame, levels int, complex bool
 	x := t.X
 	for lv := 0; lv < levels; lv++ {
 		if complex {
-			combineLevel(x, p.trees, lv, &p.Levels[lv])
+			convertLevel(x, p, lv, false)
 		}
 		n := len(bandOf(p.trees[TreeAA], lv, 0).Pix)
 		for bi := 0; bi < 3; bi++ {
@@ -528,7 +488,7 @@ func (t *DTCWT) inverse(p *DTPyramid, distribute bool) (*frame.Frame, error) {
 	pool := t.poolOr()
 	for lv := range p.Levels {
 		if distribute {
-			distributeLevel(x, p.trees, p.Levels[lv], lv)
+			convertLevel(x, p, lv, true)
 		}
 		n := len(bandOf(p.trees[TreeAA], lv, 0).Pix)
 		for bi := 0; bi < 3; bi++ {
@@ -591,52 +551,35 @@ func comboIndex(rowTree, colTree byte) int {
 	}
 }
 
-// combineLevel applies the q2c map to each detail band of one level,
-// writing into the pre-shaped bands of out:
+// convertLevel applies the q2c map to each detail band pair of level lv,
+// from p's four trees into its pre-shaped complex bands,
 //
 //	z1 = ((p - q) + i(r + s)) / sqrt2
 //	z2 = ((p + q) + i(s - r)) / sqrt2
 //
-// with p = AA, q = BB, r = AB, s = BA. The map is unitary, so
-// |z1|^2 + |z2|^2 = p^2 + q^2 + r^2 + s^2 and it is exactly invertible.
-// Its modeled charges are applied by the caller.
-func combineLevel(x *Xfm, trees [numTrees]*Decomp, lv int, out *DTLevel) {
+// with p = AA, q = BB, r = AB, s = BA; or, with c2q set, its exact inverse,
+// writing the (possibly fused) complex coefficients back into the trees.
+// The map is unitary, so |z1|^2 + |z2|^2 = p^2 + q^2 + r^2 + s^2. Its
+// modeled charges are applied by the caller.
+func convertLevel(x *Xfm, p *DTPyramid, lv int, c2q bool) {
 	for bi := 0; bi < 3; bi++ {
-		p := bandOf(trees[TreeAA], lv, bi)
-		q := bandOf(trees[TreeBB], lv, bi)
-		r := bandOf(trees[TreeAB], lv, bi)
-		s := bandOf(trees[TreeBA], lv, bi)
-		z1 := out.Bands[bi]
-		z2 := out.Bands[5-bi]
-		n := len(p.Pix)
-		x.q2c = q2cTask{p: p.Pix, q: q.Pix, r: r.Pix, s: s.Pix,
-			z1re: z1.Re, z1im: z1.Im, z2re: z2.Re, z2im: z2.Im}
-		x.W.For(n, 32, &x.q2c)
+		z1, z2 := p.Levels[lv].Bands[bi], p.Levels[lv].Bands[5-bi]
+		x.conv = kernels.ConvTask{Q: p.TreeQuad(lv, bi),
+			Z1Re: z1.Re, Z1Im: z1.Im, Z2Re: z2.Re, Z2Im: z2.Im, C2Q: c2q}
+		x.W.For(len(z1.Re), 32, &x.conv)
 	}
 }
 
-// distributeLevel applies c2q, the exact inverse of combineLevel, writing
-// the (possibly fused) complex coefficients back into the four trees. Its
-// modeled charges are applied by the caller.
-func distributeLevel(x *Xfm, trees [numTrees]*Decomp, l DTLevel, lv int) {
-	for bi := 0; bi < 3; bi++ {
-		z1 := l.Bands[bi]
-		z2 := l.Bands[5-bi]
-		p := bandOf(trees[TreeAA], lv, bi)
-		q := bandOf(trees[TreeBB], lv, bi)
-		r := bandOf(trees[TreeAB], lv, bi)
-		s := bandOf(trees[TreeBA], lv, bi)
-		n := len(p.Pix)
-		x.c2q = c2qTask{z1re: z1.Re, z1im: z1.Im, z2re: z2.Re, z2im: z2.Im,
-			p: p.Pix, q: q.Pix, r: r.Pix, s: s.Pix}
-		x.W.For(n, 32, &x.c2q)
-	}
+// TreeQuad gathers detail band bi of level lv of the four trees as a quad
+// in q2c order, P = TreeAA, Q = TreeBB, R = TreeAB and S = TreeBA: the
+// planes FuseQuads reads and writes.
+func (p *DTPyramid) TreeQuad(lv, bi int) kernels.Quad {
+	return kernels.Quad{P: p.TreeBand(TreeAA, lv, bi).Pix, Q: p.TreeBand(TreeBB, lv, bi).Pix,
+		R: p.TreeBand(TreeAB, lv, bi).Pix, S: p.TreeBand(TreeBA, lv, bi).Pix}
 }
 
 // TreeBand exposes detail band bi (0=HL, 1=LH, 2=HH) of tree combination c
-// at level lv — the quad (tree) coefficient planes FuseQuads reads and
-// writes directly. In the q2c convention, band position p is TreeAA, q is
-// TreeBB, r is TreeAB and s is TreeBA.
+// at level lv, one of the quad (tree) coefficient planes TreeQuad gathers.
 func (p *DTPyramid) TreeBand(c, lv, bi int) *frame.Frame {
 	return bandOf(p.trees[c], lv, bi)
 }

@@ -304,39 +304,11 @@ func (x *Xfm) inverseRows(bank *Bank, dst *frame.Frame, chains []kernels.Chain) 
 }
 
 // Pixel-map tasks: the DT-CWT's engine-independent structure loops
-// (tree combination, distribution, reconstruction averaging). Each index
-// is computed independently with the same expressions on every engine,
-// and the charges those loops make sit outside the parallel region, so
-// these tile for every engine — including ones whose filter kernels
-// cannot.
-
-// q2cTask applies the four-real-to-two-complex combination per pixel.
-type q2cTask struct {
-	p, q, r, s             []float32
-	z1re, z1im, z2re, z2im []float32
-}
-
-func (t *q2cTask) Tile(lo, hi, _ int) {
-	p, q, r, s := t.p, t.q, t.r, t.s
-	z1re, z1im, z2re, z2im := t.z1re, t.z1im, t.z2re, t.z2im
-	for i := lo; i < hi; i++ {
-		z1re[i], z1im[i], z2re[i], z2im[i] = kernels.Combine(p[i], q[i], r[i], s[i])
-	}
-}
-
-// c2qTask applies the exact inverse combination per pixel.
-type c2qTask struct {
-	z1re, z1im, z2re, z2im []float32
-	p, q, r, s             []float32
-}
-
-func (t *c2qTask) Tile(lo, hi, _ int) {
-	z1re, z1im, z2re, z2im := t.z1re, t.z1im, t.z2re, t.z2im
-	p, q, r, s := t.p, t.q, t.r, t.s
-	for i := lo; i < hi; i++ {
-		p[i], q[i], r[i], s[i] = kernels.Distribute(z1re[i], z1im[i], z2re[i], z2im[i])
-	}
-}
+// (tree combination and distribution, kernels.ConvTask, and the
+// reconstruction average). Each index is computed independently with the
+// same expressions on every engine, and the charges those loops make sit
+// outside the parallel region, so these tile for every engine — including
+// ones whose filter kernels cannot.
 
 // accTask accumulates src into dst per pixel (kernels.AddScale); with
 // scale set it also applies the four-tree average in the same traversal —

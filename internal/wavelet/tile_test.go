@@ -78,7 +78,7 @@ var tileEngines = []tileEngine{
 		return sched.NewAdaptive(sched.SplitDriven{S: split.NewOracle(dvfs.Nominal())})
 	}},
 	{"adaptive-fixed0.4", func() engine.Engine { return sched.NewAdaptive(sched.SplitDriven{S: split.Fixed{Frac: 0.4}}) }},
-	{"adaptive-online", func() engine.Engine { return sched.NewAdaptive(sched.NewOnline(2)) }},
+	{"adaptive-online", func() engine.Engine { return sched.NewAdaptive(sched.NewOnline()) }},
 	{"adaptive-governed", func() engine.Engine {
 		g := &flipGate{granted: true}
 		inner := sched.SplitDriven{S: split.NewOracle(dvfs.Nominal())}

@@ -62,8 +62,7 @@ type Xfm struct {
 	fwdCols fwdColsTask
 	invCols invColsTask
 	invRows invRowsTask
-	q2c     q2cTask
-	c2q     c2qTask
+	conv    kernels.ConvTask
 	pixAcc  accTask
 }
 

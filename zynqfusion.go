@@ -265,7 +265,7 @@ func buildEngine(opts Options, op dvfs.OperatingPoint) (engine.Engine, error) {
 		// PS clock because the wave engine's PL domain does not scale.
 		return sched.NewAdaptiveAt(sched.ThresholdForClock(op.Clock()), op), nil
 	case EngineAdaptiveOnline:
-		return sched.NewAdaptiveAt(sched.NewOnline(2), op), nil
+		return sched.NewAdaptiveAt(sched.NewOnline(), op), nil
 	default:
 		return nil, fmt.Errorf("zynqfusion: unknown engine %q", opts.Engine)
 	}

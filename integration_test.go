@@ -22,7 +22,7 @@ func TestCorruptedBT656StreamIsDetectedAndSurvived(t *testing.T) {
 	// errors, never panic, and later clean fields must decode intact.
 	scene := camera.NewScene(64, 48, 77)
 	var enc bt656.Encoder
-	up := bt656.Scaler{OutW: 720, OutH: 243, Bilinear: true}
+	up := bt656.Scaler{OutW: 720, OutH: 243}
 	var stream []byte
 	for i := 0; i < 3; i++ {
 		scene.Advance()

@@ -105,7 +105,7 @@ func (b *Burst) Transfer(words int) sim.Time {
 	}
 	b.Words += int64(words)
 	b.Transfers++
-	return b.clk.CyclesF(BurstSetup + BurstBeatsPerWord*float64(words))
+	return b.clk.CyclesF(BurstSetup + float64(BurstBeatsPerWord*float64(words)))
 }
 
 // GPTransfer returns the time for the CPU to move n words through the

@@ -8,6 +8,7 @@ import (
 
 	"zynqfusion/internal/fusion"
 	"zynqfusion/internal/hls"
+	"zynqfusion/internal/pipeline"
 	"zynqfusion/internal/signal"
 	"zynqfusion/internal/wavelet"
 )
@@ -143,7 +144,7 @@ func TestLevelsSweepAdaptiveGainGrowsWithDepth(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fu := pipelineNew(e, levels)
+			fu := pipeline.New(e, pipeline.Config{Levels: levels, IncludeIO: true})
 			var acc float64
 			for i := 0; i < 3; i++ {
 				_, st, err := fu.FuseFrames(vis, ir)

@@ -318,8 +318,8 @@ func shiftSensitivity(img *frame.Frame) (dtcwt, dwt float64, err error) {
 		ba, bb := pa.Levels[1].Bands[bi], pb.Levels[1].Bands[bi]
 		for i := range ba.Re {
 			ma, mb := ba.Mag(i), bb.Mag(i)
-			num += (ma - mb) * (ma - mb)
-			den += ma * ma
+			num += float64((ma - mb) * (ma - mb))
+			den += float64(ma * ma)
 		}
 	}
 	dtcwt = sqrt(num / den)
@@ -343,8 +343,8 @@ func shiftSensitivity(img *frame.Frame) (dtcwt, dwt float64, err error) {
 		fa, fb := sel(da.Levels[1]), sel(db.Levels[1])
 		for i := range fa.Pix {
 			ma, mb := float64(abs32(fa.Pix[i])), float64(abs32(fb.Pix[i]))
-			num += (ma - mb) * (ma - mb)
-			den += ma * ma
+			num += float64((ma - mb) * (ma - mb))
+			den += float64(ma * ma)
 		}
 	}
 	dwt = sqrt(num / den)

@@ -35,12 +35,6 @@ func measureFPGABuffering(double bool) (sim.Time, error) {
 	return measureFPGAVariant(engine.FPGAVariant{DoubleBuffered: double})
 }
 
-// pipelineNew builds a pipeline at a given decomposition depth (test
-// helper shared with the levels sweep).
-func pipelineNew(e engine.Engine, levels int) *pipeline.Fuser {
-	return pipeline.New(e, pipeline.Config{Levels: levels, IncludeIO: true})
-}
-
 func measureFPGAVariant(v engine.FPGAVariant) (sim.Time, error) {
 	e := engine.NewFPGAVariant(v)
 	vis, ir := SourcePair(Size{88, 72})

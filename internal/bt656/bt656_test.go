@@ -216,15 +216,13 @@ func TestInterlacedFieldsSplit(t *testing.T) {
 func TestScalerGeometry(t *testing.T) {
 	rng := rand.New(rand.NewSource(106))
 	src := randLumaFrame(rng, 720, 243)
-	for _, bl := range []bool{false, true} {
-		s := Scaler{OutW: 640, OutH: 480, Bilinear: bl}
-		out, err := s.Scale(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.W != 640 || out.H != 480 {
-			t.Fatalf("scaled to %dx%d", out.W, out.H)
-		}
+	s := Scaler{OutW: 640, OutH: 480}
+	out, err := s.Scale(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.W != 640 || out.H != 480 {
+		t.Fatalf("scaled to %dx%d", out.W, out.H)
 	}
 	if _, err := (&Scaler{}).Scale(src); err == nil {
 		t.Error("zero output size should fail")
@@ -234,18 +232,18 @@ func TestScalerGeometry(t *testing.T) {
 func TestScalerPreservesConstants(t *testing.T) {
 	src := frame.New(720, 243)
 	src.Fill(127)
-	for _, bl := range []bool{false, true} {
-		out, err := (&Scaler{OutW: 640, OutH: 480, Bilinear: bl}).Scale(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lo, hi := out.MinMax()
-		if lo < 126.99 || hi > 127.01 {
-			t.Errorf("bilinear=%v: constant image distorted to [%g,%g]", bl, lo, hi)
-		}
+	out, err := (&Scaler{OutW: 640, OutH: 480}).Scale(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := out.MinMax()
+	if lo < 126.99 || hi > 127.01 {
+		t.Errorf("constant image distorted to [%g,%g]", lo, hi)
 	}
 }
 
+// TestScalerIdentityWhenSameSize: at equal geometry every bilinear weight
+// is 0, so the scaler copies its source bit for bit.
 func TestScalerIdentityWhenSameSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	src := randLumaFrame(rng, 64, 48)
@@ -253,9 +251,8 @@ func TestScalerIdentityWhenSameSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _ := frame.MaxAbsDiff(src, out)
-	if d != 0 {
-		t.Errorf("same-size scale changed pixels (max %g)", d)
+	if err := sameBits(out, src); err != nil {
+		t.Errorf("same-size scale changed pixels: %v", err)
 	}
 }
 

@@ -23,7 +23,7 @@ func writeBytewise(d *Decoder, p []byte) {
 }
 
 // scaleRef resamples src to w x h one output sample at a time.
-func scaleRef(src *frame.Frame, w, h int, bl bool) *frame.Frame {
+func scaleRef(src *frame.Frame, w, h int) *frame.Frame {
 	dst := frame.New(w, h)
 	sx := float64(src.W) / float64(w)
 	sy := float64(src.H) / float64(h)
@@ -31,20 +31,10 @@ func scaleRef(src *frame.Frame, w, h int, bl bool) *frame.Frame {
 		fy := float64((float64(y)+0.5)*sy) - 0.5
 		for x := 0; x < w; x++ {
 			fx := float64((float64(x)+0.5)*sx) - 0.5
-			if bl {
-				dst.Set(x, y, bilinear(src, fx, fy))
-			} else {
-				dst.Set(x, y, nearest(src, fx, fy))
-			}
+			dst.Set(x, y, bilinear(src, fx, fy))
 		}
 	}
 	return dst
-}
-
-func nearest(src *frame.Frame, fx, fy float64) float32 {
-	x := clampInt(int(fx+0.5), 0, src.W-1)
-	y := clampInt(int(fy+0.5), 0, src.H-1)
-	return src.At(x, y)
 }
 
 func bilinear(src *frame.Frame, fx, fy float64) float32 {
@@ -136,10 +126,10 @@ func sameBits(a, b *frame.Frame) error {
 }
 
 // TestScaleIntoMatchesPerSample holds the planned, line-buffered scaler,
-// in place and streamed, to the per-sample bilinear and nearest-neighbour
-// loops bit for bit. One Scaler serves every case in turn, and
-// neighbouring cases differ in one side only, so a plan kept across a
-// change of any source or output side or of mode fails.
+// in place and streamed, to the per-sample bilinear loop bit for bit.
+// One Scaler serves every case in turn, and neighbouring cases differ in
+// one side only, so a plan kept across a change of any source or output
+// side fails.
 func TestScaleIntoMatchesPerSample(t *testing.T) {
 	type geom struct{ sw, sh, dw, dh int }
 	cases := []geom{
@@ -151,46 +141,44 @@ func TestScaleIntoMatchesPerSample(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(211))
 	var s Scaler
-	for _, bl := range []bool{true, false} {
-		for i, g := range cases {
-			src := oddFrame(rng, g.sw, g.sh, i%3 == 2)
-			s.OutW, s.OutH, s.Bilinear = g.dw, g.dh, bl
-			got := frame.New(g.dw, g.dh)
-			got.Fill(-1)
-			if err := s.ScaleInto(got, src); err != nil {
-				t.Fatal(err)
+	for i, g := range cases {
+		src := oddFrame(rng, g.sw, g.sh, i%3 == 2)
+		s.OutW, s.OutH = g.dw, g.dh
+		got := frame.New(g.dw, g.dh)
+		got.Fill(-1)
+		if err := s.ScaleInto(got, src); err != nil {
+			t.Fatal(err)
+		}
+		if err := sameBits(got, scaleRef(src, g.dw, g.dh)); err != nil {
+			t.Fatalf("%dx%d -> %dx%d: %v", g.sw, g.sh, g.dw, g.dh, err)
+		}
+		// A second frame through the warm plan, and a third streamed:
+		// the line buffer must not carry rows across calls.
+		src = oddFrame(rng, g.sw, g.sh, false)
+		if err := s.ScaleInto(got, src); err != nil {
+			t.Fatal(err)
+		}
+		if err := sameBits(got, scaleRef(src, g.dw, g.dh)); err != nil {
+			t.Fatalf("%dx%d -> %dx%d, second frame: %v", g.sw, g.sh, g.dw, g.dh, err)
+		}
+		src = oddFrame(rng, g.sw, g.sh, false)
+		got.Fill(-1)
+		y := 0
+		err := s.ScaleLines(src, func(row []float32) error {
+			if y < got.H {
+				copy(got.Row(y), row)
 			}
-			if err := sameBits(got, scaleRef(src, g.dw, g.dh, bl)); err != nil {
-				t.Fatalf("%dx%d -> %dx%d bilinear=%v: %v", g.sw, g.sh, g.dw, g.dh, bl, err)
-			}
-			// A second frame through the warm plan, and a third streamed:
-			// the line buffer must not carry rows across calls.
-			src = oddFrame(rng, g.sw, g.sh, false)
-			if err := s.ScaleInto(got, src); err != nil {
-				t.Fatal(err)
-			}
-			if err := sameBits(got, scaleRef(src, g.dw, g.dh, bl)); err != nil {
-				t.Fatalf("%dx%d -> %dx%d bilinear=%v, second frame: %v", g.sw, g.sh, g.dw, g.dh, bl, err)
-			}
-			src = oddFrame(rng, g.sw, g.sh, false)
-			got.Fill(-1)
-			y := 0
-			err := s.ScaleLines(src, func(row []float32) error {
-				if y < got.H {
-					copy(got.Row(y), row)
-				}
-				y++
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if y != g.dh {
-				t.Fatalf("%dx%d -> %dx%d: ScaleLines emitted %d rows", g.sw, g.sh, g.dw, g.dh, y)
-			}
-			if err := sameBits(got, scaleRef(src, g.dw, g.dh, bl)); err != nil {
-				t.Fatalf("%dx%d -> %dx%d bilinear=%v, third frame by lines: %v", g.sw, g.sh, g.dw, g.dh, bl, err)
-			}
+			y++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if y != g.dh {
+			t.Fatalf("%dx%d -> %dx%d: ScaleLines emitted %d rows", g.sw, g.sh, g.dw, g.dh, y)
+		}
+		if err := sameBits(got, scaleRef(src, g.dw, g.dh)); err != nil {
+			t.Fatalf("%dx%d -> %dx%d, third frame by lines: %v", g.sw, g.sh, g.dw, g.dh, err)
 		}
 	}
 }
@@ -198,7 +186,7 @@ func TestScaleIntoMatchesPerSample(t *testing.T) {
 // TestScaleLinesStopsAtEmitError checks that ScaleLines hands on emit's
 // first error and emits no row after it, and validates like ScaleInto.
 func TestScaleLinesStopsAtEmitError(t *testing.T) {
-	s := Scaler{OutW: 9, OutH: 7, Bilinear: true}
+	s := Scaler{OutW: 9, OutH: 7}
 	src := frame.New(4, 3)
 	stop := errors.New("sink full")
 	rows := 0

@@ -8,7 +8,7 @@ import (
 
 // Scaler is the Video_Scale block of Fig. 7, converting the camera's
 // native field geometry (720x243 per field for the thermal head) to the
-// display/processing geometry (640x480, 60 Hz).
+// display/processing geometry (640x480, 60 Hz) by bilinear interpolation.
 //
 // Like the hardware block it works from a line buffer: it keeps a plan of
 // every output column's and row's taps for the last (source, output)
@@ -22,21 +22,16 @@ import (
 // concurrent use.
 type Scaler struct {
 	OutW, OutH int
-	// Bilinear selects bilinear interpolation; false gives the cheaper
-	// nearest-neighbor hardware.
-	Bilinear bool
 
 	plan *scalePlan
 }
 
-// scalePlan is a Scaler's tap tables for one geometry. For bilinear
-// scaling output column x reads source columns x0[x] and x1[x] with the
-// right tap weighted ax[x], and output row y blends the interpolated
-// source rows y0[y] and y1[y] with the lower weighted ay[y]. Nearest
-// neighbor reads x0 and y0 only.
+// scalePlan is a Scaler's bilinear tap tables for one geometry. Output
+// column x reads source columns x0[x] and x1[x] with the right tap
+// weighted ax[x], and output row y blends the interpolated source rows
+// y0[y] and y1[y] with the lower weighted ay[y].
 type scalePlan struct {
 	srcW, srcH, outW, outH int
-	bilinear               bool
 
 	x0, x1, y0, y1 []int
 	ax, ay         []float32
@@ -113,13 +108,6 @@ func (s *Scaler) check(src *frame.Frame) error {
 
 // rowInto computes output row y of src into out.
 func (p *scalePlan) rowInto(out []float32, src *frame.Frame, y int) {
-	if !p.bilinear {
-		in := src.Row(p.y0[y])
-		for x, sx := range p.x0 {
-			out[x] = in[sx]
-		}
-		return
-	}
 	ay := p.ay[y]
 	blend(out, p.lerpRow(src, p.y0[y]), p.lerpRow(src, p.y1[y]), 1-ay, ay)
 }
@@ -141,41 +129,30 @@ func (p *scalePlan) lerpRow(src *frame.Frame, r int) []float32 {
 }
 
 // planFor returns the plan for a srcW x srcH source at the configured
-// output geometry, rebuilding it when any of the four sides or the
-// interpolation mode changed since the last call.
+// output geometry, rebuilding it when any of the four sides changed
+// since the last call.
 func (s *Scaler) planFor(srcW, srcH int) *scalePlan {
 	if p := s.plan; p != nil && p.srcW == srcW && p.srcH == srcH &&
-		p.outW == s.OutW && p.outH == s.OutH && p.bilinear == s.Bilinear {
+		p.outW == s.OutW && p.outH == s.OutH {
 		return p
 	}
-	p := &scalePlan{srcW: srcW, srcH: srcH, outW: s.OutW, outH: s.OutH, bilinear: s.Bilinear}
-	p.x0, p.x1, p.ax = taps(srcW, s.OutW, s.Bilinear)
-	p.y0, p.y1, p.ay = taps(srcH, s.OutH, s.Bilinear)
-	if s.Bilinear {
-		p.line = [2][]float32{make([]float32, s.OutW), make([]float32, s.OutW)}
-	}
+	p := &scalePlan{srcW: srcW, srcH: srcH, outW: s.OutW, outH: s.OutH}
+	p.x0, p.x1, p.ax = taps(srcW, s.OutW)
+	p.y0, p.y1, p.ay = taps(srcH, s.OutH)
+	p.line = [2][]float32{make([]float32, s.OutW), make([]float32, s.OutW)}
 	p.out = make([]float32, s.OutW)
 	s.plan = p
 	return p
 }
 
 // taps maps n output positions onto a source axis of length src, with
-// the sample-centre alignment (i+0.5)*src/n - 0.5. Bilinear taps are the
-// two neighbours around that position and the far one's weight; a
-// nearest-neighbour tap is the rounded position alone.
-func taps(src, n int, bilinear bool) (i0, i1 []int, a []float32) {
+// the sample-centre alignment (i+0.5)*src/n - 0.5: the two neighbours
+// around that position and the far one's weight.
+func taps(src, n int) (i0, i1 []int, a []float32) {
 	scale := float64(src) / float64(n)
-	i0 = make([]int, n)
-	if bilinear {
-		i1 = make([]int, n)
-		a = make([]float32, n)
-	}
+	i0, i1, a = make([]int, n), make([]int, n), make([]float32, n)
 	for i := range i0 {
 		f := float64((float64(i)+0.5)*scale) - 0.5
-		if !bilinear {
-			i0[i] = clampInt(int(f+0.5), 0, src-1)
-			continue
-		}
 		i0[i] = clampInt(int(f), 0, src-1)
 		i1[i] = clampInt(i0[i]+1, 0, src-1)
 		a[i] = float32(f - float64(i0[i]))

@@ -115,8 +115,8 @@ func NewThermal(s *Scene, targetW, targetH int) (*Thermal, error) {
 	// 243 active lines per field).
 	t.native.w, t.native.h = 720, 243
 	t.dec = bt656.NewDecoder(t.native.w)
-	t.up = bt656.Scaler{OutW: t.native.w, OutH: t.native.h, Bilinear: true}
-	t.scaler = bt656.Scaler{OutW: targetW, OutH: targetH, Bilinear: true}
+	t.up = bt656.Scaler{OutW: t.native.w, OutH: t.native.h}
+	t.scaler = bt656.Scaler{OutW: targetW, OutH: targetH}
 	return t, nil
 }
 

@@ -139,7 +139,7 @@ func ScalePS(anchor sim.Watts, op OperatingPoint) sim.Watts {
 // operating point. The PS-attributable share of the ARM/NEON powers
 // scales with the point; the FPGA mode adds the fixed PL wave-engine
 // delta (its 100 MHz clock domain is not governed by the PS point).
-// Unknown modes report the quiescent board power, like power.ModePower.
+// Unknown modes report the quiescent board power, power.Idle.
 func ModePower(mode string, op OperatingPoint) sim.Watts {
 	switch strings.ToLower(mode) {
 	case "arm":

@@ -32,21 +32,3 @@ type Engine interface {
 	// Power is the board power while this engine is computing.
 	Power() sim.Watts
 }
-
-// Report summarizes one accounted activity span.
-type Report struct {
-	Engine string
-	Time   sim.Time
-	Energy sim.Joules
-}
-
-// Measure drains the engine's elapsed time into a report, applying the
-// engine's power level.
-func Measure(e Engine) Report {
-	t := e.Reset()
-	return Report{
-		Engine: e.Name(),
-		Time:   t,
-		Energy: sim.EnergyOver(e.Power(), t),
-	}
-}

@@ -7,6 +7,7 @@ import (
 
 	"zynqfusion/internal/frame"
 	"zynqfusion/internal/signal"
+	"zynqfusion/internal/sim"
 	"zynqfusion/internal/wavelet"
 )
 
@@ -147,15 +148,12 @@ func TestFPGAReloadsCoefficientsOnBankSwitch(t *testing.T) {
 func TestMeasureAppliesModePower(t *testing.T) {
 	arm := NewARM()
 	arm.ChargeCPUCycles(533e6) // exactly one second at 533 MHz
-	r := Measure(arm)
-	if r.Engine != "arm" {
-		t.Errorf("engine name %q", r.Engine)
+	d := arm.Reset()
+	if math.Abs(d.Seconds()-1) > 1e-6 {
+		t.Errorf("time %v, want 1s", d)
 	}
-	if math.Abs(r.Time.Seconds()-1) > 1e-6 {
-		t.Errorf("time %v, want 1s", r.Time)
-	}
-	if math.Abs(r.Energy.Millijoules()-533.3) > 0.5 {
-		t.Errorf("energy %v, want ~533.3 mJ", r.Energy)
+	if e := sim.EnergyOver(arm.Power(), d); math.Abs(e.Millijoules()-533.3) > 0.5 {
+		t.Errorf("energy %v, want ~533.3 mJ", e)
 	}
 }
 

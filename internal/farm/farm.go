@@ -408,7 +408,7 @@ func (f *Farm) sloRollup(teles []StreamTelemetry) *SLOTelemetry {
 		if w < 1 {
 			w = 1 // a stream that has not fused yet still counts
 		}
-		weighted += t.SLO.Health * float64(w)
+		weighted += float64(t.SLO.Health * float64(w))
 		weight += w
 		for _, si := range t.SLO.SLIs {
 			for _, al := range si.Alerts {

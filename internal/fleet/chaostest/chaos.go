@@ -224,7 +224,7 @@ func Run(o Options) (*Result, error) {
 		case pick < 62: // power-budget flap
 			w := sim.Watts(0)
 			if rng.Intn(5) != 0 { // 1 in 5 flaps lifts the cap entirely
-				w = sim.Watts(0.5 + 4*rng.Float64())
+				w = sim.Watts(0.5 + float64(4*rng.Float64()))
 			}
 			c.SetPowerBudget(w)
 			record(step, "flap", "", "", strconv.FormatFloat(float64(w), 'g', -1, 64))

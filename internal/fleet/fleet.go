@@ -457,7 +457,9 @@ func (c *Fleet) arbitrateLocked() {
 		b := c.boards[id]
 		w := even
 		if total > 0 {
-			w = even/2 + (c.cfg.PowerBudget/2)*(demand[id]/total)
+			// Both terms round before the add, as on amd64: x/2
+			// compiles to x*0.5, which arm64 would fuse too.
+			w = sim.Watts(float64(even/2)) + sim.Watts(float64((c.cfg.PowerBudget/2)*(demand[id]/total)))
 		}
 		b.budget = w
 		b.farm.SetPowerBudget(w)

@@ -321,7 +321,7 @@ func (f *Frame) Variance() float64 {
 	var s float64
 	for _, v := range f.Pix {
 		d := float64(v) - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(f.Pix))
 }
@@ -343,18 +343,6 @@ func (f *Frame) Normalize() {
 // ErrSizeMismatch reports frames of differing dimensions where identical
 // ones are required.
 var ErrSizeMismatch = errors.New("frame: size mismatch")
-
-// Diff returns g - f as a new frame.
-func Diff(f, g *Frame) (*Frame, error) {
-	if !f.SameSize(g) {
-		return nil, ErrSizeMismatch
-	}
-	d := New(f.W, f.H)
-	for i := range d.Pix {
-		d.Pix[i] = g.Pix[i] - f.Pix[i]
-	}
-	return d, nil
-}
 
 // MaxAbsDiff returns the largest absolute per-pixel difference.
 func MaxAbsDiff(f, g *Frame) (float64, error) {
@@ -382,7 +370,7 @@ func MSE(f, g *Frame) (float64, error) {
 	var s float64
 	for i := range f.Pix {
 		d := float64(f.Pix[i]) - float64(g.Pix[i])
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(f.Pix)), nil
 }
@@ -400,23 +388,10 @@ func PSNR(f, g *Frame) (float64, error) {
 	return 10 * math.Log10(255*255/mse), nil
 }
 
-// GrayFromRGB converts interleaved 8-bit RGB data to a luma frame using the
-// BT.601 weights, mirroring the paper's grey-scaling of the webcam video
-// before fusion.
-func GrayFromRGB(w, h int, rgb []byte) (*Frame, error) {
-	if w < 0 || h < 0 || len(rgb) != w*h*3 {
-		return nil, fmt.Errorf("frame.GrayFromRGB: have %d bytes, want %d", len(rgb), w*h*3)
-	}
-	f := New(w, h)
-	if err := GrayFromRGBInto(f, rgb); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// GrayFromRGBInto converts interleaved 8-bit RGB data into dst, the
-// reusable-frame (pooled capture buffer) form of GrayFromRGB. Every sample
-// of dst is written.
+// GrayFromRGBInto converts interleaved 8-bit RGB data into dst, a
+// reusable frame (pooled capture buffer), using the BT.601 weights,
+// mirroring the paper's grey-scaling of the webcam video before fusion.
+// Every sample of dst is written.
 func GrayFromRGBInto(dst *Frame, rgb []byte) error {
 	if len(rgb) != dst.W*dst.H*3 {
 		return fmt.Errorf("frame.GrayFromRGBInto: have %d bytes, want %d", len(rgb), dst.W*dst.H*3)
@@ -425,7 +400,7 @@ func GrayFromRGBInto(dst *Frame, rgb []byte) error {
 		r := float64(rgb[3*i])
 		g := float64(rgb[3*i+1])
 		b := float64(rgb[3*i+2])
-		dst.Pix[i] = float32(0.299*r + 0.587*g + 0.114*b)
+		dst.Pix[i] = float32(float64(0.299*r) + float64(0.587*g) + float64(0.114*b))
 	}
 	return nil
 }

@@ -118,12 +118,8 @@ func TestDiffMSEPSNR(t *testing.T) {
 	b := New(2, 2)
 	copy(a.Pix, []float32{10, 20, 30, 40})
 	copy(b.Pix, []float32{12, 20, 30, 40})
-	d, err := Diff(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.At(0, 0) != 2 {
-		t.Errorf("diff %g", d.At(0, 0))
+	if d, _ := MaxAbsDiff(a, b); d != 2 {
+		t.Errorf("max abs diff %g", d)
 	}
 	mse, _ := MSE(a, b)
 	if mse != 1 {
@@ -145,8 +141,8 @@ func TestDiffMSEPSNR(t *testing.T) {
 func TestGrayFromRGBWeights(t *testing.T) {
 	// Pure red, green, blue pixels with BT.601 weights.
 	rgb := []byte{255, 0, 0, 0, 255, 0, 0, 0, 255}
-	f, err := GrayFromRGB(3, 1, rgb)
-	if err != nil {
+	f := New(3, 1)
+	if err := GrayFromRGBInto(f, rgb); err != nil {
 		t.Fatal(err)
 	}
 	for i, want := range []float64{0.299 * 255, 0.587 * 255, 0.114 * 255} {
@@ -154,7 +150,7 @@ func TestGrayFromRGBWeights(t *testing.T) {
 			t.Errorf("channel %d: %g want %g", i, f.Pix[i], want)
 		}
 	}
-	if _, err := GrayFromRGB(2, 2, rgb); err == nil {
+	if err := GrayFromRGBInto(New(2, 2), rgb); err == nil {
 		t.Error("short RGB buffer should fail")
 	}
 }

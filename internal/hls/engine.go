@@ -119,9 +119,6 @@ func (e *WaveEngine) LoadCoeffs(al, ah, sl, sh *signal.Taps) sim.Time {
 	return t
 }
 
-// CoeffsLoaded reports whether filters are resident.
-func (e *WaveEngine) CoeffsLoaded() bool { return e.coeffLoaded }
-
 // UseAnalysis makes al and ah the resident analysis filters. Only when
 // they are not resident already — when any tap's IEEE-754 word differs
 // from the register file's — does it reload the register file (keeping

@@ -196,7 +196,7 @@ func TestLoadCoeffsAccounting(t *testing.T) {
 	if tm != want {
 		t.Errorf("coefficient load time %v, want %v", tm, want)
 	}
-	if !e.CoeffsLoaded() {
+	if e.UseAnalysis(&b.AL, &b.AH) != 0 || e.UseSynthesis(&b.SL, &b.SH) != 0 {
 		t.Error("coefficients should be resident")
 	}
 }

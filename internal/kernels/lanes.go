@@ -31,9 +31,13 @@ import "zynqfusion/internal/signal"
 // (AnalyzeRow, SynthesizeRow) runs them in the row layout. The rows are
 // pinned against the oracles in kernels_test.go, and the column layout
 // against the rows by TestLaneKernelsMatchColumns and FuzzLaneKernels,
-// for every Chain. The Go lane loops keep the oracles' statement shape
-// so that arm64's FMA contraction treats both alike, and put every slice
-// length in the loop condition so the check_bce lint stays clean.
+// for every Chain. The Go lane loops keep the oracles' statement shape,
+// and round every product by an explicit float32 conversion, as the
+// oracles do: Go may otherwise fuse x*y + z into one rounding, across
+// statements too (a mul-first seed into the next add), and arm64 does,
+// so without the conversions an arm64 host would compute different bits
+// from amd64 and from the packed chains. They put every slice length in
+// the loop condition so the check_bce lint stays clean.
 //
 // On amd64 two chains run packed (lanes_amd64.s): the mul-first chain
 // (the NEON auto analysis body, the NEON synthesis body and the wave
@@ -97,30 +101,30 @@ func NeonAnalyzeManualLanes(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float
 		i < len(r0) && i < len(r1) && i < len(r2) && i < len(r3) &&
 		i < len(r4) && i < len(r5) && i < len(r6) && i < len(r7) &&
 		i < len(r8) && i < len(r9) && i < len(r10) && i < len(r11); i++ {
-		l0 := al[0] * r0[i]
-		l1 := al[1] * r1[i]
-		l2 := al[2] * r2[i]
-		l3 := al[3] * r3[i]
-		l0 = l0 + al[4]*r4[i]
-		l1 = l1 + al[5]*r5[i]
-		l2 = l2 + al[6]*r6[i]
-		l3 = l3 + al[7]*r7[i]
-		l0 = l0 + al[8]*r8[i]
-		l1 = l1 + al[9]*r9[i]
-		l2 = l2 + al[10]*r10[i]
-		l3 = l3 + al[11]*r11[i]
-		h0 := ah[0] * r0[i]
-		h1 := ah[1] * r1[i]
-		h2 := ah[2] * r2[i]
-		h3 := ah[3] * r3[i]
-		h0 = h0 + ah[4]*r4[i]
-		h1 = h1 + ah[5]*r5[i]
-		h2 = h2 + ah[6]*r6[i]
-		h3 = h3 + ah[7]*r7[i]
-		h0 = h0 + ah[8]*r8[i]
-		h1 = h1 + ah[9]*r9[i]
-		h2 = h2 + ah[10]*r10[i]
-		h3 = h3 + ah[11]*r11[i]
+		l0 := float32(al[0] * r0[i])
+		l1 := float32(al[1] * r1[i])
+		l2 := float32(al[2] * r2[i])
+		l3 := float32(al[3] * r3[i])
+		l0 = l0 + float32(al[4]*r4[i])
+		l1 = l1 + float32(al[5]*r5[i])
+		l2 = l2 + float32(al[6]*r6[i])
+		l3 = l3 + float32(al[7]*r7[i])
+		l0 = l0 + float32(al[8]*r8[i])
+		l1 = l1 + float32(al[9]*r9[i])
+		l2 = l2 + float32(al[10]*r10[i])
+		l3 = l3 + float32(al[11]*r11[i])
+		h0 := float32(ah[0] * r0[i])
+		h1 := float32(ah[1] * r1[i])
+		h2 := float32(ah[2] * r2[i])
+		h3 := float32(ah[3] * r3[i])
+		h0 = h0 + float32(ah[4]*r4[i])
+		h1 = h1 + float32(ah[5]*r5[i])
+		h2 = h2 + float32(ah[6]*r6[i])
+		h3 = h3 + float32(ah[7]*r7[i])
+		h0 = h0 + float32(ah[8]*r8[i])
+		h1 = h1 + float32(ah[9]*r9[i])
+		h2 = h2 + float32(ah[10]*r10[i])
+		h3 = h3 + float32(ah[11]*r11[i])
 		lo[i] = (l0 + l2) + (l1 + l3)
 		hi[i] = (h0 + h2) + (h1 + h3)
 	}
@@ -142,30 +146,30 @@ func analyzeLanesMulFirst(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32
 		i < len(r0) && i < len(r1) && i < len(r2) && i < len(r3) &&
 		i < len(r4) && i < len(r5) && i < len(r6) && i < len(r7) &&
 		i < len(r8) && i < len(r9) && i < len(r10) && i < len(r11); i++ {
-		accL := al[0] * r0[i]
-		accH := ah[0] * r0[i]
-		accL = accL + al[1]*r1[i]
-		accH = accH + ah[1]*r1[i]
-		accL = accL + al[2]*r2[i]
-		accH = accH + ah[2]*r2[i]
-		accL = accL + al[3]*r3[i]
-		accH = accH + ah[3]*r3[i]
-		accL = accL + al[4]*r4[i]
-		accH = accH + ah[4]*r4[i]
-		accL = accL + al[5]*r5[i]
-		accH = accH + ah[5]*r5[i]
-		accL = accL + al[6]*r6[i]
-		accH = accH + ah[6]*r6[i]
-		accL = accL + al[7]*r7[i]
-		accH = accH + ah[7]*r7[i]
-		accL = accL + al[8]*r8[i]
-		accH = accH + ah[8]*r8[i]
-		accL = accL + al[9]*r9[i]
-		accH = accH + ah[9]*r9[i]
-		accL = accL + al[10]*r10[i]
-		accH = accH + ah[10]*r10[i]
-		accL = accL + al[11]*r11[i]
-		accH = accH + ah[11]*r11[i]
+		accL := float32(al[0] * r0[i])
+		accH := float32(ah[0] * r0[i])
+		accL = accL + float32(al[1]*r1[i])
+		accH = accH + float32(ah[1]*r1[i])
+		accL = accL + float32(al[2]*r2[i])
+		accH = accH + float32(ah[2]*r2[i])
+		accL = accL + float32(al[3]*r3[i])
+		accH = accH + float32(ah[3]*r3[i])
+		accL = accL + float32(al[4]*r4[i])
+		accH = accH + float32(ah[4]*r4[i])
+		accL = accL + float32(al[5]*r5[i])
+		accH = accH + float32(ah[5]*r5[i])
+		accL = accL + float32(al[6]*r6[i])
+		accH = accH + float32(ah[6]*r6[i])
+		accL = accL + float32(al[7]*r7[i])
+		accH = accH + float32(ah[7]*r7[i])
+		accL = accL + float32(al[8]*r8[i])
+		accH = accH + float32(ah[8]*r8[i])
+		accL = accL + float32(al[9]*r9[i])
+		accH = accH + float32(ah[9]*r9[i])
+		accL = accL + float32(al[10]*r10[i])
+		accH = accH + float32(ah[10]*r10[i])
+		accL = accL + float32(al[11]*r11[i])
+		accH = accH + float32(ah[11]*r11[i])
 		lo[i] = accL
 		hi[i] = accH
 	}
@@ -181,30 +185,30 @@ func analyzeLanesZero(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32) {
 		i < len(r4) && i < len(r5) && i < len(r6) && i < len(r7) &&
 		i < len(r8) && i < len(r9) && i < len(r10) && i < len(r11); i++ {
 		var accL, accH float32
-		accL = accL + al[0]*r0[i]
-		accH = accH + ah[0]*r0[i]
-		accL = accL + al[1]*r1[i]
-		accH = accH + ah[1]*r1[i]
-		accL = accL + al[2]*r2[i]
-		accH = accH + ah[2]*r2[i]
-		accL = accL + al[3]*r3[i]
-		accH = accH + ah[3]*r3[i]
-		accL = accL + al[4]*r4[i]
-		accH = accH + ah[4]*r4[i]
-		accL = accL + al[5]*r5[i]
-		accH = accH + ah[5]*r5[i]
-		accL = accL + al[6]*r6[i]
-		accH = accH + ah[6]*r6[i]
-		accL = accL + al[7]*r7[i]
-		accH = accH + ah[7]*r7[i]
-		accL = accL + al[8]*r8[i]
-		accH = accH + ah[8]*r8[i]
-		accL = accL + al[9]*r9[i]
-		accH = accH + ah[9]*r9[i]
-		accL = accL + al[10]*r10[i]
-		accH = accH + ah[10]*r10[i]
-		accL = accL + al[11]*r11[i]
-		accH = accH + ah[11]*r11[i]
+		accL = accL + float32(al[0]*r0[i])
+		accH = accH + float32(ah[0]*r0[i])
+		accL = accL + float32(al[1]*r1[i])
+		accH = accH + float32(ah[1]*r1[i])
+		accL = accL + float32(al[2]*r2[i])
+		accH = accH + float32(ah[2]*r2[i])
+		accL = accL + float32(al[3]*r3[i])
+		accH = accH + float32(ah[3]*r3[i])
+		accL = accL + float32(al[4]*r4[i])
+		accH = accH + float32(ah[4]*r4[i])
+		accL = accL + float32(al[5]*r5[i])
+		accH = accH + float32(ah[5]*r5[i])
+		accL = accL + float32(al[6]*r6[i])
+		accH = accH + float32(ah[6]*r6[i])
+		accL = accL + float32(al[7]*r7[i])
+		accH = accH + float32(ah[7]*r7[i])
+		accL = accL + float32(al[8]*r8[i])
+		accH = accH + float32(ah[8]*r8[i])
+		accL = accL + float32(al[9]*r9[i])
+		accH = accH + float32(ah[9]*r9[i])
+		accL = accL + float32(al[10]*r10[i])
+		accH = accH + float32(ah[10]*r10[i])
+		accL = accL + float32(al[11]*r11[i])
+		accH = accH + float32(ah[11]*r11[i])
 		lo[i] = accL
 		hi[i] = accH
 	}
@@ -264,18 +268,18 @@ func synthesizeLanesRef(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []
 		i < len(l0) && i < len(l1) && i < len(l2) && i < len(l3) && i < len(l4) && i < len(l5) &&
 		i < len(h0) && i < len(h1) && i < len(h2) && i < len(h3) && i < len(h4) && i < len(h5); i++ {
 		var e, o float32
-		e += sl[0]*l5[i] + sh[0]*h5[i]
-		o += sl[1]*l5[i] + sh[1]*h5[i]
-		e += sl[2]*l4[i] + sh[2]*h4[i]
-		o += sl[3]*l4[i] + sh[3]*h4[i]
-		e += sl[4]*l3[i] + sh[4]*h3[i]
-		o += sl[5]*l3[i] + sh[5]*h3[i]
-		e += sl[6]*l2[i] + sh[6]*h2[i]
-		o += sl[7]*l2[i] + sh[7]*h2[i]
-		e += sl[8]*l1[i] + sh[8]*h1[i]
-		o += sl[9]*l1[i] + sh[9]*h1[i]
-		e += sl[10]*l0[i] + sh[10]*h0[i]
-		o += sl[11]*l0[i] + sh[11]*h0[i]
+		e += float32(sl[0]*l5[i]) + float32(sh[0]*h5[i])
+		o += float32(sl[1]*l5[i]) + float32(sh[1]*h5[i])
+		e += float32(sl[2]*l4[i]) + float32(sh[2]*h4[i])
+		o += float32(sl[3]*l4[i]) + float32(sh[3]*h4[i])
+		e += float32(sl[4]*l3[i]) + float32(sh[4]*h3[i])
+		o += float32(sl[5]*l3[i]) + float32(sh[5]*h3[i])
+		e += float32(sl[6]*l2[i]) + float32(sh[6]*h2[i])
+		o += float32(sl[7]*l2[i]) + float32(sh[7]*h2[i])
+		e += float32(sl[8]*l1[i]) + float32(sh[8]*h1[i])
+		o += float32(sl[9]*l1[i]) + float32(sh[9]*h1[i])
+		e += float32(sl[10]*l0[i]) + float32(sh[10]*h0[i])
+		o += float32(sl[11]*l0[i]) + float32(sh[11]*h0[i])
 		even[i] = e
 		odd[i] = o
 	}
@@ -290,30 +294,30 @@ func synthesizeLanesMulFirst(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, o
 	for i := max(from, 0); i < len(even) && i < len(odd) &&
 		i < len(l0) && i < len(l1) && i < len(l2) && i < len(l3) && i < len(l4) && i < len(l5) &&
 		i < len(h0) && i < len(h1) && i < len(h2) && i < len(h3) && i < len(h4) && i < len(h5); i++ {
-		e := sl[0] * l5[i]
-		o := sl[1] * l5[i]
-		e = e + sh[0]*h5[i]
-		o = o + sh[1]*h5[i]
-		e = e + sl[2]*l4[i]
-		o = o + sl[3]*l4[i]
-		e = e + sh[2]*h4[i]
-		o = o + sh[3]*h4[i]
-		e = e + sl[4]*l3[i]
-		o = o + sl[5]*l3[i]
-		e = e + sh[4]*h3[i]
-		o = o + sh[5]*h3[i]
-		e = e + sl[6]*l2[i]
-		o = o + sl[7]*l2[i]
-		e = e + sh[6]*h2[i]
-		o = o + sh[7]*h2[i]
-		e = e + sl[8]*l1[i]
-		o = o + sl[9]*l1[i]
-		e = e + sh[8]*h1[i]
-		o = o + sh[9]*h1[i]
-		e = e + sl[10]*l0[i]
-		o = o + sl[11]*l0[i]
-		e = e + sh[10]*h0[i]
-		o = o + sh[11]*h0[i]
+		e := float32(sl[0] * l5[i])
+		o := float32(sl[1] * l5[i])
+		e = e + float32(sh[0]*h5[i])
+		o = o + float32(sh[1]*h5[i])
+		e = e + float32(sl[2]*l4[i])
+		o = o + float32(sl[3]*l4[i])
+		e = e + float32(sh[2]*h4[i])
+		o = o + float32(sh[3]*h4[i])
+		e = e + float32(sl[4]*l3[i])
+		o = o + float32(sl[5]*l3[i])
+		e = e + float32(sh[4]*h3[i])
+		o = o + float32(sh[5]*h3[i])
+		e = e + float32(sl[6]*l2[i])
+		o = o + float32(sl[7]*l2[i])
+		e = e + float32(sh[6]*h2[i])
+		o = o + float32(sh[7]*h2[i])
+		e = e + float32(sl[8]*l1[i])
+		o = o + float32(sl[9]*l1[i])
+		e = e + float32(sh[8]*h1[i])
+		o = o + float32(sh[9]*h1[i])
+		e = e + float32(sl[10]*l0[i])
+		o = o + float32(sl[11]*l0[i])
+		e = e + float32(sh[10]*h0[i])
+		o = o + float32(sh[11]*h0[i])
 		even[i] = e
 		odd[i] = o
 	}
@@ -330,30 +334,30 @@ func synthesizeLanesZero(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd [
 		i < len(l0) && i < len(l1) && i < len(l2) && i < len(l3) && i < len(l4) && i < len(l5) &&
 		i < len(h0) && i < len(h1) && i < len(h2) && i < len(h3) && i < len(h4) && i < len(h5); i++ {
 		var e, o float32
-		e = e + sl[0]*l5[i]
-		e = e + sh[0]*h5[i]
-		o = o + sl[1]*l5[i]
-		o = o + sh[1]*h5[i]
-		e = e + sl[2]*l4[i]
-		e = e + sh[2]*h4[i]
-		o = o + sl[3]*l4[i]
-		o = o + sh[3]*h4[i]
-		e = e + sl[4]*l3[i]
-		e = e + sh[4]*h3[i]
-		o = o + sl[5]*l3[i]
-		o = o + sh[5]*h3[i]
-		e = e + sl[6]*l2[i]
-		e = e + sh[6]*h2[i]
-		o = o + sl[7]*l2[i]
-		o = o + sh[7]*h2[i]
-		e = e + sl[8]*l1[i]
-		e = e + sh[8]*h1[i]
-		o = o + sl[9]*l1[i]
-		o = o + sh[9]*h1[i]
-		e = e + sl[10]*l0[i]
-		e = e + sh[10]*h0[i]
-		o = o + sl[11]*l0[i]
-		o = o + sh[11]*h0[i]
+		e = e + float32(sl[0]*l5[i])
+		e = e + float32(sh[0]*h5[i])
+		o = o + float32(sl[1]*l5[i])
+		o = o + float32(sh[1]*h5[i])
+		e = e + float32(sl[2]*l4[i])
+		e = e + float32(sh[2]*h4[i])
+		o = o + float32(sl[3]*l4[i])
+		o = o + float32(sh[3]*h4[i])
+		e = e + float32(sl[4]*l3[i])
+		e = e + float32(sh[4]*h3[i])
+		o = o + float32(sl[5]*l3[i])
+		o = o + float32(sh[5]*h3[i])
+		e = e + float32(sl[6]*l2[i])
+		e = e + float32(sh[6]*h2[i])
+		o = o + float32(sl[7]*l2[i])
+		o = o + float32(sh[7]*h2[i])
+		e = e + float32(sl[8]*l1[i])
+		e = e + float32(sh[8]*h1[i])
+		o = o + float32(sl[9]*l1[i])
+		o = o + float32(sh[9]*h1[i])
+		e = e + float32(sl[10]*l0[i])
+		e = e + float32(sh[10]*h0[i])
+		o = o + float32(sl[11]*l0[i])
+		o = o + float32(sh[11]*h0[i])
 		even[i] = e
 		odd[i] = o
 	}

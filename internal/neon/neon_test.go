@@ -42,9 +42,6 @@ func TestIntrinsicsLaneExact(t *testing.T) {
 	if got := u.VmulqF32(a, b); got != (Float32x4{5, 12, 21, 32}) {
 		t.Errorf("VmulqF32 = %v", got)
 	}
-	if got := u.VaddqF32(a, b); got != (Float32x4{6, 8, 10, 12}) {
-		t.Errorf("VaddqF32 = %v", got)
-	}
 	if got := u.VmlaqF32(a, a, b); got != (Float32x4{6, 14, 24, 36}) {
 		t.Errorf("VmlaqF32 = %v", got)
 	}

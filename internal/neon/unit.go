@@ -28,7 +28,6 @@ type Counts struct {
 	Stores2    int64 // vst2q (interleaving)
 	Muls       int64 // vmulq
 	Mlas       int64 // vmlaq
-	Adds       int64 // vaddq
 	Dups       int64 // vdupq_n
 	HAdds      int64 // horizontal reduction (vpadd chain)
 	ScalarOps  int64 // scalar fallback arithmetic (tail loops)
@@ -45,7 +44,6 @@ func (c *Counts) Add(other *Counts) {
 	c.Stores2 += other.Stores2
 	c.Muls += other.Muls
 	c.Mlas += other.Mlas
-	c.Adds += other.Adds
 	c.Dups += other.Dups
 	c.HAdds += other.HAdds
 	c.ScalarOps += other.ScalarOps
@@ -125,12 +123,6 @@ func (u *Unit) VmlaqF32(acc, a, b Float32x4) Float32x4 {
 		acc[2] + float32(a[2]*b[2]),
 		acc[3] + float32(a[3]*b[3]),
 	}
-}
-
-// VaddqF32 adds lanewise (vaddq_f32).
-func (u *Unit) VaddqF32(a, b Float32x4) Float32x4 {
-	u.C.Adds++
-	return Float32x4{a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]}
 }
 
 // HAddF32 reduces the four lanes to their sum, as the paper does after

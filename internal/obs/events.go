@@ -194,10 +194,3 @@ func (r *EventRing) snapshot() []Event {
 	}
 	return out
 }
-
-// Total reports how many events were ever pushed (including overwritten).
-func (r *EventRing) Total() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}

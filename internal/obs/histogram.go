@@ -133,7 +133,7 @@ func (s Summary) Quantile(q float64) float64 {
 	if s.Count == 0 || len(s.Buckets) == 0 {
 		return 0
 	}
-	rank := q * float64(s.Count)
+	rank := float64(q * float64(s.Count))
 	var prevCum int64
 	prevBound := s.Min
 	for _, b := range s.Buckets {

@@ -122,9 +122,6 @@ func TestEventRingBoundedAndOrdered(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		b.Push(EventDrop, int64(10+i), 0, "")
 	}
-	if b.Total() != 11 {
-		t.Fatalf("b total = %d", b.Total())
-	}
 	// b's ring retains only the last 4; the merged view is seq-ordered.
 	evs := l.Events("", 0)
 	if len(evs) != 2+4 {

@@ -171,9 +171,6 @@ func New(eng engine.Engine, cfg Config) *Fuser {
 	}
 }
 
-// Engine returns the bound engine.
-func (f *Fuser) Engine() engine.Engine { return f.eng }
-
 // Config returns the effective configuration.
 func (f *Fuser) Config() Config { return f.cfg }
 
@@ -267,13 +264,6 @@ func (f *Fuser) energyFor(t sim.Time) sim.Joules {
 		return e
 	}
 	return sim.EnergyOver(f.eng.Power(), t)
-}
-
-// ModePower reports the board power of the fuser's engine mode at the
-// engine's operating point (the quiescent power for composite engines
-// like the adaptive scheduler, whose draw varies over a span).
-func (f *Fuser) ModePower() sim.Watts {
-	return dvfs.ModePower(f.eng.Name(), f.Point())
 }
 
 // pointed is implemented by operating-point-aware engines.

@@ -281,15 +281,8 @@ func (p *PipelinedFuser) Depth() int { return p.depth }
 // period carries part of the one-time ramp to steady state.
 func (p *PipelinedFuser) Frames() int64 { return p.seq }
 
-// Fuser returns the wrapped sequential fuser.
-func (p *PipelinedFuser) Fuser() *Fuser { return p.f }
-
 // Close releases the wrapped fuser's workspace planes back to the pool.
 func (p *PipelinedFuser) Close() { p.f.Close() }
-
-// Stages returns the stage graph the executor overlaps (nil for the
-// depth-1 degenerate path, which has no stations of its own).
-func (p *PipelinedFuser) Stages() []Stage { return p.stages }
 
 // FuseFrames fuses one visible/infrared frame pair through the pipelined
 // stage graph. The returned frame is bit-for-bit the sequential fusion;
@@ -474,9 +467,3 @@ func (p *PipelinedFuser) Stats() PipelineStats {
 	}
 	return ps
 }
-
-// Config returns the wrapped fuser's effective configuration.
-func (p *PipelinedFuser) Config() Config { return p.f.Config() }
-
-// Engine returns the bound engine.
-func (p *PipelinedFuser) Engine() engine.Engine { return p.f.Engine() }

@@ -9,11 +9,7 @@
 // power at 533 mW.
 package power
 
-import (
-	"strings"
-
-	"zynqfusion/internal/sim"
-)
+import "zynqfusion/internal/sim"
 
 // Board power by active compute mode.
 const (
@@ -32,18 +28,3 @@ const (
 	// a pipeline stalls waiting for capture.
 	Idle sim.Watts = 0.4100
 )
-
-// ModePower returns the board power for a named engine mode ("arm",
-// "neon", "fpga", in any letter case); unknown names get the idle power.
-func ModePower(mode string) sim.Watts {
-	switch strings.ToLower(mode) {
-	case "arm":
-		return ARMActive
-	case "neon":
-		return NEONActive
-	case "fpga":
-		return FPGAActive
-	default:
-		return Idle
-	}
-}

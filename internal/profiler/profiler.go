@@ -62,7 +62,7 @@ func (p Profile) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Profile results for image fusion (total %s)\n", p.Total)
 	for _, e := range p.Entries {
-		bar := strings.Repeat("#", int(e.Share*50+0.5))
+		bar := strings.Repeat("#", int(float64(e.Share*50)+0.5))
 		fmt.Fprintf(&b, "  %-16s %6.1f%% %s\n", e.Stage, e.Share*100, bar)
 	}
 	return b.String()

@@ -157,9 +157,6 @@ func NewAdaptiveAt(p Policy, op dvfs.OperatingPoint) *Adaptive {
 // Name implements engine.Engine.
 func (a *Adaptive) Name() string { return "adaptive(" + a.policy.Name() + ")" }
 
-// Policy returns the routing policy.
-func (a *Adaptive) Policy() Policy { return a.policy }
-
 // FPGA exposes the wave-engine lane for inspection (tests, statistics).
 func (a *Adaptive) FPGA() *engine.FPGA { return a.fpga }
 

@@ -45,26 +45,6 @@ type Partitioner interface {
 	Partition(pairs int, inverse bool) (p split.Partition, ok bool)
 }
 
-// PartitionOf is the shim between the classic and partition-aware policy
-// surfaces: partition-aware policies report their split, and the existing
-// Static/Threshold/Online policies degenerate to the 0%/100% splits their
-// Pick implies — an FPGA pick is the all-FPGA partition, anything else the
-// all-CPU one. It is the external two-lane projection of a policy; the
-// adaptive engine itself routes classic policies through Pick directly,
-// because Pick can also name the scalar ARM engine, which a two-lane
-// partition cannot express.
-func PartitionOf(p Policy, pairs int, inverse bool) split.Partition {
-	if pp, ok := p.(Partitioner); ok {
-		if part, use := pp.Partition(pairs, inverse); use {
-			return part.Clamp()
-		}
-	}
-	if p.Pick(pairs, inverse) == "fpga" {
-		return split.Partition{FPGA: 1}
-	}
-	return split.Partition{}
-}
-
 // SplitDriven adapts a split.Policy into a scheduling policy: the
 // partition comes from the split policy, and the classic Pick surface
 // reports the partition's majority lane (for callers that only understand

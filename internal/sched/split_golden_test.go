@@ -122,29 +122,6 @@ func TestCooperativeSplitBeatsBothExclusives(t *testing.T) {
 	}
 }
 
-// TestPartitionOfShim pins the classic policies' degenerate splits.
-func TestPartitionOfShim(t *testing.T) {
-	if p := PartitionOf(Static{Engine: "fpga"}, 44, false); p.FPGA != 1 {
-		t.Errorf("static-fpga shim = %+v", p)
-	}
-	if p := PartitionOf(Static{Engine: "neon"}, 44, false); p.FPGA != 0 {
-		t.Errorf("static-neon shim = %+v", p)
-	}
-	if p := PartitionOf(Static{Engine: "arm"}, 44, false); p.FPGA != 0 {
-		t.Errorf("static-arm shim = %+v", p)
-	}
-	th := Threshold{}
-	if p := PartitionOf(th, 44, false); p.FPGA != 1 {
-		t.Errorf("threshold wide shim = %+v", p)
-	}
-	if p := PartitionOf(th, 4, false); p.FPGA != 0 {
-		t.Errorf("threshold narrow shim = %+v", p)
-	}
-	if p := PartitionOf(SplitDriven{S: split.Fixed{Frac: 0.4}}, 44, false); p.FPGA != 0.4 {
-		t.Errorf("split-driven shim = %+v", p)
-	}
-}
-
 // TestGovernedPartitionGating verifies a denied gate collapses any
 // cooperative split to the all-CPU partition, and a granted gate passes
 // the inner split through.

@@ -22,18 +22,6 @@ const halfTaps = TapCount / 2
 // Taps is one zero-padded engine filter.
 type Taps [TapCount]float32
 
-// NewTaps places coeffs into a Taps array at the given offset, zero-filling
-// the rest. It panics if the coefficients do not fit, since filter banks
-// are package-level constants and a bad placement is a programming error.
-func NewTaps(coeffs []float32, offset int) Taps {
-	var t Taps
-	if offset < 0 || offset+len(coeffs) > TapCount {
-		panic("signal.NewTaps: coefficients do not fit in the 12-tap datapath")
-	}
-	copy(t[offset:], coeffs)
-	return t
-}
-
 // Shifted returns the taps delayed by n slots (tree-B level-1 filters are
 // the tree-A filters delayed by one sample). It panics if nonzero taps
 // would be shifted out.
@@ -50,16 +38,6 @@ func (t Taps) Shifted(n int) Taps {
 		s[j] = t[i]
 	}
 	return s
-}
-
-// Reversed returns the time-reversed taps (q-shift-style tree-B filters at
-// levels >= 2 are the time reverse of tree A).
-func (t Taps) Reversed() Taps {
-	var r Taps
-	for i := range t {
-		r[TapCount-1-i] = t[i]
-	}
-	return r
 }
 
 // Kernel is the execution contract for the inner filter loops. The three

@@ -15,24 +15,9 @@ func randTaps(rng *rand.Rand) Taps {
 	return t
 }
 
-func TestNewTapsPlacement(t *testing.T) {
-	taps := NewTaps([]float32{1, 2, 3}, 4)
-	if taps[4] != 1 || taps[5] != 2 || taps[6] != 3 || taps[0] != 0 || taps[11] != 0 {
-		t.Errorf("placement wrong: %v", taps)
-	}
-}
-
-func TestNewTapsRejectsOverflow(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewTaps(make([]float32, 13), 0)
-}
-
 func TestShiftedMovesCoefficients(t *testing.T) {
-	taps := NewTaps([]float32{5}, 3)
+	var taps Taps
+	taps[3] = 5
 	s := taps.Shifted(2)
 	if s[5] != 5 || s[3] != 0 {
 		t.Errorf("shift wrong: %v", s)

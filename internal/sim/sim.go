@@ -100,29 +100,3 @@ func (p Watts) String() string { return fmt.Sprintf("%.1fmW", p.Milliwatts()) }
 
 // EnergyOver integrates a constant power level over a span.
 func EnergyOver(p Watts, t Time) Joules { return Joules(float64(p) * t.Seconds()) }
-
-// Ledger accumulates simulated busy time for one resource. The zero value
-// is an empty ledger ready for use.
-type Ledger struct {
-	name  string
-	total Time
-}
-
-// NewLedger returns a named ledger.
-func NewLedger(name string) *Ledger { return &Ledger{name: name} }
-
-// Name reports the resource name ("" for anonymous ledgers).
-func (l *Ledger) Name() string { return l.name }
-
-// Add charges t of busy time.
-func (l *Ledger) Add(t Time) { l.total += t }
-
-// Total reports the accumulated busy time.
-func (l *Ledger) Total() Time { return l.total }
-
-// Reset clears the ledger and returns the value it held.
-func (l *Ledger) Reset() Time {
-	t := l.total
-	l.total = 0
-	return t
-}

@@ -79,24 +79,6 @@ func TestEnergyOver(t *testing.T) {
 	}
 }
 
-func TestLedger(t *testing.T) {
-	l := NewLedger("cpu")
-	if l.Name() != "cpu" {
-		t.Errorf("name %q", l.Name())
-	}
-	l.Add(5 * Microsecond)
-	l.Add(5 * Microsecond)
-	if l.Total() != 10*Microsecond {
-		t.Errorf("total %v", l.Total())
-	}
-	if got := l.Reset(); got != 10*Microsecond {
-		t.Errorf("reset returned %v", got)
-	}
-	if l.Total() != 0 {
-		t.Error("ledger not cleared")
-	}
-}
-
 func TestCyclesRoundTripQuick(t *testing.T) {
 	c := NewClock("q", 533e6)
 	fn := func(nRaw uint16) bool {

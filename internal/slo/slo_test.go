@@ -123,7 +123,7 @@ func TestTrackerNeverFiresOnGood(t *testing.T) {
 	if len(edges) != 0 {
 		t.Fatalf("clean stream produced transitions: %+v", edges)
 	}
-	if h := tr.Health(); h != 100 {
+	if h := tr.Status().Health; h != 100 {
 		t.Fatalf("clean health %g, want 100", h)
 	}
 }
@@ -156,7 +156,7 @@ func TestHealthCaps(t *testing.T) {
 	if !tr.PageActive() {
 		t.Fatal("page not active after 700 bad frames")
 	}
-	if h := tr.Health(); h > 25 {
+	if h := tr.Status().Health; h > 25 {
 		t.Fatalf("health %g while paging, cap is 25", h)
 	}
 }

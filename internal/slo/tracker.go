@@ -294,16 +294,10 @@ func (t *Tracker) Burning() (name string, ok bool) {
 	return "", false
 }
 
-// Health is the stream's composite 0-100 score: 100 x the mean clamped
-// cumulative budget remaining across SLIs, capped at 50 while a ticket
-// burns and at 25 while a page burns (an actively-burning stream cannot
-// report near-perfect health off an intact long-term budget).
-func (t *Tracker) Health() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.healthLocked()
-}
-
+// healthLocked is the stream's composite 0-100 score: 100 x the mean
+// clamped cumulative budget remaining across SLIs, capped at 50 while a
+// ticket burns and at 25 while a page burns (an actively-burning stream
+// cannot report near-perfect health off an intact long-term budget).
 func (t *Tracker) healthLocked() float64 {
 	if len(t.slis) == 0 {
 		return 100

@@ -54,11 +54,6 @@ func (p Partition) Clamp() Partition {
 	return p
 }
 
-// Degenerate reports whether the partition uses only one lane — the
-// either/or routing of the fixed system. Degenerate partitions reproduce
-// the exclusive engines bit-for-bit: no merge overhead, no overlap.
-func (p Partition) Degenerate() bool { return p.FPGA <= 0 || p.FPGA >= 1 }
-
 func (p Partition) String() string { return fmt.Sprintf("fpga=%.0f%%", p.FPGA*100) }
 
 // Policy decides the partition for a row class.

@@ -15,34 +15,24 @@ func op(name string) dvfs.OperatingPoint {
 	return p
 }
 
+// TestPartitionClampAndDegenerate: Clamp pins out-of-range shares to the
+// degenerate all-NEON and all-FPGA splits and leaves a cooperative one be.
 func TestPartitionClampAndDegenerate(t *testing.T) {
-	cases := []struct {
-		in         float64
-		want       float64
-		degenerate bool
-	}{
-		{-0.5, 0, true},
-		{0, 0, true},
-		{0.4, 0.4, false},
-		{1, 1, true},
-		{1.7, 1, true},
+	cases := []struct{ in, want float64 }{
+		{-0.5, 0}, {0, 0}, {0.4, 0.4}, {1, 1}, {1.7, 1},
 	}
 	for _, c := range cases {
-		p := Partition{FPGA: c.in}.Clamp()
-		if p.FPGA != c.want {
+		if p := (Partition{FPGA: c.in}).Clamp(); p.FPGA != c.want {
 			t.Errorf("Clamp(%g) = %g, want %g", c.in, p.FPGA, c.want)
-		}
-		if p.Degenerate() != c.degenerate {
-			t.Errorf("Degenerate(%g) = %v, want %v", c.in, p.Degenerate(), c.degenerate)
 		}
 	}
 }
 
 func TestFixedSweepsEndpoints(t *testing.T) {
-	if f := (Fixed{Frac: 0}).Split(44, false); !f.Degenerate() || f.FPGA != 0 {
+	if f := (Fixed{Frac: 0}).Split(44, false); f.FPGA != 0 {
 		t.Errorf("Fixed 0 = %+v", f)
 	}
-	if f := (Fixed{Frac: 1}).Split(44, false); !f.Degenerate() || f.FPGA != 1 {
+	if f := (Fixed{Frac: 1}).Split(44, false); f.FPGA != 1 {
 		t.Errorf("Fixed 1 = %+v", f)
 	}
 	if f := (Fixed{Frac: 2}).Split(44, false); f.FPGA != 1 {
@@ -75,7 +65,7 @@ func TestRowTimesShapes(t *testing.T) {
 func TestOracleBalancesLanes(t *testing.T) {
 	o := NewOracle(dvfs.Nominal())
 	p := o.Split(44, false)
-	if p.Degenerate() {
+	if p.FPGA <= 0 || p.FPGA >= 1 {
 		t.Fatalf("oracle split at 44 pairs should be cooperative, got %+v", p)
 	}
 	tn, tf := RowTimes(44, false, dvfs.Nominal())

@@ -117,16 +117,6 @@ func TestTapsShiftedPanicsOnOverflow(t *testing.T) {
 	taps.Shifted(-1)
 }
 
-func TestTapsReversedInvolution(t *testing.T) {
-	f := func(vals [12]float32) bool {
-		taps := signal.Taps(vals)
-		return taps.Reversed().Reversed() == taps
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPRQuickRandomSignals(t *testing.T) {
 	// Property: perfect reconstruction holds for arbitrary random signals
 	// of arbitrary even length.

@@ -220,9 +220,6 @@ func NewDTCWTPooled(x *Xfm, banks TreeBanks, pool *bufpool.Pool) *DTCWT {
 	return &DTCWT{X: x, banks: banks, pool: pool}
 }
 
-// Pool returns the transform's plane pool (nil for the allocating path).
-func (t *DTCWT) Pool() *bufpool.Pool { return t.pool }
-
 func (t *DTCWT) poolOr() *bufpool.Pool {
 	if t.pool != nil {
 		return t.pool

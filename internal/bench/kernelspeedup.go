@@ -45,9 +45,9 @@ type Host struct {
 	NumCPU     int    `json:"num_cpu"`
 	GOARCH     string `json:"goarch"`
 	GoVersion  string `json:"go_version"`
-	// SIMD is the packed path the kernels take on this host ("avx",
-	// "sse" or "go"; see kernels.SIMD): the CPU picks it at start-up, so
-	// it is part of the shape.
+	// SIMD is the packed path the filter chains take on this host
+	// ("avx512", "avx", "sse" or "go"; see kernels.SIMD): the CPU picks
+	// it at start-up, so it is part of the shape.
 	SIMD string `json:"simd"`
 }
 

@@ -42,12 +42,16 @@ import "zynqfusion/internal/signal"
 // On amd64 two chains run packed (lanes_amd64.s): the mul-first chain
 // (the NEON auto analysis body, the NEON synthesis body and the wave
 // engine's analysis) and the reference synthesis pair chain (the
-// reference synthesis and the wave engine's). Each runs eight lanes per
-// AVX VMULPS/VADDPS when a CPUID+XGETBV check at start-up finds AVX,
-// four lanes per SSE MULPS/ADDPS on amd64 hosts without it, and the Go
-// lane loop for the lanes left over. amd64 never contracts a*b+c, so
-// packed multiplies and adds issued in chain order round exactly like
-// the scalar code.
+// reference synthesis and the wave engine's). A lane call hands both
+// its outputs to one dispatcher call, which a CPUID+XGETBV check at
+// start-up points at the widest form: on AVX-512F hosts one kernel call
+// computes both outputs, sixteen lanes per ZMM VMULPS/VADDPS, each row
+// loaded once for both filters and the last 1..15 lanes under an
+// opmask, so no lane is left over; AVX hosts run eight lanes per
+// VMULPS/VADDPS and other amd64 hosts four per SSE MULPS/ADDPS, one
+// call per output, and the Go lane loop takes the lanes left over.
+// amd64 never contracts a*b+c, so packed multiplies and adds issued in
+// chain order round exactly like the scalar code.
 
 // AnalysisRows are the TapCount source rows an analysis lane call reads:
 // row k holds, per lane, the padded sample that lane's output reads under
@@ -84,9 +88,7 @@ func checkLanes(name string, rows [][]float32, a, b []float32) {
 // every lane whatever its position.
 func AnalyzeMulFirstLanes(al, ah *signal.Taps, r *AnalysisRows, lo, hi []float32) {
 	checkLanes("kernels.AnalyzeMulFirstLanes", r[:], lo, hi)
-	rows := (*[signal.TapCount][]float32)(r)
-	n := mulChainSIMD(rows, al, lo)
-	mulChainSIMD(rows, ah, hi)
+	n := mulChainSIMD((*[signal.TapCount][]float32)(r), al, ah, lo, hi)
 	analyzeLanesMulFirst(al, ah, r, lo, hi, n)
 }
 
@@ -222,8 +224,7 @@ func synthesizeMulFirstLanes(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, o
 	checkLanes("kernels.SynthesizeOpLanes", wh[:], even, odd)
 	var c synthesisChains
 	c.lay(sl, sh, wl, wh)
-	n := mulChainSIMD(&c.rows, &c.even, even)
-	mulChainSIMD(&c.rows, &c.odd, odd)
+	n := mulChainSIMD(&c.rows, &c.even, &c.odd, even, odd)
 	synthesizeLanesMulFirst(sl, sh, wl, wh, even, odd, n)
 }
 
@@ -254,8 +255,7 @@ func SynthesizeRefLanes(sl, sh *signal.Taps, wl, wh *SynthesisRows, even, odd []
 	checkLanes("kernels.SynthesizeRefLanes", wh[:], even, odd)
 	var c synthesisChains
 	c.lay(sl, sh, wl, wh)
-	n := pairChainSIMD(&c.rows, &c.even, even)
-	pairChainSIMD(&c.rows, &c.odd, odd)
+	n := pairChainSIMD(&c.rows, &c.even, &c.odd, even, odd)
 	synthesizeLanesRef(sl, sh, wl, wh, even, odd, n)
 }
 

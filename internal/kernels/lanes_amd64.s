@@ -1,8 +1,8 @@
 #include "textflag.h"
 
-// The four filter-chain kernels share one register plan. X4..X15 (Y4..Y15
-// for AVX) hold the twelve taps, each broadcast to every lane once per
-// call. The twelve row pointers (BX, DX, SI, DI, R8..R15) and out (AX)
+// The four one-output filter-chain kernels (SSE and AVX) share one
+// register plan. X4..X15 (Y4..Y15 for AVX) hold the twelve taps, each
+// broadcast to every lane once per call. The twelve row pointers (BX, DX, SI, DI, R8..R15) and out (AX)
 // are advanced to their ends and walked with one negative byte offset
 // (CX) counting up to zero, so a loop needs no separate limit register.
 // amd64 has no implicit FMA contraction, so packed multiplies and adds
@@ -96,6 +96,155 @@
 	VMULPS (rb)(CX*1), tb, Y2; \
 	VADDPS Y2, Y1, Y1; \
 	VADDPS Y1, Y0, Y0
+
+// The two AVX-512F kernels compute both outputs of a lane call in one
+// pass, sixteen lanes per operation. Z4..Z15 hold the first output's
+// twelve taps and Z16..Z27 the second's, so each row is loaded once
+// into Z2 (Z3 for a pair step's second row) and feeds both chains; Z0
+// accumulates the first output and Z1 the second. Fourteen general
+// registers walk the data: AX is the first output's pointer, advanced
+// 64 bytes a step, and BX, CX, DX, SI, DI, R8..R14 (rows 0..11) and R15
+// (the second output) hold their distance from it, so every access is
+// (reg)(AX*1); the loop's end sits in the one local. The 1..15 lanes
+// left over run once more under the opmask K1: masked-out lanes load
+// as zero without faulting and store nothing.
+
+// ZMM_TAPS broadcasts the twelve taps at (AX) into z0..z11.
+#define ZMM_TAPS(z0, z1, z2, z3, z4, z5, z6, z7, z8, z9, z10, z11) \
+	VBROADCASTSS 0(AX), z0; \
+	VBROADCASTSS 4(AX), z1; \
+	VBROADCASTSS 8(AX), z2; \
+	VBROADCASTSS 12(AX), z3; \
+	VBROADCASTSS 16(AX), z4; \
+	VBROADCASTSS 20(AX), z5; \
+	VBROADCASTSS 24(AX), z6; \
+	VBROADCASTSS 28(AX), z7; \
+	VBROADCASTSS 32(AX), z8; \
+	VBROADCASTSS 36(AX), z9; \
+	VBROADCASTSS 40(AX), z10; \
+	VBROADCASTSS 44(AX), z11
+
+// ZMM_TAIL takes the lane count in BX: it sets K1 to the lanes past the
+// last whole sixteen and leaves in BX the bytes of the whole steps.
+#define ZMM_TAIL \
+	MOVQ  BX, CX; \
+	ANDQ  $15, CX; \
+	MOVL  $1, DX; \
+	SHLL  CX, DX; \
+	DECL  DX; \
+	KMOVW DX, K1; \
+	ANDQ  $-16, BX; \
+	SHLQ  $2, BX
+
+// ZMM_ROWS loads each row's distance from the first output's base in AX,
+// row k's header at 24*k(DX): rows 0..11 into BX, CX, DX, SI, DI,
+// R8..R14, with DX, the table pointer, read last.
+#define ZMM_ROWS \
+	MOVQ 0(DX), BX; \
+	SUBQ AX, BX; \
+	MOVQ 24(DX), CX; \
+	SUBQ AX, CX; \
+	MOVQ 72(DX), SI; \
+	SUBQ AX, SI; \
+	MOVQ 96(DX), DI; \
+	SUBQ AX, DI; \
+	MOVQ 120(DX), R8; \
+	SUBQ AX, R8; \
+	MOVQ 144(DX), R9; \
+	SUBQ AX, R9; \
+	MOVQ 168(DX), R10; \
+	SUBQ AX, R10; \
+	MOVQ 192(DX), R11; \
+	SUBQ AX, R11; \
+	MOVQ 216(DX), R12; \
+	SUBQ AX, R12; \
+	MOVQ 240(DX), R13; \
+	SUBQ AX, R13; \
+	MOVQ 264(DX), R14; \
+	SUBQ AX, R14; \
+	MOVQ 48(DX), DX; \
+	SUBQ AX, DX
+
+// ZLOAD and ZLOADK load sixteen lanes of the row at distance r into z:
+// all of them, or K1's, the others zeroed.
+#define ZLOAD(r, z) VMOVUPS (r)(AX*1), z
+#define ZLOADK(r, z) VMOVUPS.Z (r)(AX*1), K1, z
+
+// DUAL_MUL_STEP adds one tap's products of the row in Z2 to both
+// mul-first chains: ta*Z2 to Z0 and tb*Z2 to Z1, the accumulator the
+// first source of each add.
+#define DUAL_MUL_STEP(ta, tb) \
+	VMULPS Z2, ta, Z3; \
+	VMULPS Z2, tb, Z28; \
+	VADDPS Z3, Z0, Z0; \
+	VADDPS Z28, Z1, Z1
+
+// DUAL_MUL_CHAIN is both mul-first chains over sixteen lanes, each row
+// read by load: tap 0's products start the accumulators, taps 1..11
+// follow in order.
+#define DUAL_MUL_CHAIN(load) \
+	load(BX, Z2); \
+	VMULPS Z2, Z4, Z0; \
+	VMULPS Z2, Z16, Z1; \
+	load(CX, Z2); \
+	DUAL_MUL_STEP(Z5, Z17); \
+	load(DX, Z2); \
+	DUAL_MUL_STEP(Z6, Z18); \
+	load(SI, Z2); \
+	DUAL_MUL_STEP(Z7, Z19); \
+	load(DI, Z2); \
+	DUAL_MUL_STEP(Z8, Z20); \
+	load(R8, Z2); \
+	DUAL_MUL_STEP(Z9, Z21); \
+	load(R9, Z2); \
+	DUAL_MUL_STEP(Z10, Z22); \
+	load(R10, Z2); \
+	DUAL_MUL_STEP(Z11, Z23); \
+	load(R11, Z2); \
+	DUAL_MUL_STEP(Z12, Z24); \
+	load(R12, Z2); \
+	DUAL_MUL_STEP(Z13, Z25); \
+	load(R13, Z2); \
+	DUAL_MUL_STEP(Z14, Z26); \
+	load(R14, Z2); \
+	DUAL_MUL_STEP(Z15, Z27)
+
+// DUAL_PAIR_STEP is one step of both pair chains over the rows in Z2
+// and Z3: (ta0*Z2 + ta1*Z3) added to Z0 and (tb0*Z2 + tb1*Z3) to Z1,
+// the left operand first throughout, as AVX_PAIR_STEP.
+#define DUAL_PAIR_STEP(ta0, ta1, tb0, tb1) \
+	VMULPS Z2, ta0, Z28; \
+	VMULPS Z3, ta1, Z29; \
+	VMULPS Z2, tb0, Z30; \
+	VMULPS Z3, tb1, Z31; \
+	VADDPS Z29, Z28, Z28; \
+	VADDPS Z31, Z30, Z30; \
+	VADDPS Z28, Z0, Z0; \
+	VADDPS Z30, Z1, Z1
+
+// DUAL_PAIR_CHAIN is both pair chains over sixteen lanes, from +0
+// (VPXORD: the ZMM form of VXORPS needs AVX512DQ), each row read by load.
+#define DUAL_PAIR_CHAIN(load) \
+	VPXORD Z0, Z0, Z0; \
+	VPXORD Z1, Z1, Z1; \
+	load(BX, Z2); \
+	load(CX, Z3); \
+	DUAL_PAIR_STEP(Z4, Z5, Z16, Z17); \
+	load(DX, Z2); \
+	load(SI, Z3); \
+	DUAL_PAIR_STEP(Z6, Z7, Z18, Z19); \
+	load(DI, Z2); \
+	load(R8, Z3); \
+	DUAL_PAIR_STEP(Z8, Z9, Z20, Z21); \
+	load(R9, Z2); \
+	load(R10, Z3); \
+	DUAL_PAIR_STEP(Z10, Z11, Z22, Z23); \
+	load(R11, Z2); \
+	load(R12, Z3); \
+	DUAL_PAIR_STEP(Z12, Z13, Z24, Z25); \
+	load(R13, Z2); \
+	load(R14, Z3); \
+	DUAL_PAIR_STEP(Z14, Z15, Z26, Z27)
 
 // func mulChainSSE(rows *[12][]float32, taps *signal.Taps, out []float32)
 //
@@ -273,6 +422,96 @@ pairavxloop:
 	VZEROUPPER
 
 pairavxdone:
+	RET
+
+// func mulChainAVX512(rows *[12][]float32, ta, tb *signal.Taps, a, b []float32)
+//
+// mulChainAVX with ta into a and tb into b, both in one pass over the
+// rows, every lane of a computed: the whole sixteen-lane steps, then
+// the leftover lanes under K1. VZEROUPPER clears the upper halves of
+// Z0..Z15 before returning, as in mulChainAVX.
+TEXT ·mulChainAVX512(SB), NOSPLIT, $8-72
+	MOVQ  a_len+32(FP), BX
+	TESTQ BX, BX
+	JZ    mulzdone
+	ZMM_TAIL
+	MOVQ  ta+8(FP), AX
+	ZMM_TAPS(Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	MOVQ  tb+16(FP), AX
+	ZMM_TAPS(Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23, Z24, Z25, Z26, Z27)
+	MOVQ  a_base+24(FP), AX
+	ADDQ  AX, BX
+	MOVQ  BX, end-8(SP)
+	MOVQ  b_base+48(FP), R15
+	SUBQ  AX, R15
+	MOVQ  rows+0(FP), DX
+	ZMM_ROWS
+	CMPQ AX, end-8(SP)
+	JEQ  mulztail
+
+mulzloop:
+	DUAL_MUL_CHAIN(ZLOAD)
+	VMOVUPS Z0, (AX)
+	VMOVUPS Z1, (R15)(AX*1)
+	ADDQ    $64, AX
+	CMPQ    AX, end-8(SP)
+	JNE     mulzloop
+
+mulztail:
+	KORTESTW K1, K1
+	JZ       mulzclean
+	DUAL_MUL_CHAIN(ZLOADK)
+	VMOVUPS  Z0, K1, (AX)
+	VMOVUPS  Z1, K1, (R15)(AX*1)
+
+mulzclean:
+	VZEROUPPER
+
+mulzdone:
+	RET
+
+// func pairChainAVX512(rows *[12][]float32, ta, tb *signal.Taps, a, b []float32)
+//
+// pairChainAVX with ta into a and tb into b, both in one pass over the
+// rows, every lane of a computed as in mulChainAVX512.
+TEXT ·pairChainAVX512(SB), NOSPLIT, $8-72
+	MOVQ  a_len+32(FP), BX
+	TESTQ BX, BX
+	JZ    pairzdone
+	ZMM_TAIL
+	MOVQ  ta+8(FP), AX
+	ZMM_TAPS(Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	MOVQ  tb+16(FP), AX
+	ZMM_TAPS(Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23, Z24, Z25, Z26, Z27)
+	MOVQ  a_base+24(FP), AX
+	ADDQ  AX, BX
+	MOVQ  BX, end-8(SP)
+	MOVQ  b_base+48(FP), R15
+	SUBQ  AX, R15
+	MOVQ  rows+0(FP), DX
+	ZMM_ROWS
+	CMPQ AX, end-8(SP)
+	JEQ  pairztail
+
+pairzloop:
+	DUAL_PAIR_CHAIN(ZLOAD)
+	VMOVUPS Z0, (AX)
+	VMOVUPS Z1, (R15)(AX*1)
+	ADDQ    $64, AX
+	CMPQ    AX, end-8(SP)
+	JNE     pairzloop
+
+pairztail:
+	KORTESTW K1, K1
+	JZ       pairzclean
+	DUAL_PAIR_CHAIN(ZLOADK)
+	VMOVUPS  Z0, K1, (AX)
+	VMOVUPS  Z1, K1, (R15)(AX*1)
+
+pairzclean:
+	VZEROUPPER
+
+pairzdone:
 	RET
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

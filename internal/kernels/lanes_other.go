@@ -10,10 +10,10 @@ func SIMD() string { return "go" }
 
 // mulChainSIMD and pairChainSIMD have no vector form off amd64: every
 // lane runs the Go lane loop.
-func mulChainSIMD(rows *[signal.TapCount][]float32, taps *signal.Taps, out []float32) int {
+func mulChainSIMD(rows *[signal.TapCount][]float32, ta, tb *signal.Taps, a, b []float32) int {
 	return 0
 }
 
-func pairChainSIMD(rows *[signal.TapCount][]float32, taps *signal.Taps, out []float32) int {
+func pairChainSIMD(rows *[signal.TapCount][]float32, ta, tb *signal.Taps, a, b []float32) int {
 	return 0
 }
